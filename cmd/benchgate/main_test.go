@@ -142,6 +142,34 @@ func TestCompareNoRegression(t *testing.T) {
 	}
 }
 
+// TestGatedSubBenchmarkAbsentOnBase: a sub-benchmark added under a gated
+// parent exists only on the head side of the PR that adds it — however
+// slow, it is reported (gated, head-only) and cannot fail that PR; from
+// the next PR on both sides have it and it gates like its siblings.
+func TestGatedSubBenchmarkAbsentOnBase(t *testing.T) {
+	const base = `
+BenchmarkServePath/warm-8	1000	 230000 ns/op	 42000 B/op	 151 allocs/op
+`
+	const head = `
+BenchmarkServePath/warm-8	1000	 231000 ns/op	 42000 B/op	 151 allocs/op
+BenchmarkServePath/warm_constrained-8	 300	 900000 ns/op	 46000 B/op	 175 allocs/op
+`
+	gate := regexp.MustCompile(`^BenchmarkServePath`)
+	report := Compare(parse(t, base), parse(t, head), gate, 0.10, 0.10)
+	if len(report.Regressions) != 0 {
+		t.Fatalf("regressions = %v, want none", report.Regressions)
+	}
+	for _, r := range report.Results {
+		if r.Name == "BenchmarkServePath/warm_constrained" {
+			if !r.Gated || r.OnlyIn != "head" || r.Regression || r.HeadNsOp != 900000 {
+				t.Fatalf("head-only gated sub-benchmark: %+v", r)
+			}
+			return
+		}
+	}
+	t.Fatal("head-only sub-benchmark missing from the report")
+}
+
 // TestWorkflowGateMatchesSubBenchmarks pins the CI workflow's GATE to the
 // names benchgate actually compares: full sub-benchmark paths (with the
 // GOMAXPROCS suffix stripped). A right-anchored pattern would silently
@@ -172,6 +200,7 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		"BenchmarkRepair_SeededVsScratch/seeded",
 		"BenchmarkRepair_SeededVsScratch/scratch",
 		"BenchmarkServePath/warm",
+		"BenchmarkServePath/warm_constrained",
 		"BenchmarkServePath/cached",
 		"BenchmarkOptimize_BnB_vs_Enumerate/n512/bnb",
 		"BenchmarkOptimize_BnB_vs_Enumerate/n512/enumerate",

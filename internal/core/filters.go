@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netembed/internal/expr"
 	"netembed/internal/graph"
 	"netembed/internal/index"
 	"netembed/internal/sets"
@@ -60,16 +61,28 @@ type Filters struct {
 	stats Stats
 
 	// Pool-recycled scratch (see pool.go): per-node admissibility
-	// bitsets, positional row arenas for the indexed fill, the tableOf
-	// buffer, the incoming-arc dedup stamp with its output buffer, and
-	// the per-arc union accumulator of buildBaseDense.
-	passBits  []*sets.Bitset
-	arenas    []rowArena
-	arenaNext int
-	tableOf   []edgeTables
-	arcStamp  *tableStamp
-	arcsBuf   []int32
-	unionBuf  *sets.Bitset
+	// bitsets, positional row arenas for the dense fills, the tableOf
+	// buffer, the incoming-arc dedup stamp with its output buffer, the
+	// per-arc union accumulator of buildBaseDense, one constraint
+	// evaluation scratch per fill worker, and the throw-away host columns
+	// of builds the index's column cache cannot serve.
+	passBits    []*sets.Bitset
+	arenas      []rowArena
+	arenaNext   int
+	tableOf     []edgeTables
+	arcStamp    *tableStamp
+	arcsBuf     []int32
+	unionBuf    *sets.Bitset
+	evalScratch []evalScratch
+	scratchCols *index.Columns
+}
+
+// evalScratch is one worker's constraint-evaluation state: the batch
+// evaluator's registers and the satisfied-mask it fills (over host edges
+// for the edge constraint, host nodes for the node constraint).
+type evalScratch struct {
+	expr expr.Scratch
+	mask *sets.Bitset
 }
 
 func arcKey(u, v graph.NodeID) uint64 {
@@ -105,17 +118,22 @@ func chooseDense(repr Repr, nr, hostEdges int) bool {
 	return avgDeg >= float64(nr)/64
 }
 
-// BuildFilters evaluates the edge constraint over every (query edge, host
-// edge) pair — the first stage of ECF/RWB — and assembles the filter
-// tables and base candidate sets.
+// BuildFilters is the first stage of ECF/RWB: it decides every (query
+// node, host node) and (query edge, host edge) pairing and assembles the
+// filter tables and base candidate sets.
 //
-// With a compatible Options.Index the expensive scans are replaced by
-// index lookups: node admissibility intersects the index's degree strata
-// (evaluating the node constraint only on stratum members), and when no
-// edge constraint applies the filter tables are assembled row-wise from
-// adjacency bitsets instead of iterating every (query edge, host edge)
-// pair. Both paths produce identical candidate sets; the scan remains
-// the oracle the property tests compare against.
+// Constraints are evaluated in bulk, never pair by pair: per query
+// element, one batch evaluation of the program over all host elements
+// (expr.EvalNodeBatch / EvalEdgeBatch) yields a satisfied-mask, read from
+// typed attribute columns. The columns come from the index's snapshot
+// cache when Options.Index was built over p.Host itself, and are built
+// into pooled scratch otherwise, so the result never depends on the cache.
+//
+// A compatible Options.Index additionally replaces the structural scans:
+// node admissibility starts from the index's degree strata, and with no
+// edge constraint the tables are assembled row-wise from adjacency
+// bitsets. Every path produces identical candidate sets; the property
+// tests pin them to Problem.EdgeFeasible/NodeFeasible, pair by pair.
 func BuildFilters(p *Problem, opt *Options) *Filters {
 	start := time.Now()
 	idx := opt.Index
@@ -124,7 +142,7 @@ func BuildFilters(p *Problem, opt *Options) *Filters {
 			idx.Directed() != p.Host.Directed() ||
 			opt.Repr == ReprSlice) {
 		// Stale snapshot (universe mismatch) or forced sparse rows: the
-		// index cannot serve this build, scan instead.
+		// index cannot serve this build's structure.
 		idx = nil
 	}
 	nq, nr := p.Query.NumNodes(), p.Host.NumNodes()
@@ -144,21 +162,22 @@ func BuildFilters(p *Problem, opt *Options) *Filters {
 	} else {
 		clear(f.arcTables)
 	}
+	var cols *index.Columns
+	if p.EdgeConstraint != nil || p.NodeConstraint != nil {
+		cols = f.hostColumns(opt.Index)
+	}
+	f.evalScratch = grow(f.evalScratch, max(1, opt.Workers))
 
 	// Per-node admissibility: node constraint ∧ degree filter.
 	f.nodePass = grow(f.nodePass, nq)
 	f.passBits = grow(f.passBits, nq)
 	passBits := f.passBits
-	if idx != nil {
-		f.buildNodePassIndexed(opt, idx, passBits)
-	} else {
-		f.buildNodePassScan(opt, passBits)
-	}
+	f.buildNodePass(opt, idx, cols, passBits)
 
 	if idx != nil && p.EdgeConstraint == nil {
 		f.fillTablesIndexed(idx, passBits)
 	} else {
-		f.fillTablesScan(opt, passBits)
+		f.fillTables(opt, cols, passBits)
 	}
 
 	if f.dense {
@@ -170,59 +189,52 @@ func BuildFilters(p *Problem, opt *Options) *Filters {
 	return f
 }
 
-// buildNodePassScan computes per-node admissibility by scanning every
-// (query node, host node) pair.
-func (f *Filters) buildNodePassScan(opt *Options, passBits []*sets.Bitset) {
-	p := f.p
-	useDegree := !opt.NoDegreeFilter
-	for q := 0; q < f.nq; q++ {
-		qid := graph.NodeID(q)
-		pass := f.nodePass[q][:0]
-		degQ := p.Query.Degree(qid)
-		outQ := p.Query.OutDegree(qid)
-		for r := 0; r < f.nr; r++ {
-			rid := graph.NodeID(r)
-			if useDegree {
-				if p.Host.Degree(rid) < degQ || p.Host.OutDegree(rid) < outQ {
-					continue
-				}
-			}
-			if !p.nodeOK(qid, rid) {
-				continue
-			}
-			pass = append(pass, rid)
+// hostColumns returns the attribute columns of p.Host: the snapshot cache
+// of an index built over that very graph, else throw-away columns in
+// pooled scratch (a marked clone, an index-less caller, a stale index).
+func (f *Filters) hostColumns(idx *index.Index) *index.Columns {
+	if idx != nil {
+		if cols := idx.ColumnsFor(f.p.Host); cols != nil {
+			return cols
 		}
-		f.nodePass[q] = pass
-		pb := sets.ReuseBitset(passBits[q], f.nr)
-		pb.AddSet(pass)
-		passBits[q] = pb
 	}
+	if f.scratchCols == nil {
+		f.scratchCols = index.NewColumns(f.p.Host)
+	} else {
+		f.scratchCols.Reset(f.p.Host)
+	}
+	return f.scratchCols
 }
 
-// buildNodePassIndexed computes the same admissibility sets from the
-// index's degree strata: one AND of two ladder rungs per query node, with
-// the node constraint evaluated only on the stratum members.
-func (f *Filters) buildNodePassIndexed(opt *Options, idx *index.Index, passBits []*sets.Bitset) {
+// buildNodePass computes per-node admissibility: the degree stratum —
+// two ladder rungs of the index ANDed, or a scan of the host's degrees —
+// intersected with the node constraint's satisfied-mask.
+func (f *Filters) buildNodePass(opt *Options, idx *index.Index, cols *index.Columns, passBits []*sets.Bitset) {
 	p := f.p
+	ws := &f.evalScratch[0]
 	for q := 0; q < f.nq; q++ {
 		qid := graph.NodeID(q)
 		pass := sets.ReuseBitset(passBits[q], f.nr)
 		passBits[q] = pass
+		degQ, outQ := p.Query.Degree(qid), p.Query.OutDegree(qid)
 		if opt.NoDegreeFilter {
-			pass.CopyFrom(idx.DegreeAtLeast(0))
+			degQ, outQ = 0, 0
+		}
+		if idx != nil {
+			pass.CopyFrom(idx.DegreeAtLeast(degQ))
+			pass.IntersectWith(idx.OutDegreeAtLeast(outQ))
 		} else {
-			pass.CopyFrom(idx.DegreeAtLeast(p.Query.Degree(qid)))
-			pass.IntersectWith(idx.OutDegreeAtLeast(p.Query.OutDegree(qid)))
+			for r := 0; r < f.nr; r++ {
+				rid := graph.NodeID(r)
+				if p.Host.Degree(rid) >= degQ && p.Host.OutDegree(rid) >= outQ {
+					pass.Set(rid)
+				}
+			}
 		}
 		if p.NodeConstraint != nil {
-			// ForEach snapshots each word before visiting, so clearing
-			// the bit just visited is safe.
-			pass.ForEach(func(r graph.NodeID) bool {
-				if !p.nodeOK(qid, r) {
-					pass.Clear(r)
-				}
-				return true
-			})
+			ws.mask = sets.ReuseBitset(ws.mask, f.nr)
+			p.NodeConstraint.EvalNodeBatch(&expr.NodeBatch{VNode: p.Query.Node(qid).Attrs, Host: cols}, &ws.expr, ws.mask)
+			pass.IntersectWith(ws.mask)
 		}
 		f.nodePass[q] = pass.AppendTo(f.nodePass[q][:0])
 	}
@@ -261,103 +273,153 @@ func (f *Filters) newArcTables() []edgeTables {
 	return tableOf
 }
 
-// fillTablesScan evaluates the edge constraint over every (query edge,
-// host edge) pair, sharding the fill per query edge across
-// Options.Workers goroutines — each edge owns its two tables, so workers
-// never share mutable state beyond the stats counters.
+// fillTables builds each query edge's two tables from the edge
+// constraint's satisfied-mask over the host edges: every host edge in the
+// mask whose endpoints are admissible for the query edge's endpoints
+// enters the tables, in both orientations when the host is undirected.
+// One evaluation per host edge decides both orientations unless the
+// program tells them apart through rSource/rTarget; only then is the mask
+// computed a second time with the endpoints swapped. With no edge
+// constraint every host edge is in the mask.
+//
+// The fill is sharded per query edge across Options.Workers goroutines.
+// Each edge owns its two tables and — handed out serially beforehand —
+// their row arenas, and each worker its evaluation scratch, so workers
+// share nothing mutable beyond the stats counters.
 //
 //netembedvet:allow stoppoll the worker `for {}` drains a bounded atomic cursor over query edges; filter build is O(|Eq|·|Er|) work measured by Stats.FilterBuild, not an unbounded search
-func (f *Filters) fillTablesScan(opt *Options, passBits []*sets.Bitset) {
+func (f *Filters) fillTables(opt *Options, cols *index.Columns, passBits []*sets.Bitset) {
 	p := f.p
-	nr := f.nr
+	prog := p.EdgeConstraint
+	nEdges, nHostEdges := p.Query.NumEdges(), p.Host.NumEdges()
+	undirected := !p.Host.Directed()
 	tableOf := f.newArcTables()
 
-	var pairsEval, entries atomic.Int64
-	fillEdge := func(i int) {
-		qe := p.Query.Edge(graph.EdgeID(i))
-		var localPairs, localEntries int64
+	var from, to []graph.NodeID
+	if prog != nil && (prog.Uses(expr.ObjRSource) || prog.Uses(expr.ObjRTarget)) {
+		from, to = cols.Endpoints()
+	}
+	oriented := undirected && from != nil
 
-		// admit checks endpoint admissibility first — a candidate that
-		// fails its node filter can never appear in a mapping — then the
-		// edge constraint, and records the pairing in this edge's tables.
-		var admit func(rs, rt graph.NodeID, re *graph.Edge)
+	// Dense rows live in one arena per table, as in fillTablesIndexed: a
+	// row is claimed when its first candidate arrives, and a row never
+	// claimed stays nil (= empty). A table has at most one row per
+	// admissible tail.
+	var arenas [][2][]sets.Bitset
+	if f.dense {
+		arenas = make([][2][]sets.Bitset, nEdges)
+		for i := range arenas {
+			qe := p.Query.Edge(graph.EdgeID(i))
+			arenas[i][0] = f.nextArena(passBits[qe.From].Count())
+			arenas[i][1] = f.nextArena(passBits[qe.To].Count())
+		}
+	}
+
+	var pairsEval, entries atomic.Int64
+	fillEdge := func(i int, ws *evalScratch) {
+		qe := p.Query.Edge(graph.EdgeID(i))
+		passFrom, passTo := passBits[qe.From], passBits[qe.To]
+		var localEntries int64
+
+		// admit records host arc rs→rt as an image of the query edge,
+		// provided both endpoints pass their node filters — a candidate
+		// that fails its own can never appear in a mapping.
+		var admit func(rs, rt graph.NodeID)
 		if f.dense {
 			fwd, bwd := f.tablesB[tableOf[i].fwd], f.tablesB[tableOf[i].bwd]
-			admit = func(rs, rt graph.NodeID, re *graph.Edge) {
-				if !passBits[qe.From].Has(rs) || !passBits[qe.To].Has(rt) {
-					return
+			arena, claimed := arenas[i], [2]int{}
+			row := func(table []*sets.Bitset, side int, r graph.NodeID) *sets.Bitset {
+				if table[r] == nil {
+					table[r] = &arena[side][claimed[side]]
+					claimed[side]++
 				}
-				localPairs++
-				if !p.edgeOK(qe, re, rs, rt) {
-					return
+				return table[r]
+			}
+			admit = func(rs, rt graph.NodeID) {
+				if passFrom.Has(rs) && passTo.Has(rt) {
+					row(fwd, 0, rs).Set(rt)
+					row(bwd, 1, rt).Set(rs)
+					localEntries += 2
 				}
-				// Rows are allocated lazily: empty rows stay nil so the
-				// dense tables cost memory only where candidates exist.
-				if fwd[rs] == nil {
-					fwd[rs] = sets.NewBitset(nr)
-				}
-				fwd[rs].Set(rt)
-				if bwd[rt] == nil {
-					bwd[rt] = sets.NewBitset(nr)
-				}
-				bwd[rt].Set(rs)
-				localEntries += 2
 			}
 		} else {
 			fwd, bwd := f.tables[tableOf[i].fwd], f.tables[tableOf[i].bwd]
-			admit = func(rs, rt graph.NodeID, re *graph.Edge) {
-				if !passBits[qe.From].Has(rs) || !passBits[qe.To].Has(rt) {
-					return
+			admit = func(rs, rt graph.NodeID) {
+				if passFrom.Has(rs) && passTo.Has(rt) {
+					fwd[rs] = append(fwd[rs], rt)
+					bwd[rt] = append(bwd[rt], rs)
+					localEntries += 2
 				}
-				localPairs++
-				if !p.edgeOK(qe, re, rs, rt) {
-					return
-				}
-				fwd[rs] = append(fwd[rs], rt)
-				bwd[rt] = append(bwd[rt], rs)
-				localEntries += 2
 			}
 		}
+		asStored := func(j graph.EdgeID) bool {
+			re := p.Host.Edge(j)
+			admit(re.From, re.To)
+			if undirected && !oriented {
+				admit(re.To, re.From)
+			}
+			return true
+		}
 
-		for j := 0; j < p.Host.NumEdges(); j++ {
-			re := p.Host.Edge(graph.EdgeID(j))
-			admit(re.From, re.To, re)
-			if !p.Host.Directed() {
-				// The undirected host edge also matches with swapped roles.
-				admit(re.To, re.From, re)
+		if prog == nil {
+			for j := 0; j < nHostEdges; j++ {
+				asStored(graph.EdgeID(j))
+			}
+		} else {
+			b := expr.EdgeBatch{
+				VEdge:   qe.Attrs,
+				VSource: p.Query.Node(qe.From).Attrs,
+				VTarget: p.Query.Node(qe.To).Attrs,
+				Host:    cols,
+				RSource: from, RTarget: to,
+			}
+			ws.mask = sets.ReuseBitset(ws.mask, nHostEdges)
+			prog.EvalEdgeBatch(&b, &ws.expr, ws.mask)
+			pairsEval.Add(int64(nHostEdges))
+			ws.mask.ForEach(asStored)
+			if oriented {
+				// The stored orientation is in the tables; the mask is free
+				// to hold the swapped one.
+				b.RSource, b.RTarget = to, from
+				prog.EvalEdgeBatch(&b, &ws.expr, ws.mask)
+				pairsEval.Add(int64(nHostEdges))
+				ws.mask.ForEach(func(j graph.EdgeID) bool {
+					re := p.Host.Edge(j)
+					admit(re.To, re.From)
+					return true
+				})
 			}
 		}
 		if !f.dense {
 			fwd, bwd := f.tables[tableOf[i].fwd], f.tables[tableOf[i].bwd]
-			for r := 0; r < nr; r++ {
+			for r := 0; r < f.nr; r++ {
 				fwd[r] = sets.FromUnsorted(fwd[r])
 				bwd[r] = sets.FromUnsorted(bwd[r])
 			}
 		}
-		pairsEval.Add(localPairs)
 		entries.Add(localEntries)
 	}
 
-	if workers := opt.Workers; workers > 1 && p.Query.NumEdges() > 1 {
+	if workers := opt.Workers; workers > 1 && nEdges > 1 {
 		var wg sync.WaitGroup
 		next := atomic.Int64{}
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func() {
+			go func(ws *evalScratch) {
 				defer wg.Done()
 				for {
 					i := int(next.Add(1)) - 1
-					if i >= p.Query.NumEdges() {
+					if i >= nEdges {
 						return
 					}
-					fillEdge(i)
+					fillEdge(i, ws)
 				}
-			}()
+			}(&f.evalScratch[w])
 		}
 		wg.Wait()
 	} else {
-		for i := 0; i < p.Query.NumEdges(); i++ {
-			fillEdge(i)
+		for i := 0; i < nEdges; i++ {
+			fillEdge(i, &f.evalScratch[0])
 		}
 	}
 	f.stats.EdgePairsEval = pairsEval.Load()
@@ -368,14 +430,12 @@ func (f *Filters) fillTablesScan(opt *Options, passBits []*sets.Bitset) {
 // index's adjacency bitsets: the row for arc (u→v) at host node r is
 // adj(r) ∧ pass(v), two word-parallel ops instead of a scan over the
 // host edge list. Valid only when no edge constraint applies — with one,
-// every (query edge, host edge) pair must be evaluated and
-// fillTablesScan runs instead.
+// fillTables runs instead.
 //
 // Rows live in one arena per table (a single backing allocation); rows
-// that intersect to nothing stay nil exactly like the scan's lazily
-// allocated rows. EdgePairsEval stays 0 on this path — no pairs are
-// evaluated, which is the point — while FilterEntries still counts the
-// candidate bits stored.
+// that intersect to nothing stay nil (= empty). No constraint is
+// evaluated, so EdgePairsEval stays 0 here as in fillTables without a
+// program, while FilterEntries counts the candidate bits stored.
 func (f *Filters) fillTablesIndexed(idx *index.Index, passBits []*sets.Bitset) {
 	p := f.p
 	tableOf := f.newArcTables()

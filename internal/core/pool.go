@@ -77,6 +77,9 @@ func (f *Filters) release() {
 		return
 	}
 	f.p = nil
+	if f.scratchCols != nil {
+		f.scratchCols.Reset(nil) // the columns' graph is the caller's
+	}
 	filtersPool.Put(f)
 }
 
@@ -87,12 +90,10 @@ type rowArena struct {
 	backing []uint64
 }
 
-// nextArena hands out the build's next row arena, recycling positionally:
-// the i-th fill of this build reuses the storage of the i-th fill of the
-// build that previously owned this Filters, which under a steady
-// workload has the same geometry. Rows are fully overwritten by the
-// indexed fill (CopyFrom then IntersectWith), so recycled words need no
-// zeroing beyond what ReuseBitsets performs.
+// nextArena hands out the build's next row arena of n empty rows,
+// recycling positionally: the i-th arena of this build reuses the storage
+// of the i-th arena of the build that previously owned this Filters,
+// which under a steady workload has the same geometry.
 func (f *Filters) nextArena(n int) []sets.Bitset {
 	if f.arenaNext >= len(f.arenas) {
 		f.arenas = append(f.arenas, rowArena{})

@@ -308,13 +308,15 @@ type Options struct {
 	// Index, when non-nil, is a prebuilt host-capability index
 	// (internal/index) for the hosting network BuildFilters can consult
 	// instead of rescanning the host: node admissibility intersects
-	// degree strata, and topology-only filter tables (no edge
-	// constraint) are assembled from adjacency bitsets. The index must
-	// describe the Problem's host graph — same node universe, same
-	// orientation — or it is ignored; both paths provably produce
-	// identical candidate sets (the full scan stays the oracle in the
-	// property tests). Index-backed filters always carry the bitset
-	// representation, so ReprSlice also falls back to the scan.
+	// degree strata, topology-only filter tables (no edge constraint)
+	// are assembled from adjacency bitsets, and constraints are
+	// evaluated over the attribute columns cached on the snapshot. The
+	// structural shortcuts need an index describing the Problem's host —
+	// same node universe, same orientation — and the column cache one
+	// built over that very *graph.Graph (Index.ColumnsFor); anything
+	// else is ignored piecemeal, and every combination provably produces
+	// identical candidate sets. Index-backed tables always carry the
+	// bitset representation, so under ReprSlice only the columns are used.
 	Index *index.Index
 	// Repr selects the candidate-set representation for the ECF/RWB
 	// filter tables. Both representations provably enumerate identical
@@ -346,8 +348,13 @@ type Options struct {
 
 // Stats reports search effort counters.
 type Stats struct {
-	FilterBuild      time.Duration // time spent building filter matrices (ECF/RWB)
-	EdgePairsEval    int64         // constraint evaluations during filter build
+	FilterBuild time.Duration // time spent building filter matrices (ECF/RWB)
+	// EdgePairsEval counts the edge-constraint evaluations the filter
+	// build performed: one per (query edge, host edge), two where the
+	// program tells an undirected host edge's orientations apart
+	// (rSource/rTarget), none without an edge constraint. It depends on
+	// neither the table representation nor the presence of an index.
+	EdgePairsEval    int64
 	FilterEntries    int64         // total candidate entries stored in F
 	NodesVisited     int64         // permutation-tree nodes expanded
 	Backtracks       int64         // dead ends requiring backtracking

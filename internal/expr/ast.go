@@ -45,212 +45,247 @@ func (o Object) String() string {
 	return "object(?)"
 }
 
-// env carries the attribute bags bound to each object during evaluation.
+// opKind names one operator of the language.
+type opKind uint8
+
+const (
+	opLit opKind = iota
+	opAttr
+	opAnd
+	opOr
+	opNot
+	opNeg
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opLt
+	opGt
+	opLeq
+	opGeq
+	opEq
+	opNeq
+	opIsBoundTo
+	opHas
+	opAbs
+	opSqrt
+	opFloor
+	opCeil
+	opMin
+	opMax
+)
+
+// node is one operator application of a parsed expression. Both compiled
+// forms hang off this tree: the per-pair evaluator below walks it with one
+// value per node, the batch evaluator (batch.go) with one column per node.
+type node struct {
+	op   opKind
+	lit  graph.Value // opLit
+	obj  Object      // opAttr
+	attr string      // opAttr
+	ref  int         // opAttr: index into Program.refs
+	args []*node     // operands, left to right
+	// regs is the number of batch registers evaluating this subtree
+	// occupies: the first operand is computed into the node's own
+	// register, every later one into the next while the first is held.
+	regs int
+}
+
+func newNode(op opKind, args ...*node) *node {
+	n := &node{op: op, args: args, regs: 1}
+	for i, a := range args {
+		r := a.regs
+		if i > 0 {
+			r++
+		}
+		if r > n.regs {
+			n.regs = r
+		}
+	}
+	return n
+}
+
+// env carries the attribute bags bound to each object during one per-pair
+// evaluation.
 type env struct {
 	objs [numObjects]graph.Attrs
 }
-
-// evalFn is a compiled expression node. Compilation to closures keeps the
-// per-pair evaluation cost low: the filter-construction stage evaluates the
-// constraint once for every (query edge, hosting edge) pair.
-type evalFn func(*env) graph.Value
 
 // Three-valued (Kleene) logic over graph.Value: Missing acts as "unknown".
 // A constraint is satisfied only when it evaluates to boolean true, so an
 // expression touching an absent attribute rejects the pair — except under
 // isBoundTo/has, which test presence explicitly.
 
-func compileLiteral(v graph.Value) evalFn {
-	return func(*env) graph.Value { return v }
-}
-
-func compileAttr(obj Object, attr string) evalFn {
-	return func(e *env) graph.Value { return e.objs[obj].Get(attr) }
-}
-
-func compileAnd(l, r evalFn) evalFn {
-	return func(e *env) graph.Value {
-		lv := l(e)
+// eval computes the node's value under e. The recursion is direct calls
+// only, so e never escapes and a per-pair evaluation allocates nothing.
+func (n *node) eval(e *env) graph.Value {
+	switch n.op {
+	case opLit:
+		return n.lit
+	case opAttr:
+		return e.objs[n.obj].Get(n.attr)
+	case opAnd:
+		lv := n.args[0].eval(e)
 		if b, ok := lv.Truth(); ok && !b {
 			return graph.BoolVal(false) // false && x == false
 		}
-		rv := r(e)
+		rv := n.args[1].eval(e)
 		if b, ok := rv.Truth(); ok && !b {
 			return graph.BoolVal(false) // unknown && false == false
 		}
-		lb, lok := lv.Truth()
-		rb, rok := rv.Truth()
+		_, lok := lv.Truth()
+		_, rok := rv.Truth()
 		if lok && rok {
-			return graph.BoolVal(lb && rb)
+			return graph.BoolVal(true)
 		}
 		return graph.Value{}
-	}
-}
-
-func compileOr(l, r evalFn) evalFn {
-	return func(e *env) graph.Value {
-		lv := l(e)
+	case opOr:
+		lv := n.args[0].eval(e)
 		if b, ok := lv.Truth(); ok && b {
 			return graph.BoolVal(true) // true || x == true
 		}
-		rv := r(e)
+		rv := n.args[1].eval(e)
 		if b, ok := rv.Truth(); ok && b {
 			return graph.BoolVal(true) // unknown || true == true
 		}
-		lb, lok := lv.Truth()
-		rb, rok := rv.Truth()
+		_, lok := lv.Truth()
+		_, rok := rv.Truth()
 		if lok && rok {
-			return graph.BoolVal(lb || rb)
+			return graph.BoolVal(false)
 		}
 		return graph.Value{}
-	}
-}
-
-func compileNot(x evalFn) evalFn {
-	return func(e *env) graph.Value {
-		if b, ok := x(e).Truth(); ok {
+	case opNot:
+		if b, ok := n.args[0].eval(e).Truth(); ok {
 			return graph.BoolVal(!b)
 		}
 		return graph.Value{}
-	}
-}
-
-func compileNeg(x evalFn) evalFn {
-	return func(e *env) graph.Value {
-		if f, ok := x(e).Float(); ok {
+	case opNeg:
+		if f, ok := n.args[0].eval(e).Float(); ok {
 			return graph.Num(-f)
 		}
 		return graph.Value{}
-	}
-}
-
-func compileArith(op tokKind, l, r evalFn) evalFn {
-	return func(e *env) graph.Value {
-		lf, lok := l(e).Float()
-		rf, rok := r(e).Float()
+	case opAdd, opSub, opMul, opDiv:
+		lf, lok := n.args[0].eval(e).Float()
+		rf, rok := n.args[1].eval(e).Float()
 		if !lok || !rok {
 			return graph.Value{}
 		}
-		switch op {
-		case tokPlus:
-			return graph.Num(lf + rf)
-		case tokMinus:
-			return graph.Num(lf - rf)
-		case tokStar:
-			return graph.Num(lf * rf)
-		default: // tokSlash
-			if rf == 0 {
-				return graph.Value{} // division by zero is unsatisfiable, not a panic
-			}
-			return graph.Num(lf / rf)
+		if n.op == opDiv && rf == 0 {
+			return graph.Value{} // division by zero is unsatisfiable, not a panic
 		}
-	}
-}
-
-func compileCompare(op tokKind, l, r evalFn) evalFn {
-	return func(e *env) graph.Value {
-		lv, rv := l(e), r(e)
+		return graph.Num(arith(n.op, lf, rf))
+	case opLt, opGt, opLeq, opGeq:
+		lv, rv := n.args[0].eval(e), n.args[1].eval(e)
 		if lf, lok := lv.Float(); lok {
 			if rf, rok := rv.Float(); rok {
-				return graph.BoolVal(cmpFloat(op, lf, rf))
+				return graph.BoolVal(cmpFloat(n.op, lf, rf))
 			}
 			return graph.Value{}
 		}
 		if ls, lok := lv.Text(); lok {
 			if rs, rok := rv.Text(); rok {
-				return graph.BoolVal(cmpString(op, ls, rs))
+				return graph.BoolVal(cmpString(n.op, ls, rs))
 			}
 		}
 		return graph.Value{}
-	}
-}
-
-func cmpFloat(op tokKind, a, b float64) bool {
-	switch op {
-	case tokLt:
-		return a < b
-	case tokGt:
-		return a > b
-	case tokLeq:
-		return a <= b
-	default: // tokGeq
-		return a >= b
-	}
-}
-
-func cmpString(op tokKind, a, b string) bool {
-	switch op {
-	case tokLt:
-		return a < b
-	case tokGt:
-		return a > b
-	case tokLeq:
-		return a <= b
-	default: // tokGeq
-		return a >= b
-	}
-}
-
-func compileEquality(op tokKind, l, r evalFn) evalFn {
-	return func(e *env) graph.Value {
-		lv, rv := l(e), r(e)
+	case opEq, opNeq:
+		lv, rv := n.args[0].eval(e), n.args[1].eval(e)
 		if lv.IsMissing() || rv.IsMissing() {
 			return graph.Value{}
 		}
-		eq := lv.Equal(rv)
-		if op == tokNeq {
-			eq = !eq
-		}
-		return graph.BoolVal(eq)
-	}
-}
-
-// compileIsBoundTo implements the paper's isBoundTo(vAttr, rAttr): a query
-// object that does not define the attribute is unconstrained (true); if it
-// does, the hosting object must match it exactly.
-func compileIsBoundTo(l, r evalFn) evalFn {
-	return func(e *env) graph.Value {
-		lv := l(e)
+		return graph.BoolVal(lv.Equal(rv) == (n.op == opEq))
+	case opIsBoundTo:
+		// The paper's isBoundTo(vAttr, rAttr): a query object that does not
+		// define the attribute is unconstrained (true); if it does, the
+		// hosting object must match it exactly.
+		lv := n.args[0].eval(e)
 		if lv.IsMissing() {
 			return graph.BoolVal(true)
 		}
-		return graph.BoolVal(lv.Equal(r(e)))
-	}
-}
-
-func compileHas(x evalFn) evalFn {
-	return func(e *env) graph.Value {
-		return graph.BoolVal(!x(e).IsMissing())
-	}
-}
-
-func compileUnaryMath(f func(float64) float64, x evalFn) evalFn {
-	return func(e *env) graph.Value {
-		v, ok := x(e).Float()
+		return graph.BoolVal(lv.Equal(n.args[1].eval(e)))
+	case opHas:
+		return graph.BoolVal(!n.args[0].eval(e).IsMissing())
+	case opAbs, opSqrt, opFloor, opCeil:
+		v, ok := n.args[0].eval(e).Float()
 		if !ok {
 			return graph.Value{}
 		}
-		r := f(v)
+		r := unaryMath(n.op, v)
 		if math.IsNaN(r) {
 			return graph.Value{}
 		}
 		return graph.Num(r)
-	}
-}
-
-func compileFold(f func(a, b float64) float64, args []evalFn) evalFn {
-	return func(e *env) graph.Value {
-		acc, ok := args[0](e).Float()
+	default: // opMin, opMax
+		acc, ok := n.args[0].eval(e).Float()
 		if !ok {
 			return graph.Value{}
 		}
-		for _, a := range args[1:] {
-			v, ok := a(e).Float()
+		for _, a := range n.args[1:] {
+			v, ok := a.eval(e).Float()
 			if !ok {
 				return graph.Value{}
 			}
-			acc = f(acc, v)
+			acc = fold(n.op, acc, v)
 		}
 		return graph.Num(acc)
 	}
+}
+
+func arith(op opKind, a, b float64) float64 {
+	switch op {
+	case opAdd:
+		return a + b
+	case opSub:
+		return a - b
+	case opMul:
+		return a * b
+	default: // opDiv
+		return a / b
+	}
+}
+
+func cmpFloat(op opKind, a, b float64) bool {
+	switch op {
+	case opLt:
+		return a < b
+	case opGt:
+		return a > b
+	case opLeq:
+		return a <= b
+	default: // opGeq
+		return a >= b
+	}
+}
+
+func cmpString(op opKind, a, b string) bool {
+	switch op {
+	case opLt:
+		return a < b
+	case opGt:
+		return a > b
+	case opLeq:
+		return a <= b
+	default: // opGeq
+		return a >= b
+	}
+}
+
+func unaryMath(op opKind, v float64) float64 {
+	switch op {
+	case opAbs:
+		return math.Abs(v)
+	case opSqrt:
+		return math.Sqrt(v)
+	case opFloor:
+		return math.Floor(v)
+	default: // opCeil
+		return math.Ceil(v)
+	}
+}
+
+func fold(op opKind, a, b float64) float64 {
+	if op == opMin {
+		return math.Min(a, b)
+	}
+	return math.Max(a, b)
 }

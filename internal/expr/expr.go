@@ -20,10 +20,34 @@
 // within 10% of the requested delay:
 //
 //	vEdge.avgDelay >= 0.90*rEdge.avgDelay && vEdge.avgDelay <= 1.10*rEdge.avgDelay
+//
+// # Two compiled forms
+//
+// Compile parses once into an operator tree that is evaluated two ways.
+//
+// The per-pair form (EvalEdge, EvalNode, EvalConst) decides one pairing
+// from attribute bags. It allocates nothing and is what single-pair callers
+// use: Problem.Verify and EdgeFeasible/NodeFeasible, the LNS, repair and
+// consolidation searchers, and the coordinator's cut-edge screens. It is
+// also the reference semantics.
+//
+// The batch form (EvalEdgeBatch, EvalNodeBatch; batch.go) decides one
+// query element against every hosting element at once, one operator at a
+// time over typed attribute columns, and returns the satisfied set as a
+// bitmask. core.BuildFilters uses it for every constraint it evaluates:
+// filter construction (§V-A) is |Eq| batch evaluations, not |Eq|·|Er|
+// per-pair ones. It accepts every program the parser does — there is no
+// fallback to the per-pair form and no fast path for particular shapes.
+//
+// The two are pinned equal, element by element, by a property test over
+// random programs from the full grammar and random attribute bags (all
+// kinds mixed in one column, ±Inf, NaN, ÷0, absent attributes) and by
+// FuzzBatchEqualsScalar.
 package expr
 
 import (
 	"errors"
+	"fmt"
 
 	"netembed/internal/graph"
 )
@@ -38,13 +62,21 @@ type AttrRef struct {
 func (r AttrRef) String() string { return r.Object.String() + "." + r.Attr }
 
 // Program is a compiled constraint expression. Programs are immutable and
-// safe for concurrent evaluation: each Eval* call uses its own binding.
+// safe for concurrent evaluation: each Eval* call uses its own binding (and,
+// in batch form, its own Scratch).
 type Program struct {
 	src  string
-	fn   evalFn
+	root *node
 	uses uint16
 	refs []AttrRef
 }
+
+// maxRegs bounds how deep operators may nest in their right-hand operands
+// (a + (b + (c + …))): every such level holds one more batch register —
+// batchChunk elements that a pooled Scratch then keeps — while chains,
+// unary operators and left nesting hold none. Hand-written constraints
+// need two or three.
+const maxRegs = 16
 
 // Compile parses and compiles src. The empty expression compiles to a
 // program that accepts everything (no constraint beyond topology).
@@ -54,28 +86,20 @@ func Compile(src string) (*Program, error) {
 		return nil, err
 	}
 	if p.tok.kind == tokEOF {
-		return &Program{src: src, fn: compileLiteral(graph.BoolVal(true))}, nil
+		return &Program{src: src, root: literal(graph.BoolVal(true))}, nil
 	}
-	fn, err := p.parseExpr()
+	root, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
 	if p.tok.kind != tokEOF {
 		return nil, p.errf("trailing input starting with %v", p.tok.kind)
 	}
-	return &Program{src: src, fn: fn, uses: p.uses, refs: dedupRefs(p.refs)}, nil
-}
-
-func dedupRefs(refs []AttrRef) []AttrRef {
-	seen := make(map[AttrRef]bool, len(refs))
-	out := refs[:0]
-	for _, r := range refs {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
+	if root.regs > maxRegs {
+		return nil, &SyntaxError{Src: src, Pos: 0,
+			Msg: fmt.Sprintf("operands nest %d deep on the right, limit %d", root.regs, maxRegs)}
 	}
-	return out
+	return &Program{src: src, root: root, uses: p.uses, refs: p.refs}, nil
 }
 
 // MustCompile is Compile panicking on error, for constant expressions.
@@ -149,7 +173,7 @@ func (p *Program) EvalEdge(b *EdgeBinding) bool {
 	e.objs[ObjVTarget] = b.VTarget
 	e.objs[ObjRSource] = b.RSource
 	e.objs[ObjRTarget] = b.RTarget
-	v, ok := p.fn(&e).Truth()
+	v, ok := p.root.eval(&e).Truth()
 	return ok && v
 }
 
@@ -165,7 +189,7 @@ func (p *Program) EvalNode(b *NodeBinding) bool {
 	var e env
 	e.objs[ObjVNode] = b.VNode
 	e.objs[ObjRNode] = b.RNode
-	v, ok := p.fn(&e).Truth()
+	v, ok := p.root.eval(&e).Truth()
 	return ok && v
 }
 
@@ -173,6 +197,6 @@ func (p *Program) EvalNode(b *NodeBinding) bool {
 // expression), returning its boolean result.
 func (p *Program) EvalConst() bool {
 	var e env
-	v, ok := p.fn(&e).Truth()
+	v, ok := p.root.eval(&e).Truth()
 	return ok && v
 }

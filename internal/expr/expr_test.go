@@ -16,7 +16,7 @@ func evalConstExpr(t *testing.T, src string) graph.Value {
 		t.Fatalf("Compile(%q): %v", src, err)
 	}
 	var e env
-	return p.fn(&e)
+	return p.root.eval(&e)
 }
 
 func wantNum(t *testing.T, src string, want float64) {

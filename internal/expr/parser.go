@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"math"
 
 	"netembed/internal/graph"
 )
@@ -12,13 +11,13 @@ import (
 //
 //	||  <  &&  <  == !=  <  < > <= >=  <  + -  <  * /  <  unary ! -
 //
-// It compiles directly to evalFn closures and records which objects the
-// expression references.
+// It builds the node tree both evaluators run on and records which objects
+// the expression references.
 type parser struct {
 	lex  lexer
 	tok  token
 	uses uint16    // bitmask of referenced Objects
-	refs []AttrRef // attribute references in source order
+	refs []AttrRef // distinct attribute references in source order
 }
 
 func (p *parser) advance() error {
@@ -28,6 +27,17 @@ func (p *parser) advance() error {
 	}
 	p.tok = t
 	return nil
+}
+
+// refIndex returns ref's position in p.refs, recording it on first sight.
+func (p *parser) refIndex(ref AttrRef) int {
+	for i, r := range p.refs {
+		if r == ref {
+			return i
+		}
+	}
+	p.refs = append(p.refs, ref)
+	return len(p.refs) - 1
 }
 
 func (p *parser) expect(k tokKind) error {
@@ -41,9 +51,9 @@ func (p *parser) errf(format string, args ...interface{}) error {
 	return &SyntaxError{Src: p.lex.src, Pos: p.tok.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) parseExpr() (evalFn, error) { return p.parseOr() }
+func (p *parser) parseExpr() (*node, error) { return p.parseOr() }
 
-func (p *parser) parseOr() (evalFn, error) {
+func (p *parser) parseOr() (*node, error) {
 	left, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -56,12 +66,12 @@ func (p *parser) parseOr() (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = compileOr(left, right)
+		left = newNode(opOr, left, right)
 	}
 	return left, nil
 }
 
-func (p *parser) parseAnd() (evalFn, error) {
+func (p *parser) parseAnd() (*node, error) {
 	left, err := p.parseEquality()
 	if err != nil {
 		return nil, err
@@ -74,12 +84,12 @@ func (p *parser) parseAnd() (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = compileAnd(left, right)
+		left = newNode(opAnd, left, right)
 	}
 	return left, nil
 }
 
-func (p *parser) parseEquality() (evalFn, error) {
+func (p *parser) parseEquality() (*node, error) {
 	left, err := p.parseRelational()
 	if err != nil {
 		return nil, err
@@ -93,12 +103,12 @@ func (p *parser) parseEquality() (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = compileEquality(op, left, right)
+		left = newNode(binaryOps[op], left, right)
 	}
 	return left, nil
 }
 
-func (p *parser) parseRelational() (evalFn, error) {
+func (p *parser) parseRelational() (*node, error) {
 	left, err := p.parseAdditive()
 	if err != nil {
 		return nil, err
@@ -112,12 +122,12 @@ func (p *parser) parseRelational() (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = compileCompare(op, left, right)
+		left = newNode(binaryOps[op], left, right)
 	}
 	return left, nil
 }
 
-func (p *parser) parseAdditive() (evalFn, error) {
+func (p *parser) parseAdditive() (*node, error) {
 	left, err := p.parseMultiplicative()
 	if err != nil {
 		return nil, err
@@ -131,12 +141,12 @@ func (p *parser) parseAdditive() (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = compileArith(op, left, right)
+		left = newNode(binaryOps[op], left, right)
 	}
 	return left, nil
 }
 
-func (p *parser) parseMultiplicative() (evalFn, error) {
+func (p *parser) parseMultiplicative() (*node, error) {
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -150,12 +160,12 @@ func (p *parser) parseMultiplicative() (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = compileArith(op, left, right)
+		left = newNode(binaryOps[op], left, right)
 	}
 	return left, nil
 }
 
-func (p *parser) parseUnary() (evalFn, error) {
+func (p *parser) parseUnary() (*node, error) {
 	switch p.tok.kind {
 	case tokNot:
 		if err := p.advance(); err != nil {
@@ -165,7 +175,7 @@ func (p *parser) parseUnary() (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return compileNot(x), nil
+		return newNode(opNot, x), nil
 	case tokMinus:
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -174,25 +184,25 @@ func (p *parser) parseUnary() (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return compileNeg(x), nil
+		return newNode(opNeg, x), nil
 	}
 	return p.parsePrimary()
 }
 
-func (p *parser) parsePrimary() (evalFn, error) {
+func (p *parser) parsePrimary() (*node, error) {
 	switch p.tok.kind {
 	case tokNumber:
 		v := graph.Num(p.tok.num)
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return compileLiteral(v), nil
+		return literal(v), nil
 	case tokString:
 		v := graph.Str(p.tok.text)
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return compileLiteral(v), nil
+		return literal(v), nil
 	case tokLParen:
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -211,7 +221,7 @@ func (p *parser) parsePrimary() (evalFn, error) {
 	return nil, p.errf("unexpected %v", p.tok.kind)
 }
 
-func (p *parser) parseIdent() (evalFn, error) {
+func (p *parser) parseIdent() (*node, error) {
 	name := p.tok.text
 	namePos := p.tok.pos
 	if err := p.advance(); err != nil {
@@ -219,9 +229,9 @@ func (p *parser) parseIdent() (evalFn, error) {
 	}
 	switch {
 	case name == "true":
-		return compileLiteral(graph.BoolVal(true)), nil
+		return literal(graph.BoolVal(true)), nil
 	case name == "false":
-		return compileLiteral(graph.BoolVal(false)), nil
+		return literal(graph.BoolVal(false)), nil
 	case p.tok.kind == tokDot:
 		obj, ok := objectNames[name]
 		if !ok {
@@ -239,8 +249,9 @@ func (p *parser) parseIdent() (evalFn, error) {
 			return nil, err
 		}
 		p.uses |= 1 << obj
-		p.refs = append(p.refs, AttrRef{Object: obj, Attr: attr})
-		return compileAttr(obj, attr), nil
+		n := newNode(opAttr)
+		n.obj, n.attr, n.ref = obj, attr, p.refIndex(AttrRef{Object: obj, Attr: attr})
+		return n, nil
 	case p.tok.kind == tokLParen:
 		return p.parseCall(name, namePos)
 	}
@@ -248,11 +259,11 @@ func (p *parser) parseIdent() (evalFn, error) {
 		Msg: fmt.Sprintf("bare identifier %q (objects need '.attr', functions need '(...)')", name)}
 }
 
-func (p *parser) parseCall(name string, namePos int) (evalFn, error) {
+func (p *parser) parseCall(name string, namePos int) (*node, error) {
 	if err := p.advance(); err != nil { // consume '('
 		return nil, err
 	}
-	var args []evalFn
+	var args []*node
 	if p.tok.kind != tokRParen {
 		for {
 			a, err := p.parseExpr()
@@ -271,52 +282,45 @@ func (p *parser) parseCall(name string, namePos int) (evalFn, error) {
 	if err := p.expect(tokRParen); err != nil {
 		return nil, err
 	}
-	argErr := func(want string) error {
-		return &SyntaxError{Src: p.lex.src, Pos: namePos,
-			Msg: fmt.Sprintf("%s takes %s, got %d argument(s)", name, want, len(args))}
+	fn, ok := functions[name]
+	if !ok {
+		return nil, &SyntaxError{Src: p.lex.src, Pos: namePos,
+			Msg: fmt.Sprintf("unknown function %q", name)}
 	}
-	switch name {
-	case "abs":
-		if len(args) != 1 {
-			return nil, argErr("1 argument")
-		}
-		return compileUnaryMath(math.Abs, args[0]), nil
-	case "sqrt":
-		if len(args) != 1 {
-			return nil, argErr("1 argument")
-		}
-		return compileUnaryMath(math.Sqrt, args[0]), nil
-	case "floor":
-		if len(args) != 1 {
-			return nil, argErr("1 argument")
-		}
-		return compileUnaryMath(math.Floor, args[0]), nil
-	case "ceil":
-		if len(args) != 1 {
-			return nil, argErr("1 argument")
-		}
-		return compileUnaryMath(math.Ceil, args[0]), nil
-	case "min":
-		if len(args) < 2 {
-			return nil, argErr("2+ arguments")
-		}
-		return compileFold(math.Min, args), nil
-	case "max":
-		if len(args) < 2 {
-			return nil, argErr("2+ arguments")
-		}
-		return compileFold(math.Max, args), nil
-	case "isBoundTo":
-		if len(args) != 2 {
-			return nil, argErr("2 arguments")
-		}
-		return compileIsBoundTo(args[0], args[1]), nil
-	case "has":
-		if len(args) != 1 {
-			return nil, argErr("1 argument")
-		}
-		return compileHas(args[0]), nil
+	if len(args) < fn.args || (len(args) > fn.args && !fn.variadic) {
+		return nil, &SyntaxError{Src: p.lex.src, Pos: namePos,
+			Msg: fmt.Sprintf("%s takes %s, got %d argument(s)", name, fn.want, len(args))}
 	}
-	return nil, &SyntaxError{Src: p.lex.src, Pos: namePos,
-		Msg: fmt.Sprintf("unknown function %q", name)}
+	return newNode(fn.op, args...), nil
+}
+
+// functions is the language's call table: operator, minimum arity,
+// whether more arguments are accepted, and the arity as error text.
+var functions = map[string]struct {
+	op       opKind
+	args     int
+	variadic bool
+	want     string
+}{
+	"abs":       {opAbs, 1, false, "1 argument"},
+	"sqrt":      {opSqrt, 1, false, "1 argument"},
+	"floor":     {opFloor, 1, false, "1 argument"},
+	"ceil":      {opCeil, 1, false, "1 argument"},
+	"min":       {opMin, 2, true, "2+ arguments"},
+	"max":       {opMax, 2, true, "2+ arguments"},
+	"isBoundTo": {opIsBoundTo, 2, false, "2 arguments"},
+	"has":       {opHas, 1, false, "1 argument"},
+}
+
+// binaryOps maps an infix operator token to its node kind.
+var binaryOps = map[tokKind]opKind{
+	tokEq: opEq, tokNeq: opNeq,
+	tokLt: opLt, tokGt: opGt, tokLeq: opLeq, tokGeq: opGeq,
+	tokPlus: opAdd, tokMinus: opSub, tokStar: opMul, tokSlash: opDiv,
+}
+
+func literal(v graph.Value) *node {
+	n := newNode(opLit)
+	n.lit = v
+	return n
 }

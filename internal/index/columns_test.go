@@ -1,0 +1,266 @@
+package index
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"netembed/internal/graph"
+)
+
+// columnsMatchGraph checks that every column cols serves equals one built
+// fresh from g — the "never served for a graph it was not built from"
+// property — and so do the endpoint arrays.
+func columnsMatchGraph(t *testing.T, label string, cols *Columns, g *graph.Graph) {
+	t.Helper()
+	same := func(kind, attr string, got, want *graph.Column) {
+		if !sameColumn(got, want) {
+			t.Fatalf("%s: %s column %q = %+v, want %+v", label, kind, attr, got, want)
+		}
+	}
+	for _, attr := range []string{"slots", "cpu", "os", "nope"} {
+		same("node", attr, cols.NodeColumn(attr), g.NodeColumn(attr, nil))
+	}
+	for _, attr := range []string{"delay", "loss", "nope"} {
+		same("edge", attr, cols.EdgeColumn(attr), g.EdgeColumn(attr, nil))
+	}
+	from, to := cols.Endpoints()
+	if len(from) != g.NumEdges() || len(to) != g.NumEdges() {
+		t.Fatalf("%s: endpoints cover %d/%d edges, want %d", label, len(from), len(to), g.NumEdges())
+	}
+	for i := range from {
+		if e := g.Edge(graph.EdgeID(i)); from[i] != e.From || to[i] != e.To {
+			t.Fatalf("%s: endpoints[%d] = %d->%d, want %d->%d", label, i, from[i], to[i], e.From, e.To)
+		}
+	}
+}
+
+// sameColumn reports whether two columns hold the same elements (payloads
+// under a tag that does not read them are not compared); an undefined
+// attribute's nil column equals only nil.
+func sameColumn(got, want *graph.Column) bool {
+	if got == nil || want == nil {
+		return got == want
+	}
+	if !slices.Equal(got.Tags, want.Tags) {
+		return false
+	}
+	for i, tag := range want.Tags {
+		if tag == graph.TagNumber && got.Nums[i] != want.Nums[i] ||
+			tag == graph.TagString && got.Strs[i] != want.Strs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func attrNames(a graph.Attrs) []string {
+	var out []string
+	for attr := range a {
+		out = append(out, attr)
+	}
+	return out
+}
+
+// randomEdgeAttrDelta re-measures random links (the monitor's shape).
+func randomEdgeAttrDelta(rng *rand.Rand, g *graph.Graph) *graph.Delta {
+	var d graph.Delta
+	for i := 0; i < 1+rng.Intn(3) && g.NumEdges() > 0; i++ {
+		e := g.Edge(graph.EdgeID(rng.Intn(g.NumEdges())))
+		up := graph.EdgeAttrUpdate{Source: g.Node(e.From).Name, Target: g.Node(e.To).Name}
+		switch rng.Intn(3) {
+		case 0:
+			up.Set = graph.Attrs{}.SetNum("delay", rng.Float64()*100)
+		case 1:
+			up.Set = graph.Attrs{}.SetNum("loss", rng.Float64())
+		default:
+			up.Unset = []string{"delay"}
+		}
+		d.SetEdgeAttrs = append(d.SetEdgeAttrs, up)
+	}
+	return &d
+}
+
+func TestBuildMaterialisesNoColumns(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(1)), false)
+	cols := Build(g, 1, Config{}).ColumnsFor(g)
+	if cols == nil {
+		t.Fatal("ColumnsFor(indexed graph) = nil")
+	}
+	if len(cols.edge)+len(cols.node)+len(cols.from) != 0 {
+		t.Fatal("Build materialised columns eagerly; setup cost must stay flat")
+	}
+}
+
+func TestColumnsForIsPointerIdentity(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(2)), true)
+	ix := Build(g, 1, Config{})
+	if ix.ColumnsFor(g.Clone()) != nil {
+		t.Fatal("ColumnsFor served a clone: equal structure is not the same graph")
+	}
+	if ix.ColumnsFor(g) != ix.ColumnsFor(g) {
+		t.Fatal("ColumnsFor is not stable")
+	}
+}
+
+// TestApplyCarriesColumns drives random delta chains through Apply with
+// every column warm, and checks after each step that the successor serves
+// exactly its own graph's columns, shares every column the delta did not
+// name (pointer-equal), dropped the named ones, starts empty after a
+// structural delta — and that the predecessor still serves its own.
+func TestApplyCarriesColumns(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(300 + seed))
+		g := randomGraph(rng, seed%2 == 0)
+		ix := Build(g, 1, Config{})
+		for step := 0; step < 10; step++ {
+			label := fmt.Sprintf("seed %d step %d", seed, step)
+			cols := ix.ColumnsFor(g)
+			columnsMatchGraph(t, label+" (warm-up)", cols, g) // materialises everything
+			var d *graph.Delta
+			switch rng.Intn(4) {
+			case 0:
+				d = randomAttrDelta(rng, g)
+			case 1:
+				d = randomEdgeAttrDelta(rng, g)
+			case 2:
+				d = randomStructDelta(rng, g)
+			default:
+				d = randomAttrDelta(rng, g)
+				d.SetEdgeAttrs = randomEdgeAttrDelta(rng, g).SetEdgeAttrs
+			}
+			next, err := g.ApplyDelta(d)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			patched := ix.Apply(g, next, d, uint64(step+2))
+			if next != g && patched.ColumnsFor(g) != nil {
+				t.Fatalf("%s: successor serves the predecessor's graph", label)
+			}
+			nextCols := patched.ColumnsFor(next)
+			if nextCols == nil {
+				t.Fatalf("%s: successor does not serve its own graph", label)
+			}
+			if d.Structural() {
+				if len(nextCols.edge)+len(nextCols.node)+len(nextCols.from) != 0 {
+					t.Fatalf("%s: columns survived a structural delta", label)
+				}
+			} else if !d.Empty() {
+				named := map[string]bool{}
+				for _, up := range d.SetNodeAttrs {
+					for _, attr := range append(attrNames(up.Set), up.Unset...) {
+						named[attr] = true
+					}
+				}
+				for attr, col := range cols.node {
+					if got := nextCols.node[attr]; named[attr] && got != nil || !named[attr] && got != col {
+						t.Fatalf("%s: node column %q: named=%v, carried=%v", label, attr, named[attr], got == col)
+					}
+				}
+				named = map[string]bool{}
+				for _, up := range d.SetEdgeAttrs {
+					for _, attr := range append(attrNames(up.Set), up.Unset...) {
+						named[attr] = true
+					}
+				}
+				for attr, col := range cols.edge {
+					if got := nextCols.edge[attr]; named[attr] && got != nil || !named[attr] && got != col {
+						t.Fatalf("%s: edge column %q: named=%v, carried=%v", label, attr, named[attr], got == col)
+					}
+				}
+			}
+			columnsMatchGraph(t, label+" (patched)", nextCols, next)
+			columnsMatchGraph(t, label+" (old snapshot)", cols, g)
+			g, ix = next, patched
+		}
+	}
+}
+
+// TestApplyFromForeignBaseStartsEmpty: a caller that hands Apply a base
+// graph other than the indexed one gets no carried columns, whatever the
+// delta says.
+func TestApplyFromForeignBaseStartsEmpty(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := randomGraph(rng, false)
+	ix := Build(g, 1, Config{})
+	ix.ColumnsFor(g).NodeColumn("cpu")
+	other := g.Clone()
+	d := randomEdgeAttrDelta(rng, other)
+	next, err := other.ApplyDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cols := ix.Apply(other, next, d, 2).ColumnsFor(next); len(cols.node) != 0 {
+		t.Fatal("columns carried across a base graph they were not built from")
+	}
+}
+
+// TestUnknownAttributesAreNotCached: attribute names come from client
+// constraints, so a name the graph does not define must leave nothing
+// behind on the snapshot — however many distinct names arrive, and across
+// the deltas that carry the cache forward.
+func TestUnknownAttributesAreNotCached(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	g := randomGraph(rng, false)
+	ix := Build(g, 1, Config{})
+	cols := ix.ColumnsFor(g)
+	cols.EdgeColumn("delay")
+	cols.NodeColumn("cpu")
+	held := func(c *Columns) int { return len(c.edge) + len(c.node) + len(c.free) }
+	before := held(cols)
+	for i := 0; i < 1000; i++ {
+		name := fmt.Sprintf("a%d", i)
+		if cols.EdgeColumn(name) != nil || cols.NodeColumn(name) != nil {
+			t.Fatalf("attribute %q, which nothing defines, has a column", name)
+		}
+	}
+	if held(cols) != before {
+		t.Fatalf("cache grew from %d to %d entries on undefined attribute names", before, held(cols))
+	}
+	d := randomEdgeAttrDelta(rng, g)
+	next, err := g.ApplyDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if carried := ix.Apply(g, next, d, 2).ColumnsFor(next); held(carried) > before {
+		t.Fatalf("successor holds %d entries, predecessor %d", held(carried), before)
+	}
+}
+
+// TestColumnsScratchReset: a standalone Columns re-bound to another graph
+// serves that graph's columns out of recycled storage.
+func TestColumnsScratchReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	a, b := randomGraph(rng, false), randomGraph(rng, true)
+	cols := NewColumns(a)
+	columnsMatchGraph(t, "first graph", cols, a)
+	cols.Reset(b)
+	columnsMatchGraph(t, "after Reset", cols, b)
+	cols.Reset(nil)
+	if cols.g != nil || len(cols.edge)+len(cols.node) != 0 {
+		t.Fatal("Reset(nil) keeps the graph or its columns reachable")
+	}
+}
+
+// TestColumnsConcurrentFill hammers one cache from several goroutines, as
+// concurrent requests against one snapshot do (run under -race).
+func TestColumnsConcurrentFill(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(5)), false)
+	cols := Build(g, 1, Config{}).ColumnsFor(g)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if cols.EdgeColumn("delay") != cols.EdgeColumn("delay") || len(cols.NodeColumn("cpu").Tags) != g.NumNodes() {
+					t.Error("concurrent fills disagree")
+				}
+				cols.Endpoints()
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -161,6 +161,11 @@ type Index struct {
 	// fresh cache; attribute-only patches share the previous snapshot's,
 	// since reachability depends only on adjacency.
 	reach *reachCache
+
+	// cols is the snapshot's lazily-built attribute columns over the
+	// indexed graph (see columns.go). Never nil. Patches carry over every
+	// column the delta cannot have changed.
+	cols *Columns
 }
 
 // Build computes a fresh index over g, stamped with the model version it
@@ -178,6 +183,7 @@ func Build(g *graph.Graph, version uint64, cfg Config) *Index {
 		strata:   make(map[string][]*sets.Bitset, len(cfg.StrataAttrs)),
 		zero:     sets.NewBitset(n),
 		reach:    newReachCache(),
+		cols:     NewColumns(g),
 	}
 	if ix.directed {
 		ix.adjIn = make([]*sets.Bitset, n)
@@ -300,6 +306,18 @@ func (ix *Index) NumNodes() int { return ix.n }
 // Directed reports the indexed graph's orientation.
 func (ix *Index) Directed() bool { return ix.directed }
 
+// ColumnsFor returns the snapshot's attribute-column cache when g is the
+// very graph this snapshot describes (pointer identity — a clone, however
+// similar, is a different graph whose attributes may differ), and nil
+// otherwise. Callers fall back to building throw-away columns from g, so
+// correctness never depends on the cache.
+func (ix *Index) ColumnsFor(g *graph.Graph) *Columns {
+	if ix.cols.g != g {
+		return nil
+	}
+	return ix.cols
+}
+
 // Neighbors returns r's out-neighbor bitset (all neighbors when
 // undirected). Read-only.
 func (ix *Index) Neighbors(r graph.NodeID) *sets.Bitset { return ix.adjOut[r] }
@@ -371,13 +389,15 @@ func (ix *Index) AttrPostings(attr string) *Postings { return ix.postings[attr] 
 // Apply returns a new snapshot reflecting next (= old.ApplyDelta(d)),
 // stamped with version. Attribute edits and edge add/remove are patched
 // copy-on-write: only the adjacency rows, ladder rungs, postings and
-// strata the delta touches are copied, everything else is shared with ix.
+// strata the delta touches are copied, everything else is shared with ix
+// — including every cached attribute column the delta does not name.
 // Node add/remove changes the ID universe and falls back to Build. The
 // receiver is never modified.
 func (ix *Index) Apply(old, next *graph.Graph, d *graph.Delta, version uint64) *Index {
 	if d.Empty() {
 		out := *ix
 		out.version = version
+		out.cols = ix.cols.carry(old, next, d)
 		return &out
 	}
 	if len(d.AddNodes) > 0 || len(d.RemoveNodes) > 0 || next.NumNodes() != ix.n {
@@ -386,6 +406,7 @@ func (ix *Index) Apply(old, next *graph.Graph, d *graph.Delta, version uint64) *
 
 	out := *ix // shallow: every slice/map is COW-cloned before writing
 	out.version = version
+	out.cols = ix.cols.carry(old, next, d)
 
 	if len(d.AddEdges) > 0 || len(d.RemoveEdges) > 0 {
 		out.patchStructure(old, next, d)

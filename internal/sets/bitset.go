@@ -116,6 +116,11 @@ func (b *Bitset) Clear(x int32) { b.words[x>>6] &^= 1 << (uint(x) & 63) }
 // Has reports whether x is a member.
 func (b *Bitset) Has(x int32) bool { return b.words[x>>6]&(1<<(uint(x)&63)) != 0 }
 
+// SetWord overwrites members [64w, 64w+64) with the bits of x, bit i
+// standing for member 64w+i — the bulk store for producers that compute
+// membership a word at a time. Bits at or beyond the universe must be 0.
+func (b *Bitset) SetWord(w int, x uint64) { b.words[w] = x }
+
 // Reset empties the bitset.
 func (b *Bitset) Reset() {
 	clear(b.words)
