@@ -25,6 +25,7 @@ import (
 	"netembed/internal/coords"
 	"netembed/internal/core"
 	"netembed/internal/exp"
+	"netembed/internal/graph"
 	"netembed/internal/graphml"
 	"netembed/internal/service"
 	"netembed/internal/service/httpapi"
@@ -1274,4 +1275,77 @@ func BenchmarkServePath(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkApplyDelta measures what publishing one monitoring delta costs
+// the hosting graph alone, on the paper-sized 296-site host (≈29k edges)
+// the churn_mixed ledger workload runs: each sub-benchmark applies its
+// delta to the same published snapshot, so every iteration pays the full
+// copy-on-write price and none of the previous iteration's. Run with
+// -benchmem: B/op is what each delta adds to the garbage collector's work.
+//
+//   - attr: four node and four edge attribute edits (one churn_mixed
+//     attribute delta).
+//   - edge_remove: one edge leaves; every later edge ID shifts down.
+//   - edge_add: the edge comes back under the last ID.
+//   - reserve_marks: the reservation overlay Embed, Schedule and lifecycle
+//     repair put on 32 saturated nodes.
+func BenchmarkApplyDelta(b *testing.B) {
+	host := trace.SyntheticPlanetLab(trace.Config{Sites: 296}, rand.New(rand.NewSource(1)))
+	name := func(r netembed.NodeID) string { return host.Node(r).Name }
+	edge := func(i int) *graph.Edge {
+		return host.Edge(netembed.EdgeID((i * 7919) % host.NumEdges()))
+	}
+	apply := func(b *testing.B, g *netembed.Graph, delta func(i int) *netembed.Delta) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			next, err := g.ApplyDelta(delta(i))
+			if err != nil || next == g {
+				b.Fatalf("delta %d: graph %p -> %p, %v", i, g, next, err)
+			}
+		}
+	}
+	b.Run("attr", func(b *testing.B) {
+		apply(b, host, func(i int) *netembed.Delta {
+			var d netembed.Delta
+			for j := 0; j < 4; j++ {
+				e := edge(4*i + j)
+				d.SetNodeAttrs = append(d.SetNodeAttrs, netembed.NodeAttrUpdate{
+					Node: name(netembed.NodeID((4*i + j) % host.NumNodes())), Set: netembed.Attrs{}.SetNum("mem", float64(512*(1+j))),
+				})
+				d.SetEdgeAttrs = append(d.SetEdgeAttrs, netembed.EdgeAttrUpdate{
+					Source: name(e.From), Target: name(e.To), Set: netembed.Attrs{}.SetNum("avgDelay", float64(10+j)),
+				})
+			}
+			return &d
+		})
+	})
+	b.Run("edge_remove", func(b *testing.B) {
+		apply(b, host, func(i int) *netembed.Delta {
+			e := edge(i)
+			return &netembed.Delta{RemoveEdges: []netembed.EdgeRef{{Source: name(e.From), Target: name(e.To)}}}
+		})
+	})
+	b.Run("edge_add", func(b *testing.B) {
+		e := edge(1)
+		without, err := host.ApplyDelta(&netembed.Delta{RemoveEdges: []netembed.EdgeRef{{Source: name(e.From), Target: name(e.To)}}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		add := &netembed.Delta{AddEdges: []netembed.EdgeSpec{{Source: name(e.From), Target: name(e.To), Attrs: e.Attrs}}}
+		b.ResetTimer()
+		apply(b, without, func(int) *netembed.Delta { return add })
+	})
+	b.Run("reserve_marks", func(b *testing.B) {
+		ids := make([]netembed.NodeID, 32)
+		for i := range ids {
+			ids[i] = netembed.NodeID(i * 9)
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if service.MarkReserved(host, ids) == host {
+				b.Fatal("no node marked")
+			}
+		}
+	})
 }

@@ -204,6 +204,10 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		"BenchmarkServePath/cached",
 		"BenchmarkOptimize_BnB_vs_Enumerate/n512/bnb",
 		"BenchmarkOptimize_BnB_vs_Enumerate/n512/enumerate",
+		"BenchmarkApplyDelta/attr",
+		"BenchmarkApplyDelta/edge_remove",
+		"BenchmarkApplyDelta/edge_add",
+		"BenchmarkApplyDelta/reserve_marks",
 	} {
 		if !gate.MatchString(name) {
 			t.Errorf("GATE %q does not gate %q", m[1], name)

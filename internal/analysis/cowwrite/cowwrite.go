@@ -9,7 +9,7 @@
 // in-flight searches saw a half-patched index.
 //
 // Checked mutations (through the field directly, or through a local
-// alias `p := x.F`):
+// slice or map alias `p := x.F`, `row := x.F[i]`):
 //
 //   - element assignment:   x.F[i] = v, x.F[i].G = v, x.F[i]++
 //   - map deletion:         delete(x.F, k)
@@ -20,7 +20,16 @@
 // the field wholesale (x.F = make(...), x.F = append([]T(nil),
 // x.F...), a composite literal with a cloning field value, ...).
 // Re-binding from a bare read of the same field (next.F = g.F) is
-// sharing, not cloning, and does not license writes. The check is
+// sharing, not cloning, and does not license writes.
+//
+// Storage two levels deep (pages [][]T, rows map[K][]T) is shared level
+// by level: cloning the outer slice copies the row headers, not the rows.
+// An element write two indexes deep (x.F[p][i] = v, x.F[p][i].G = v),
+// or a mutator call on an element (x.F[i].Set(...) writes what x.F[i]
+// holds or points at), therefore also needs a row re-bound first (x.F[p]
+// = clone); x.F[p] = y.F[q] is sharing again and does not count. Which
+// row was re-bound is not tracked, only that the function knows the
+// idiom. The check is
 // per-function and position-ordered — the COW idiom is always
 // clone-then-patch in one function; construction-time mutation in
 // builder methods is annotated per function with //netembedvet:allow.
@@ -126,40 +135,46 @@ func fieldOf(pass *analysis.Pass, sel *ast.SelectorExpr) types.Object {
 type checker struct {
 	pass   *analysis.Pass
 	shared map[types.Object]bool
-	// aliases maps a local object to the shared field it was bound to
-	// with a bare `p := x.F` read.
-	aliases map[types.Object]types.Object
+	// aliases maps a local slice or map to the shared storage it was
+	// bound to with a bare read: `p := x.F` (depth 0), `row := x.F[i]`
+	// (depth 1).
+	aliases map[types.Object]alias
 	// clonedAt records, per shared field, the earliest position at
-	// which the function re-bound it wholesale to a fresh value.
-	clonedAt map[types.Object]token.Pos
+	// which the function re-bound it wholesale to a fresh value;
+	// rowClonedAt the earliest re-binding of one of its rows.
+	clonedAt, rowClonedAt map[types.Object]token.Pos
 }
 
-// root walks an expression chain (selectors, indexes, parens, derefs)
-// to the outermost shared field it passes through. indexed reports
-// whether the chain goes through at least one index expression after
-// the field — i.e. the expression denotes an element of the shared
-// storage rather than the field itself.
-func (c *checker) root(e ast.Expr, sawIndex bool) (types.Object, bool) {
+type alias struct {
+	field types.Object
+	depth int
+}
+
+// root walks an expression chain (selectors, indexes, slicings, parens,
+// derefs) to the outermost shared field it passes through. depth counts
+// the index expressions after the field: 0 denotes the field itself, 1 an
+// element of the shared storage, 2 an element of one of its rows.
+func (c *checker) root(e ast.Expr, depth int) (types.Object, int) {
 	switch x := e.(type) {
 	case *ast.SelectorExpr:
 		if f := fieldOf(c.pass, x); f != nil && c.shared[f] {
-			return f, sawIndex
+			return f, depth
 		}
-		return c.root(x.X, sawIndex)
+		return c.root(x.X, depth)
 	case *ast.IndexExpr:
-		return c.root(x.X, true)
+		return c.root(x.X, depth+1)
+	case *ast.SliceExpr:
+		return c.root(x.X, depth)
 	case *ast.ParenExpr:
-		return c.root(x.X, sawIndex)
+		return c.root(x.X, depth)
 	case *ast.StarExpr:
-		return c.root(x.X, sawIndex)
+		return c.root(x.X, depth)
 	case *ast.Ident:
-		obj := c.pass.TypesInfo.Uses[x]
-		if f, ok := c.aliases[obj]; ok {
-			return f, sawIndex
+		if a, ok := c.aliases[c.pass.TypesInfo.Uses[x]]; ok {
+			return a.field, a.depth + depth
 		}
-		return nil, false
 	}
-	return nil, false
+	return nil, 0
 }
 
 // bareFieldRead reports whether e is a plain read of field f (possibly
@@ -179,26 +194,43 @@ func (c *checker) bareFieldRead(e ast.Expr, f types.Object) bool {
 	return fieldOf(c.pass, sel) == f
 }
 
-func (c *checker) cloned(f types.Object, at token.Pos) bool {
-	pos, ok := c.clonedAt[f]
-	return ok && pos < at
+// writable reports whether an element depth indexes below field f may be
+// written at position at.
+func (c *checker) writable(f types.Object, depth int, at token.Pos) bool {
+	before := func(m map[types.Object]token.Pos) bool {
+		pos, ok := m[f]
+		return ok && pos < at
+	}
+	return before(c.clonedAt) && (depth < 2 || before(c.rowClonedAt))
 }
 
-func (c *checker) violation(pos token.Pos, f types.Object, what string) {
-	c.pass.Reportf(pos, "%s %s of //cow:shared field %s without cloning the field first: the storage may be shared with another snapshot",
-		what, "write", f.Name())
+func first(m map[types.Object]token.Pos, f types.Object, pos token.Pos) {
+	if _, seen := m[f]; !seen {
+		m[f] = pos
+	}
+}
+
+func (c *checker) violation(pos token.Pos, f types.Object, what string, depth int) {
+	if _, ok := c.clonedAt[f]; ok && depth >= 2 {
+		c.pass.Reportf(pos, "%s write of //cow:shared field %s two levels deep without re-binding the row first (x.%s[p] = clone): cloning the field copied the row headers, the rows may be shared with another snapshot",
+			what, f.Name(), f.Name())
+		return
+	}
+	c.pass.Reportf(pos, "%s write of //cow:shared field %s without cloning the field first: the storage may be shared with another snapshot",
+		what, f.Name())
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, shared map[types.Object]bool) {
 	c := &checker{
-		pass:     pass,
-		shared:   shared,
-		aliases:  make(map[types.Object]types.Object),
-		clonedAt: make(map[types.Object]token.Pos),
+		pass:        pass,
+		shared:      shared,
+		aliases:     make(map[types.Object]alias),
+		clonedAt:    make(map[types.Object]token.Pos),
+		rowClonedAt: make(map[types.Object]token.Pos),
 	}
 
-	// First pass: record whole-field clones and bare aliases, in
-	// position order (ast.Inspect visits in source order).
+	// First pass: record whole-field clones, row re-bindings and bare
+	// aliases, in position order (ast.Inspect visits in source order).
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
@@ -209,23 +241,30 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, shared map[types.Object]bo
 				} else if len(st.Rhs) == 1 {
 					rhs = st.Rhs[0]
 				}
-				// p := x.F — bare alias of a shared field.
-				if id, ok := lhs.(*ast.Ident); ok && st.Tok == token.DEFINE && rhs != nil {
-					if sel, ok := rhs.(*ast.SelectorExpr); ok {
-						if f := fieldOf(pass, sel); f != nil && shared[f] {
-							if obj := pass.TypesInfo.Defs[id]; obj != nil {
-								c.aliases[obj] = f
-							}
+				if rhs == nil {
+					continue
+				}
+				// p := x.F, row := x.F[i] — a local name for shared storage.
+				if id, ok := lhs.(*ast.Ident); ok && st.Tok == token.DEFINE {
+					if f, depth := c.root(rhs, 0); f != nil && sliceOrMap(pass.TypesInfo.TypeOf(rhs)) {
+						if obj := pass.TypesInfo.Defs[id]; obj != nil {
+							c.aliases[obj] = alias{f, depth}
 						}
 					}
+					continue
 				}
 				// x.F = <fresh value> — a wholesale re-bind. Cloning from
 				// a bare read of the same field is sharing, not cloning.
 				if sel, ok := lhs.(*ast.SelectorExpr); ok {
-					if f := fieldOf(pass, sel); f != nil && shared[f] && rhs != nil && !c.bareFieldRead(rhs, f) {
-						if _, seen := c.clonedAt[f]; !seen {
-							c.clonedAt[f] = st.Pos()
-						}
+					if f := fieldOf(pass, sel); f != nil && shared[f] && !c.bareFieldRead(rhs, f) {
+						first(c.clonedAt, f, st.Pos())
+					}
+				}
+				// x.F[p] = <fresh row>. A row of the same field, whole or
+				// resliced, is still the shared row.
+				if f, depth := c.root(lhs, 0); f != nil && depth == 1 {
+					if from, _ := c.root(rhs, 0); from != f {
+						first(c.rowClonedAt, f, st.Pos())
 					}
 				}
 			}
@@ -243,46 +282,54 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, shared map[types.Object]bo
 				if f == nil || !shared[f] || c.bareFieldRead(kv.Value, f) {
 					continue
 				}
-				if _, seen := c.clonedAt[f]; !seen {
-					c.clonedAt[f] = st.Pos()
-				}
+				first(c.clonedAt, f, st.Pos())
 			}
 		}
 		return true
 	})
 
-	// Second pass: flag element-level mutations that precede any clone.
+	// Second pass: flag element-level mutations that precede the clones
+	// they need.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range st.Lhs {
-				f, indexed := c.root(lhs, false)
-				if f == nil || !indexed || c.cloned(f, st.Pos()) {
-					continue
+				if f, depth := c.root(lhs, 0); f != nil && depth > 0 && !c.writable(f, depth, st.Pos()) {
+					c.violation(lhs.Pos(), f, "element", depth)
 				}
-				c.violation(lhs.Pos(), f, "element")
 			}
 		case *ast.IncDecStmt:
-			if f, indexed := c.root(st.X, false); f != nil && indexed && !c.cloned(f, st.Pos()) {
-				c.violation(st.Pos(), f, "element")
+			if f, depth := c.root(st.X, 0); f != nil && depth > 0 && !c.writable(f, depth, st.Pos()) {
+				c.violation(st.Pos(), f, "element", depth)
 			}
 		case *ast.CallExpr:
 			// delete(x.F, k)
 			if id, ok := st.Fun.(*ast.Ident); ok && id.Name == "delete" && len(st.Args) == 2 {
-				if f, _ := c.root(st.Args[0], false); f != nil && !c.cloned(f, st.Pos()) {
-					c.violation(st.Pos(), f, "map")
+				if f, depth := c.root(st.Args[0], 0); f != nil && !c.writable(f, depth+1, st.Pos()) {
+					c.violation(st.Pos(), f, "map", depth+1)
 				}
 				return true
 			}
 			// x.F[i].Set(...) / x.F.Set(...) — in-place mutator methods.
 			if sel, ok := st.Fun.(*ast.SelectorExpr); ok && mutators[sel.Sel.Name] {
 				if s, ok := pass.TypesInfo.Selections[sel]; ok && s.Kind() == types.MethodVal {
-					if f, _ := c.root(sel.X, false); f != nil && !c.cloned(f, st.Pos()) {
-						c.violation(st.Pos(), f, "mutator-method")
+					if f, depth := c.root(sel.X, 0); f != nil && !c.writable(f, depth+1, st.Pos()) {
+						c.violation(st.Pos(), f, "mutator-method", depth+1)
 					}
 				}
 			}
 		}
 		return true
 	})
+}
+
+func sliceOrMap(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Slice, *types.Map:
+		return true
+	}
+	return false
 }

@@ -20,6 +20,7 @@ type Index struct {
 	version  uint64
 	rows     []*Bitset          //cow:shared
 	postings map[string][]int32 //cow:shared
+	pages    [][]int32          //cow:shared
 	scratch  []int              // unmarked: free to mutate
 }
 
@@ -84,6 +85,59 @@ func cloneIndex(ix *Index) *Index {
 	}
 	out.rows[0] = out.rows[0].Clone()
 	return out
+}
+
+// goodPagePatch is the two-level idiom: clone the page table, re-bind
+// the page, then write the record.
+func (ix *Index) goodPagePatch(p, i int, v int32) *Index {
+	out := *ix
+	out.pages = append([][]int32(nil), ix.pages...)
+	out.pages[p] = append([]int32(nil), ix.pages[p]...)
+	out.pages[p][i] = v
+	return &out
+}
+
+// badPagePatch clones the page table only: page p is still the previous
+// snapshot's.
+func (ix *Index) badPagePatch(p, i int, v int32) *Index {
+	out := *ix
+	out.pages = append([][]int32(nil), ix.pages...)
+	out.pages[p][i] = v // want `element write of //cow:shared field pages two levels deep without re-binding the row`
+	return &out
+}
+
+// badPageShare re-binds the page from another shared page, resliced or
+// not — sharing, not cloning.
+func (ix *Index) badPageShare(o *Index, p, i int, v int32) *Index {
+	out := *ix
+	out.pages = append([][]int32(nil), ix.pages...)
+	out.pages[p] = o.pages[p][:i+1]
+	out.pages[p][i]++ // want `element write of //cow:shared field pages two levels deep`
+	return &out
+}
+
+// badPageAlias writes the shared page through a local name for it.
+func (ix *Index) badPageAlias(p, i int, v int32) *Index {
+	out := *ix
+	out.pages = append([][]int32(nil), ix.pages...)
+	page := out.pages[p]
+	page[i] = v // want `element write of //cow:shared field pages two levels deep`
+	return &out
+}
+
+// badPageNoTable re-binds a page of a page table it never cloned.
+func (ix *Index) badPageNoTable(p, i int, v int32) {
+	ix.pages[p] = append([]int32(nil), ix.pages[p]...) // want `element write of //cow:shared field pages without cloning the field first`
+	ix.pages[p][i] = v                                 // want `element write of //cow:shared field pages without cloning the field first`
+}
+
+// badRowMutator clones the row slice but mutates the Bitset row r still
+// points at, which the previous snapshot points at too.
+func (ix *Index) badRowMutator(r int) *Index {
+	out := *ix
+	out.rows = append([]*Bitset(nil), out.rows...)
+	out.rows[r].Set(1) // want `mutator-method write of //cow:shared field rows two levels deep`
+	return &out
 }
 
 // goodScratch mutates an unmarked field freely.

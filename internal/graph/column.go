@@ -83,18 +83,18 @@ func (c *Column) set(i int, v Value) {
 // nil, which leaves it untouched; a nil into allocates.
 func (g *Graph) EdgeColumn(attr string, into *Column) *Column {
 	first := 0
-	for first < len(g.edges) && g.edges[first].Attrs[attr].kind == Missing {
+	for first < g.numEdges && g.Edge(EdgeID(first)).Attrs[attr].kind == Missing {
 		first++
 	}
-	if first == len(g.edges) {
+	if first == g.numEdges {
 		return nil
 	}
 	if into == nil {
 		into = new(Column)
 	}
-	into.reset(len(g.edges))
-	for i := first; i < len(g.edges); i++ {
-		if v := g.edges[i].Attrs[attr]; v.kind != Missing {
+	into.reset(g.numEdges)
+	for i := first; i < g.numEdges; i++ {
+		if v := g.Edge(EdgeID(i)).Attrs[attr]; v.kind != Missing {
 			into.set(i, v)
 		}
 	}
@@ -126,9 +126,11 @@ func (g *Graph) NodeColumn(attr string, into *Column) *Column {
 // by EdgeID — the gather indices through which an edge-context constraint
 // reads node columns as rSource/rTarget.
 func (g *Graph) Endpoints(from, to []NodeID) (f, t []NodeID) {
-	for i := range g.edges {
-		from = append(from, g.edges[i].From)
-		to = append(to, g.edges[i].To)
+	for _, page := range g.edges {
+		for i := range page {
+			from = append(from, page[i].From)
+			to = append(to, page[i].To)
+		}
 	}
 	return from, to
 }

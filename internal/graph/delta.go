@@ -73,9 +73,9 @@ func (d *Delta) Empty() bool {
 }
 
 // Structural reports whether the delta changes the graph's topology
-// (node or edge add/remove) rather than only attribute values. Structural
-// deltas renumber IDs and force index rebuilds; attribute-only deltas are
-// applied copy-on-write.
+// (node or edge add/remove) rather than only attribute values. Node IDs
+// stay put unless nodes are added or removed; edge IDs stay dense, so
+// removing an edge shifts every later edge's ID down by one.
 func (d *Delta) Structural() bool {
 	return d != nil &&
 		(len(d.RemoveEdges) > 0 || len(d.RemoveNodes) > 0 ||
@@ -92,11 +92,13 @@ func (d *Delta) Counts() (structuralOps, attrOps int) {
 }
 
 // ApplyDelta returns a new graph with d applied; g itself is never
-// modified, so concurrent readers of g stay consistent. Attribute-only
-// deltas take a copy-on-write fast path: the adjacency, edge index and
-// name index are shared with g and only the node/edge records (plus the
-// attribute bags actually touched) are copied. Structural deltas rebuild
-// into a fresh graph, renumbering IDs densely.
+// modified, so concurrent readers of g stay consistent. The result shares
+// with g everything d does not touch: an attribute edit copies the edge
+// page table plus the pages it writes (and the node records only when it
+// names a node); edge add/remove also shares every edge page before the
+// first removed ID and renumbers the rest. Attribute bags are shared too
+// and cloned only when edited. Node add/remove changes the node ID
+// universe and rebuilds into a fresh graph.
 //
 // Errors (unknown names, duplicate adds, self-loops) leave no partial
 // result: the returned graph is nil and g is untouched.
@@ -104,38 +106,187 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 	if d.Empty() {
 		return g, nil
 	}
-	if !d.Structural() {
-		return g.applyAttrDelta(d)
+	if len(d.RemoveNodes) > 0 || len(d.AddNodes) > 0 {
+		return g.applyStructuralDelta(d)
 	}
-	return g.applyStructuralDelta(d)
+	next := g
+	if len(d.RemoveEdges) > 0 || len(d.AddEdges) > 0 {
+		var err error
+		if next, err = g.applyEdgeDelta(d); err != nil {
+			return nil, err
+		}
+	}
+	return next.applyAttrDelta(d)
 }
 
-// applyAttrDelta is the copy-on-write fast path for attribute-only deltas.
+// applyAttrDelta applies d's attribute edits copy-on-write.
 func (g *Graph) applyAttrDelta(d *Delta) (*Graph, error) {
-	next := &Graph{
-		directed: g.directed,
-		nodes:    append([]Node(nil), g.nodes...),
-		edges:    append([]Edge(nil), g.edges...),
-		out:      g.out,   // structure is untouched: share adjacency,
-		in:       g.in,    // the edge index and the name index with g
-		index:    g.index, // (all are read-only after construction)
-		names:    g.names,
+	next := *g
+	if len(d.SetNodeAttrs) > 0 {
+		next.nodes = append([]Node(nil), g.nodes...)
 	}
 	for _, up := range d.SetNodeAttrs {
-		id, ok := next.names[up.Node]
+		id, ok := g.names[up.Node]
 		if !ok {
 			return nil, fmt.Errorf("graph: delta references unknown node %q", up.Node)
 		}
 		next.nodes[id].Attrs = patchAttrs(next.nodes[id].Attrs, up.Set, up.Unset)
 	}
+	if len(d.SetEdgeAttrs) > 0 {
+		next.edges = append([][]Edge(nil), g.edges...)
+	}
 	for _, up := range d.SetEdgeAttrs {
-		id, err := next.edgeByNames(up.Source, up.Target)
+		id, err := g.edgeByNames(up.Source, up.Target)
 		if err != nil {
 			return nil, err
 		}
-		next.edges[id].Attrs = patchAttrs(next.edges[id].Attrs, up.Set, up.Unset)
+		p, i := id>>edgePageShift, id&edgePageMask
+		if &next.edges[p][0] == &g.edges[p][0] { // still g's page
+			next.edges[p] = append([]Edge(nil), g.edges[p]...)
+		}
+		next.edges[p][i].Attrs = patchAttrs(next.edges[p][i].Attrs, up.Set, up.Unset)
 	}
-	return next, nil
+	return &next, nil
+}
+
+// applyEdgeDelta applies d's RemoveEdges and AddEdges (and nothing else)
+// copy-on-write, with the IDs and adjacency order applyStructuralDelta
+// would produce: survivors keep their relative order and close the gaps,
+// added edges follow. Nodes, names and every edge page before the first
+// removed ID are shared with g.
+func (g *Graph) applyEdgeDelta(d *Delta) (*Graph, error) {
+	base := g.numEdges // first ID that may change: start of the lowest page losing an edge
+	var removed []EdgeID
+	for _, ref := range d.RemoveEdges {
+		u, okU := g.names[ref.Source]
+		v, okV := g.names[ref.Target]
+		if !okU || !okV {
+			return nil, fmt.Errorf("graph: delta removes unknown edge %q-%q", ref.Source, ref.Target)
+		}
+		id, ok := g.index[g.edgeKey(u, v)]
+		if !ok {
+			return nil, fmt.Errorf("graph: delta removes missing edge %q-%q", ref.Source, ref.Target)
+		}
+		removed = append(removed, id)
+		base = min(base, int(id))
+	}
+	base &^= edgePageMask
+	// remap[old-base] becomes the new ID of edge old, -1 when removed.
+	remap := make([]EdgeID, g.numEdges-base)
+	for _, id := range removed {
+		remap[int(id)-base] = -1
+	}
+
+	next := *g
+	next.edges = append(make([][]Edge, 0, len(g.edges)+1), g.edges[:base>>edgePageShift]...)
+	next.numEdges = base
+	next.index = make(map[uint64]EdgeID, g.numEdges+len(d.AddEdges))
+	for id := EdgeID(0); int(id) < base; id++ {
+		e := g.Edge(id)
+		next.index[g.edgeKey(e.From, e.To)] = id
+	}
+	page := make([]Edge, 0, edgePageSize) // the open last page, never one of g's
+	store := func(e Edge) EdgeID {
+		if len(page) == edgePageSize {
+			next.edges = append(next.edges, page)
+			page = make([]Edge, 0, edgePageSize)
+		}
+		id := EdgeID(next.numEdges)
+		page = append(page, e)
+		next.index[g.edgeKey(e.From, e.To)] = id
+		next.numEdges++
+		return id
+	}
+	for old := base; old < g.numEdges; old++ {
+		if remap[old-base] >= 0 {
+			remap[old-base] = store(*g.Edge(EdgeID(old)))
+		}
+	}
+
+	if len(removed) == 0 {
+		next.out = append([][]Arc(nil), g.out...)
+		next.in = append([][]Arc(nil), g.in...)
+	} else {
+		arena := make([]Arc, 0, 2*next.numEdges)
+		renumber := func(rows [][]Arc) [][]Arc {
+			fresh := make([][]Arc, len(rows))
+			for u, row := range rows {
+				start := len(arena)
+				for _, a := range row {
+					if int(a.Edge) >= base {
+						a.Edge = remap[int(a.Edge)-base]
+					}
+					if a.Edge >= 0 {
+						arena = append(arena, a)
+					}
+				}
+				fresh[u] = arena[start:len(arena):len(arena)]
+			}
+			return fresh
+		}
+		next.out = renumber(g.out)
+		if g.directed {
+			next.in = renumber(g.in)
+		}
+	}
+
+	for _, spec := range d.AddEdges {
+		u, okU := g.names[spec.Source]
+		v, okV := g.names[spec.Target]
+		if !okU || !okV {
+			return nil, fmt.Errorf("graph: delta adds edge between unknown nodes %q-%q", spec.Source, spec.Target)
+		}
+		var err error
+		if u == v {
+			err = ErrSelfLoop
+		} else if _, dup := next.index[g.edgeKey(u, v)]; dup {
+			err = ErrDuplicateEdge
+		}
+		if err != nil {
+			return nil, fmt.Errorf("graph: delta edge %q-%q: %w", spec.Source, spec.Target, err)
+		}
+		id := store(Edge{From: u, To: v, Attrs: spec.Attrs.Clone()})
+		// A row is g's own or a slice of the arena: appending past a
+		// clamped capacity moves it instead of writing into either.
+		next.out[u] = append(clamp(next.out[u]), Arc{To: v, Edge: id})
+		if g.directed {
+			next.in[v] = append(clamp(next.in[v]), Arc{To: u, Edge: id})
+		} else {
+			next.out[v] = append(clamp(next.out[v]), Arc{To: u, Edge: id})
+		}
+	}
+	if len(page) > 0 {
+		next.edges = append(next.edges, page)
+	}
+	return &next, nil
+}
+
+// clamp returns row with no spare capacity, so an append reallocates.
+func clamp(row []Arc) []Arc { return row[:len(row):len(row)] }
+
+// WithNodeAttrs returns a snapshot of g in which each node of ids carries
+// set on top of its own attributes. Only the node records are copied (and
+// the bags of the named nodes); everything else is shared with g, which is
+// not modified. IDs outside g are skipped — callers hold IDs from ledgers
+// that may predate a node-removing delta — and g itself is returned when
+// nothing is left to patch.
+func (g *Graph) WithNodeAttrs(ids []NodeID, set Attrs) *Graph {
+	next := *g
+	patched := false
+	for _, id := range ids {
+		if id < 0 || int(id) >= len(g.nodes) {
+			continue
+		}
+		if !patched {
+			next.nodes = append([]Node(nil), g.nodes...)
+			patched = true
+		}
+		next.nodes[id].Attrs = patchAttrs(next.nodes[id].Attrs, set, nil)
+	}
+	if !patched {
+		return g
+	}
+	return &next
 }
 
 // patchAttrs returns a fresh bag with set/unset applied; the original bag
@@ -194,7 +345,8 @@ func (g *Graph) applyStructuralDelta(d *Delta) (*Graph, error) {
 		}
 		next.AddNode(spec.Name, spec.Attrs.Clone())
 	}
-	for i, e := range g.edges {
+	for i := 0; i < g.numEdges; i++ {
+		e := g.Edge(EdgeID(i))
 		if dropEdge[g.edgeKey(e.From, e.To)] {
 			continue
 		}
@@ -230,7 +382,7 @@ func (g *Graph) applyStructuralDelta(d *Delta) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		next.edges[id].Attrs = patchAttrs(next.edges[id].Attrs, up.Set, up.Unset)
+		next.Edge(id).Attrs = patchAttrs(next.Edge(id).Attrs, up.Set, up.Unset)
 	}
 	return next, nil
 }

@@ -42,12 +42,22 @@ type Arc struct {
 	Edge EdgeID
 }
 
+// Edge records live in fixed pages of edgePageSize (the batch evaluator's
+// chunk size), so a delta copies the page table and only the pages it
+// writes. Every page but the last is full.
+const (
+	edgePageShift = 10
+	edgePageSize  = 1 << edgePageShift
+	edgePageMask  = edgePageSize - 1
+)
+
 // Graph is a simple attributed graph. The zero value is not usable; call
 // New or NewUndirected.
 type Graph struct {
 	directed bool
+	numEdges int
 	nodes    []Node            //cow:shared
-	edges    []Edge            //cow:shared
+	edges    [][]Edge          //cow:shared — pages of edgePageSize records, by EdgeID
 	out      [][]Arc           //cow:shared — out-adjacency (all adjacency when undirected)
 	in       [][]Arc           //cow:shared — in-adjacency, directed graphs only
 	index    map[uint64]EdgeID //cow:shared
@@ -76,7 +86,7 @@ func (g *Graph) Directed() bool { return g.directed }
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the number of edges (undirected edges count once).
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return g.numEdges }
 
 // AddNode appends a node and returns its ID. An empty name is replaced by
 // a generated one; duplicate names are rejected by panicking, since node
@@ -137,8 +147,13 @@ func (g *Graph) AddEdge(u, v NodeID, attrs Attrs) (EdgeID, error) {
 	if _, dup := g.index[key]; dup {
 		return -1, ErrDuplicateEdge
 	}
-	id := EdgeID(len(g.edges))
-	g.edges = append(g.edges, Edge{From: u, To: v, Attrs: attrs})
+	id := EdgeID(g.numEdges)
+	if g.numEdges&edgePageMask == 0 {
+		g.edges = append(g.edges, nil) // grown by append: most graphs are queries with a dozen edges
+	}
+	last := len(g.edges) - 1
+	g.edges[last] = append(g.edges[last], Edge{From: u, To: v, Attrs: attrs})
+	g.numEdges++
 	g.index[key] = id
 	g.out[u] = append(g.out[u], Arc{To: v, Edge: id})
 	if g.directed {
@@ -163,7 +178,7 @@ func (g *Graph) MustAddEdge(u, v NodeID, attrs Attrs) EdgeID {
 func (g *Graph) Node(id NodeID) *Node { return &g.nodes[id] }
 
 // Edge returns a pointer to the edge record for id.
-func (g *Graph) Edge(id EdgeID) *Edge { return &g.edges[id] }
+func (g *Graph) Edge(id EdgeID) *Edge { return &g.edges[id>>edgePageShift][id&edgePageMask] }
 
 // NodeByName resolves a node name to its ID.
 func (g *Graph) NodeByName(name string) (NodeID, bool) {
@@ -215,8 +230,10 @@ func (g *Graph) Clone() *Graph {
 	for _, n := range g.nodes {
 		c.AddNode(n.Name, n.Attrs.Clone())
 	}
-	for _, e := range g.edges {
-		c.MustAddEdge(e.From, e.To, e.Attrs.Clone())
+	for _, page := range g.edges {
+		for _, e := range page {
+			c.MustAddEdge(e.From, e.To, e.Attrs.Clone())
+		}
 	}
 	return c
 }
@@ -240,11 +257,13 @@ func (g *Graph) InducedSubgraph(ids []NodeID) (*Graph, []NodeID, error) {
 		fwd[id] = sub.AddNode(n.Name, n.Attrs.Clone())
 		back = append(back, id)
 	}
-	for _, e := range g.edges {
-		u, okU := fwd[e.From]
-		v, okV := fwd[e.To]
-		if okU && okV {
-			sub.MustAddEdge(u, v, e.Attrs.Clone())
+	for _, page := range g.edges {
+		for _, e := range page {
+			u, okU := fwd[e.From]
+			v, okV := fwd[e.To]
+			if okU && okV {
+				sub.MustAddEdge(u, v, e.Attrs.Clone())
+			}
 		}
 	}
 	return sub, back, nil
@@ -260,7 +279,7 @@ func (g *Graph) Density() float64 {
 	if !g.directed {
 		max /= 2
 	}
-	return float64(len(g.edges)) / max
+	return float64(g.numEdges) / max
 }
 
 // AvgDegree returns the mean node degree.
@@ -293,21 +312,41 @@ func (g *Graph) Validate() error {
 	if g.directed && len(g.in) != len(g.nodes) {
 		return fmt.Errorf("graph: in-adjacency size %d != node count %d", len(g.in), len(g.nodes))
 	}
-	if len(g.index) != len(g.edges) {
-		return fmt.Errorf("graph: edge index size %d != edge count %d", len(g.index), len(g.edges))
+	if len(g.index) != g.numEdges {
+		return fmt.Errorf("graph: edge index size %d != edge count %d", len(g.index), g.numEdges)
 	}
-	arcs := 0
-	for _, a := range g.out {
-		arcs += len(a)
+	stored := 0
+	for p, page := range g.edges {
+		if len(page) == 0 || len(page) > edgePageSize || len(page) < edgePageSize && p != len(g.edges)-1 {
+			return fmt.Errorf("graph: edge page %d of %d holds %d records", p, len(g.edges), len(page))
+		}
+		stored += len(page)
 	}
-	want := len(g.edges)
-	if !g.directed {
-		want *= 2
+	if stored != g.numEdges {
+		return fmt.Errorf("graph: edge pages hold %d records != edge count %d", stored, g.numEdges)
 	}
-	if arcs != want {
-		return fmt.Errorf("graph: adjacency arc count %d != expected %d", arcs, want)
+	perEdge := 2 // arcs an edge contributes to g.out
+	adjacency := [][][]Arc{g.out}
+	if g.directed {
+		perEdge = 1
+		adjacency = append(adjacency, g.in)
 	}
-	for i, e := range g.edges {
+	for k, rows := range adjacency {
+		arcs := 0
+		for u, row := range rows {
+			arcs += len(row)
+			for _, a := range row {
+				if err := g.checkArc(NodeID(u), a, k == 1); err != nil {
+					return err
+				}
+			}
+		}
+		if arcs != perEdge*g.numEdges {
+			return fmt.Errorf("graph: adjacency arc count %d != expected %d", arcs, perEdge*g.numEdges)
+		}
+	}
+	for i := 0; i < g.numEdges; i++ {
+		e := g.Edge(EdgeID(i))
 		if e.From == e.To {
 			return fmt.Errorf("graph: edge %d is a self-loop", i)
 		}
@@ -324,11 +363,28 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// checkArc verifies that arc a in the adjacency row of node at names an
+// edge joining exactly at and a.To (at is the head when incoming).
+func (g *Graph) checkArc(at NodeID, a Arc, incoming bool) error {
+	if a.Edge < 0 || int(a.Edge) >= g.numEdges {
+		return fmt.Errorf("graph: node %d has an arc to edge %d of %d", at, a.Edge, g.numEdges)
+	}
+	e := g.Edge(a.Edge)
+	from, to := at, a.To
+	if incoming {
+		from, to = to, from
+	}
+	if e.From == from && e.To == to || !g.directed && e.From == to && e.To == from {
+		return nil
+	}
+	return fmt.Errorf("graph: node %d has arc {to %d, edge %d} but edge %d joins %d-%d", at, a.To, a.Edge, a.Edge, e.From, e.To)
+}
+
 // String summarizes the graph.
 func (g *Graph) String() string {
 	kind := "undirected"
 	if g.directed {
 		kind = "directed"
 	}
-	return fmt.Sprintf("graph{%s, %d nodes, %d edges}", kind, len(g.nodes), len(g.edges))
+	return fmt.Sprintf("graph{%s, %d nodes, %d edges}", kind, len(g.nodes), g.numEdges)
 }

@@ -117,29 +117,22 @@ func (c *Columns) Endpoints() (from, to []graph.NodeID) {
 
 // carry returns the cache for the snapshot whose graph is next, reached
 // from old by d. Columns are carried over only when c describes old
-// itself and d kept every element ID: then exactly the attributes d
-// names may differ between old and next, so those are dropped and the
-// rest — and the endpoint arrays — are shared. Anything else starts
+// itself and d kept the IDs they are indexed by: then exactly the
+// attributes d names may differ between old and next, so those are
+// dropped and the rest shared. Edge add/remove renumbers edges and leaves
+// nodes alone, so it drops the edge columns and endpoint arrays and keeps
+// the node columns; node add/remove keeps nothing. Anything else starts
 // empty, so a column is never served for a graph it was not built from.
 func (c *Columns) carry(old, next *graph.Graph, d *graph.Delta) *Columns {
 	if next == c.g {
 		return c
 	}
 	out := NewColumns(next)
-	if old != c.g || d.Structural() {
+	if old != c.g || len(d.AddNodes) > 0 || len(d.RemoveNodes) > 0 {
 		return out
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for attr, col := range c.edge {
-		named := false
-		for _, up := range d.SetEdgeAttrs {
-			named = named || names(up.Set, up.Unset, attr)
-		}
-		if !named {
-			keep(&out.edge, attr, col)
-		}
-	}
 	for attr, col := range c.node {
 		named := false
 		for _, up := range d.SetNodeAttrs {
@@ -147,6 +140,18 @@ func (c *Columns) carry(old, next *graph.Graph, d *graph.Delta) *Columns {
 		}
 		if !named {
 			keep(&out.node, attr, col)
+		}
+	}
+	if len(d.AddEdges) > 0 || len(d.RemoveEdges) > 0 {
+		return out
+	}
+	for attr, col := range c.edge {
+		named := false
+		for _, up := range d.SetEdgeAttrs {
+			named = named || names(up.Set, up.Unset, attr)
+		}
+		if !named {
+			keep(&out.edge, attr, col)
 		}
 	}
 	// Capacity-clamped so no later append on either side can write into

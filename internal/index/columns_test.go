@@ -120,13 +120,18 @@ func TestApplyCarriesColumns(t *testing.T) {
 			cols := ix.ColumnsFor(g)
 			columnsMatchGraph(t, label+" (warm-up)", cols, g) // materialises everything
 			var d *graph.Delta
-			switch rng.Intn(4) {
+			switch rng.Intn(6) {
 			case 0:
 				d = randomAttrDelta(rng, g)
 			case 1:
 				d = randomEdgeAttrDelta(rng, g)
 			case 2:
 				d = randomStructDelta(rng, g)
+			case 3: // edges move, some node attributes change with them
+				d = randomStructDelta(rng, g)
+				d.SetNodeAttrs = randomAttrDelta(rng, g).SetNodeAttrs
+			case 4:
+				d = &graph.Delta{AddNodes: []graph.NodeSpec{{Name: fmt.Sprintf("extra-%d-%d", seed, step)}}}
 			default:
 				d = randomAttrDelta(rng, g)
 				d.SetEdgeAttrs = randomEdgeAttrDelta(rng, g).SetEdgeAttrs
@@ -143,11 +148,17 @@ func TestApplyCarriesColumns(t *testing.T) {
 			if nextCols == nil {
 				t.Fatalf("%s: successor does not serve its own graph", label)
 			}
-			if d.Structural() {
-				if len(nextCols.edge)+len(nextCols.node)+len(nextCols.from) != 0 {
-					t.Fatalf("%s: columns survived a structural delta", label)
-				}
-			} else if !d.Empty() {
+			// Node add/remove renumbers everything; edge add/remove only
+			// the edges, so node columns outlive it.
+			nodesMoved := len(d.AddNodes) > 0 || len(d.RemoveNodes) > 0
+			edgesMoved := nodesMoved || len(d.AddEdges) > 0 || len(d.RemoveEdges) > 0
+			if nodesMoved && len(nextCols.node) != 0 {
+				t.Fatalf("%s: node columns survived a node add/remove", label)
+			}
+			if edgesMoved && len(nextCols.edge)+len(nextCols.from)+len(nextCols.to) != 0 {
+				t.Fatalf("%s: edge columns or endpoints survived an edge renumbering", label)
+			}
+			if !nodesMoved && !d.Empty() {
 				named := map[string]bool{}
 				for _, up := range d.SetNodeAttrs {
 					for _, attr := range append(attrNames(up.Set), up.Unset...) {
@@ -159,7 +170,9 @@ func TestApplyCarriesColumns(t *testing.T) {
 						t.Fatalf("%s: node column %q: named=%v, carried=%v", label, attr, named[attr], got == col)
 					}
 				}
-				named = map[string]bool{}
+			}
+			if !edgesMoved && !d.Empty() {
+				named := map[string]bool{}
 				for _, up := range d.SetEdgeAttrs {
 					for _, attr := range append(attrNames(up.Set), up.Unset...) {
 						named[attr] = true

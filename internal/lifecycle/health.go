@@ -11,7 +11,7 @@ import (
 
 // This file is the health checker: after every model publish it
 // re-verifies each managed embedding against the live indexed snapshot.
-// Verification is name-based — structural deltas re-assign NodeIDs, so
+// Verification is name-based — node add/remove re-assigns NodeIDs, so
 // the stored name-keyed mapping is resolved fresh against the snapshot
 // and a name that no longer resolves is itself a finding ("host
 // vanished"), not a crash.

@@ -21,11 +21,11 @@
 //     through the ledger (allocate-new-release-old in one Replace;
 //     a conflict rolls back to the old placement untouched).
 //
-// Mappings are stored by node *name*, not NodeID: structural deltas
-// rebuild the hosting graph with re-assigned IDs, so every sweep
-// re-resolves names against the live snapshot and a vanished name is
-// itself a health signal. Ledger holds are refreshed to live IDs on
-// every committed repair.
+// Mappings are stored by node *name*, not NodeID: a delta that adds or
+// removes nodes re-assigns NodeIDs (and one that removes an edge shifts
+// EdgeIDs), so every sweep re-resolves names against the live snapshot
+// and a vanished name is itself a health signal. Ledger holds are
+// refreshed to live IDs on every committed repair.
 package lifecycle
 
 import (

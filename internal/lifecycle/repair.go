@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"netembed/internal/core"
@@ -133,11 +134,7 @@ func (m *Manager) Migrate(id string) (Info, error) {
 // snapshot, in which case the plan search is a cheap re-proof).
 func (m *Manager) repairLocked(rec *record, host *graph.Graph, idx *index.Index, version uint64) {
 	old, _ := resolveNamed(rec.query, host, rec.named)
-	marked, err := m.markedHost(rec, host)
-	if err != nil {
-		m.failRepair(rec, err.Error())
-		return
-	}
+	marked := m.markedHost(rec, host)
 	edgeProg, nodeProg, err := m.repairPrograms(rec)
 	if err != nil {
 		m.failRepair(rec, err.Error())
@@ -303,36 +300,20 @@ func (m *Manager) maxMoved(rec *record) int {
 	return budget
 }
 
-// markedHost clones the live snapshot with every node that is saturated
+// markedHost returns the live snapshot with every node that is saturated
 // by *other* tenants carrying the reservation mark, so the repair search
 // only considers migration targets with a free slot. The record's own
 // holds are exempt: keeping a node in place must never look like a
 // conflict with itself.
-func (m *Manager) markedHost(rec *record, host *graph.Graph) (*graph.Graph, error) {
+func (m *Manager) markedHost(rec *record, host *graph.Graph) *graph.Graph {
 	led := m.svc.Ledger()
 	saturated := led.SaturatedNodes()
-	if len(saturated) == 0 {
-		return host, nil
+	if lease, ok := led.Lease(rec.lease); ok && len(saturated) > 0 {
+		saturated = slices.DeleteFunc(saturated, func(r graph.NodeID) bool {
+			return slices.Contains(lease.Nodes, r)
+		})
 	}
-	own := make(map[graph.NodeID]bool)
-	if lease, ok := led.Lease(rec.lease); ok {
-		for _, r := range lease.Nodes {
-			own[r] = true
-		}
-	}
-	marked := host.Clone()
-	markedAny := false
-	for _, r := range saturated {
-		if own[r] || int(r) >= marked.NumNodes() {
-			continue
-		}
-		marked.Node(r).Attrs = marked.Node(r).Attrs.SetBool(service.ReservedAttr, true)
-		markedAny = true
-	}
-	if !markedAny {
-		return host, nil
-	}
-	return marked, nil
+	return service.MarkReserved(host, saturated)
 }
 
 // repairPrograms compiles the record's constraints with the tenancy

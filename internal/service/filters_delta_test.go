@@ -186,6 +186,8 @@ func TestFiltersAcrossDeltaChainMatchBruteForce(t *testing.T) {
 
 		var prevHost *graph.Graph
 		var prevIdx *index.Index
+		applied := &graph.Delta{} // what led from prevHost to this version
+		prevNodeCols := map[string]*graph.Column{}
 		for step := 0; step < 14; step++ {
 			host, idx, version := model.SnapshotIndexed()
 			label := fmt.Sprintf("seed %d step %d (v%d)", seed, step, version)
@@ -218,14 +220,32 @@ func TestFiltersAcrossDeltaChainMatchBruteForce(t *testing.T) {
 					t.Fatalf("%s: cached edge column %q = %+v, graph says %+v", label, attr, got, want)
 				}
 			}
+			// Edge add/remove shifts edge IDs, so the endpoint arrays must
+			// have been rebuilt with the edge columns.
+			wantFrom, wantTo := host.Endpoints(nil, nil)
+			if from, to := cols.Endpoints(); !slices.Equal(from, wantFrom) || !slices.Equal(to, wantTo) {
+				t.Fatalf("%s: cached endpoints do not describe the graph", label)
+			}
 			for _, attr := range []string{"cpu", "os"} {
-				if got, want := cols.NodeColumn(attr), host.NodeColumn(attr, nil); !sameColumn(got, want) {
+				got, want := cols.NodeColumn(attr), host.NodeColumn(attr, nil)
+				if !sameColumn(got, want) {
 					t.Fatalf("%s: cached node column %q = %+v, graph says %+v", label, attr, got, want)
 				}
+				// Node IDs and bags outlive edge add/remove: the column is
+				// the previous version's own unless the delta named it.
+				named := step == 0
+				for _, up := range applied.SetNodeAttrs {
+					named = named || up.Set.Has(attr) || slices.Contains(up.Unset, attr)
+				}
+				if !named && got != prevNodeCols[attr] {
+					t.Fatalf("%s: node column %q was rebuilt although the delta did not name it", label, attr)
+				}
+				prevNodeCols[attr] = got
 			}
 
 			prevHost, prevIdx = host, idx
-			if _, err := model.Apply(randomModelDelta(rng, host)); err != nil {
+			applied = randomModelDelta(rng, host)
+			if _, err := model.Apply(applied); err != nil {
 				t.Fatalf("%s: delta rejected: %v", label, err)
 			}
 		}

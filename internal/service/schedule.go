@@ -70,14 +70,7 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 
 		// Nodes with no free slot at any point of the candidate window are
 		// hidden from the search.
-		busy := s.ledger.SaturatedInWindow(start, end)
-		snapshot := host
-		if len(busy) > 0 {
-			snapshot = host.Clone()
-			for _, r := range busy {
-				snapshot.Node(r).Attrs = snapshot.Node(r).Attrs.SetBool(ReservedAttr, true)
-			}
-		}
+		snapshot := MarkReserved(host, s.ledger.SaturatedInWindow(start, end))
 
 		p, err := core.NewProblem(req.Query, snapshot, edgeProg, nodeProg)
 		if err != nil {

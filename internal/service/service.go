@@ -267,8 +267,8 @@ func (s *Service) embedOn(host *graph.Graph, idx *index.Index, version uint64, r
 	if req.ExcludeReserved {
 		// Reservation marks only add node attributes — the structure the
 		// index describes (degrees, adjacency) is untouched, so the index
-		// stays valid for the marked clone.
-		host = s.withReservationMarks(host)
+		// stays valid for the marked snapshot.
+		host = MarkReserved(host, s.ledger.SaturatedNodes())
 	}
 
 	if req.Algorithm == AlgoPathEmbed {
@@ -599,20 +599,13 @@ func compilePrograms(edgeSrc, nodeSrc string, excludeReserved bool) (*expr.Progr
 	return edgeProg, nodeProg, nil
 }
 
-// withReservationMarks returns a host snapshot where every node whose
-// slots are all leased carries the reservation attribute.
-func (s *Service) withReservationMarks(host *graph.Graph) *graph.Graph {
-	reserved := s.ledger.SaturatedNodes()
-	if len(reserved) == 0 {
-		return host
-	}
-	marked := host.Clone()
-	for _, r := range reserved {
-		if int(r) < marked.NumNodes() {
-			marked.Node(r).Attrs = marked.Node(r).Attrs.SetBool(ReservedAttr, true)
-		}
-	}
-	return marked
+// reservedMark is the bag stamped onto nodes with no free slot.
+var reservedMark = graph.Attrs{}.SetBool(ReservedAttr, true)
+
+// MarkReserved returns host with the reservation attribute on each node
+// of ids; IDs the snapshot no longer has are skipped.
+func MarkReserved(host *graph.Graph, ids []graph.NodeID) *graph.Graph {
+	return host.WithNodeAttrs(ids, reservedMark)
 }
 
 func nameMapping(query, host *graph.Graph, m core.Mapping) NamedMapping {
