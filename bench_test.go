@@ -837,8 +837,8 @@ func BenchmarkBatchEmbed(b *testing.B) {
 // --- Search engine: forward checking + CBJ vs the chronological oracle ---
 //
 // BenchmarkSearch_FC_vs_Chrono is the tentpole measurement of the FC-CBJ
-// engine rebuild. Three instances, each run under both engines against
-// identical prebuilt filters:
+// engine rebuild. Three instances run under both engines against
+// identical prebuilt filters, two more under the FC engine alone:
 //
 //   - dense512/subgraph: a 24-node planted query on the 512-node dense
 //     host — the deep bottom-heavy tree where the chronological searcher
@@ -852,7 +852,20 @@ func BenchmarkBatchEmbed(b *testing.B) {
 //   - nomatch512: topo.BackjumpAdversary on a 512-node host — a jointly
 //     infeasible query whose conflict involves only the root and a
 //     pendant triangle; conflict-directed backjumping vaults the branchy
-//     middle levels the oracle must re-enumerate per root.
+//     middle levels the oracle must re-enumerate per root. No
+//     (root, second-level) subtree fails 256 times, so arc-consistency
+//     propagation never arms here: 37,880 nodes with or without it.
+//   - skewedring/fc: the ledger's proof_hard instance
+//     (topo.SkewedRing(16, 6, 7)), a parity conflict backjumping cannot
+//     shortcut. Propagation arms inside each of the heavy root's 16
+//     second-level subtrees and ends it: 5,293 nodes, where forward
+//     checking alone visits 864,269.
+//   - pigeonhole8/fc: topo.Pigeonhole(8), infeasible only by counting and
+//     arc consistent at every node — propagation arms, runs every
+//     fixpoint to the end and deletes nothing. The worst case of the
+//     arming rule, tracked so that it stays measured (the in-package
+//     BenchmarkPigeonholeArmedVsFCOnly bounds it at 3× forward checking
+//     alone).
 //
 // The acceptance bars: fc ≥1.5x faster than chrono on the dense-host
 // subgraph workload, ≥2x on nomatch512, and no worse than parity on
@@ -936,6 +949,25 @@ func BenchmarkSearch_FC_vs_Chrono(b *testing.B) {
 			})
 		}
 	})
+
+	b.Run("skewedring/fc", func(b *testing.B) {
+		q, g := topo.SkewedRing(16, 6, 7)
+		seedOnly := netembed.MustCompile("!has(vNode.seed) || has(rNode.seed)")
+		p, err := netembed.NewProblem(q, g, delayWindow, seedOnly)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runWithFilters(b, core.BuildFilters(p, &netembed.Options{}), netembed.Options{}, false)
+	})
+
+	b.Run("pigeonhole8/fc", func(b *testing.B) {
+		q, g := topo.Pigeonhole(8)
+		p, err := netembed.NewProblem(q, g, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runWithFilters(b, core.BuildFilters(p, &netembed.Options{}), netembed.Options{}, false)
+	})
 }
 
 // BenchmarkPathEmbed_FC_vs_Seed pins the rebuilt path-mode (§VIII
@@ -1013,12 +1045,22 @@ func BenchmarkPathEmbed_FC_vs_Seed(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelECF_StealVsStatic pins the work-stealing scheduler
-// against PR 1's static first-level sharding on topo.SkewedRing: one
-// root candidate owns a combinatorially large subtree while the decoy
-// roots die after a shallow probe. Round-robin sharding pins the heavy
-// root (plus a few dead decoys) to one worker and the rest of the pool
-// idles; stealing redistributes the heavy root's second level.
+// BenchmarkParallelECF_StealVsStatic runs the work-stealing pool and
+// PR 1's static first-level sharding on topo.SkewedRing: one root
+// candidate owns a combinatorially large subtree while the decoy roots
+// die after a shallow probe. Round-robin sharding pins the heavy root
+// (plus a few dead decoys) to one worker and the rest of the pool idles;
+// stealing redistributes the heavy root's second level.
+//
+// The two sides differ by engine as well as by schedule: static is the
+// chronological searcher, which walks the whole heavy subtree, while
+// steal is the FC engine, whose propagation arms 256 wipeouts into each
+// stolen second-level subtree and ends it there. Since that landed the
+// heavy root costs the pool a few thousand nodes, so the pair reports
+// the engine's gain on the instance far more than the scheduler's; what
+// is left of the scheduling claim is that the steal side still splits
+// the root (TestPropagationIsPartitionIndependent pins its 15 steals and
+// that the counts do not depend on the split). Not in CI's GATE.
 func BenchmarkParallelECF_StealVsStatic(b *testing.B) {
 	q, host := topo.SkewedRing(12, 15, 7)
 	seedOnly := netembed.MustCompile("!has(vNode.seed) || has(rNode.seed)")

@@ -43,6 +43,18 @@ import (
 // provably solution-free subtrees, which keeps enumeration complete and
 // the solution sequence identical to the chronological searcher's.
 //
+// One-step forward checking looks only from the node just placed to its
+// neighbors. A search that keeps failing without progress additionally
+// maintains arc consistency *between* the unassigned nodes (propagate):
+// a value of y that no value left in a neighboring domain supports is
+// deleted, and a domain emptied that way is a wipeout like any other.
+// Such deletions ride the same trail, and y's conflict set takes over
+// the conflict set of the domain that stopped supporting it, so jumps
+// stay sound. Propagation only removes values that head no solution, so
+// the solution sequence is unchanged; it is armed by failure rather than
+// always on because a fixpoint costs far more than the forward check it
+// follows (see acArmWipeouts).
+//
 // The engine runs on both filter representations: dense rows AND
 // directly, sparse rows are splatted into a scratch bitset first. The
 // chronological searcher is kept (unexported, selectable via
@@ -57,9 +69,11 @@ type postArc struct {
 }
 
 // fcTrailEntry records one domain mutation: the words overwritten (a
-// span in the shared arena), the previous cardinality, and whether the
-// mutation was the pruning depth's first touch of this node's domain
-// (so undo must clear the pastFC bit).
+// span in the shared arena), the previous cardinality, and how undo puts
+// the node's pastFC row back — by clearing the pruning depth's bit when
+// a row prune was that depth's first touch of the domain (clearFC), or
+// by copying back the whole row an arc revision saved behind the domain
+// words (savedFC).
 type fcTrailEntry struct {
 	node      int32
 	w0        int32 // first saved word index
@@ -67,6 +81,7 @@ type fcTrailEntry struct {
 	off       int32 // offset into the arena
 	prevCount int32
 	clearFC   bool
+	savedFC   bool
 }
 
 // fcSearcher is the state of one FC-CBJ search. Static mode fixes the
@@ -81,9 +96,10 @@ type fcSearcher struct {
 	rng     *rand.Rand // nil for ECF, set for RWB
 	dynamic bool
 
-	nq    int
-	nr    int
-	words int // words per host-universe bitset
+	nq      int
+	nr      int
+	words   int // words per host-universe bitset
+	fcWords int // words per depth-universe (pastFC/conf) bitset
 
 	order   []graph.NodeID // order[d] = node expanded at depth d
 	depthOf []int32        // node -> depth, -1 while unassigned
@@ -93,7 +109,10 @@ type fcSearcher struct {
 	used     *sets.Bitset  // hosts held by assigned nodes
 	dom      []sets.Bitset // live domain per query node
 	domCount []int32
-	candBits *sets.Bitset // materialization scratch: dom ∧ ¬used
+	// candBits is scratch over the host universe: materialize builds
+	// dom ∧ ¬used in it, and between materializations revise collects a
+	// domain's unsupported values there.
+	candBits *sets.Bitset
 
 	trail []fcTrailEntry
 	arena []uint64
@@ -105,6 +124,15 @@ type fcSearcher struct {
 
 	rowBits *sets.Bitset // sparse-row scratch
 	scratch [][]int32    // per-depth candidate buffers
+
+	// Arc-consistency propagation (see propagate). failures counts the
+	// wipeouts since the search last made progress; once it reaches
+	// armAfter every successful forward check is followed by an AC-3
+	// fixpoint over the unassigned nodes.
+	failures int64
+	armAfter int64
+	acWork   []graph.NodeID // worklist of nodes whose domain shrank
+	acQueued []bool         // node is on acWork
 
 	// Pool-recycled backing storage (see pool.go): the shared words of
 	// the dom/pastFC/conf bitset tables, and the post-arc dedup stamp.
@@ -143,12 +171,16 @@ func newFCSearcher(p *Problem, f *Filters, opt Options, rng *rand.Rand, start ti
 	nq, nr := p.Query.NumNodes(), p.Host.NumNodes()
 	s := acquireFCSearcher()
 	s.p, s.f, s.opt, s.rng, s.dynamic = p, f, opt, rng, dynamic
-	s.nq, s.nr, s.words = nq, nr, (nr+63)/64
+	s.nq, s.nr, s.words, s.fcWords = nq, nr, (nr+63)/64, (nq+63)/64
 	s.assign = grow(s.assign, nq)
 	s.depthOf = grow(s.depthOf, nq)
 	s.scratch = grow(s.scratch, nq)
 	s.trail = s.trail[:0]
 	s.arena = s.arena[:0]
+	s.failures = 0
+	s.acWork = grow(s.acWork, nq)[:0]
+	s.acQueued = grow(s.acQueued, nq)
+	clear(s.acQueued)
 	s.stopped = false
 	s.solutions = nil
 	s.nSol = 0
@@ -194,6 +226,7 @@ func newFCSearcher(p *Problem, f *Filters, opt Options, rng *rand.Rand, start ti
 		}
 		s.domCount[q] = int32(len(f.base[q]))
 	}
+	s.armAfter = max(acArmAfter, acArmAfter*s.revisionPassCost()/acArmWipeouts)
 	s.used = sets.ReuseBitset(s.used, nr)
 	s.candBits = sets.ReuseBitset(s.candBits, nr)
 	s.pastFC, s.pastBacking = sets.ReuseBitsets(s.pastFC, s.pastBacking, nq, nq)
@@ -268,15 +301,17 @@ func (s *fcSearcher) run() {
 	s.search(0)
 }
 
-// fcUndoTo pops trail entries down to mark, restoring domain words,
-// counts and pastFC bits for the pruning depth d. The arena shrinks back
-// to amark.
+// undoTo pops trail entries down to mark, restoring domain words, counts
+// and pastFC rows for the pruning depth d. The arena shrinks back to
+// amark.
 func (s *fcSearcher) undoTo(mark, amark, d int) {
 	for i := len(s.trail) - 1; i >= mark; i-- {
 		e := &s.trail[i]
 		s.dom[e.node].RestoreSpan(s.arena[e.off:e.off+e.nw], int(e.w0))
 		s.domCount[e.node] = e.prevCount
-		if e.clearFC {
+		if e.savedFC {
+			s.pastFC[e.node].RestoreSpan(s.arena[e.off+e.nw:e.off+e.nw+int32(s.fcWords)], 0)
+		} else if e.clearFC {
 			s.pastFC[e.node].Clear(int32(d))
 		}
 		if s.optimize {
@@ -290,6 +325,7 @@ func (s *fcSearcher) undoTo(mark, amark, d int) {
 // wipeout records that assigning at depth d emptied node q's domain: the
 // depths that pruned q are exactly the reasons this value fails.
 func (s *fcSearcher) wipeout(d int, q graph.NodeID) {
+	s.failures++
 	s.stats.Wipeouts++
 	s.stats.WipeoutDepthSum += int64(d)
 	s.conf[d].UnionWith(&s.pastFC[q])
@@ -297,6 +333,7 @@ func (s *fcSearcher) wipeout(d int, q graph.NodeID) {
 
 // pruneRow ANDs one filter row into a future neighbor's domain and
 // reports false on wipeout. A nil/empty row empties the domain outright.
+// It is the forward-checking half of Stats.PruneOps; revise is the other.
 //
 // Static mode skips the cardinality maintenance (nothing reads counts —
 // wipeouts are detected by emptiness and MRV does not run) and records
@@ -374,13 +411,21 @@ func (s *fcSearcher) pruneRow(d int, head graph.NodeID, table, r int32) bool {
 
 // forwardCheck propagates the assignment node ↦ r made at depth d: the
 // filter rows toward every unassigned neighbor AND-prune that
-// neighbor's domain. It reports false as soon as any future domain
-// wipes out; the caller undoes via its trail mark. Injectivity is NOT
-// propagated eagerly — the in-use marks are subtracted word-wise when a
-// depth materializes its candidates, and the blocked-by-used conflict
-// term is reconstructed lazily at dead ends (see expand) — because an
-// O(nq) per-assignment clear loop costs more than it prunes.
+// neighbor's domain, and — once the search is armed (see acArmWipeouts)
+// — an arc-consistency fixpoint runs over the domains that are left. It
+// reports false as soon as any future domain wipes out; the caller
+// undoes via its trail mark. Injectivity is NOT propagated eagerly — the
+// in-use marks are subtracted word-wise when a depth materializes its
+// candidates, and the blocked-by-used conflict term is reconstructed
+// lazily at dead ends (see expand) — because an O(nq) per-assignment
+// clear loop costs more than it prunes.
 func (s *fcSearcher) forwardCheck(d int, node graph.NodeID, r int32) bool {
+	if d <= 1 {
+		// Progress: a new (root, second-level) subtree starts disarmed, so
+		// what is propagated below it depends only on the position inside
+		// it — never on how ParallelECF's stealing cut the tree.
+		s.failures = 0
+	}
 	if s.dynamic {
 		prune := func(nbr graph.NodeID) bool {
 			if s.depthOf[nbr] >= 0 {
@@ -405,13 +450,164 @@ func (s *fcSearcher) forwardCheck(d int, node graph.NodeID, r int32) bool {
 				}
 			}
 		}
-		return true
-	}
-	for _, pa := range s.posts[d] {
-		if !s.pruneRow(d, pa.head, pa.table, r) {
-			return false
+	} else {
+		for _, pa := range s.posts[d] {
+			if !s.pruneRow(d, pa.head, pa.table, r) {
+				return false
+			}
 		}
 	}
+	return s.failures < s.armAfter || s.propagate(d, node)
+}
+
+// acArmWipeouts is the least number of wipeouts the search must record
+// without progress — no complete assignment, no new placement at depth
+// ≤ 1 — before forward checking is followed by arc-consistency
+// propagation. A wipeout is one read-only row probe (≈24 ns), so 256 of
+// them are ≈6 µs of forward checking: what a propagation fixpoint costs
+// on the instances it was sized on (a 7-ring or an 8-node query on the
+// paper-sized host, where one pass over the arcs is a few hundred row
+// operations). Larger instances scale it: the threshold a searcher uses
+// is one wipeout per row operation a revision pass can cost, and never
+// under 256 (revisionPassCost; 44,452 for a 24-node query on a 512-site
+// host, where a fixpoint was measured at ≈130 µs and arming after 256
+// took the search from 44 to 290 ms). A search that makes progress never
+// pays for propagation; one that keeps failing has by then wasted on
+// forward checking about what its first fixpoint costs. Always-on
+// propagation was measured and rejected (README, "Search engine").
+const acArmWipeouts = 256
+
+// acArmAfter is what new searchers scale their threshold from; only
+// tests change it (0: propagate at every node, 1: after the first few
+// wipeouts), to reach the propagation code on instances too small to
+// fail 256 times.
+var acArmAfter int64 = acArmWipeouts
+
+// revisionPassCost bounds the row operations of revising every arc
+// between query nodes once over the initial domains: revise(y ← x)
+// subtracts at most one filter row per value of x's domain.
+func (s *fcSearcher) revisionPassCost() int64 {
+	var ops int64
+	for q := 0; q < s.nq; q++ {
+		deg := len(s.p.Query.Arcs(graph.NodeID(q)))
+		if s.p.Query.Directed() {
+			deg += len(s.p.Query.InArcs(graph.NodeID(q)))
+		}
+		ops += int64(deg) * int64(s.domCount[q])
+	}
+	return ops
+}
+
+// propagate makes the unassigned nodes' domains arc consistent after the
+// placement of node at depth d (AC-3 over nodes: Sabin & Freuder's MAC,
+// with the bit-parallel revise of Lecoutre & Vion). The worklist holds
+// nodes whose domain shrank; it starts from the future neighbors of node,
+// whose domains forward checking just pruned, so an arc whose tail has
+// not changed since the search armed is never revised. It reports false
+// on a wipeout.
+func (s *fcSearcher) propagate(d int, node graph.NodeID) bool {
+	s.eachFutureNbr(d, node, func(y graph.NodeID) bool {
+		s.enqueue(y)
+		return true
+	})
+	ok := true
+	for ok && len(s.acWork) > 0 {
+		x := s.acWork[len(s.acWork)-1]
+		s.acWork = s.acWork[:len(s.acWork)-1]
+		s.acQueued[x] = false
+		ok = s.eachFutureNbr(d, x, func(y graph.NodeID) bool {
+			for _, t := range s.f.arcTables[arcKey(x, y)] {
+				if !s.revise(d, x, y, t) {
+					return false
+				}
+			}
+			return true
+		})
+	}
+	for _, q := range s.acWork { // left over by a wipeout
+		s.acQueued[q] = false
+	}
+	s.acWork = s.acWork[:0]
+	return ok
+}
+
+// eachFutureNbr calls fn for the query neighbors of x still unassigned
+// below depth d, until fn returns false, and reports whether it never
+// did. Static mode has every depthOf filled in up front, dynamic mode
+// only the assigned ones.
+func (s *fcSearcher) eachFutureNbr(d int, x graph.NodeID, fn func(y graph.NodeID) bool) bool {
+	visit := func(arcs []graph.Arc) bool {
+		for _, a := range arcs {
+			if dd := s.depthOf[a.To]; (dd < 0 || int(dd) > d) && !fn(a.To) {
+				return false
+			}
+		}
+		return true
+	}
+	return visit(s.p.Query.Arcs(x)) && (!s.p.Query.Directed() || visit(s.p.Query.InArcs(x)))
+}
+
+// enqueue puts y on the propagation worklist unless it is there already.
+func (s *fcSearcher) enqueue(y graph.NodeID) {
+	if !s.acQueued[y] {
+		s.acQueued[y] = true
+		s.acWork = append(s.acWork, y)
+	}
+}
+
+// revise deletes from y's domain every value no value of x's domain
+// supports through filter table t (tail x, head y): the supported values
+// are the union of the table's rows over x's domain, subtracted row by
+// row from a copy of y's domain until nothing is left to support. A
+// domain that lost values is queued; false means it lost all of them.
+//
+// Values go through the same trail as row prunes. y's conflict row takes
+// x's and the current depth — x's domain is what the depths in its row
+// made it, so they are why y's values lost their support; charging depth
+// d as well keeps the entry undone with the depth that logged it — and
+// the previous row is saved behind the domain words.
+func (s *fcSearcher) revise(d int, x, y graph.NodeID, t int32) bool {
+	s.stats.PruneOps++
+	dx, dy, rem := &s.dom[x], &s.dom[y], s.candBits
+	rem.CopyFrom(dy)
+	left := true
+	dx.ForEach(func(a int32) bool {
+		if s.f.Dense() {
+			if row := s.f.tablesB[t][a]; row != nil {
+				left = rem.AndNotWith(row)
+			}
+		} else {
+			for _, b := range s.f.tables[t][a] {
+				rem.Clear(b)
+			}
+			left = rem.Any()
+		}
+		return left
+	})
+	if !left {
+		return true // every value of y is supported
+	}
+	off := len(s.arena)
+	s.arena = dy.SaveSpan(s.arena, 0, s.words)
+	s.arena = s.pastFC[y].SaveSpan(s.arena, 0, s.fcWords)
+	s.trail = append(s.trail, fcTrailEntry{
+		node: int32(y), w0: 0, nw: int32(s.words), off: int32(off),
+		prevCount: s.domCount[y], savedFC: true,
+	})
+	alive := dy.AndNotWith(rem)
+	s.pastFC[y].UnionWith(&s.pastFC[x])
+	s.pastFC[y].Set(int32(d))
+	if s.dynamic {
+		s.domCount[y] -= int32(rem.Count())
+	}
+	if s.optimize {
+		s.domGen[y]++
+	}
+	if !alive {
+		s.wipeout(d, y)
+		return false
+	}
+	s.enqueue(y)
 	return true
 }
 
@@ -546,6 +742,7 @@ func (s *fcSearcher) expand(d int, node graph.NodeID) int {
 }
 
 func (s *fcSearcher) record() {
+	s.failures = 0 // progress: the subtree holds a complete assignment
 	if s.optimize {
 		s.recordIncumbent()
 		return

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // TestPooledSearchMatchesFresh pins the recycling layer's correctness
@@ -82,4 +83,43 @@ func TestReleaseIsNilSafe(t *testing.T) {
 	if res == nil {
 		t.Fatal("ECF returned nil with pooling disabled")
 	}
+}
+
+// TestRecycledSearcherStartsDisarmed: a searcher goes back to the pool
+// with whatever propagation state its last subtree left — a failure
+// count past the threshold, possibly a worklist cut short by a wipeout.
+// The next search to draw it must start like a fresh one: disarmed, with
+// nothing queued, and with a threshold sized for its own problem.
+func TestRecycledSearcherStartsDisarmed(t *testing.T) {
+	ring, small := ringProblem(t, 16, 6, 7), smallProblem(t, 1)
+	opt := Options{}
+	fRing, fSmall := BuildFilters(ring, &opt), BuildFilters(small, &opt)
+	for try := 0; try < 50; try++ { // the pool may drop a Put (it does so at random under -race)
+		s := newFCSearcher(ring, fRing, opt, nil, time.Now(), false)
+		s.run()
+		s.failures = s.armAfter // as when the run is cut off inside an armed subtree
+		s.acWork = append(s.acWork, 0)
+		s.acQueued[0] = true
+		s.release()
+
+		r := newFCSearcher(small, fSmall, opt, nil, time.Now(), false)
+		recycled := r == s
+		if r.failures != 0 || len(r.acWork) != 0 || r.armAfter != acArmWipeouts {
+			t.Fatalf("acquired searcher: failures %d, worklist %v, threshold %d; want 0, empty, %d",
+				r.failures, r.acWork, r.armAfter, acArmWipeouts)
+		}
+		for q, on := range r.acQueued {
+			if on {
+				t.Fatalf("acquired searcher has node %d marked queued", q)
+			}
+		}
+		if len(r.acQueued) != r.nq || cap(r.acWork) < r.nq {
+			t.Fatalf("propagation worklist sized %d/%d for a %d-node query", len(r.acQueued), cap(r.acWork), r.nq)
+		}
+		r.release()
+		if recycled {
+			return
+		}
+	}
+	t.Fatal("the pool never handed the released searcher back")
 }

@@ -359,7 +359,7 @@ type Stats struct {
 	NodesVisited     int64         // permutation-tree nodes expanded
 	Backtracks       int64         // dead ends requiring backtracking
 	ConstraintChk    int64         // on-demand constraint evaluations (LNS)
-	PruneOps         int64         // forward-checking domain AND-prunes
+	PruneOps         int64         // domain prunes: forward-checking row ANDs + arc revisions
 	Wipeouts         int64         // future-domain wipeouts caught before descending
 	WipeoutDepthSum  int64         // sum of depths at which wipeouts fired
 	Backjumps        int64         // conflict-directed jumps skipping ≥1 level

@@ -361,3 +361,22 @@ func BenchmarkSubgraph100(b *testing.B) {
 		}
 	}
 }
+
+func TestPigeonhole(t *testing.T) {
+	q, host := Pigeonhole(5)
+	if q.NumNodes() != 6 || q.NumEdges() != 15 {
+		t.Errorf("query: %d nodes %d edges, want K_6", q.NumNodes(), q.NumEdges())
+	}
+	if host.NumNodes() != 10 || host.NumEdges() != 10+5 {
+		t.Errorf("host: %d nodes %d edges, want K_5 plus 5 pendants", host.NumNodes(), host.NumEdges())
+	}
+	for i := 0; i < 10; i++ {
+		want := 5 // clique node: 4 clique edges + its pendant
+		if i >= 5 {
+			want = 1
+		}
+		if got := host.Degree(graph.NodeID(i)); got != want {
+			t.Errorf("host node %d has degree %d, want %d", i, got, want)
+		}
+	}
+}
