@@ -108,16 +108,33 @@ func TestFederateE2E(t *testing.T) {
 		t.Fatalf("local answer spans regions %v", regions)
 	}
 
-	// A query needing a 150-250ms link only fits on a cut edge, so it
-	// must decompose across both shards.
+	// A query needing a 150-250ms link only fits on a cut edge. Its nodes
+	// pin the two regions, so the coordinator speaks first: it is
+	// decomposed and joined at the boundary without a local sweep — one
+	// round trip per fragment.
 	span := topo.Line(2)
 	topo.SetDelayWindow(span, 150, 250)
+	span.Node(0).Attrs = span.Node(0).Attrs.SetStr("region", "west")
+	span.Node(1).Attrs = span.Node(1).Attrs.SetStr("region", "east")
 	where, mapping = postEmbed(t, coord, span)
-	if !strings.HasPrefix(where, "cross:") {
-		t.Fatalf("spanning query answered by %q, want cross:*", where)
+	if where != "cross:east+west" {
+		t.Fatalf("spanning query answered by %q, want cross:east+west", where)
 	}
 	if regions := mappedRegions(t, mapping); len(regions) != 2 {
 		t.Fatalf("spanning answer stayed in regions %v", regions)
+	}
+	var spanInfo struct {
+		Spanning struct {
+			Answered           uint64 `json:"answered"`
+			SweepAnswered      uint64 `json:"sweepAnswered"`
+			FragmentRoundTrips uint64 `json:"fragmentRoundTrips"`
+		} `json:"spanning"`
+		CrossEmbeds uint64 `json:"crossShardEmbeds"`
+	}
+	getJSON(t, "http://"+coord+"/cluster", &spanInfo)
+	if sp := spanInfo.Spanning; sp.Answered != 1 || spanInfo.CrossEmbeds != 1 || sp.SweepAnswered != 0 ||
+		sp.FragmentRoundTrips < 2 || sp.FragmentRoundTrips > 3 {
+		t.Fatalf("/cluster after the spanning embed = %+v, want spanning.answered 1 in 2-3 fragment round trips", spanInfo)
 	}
 
 	// A delta touching only east nodes reaches only the east shard.

@@ -208,7 +208,8 @@ func (f *Filters) hostColumns(idx *index.Index) *index.Columns {
 
 // buildNodePass computes per-node admissibility: the degree stratum —
 // two ladder rungs of the index ANDed, or a scan of the host's degrees —
-// intersected with the node constraint's satisfied-mask.
+// intersected with the node's allow-set and the node constraint's
+// satisfied-mask.
 func (f *Filters) buildNodePass(opt *Options, idx *index.Index, cols *index.Columns, passBits []*sets.Bitset) {
 	p := f.p
 	ws := &f.evalScratch[0]
@@ -230,6 +231,9 @@ func (f *Filters) buildNodePass(opt *Options, idx *index.Index, cols *index.Colu
 					pass.Set(rid)
 				}
 			}
+		}
+		if p.Allow != nil && p.Allow[q] != nil {
+			pass.IntersectWith(p.Allow[q])
 		}
 		if p.NodeConstraint != nil {
 			ws.mask = sets.ReuseBitset(ws.mask, f.nr)

@@ -118,6 +118,17 @@ func pathMetricsOK(host *graph.Graph, qe *graph.Edge, edges []graph.EdgeID, spec
 	return true
 }
 
+// WitnessCost checks a candidate witness path — its hosting edges, in
+// order — for query edge qe against every spec, and returns the first
+// spec's composed value: the witness's cost.
+func WitnessCost(host *graph.Graph, qe *graph.Edge, edges []graph.EdgeID, specs []MetricSpec) (float64, bool) {
+	if len(specs) == 0 || !pathMetricsOK(host, qe, edges, specs) {
+		return 0, len(specs) == 0
+	}
+	cost, _ := specs[0].composeAlong(host, edges)
+	return cost, true
+}
+
 // DefaultDelaySpec is the single-metric behavior of PathEmbed before
 // multi-metric support: additive delay bounded by minDelay/maxDelay.
 func DefaultDelaySpec(delayAttr, loAttr, hiAttr string) MetricSpec {

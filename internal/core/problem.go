@@ -19,6 +19,7 @@ import (
 	"netembed/internal/expr"
 	"netembed/internal/graph"
 	"netembed/internal/index"
+	"netembed/internal/sets"
 )
 
 // Mapping is an embedding: Mapping[q] is the hosting-network node assigned
@@ -44,6 +45,13 @@ type Problem struct {
 	// NodeConstraint is evaluated for every (query node, host node)
 	// pairing; nil accepts all pairings.
 	NodeConstraint *expr.Program
+	// Allow, when non-nil, restricts domains: Allow[q] (nil = unrestricted)
+	// is the set of host nodes query node q may map onto, over the host's
+	// node universe, one entry per query node. A domain restriction is part
+	// of the problem statement, not a search option: every algorithm and
+	// Verify consult it through nodeOK, the filter build through its
+	// node-admissibility pass.
+	Allow []*sets.Bitset
 }
 
 // Problem construction errors.
@@ -112,9 +120,14 @@ func (p *Problem) edgeOK(qe *graph.Edge, re *graph.Edge, rs, rt graph.NodeID) bo
 	return p.EdgeConstraint.EvalEdge(&b)
 }
 
-// nodeOK evaluates the node constraint for query node q mapped onto host
-// node r.
+// nodeOK decides whether query node q may map onto host node r: r is in
+// q's allow-set (when it has one) and the node constraint accepts the pair.
 func (p *Problem) nodeOK(q, r graph.NodeID) bool {
+	if p.Allow != nil {
+		if a := p.Allow[q]; a != nil && !a.Has(r) {
+			return false
+		}
+	}
 	if p.NodeConstraint == nil {
 		return true
 	}
@@ -126,7 +139,7 @@ func (p *Problem) nodeOK(q, r graph.NodeID) bool {
 }
 
 // NodeFeasible reports whether mapping query node q onto host node r
-// satisfies the node constraint. Exported for baselines and diagnostics.
+// satisfies the allow-set and the node constraint. Exported for baselines and diagnostics.
 func (p *Problem) NodeFeasible(q, r graph.NodeID) bool { return p.nodeOK(q, r) }
 
 // EdgeFeasible reports whether query edge qe can ride on a host edge
@@ -142,8 +155,8 @@ func (p *Problem) EdgeFeasible(qe *graph.Edge, rs, rt graph.NodeID) bool {
 
 // Verify independently checks that m is a correct embedding for p: it is
 // complete, injective, maps every query edge onto an existing host edge in
-// the right orientation, and satisfies both constraint programs. It is the
-// ground truth used by tests and the service layer.
+// the right orientation, stays inside the allow-sets and satisfies both
+// constraint programs. It is the ground truth used by tests and the service layer.
 func (p *Problem) Verify(m Mapping) error {
 	nq := p.Query.NumNodes()
 	if len(m) != nq {

@@ -80,6 +80,26 @@ func requestKey(req service.Request) (string, bool) {
 		writeUint(h, math.Float64bits(spec.MissingEdge))
 		writeUint(h, boolBit(spec.MissingFails))
 	}
+	// Allow-sets are sets: node names and each list are hashed in sorted
+	// order, so permuting either cannot split one answer over two entries.
+	// An empty map restricts nothing and, last in the stream, adds nothing.
+	if len(req.Allow) > 0 {
+		nodes := make([]string, 0, len(req.Allow))
+		for node := range req.Allow {
+			nodes = append(nodes, node)
+		}
+		sort.Strings(nodes)
+		writeUint(h, uint64(len(nodes)))
+		for _, node := range nodes {
+			hosts := append([]string(nil), req.Allow[node]...)
+			sort.Strings(hosts)
+			writeString(h, node)
+			writeUint(h, uint64(len(hosts)))
+			for _, host := range hosts {
+				writeString(h, host)
+			}
+		}
+	}
 	return hex.EncodeToString(h.Sum(nil)), true
 }
 

@@ -105,6 +105,43 @@ func TestRequestKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestRequestKeyAllow: an allow-set is part of the problem statement, so
+// it moves the fingerprint — and, being a set of sets, permuting the lists
+// (or the map's iteration order) does not.
+func TestRequestKeyAllow(t *testing.T) {
+	base := service.Request{Query: attrQuery(), MaxResults: 1}
+	baseKey, _ := requestKey(base)
+	with := func(allow map[string][]string) string {
+		r := base
+		r.Allow = allow
+		k, ok := requestKey(r)
+		if !ok {
+			t.Fatal("allow-set made the request uncacheable")
+		}
+		return k
+	}
+	if with(map[string][]string{}) != baseKey {
+		t.Error("an empty allow-set restricts nothing and must hash like none")
+	}
+	ab := with(map[string][]string{"a": {"h1", "h2"}, "b": {"h3"}})
+	for name, other := range map[string]map[string][]string{
+		"other host":       {"a": {"h1", "h4"}, "b": {"h3"}},
+		"other query node": {"a": {"h1", "h2"}},
+		"moved host":       {"a": {"h1"}, "b": {"h2", "h3"}},
+		"empty list":       {"a": {"h1", "h2"}, "b": {}},
+	} {
+		if k := with(other); k == ab || k == baseKey {
+			t.Errorf("%s: fingerprint did not change", name)
+		}
+	}
+	if ab == baseKey {
+		t.Error("allow-set did not move the fingerprint")
+	}
+	if with(map[string][]string{"b": {"h3"}, "a": {"h2", "h1"}}) != ab {
+		t.Error("permuting an allow-set's lists split one answer over two cache entries")
+	}
+}
+
 // TestResultCacheLRU pins capacity eviction and version-keyed lookup.
 func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache(2)

@@ -265,6 +265,46 @@ func TestCacheHitAndModelInvalidation(t *testing.T) {
 	}
 }
 
+// TestAllowSetsNeverShareACacheEntry: two requests differing only in
+// their allow-set get their own searches and their own (different)
+// answers; the same set listed in another order hits the first's entry.
+func TestAllowSetsNeverShareACacheEntry(t *testing.T) {
+	e, _ := newTestEngine(t, Config{Workers: 2})
+	ctx := context.Background()
+	run := func(allow map[string][]string) Info {
+		req := fastRequest(7)
+		req.Allow = allow
+		job, err := e.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, _ := e.Wait(ctx, job.ID())
+		if info.State != StateDone || len(info.Response.Named) == 0 {
+			t.Fatalf("allow %v: state %s, %d mappings", allow, info.State, len(info.Response.Named))
+		}
+		return info
+	}
+	free := run(nil)
+	a := run(map[string][]string{"n0": {"n4", "n5"}})
+	b := run(map[string][]string{"n0": {"n6", "n7"}})
+	if free.FromCache || a.FromCache || b.FromCache {
+		t.Fatalf("requests differing in Allow shared an entry: %v %v %v", free.FromCache, a.FromCache, b.FromCache)
+	}
+	for _, m := range a.Response.Named {
+		if h := m["n0"]; h != "n4" && h != "n5" {
+			t.Errorf("n0 mapped to %s outside its allow-set {n4 n5}", h)
+		}
+	}
+	for _, m := range b.Response.Named {
+		if h := m["n0"]; h != "n6" && h != "n7" {
+			t.Errorf("n0 mapped to %s outside its allow-set {n6 n7}", h)
+		}
+	}
+	if again := run(map[string][]string{"n0": {"n5", "n4"}}); !again.FromCache {
+		t.Error("the same allow-set in another order missed the cache")
+	}
+}
+
 // TestExcludeReservedNotCached pins that ledger-dependent requests
 // bypass the cache: their answers change without a model version bump.
 func TestExcludeReservedNotCached(t *testing.T) {

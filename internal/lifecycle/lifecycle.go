@@ -74,6 +74,9 @@ var (
 	// injective, so neither lease allocation nor repair verification is
 	// defined for them.
 	ErrConsolidate = errors.New("lifecycle: consolidate placements are not lease-managed")
+	// ErrAllowSet rejects placements under an allow-set: repair searches
+	// from the stored spec, which does not carry one.
+	ErrAllowSet = errors.New("lifecycle: allow-sets are not supported on managed embeddings")
 	// ErrExpired rejects operations on an expired embedding.
 	ErrExpired = errors.New("lifecycle: embedding expired")
 )
@@ -269,6 +272,11 @@ func (m *Manager) Place(preq PlaceRequest) (Info, error) {
 	}
 	if req.Algorithm == service.AlgoConsolidate {
 		return Info{}, ErrConsolidate
+	}
+	if len(req.Allow) > 0 {
+		// Repair plans are searched from the stored spec, which carries no
+		// allow-sets; placing under one and repairing without it would lie.
+		return Info{}, ErrAllowSet
 	}
 	req.ExcludeReserved = true
 	if req.MaxResults == 0 || req.MaxResults > 8 {

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"netembed/internal/core"
@@ -14,41 +17,62 @@ import (
 )
 
 // Cross-shard query decomposition (the Esposito/Matta-style architecture
-// NETEMBED §VIII gestures at): a query no single region can satisfy is
-// split at cut edges into per-shard fragments; every shard embeds its
-// fragment against its own partial view and proposes up to TopK boundary
-// placements; the coordinator joins the candidate sets by checking each
-// query cut edge against its boundary set — the inter-region hosting
-// edges no shard's view contains. Path-mode queries get their cut edges
-// stitched with witness paths over the boundary graph, pre-screened by
-// the hop-bounded reachability oracle (index.BuildReach).
+// NETEMBED §VIII gestures at), boundary first. A query no single region
+// can satisfy is split at cut edges into per-shard fragments, and the
+// coordinator — the one party that holds the inter-region hosting edges —
+// speaks first: per query cut edge it batch-evaluates the edge constraint
+// over the cached boundary view into a table of accepted boundary pairs,
+// turns the tables into allow-sets for the fragments' frontier nodes, and
+// runs a forward-checking join whose variables are fragments, whose values
+// are fragment embeddings fetched from the shards under the current
+// allow-sets (Request.Allow), and whose constraints are the tables. Path
+// mode rides the same join: its tables are the boundary graph's
+// hop-bounded reachability rows, its confirm step a stitched witness path.
 
 // maxCrossAssignments bounds how many fragment assignments one request
 // may try; the request deadline is checked between assignments too.
 const maxCrossAssignments = 128
 
-// maxJoinCombos bounds the candidate-exchange join per assignment.
-const maxJoinCombos = 4096
+// fragmentPage is how many embeddings a shard returns per round trip. A
+// page that comes back full is not widened: the join splits one of the
+// fragment's frontier allow-sets and asks again, so no embedding is ever
+// lost to truncation.
+const fragmentPage = 8
+
+// spanOutcome is the one way a spanning request ends. The failures are
+// ordered by what they prove, weakest last: of several failed assignments
+// the request reports the largest.
+type spanOutcome int
+
+const (
+	spanAnswered      spanOutcome = iota
+	spanFrontierEmpty             // a cut edge no boundary pair can carry
+	spanExhausted                 // the join proved the split has no embedding
+	spanShardError
+	spanDeadline
+	spanUnsupported   // nothing to decompose (consolidate, no split, no boundary)
+	spanSweepAnswered // decomposition failed, the local sweep answered
+	numSpanOutcomes
+)
+
+var spanReasons = [numSpanOutcomes]string{
+	spanFrontierEmpty: "no boundary edge can carry the query's cut edges",
+	spanExhausted:     "the join proved the split has no embedding",
+	spanShardError:    "a shard failed while embedding a fragment",
+	spanDeadline:      "the deadline passed before the join finished",
+}
 
 // shardSnap is a consistent snapshot of one shard's routing facts, taken
 // under the coordinator lock so decomposition never races delta traffic.
 type shardSnap struct {
-	cs        *coordShard
 	name      string
 	nodeCount int
-	maxDegree int
-}
-
-// fragResult is one shard's answer for its query fragment: up to TopK
-// named candidate placements the coordinator joins across shards.
-type fragResult struct {
-	shard *coordShard
-	name  string
-	resp  *Response
 }
 
 // addStats folds one shard response's search counters into the
-// coordinator-side accumulator for a cross-shard request.
+// coordinator-side accumulator for a cross-shard request. The two
+// durations are the coordinator's own (a sum of per-shard times is not a
+// time) and are set when the join ends.
 //
 //statsthread:fold core.Stats
 func addStats(dst, src *core.Stats) {
@@ -69,80 +93,80 @@ func addStats(dst, src *core.Stats) {
 	dst.BoundCuts += src.BoundCuts
 	dst.IncumbentUpdates += src.IncumbentUpdates
 	dst.BoundProbes += src.BoundProbes
-	dst.TimeToFirst += src.TimeToFirst
-	dst.Elapsed += src.Elapsed
 }
 
-// embedAcrossShards answers a request no single shard satisfied by
-// decomposing the query across shards. req.Timeout is the remaining
-// budget. The returned location is "cross:a+b" on success, "coordinator"
-// for a no-answer.
-func (c *Coordinator) embedAcrossShards(req Request, edgeProg *expr.Program) (*Response, string, error) {
+// embedAcrossShards answers a request by decomposing the query across
+// shards. req.Timeout is the budget. The returned location is "cross:a+b"
+// on success and "coordinator" for a no-answer, whose warning names the
+// outcome; the caller counts it (Coordinator.countSpan).
+func (c *Coordinator) embedAcrossShards(req Request, edgeProg *expr.Program) (*Response, string, spanOutcome) {
 	start := time.Now()
-	deadline := start.Add(req.Timeout)
-	var warnings []string
-	var stats core.Stats
+	j := &spanJoin{c: c, req: req, edgeProg: edgeProg, deadline: start.Add(req.Timeout)}
 
-	give := func(warning string) (*Response, string, error) {
+	give := func(outcome spanOutcome, warning string) (*Response, string, spanOutcome) {
+		c.countJoin(j, false)
+		elapsed := time.Since(start)
+		j.stats.Elapsed = elapsed
 		return &Response{
 			Status:   core.StatusInconclusive,
-			Stats:    stats,
-			Elapsed:  time.Since(start),
-			Warnings: append(warnings, warning),
-		}, "coordinator", nil
+			Stats:    j.stats,
+			Elapsed:  elapsed,
+			Warnings: append(slices.Clone(j.warnings), warning),
+		}, "coordinator", outcome
 	}
 
 	if req.Algorithm == AlgoConsolidate {
-		return give("no shard answered locally; cross-shard decomposition does not support consolidate")
+		return give(spanUnsupported, "cross-shard decomposition does not support consolidate")
 	}
 	if req.Optimize {
-		warnings = append(warnings, "cross-shard answers are feasibility-only; objective ignored")
+		j.warnings = append(j.warnings, "cross-shard answers are feasibility-only; objective ignored")
 	}
 
 	c.mu.RLock()
 	snaps := make([]shardSnap, 0, len(c.shards))
 	for _, cs := range c.shards {
 		if cs.healthy {
-			snaps = append(snaps, shardSnap{
-				cs:        cs,
-				name:      cs.shard.Name(),
-				nodeCount: cs.nodeCount,
-				maxDegree: cs.maxDegree,
-			})
+			snaps = append(snaps, shardSnap{name: cs.shard.Name(), nodeCount: cs.nodeCount})
 		}
 	}
-	boundary := c.boundary
+	j.bv = c.view
 	byRegion := c.byRegion
 	c.mu.RUnlock()
 
 	if len(snaps) < 2 {
-		return give("no shard answered locally and fewer than two shards are healthy")
+		return give(spanUnsupported, "fewer than two shards are healthy; nothing to decompose across")
 	}
-	if len(boundary) == 0 {
-		return give("no shard answered locally and the tier has no cut edges to decompose across")
+	if len(j.bv.cuts) == 0 {
+		return give(spanUnsupported, "the tier has no cut edges to decompose across")
 	}
-
-	assignments, aw := c.crossAssignments(req.Query, snaps, boundary, byRegion)
-	warnings = append(warnings, aw...)
+	assignments, aw := c.crossAssignments(req.Query, snaps, j.bv, byRegion)
+	j.warnings = append(j.warnings, aw...)
 	if len(assignments) == 0 {
-		return give("no shard answered locally and no cross-shard split is possible")
+		return give(spanUnsupported, "no cross-shard split of the query is possible")
 	}
 
-	bv := newBoundaryView(boundary, c.directed)
-	expired := func() bool {
-		return !time.Now().Before(deadline) || (req.Stop != nil && req.Stop())
-	}
+	j.prepare()
 	for _, assign := range assignments {
-		if expired() {
+		if j.expired() {
+			j.fail(spanDeadline)
+		}
+		if j.lost() {
 			break
 		}
-		resp, where, found := c.tryAssignment(req, assign, edgeProg, bv, deadline, &stats, warnings)
-		if found {
-			resp.Elapsed = time.Since(start)
-			return resp, where, nil
+		if !j.tryAssignment(assign) {
+			continue
 		}
+		if resp, ok := j.answer(time.Since(start)); ok {
+			c.countJoin(j, true)
+			names := make([]string, len(j.frags))
+			for i, f := range j.frags {
+				names[i] = f.name
+			}
+			return resp, "cross:" + strings.Join(names, "+"), spanAnswered
+		}
+		j.fail(spanExhausted)
 	}
-	return give("no shard answered locally and cross-shard decomposition found no join")
+	return give(j.failure, "cross-shard decomposition found no answer: "+spanReasons[j.failure])
 }
 
 // crossAssignments produces the fragment assignments (query node index →
@@ -150,45 +174,44 @@ func (c *Coordinator) embedAcrossShards(req Request, edgeProg *expr.Program) (*R
 // queries yield exactly their pinned assignment; otherwise bipartitions
 // across boundary-connected shard pairs are enumerated up to
 // MaxSplitNodes query nodes.
-func (c *Coordinator) crossAssignments(q *graph.Graph, snaps []shardSnap, boundary []graph.CutEdge, byRegion map[string]*coordShard) ([][]string, []string) {
+func (c *Coordinator) crossAssignments(q *graph.Graph, snaps []shardSnap, bv *boundaryView, byRegion map[string]*coordShard) ([][]string, []string) {
 	n := q.NumNodes()
 	if n == 0 {
 		return nil, nil
 	}
-	var warnings []string
-	pinned := make([]string, n)
-	allPinned := true
-	pinnedShards := map[string]bool{}
 	snapByName := make(map[string]shardSnap, len(snaps))
 	for _, sn := range snaps {
 		snapByName[sn.name] = sn
 	}
-	for i := 0; i < n; i++ {
-		label, ok := q.Node(graph.NodeID(i)).Attrs.Text(c.regionAttr)
+	// pinned[i] names the shard query node i's region label pins, "" when
+	// it has none that resolves to a healthy shard.
+	var warnings []string
+	pinned := make([]string, n)
+	distinct := map[string]bool{}
+	for i := range pinned {
+		node := q.Node(graph.NodeID(i))
+		label, ok := node.Attrs.Text(c.regionAttr)
 		if !ok || label == "" {
-			allPinned = false
 			continue
 		}
 		cs, known := byRegion[label]
 		if !known {
-			allPinned = false
 			warnings = append(warnings,
-				fmt.Sprintf("query node %q pins unknown region %q; treating it as unlabeled", q.Node(graph.NodeID(i)).Name, label))
+				fmt.Sprintf("query node %q pins unknown region %q; treating it as unlabeled", node.Name, label))
 			continue
 		}
 		name := cs.shard.Name()
 		if _, healthy := snapByName[name]; !healthy {
-			allPinned = false
 			warnings = append(warnings,
-				fmt.Sprintf("query node %q pins unhealthy shard %q; treating it as unlabeled", q.Node(graph.NodeID(i)).Name, name))
+				fmt.Sprintf("query node %q pins unhealthy shard %q; treating it as unlabeled", node.Name, name))
 			continue
 		}
 		pinned[i] = name
-		pinnedShards[name] = true
+		distinct[name] = true
 	}
-	if allPinned {
-		if len(pinnedShards) < 2 {
-			// Purely local: the shard round already tried (and failed) it.
+	if !slices.Contains(pinned, "") {
+		if len(distinct) < 2 {
+			// Purely local: the shard round is the whole answer.
 			return nil, warnings
 		}
 		return [][]string{pinned}, warnings
@@ -199,45 +222,17 @@ func (c *Coordinator) crossAssignments(q *graph.Graph, snaps []shardSnap, bounda
 		return nil, warnings
 	}
 
-	// Shard pairs connected by at least one cut edge.
-	pairSeen := map[string]bool{}
-	var pairs [][2]shardSnap
-	for _, cut := range boundary {
-		a, okA := byRegion[cut.SourcePart]
-		b, okB := byRegion[cut.TargetPart]
-		if !okA || !okB || a == b {
-			continue
-		}
-		n1, n2 := a.shard.Name(), b.shard.Name()
-		if n2 < n1 {
-			n1, n2 = n2, n1
-		}
-		s1, ok1 := snapByName[n1]
-		s2, ok2 := snapByName[n2]
-		if !ok1 || !ok2 {
-			continue
-		}
-		key := n1 + "\x00" + n2
-		if pairSeen[key] {
-			continue
-		}
-		pairSeen[key] = true
-		pairs = append(pairs, [2]shardSnap{s1, s2})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0].name != pairs[j][0].name {
-			return pairs[i][0].name < pairs[j][0].name
-		}
-		return pairs[i][1].name < pairs[j][1].name
-	})
-
 	type cand struct {
 		assign []string
 		cuts   int
 	}
 	var cands []cand
-	for _, pair := range pairs {
-		a, b := pair[0], pair[1]
+	for _, pair := range bv.pairs {
+		a, okA := snapByName[pair[0]]
+		b, okB := snapByName[pair[1]]
+		if !okA || !okB {
+			continue
+		}
 		for mask := 1; mask < 1<<n-1 && len(cands) < maxCrossAssignments; mask++ {
 			assign := make([]string, n)
 			sizeA := 0
@@ -276,383 +271,668 @@ func (c *Coordinator) crossAssignments(q *graph.Graph, snaps []shardSnap, bounda
 	return out, warnings
 }
 
-// tryAssignment embeds the query's fragments per shard and joins the
-// candidate boundary placements. It returns found=false when any
-// fragment has no candidates or no combination satisfies the cut edges.
-func (c *Coordinator) tryAssignment(req Request, assign []string, edgeProg *expr.Program, bv *boundaryView, deadline time.Time, stats *core.Stats, warnings []string) (*Response, string, bool) {
-	part, err := graph.Partition(req.Query, func(id graph.NodeID) string { return assign[id] })
-	if err != nil || len(part.Parts) < 2 {
-		return nil, "", false
-	}
-	names := make([]string, 0, len(part.Parts))
-	for name := range part.Parts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+// cutTable holds one query cut edge's accepted boundary pairs as rows over
+// the boundary graph's nodes: rows[0][hu] is the set of hosts the edge's To
+// node may take once its From node sits on hu, rows[1][hv] the reverse; a
+// nil row is empty. A table does not depend on the split — only the
+// initial allow-sets (which shard owns which endpoint) do — so one request
+// builds each query edge's table at most once, whatever it tries.
+type cutTable struct {
+	rows [2][]*sets.Bitset
+}
 
-	pathMode := req.Algorithm == AlgoPathEmbed
-	var specs []core.MetricSpec
-	maxHops := 0
-	if pathMode {
-		specs = core.PathOptions{
-			MaxHops:   req.Path.MaxHops,
-			DelayAttr: req.Path.DelayAttr,
-			WindowLo:  req.Path.WindowLo,
-			WindowHi:  req.Path.WindowHi,
-			Metrics:   req.Path.Metrics,
-		}.EffectiveMetrics()
-		maxHops = req.Path.MaxHops
-		if maxHops <= 0 {
-			maxHops = 3
-		}
-		bv.ensurePathState(maxHops)
-	} else if !bv.prescreen(part.Cuts, edgeProg) {
-		// No boundary edge can carry some query cut edge under the
-		// constraint — don't spend shard budget on this split.
-		return nil, "", false
-	}
+// cutRef is one query edge crossing the current assignment, with its From
+// and To node.
+type cutRef struct {
+	edge graph.EdgeID
+	ends [2]graph.NodeID
+}
 
-	// Candidate exchange: every fragment comes back with up to TopK
-	// feasible placements from its shard.
-	frags := make([]fragResult, 0, len(names))
-	remaining := time.Until(deadline)
-	if remaining < time.Millisecond {
-		remaining = time.Millisecond
-	}
-	fragBudget := remaining / time.Duration(len(names)+1)
-	if fragBudget < time.Millisecond {
-		fragBudget = time.Millisecond
-	}
-	for _, name := range names {
-		cs := c.byName[name]
-		if cs == nil {
-			return nil, "", false
-		}
-		sreq := req
-		sreq.Query = part.Parts[name]
-		sreq.Timeout = fragBudget
-		sreq.MaxResults = c.topK
-		sreq.Optimize = false
-		sreq.Objective = core.Objective{}
-		sreq.OnImprove = nil
-		resp, err := cs.shard.Embed(sreq)
-		if err != nil {
-			c.recordFailure(cs, err)
-			return nil, "", false
-		}
-		c.recordSuccess(cs, resp.ModelVersion)
-		addStats(stats, &resp.Stats)
-		if len(resp.Named) == 0 {
-			return nil, "", false
-		}
-		frags = append(frags, fragResult{shard: cs, name: name, resp: resp})
-	}
+// fragment is one variable of the join: the part of the query one shard
+// embeds. While done, hosts/named/paths hold the chosen embedding.
+type fragment struct {
+	cs       *coordShard
+	name     string
+	query    *graph.Graph
+	frontier []graph.NodeID // query nodes with a cut edge, by full-query ID
+	cuts     []int          // indices into spanJoin.cuts touching this fragment
 
-	// Join: walk the cartesian product of fragment candidates, first
-	// combination whose cut edges all land on acceptable boundary edges
-	// (or stitched boundary paths) wins.
-	counts := make([]int, len(frags))
-	for i, f := range frags {
-		counts[i] = len(f.resp.Named)
+	done    bool
+	hosts   []graph.NodeID // frontier images as boundary-graph nodes, parallel to frontier
+	named   NamedMapping
+	paths   []PathWitness
+	version uint64
+}
+
+// spanJoin is one spanning request's state: what it reads of the tier,
+// the tables built so far, and the assignment being joined.
+type spanJoin struct {
+	c        *Coordinator
+	req      Request
+	edgeProg *expr.Program
+	bv       *boundaryView
+	deadline time.Time
+	stats    core.Stats
+	warnings []string
+
+	pathMode bool
+	specs    []core.MetricSpec
+	maxHops  int
+	tables   []*cutTable // by query edge ID; path mode shares one
+	scratch  expr.Scratch
+	mask     *sets.Bitset
+
+	frags     []*fragment
+	fragOf    []*fragment // by query node
+	cuts      []cutRef
+	witnesses []PathWitness // path mode: the stitched witness per cut, parallel to cuts
+
+	failure    spanOutcome
+	roundTrips uint64
+	examined   uint64
+}
+
+func (j *spanJoin) expired() bool {
+	return !time.Now().Before(j.deadline) || (j.req.Stop != nil && j.req.Stop())
+}
+
+// fail records why the request is not answered; of several reasons the
+// one that proves least wins.
+func (j *spanJoin) fail(outcome spanOutcome) { j.failure = max(j.failure, outcome) }
+
+// lost reports that the request cannot be answered whatever is tried next.
+func (j *spanJoin) lost() bool { return j.failure >= spanShardError }
+
+// prepare resolves what every assignment of the request shares.
+func (j *spanJoin) prepare() {
+	j.tables = make([]*cutTable, j.req.Query.NumEdges())
+	if j.req.Algorithm != AlgoPathEmbed {
+		return
 	}
-	pick := make([]int, len(frags))
-	combos := 0
-	for {
-		if combos >= maxJoinCombos || !time.Now().Before(deadline) {
-			return nil, "", false
-		}
-		combos++
-		merged, witnesses, ok := c.joinCombo(part.Cuts, frags, pick, edgeProg, bv, specs, maxHops, pathMode)
-		if ok {
-			shardNames := make([]string, len(frags))
-			versions := make([]string, len(frags))
-			c.mu.Lock()
-			c.crossEmbeds++
-			for i, f := range frags {
-				f.shard.embeds++
-				shardNames[i] = f.name
-				versions[i] = fmt.Sprintf("%s=%d", f.name, f.resp.ModelVersion)
-			}
-			c.mu.Unlock()
-			resp := &Response{
-				Status: core.StatusPartial,
-				Named:  []NamedMapping{merged},
-				Stats:  *stats,
-				Warnings: append(append([]string(nil), warnings...),
-					"cross-shard answer: named mappings are authoritative (raw IDs do not span shards)",
-					"answer spans shard versions "+strings.Join(versions, " ")),
-			}
-			if pathMode {
-				resp.Paths = [][]PathWitness{witnesses}
-			}
-			return resp, "cross:" + strings.Join(shardNames, "+"), true
-		}
-		// odometer
-		i := len(pick) - 1
-		for ; i >= 0; i-- {
-			pick[i]++
-			if pick[i] < counts[i] {
-				break
-			}
-			pick[i] = 0
-		}
-		if i < 0 {
-			return nil, "", false
-		}
+	j.pathMode = true
+	j.specs = core.PathOptions{
+		DelayAttr: j.req.Path.DelayAttr,
+		WindowLo:  j.req.Path.WindowLo,
+		WindowHi:  j.req.Path.WindowHi,
+		Metrics:   j.req.Path.Metrics,
+	}.EffectiveMetrics()
+	j.maxHops = j.req.Path.MaxHops
+	if j.maxHops <= 0 {
+		j.maxHops = 3
+	}
+	// A query edge may ride any boundary path within the hop bound, so
+	// every cut edge's table is the reachability oracle's rows; the metric
+	// windows are checked when the witness is stitched.
+	fwd, rev := j.bv.reachWithin(j.maxHops)
+	shared := &cutTable{}
+	for i := range fwd {
+		shared.rows[0] = append(shared.rows[0], &fwd[i])
+		shared.rows[1] = append(shared.rows[1], &rev[i])
+	}
+	for e := range j.tables {
+		j.tables[e] = shared
 	}
 }
 
-// joinCombo validates one candidate combination: merges the fragment
-// mappings and checks every query cut edge against the boundary.
-func (c *Coordinator) joinCombo(cuts []graph.CutEdge, frags []fragResult, pick []int, edgeProg *expr.Program, bv *boundaryView, specs []core.MetricSpec, maxHops int, pathMode bool) (NamedMapping, []PathWitness, bool) {
-	merged := NamedMapping{}
-	used := map[string]bool{}
-	for i, f := range frags {
-		for q, r := range f.resp.Named[pick[i]] {
-			if used[r] {
-				// Host names are globally unique, so this only trips if two
-				// shards ever report overlapping views — reject, injectivity
-				// would be silently violated.
-				return nil, nil, false
-			}
-			used[r] = true
-			merged[q] = r
-		}
+// table returns query edge e's cut table, building it on first use with
+// one batch evaluation of the edge constraint over the boundary's columns
+// per orientation — the same mask-then-fill core.BuildFilters runs over a
+// shard's host edges.
+func (j *spanJoin) table(e graph.EdgeID) *cutTable {
+	if t := j.tables[e]; t != nil {
+		return t
 	}
-	// Fragment witnesses first; cut-edge witnesses stitched below.
-	var witnesses []PathWitness
-	if pathMode {
-		for i, f := range frags {
-			if pick[i] < len(f.resp.Paths) {
-				witnesses = append(witnesses, f.resp.Paths[pick[i]]...)
+	bv, prog := j.bv, j.edgeProg
+	n, m := bv.bg.NumNodes(), bv.bg.NumEdges()
+	undirected := !bv.bg.Directed()
+	t := &cutTable{rows: [2][]*sets.Bitset{make([]*sets.Bitset, n), make([]*sets.Bitset, n)}}
+	j.tables[e] = t
+
+	var arena []sets.Bitset
+	set := func(rows []*sets.Bitset, h, partner graph.NodeID) {
+		if rows[h] == nil {
+			if len(arena) == 0 {
+				arena = sets.MakeBitsets(n, 32)
 			}
+			rows[h], arena = &arena[0], arena[1:]
 		}
+		rows[h].Set(partner)
 	}
-	for _, qcut := range cuts {
-		hu, okU := merged[qcut.Source]
-		hv, okV := merged[qcut.Target]
-		if !okU || !okV {
-			return nil, nil, false
-		}
-		if pathMode {
-			w, ok := bv.stitchWitness(hu, hv, qcut.Attrs, specs, maxHops)
-			if !ok {
-				return nil, nil, false
+	admit := func(hu, hv graph.NodeID) {
+		set(t.rows[0], hu, hv)
+		set(t.rows[1], hv, hu)
+	}
+	q := j.req.Query
+	qe := q.Edge(e)
+	b := expr.EdgeBatch{
+		VEdge:   qe.Attrs,
+		VSource: q.Node(qe.From).Attrs,
+		VTarget: q.Node(qe.To).Attrs,
+		Host:    bv.cols,
+	}
+	oriented := prog != nil && (prog.Uses(expr.ObjRSource) || prog.Uses(expr.ObjRTarget))
+	if oriented {
+		b.RSource, b.RTarget = bv.from, bv.to
+	}
+	// accepted visits the boundary edges the constraint accepts for b.
+	accepted := func(visit func(i graph.EdgeID)) {
+		if prog == nil {
+			for i := 0; i < m; i++ {
+				visit(graph.EdgeID(i))
 			}
-			w.Source, w.Target = qcut.Source, qcut.Target
-			witnesses = append(witnesses, w)
+			return
+		}
+		j.mask = sets.ReuseBitset(j.mask, m)
+		prog.EvalEdgeBatch(&b, &j.scratch, j.mask)
+		j.mask.ForEach(func(i graph.EdgeID) bool { visit(i); return true })
+	}
+	accepted(func(i graph.EdgeID) {
+		admit(bv.from[i], bv.to[i])
+		if undirected && !oriented {
+			admit(bv.to[i], bv.from[i])
+		}
+	})
+	if undirected && oriented {
+		b.RSource, b.RTarget = bv.to, bv.from
+		accepted(func(i graph.EdgeID) { admit(bv.to[i], bv.from[i]) })
+	}
+	return t
+}
+
+// tryAssignment joins one split of the query: it cuts the fragments out,
+// seeds every frontier node's allow-set with the boundary endpoints its
+// shard owns, makes the allow-sets arc consistent with the cut tables (an
+// empty one is the split no boundary pair can carry, rejected before any
+// shard is asked), and runs the join.
+func (j *spanJoin) tryAssignment(assign []string) bool {
+	q := j.req.Query
+	part, err := graph.Partition(q, func(id graph.NodeID) string { return assign[id] })
+	if err != nil || len(part.Parts) < 2 {
+		j.fail(spanFrontierEmpty)
+		return false
+	}
+	byShard := make(map[string]*fragment, len(part.Parts))
+	j.frags = j.frags[:0]
+	for name, sub := range part.Parts {
+		byShard[name] = &fragment{cs: j.c.byName[name], name: name, query: sub}
+		j.frags = append(j.frags, byShard[name])
+	}
+	sort.Slice(j.frags, func(a, b int) bool { return j.frags[a].name < j.frags[b].name })
+	j.fragOf = j.fragOf[:0]
+	for _, name := range assign {
+		j.fragOf = append(j.fragOf, byShard[name])
+	}
+
+	allow := make([]*sets.Bitset, q.NumNodes())
+	j.cuts = j.cuts[:0]
+	for e := 0; e < q.NumEdges(); e++ {
+		qe := q.Edge(graph.EdgeID(e))
+		if assign[qe.From] == assign[qe.To] {
 			continue
 		}
-		if !bv.matchEdge(hu, hv, qcut, edgeProg) {
-			return nil, nil, false
-		}
-	}
-	return merged, witnesses, true
-}
-
-// boundaryView wraps the coordinator's cut-edge snapshot with the lookup
-// and stitching machinery one cross-shard request needs.
-type boundaryView struct {
-	cuts     []graph.CutEdge
-	directed bool
-	idx      *boundaryIndexMap
-
-	// Path-mode stitching state, built on demand: the boundary graph
-	// (nodes = cut endpoints, edges = cut edges) and its hop-bounded
-	// reachability oracle.
-	bg   *graph.Graph
-	ids  map[string]graph.NodeID
-	fwd  []sets.Bitset
-	hops int
-}
-
-func newBoundaryView(cuts []graph.CutEdge, directed bool) *boundaryView {
-	return &boundaryView{
-		cuts:     cuts,
-		directed: directed,
-		idx:      boundaryIndex(cuts, directed),
-	}
-}
-
-// prescreen checks that every query cut edge has at least one boundary
-// edge it could ride under the edge constraint, so hopeless assignments
-// are rejected before any shard budget is spent.
-func (bv *boundaryView) prescreen(cuts []graph.CutEdge, prog *expr.Program) bool {
-	for _, qcut := range cuts {
-		ok := false
-		for i := range bv.cuts {
-			if bv.acceptEdge(i, qcut, prog, false) || (!bv.directed && bv.acceptEdge(i, qcut, prog, true)) {
-				ok = true
-				break
+		for _, x := range [2]graph.NodeID{qe.From, qe.To} {
+			f := j.fragOf[x]
+			f.cuts = append(f.cuts, len(j.cuts))
+			if allow[x] != nil {
+				continue
+			}
+			owned := j.bv.owned[assign[x]]
+			if owned == nil {
+				j.fail(spanFrontierEmpty)
+				return false
+			}
+			f.frontier = append(f.frontier, x)
+			allow[x] = owned.Clone()
+			if hosts, restricted := j.req.Allow[q.Node(x).Name]; restricted {
+				// The caller's own restriction on a frontier node.
+				allow[x].IntersectWith(nodeSet(j.bv.bg, hosts))
 			}
 		}
-		if !ok {
-			return false
+		j.cuts = append(j.cuts, cutRef{edge: graph.EdgeID(e), ends: [2]graph.NodeID{qe.From, qe.To}})
+	}
+	if !j.propagate(allow) {
+		j.fail(spanFrontierEmpty)
+		return false
+	}
+	j.witnesses = make([]PathWitness, len(j.cuts))
+	if j.solve(allow, len(j.frags)) {
+		return true
+	}
+	j.fail(spanExhausted)
+	return false
+}
+
+// propagate makes the allow-sets arc consistent over the cut edges between
+// unassigned fragments (those to assigned ones were enforced when their
+// candidate was placed), replacing the sets it shrinks; false means one
+// emptied.
+func (j *spanJoin) propagate(allow []*sets.Bitset) bool {
+	for changed := true; changed; {
+		changed = false
+		for _, ce := range j.cuts {
+			if j.fragOf[ce.ends[0]].done || j.fragOf[ce.ends[1]].done {
+				continue
+			}
+			for side, rows := range j.table(ce.edge).rows {
+				x, y := ce.ends[side], ce.ends[1-side]
+				kept := revise(allow[x], rows, allow[y])
+				if kept == nil {
+					continue
+				}
+				if !kept.Any() {
+					return false
+				}
+				allow[x], changed = kept, true
+			}
 		}
 	}
 	return true
 }
 
-// acceptEdge evaluates the edge constraint for one query cut edge riding
-// boundary edge i (optionally reversed, for undirected hosts).
-func (bv *boundaryView) acceptEdge(i int, qcut graph.CutEdge, prog *expr.Program, reversed bool) bool {
-	if prog == nil {
+// revise returns x without the hosts none of whose partners (their row)
+// is still allowed for the node at the cut edge's other end — nil when
+// that drops nothing. x itself is shared and left alone.
+func revise(x *sets.Bitset, rows []*sets.Bitset, y *sets.Bitset) *sets.Bitset {
+	var kept *sets.Bitset
+	x.ForEach(func(h graph.NodeID) bool {
+		if rows[h] == nil || !rows[h].Intersects(y) {
+			if kept == nil {
+				kept = x.Clone()
+			}
+			kept.Clear(h)
+		}
 		return true
-	}
-	cut := bv.cuts[i]
-	bind := expr.EdgeBinding{
-		VEdge:   qcut.Attrs,
-		VSource: qcut.SourceAttrs,
-		VTarget: qcut.TargetAttrs,
-		REdge:   cut.Attrs,
-		RSource: cut.SourceAttrs,
-		RTarget: cut.TargetAttrs,
-	}
-	if reversed {
-		bind.RSource, bind.RTarget = cut.TargetAttrs, cut.SourceAttrs
-	}
-	return prog.EvalEdge(&bind)
+	})
+	return kept
 }
 
-// matchEdge finds a boundary edge carrying one query cut edge between the
-// chosen hosting nodes and evaluates the edge constraint on it.
-func (bv *boundaryView) matchEdge(hu, hv string, qcut graph.CutEdge, prog *expr.Program) bool {
-	i, ok := bv.idx.lookup(hu, hv)
+// solve assigns the left unassigned fragments, most constrained first:
+// the largest fragment, then the smallest total allow-set.
+func (j *spanJoin) solve(allow []*sets.Bitset, left int) bool {
+	if left == 0 {
+		return true
+	}
+	var pick *fragment
+	pickSize := 0
+	for _, f := range j.frags {
+		if f.done {
+			continue
+		}
+		size := 0
+		for _, x := range f.frontier {
+			size += allow[x].Count()
+		}
+		if pick == nil || f.query.NumNodes() > pick.query.NumNodes() ||
+			(f.query.NumNodes() == pick.query.NumNodes() && size < pickSize) {
+			pick, pickSize = f, size
+		}
+	}
+	var tried [][]graph.NodeID
+	return j.branch(pick, allow, left, &tried, 0)
+}
+
+// branch finds an embedding of fragment f under the allow-sets that the
+// rest of the join can be completed from. It examines one page of f's
+// embeddings; two that agree on the frontier are interchangeable, so when
+// the page was cut short by its size the frontier node with the widest
+// allow-set is split in two and each half asked for again, with a page
+// twice as long — down to singletons, where one embedding stands for all.
+// tried remembers the frontier tuples already ruled out, so a half does
+// not re-examine what the page before the split did.
+func (j *spanJoin) branch(f *fragment, allow []*sets.Bitset, left int, tried *[][]graph.NodeID, depth int) bool {
+	if j.expired() {
+		j.fail(spanDeadline)
+		return false
+	}
+	// open: some neighbour fragment is still unassigned, so which frontier
+	// hosts f takes matters to the rest of the join.
+	open := false
+	for _, ci := range f.cuts {
+		for _, x := range j.cuts[ci].ends {
+			open = open || j.fragOf[x] != f && !j.fragOf[x].done
+		}
+	}
+	widest, width := graph.NodeID(-1), 1
+	for _, x := range f.frontier {
+		if n := allow[x].Count(); n > width {
+			widest, width = x, n
+		}
+	}
+	page := fragmentPage << min(depth, 6)
+	if !open || widest < 0 {
+		page = 1
+	}
+	resp := j.fetch(f, allow, page)
+	if resp == nil {
+		return false
+	}
+	for i, named := range resp.Named {
+		// Where the embedding puts f's frontier, as boundary-graph nodes.
+		hosts, inside := make([]graph.NodeID, len(f.frontier)), true
+		for k, x := range f.frontier {
+			h, known := j.bv.bg.NodeByName(named[j.req.Query.Node(x).Name])
+			hosts[k], inside = h, inside && known && allow[x].Has(h)
+		}
+		if !inside || slices.ContainsFunc(*tried, func(seen []graph.NodeID) bool { return slices.Equal(seen, hosts) }) {
+			continue
+		}
+		*tried = append(*tried, hosts)
+		j.examined++
+		next, ok := j.place(f, hosts, allow)
+		if !ok {
+			continue
+		}
+		f.done, f.hosts, f.named, f.version = true, hosts, named, resp.ModelVersion
+		f.paths = nil
+		if i < len(resp.Paths) {
+			f.paths = resp.Paths[i]
+		}
+		if j.propagate(next) && j.solve(next, left-1) {
+			return true
+		}
+		f.done = false
+		if !open || j.lost() {
+			// With every neighbour already fixed, f's choice cannot have
+			// been what failed the rest.
+			return false
+		}
+	}
+	switch {
+	case resp.Status == core.StatusComplete:
+		return false // every embedding under these allow-sets was on the page
+	case len(resp.Named) < page:
+		j.fail(spanDeadline) // the shard ran out of time, not of embeddings
+		return false
+	case widest < 0:
+		return false // singleton frontier: the one embedding stood for all
+	}
+	var halves [2]*sets.Bitset
+	for i := range halves {
+		halves[i] = sets.NewBitset(allow[widest].Len())
+	}
+	n := 0
+	allow[widest].ForEach(func(h graph.NodeID) bool {
+		halves[2*n/width].Set(h)
+		n++
+		return true
+	})
+	for _, half := range halves {
+		next := slices.Clone(allow)
+		next[widest] = half
+		if j.branch(f, next, left, tried, depth+1) {
+			return true
+		}
+		if j.lost() {
+			return false
+		}
+	}
+	return false
+}
+
+// fetch is one round trip: a page of f's embeddings under the allow-sets,
+// with whatever budget the request has left. nil means the request is
+// lost (shard error, recorded against the shard's health).
+func (j *spanJoin) fetch(f *fragment, allow []*sets.Bitset, page int) *Response {
+	sreq := j.req
+	sreq.Query = f.query
+	sreq.Timeout = max(time.Until(j.deadline), time.Millisecond)
+	sreq.MaxResults = page
+	sreq.Optimize = false
+	sreq.Objective = core.Objective{}
+	sreq.OnImprove = nil
+	sreq.Allow = make(map[string][]string, len(f.frontier))
+	for i := 0; i < f.query.NumNodes(); i++ {
+		// The caller's own restrictions on nodes off the frontier; those on
+		// it were folded into the allow-sets when they were seeded.
+		name := f.query.Node(graph.NodeID(i)).Name
+		if hosts, restricted := j.req.Allow[name]; restricted {
+			sreq.Allow[name] = hosts
+		}
+	}
+	for _, x := range f.frontier {
+		hosts := make([]string, 0, allow[x].Count())
+		allow[x].ForEach(func(h graph.NodeID) bool {
+			hosts = append(hosts, j.bv.bg.Node(h).Name)
+			return true
+		})
+		sreq.Allow[j.req.Query.Node(x).Name] = hosts
+	}
+	j.roundTrips++
+	resp, err := f.cs.shard.Embed(sreq)
+	if err != nil {
+		j.c.recordFailure(f.cs, err)
+		j.warnings = append(j.warnings, fmt.Sprintf("shard %s failed on its fragment: %v", f.name, err))
+		j.fail(spanShardError)
+		return nil
+	}
+	j.c.recordSuccess(f.cs, resp.ModelVersion)
+	addStats(&j.stats, &resp.Stats)
+	return resp
+}
+
+// place forward-checks one candidate for f, its frontier on hosts: every
+// cut edge to an assigned fragment is confirmed on the boundary itself —
+// the boundary edge between the two hosts under the edge constraint,
+// independently of what the tables promised, or in path mode a stitched
+// witness path, kept for the answer — and every cut edge to an unassigned
+// one narrows that neighbour's allow-set through the table row of the host
+// just fixed. ok is false when a confirmation fails or an allow-set
+// empties.
+func (j *spanJoin) place(f *fragment, hosts []graph.NodeID, allow []*sets.Bitset) ([]*sets.Bitset, bool) {
+	q := j.req.Query
+	next := slices.Clone(allow)
+	for _, ci := range f.cuts {
+		ce := j.cuts[ci]
+		side := 0 // which end of the cut edge is f's
+		if j.fragOf[ce.ends[0]] != f {
+			side = 1
+		}
+		mine, other := ce.ends[side], ce.ends[1-side]
+		var at [2]graph.NodeID // the hosts under the edge's From and To
+		at[side] = hosts[slices.Index(f.frontier, mine)]
+		g := j.fragOf[other]
+		if !g.done {
+			row := j.table(ce.edge).rows[side][at[side]]
+			if row == nil {
+				return nil, false
+			}
+			next[other] = next[other].Clone()
+			if !next[other].IntersectWith(row) {
+				return nil, false
+			}
+			continue
+		}
+		at[1-side] = g.hosts[slices.Index(g.frontier, other)]
+		qe := q.Edge(ce.edge)
+		if !j.pathMode {
+			if !j.bv.matchEdge(at[0], at[1], q, qe, j.edgeProg) {
+				return nil, false
+			}
+			continue
+		}
+		w, ok := j.bv.stitchWitness(at[0], at[1], qe, j.specs, j.maxHops)
+		if !ok {
+			return nil, false
+		}
+		w.Source, w.Target = q.Node(qe.From).Name, q.Node(qe.To).Name
+		j.witnesses[ci] = w
+	}
+	return next, true
+}
+
+// answer assembles the joined embedding. Host names are globally unique,
+// so a host taken twice means two shards reported overlapping views: no
+// answer is better than one that is not injective.
+func (j *spanJoin) answer(elapsed time.Duration) (*Response, bool) {
+	merged, used := NamedMapping{}, map[string]bool{}
+	versions := make([]string, len(j.frags))
+	var witnesses []PathWitness
+	for i, f := range j.frags {
+		for q, r := range f.named {
+			if used[r] {
+				return nil, false
+			}
+			merged[q], used[r] = r, true
+		}
+		versions[i] = fmt.Sprintf("%s=%d", f.name, f.version)
+		witnesses = append(witnesses, f.paths...)
+	}
+	j.stats.TimeToFirst, j.stats.Elapsed = elapsed, elapsed
+	resp := &Response{
+		Status:  core.StatusPartial,
+		Named:   []NamedMapping{merged},
+		Stats:   j.stats,
+		Elapsed: elapsed,
+		Warnings: append(slices.Clone(j.warnings),
+			"cross-shard answer: named mappings are authoritative (raw IDs do not span shards)",
+			"answer spans shard versions "+strings.Join(versions, " ")),
+	}
+	if j.pathMode {
+		resp.Paths = [][]PathWitness{append(witnesses, j.witnesses...)}
+	}
+	return resp, true
+}
+
+// boundaryView is everything a spanning request reads of the boundary:
+// the boundary graph (nodes = cut endpoints, edges = cut edges — cut
+// edges and their endpoint attributes only, nothing a shard models), its
+// attribute columns for batch constraint evaluation, and which shard owns
+// which endpoint. It is built once per boundary or routing-table version
+// (Coordinator.installViewLocked) and immutable from then on: readers
+// take the reference under c.mu like routes and finish on it.
+type boundaryView struct {
+	cuts     []graph.CutEdge // the boundary the view describes
+	bg       *graph.Graph
+	cols     *index.Columns
+	from, to []graph.NodeID // bg edge endpoints, by edge ID
+	cutOf    []int32        //cow:shared bg edge → index into cuts
+	// owned maps a shard name to the cut endpoints it owns, over bg's nodes.
+	owned map[string]*sets.Bitset //cow:shared
+	// pairs lists the shard pairs joined by at least one cut edge, sorted.
+	pairs [][2]string //cow:shared
+
+	// The hop-bounded reachability rows path mode joins on, for the hop
+	// bound last asked for.
+	reachMu  sync.Mutex
+	reachFwd []sets.Bitset
+	reachRev []sets.Bitset
+	hops     int
+}
+
+func newBoundaryView(cuts []graph.CutEdge, directed bool, routes map[string]string) *boundaryView {
+	bg := graph.New(directed)
+	node := func(name string, attrs graph.Attrs) graph.NodeID {
+		if id, ok := bg.NodeByName(name); ok {
+			return id
+		}
+		return bg.AddNode(name, attrs)
+	}
+	cutOf := make([]int32, 0, len(cuts))
+	for i, cut := range cuts {
+		u := node(cut.Source, cut.SourceAttrs)
+		v := node(cut.Target, cut.TargetAttrs)
+		if _, err := bg.AddEdge(u, v, cut.Attrs); err != nil {
+			continue // duplicate cut edge rows collapse to the first
+		}
+		cutOf = append(cutOf, int32(i))
+	}
+	cols := index.NewColumns(bg)
+	from, to := cols.Endpoints()
+
+	owned := map[string]*sets.Bitset{}
+	for id := 0; id < bg.NumNodes(); id++ {
+		shard, ok := routes[bg.Node(graph.NodeID(id)).Name]
+		if !ok {
+			continue
+		}
+		if owned[shard] == nil {
+			owned[shard] = sets.NewBitset(bg.NumNodes())
+		}
+		owned[shard].Set(graph.NodeID(id))
+	}
+	seen := map[[2]string]bool{}
+	var pairs [][2]string
+	for e := range from {
+		a, okA := routes[bg.Node(from[e]).Name]
+		b, okB := routes[bg.Node(to[e]).Name]
+		if !okA || !okB || a == b {
+			continue
+		}
+		if b < a {
+			a, b = b, a
+		}
+		if pair := [2]string{a, b}; !seen[pair] {
+			seen[pair] = true
+			pairs = append(pairs, pair)
+		}
+	}
+	slices.SortFunc(pairs, func(x, y [2]string) int {
+		return cmp.Or(strings.Compare(x[0], y[0]), strings.Compare(x[1], y[1]))
+	})
+	return &boundaryView{cuts: cuts, bg: bg, cols: cols, from: from, to: to, cutOf: cutOf, owned: owned, pairs: pairs}
+}
+
+// cutIndex resolves a cut edge by its endpoint names to its index in cuts
+// (either order unless the hosting network is directed).
+func (bv *boundaryView) cutIndex(source, target string) (int, bool) {
+	u, okU := bv.bg.NodeByName(source)
+	v, okV := bv.bg.NodeByName(target)
+	if !okU || !okV {
+		return 0, false
+	}
+	e, ok := bv.bg.EdgeBetween(u, v)
+	if !ok {
+		return 0, false
+	}
+	return int(bv.cutOf[e]), true
+}
+
+// matchEdge finds the boundary edge between the chosen hosting nodes and
+// evaluates the edge constraint on it, query From on hu and To on hv.
+func (bv *boundaryView) matchEdge(hu, hv graph.NodeID, q *graph.Graph, qe *graph.Edge, prog *expr.Program) bool {
+	e, ok := bv.bg.EdgeBetween(hu, hv)
 	if !ok {
 		return false
 	}
-	reversed := bv.cuts[i].Source != hu
-	return bv.acceptEdge(i, qcut, prog, reversed)
+	if prog == nil {
+		return true
+	}
+	return prog.EvalEdge(&expr.EdgeBinding{
+		VEdge:   qe.Attrs,
+		VSource: q.Node(qe.From).Attrs,
+		VTarget: q.Node(qe.To).Attrs,
+		REdge:   bv.bg.Edge(e).Attrs,
+		RSource: bv.bg.Node(hu).Attrs,
+		RTarget: bv.bg.Node(hv).Attrs,
+	})
 }
 
-// ensurePathState builds the boundary graph and its reachability oracle
-// for path-mode stitching.
-func (bv *boundaryView) ensurePathState(maxHops int) {
-	if bv.bg != nil && bv.hops == maxHops {
-		return
+// reachWithin returns the boundary graph's hop-bounded reachability rows.
+func (bv *boundaryView) reachWithin(maxHops int) (fwd, rev []sets.Bitset) {
+	bv.reachMu.Lock()
+	defer bv.reachMu.Unlock()
+	if bv.reachFwd == nil || bv.hops != maxHops {
+		bv.reachFwd, bv.reachRev = index.BuildReach(bv.bg, maxHops)
+		bv.hops = maxHops
 	}
-	bg := graph.New(bv.directed)
-	ids := map[string]graph.NodeID{}
-	node := func(name string, attrs graph.Attrs) graph.NodeID {
-		if id, ok := ids[name]; ok {
-			return id
-		}
-		id := bg.AddNode(name, attrs.Clone())
-		ids[name] = id
-		return id
-	}
-	for _, cut := range bv.cuts {
-		u := node(cut.Source, cut.SourceAttrs)
-		v := node(cut.Target, cut.TargetAttrs)
-		if _, err := bg.AddEdge(u, v, cut.Attrs.Clone()); err != nil {
-			continue // duplicate cut edge rows collapse to the first
-		}
-	}
-	fwd, _ := index.BuildReach(bg, maxHops)
-	bv.bg, bv.ids, bv.fwd, bv.hops = bg, ids, fwd, maxHops
+	return bv.reachFwd, bv.reachRev
 }
 
 // stitchWitness finds a witness path for one query cut edge across the
 // boundary graph: at most maxHops boundary edges whose composed metrics
-// satisfy the query edge's windows. The reachability oracle screens out
-// unreachable pairs before the DFS runs.
-func (bv *boundaryView) stitchWitness(hu, hv string, qAttrs graph.Attrs, specs []core.MetricSpec, maxHops int) (PathWitness, bool) {
-	bu, okU := bv.ids[hu]
-	bv2, okV := bv.ids[hv]
-	if !okU || !okV {
-		return PathWitness{}, false
-	}
-	if int(bu) < len(bv.fwd) && !bv.fwd[bu].Has(int32(bv2)) {
-		return PathWitness{}, false
-	}
-	visited := make(map[graph.NodeID]bool, maxHops+1)
-	visited[bu] = true
-	pathNodes := []graph.NodeID{bu}
-	var pathEdges []graph.EdgeID
-	var found *PathWitness
-	var dfs func(u graph.NodeID, depth int) bool
-	dfs = func(u graph.NodeID, depth int) bool {
-		if u == bv2 && depth > 0 {
-			if cost, ok := bv.composedOK(pathEdges, qAttrs, specs); ok {
-				names := make([]string, len(pathNodes))
-				for i, id := range pathNodes {
-					names[i] = bv.bg.Node(id).Name
-				}
-				found = &PathWitness{Path: names, Cost: cost}
-				return true
-			}
-			return false
+// satisfy the query edge's windows.
+func (bv *boundaryView) stitchWitness(hu, hv graph.NodeID, qe *graph.Edge, specs []core.MetricSpec, maxHops int) (w PathWitness, found bool) {
+	bv.bg.PathsWithin(hu, hv, maxHops, func(p graph.Path) bool {
+		cost, ok := core.WitnessCost(bv.bg, qe, p.Edges, specs)
+		if !ok {
+			return true
 		}
-		if depth == maxHops {
-			return false
+		names := make([]string, len(p.Nodes))
+		for i, id := range p.Nodes {
+			names[i] = bv.bg.Node(id).Name
 		}
-		for _, arc := range bv.bg.Arcs(u) {
-			if visited[arc.To] {
-				continue
-			}
-			visited[arc.To] = true
-			pathNodes = append(pathNodes, arc.To)
-			pathEdges = append(pathEdges, arc.Edge)
-			if dfs(arc.To, depth+1) {
-				return true
-			}
-			visited[arc.To] = false
-			pathNodes = pathNodes[:len(pathNodes)-1]
-			pathEdges = pathEdges[:len(pathEdges)-1]
-		}
+		w, found = PathWitness{Path: names, Cost: cost}, true
 		return false
-	}
-	if !dfs(bu, 0) {
-		return PathWitness{}, false
-	}
-	return *found, true
-}
-
-// composedOK folds each metric spec along the boundary path and checks
-// the query edge's window. The first spec's composed value is the
-// witness cost (matching core.PathEmbed's convention).
-func (bv *boundaryView) composedOK(edges []graph.EdgeID, qAttrs graph.Attrs, specs []core.MetricSpec) (float64, bool) {
-	cost := 0.0
-	for si, spec := range specs {
-		var acc float64
-		switch spec.Rule {
-		case core.Multiplicative:
-			acc = 1
-		default:
-			acc = 0
-		}
-		for i, e := range edges {
-			v, ok := bv.bg.Edge(e).Attrs.Float(spec.Attr)
-			if !ok {
-				if spec.MissingFails {
-					return 0, false
-				}
-				v = spec.MissingEdge
-			}
-			switch spec.Rule {
-			case core.Bottleneck:
-				if i == 0 || v < acc {
-					acc = v
-				}
-			case core.Multiplicative:
-				acc *= v
-			default:
-				acc += v
-			}
-		}
-		if spec.LoAttr != "" {
-			if lo, ok := qAttrs.Float(spec.LoAttr); ok && acc < lo {
-				return 0, false
-			}
-		}
-		if spec.HiAttr != "" {
-			if hi, ok := qAttrs.Float(spec.HiAttr); ok && acc > hi {
-				return 0, false
-			}
-		}
-		if si == 0 {
-			cost = acc
-		}
-	}
-	return cost, true
+	})
+	return w, found
 }

@@ -15,11 +15,11 @@ import (
 // This file realizes the hierarchical deployment sketched in §VIII as a
 // real distributed tier: per-region shard services answer queries against
 // their partial views, and a Coordinator routes requests, propagates
-// deltas to the owning shards, and negotiates cross-shard embeddings —
-// without ever holding a copy of the full hosting graph. The only global
-// state the coordinator owns is the routing table (node name → shard) and
-// the boundary set: the inter-region edges that belong to no shard's
-// induced subgraph.
+// deltas to the owning shards, and joins cross-shard embeddings at the
+// boundary (decompose.go) — without ever holding a copy of the full
+// hosting graph. The only global state the coordinator owns is the routing
+// table (node name → shard) and the boundary: the inter-region edges that
+// belong to no shard's induced subgraph, kept as a cached boundaryView.
 
 // ShardStats is the shard-side summary the coordinator routes by.
 type ShardStats struct {
@@ -150,9 +150,6 @@ type CoordinatorConfig struct {
 	RegionAttr string
 	// DefaultTimeout applies when a Request carries none (default 30s).
 	DefaultTimeout time.Duration
-	// TopK is how many boundary placements each shard proposes per query
-	// fragment during cross-shard negotiation (default 8).
-	TopK int
 	// MaxSplitNodes caps the query size for unlabeled cross-shard
 	// bipartition enumeration (default 10).
 	MaxSplitNodes int
@@ -168,14 +165,14 @@ type CoordinatorConfig struct {
 }
 
 // Coordinator is the routing tier over a set of shards. It keeps no copy
-// of the hosting graph: queries are routed by region labels (answer
-// locally first), spanning queries are decomposed at cut edges and
-// negotiated via candidate exchange (decompose.go), and deltas are split
-// and propagated to the owning shards only.
+// of the hosting graph: a query whose region labels name several shards is
+// decomposed at its cut edges and joined at the boundary first
+// (decompose.go), every other query is swept over the shards' regional
+// views first and decomposed only when no region answers, and deltas are
+// split and propagated to the owning shards only.
 type Coordinator struct {
 	regionAttr     string
 	defaultTimeout time.Duration
-	topK           int
 	maxSplitNodes  int
 	directed       bool
 	unhealthyAfter int
@@ -185,14 +182,21 @@ type Coordinator struct {
 
 	mu     sync.RWMutex
 	shards []*coordShard // routing order: largest first
-	// routes and boundary are copy-on-write: readers grab the reference
-	// under mu and use it lock-free; writers install fresh values.
+	// routes and view are copy-on-write: readers grab the reference under
+	// mu and use it lock-free; writers install fresh values. view is the
+	// boundary (view.cuts) with everything derived from it and from routes,
+	// rebuilt whenever either changes (installViewLocked).
 	routes       map[string]string
-	boundary     []graph.CutEdge
+	view         *boundaryView
 	byRegion     map[string]*coordShard
 	ring         *hashRing
 	routeVersion uint64
-	crossEmbeds  uint64
+
+	// How spanning requests ended, and what the joins cost (GET /cluster).
+	spanOutcomes       [numSpanOutcomes]uint64
+	fragmentRoundTrips uint64
+	candidatesExamined uint64
+	viewBuilds         uint64
 }
 
 // coordShard is the coordinator's bookkeeping for one shard. All mutable
@@ -223,9 +227,6 @@ func NewCoordinator(shards []Shard, cfg CoordinatorConfig) (*Coordinator, error)
 	if cfg.DefaultTimeout == 0 {
 		cfg.DefaultTimeout = 30 * time.Second
 	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 8
-	}
 	if cfg.MaxSplitNodes <= 0 {
 		cfg.MaxSplitNodes = 10
 	}
@@ -235,12 +236,11 @@ func NewCoordinator(shards []Shard, cfg CoordinatorConfig) (*Coordinator, error)
 	c := &Coordinator{
 		regionAttr:     cfg.RegionAttr,
 		defaultTimeout: cfg.DefaultTimeout,
-		topK:           cfg.TopK,
 		maxSplitNodes:  cfg.MaxSplitNodes,
 		directed:       cfg.Directed,
 		unhealthyAfter: cfg.UnhealthyAfter,
 		byName:         make(map[string]*coordShard, len(shards)),
-		boundary:       append([]graph.CutEdge(nil), cfg.Boundary...),
+		view:           &boundaryView{cuts: append([]graph.CutEdge(nil), cfg.Boundary...)},
 	}
 	for _, s := range shards {
 		if _, dup := c.byName[s.Name()]; dup {
@@ -311,8 +311,8 @@ func NewFederation(host *graph.Graph, regionAttr string, cfg Config) (*Coordinat
 }
 
 // refreshLocked re-interrogates every shard for stats and node names and
-// rebuilds the routing table, region map, hash ring and routing order.
-// Callers hold c.mu.
+// rebuilds the routing table, region map, hash ring, routing order and
+// boundary view. Callers hold c.mu.
 func (c *Coordinator) refreshLocked() {
 	routes := make(map[string]string)
 	byRegion := make(map[string]*coordShard)
@@ -351,12 +351,21 @@ func (c *Coordinator) refreshLocked() {
 	c.byRegion = byRegion
 	c.ring = newHashRing(names)
 	c.routeVersion++
+	c.installViewLocked(c.view.cuts)
 	sort.SliceStable(c.shards, func(i, j int) bool {
 		if c.shards[i].nodeCount != c.shards[j].nodeCount {
 			return c.shards[i].nodeCount > c.shards[j].nodeCount
 		}
 		return c.shards[i].shard.Name() < c.shards[j].shard.Name()
 	})
+}
+
+// installViewLocked publishes the boundary view for cuts under the current
+// routing table. Callers hold c.mu; requests holding the previous view
+// finish on it.
+func (c *Coordinator) installViewLocked(cuts []graph.CutEdge) {
+	c.view = newBoundaryView(cuts, c.directed, c.routes)
+	c.viewBuilds++
 }
 
 // RefreshRoutes re-resolves the routing table from the shards — the
@@ -441,13 +450,37 @@ func (c *Coordinator) eligibleLocked(cs *coordShard, req Request) bool {
 	return cs.maxDegree >= minQueryDegree(req.Query)
 }
 
-// Embed routes a request through the distributed tier: each eligible
-// shard gets a slice of the time budget against its regional view (answer
-// locally first); a shard error is recorded against its health and the
-// remaining shards still run; if no region answers, the query is
-// decomposed at cut edges and negotiated across shards with whatever
-// budget remains. The second return names where the answer came from: a
-// shard name, or "cross:a+b" for a stitched answer.
+// pinsSeveralShardsLocked reports whether every query node's region label
+// pins a healthy shard and the labels name at least two of them. Callers
+// hold c.mu (read).
+func (c *Coordinator) pinsSeveralShardsLocked(q *graph.Graph) bool {
+	var first *coordShard
+	several := false
+	for i := 0; i < q.NumNodes(); i++ {
+		label, _ := q.Node(graph.NodeID(i)).Attrs.Text(c.regionAttr)
+		cs := c.byRegion[label]
+		if cs == nil || !cs.healthy {
+			return false
+		}
+		if first == nil {
+			first = cs
+		}
+		several = several || cs != first
+	}
+	return several
+}
+
+// Embed routes a request through the distributed tier. Which of its two
+// rounds runs first is read off the query's region labels: when every
+// node pins a healthy shard and they name at least two, no single region
+// can hold the query as labeled, so it is decomposed at its cut edges and
+// joined at the boundary first (half the budget) and swept only if that
+// fails; any other query is swept first — each eligible shard gets a slice
+// of the first half of the budget against its regional view — and
+// decomposed with what remains when no region answers. A shard error is
+// recorded against its health and the remaining shards still run. The
+// second return names where the answer came from: a shard name,
+// "cross:a+b" for a joined answer, or "coordinator" for none.
 func (c *Coordinator) Embed(req Request) (*Response, string, error) {
 	if req.Query == nil {
 		return nil, "", ErrNoQuery
@@ -478,40 +511,80 @@ func (c *Coordinator) Embed(req Request) (*Response, string, error) {
 			eligible = append(eligible, cs)
 		}
 	}
+	spanning := c.pinsSeveralShardsLocked(req.Query)
 	c.mu.RUnlock()
 
-	if len(eligible) > 0 {
-		shardBudget := timeout / 2 / time.Duration(len(eligible))
-		if shardBudget <= 0 {
-			shardBudget = time.Millisecond
-		}
-		for _, cs := range eligible {
-			sreq := req
-			sreq.Timeout = shardBudget
-			resp, err := cs.shard.Embed(sreq)
-			if err != nil {
-				// A failing shard is recorded and skipped; the remaining
-				// shards and the cross-shard fallback still run.
-				c.recordFailure(cs, err)
-				continue
-			}
-			c.recordSuccess(cs, resp.ModelVersion)
-			if len(resp.Named) > 0 {
-				c.mu.Lock()
-				cs.embeds++
-				c.mu.Unlock()
-				return resp, cs.shard.Name(), nil
-			}
-		}
-	}
-
 	dreq := req
+	if spanning {
+		dreq.Timeout = timeout / 2
+		resp, where, outcome := c.embedAcrossShards(dreq, edgeProg)
+		if outcome != spanAnswered {
+			if sresp, swhere := c.sweep(req, eligible, remainingBudget(timeout, time.Since(start))); sresp != nil {
+				resp, where, outcome = sresp, swhere, spanSweepAnswered
+			}
+		}
+		c.countSpan(outcome)
+		return resp, where, nil
+	}
+	if resp, where := c.sweep(req, eligible, timeout/2); resp != nil {
+		return resp, where, nil
+	}
 	dreq.Timeout = remainingBudget(timeout, time.Since(start))
-	return c.embedAcrossShards(dreq, edgeProg)
+	resp, where, outcome := c.embedAcrossShards(dreq, edgeProg)
+	c.countSpan(outcome)
+	return resp, where, nil
 }
 
-// remainingBudget is the cross-shard round's slice of the request
-// timeout: the full budget minus what the local round actually spent,
+// sweep asks each eligible shard in routing order to answer the whole
+// request against its regional view, budget split evenly, and returns the
+// first answer (nil when no region has one).
+func (c *Coordinator) sweep(req Request, eligible []*coordShard, budget time.Duration) (*Response, string) {
+	if len(eligible) == 0 {
+		return nil, ""
+	}
+	req.Timeout = max(budget/time.Duration(len(eligible)), time.Millisecond)
+	for _, cs := range eligible {
+		resp, err := cs.shard.Embed(req)
+		if err != nil {
+			// A failing shard is recorded and skipped; the remaining
+			// shards and the other round still run.
+			c.recordFailure(cs, err)
+			continue
+		}
+		c.recordSuccess(cs, resp.ModelVersion)
+		if len(resp.Named) > 0 {
+			c.mu.Lock()
+			cs.embeds++
+			c.mu.Unlock()
+			return resp, cs.shard.Name()
+		}
+	}
+	return nil, ""
+}
+
+// countSpan records how one spanning request ended.
+func (c *Coordinator) countSpan(outcome spanOutcome) {
+	c.mu.Lock()
+	c.spanOutcomes[outcome]++
+	c.mu.Unlock()
+}
+
+// countJoin folds one join's effort into the tier's counters and, for an
+// answered one, credits the shards whose fragments it joined.
+func (c *Coordinator) countJoin(j *spanJoin, answered bool) {
+	c.mu.Lock()
+	c.fragmentRoundTrips += j.roundTrips
+	c.candidatesExamined += j.examined
+	if answered {
+		for _, f := range j.frags {
+			f.cs.embeds++
+		}
+	}
+	c.mu.Unlock()
+}
+
+// remainingBudget is the second round's slice of the request timeout:
+// the full budget minus what the first round actually spent,
 // floored at a millisecond so an overrun still gets a token attempt.
 func remainingBudget(timeout, elapsed time.Duration) time.Duration {
 	remaining := timeout - elapsed
@@ -572,12 +645,12 @@ func (sp *splitState) shardDelta(name string) *graph.Delta {
 func (c *Coordinator) applyDeltaOnce(d *graph.Delta, retryable bool) (map[string]uint64, error) {
 	c.mu.RLock()
 	routes := c.routes
-	boundary := c.boundary
+	view := c.view
 	byRegion := c.byRegion
 	ring := c.ring
 	c.mu.RUnlock()
 
-	sp, err := c.splitDelta(d, routes, boundary, byRegion, ring)
+	sp, err := c.splitDelta(d, routes, view, byRegion, ring)
 	if err != nil {
 		return nil, err
 	}
@@ -627,14 +700,14 @@ func (c *Coordinator) applyDeltaOnce(d *graph.Delta, retryable bool) (map[string
 }
 
 // splitDelta decomposes d by ownership against a routing-table snapshot.
-func (c *Coordinator) splitDelta(d *graph.Delta, routes map[string]string, boundary []graph.CutEdge, byRegion map[string]*coordShard, ring *hashRing) (*splitState, error) {
+func (c *Coordinator) splitDelta(d *graph.Delta, routes map[string]string, view *boundaryView, byRegion map[string]*coordShard, ring *hashRing) (*splitState, error) {
 	sp := &splitState{
 		perShard:      map[string]*graph.Delta{},
 		dropBoundary:  map[int]bool{},
 		patchBoundary: map[int]*graph.CutEdge{},
 		routeAdd:      map[string]string{},
 	}
-	bIdx := boundaryIndex(boundary, c.directed)
+	boundary := view.cuts
 	pending := map[string]string{} // names added by this delta → owner
 	owner := func(name string) (string, bool) {
 		if s, ok := pending[name]; ok {
@@ -655,7 +728,7 @@ func (c *Coordinator) splitDelta(d *graph.Delta, routes map[string]string, bound
 			sd.RemoveEdges = append(sd.RemoveEdges, ref)
 			continue
 		}
-		i, ok := bIdx.lookup(ref.Source, ref.Target)
+		i, ok := view.cutIndex(ref.Source, ref.Target)
 		if !ok {
 			return nil, fmt.Errorf("%w: remove-edge %q-%q crosses shards but is not a known cut edge", ErrStaleRouting, ref.Source, ref.Target)
 		}
@@ -755,7 +828,7 @@ func (c *Coordinator) splitDelta(d *graph.Delta, routes map[string]string, bound
 			sd.SetEdgeAttrs = append(sd.SetEdgeAttrs, up)
 			continue
 		}
-		i, ok := bIdx.lookup(up.Source, up.Target)
+		i, ok := view.cutIndex(up.Source, up.Target)
 		if !ok {
 			return nil, fmt.Errorf("%w: set-edge-attrs %q-%q crosses shards but is not a known cut edge", ErrStaleRouting, up.Source, up.Target)
 		}
@@ -788,8 +861,9 @@ func patchBag(old, set graph.Attrs, unset []string) graph.Attrs {
 	return out
 }
 
-// commitSplit installs the staged boundary and routing-table mutations
-// (copy-on-write: readers keep using the snapshots they grabbed).
+// commitSplit installs the staged boundary and routing-table mutations and
+// the boundary view over them (copy-on-write: readers keep using the
+// snapshots they grabbed).
 func (c *Coordinator) commitSplit(sp *splitState) {
 	if len(sp.dropBoundary) == 0 && len(sp.patchBoundary) == 0 && len(sp.addBoundary) == 0 &&
 		len(sp.routeDel) == 0 && len(sp.routeAdd) == 0 {
@@ -797,9 +871,10 @@ func (c *Coordinator) commitSplit(sp *splitState) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	cuts := c.view.cuts
 	if len(sp.dropBoundary) > 0 || len(sp.patchBoundary) > 0 || len(sp.addBoundary) > 0 {
-		next := make([]graph.CutEdge, 0, len(c.boundary)+len(sp.addBoundary))
-		for i, cut := range c.boundary {
+		next := make([]graph.CutEdge, 0, len(cuts)+len(sp.addBoundary))
+		for i, cut := range cuts {
 			if sp.dropBoundary[i] {
 				continue
 			}
@@ -809,8 +884,7 @@ func (c *Coordinator) commitSplit(sp *splitState) {
 			}
 			next = append(next, cut)
 		}
-		next = append(next, sp.addBoundary...)
-		c.boundary = next
+		cuts = append(next, sp.addBoundary...)
 	}
 	if len(sp.routeDel) > 0 || len(sp.routeAdd) > 0 {
 		next := make(map[string]string, len(c.routes)+len(sp.routeAdd))
@@ -826,6 +900,7 @@ func (c *Coordinator) commitSplit(sp *splitState) {
 		c.routes = next
 	}
 	c.routeVersion++
+	c.installViewLocked(cuts)
 }
 
 // isStaleErr classifies a shard-side apply failure as the 409 class:
@@ -862,10 +937,33 @@ type ClusterInfo struct {
 	BoundaryEdges int                `json:"boundaryEdges"`
 	RouteVersion  uint64             `json:"routeVersion"`
 	CrossEmbeds   uint64             `json:"crossShardEmbeds"`
+	// Spanning counts how the requests that went through cross-shard
+	// decomposition ended, and what their joins cost.
+	Spanning SpanningInfo `json:"spanning"`
 	// CoordinatorNodes is the number of hosting nodes the coordinator
 	// itself models: always 0 — the coordinator holds no graph copy.
 	// Kept explicit so operators and the e2e smoke can assert it.
 	CoordinatorNodes int `json:"coordinatorNodes"`
+}
+
+// SpanningInfo is the /cluster view of cross-shard decomposition: one
+// counter per way a spanning request ends — each such request counts in
+// exactly one — plus what the joins cost.
+type SpanningInfo struct {
+	Answered      uint64 `json:"answered"`      // joined (equals crossShardEmbeds)
+	FrontierEmpty uint64 `json:"frontierEmpty"` // a cut edge no boundary pair can carry; no shard asked
+	Exhausted     uint64 `json:"exhausted"`     // the join proved the split has no embedding
+	Deadline      uint64 `json:"deadline"`      // the budget or the caller's Stop ended the join
+	ShardError    uint64 `json:"shardError"`    // a shard failed on its fragment
+	Unsupported   uint64 `json:"unsupported"`   // consolidate, <2 healthy shards, no cut edges or no split to try
+	SweepAnswered uint64 `json:"sweepAnswered"` // decomposition failed, the local sweep answered
+	// Fragment requests sent to shards, and fragment embeddings the joins
+	// forward-checked.
+	FragmentRoundTrips uint64 `json:"fragmentRoundTrips"`
+	CandidatesExamined uint64 `json:"candidatesExamined"`
+	// Boundary-view installs: boot, every routing refresh, every delta that
+	// touches the boundary or the routing table.
+	BoundaryViewBuilds uint64 `json:"boundaryViewBuilds"`
 }
 
 // Cluster reports shard health, versions and the routing table summary.
@@ -875,9 +973,21 @@ func (c *Coordinator) Cluster() ClusterInfo {
 	info := ClusterInfo{
 		RegionAttr:    c.regionAttr,
 		RoutedNodes:   len(c.routes),
-		BoundaryEdges: len(c.boundary),
+		BoundaryEdges: len(c.view.cuts),
 		RouteVersion:  c.routeVersion,
-		CrossEmbeds:   c.crossEmbeds,
+		CrossEmbeds:   c.spanOutcomes[spanAnswered],
+		Spanning: SpanningInfo{
+			Answered:           c.spanOutcomes[spanAnswered],
+			FrontierEmpty:      c.spanOutcomes[spanFrontierEmpty],
+			Exhausted:          c.spanOutcomes[spanExhausted],
+			Deadline:           c.spanOutcomes[spanDeadline],
+			ShardError:         c.spanOutcomes[spanShardError],
+			Unsupported:        c.spanOutcomes[spanUnsupported],
+			SweepAnswered:      c.spanOutcomes[spanSweepAnswered],
+			FragmentRoundTrips: c.fragmentRoundTrips,
+			CandidatesExamined: c.candidatesExamined,
+			BoundaryViewBuilds: c.viewBuilds,
+		},
 	}
 	for _, cs := range c.shards {
 		info.Shards = append(info.Shards, ClusterShardInfo{
@@ -894,34 +1004,6 @@ func (c *Coordinator) Cluster() ClusterInfo {
 		})
 	}
 	return info
-}
-
-// boundaryIndexMap resolves cut edges by endpoint names.
-type boundaryIndexMap struct {
-	directed bool
-	idx      map[string]int
-}
-
-func boundaryKey(source, target string) string { return source + "\x00" + target }
-
-func boundaryIndex(boundary []graph.CutEdge, directed bool) *boundaryIndexMap {
-	m := &boundaryIndexMap{directed: directed, idx: make(map[string]int, len(boundary))}
-	for i, cut := range boundary {
-		m.idx[boundaryKey(cut.Source, cut.Target)] = i
-	}
-	return m
-}
-
-func (m *boundaryIndexMap) lookup(source, target string) (int, bool) {
-	if i, ok := m.idx[boundaryKey(source, target)]; ok {
-		return i, true
-	}
-	if !m.directed {
-		if i, ok := m.idx[boundaryKey(target, source)]; ok {
-			return i, true
-		}
-	}
-	return 0, false
 }
 
 // hashRing is a consistent-hash ring over shard names: unlabeled nodes

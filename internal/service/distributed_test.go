@@ -213,7 +213,7 @@ func TestCoordinatorRejectsInfeasibleSpanningQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 7 nodes exceed every 5-node region, and the 1-50ms window rules out
-	// the 200ms cut edges — the boundary prescreen must reject every
+	// the 200ms cut edges — the frontier allow-sets must empty on every
 	// split without burning shard budget.
 	q := topo.Line(7)
 	topo.SetDelayWindow(q, 1, 50)
@@ -234,7 +234,13 @@ func TestCoordinatorRejectsInfeasibleSpanningQuery(t *testing.T) {
 		t.Errorf("status = %v, want inconclusive", resp.Status)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("prescreen took %v; boundary rejection should not burn the budget", elapsed)
+		t.Errorf("took %v; rejection at the frontier should not burn the budget", elapsed)
+	}
+	// All 126 bipartitions die at the frontier — their cut edges' tables
+	// are empty, each built once per query edge and shared by every split —
+	// so no shard is asked for a fragment.
+	if span := f.Cluster().Spanning; span.FrontierEmpty != 1 || span.FragmentRoundTrips != 0 {
+		t.Errorf("spanning = %+v, want one frontierEmpty request and no fragment round trip", span)
 	}
 }
 
@@ -489,6 +495,168 @@ func TestCoordinatorDeltaRouting(t *testing.T) {
 	}
 }
 
+// spanningPair is the smallest region-pinned spanning query: one edge from
+// a west node to an east node that only a ~200ms cut edge can carry.
+func spanningPair() *graph.Graph {
+	q := graph.NewUndirected()
+	a := q.AddNode("a", graph.Attrs{}.SetStr("region", "west"))
+	b := q.AddNode("b", graph.Attrs{}.SetStr("region", "east"))
+	q.MustAddEdge(a, b, graph.Attrs{}.SetNum("minDelay", 150).SetNum("maxDelay", 250))
+	return q
+}
+
+// TestBoundaryViewFollowsDeltas: the cached boundary view is never stale.
+// Moving the cut edges' delays out of the query's window makes the very
+// next spanning request fail at the frontier, moving one back answers it
+// again on exactly that edge; each such delta, a cut-edge add, a cut-edge
+// remove and a RefreshRoutes install one fresh view each.
+func TestBoundaryViewFollowsDeltas(t *testing.T) {
+	f, err := NewFederation(federationHost(), "region", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := func() uint64 { return f.Cluster().Spanning.BoundaryViewBuilds }
+	embed := func() (NamedMapping, string) {
+		t.Helper()
+		resp, where, err := f.Embed(Request{Query: spanningPair(), EdgeConstraint: avgDelayWindowSrc, MaxResults: 1, Timeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Named) == 0 {
+			return nil, where
+		}
+		return resp.Named[0], where
+	}
+	retune := func(source, target string, delay float64) graph.EdgeAttrUpdate {
+		return graph.EdgeAttrUpdate{Source: source, Target: target, Set: graph.Attrs{}.SetNum("avgDelay", delay)}
+	}
+	step := func(what string, d *graph.Delta) {
+		t.Helper()
+		before := builds()
+		if d == nil {
+			f.RefreshRoutes()
+		} else if _, err := f.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		if got := builds() - before; got != 1 {
+			t.Errorf("%s installed %d boundary views, want exactly 1", what, got)
+		}
+	}
+
+	if builds() != 1 {
+		t.Fatalf("boot built %d views, want 1", builds())
+	}
+	if m, where := embed(); m == nil || where != "cross:east+west" {
+		t.Fatalf("baseline: %v from %q", m, where)
+	}
+	step("retuning both cut edges", &graph.Delta{SetEdgeAttrs: []graph.EdgeAttrUpdate{retune("n0", "n5", 500), retune("n1", "n6", 500)}})
+	if m, where := embed(); m != nil {
+		t.Fatalf("both cut edges at 500ms, still answered %v from %q", m, where)
+	}
+	step("retuning one cut edge back", &graph.Delta{SetEdgeAttrs: []graph.EdgeAttrUpdate{retune("n6", "n1", 200)}})
+	if m, _ := embed(); m["a"] != "n1" || m["b"] != "n6" {
+		t.Fatalf("n1-n6 back at 200ms: joined %v, want a on n1 and b on n6", m)
+	}
+	step("adding a cut edge", &graph.Delta{AddEdges: []graph.EdgeSpec{{Source: "n2", Target: "n7", Attrs: graph.Attrs{}.SetNum("avgDelay", 190)}}})
+	step("removing a cut edge", &graph.Delta{RemoveEdges: []graph.EdgeRef{{Source: "n1", Target: "n6"}}})
+	if m, _ := embed(); m["a"] != "n2" || m["b"] != "n7" {
+		t.Fatalf("only n2-n7 carries 190ms now: joined %v", m)
+	}
+	step("RefreshRoutes", nil)
+	if m, _ := embed(); m["a"] != "n2" || m["b"] != "n7" {
+		t.Fatalf("after the refresh: joined %v, want a on n2 and b on n7", m)
+	}
+	// A delta that touches neither the boundary nor the routes leaves the
+	// view alone.
+	before := builds()
+	if _, err := f.ApplyDelta(&graph.Delta{SetEdgeAttrs: []graph.EdgeAttrUpdate{retune("n2", "n3", 12)}}); err != nil {
+		t.Fatal(err)
+	}
+	if builds() != before {
+		t.Errorf("an intra-region delta rebuilt the boundary view")
+	}
+	if span := f.Cluster().Spanning; span.Answered != 4 || span.FrontierEmpty != 1 {
+		t.Errorf("spanning = %+v, want 4 answered and 1 frontierEmpty", span)
+	}
+}
+
+// gateShard holds Embed calls at a gate while armed.
+type gateShard struct {
+	Shard
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *gateShard) Embed(req Request) (*Response, error) {
+	if s.armed.Load() {
+		s.entered <- struct{}{}
+		<-s.release
+	}
+	return s.Shard.Embed(req)
+}
+
+// TestRequestFinishesOnTheViewItTook: a spanning request that already
+// holds a boundary view finishes on it when a delta installs the next one
+// mid-join — here the delta removes the only cut edge the request can use,
+// and the request, gated inside its first fragment round trip, still
+// answers on that edge; the request after it does not.
+func TestRequestFinishesOnTheViewItTook(t *testing.T) {
+	host := federationHost()
+	part, err := graph.PartitionByAttr(host, "region", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cuts []graph.CutEdge
+	for _, cut := range part.Cuts {
+		if cut.Source == "n0" { // keep n0-n5 only
+			cuts = append(cuts, cut)
+		}
+	}
+	west := &gateShard{
+		Shard:   NewLocalShard("west", []string{"west"}, New(NewModel(part.Parts["west"]), Config{})),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	east := NewLocalShard("east", []string{"east"}, New(NewModel(part.Parts["east"]), Config{}))
+	f, err := NewCoordinator([]Shard{west, east}, CoordinatorConfig{RegionAttr: "region", Boundary: cuts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Query: spanningPair(), EdgeConstraint: avgDelayWindowSrc, MaxResults: 1, Timeout: 5 * time.Second}
+
+	west.armed.Store(true)
+	type answer struct {
+		resp  *Response
+		where string
+	}
+	done := make(chan answer)
+	go func() {
+		resp, where, err := f.Embed(req)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- answer{resp, where}
+	}()
+	<-west.entered // the join holds the old view and waits on its west fragment
+	west.armed.Store(false)
+	before := f.Cluster().Spanning.BoundaryViewBuilds
+	if _, err := f.ApplyDelta(&graph.Delta{RemoveEdges: []graph.EdgeRef{{Source: "n0", Target: "n5"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if info := f.Cluster(); info.BoundaryEdges != 0 || info.Spanning.BoundaryViewBuilds != before+1 {
+		t.Fatalf("after the removal: %d boundary edges, %d view builds (was %d)", info.BoundaryEdges, info.Spanning.BoundaryViewBuilds, before)
+	}
+	close(west.release)
+	got := <-done
+	if got.where != "cross:east+west" || len(got.resp.Named) != 1 || got.resp.Named[0]["a"] != "n0" || got.resp.Named[0]["b"] != "n5" {
+		t.Fatalf("in-flight request answered %v from %q, want a on n0 and b on n5 from the view it took", got.resp.Named, got.where)
+	}
+	if resp, where, err := f.Embed(req); err != nil || len(resp.Named) != 0 {
+		t.Fatalf("with the cut edge gone the next request answered %v from %q (err %v)", resp.Named, where, err)
+	}
+}
+
 // TestCoordinatorEmbedDeltaRace interleaves Embed traffic with delta
 // propagation under -race (mirroring model_apply_test.go): every answer
 // must be consistent with either the pre- or the post-delta snapshot —
@@ -590,11 +758,67 @@ func TestCoordinatorEmbedDeltaRace(t *testing.T) {
 		}()
 	}
 
+	// The same race one level up: a writer swings the n0-n5 cut edge in
+	// and out of the spanning query's window — every swing installs a new
+	// boundary view — while readers join across it. An answer must ride a
+	// cut edge (n0-n5 at a legal delay, or n1-n6, which never moves).
+	var crossApplied, crossAnswered atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for delay := 500.0; ; delay = 700 - delay {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_, err := f.ApplyDelta(&graph.Delta{SetEdgeAttrs: []graph.EdgeAttrUpdate{{
+				Source: "n0", Target: "n5", Set: graph.Attrs{}.SetNum("avgDelay", delay),
+			}}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			crossApplied.Add(1)
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			span := spanningPair()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, where, err := f.Embed(Request{Query: span, EdgeConstraint: avgDelayWindowSrc, MaxResults: 1, Timeout: time.Second})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(resp.Named) == 0 {
+					continue
+				}
+				crossAnswered.Add(1)
+				m := resp.Named[0]
+				if where != "cross:east+west" || !(m["a"] == "n0" && m["b"] == "n5" || m["a"] == "n1" && m["b"] == "n6") {
+					t.Errorf("spanning answer %v from %q rides no cut edge", m, where)
+					return
+				}
+			}
+		}()
+	}
+
 	time.Sleep(300 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	if applied.Load() == 0 {
+	if applied.Load() == 0 || crossApplied.Load() == 0 {
 		t.Error("no deltas applied during the race window")
+	}
+	if crossAnswered.Load() == 0 {
+		t.Error("no spanning request was answered during the race window")
 	}
 }
 
@@ -708,5 +932,63 @@ func TestEmbedWarnsOnUnknownHostAttribute(t *testing.T) {
 	}
 	if len(resp3.Warnings) != 0 {
 		t.Errorf("reservation guard warned: %v", resp3.Warnings)
+	}
+}
+
+// TestCoordinatorJoinsPathModeAcrossShards: path mode rides the same
+// boundary join — its cut tables are the boundary graph's reachability
+// rows, its confirm step a stitched witness. West w0, w1 and east e0, e1
+// are joined by the 10ms cut edges w0-e0, e0-w1, w1-e1 only; a query edge
+// from a west node to an east node asking for 25–35ms can only ride the
+// three-hop boundary path w0-e0-w1-e1.
+func TestCoordinatorJoinsPathModeAcrossShards(t *testing.T) {
+	host := graph.NewUndirected()
+	for _, n := range []struct{ name, region string }{{"w0", "west"}, {"w1", "west"}, {"e0", "east"}, {"e1", "east"}} {
+		host.AddNode(n.name, graph.Attrs{}.SetStr("region", n.region))
+	}
+	link := func(a, b string, delay float64) {
+		u, _ := host.NodeByName(a)
+		v, _ := host.NodeByName(b)
+		host.MustAddEdge(u, v, graph.Attrs{}.SetNum("avgDelay", delay))
+	}
+	link("w0", "w1", 1)
+	link("e0", "e1", 1)
+	link("w0", "e0", 10)
+	link("e0", "w1", 10)
+	link("w1", "e1", 10)
+	f, err := NewFederation(host, "region", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := graph.NewUndirected()
+	a := q.AddNode("a", graph.Attrs{}.SetStr("region", "west"))
+	b := q.AddNode("b", graph.Attrs{}.SetStr("region", "east"))
+	q.MustAddEdge(a, b, graph.Attrs{}.SetNum("minDelay", 25).SetNum("maxDelay", 35))
+
+	resp, where, err := f.Embed(Request{Query: q, Algorithm: AlgoPathEmbed, Path: PathRequestOptions{MaxHops: 3}, MaxResults: 1, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if where != "cross:east+west" || len(resp.Named) != 1 || len(resp.Paths) != 1 || len(resp.Paths[0]) != 1 {
+		t.Fatalf("answered by %q: %v with paths %v (%v)", where, resp.Named, resp.Paths, resp.Warnings)
+	}
+	w := resp.Paths[0][0]
+	if got := strings.Join(w.Path, "-"); got != "w0-e0-w1-e1" || w.Cost != 30 || w.Source != "a" || w.Target != "b" {
+		t.Errorf("witness %+v, want a→b over w0-e0-w1-e1 at 30ms", w)
+	}
+	if m := resp.Named[0]; m["a"] != "w0" || m["b"] != "e1" {
+		t.Errorf("joined %v, want a on w0 and b on e1", m)
+	}
+	// Two hops cannot reach 25ms: the reachability rows still pair hosts,
+	// the stitched witness refuses every pair, and the join says so.
+	resp, where, err = f.Embed(Request{Query: q, Algorithm: AlgoPathEmbed, Path: PathRequestOptions{MaxHops: 2}, MaxResults: 1, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if where != "coordinator" || len(resp.Named) != 0 {
+		t.Fatalf("two hops: answered by %q with %v", where, resp.Named)
+	}
+	if span := f.Cluster().Spanning; span.Answered != 1 || span.Exhausted != 1 || span.Deadline != 0 {
+		t.Errorf("spanning = %+v, want one answered and one exhausted", span)
 	}
 }

@@ -157,6 +157,13 @@ func decodeEmbedRequestCached(queries *queryCache, req *EmbedRequest) (service.R
 	if req.MaxHops < 0 {
 		return service.Request{}, fmt.Errorf("maxHops %d is negative", req.MaxHops)
 	}
+	// Checked here as well as by the service so that /jobs answers 400 at
+	// submit instead of failing the job later.
+	for name := range req.Allow {
+		if _, ok := query.NodeByName(name); !ok {
+			return service.Request{}, fmt.Errorf("allow names unknown query node %q", name)
+		}
+	}
 	metrics, err := decodeMetricSpecs(req.Metrics)
 	if err != nil {
 		return service.Request{}, err
@@ -188,6 +195,7 @@ func decodeEmbedRequestCached(queries *queryCache, req *EmbedRequest) (service.R
 		},
 		Objective: objective,
 		Optimize:  optimize,
+		Allow:     req.Allow,
 	}, nil
 }
 

@@ -177,6 +177,12 @@ type EmbedRequest struct {
 	// branch-and-bound optimization: the answer is the single cheapest
 	// embedding under the objective, with its cost in objectiveCost.
 	Objective *ObjectiveJSON `json:"objective,omitempty"`
+	// Allow restricts domains: query node name → the hosting node names it
+	// may map onto (a node without an entry is unrestricted). Hosting names
+	// the model does not know are not allowed; an unknown query node, or a
+	// list longer than the model has nodes, answers 400. Honoured by every
+	// algorithm on /embed, /embed/batch, /jobs and the shard peer protocol.
+	Allow map[string][]string `json:"allow,omitempty"`
 }
 
 // ObjectiveJSON is the wire form of an optimization objective.

@@ -72,6 +72,7 @@ func (s *Server) handleEmbeddingPlace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	case errors.Is(err, lifecycle.ErrConsolidate),
+		errors.Is(err, lifecycle.ErrAllowSet),
 		errors.Is(err, service.ErrNoQuery),
 		errors.Is(err, service.ErrBadPathOptions):
 		writeError(w, http.StatusBadRequest, err)

@@ -332,6 +332,7 @@ func encodeEmbedRequest(req service.Request) (*EmbedRequest, error) {
 		DelayAttr:       req.Path.DelayAttr,
 		WindowLo:        req.Path.WindowLo,
 		WindowHi:        req.Path.WindowHi,
+		Allow:           req.Allow,
 	}
 	for _, m := range req.Path.Metrics {
 		rule := "additive"

@@ -2,6 +2,8 @@ package httpapi
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -9,10 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"netembed/internal/core"
+	"netembed/internal/expr"
 	"netembed/internal/graph"
 	"netembed/internal/graphml"
 	"netembed/internal/service"
 	"netembed/internal/topo"
+	"netembed/internal/trace"
 )
 
 const avgDelayWindowSrc = "rEdge.avgDelay >= vEdge.minDelay && rEdge.avgDelay <= vEdge.maxDelay"
@@ -228,6 +233,281 @@ func TestCoordinatorEquivalence(t *testing.T) {
 				assertNamedValid(t, q, host, resp.Named[0])
 			}
 		})
+	}
+}
+
+// regionOf reads a node's region label.
+func regionOf(g *graph.Graph, id graph.NodeID) string {
+	label, _ := g.Node(id).Attrs.Text("region")
+	return label
+}
+
+// pinnedAllow is the spanning oracle's domain restriction: every query
+// node may take exactly the hosts of the region its label pins.
+func pinnedAllow(q, host *graph.Graph) map[string][]string {
+	allow := make(map[string][]string, q.NumNodes())
+	for i := 0; i < q.NumNodes(); i++ {
+		hosts := []string{}
+		for h := 0; h < host.NumNodes(); h++ {
+			if regionOf(host, graph.NodeID(h)) == regionOf(q, graph.NodeID(i)) {
+				hosts = append(hosts, host.Node(graph.NodeID(h)).Name)
+			}
+		}
+		allow[q.Node(graph.NodeID(i)).Name] = hosts
+	}
+	return allow
+}
+
+// TestCoordinatorSpanningEquivalence is the boundary join's acceptance
+// property, over LocalShards and loopback-HTTP RemoteShards alike: for
+// seeded 4- and 6-node queries planted across 2, 3 and 4 of the host's
+// regions — and for copies with one node re-pinned to another region,
+// most of which no longer fit — the coordinator answers by decomposition
+// iff ECF on the undivided host answers under Allow = "the hosts of the
+// region each node pins". The allow-set seam is its own oracle. Every
+// mapping returned verifies on the undivided host, no request ends on the
+// deadline, and an answered one costs at most fragments + 1 round trips
+// on average (a count: the same on every machine).
+func TestCoordinatorSpanningEquivalence(t *testing.T) {
+	const window = "rEdge.minDelay >= vEdge.minDelay && rEdge.maxDelay <= vEdge.maxDelay"
+	host := trace.SyntheticPlanetLab(trace.Config{Sites: 90}, rand.New(rand.NewSource(5)))
+	global := service.New(service.NewModel(host), service.Config{})
+	local, err := service.NewFederation(host, "region", service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(local.Shards()); n < 4 {
+		t.Fatalf("host has %d regions, want at least 4", n)
+	}
+	tiers := []struct {
+		name  string
+		coord *service.Coordinator
+	}{{"local", local}, {"remote", remoteTier(t, host)}}
+	prog := expr.MustCompile(window)
+
+	// The fixture: per (size, span) a few planted queries, each followed
+	// by a re-pinned copy.
+	rng := rand.New(rand.NewSource(11))
+	regions := local.Shards()
+	var queries []*graph.Graph
+	for _, size := range []int{4, 6} {
+		for span := 2; span <= 4; span++ {
+			for found := 0; found < 3; {
+				q, plant, err := topo.Subgraph(host, size, size+1, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spanned := map[string]bool{}
+				for _, h := range plant {
+					spanned[regionOf(host, h)] = true
+				}
+				if len(spanned) != span {
+					continue
+				}
+				found++
+				topo.WidenDelayWindows(q, 0.1)
+				moved := q.Clone()
+				victim := graph.NodeID(rng.Intn(size))
+				for {
+					if to := regions[rng.Intn(len(regions))]; to != regionOf(moved, victim) {
+						moved.Node(victim).Attrs = moved.Node(victim).Attrs.Clone().SetStr("region", to)
+						break
+					}
+				}
+				queries = append(queries, q, moved)
+			}
+		}
+	}
+
+	feasible, infeasible := 0, 0
+	for _, tier := range tiers {
+		answered, fragments, trips := uint64(0), uint64(0), uint64(0)
+		before := tier.coord.Cluster().Spanning
+		for qi, q := range queries {
+			label := fmt.Sprintf("%s tier, query %d", tier.name, qi)
+			req := service.Request{Query: q, EdgeConstraint: window, MaxResults: 1, Timeout: 20 * time.Second}
+			oracle := req
+			oracle.Allow = pinnedAllow(q, host)
+			want, err := global.Embed(oracle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Status == core.StatusInconclusive {
+				t.Fatalf("%s: the oracle ran out of time", label)
+			}
+			tripsBefore := tier.coord.Cluster().Spanning.FragmentRoundTrips
+			resp, where, err := tier.coord.Embed(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cross := strings.HasPrefix(where, "cross:")
+			if cross != (len(want.Named) > 0) {
+				t.Errorf("%s: answered by %q, oracle under the pinned allow-sets found %d", label, where, len(want.Named))
+			}
+			if len(want.Named) > 0 {
+				feasible++
+			} else {
+				infeasible++
+			}
+			for _, named := range resp.Named {
+				m := make(core.Mapping, q.NumNodes())
+				for i := range m {
+					h, ok := host.NodeByName(named[q.Node(graph.NodeID(i)).Name])
+					if !ok {
+						t.Fatalf("%s: mapping %v names an unknown host", label, named)
+					}
+					m[i] = h
+					if cross && regionOf(host, h) != regionOf(q, graph.NodeID(i)) {
+						t.Errorf("%s: node %d pinned to %s joined onto a %s host", label, i, regionOf(q, graph.NodeID(i)), regionOf(host, h))
+					}
+				}
+				p, err := core.NewProblem(q, host, prog, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Verify(m); err != nil {
+					t.Errorf("%s: mapping from %q fails on the undivided host: %v", label, where, err)
+				}
+			}
+			if cross {
+				answered++
+				fragments += uint64(strings.Count(where, "+") + 1)
+				trips += tier.coord.Cluster().Spanning.FragmentRoundTrips - tripsBefore
+			}
+		}
+		after := tier.coord.Cluster().Spanning
+		if after.Deadline != before.Deadline || after.ShardError != before.ShardError || after.Unsupported != before.Unsupported {
+			t.Errorf("%s tier: spanning outcomes %+v; no request may end on the deadline, a shard error or as unsupported", tier.name, after)
+		}
+		if after.Answered != answered {
+			t.Errorf("%s tier: spanning.answered = %d, %d requests came back cross:*", tier.name, after.Answered, answered)
+		}
+		if answered == 0 || trips > fragments+answered {
+			t.Errorf("%s tier: %d round trips for %d answered requests over %d fragments, want at most fragments + 1 each", tier.name, trips, answered, fragments)
+		}
+		t.Logf("%s tier: %d answered over %d fragments in %d round trips; outcomes %+v", tier.name, answered, fragments, trips, after)
+	}
+	if feasible < 20 || infeasible < 10 {
+		t.Errorf("fixture has %d feasible and %d infeasible pinned splits; the iff needs plenty of both", feasible, infeasible)
+	}
+}
+
+// frontierPairHost is the join's hard case. West is the clique w0..w9,
+// east the clique e0..e9; cut edges run wi–ei only, so a west host has
+// exactly one east partner — plus the given extras. The query is the
+// triangle u1–u2–v with u1, u2 pinned west and v east (and a node
+// constraint holding every node to its region, so no single shard can
+// answer): v needs an east host adjacent to both u1's and u2's, which
+// exists only where an extra cut edge makes one. Every cut edge on its own
+// is supported by every frontier host, so the allow-sets prune nothing:
+// only trying (u1, u2) pairs finds it.
+func frontierPairHost(extra ...[2]string) (host, query *graph.Graph) {
+	host = graph.NewUndirected()
+	for _, side := range []string{"w", "e"} {
+		region := map[string]string{"w": "west", "e": "east"}[side]
+		for i := 0; i < 10; i++ {
+			host.AddNode(fmt.Sprintf("%s%d", side, i), graph.Attrs{}.SetStr("region", region))
+		}
+	}
+	id := func(name string) graph.NodeID {
+		n, _ := host.NodeByName(name)
+		return n
+	}
+	for i := 0; i < 10; i++ {
+		for j := i + 1; j < 10; j++ {
+			host.MustAddEdge(id(fmt.Sprintf("w%d", i)), id(fmt.Sprintf("w%d", j)), nil)
+			host.MustAddEdge(id(fmt.Sprintf("e%d", i)), id(fmt.Sprintf("e%d", j)), nil)
+		}
+		host.MustAddEdge(id(fmt.Sprintf("w%d", i)), id(fmt.Sprintf("e%d", i)), nil)
+	}
+	for _, e := range extra {
+		host.MustAddEdge(id(e[0]), id(e[1]), nil)
+	}
+	query = graph.NewUndirected()
+	u1 := query.AddNode("u1", graph.Attrs{}.SetStr("region", "west"))
+	u2 := query.AddNode("u2", graph.Attrs{}.SetStr("region", "west"))
+	v := query.AddNode("v", graph.Attrs{}.SetStr("region", "east"))
+	query.MustAddEdge(u1, u2, nil)
+	query.MustAddEdge(u1, v, nil)
+	query.MustAddEdge(u2, v, nil)
+	return host, query
+}
+
+const regionBound = "isBoundTo(vNode.region, rNode.region)"
+
+// TestCoordinatorJoinIsNotTruncated: the only joinable frontier tuples,
+// (w8, w9) and (w9, w8), are the 81st and 90th of the 90 the west shard
+// enumerates — far past any page. Splitting frontier allow-sets reaches
+// them; a join that stops at the first page (plain top-k) does not, and
+// the test fails.
+func TestCoordinatorJoinIsNotTruncated(t *testing.T) {
+	host, q := frontierPairHost([2]string{"w9", "e8"})
+	for _, tier := range []struct {
+		name  string
+		build func() *service.Coordinator
+	}{
+		{"local", func() *service.Coordinator {
+			c, err := service.NewFederation(host, "region", service.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"remote", func() *service.Coordinator { return remoteTier(t, host) }},
+	} {
+		coord := tier.build()
+		resp, where, err := coord.Embed(service.Request{Query: q, NodeConstraint: regionBound, MaxResults: 1, Timeout: 20 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if where != "cross:east+west" || len(resp.Named) != 1 {
+			t.Fatalf("%s tier: answered by %q with %d mappings (%v), want the join's", tier.name, where, len(resp.Named), resp.Warnings)
+		}
+		m := resp.Named[0]
+		if m["v"] != "e8" || !(m["u1"] == "w8" && m["u2"] == "w9" || m["u1"] == "w9" && m["u2"] == "w8") {
+			t.Errorf("%s tier: joined %v, want u1, u2 on w8, w9 and v on e8", tier.name, m)
+		}
+		span := coord.Cluster().Spanning
+		if span.Answered != 1 || span.FragmentRoundTrips < 3 || span.FragmentRoundTrips > 64 {
+			t.Errorf("%s tier: spanning = %+v, want one answer found by a handful of split pages", tier.name, span)
+		}
+	}
+}
+
+// TestCoordinatorExhaustsInfeasibleSplit: without the extra cut edge no
+// (u1, u2) pair has a common east partner. The join must prove that —
+// every frontier tuple examined, none lost to a page limit — and say so:
+// the request ends `exhausted` well inside its budget, not `deadline`.
+func TestCoordinatorExhaustsInfeasibleSplit(t *testing.T) {
+	host, q := frontierPairHost()
+	coord, err := service.NewFederation(host, "region", service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, where, err := coord.Embed(service.Request{Query: q, NodeConstraint: regionBound, MaxResults: 1, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if where != "coordinator" || resp.Status != core.StatusInconclusive || len(resp.Named) != 0 {
+		t.Fatalf("answered by %q: %v with %d mappings", where, resp.Status, len(resp.Named))
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Errorf("took %v of a 30s budget to exhaust 90 frontier tuples", took)
+	}
+	proved := false
+	for _, w := range resp.Warnings {
+		proved = proved || strings.Contains(w, "proved the split has no embedding")
+	}
+	if !proved {
+		t.Errorf("warnings %q do not name the outcome", resp.Warnings)
+	}
+	span := coord.Cluster().Spanning
+	if span.Exhausted != 1 || span.Deadline != 0 || span.Answered != 0 || span.FrontierEmpty != 0 || span.SweepAnswered != 0 {
+		t.Errorf("spanning = %+v, want exactly one exhausted request", span)
+	}
+	if span.CandidatesExamined < 90 {
+		t.Errorf("examined %d candidates; all 90 frontier tuples of the west fragment must be ruled out", span.CandidatesExamined)
 	}
 }
 

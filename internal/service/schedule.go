@@ -62,6 +62,11 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 	}
 
 	host, _ := s.model.Snapshot()
+	// Reservation marks keep node IDs, so one resolution serves every window.
+	allow, err := resolveAllow(req.Query, host, req.Allow)
+	if err != nil {
+		return nil, err
+	}
 	tried := 0
 	for offset := time.Duration(0); offset <= req.Horizon; offset += req.Step {
 		start := now.Add(offset)
@@ -76,6 +81,7 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 		if err != nil {
 			return nil, err
 		}
+		p.Allow = allow
 		opt := core.Options{Timeout: req.Timeout, MaxSolutions: 1, Seed: req.Seed}
 		if opt.Timeout == 0 {
 			opt.Timeout = s.defaultTimeout

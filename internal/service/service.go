@@ -11,6 +11,7 @@ import (
 	"netembed/internal/expr"
 	"netembed/internal/graph"
 	"netembed/internal/index"
+	"netembed/internal/sets"
 )
 
 // Algorithm names a mapping algorithm exposed by the service.
@@ -96,6 +97,13 @@ type Request struct {
 	// to surface best-so-far on GET /jobs/{id}. Must be safe for
 	// concurrent use (parallel-ecf improves from several workers).
 	OnImprove func(NamedMapping, float64)
+	// Allow restricts domains by name: query node name → the hosting nodes
+	// it may map onto; a query node without an entry is unrestricted. Host
+	// names the model does not know are simply not allowed (a coordinator's
+	// boundary view may trail a shard's model), an unknown query node or a
+	// list longer than the model has nodes is ErrBadAllow. Every algorithm
+	// honours it (core.Problem.Allow).
+	Allow map[string][]string
 }
 
 // NamedMapping renders an embedding by node names: query node name ->
@@ -201,6 +209,9 @@ var (
 	// negative MaxHops, which must never reach the searcher (it used to
 	// disable the hop bound entirely).
 	ErrBadPathOptions = errors.New("service: bad path options")
+	// ErrBadAllow rejects an allow-set naming a query node the query does
+	// not have, or listing more hosts than the model holds.
+	ErrBadAllow = errors.New("service: bad allow-set")
 )
 
 // ReservedAttr marks hosts hidden from requests with ExcludeReserved; the
@@ -281,6 +292,9 @@ func (s *Service) embedOn(host *graph.Graph, idx *index.Index, version uint64, r
 	}
 	p, err := newProblem(req.Query, host, edgeProg, nodeProg)
 	if err != nil {
+		return nil, err
+	}
+	if p.Allow, err = resolveAllow(req.Query, host, req.Allow); err != nil {
 		return nil, err
 	}
 
@@ -379,6 +393,9 @@ func (s *Service) embedPath(host *graph.Graph, idx *index.Index, version uint64,
 	}
 	p, err := core.NewProblem(req.Query, host, nil, nodeProg)
 	if err != nil {
+		return nil, err
+	}
+	if p.Allow, err = resolveAllow(req.Query, host, req.Allow); err != nil {
 		return nil, err
 	}
 	popt := core.PathOptions{
@@ -597,6 +614,38 @@ func compilePrograms(edgeSrc, nodeSrc string, excludeReserved bool) (*expr.Progr
 		nodeProg = p
 	}
 	return edgeProg, nodeProg, nil
+}
+
+// resolveAllow turns a request's by-name allow-sets into the problem's
+// per-query-node host bitsets (nil when the request restricts nothing).
+func resolveAllow(query, host *graph.Graph, allow map[string][]string) ([]*sets.Bitset, error) {
+	if len(allow) == 0 {
+		return nil, nil
+	}
+	out := make([]*sets.Bitset, query.NumNodes())
+	for qName, hosts := range allow {
+		q, ok := query.NodeByName(qName)
+		if !ok {
+			return nil, fmt.Errorf("%w: query has no node %q", ErrBadAllow, qName)
+		}
+		if len(hosts) > host.NumNodes() {
+			return nil, fmt.Errorf("%w: %d hosts listed for %q, the model has %d nodes", ErrBadAllow, len(hosts), qName, host.NumNodes())
+		}
+		out[q] = nodeSet(host, hosts)
+	}
+	return out, nil
+}
+
+// nodeSet is the set of g's nodes named in names; names g does not have
+// are skipped.
+func nodeSet(g *graph.Graph, names []string) *sets.Bitset {
+	set := sets.NewBitset(g.NumNodes())
+	for _, name := range names {
+		if id, ok := g.NodeByName(name); ok {
+			set.Set(id)
+		}
+	}
+	return set
 }
 
 // reservedMark is the bag stamped onto nodes with no free slot.

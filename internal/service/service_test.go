@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -567,5 +568,46 @@ func TestObjectiveAttrWarnings(t *testing.T) {
 	energyTypo := embed(core.Objective{Kind: core.ObjectiveEnergy, Attr: "actve"})
 	if !warningsContain(energyTypo.Warnings, "actve") {
 		t.Errorf("no warning for typo'd energy attr in %v", energyTypo.Warnings)
+	}
+}
+
+// TestRequestAllowEveryAlgorithm: Request.Allow reaches core.Problem.Allow
+// for every algorithm the service dispatches to — injective searches,
+// consolidate and path mode alike — and schedule; an unknown query node
+// or an over-long list is ErrBadAllow, an unknown host name merely not
+// allowed.
+func TestRequestAllowEveryAlgorithm(t *testing.T) {
+	svc := New(NewModel(topo.Clique(6)), Config{})
+	allow := map[string][]string{"n0": {"n3", "no-such-host"}}
+	for _, algo := range []Algorithm{AlgoECF, AlgoRWB, AlgoLNS, AlgoParallelECF, AlgoConsolidate, AlgoPathEmbed} {
+		free, err := svc.Embed(Request{Query: topo.Line(2), Algorithm: algo, MaxResults: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := svc.Embed(Request{Query: topo.Line(2), Algorithm: algo, MaxResults: 1 << 20, Allow: allow})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Named) == 0 || len(resp.Named) >= len(free.Named) {
+			t.Errorf("%s: %d mappings under the allow-set, %d without", algo, len(resp.Named), len(free.Named))
+		}
+		for _, m := range resp.Named {
+			if m["n0"] != "n3" {
+				t.Errorf("%s: n0 mapped to %s outside its allow-set", algo, m["n0"])
+			}
+		}
+	}
+	sched, err := svc.Schedule(ScheduleRequest{
+		Request:  Request{Query: topo.Line(2), Allow: allow},
+		Duration: time.Minute,
+	}, time.Now())
+	if err != nil || sched.Named["n0"] != "n3" {
+		t.Errorf("schedule: n0 on %q (err %v), want n3", sched.Named["n0"], err)
+	}
+	if _, err := svc.Embed(Request{Query: topo.Line(2), Allow: map[string][]string{"n9": {"n1"}}}); !errors.Is(err, ErrBadAllow) {
+		t.Errorf("unknown query node: err = %v, want ErrBadAllow", err)
+	}
+	if _, err := svc.Embed(Request{Query: topo.Line(2), Allow: map[string][]string{"n0": make([]string, 7)}}); !errors.Is(err, ErrBadAllow) {
+		t.Errorf("7 hosts listed against a 6-node model: err = %v, want ErrBadAllow", err)
 	}
 }
