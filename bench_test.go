@@ -1319,6 +1319,46 @@ func BenchmarkServePath(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildFilters measures the constraint-bearing filter build
+// (§V-A under the §VII-A delay window) alone, on the instance of the
+// novel_constrained ledger workload: the 296-site host (≈29k edges),
+// planted 8-node/12-edge queries with ±10% windows, index-served and
+// warm — columns built and their range indexes armed by a first pass over
+// the queries, as on a daemon that has served a request. Each op
+// builds the next of 64 queries' filters. BenchmarkServePath's
+// warm_constrained runs a 120-site host, where this layer is a quarter of
+// the cost. The Filters are not recycled outside internal/core, so B/op
+// includes one set of tables per op.
+func BenchmarkBuildFilters(b *testing.B) {
+	b.Run("planetlab296_window", func(b *testing.B) {
+		host := trace.SyntheticPlanetLab(trace.Config{Sites: 296}, rand.New(rand.NewSource(1)))
+		idx := netembed.BuildIndex(host, 1, netembed.IndexConfig{})
+		rng := rand.New(rand.NewSource(1))
+		problems := make([]*netembed.Problem, 64)
+		for i := range problems {
+			q, _, err := topo.Subgraph(host, 8, 12, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			topo.WidenDelayWindows(q, 0.1)
+			if problems[i], err = netembed.NewProblem(q, host, delayWindow, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		opt := &netembed.Options{Index: idx}
+		for _, p := range problems {
+			core.BuildFilters(p, opt)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if f := core.BuildFilters(problems[i%len(problems)], opt); f.Stats().FilterEntries == 0 {
+				b.Fatal("planted query has no candidates")
+			}
+		}
+	})
+}
+
 // BenchmarkApplyDelta measures what publishing one monitoring delta costs
 // the hosting graph alone, on the paper-sized 296-site host (≈29k edges)
 // the churn_mixed ledger workload runs: each sub-benchmark applies its

@@ -210,6 +210,7 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		"BenchmarkApplyDelta/edge_remove",
 		"BenchmarkApplyDelta/edge_add",
 		"BenchmarkApplyDelta/reserve_marks",
+		"BenchmarkBuildFilters/planetlab296_window",
 	} {
 		if !gate.MatchString(name) {
 			t.Errorf("GATE %q does not gate %q", m[1], name)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,6 +60,8 @@ type Filters struct {
 	nodePass []sets.Set
 
 	stats Stats
+	// The fill workers' shares of stats.EdgePairsEval and FilterEntries.
+	pairsEval, entries atomic.Int64
 
 	// Pool-recycled scratch (see pool.go): per-node admissibility
 	// bitsets, positional row arenas for the dense fills, the tableOf
@@ -77,12 +80,15 @@ type Filters struct {
 	scratchCols *index.Columns
 }
 
-// evalScratch is one worker's constraint-evaluation state: the batch
-// evaluator's registers and the satisfied-mask it fills (over host edges
-// for the edge constraint, host nodes for the node constraint).
+// evalScratch is one fill worker's state: the batch evaluator's registers,
+// the satisfied-mask it fills (over host edges for the edge constraint,
+// host nodes for the node constraint), and the dense fill's
+// mask-adjacency: adj[0][r] holds the hosts r reaches over the admitted
+// host arcs, adj[1][r] those reaching r.
 type evalScratch struct {
 	expr expr.Scratch
 	mask *sets.Bitset
+	adj  [2]rowArena
 }
 
 func arcKey(u, v graph.NodeID) uint64 {
@@ -125,15 +131,17 @@ func chooseDense(repr Repr, nr, hostEdges int) bool {
 // Constraints are evaluated in bulk, never pair by pair: per query
 // element, one batch evaluation of the program over all host elements
 // (expr.EvalNodeBatch / EvalEdgeBatch) yields a satisfied-mask, read from
-// typed attribute columns. The columns come from the index's snapshot
-// cache when Options.Index was built over p.Host itself, and are built
-// into pooled scratch otherwise, so the result never depends on the cache.
+// typed attribute columns, or from their range indexes once the snapshot
+// has armed them. The columns come from the index's snapshot cache when
+// Options.Index was built over p.Host itself, and are built into pooled
+// scratch otherwise — all but the edge-side ones when p.Host shares the
+// indexed graph's edges — so the result never depends on the cache.
 //
 // A compatible Options.Index additionally replaces the structural scans:
 // node admissibility starts from the index's degree strata, and with no
-// edge constraint the tables are assembled row-wise from adjacency
-// bitsets. Every path produces identical candidate sets; the property
-// tests pin them to Problem.EdgeFeasible/NodeFeasible, pair by pair.
+// edge constraint the table rows are the index's adjacency bitsets. Every
+// path produces identical candidate sets; the property tests pin them to
+// Problem.EdgeFeasible/NodeFeasible, pair by pair.
 func BuildFilters(p *Problem, opt *Options) *Filters {
 	start := time.Now()
 	idx := opt.Index
@@ -162,10 +170,7 @@ func BuildFilters(p *Problem, opt *Options) *Filters {
 	} else {
 		clear(f.arcTables)
 	}
-	var cols *index.Columns
-	if p.EdgeConstraint != nil || p.NodeConstraint != nil {
-		cols = f.hostColumns(opt.Index)
-	}
+	cols := f.hostColumns(opt.Index)
 	f.evalScratch = grow(f.evalScratch, max(1, opt.Workers))
 
 	// Per-node admissibility: node constraint ∧ degree filter.
@@ -173,12 +178,7 @@ func BuildFilters(p *Problem, opt *Options) *Filters {
 	f.passBits = grow(f.passBits, nq)
 	passBits := f.passBits
 	f.buildNodePass(opt, idx, cols, passBits)
-
-	if idx != nil && p.EdgeConstraint == nil {
-		f.fillTablesIndexed(idx, passBits)
-	} else {
-		f.fillTables(opt, cols, passBits)
-	}
+	f.fillTables(opt, idx, cols, passBits)
 
 	if f.dense {
 		f.buildBaseDense(opt.LooseRoot)
@@ -191,7 +191,9 @@ func BuildFilters(p *Problem, opt *Options) *Filters {
 
 // hostColumns returns the attribute columns of p.Host: the snapshot cache
 // of an index built over that very graph, else throw-away columns in
-// pooled scratch (a marked clone, an index-less caller, a stale index).
+// pooled scratch (an index-less caller, a stale index, a marked clone) —
+// which still serve the snapshot's edge columns, range indexes and
+// endpoints when p.Host shares its edges (the reservation overlay).
 func (f *Filters) hostColumns(idx *index.Index) *index.Columns {
 	if idx != nil {
 		if cols := idx.ColumnsFor(f.p.Host); cols != nil {
@@ -199,10 +201,9 @@ func (f *Filters) hostColumns(idx *index.Index) *index.Columns {
 		}
 	}
 	if f.scratchCols == nil {
-		f.scratchCols = index.NewColumns(f.p.Host)
-	} else {
-		f.scratchCols.Reset(f.p.Host)
+		f.scratchCols = index.NewColumns(nil)
 	}
+	f.scratchCols.Reset(f.p.Host, idx)
 	return f.scratchCols
 }
 
@@ -244,10 +245,15 @@ func (f *Filters) buildNodePass(opt *Options, idx *index.Index, cols *index.Colu
 	}
 }
 
-// edgeTables pairs the two table IDs owned by one query edge.
-type edgeTables struct{ fwd, bwd int32 }
+// edgeTables pairs the two table IDs owned by one query edge, with the
+// arenas their dense rows live in.
+type edgeTables struct {
+	fwd, bwd int32
+	arenas   [2][]sets.Bitset
+}
 
-// newArcTables allocates one table per directed query arc, serially so
+// newArcTables allocates one table per directed query arc and, for dense
+// rows, its arena of at most one row per admissible tail, serially so
 // table IDs and the arc index are deterministic regardless of how the
 // fill stage is parallelized.
 func (f *Filters) newArcTables() []edgeTables {
@@ -273,135 +279,126 @@ func (f *Filters) newArcTables() []edgeTables {
 			fwd: newTable(qe.From, qe.To), // From placed -> candidates for To
 			bwd: newTable(qe.To, qe.From), // To placed -> candidates for From
 		}
+		if f.dense {
+			tableOf[i].arenas = [2][]sets.Bitset{f.nextArena(f.passBits[qe.From].Count()), f.nextArena(f.passBits[qe.To].Count())}
+		}
 	}
 	return tableOf
 }
 
-// fillTables builds each query edge's two tables from the edge
-// constraint's satisfied-mask over the host edges: every host edge in the
-// mask whose endpoints are admissible for the query edge's endpoints
-// enters the tables, in both orientations when the host is undirected.
-// One evaluation per host edge decides both orientations unless the
-// program tells them apart through rSource/rTarget; only then is the mask
-// computed a second time with the endpoints swapped. With no edge
-// constraint every host edge is in the mask.
+// fillTables builds each query edge's two tables. For query edge (u, v)
+// the dense rows are fwd[r] = Out[r] ∩ pass(v) for r ∈ pass(u) and
+// bwd[r] = In[r] ∩ pass(u) for r ∈ pass(v) — a candidate failing its own
+// node filter can never appear in a mapping — and a row that intersects
+// to nothing stays nil. Out and In are a mask-adjacency, filled through
+// the endpoint arrays from the edge constraint's satisfied-mask over the
+// host edges: an admitted host arc rs→rt sets rt in Out[rs] and rs in
+// In[rt]. On an undirected host one evaluation admits both arcs of an
+// edge, so In is Out, unless the program tells them apart through
+// rSource/rTarget; only then is the mask computed a second time with the
+// endpoints swapped. With no edge constraint every host edge is admitted
+// and all query edges share one Out and In. Sparse rows take the same
+// arcs one by one.
 //
 // The fill is sharded per query edge across Options.Workers goroutines.
 // Each edge owns its two tables and — handed out serially beforehand —
-// their row arenas, and each worker its evaluation scratch, so workers
-// share nothing mutable beyond the stats counters.
+// their row arenas, and each worker its scratch, so workers share nothing
+// mutable beyond the stats counters.
 //
 //netembedvet:allow stoppoll the worker `for {}` drains a bounded atomic cursor over query edges; filter build is O(|Eq|·|Er|) work measured by Stats.FilterBuild, not an unbounded search
-func (f *Filters) fillTables(opt *Options, cols *index.Columns, passBits []*sets.Bitset) {
+func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns, passBits []*sets.Bitset) {
 	p := f.p
 	prog := p.EdgeConstraint
 	nEdges, nHostEdges := p.Query.NumEdges(), p.Host.NumEdges()
-	undirected := !p.Host.Directed()
 	tableOf := f.newArcTables()
 
+	indexed := idx != nil && prog == nil
 	var from, to []graph.NodeID
-	if prog != nil && (prog.Uses(expr.ObjRSource) || prog.Uses(expr.ObjRTarget)) {
+	if !indexed {
 		from, to = cols.Endpoints()
 	}
-	oriented := undirected && from != nil
-
-	// Dense rows live in one arena per table, as in fillTablesIndexed: a
-	// row is claimed when its first candidate arrives, and a row never
-	// claimed stays nil (= empty). A table has at most one row per
-	// admissible tail.
-	var arenas [][2][]sets.Bitset
-	if f.dense {
-		arenas = make([][2][]sets.Bitset, nEdges)
-		for i := range arenas {
-			qe := p.Query.Edge(graph.EdgeID(i))
-			arenas[i][0] = f.nextArena(passBits[qe.From].Count())
-			arenas[i][1] = f.nextArena(passBits[qe.To].Count())
-		}
+	oriented := !p.Host.Directed() && prog != nil && (prog.Uses(expr.ObjRSource) || prog.Uses(expr.ObjRTarget))
+	symmetric := !p.Host.Directed() && !oriented
+	// No edge constraint, no index: every query edge reads all host arcs.
+	var all [2][]sets.Bitset
+	if f.dense && prog == nil && !indexed {
+		all[0], all[1] = f.evalScratch[0].adjacency(f.nr, symmetric)
+		addArcs(nil, from, to, all[0], all[1])
 	}
-
-	var pairsEval, entries atomic.Int64
+	f.pairsEval.Store(0)
+	f.entries.Store(0)
 	fillEdge := func(i int, ws *evalScratch) {
 		qe := p.Query.Edge(graph.EdgeID(i))
 		passFrom, passTo := passBits[qe.From], passBits[qe.To]
-		var localEntries int64
-
-		// admit records host arc rs→rt as an image of the query edge,
-		// provided both endpoints pass their node filters — a candidate
-		// that fails its own can never appear in a mapping.
-		var admit func(rs, rt graph.NodeID)
-		if f.dense {
-			fwd, bwd := f.tablesB[tableOf[i].fwd], f.tablesB[tableOf[i].bwd]
-			arena, claimed := arenas[i], [2]int{}
-			row := func(table []*sets.Bitset, side int, r graph.NodeID) *sets.Bitset {
-				if table[r] == nil {
-					table[r] = &arena[side][claimed[side]]
-					claimed[side]++
-				}
-				return table[r]
-			}
-			admit = func(rs, rt graph.NodeID) {
-				if passFrom.Has(rs) && passTo.Has(rt) {
-					row(fwd, 0, rs).Set(rt)
-					row(bwd, 1, rt).Set(rs)
-					localEntries += 2
-				}
-			}
-		} else {
-			fwd, bwd := f.tables[tableOf[i].fwd], f.tables[tableOf[i].bwd]
-			admit = func(rs, rt graph.NodeID) {
-				if passFrom.Has(rs) && passTo.Has(rt) {
-					fwd[rs] = append(fwd[rs], rt)
-					bwd[rt] = append(bwd[rt], rs)
-					localEntries += 2
-				}
-			}
+		b := expr.EdgeBatch{
+			VEdge:   qe.Attrs,
+			VSource: p.Query.Node(qe.From).Attrs,
+			VTarget: p.Query.Node(qe.To).Attrs,
+			Host:    cols,
+			RSource: from, RTarget: to,
 		}
-		asStored := func(j graph.EdgeID) bool {
-			re := p.Host.Edge(j)
-			admit(re.From, re.To)
-			if undirected && !oriented {
-				admit(re.To, re.From)
-			}
-			return true
-		}
-
-		if prog == nil {
-			for j := 0; j < nHostEdges; j++ {
-				asStored(graph.EdgeID(j))
-			}
-		} else {
-			b := expr.EdgeBatch{
-				VEdge:   qe.Attrs,
-				VSource: p.Query.Node(qe.From).Attrs,
-				VTarget: p.Query.Node(qe.To).Attrs,
-				Host:    cols,
-				RSource: from, RTarget: to,
+		// admitted hands visit the host edges admitted as arcs rs[j]→rt[j]
+		// (a nil mask admits every edge): the stored orientation, then —
+		// for an oriented program — the swapped one.
+		admitted := func(visit func(mask *sets.Bitset, rs, rt []graph.NodeID)) {
+			if prog == nil {
+				visit(nil, from, to)
+				return
 			}
 			ws.mask = sets.ReuseBitset(ws.mask, nHostEdges)
 			prog.EvalEdgeBatch(&b, &ws.expr, ws.mask)
-			pairsEval.Add(int64(nHostEdges))
-			ws.mask.ForEach(asStored)
+			f.pairsEval.Add(int64(nHostEdges))
+			visit(ws.mask, from, to)
 			if oriented {
-				// The stored orientation is in the tables; the mask is free
-				// to hold the swapped one.
 				b.RSource, b.RTarget = to, from
 				prog.EvalEdgeBatch(&b, &ws.expr, ws.mask)
-				pairsEval.Add(int64(nHostEdges))
-				ws.mask.ForEach(func(j graph.EdgeID) bool {
-					re := p.Host.Edge(j)
-					admit(re.To, re.From)
-					return true
-				})
+				f.pairsEval.Add(int64(nHostEdges))
+				visit(ws.mask, to, from)
 			}
 		}
-		if !f.dense {
-			fwd, bwd := f.tables[tableOf[i].fwd], f.tables[tableOf[i].bwd]
-			for r := 0; r < f.nr; r++ {
-				fwd[r] = sets.FromUnsorted(fwd[r])
-				bwd[r] = sets.FromUnsorted(bwd[r])
+
+		if f.dense {
+			var out, in func(graph.NodeID) *sets.Bitset
+			if indexed {
+				out, in = idx.Neighbors, idx.InNeighbors
+			} else {
+				outRows, inRows := all[0], all[1]
+				if prog != nil {
+					outRows, inRows = ws.adjacency(f.nr, symmetric)
+					admitted(func(mask *sets.Bitset, rs, rt []graph.NodeID) { addArcs(mask, rs, rt, outRows, inRows) })
+				}
+				out = func(r graph.NodeID) *sets.Bitset { return &outRows[r] }
+				in = func(r graph.NodeID) *sets.Bitset { return &inRows[r] }
+			}
+			f.entries.Add(fillRows(f.tablesB[tableOf[i].fwd], tableOf[i].arenas[0], passFrom, passTo, out) +
+				fillRows(f.tablesB[tableOf[i].bwd], tableOf[i].arenas[1], passTo, passFrom, in))
+			return
+		}
+
+		fwd, bwd := f.tables[tableOf[i].fwd], f.tables[tableOf[i].bwd]
+		var localEntries int64
+		admit := func(rs, rt graph.NodeID) {
+			if passFrom.Has(rs) && passTo.Has(rt) {
+				fwd[rs] = append(fwd[rs], rt)
+				bwd[rt] = append(bwd[rt], rs)
+				localEntries += 2
 			}
 		}
-		entries.Add(localEntries)
+		admitted(func(mask *sets.Bitset, rs, rt []graph.NodeID) {
+			for j := range rs {
+				if mask == nil || mask.Has(int32(j)) {
+					admit(rs[j], rt[j])
+					if symmetric {
+						admit(rt[j], rs[j])
+					}
+				}
+			}
+		})
+		for r := 0; r < f.nr; r++ {
+			fwd[r] = sets.FromUnsorted(fwd[r])
+			bwd[r] = sets.FromUnsorted(bwd[r])
+		}
+		f.entries.Add(localEntries)
 	}
 
 	if workers := opt.Workers; workers > 1 && nEdges > 1 {
@@ -426,51 +423,54 @@ func (f *Filters) fillTables(opt *Options, cols *index.Columns, passBits []*sets
 			fillEdge(i, &f.evalScratch[0])
 		}
 	}
-	f.stats.EdgePairsEval = pairsEval.Load()
-	f.stats.FilterEntries = entries.Load()
+	f.stats.EdgePairsEval, f.stats.FilterEntries = f.pairsEval.Load(), f.entries.Load()
 }
 
-// fillTablesIndexed assembles the topology-only filter tables from the
-// index's adjacency bitsets: the row for arc (u→v) at host node r is
-// adj(r) ∧ pass(v), two word-parallel ops instead of a scan over the
-// host edge list. Valid only when no edge constraint applies — with one,
-// fillTables runs instead.
-//
-// Rows live in one arena per table (a single backing allocation); rows
-// that intersect to nothing stay nil (= empty). No constraint is
-// evaluated, so EdgePairsEval stays 0 here as in fillTables without a
-// program, while FilterEntries counts the candidate bits stored.
-func (f *Filters) fillTablesIndexed(idx *index.Index, passBits []*sets.Bitset) {
-	p := f.p
-	tableOf := f.newArcTables()
-	var entries int64
-	fill := func(table []*sets.Bitset, tailPass, headPass *sets.Bitset, adj func(graph.NodeID) *sets.Bitset) {
-		n := tailPass.Count()
-		if n == 0 || !headPass.Any() {
-			return
+// adjacency returns ws's mask-adjacency over nr hosts, emptied: its Out
+// and In rows, one set of rows when symmetric.
+func (ws *evalScratch) adjacency(nr int, symmetric bool) (out, in []sets.Bitset) {
+	adj := &ws.adj
+	adj[0].rows, adj[0].backing = sets.ReuseBitsets(adj[0].rows, adj[0].backing, nr, nr)
+	if symmetric {
+		return adj[0].rows, adj[0].rows
+	}
+	adj[1].rows, adj[1].backing = sets.ReuseBitsets(adj[1].rows, adj[1].backing, nr, nr)
+	return adj[0].rows, adj[1].rows
+}
+
+// addArcs adds the host arcs rs[j]→rt[j] of the edges in mask (every edge
+// when mask is nil) to the mask-adjacency rows: two bit sets per arc.
+func addArcs(mask *sets.Bitset, rs, rt []graph.NodeID, out, in []sets.Bitset) {
+	if mask == nil {
+		for j := range rs {
+			out[rs[j]].Set(rt[j])
+			in[rt[j]].Set(rs[j])
 		}
-		arena := f.nextArena(n)
-		next := 0
-		tailPass.ForEach(func(r graph.NodeID) bool {
-			row := &arena[next]
-			row.CopyFrom(adj(r))
-			if row.IntersectWith(headPass) {
-				table[r] = row
-				next++
-				entries += int64(row.Count())
-			}
-			return true
-		})
+		return
 	}
-	for i := 0; i < p.Query.NumEdges(); i++ {
-		qe := p.Query.Edge(graph.EdgeID(i))
-		// fwd: From placed at r -> To's candidates are r's out-neighbors;
-		// bwd: To placed at r -> From's candidates are r's in-neighbors
-		// (both reduce to plain neighbors on undirected hosts).
-		fill(f.tablesB[tableOf[i].fwd], passBits[qe.From], passBits[qe.To], idx.Neighbors)
-		fill(f.tablesB[tableOf[i].bwd], passBits[qe.To], passBits[qe.From], idx.InNeighbors)
+	for w := range (len(rs) + 63) / 64 {
+		for x := mask.Word(w); x != 0; x &= x - 1 {
+			j := w<<6 | bits.TrailingZeros64(x)
+			out[rs[j]].Set(rt[j])
+			in[rt[j]].Set(rs[j])
+		}
 	}
-	f.stats.FilterEntries = entries
+}
+
+// fillRows sets table[r] = adj(r) ∩ headPass in the arena's rows for each
+// r in tailPass, leaving empty rows nil; it returns the entries stored.
+func fillRows(table []*sets.Bitset, arena []sets.Bitset, tailPass, headPass *sets.Bitset, adj func(graph.NodeID) *sets.Bitset) int64 {
+	var entries int64
+	next := 0
+	tailPass.ForEach(func(r graph.NodeID) bool {
+		if n := sets.IntersectCountInto(&arena[next], adj(r), headPass); n > 0 {
+			table[r] = &arena[next]
+			next++
+			entries += int64(n)
+		}
+		return true
+	})
+	return entries
 }
 
 // buildBase computes the per-node base candidate sets (formula (1)) on the

@@ -25,6 +25,9 @@ var (
 		"rTarget.os == 'linux'", "!has(rTarget.os)",
 		"abs(rSource.cpu - rTarget.cpu) <= vEdge.slack",
 		"rEdge.d / rSource.cpu < 30", "min(rSource.cpu, rTarget.cpu) >= 2",
+		// The shape range indexes answer, a boolean column against a number
+		// included.
+		"vEdge.lo < rEdge.d", "rEdge.d != 50", "rEdge.flag != 1",
 	}
 	nodeAtoms = []string{
 		"rNode.cpu >= vNode.cpu", "isBoundTo(vNode.os, rNode.os)",
@@ -157,6 +160,27 @@ func bruteForceTables(p *Problem) (fwd, bwd [][]sets.Set, base []sets.Set) {
 	return fwd, bwd, base
 }
 
+// matchBruteForce checks every row of f's tables against the pair-by-pair
+// ones, and its base sets against base unless base is nil.
+func matchBruteForce(t *testing.T, label string, p *Problem, f *Filters, fwd, bwd [][]sets.Set, base []sets.Set) {
+	t.Helper()
+	for i := range fwd {
+		for r := 0; r < p.Host.NumNodes(); r++ {
+			if got := f.row(f.tableOf[i].fwd, r); !sets.Equal(got, fwd[i][r]) {
+				t.Fatalf("%s: edge %d fwd row %d = %v, want %v", label, i, r, got, fwd[i][r])
+			}
+			if got := f.row(f.tableOf[i].bwd, r); !sets.Equal(got, bwd[i][r]) {
+				t.Fatalf("%s: edge %d bwd row %d = %v, want %v", label, i, r, got, bwd[i][r])
+			}
+		}
+	}
+	for q := range base {
+		if got := f.Base(graph.NodeID(q)); !sets.Equal(got, base[q]) {
+			t.Fatalf("%s: base[%d] = %v, want %v", label, q, got, base[q])
+		}
+	}
+}
+
 // row reads table t's row r from whichever representation f carries.
 func (f *Filters) row(t int32, r int) sets.Set {
 	if !f.dense {
@@ -170,12 +194,15 @@ func (f *Filters) row(t int32, r int) sets.Set {
 
 // TestFiltersMatchBruteForce: the bulk-evaluated tables and base sets
 // equal the ones built pair by pair from Problem.EdgeFeasible, for random
-// constraints, directed and undirected hosts, both row representations,
-// serial and sharded fills, and every index situation: none, one built
-// over the problem's host (cached columns), and one built over a
-// different graph with the same structure but other attributes — the
-// ExcludeReserved marked-clone case, where serving the index's columns
-// would be wrong.
+// constraints — orientation-blind, oriented (rSource/rTarget) and of the
+// range-indexed shape — directed and undirected hosts, both row
+// representations, serial and sharded fills, and every index situation:
+// none; one built over the problem's host (cached columns, whose range
+// indexes arm during the loop); one built over a graph with the same
+// structure in other pages and other attributes, whose columns would be
+// wrong; and one over a graph sharing the host's edge pages but not its
+// node attributes — the ExcludeReserved overlay, whose edge columns serve
+// and whose node columns would be wrong.
 func TestFiltersMatchBruteForce(t *testing.T) {
 	for seed := int64(1); seed <= 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -183,13 +210,16 @@ func TestFiltersMatchBruteForce(t *testing.T) {
 		fwd, bwd, base := bruteForceTables(p)
 
 		original := p.Host.Clone()
-		for r := 0; r < original.NumNodes(); r++ { // same structure, other attributes
+		all := make([]graph.NodeID, original.NumNodes())
+		for r := range all { // same structure, other attributes
 			original.Node(graph.NodeID(r)).Attrs = graph.Attrs{}.SetNum("cpu", 9).SetStr("os", "linux")
+			all[r] = graph.NodeID(r)
 		}
 		indexes := map[string]*index.Index{
 			"no index":      nil,
 			"own index":     index.Build(p.Host, 1, index.Config{}),
 			"foreign index": index.Build(original, 1, index.Config{}),
+			"overlay index": index.Build(p.Host.WithNodeAttrs(all, graph.Attrs{}.SetNum("cpu", 9).SetBool("reserved", true)), 1, index.Config{}),
 		}
 		wantPairs := int64(0)
 		if c := p.EdgeConstraint; c != nil {
@@ -200,27 +230,13 @@ func TestFiltersMatchBruteForce(t *testing.T) {
 		}
 		for name, idx := range indexes {
 			for _, repr := range []Repr{ReprSlice, ReprBitset} {
-				for _, workers := range []int{0, 3} {
+				for _, workers := range []int{1, 4} {
 					label := fmt.Sprintf("seed %d, %s, repr %d, workers %d, edge %q, node %q",
 						seed, name, repr, workers, p.EdgeConstraint, p.NodeConstraint)
 					// Twice, so the second build runs on recycled scratch.
 					for pass := 0; pass < 2; pass++ {
 						f := BuildFilters(p, &Options{Index: idx, Repr: repr, Workers: workers})
-						for i := range fwd {
-							for r := 0; r < p.Host.NumNodes(); r++ {
-								if got := f.row(f.tableOf[i].fwd, r); !sets.Equal(got, fwd[i][r]) {
-									t.Fatalf("%s: edge %d fwd row %d = %v, want %v", label, i, r, got, fwd[i][r])
-								}
-								if got := f.row(f.tableOf[i].bwd, r); !sets.Equal(got, bwd[i][r]) {
-									t.Fatalf("%s: edge %d bwd row %d = %v, want %v", label, i, r, got, bwd[i][r])
-								}
-							}
-						}
-						for q := range base {
-							if got := f.Base(graph.NodeID(q)); !sets.Equal(got, base[q]) {
-								t.Fatalf("%s: base[%d] = %v, want %v", label, q, got, base[q])
-							}
-						}
+						matchBruteForce(t, label, p, f, fwd, bwd, base)
 						if got := f.Stats().EdgePairsEval; got != wantPairs {
 							t.Fatalf("%s: EdgePairsEval = %d, want %d", label, got, wantPairs)
 						}

@@ -8,6 +8,8 @@ import (
 	"netembed/internal/expr"
 	"netembed/internal/graph"
 	"netembed/internal/index"
+	"netembed/internal/topo"
+	"netembed/internal/trace"
 )
 
 // These property tests pin the tentpole contract of the index-backed
@@ -92,8 +94,18 @@ func indexProblem(t *testing.T, seed int64, directed bool, edgeC, nodeC *expr.Pr
 	return p, index.Build(host, 1, index.Config{})
 }
 
-var cpuFits = expr.MustCompile("rNode.cpu >= vNode.cpu")
+var (
+	cpuFits = expr.MustCompile("rNode.cpu >= vNode.cpu")
+	// orientedWindow tells an undirected host edge's two orientations
+	// apart, so the fill evaluates it once per orientation.
+	orientedWindow = expr.MustCompile("rEdge.minDelay >= vEdge.minDelay && rSource.cpu >= rTarget.cpu")
+)
 
+// TestIndexedFiltersMatchOracle pins the one dense fill — rows from the
+// index's adjacency, or from the constraint's mask-adjacency, with and
+// without an index, serial and sharded — pair by pair against
+// Problem.EdgeFeasible/NodeFeasible, and the index-served build against
+// the index-less one.
 func TestIndexedFiltersMatchOracle(t *testing.T) {
 	type shape struct {
 		name  string
@@ -106,6 +118,7 @@ func TestIndexedFiltersMatchOracle(t *testing.T) {
 		{"node-constraint", nil, cpuFits, Options{}},
 		{"edge-constraint", delayWindow, nil, Options{}},
 		{"both-constraints", delayWindow, cpuFits, Options{}},
+		{"oriented-constraint", orientedWindow, cpuFits, Options{}},
 		{"no-degree-filter", nil, cpuFits, Options{NoDegreeFilter: true}},
 		{"loose-root", delayWindow, nil, Options{LooseRoot: true}},
 	}
@@ -113,30 +126,118 @@ func TestIndexedFiltersMatchOracle(t *testing.T) {
 		for _, sh := range shapes {
 			for seed := int64(1); seed <= 8; seed++ {
 				p, idx := indexProblem(t, seed, directed, sh.edgeC, sh.nodeC)
-				label := fmt.Sprintf("%s directed=%v seed=%d", sh.name, directed, seed)
-
-				scanOpt := sh.opt
-				scanOpt.Repr = ReprBitset // same representation, no index
-				oracle := BuildFilters(p, &scanOpt)
-
-				idxOpt := sh.opt
-				idxOpt.Index = idx
-				indexed := BuildFilters(p, &idxOpt)
-				if !indexed.Dense() {
-					t.Fatalf("%s: index-backed filters must be dense", label)
+				fwd, bwd, base := bruteForceTables(p)
+				if sh.opt.LooseRoot {
+					base = nil // the brute force builds the tight base sets
 				}
-				sameFilters(t, label, p, oracle, indexed)
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("%s directed=%v seed=%d workers=%d", sh.name, directed, seed, workers)
 
-				// The searches over both builds enumerate identical sets.
-				a := ECF(p, scanOpt)
-				b := ECF(p, idxOpt)
-				sameSolutionSets(t, label, b.Solutions, a.Solutions)
-				if a.Status != b.Status || a.Exhausted != b.Exhausted {
-					t.Fatalf("%s: outcome classification differs", label)
+					scanOpt := sh.opt
+					scanOpt.Repr = ReprBitset // same representation, no index
+					scanOpt.Workers = workers
+					oracle := BuildFilters(p, &scanOpt)
+
+					idxOpt := sh.opt
+					idxOpt.Index = idx
+					idxOpt.Workers = workers
+					indexed := BuildFilters(p, &idxOpt)
+					if !indexed.Dense() {
+						t.Fatalf("%s: index-backed filters must be dense", label)
+					}
+					if !sh.opt.NoDegreeFilter { // the brute force applies the degree filter
+						matchBruteForce(t, label+" (no index)", p, oracle, fwd, bwd, base)
+						matchBruteForce(t, label+" (index)", p, indexed, fwd, bwd, base)
+					}
+					sameFilters(t, label, p, oracle, indexed)
+
+					// The searches over both builds enumerate identical sets.
+					a := ECF(p, scanOpt)
+					b := ECF(p, idxOpt)
+					sameSolutionSets(t, label, b.Solutions, a.Solutions)
+					if a.Status != b.Status || a.Exhausted != b.Exhausted {
+						t.Fatalf("%s: outcome classification differs", label)
+					}
 				}
 			}
 		}
 	}
+}
+
+// TestMarkedOverlayServesSnapshotEdgeColumns: BuildFilters over a
+// reservation overlay of the indexed host — every ExcludeReserved
+// request, lifecycle placement and repair — takes each edge column and
+// its range index from the snapshot's cache instead of building its own,
+// reads the overlay's own node columns (the marks are in them), and
+// builds the tables a scratch build with no index does.
+func TestMarkedOverlayServesSnapshotEdgeColumns(t *testing.T) {
+	guard := expr.MustCompile("!has(rNode.reserved) && rNode.cpu >= vNode.cpu")
+	for seed := int64(1); seed <= 6; seed++ {
+		p, idx := indexProblem(t, 300+seed, seed%2 == 0, delayWindow, nil)
+		marked := p.Host.WithNodeAttrs([]graph.NodeID{0, 2, 5}, graph.Attrs{}.SetBool("reserved", true))
+		mp, err := NewProblem(p.Query, marked, delayWindow, guard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("seed %d", seed)
+		snapshot := idx.ColumnsFor(p.Host)
+		for pass := 0; pass < 2; pass++ { // the second reads the armed range indexes
+			f := BuildFilters(mp, &Options{Index: idx})
+			for _, attr := range []string{"minDelay", "maxDelay"} {
+				// Scratch serves a column of its own once it has built one,
+				// so identity after the build means it built none.
+				if f.scratchCols.EdgeColumn(attr) != snapshot.EdgeColumn(attr) {
+					t.Fatalf("%s: the overlay build made its own %s column", label, attr)
+				}
+			}
+			if f.scratchCols.NodeColumn("reserved") == nil {
+				t.Fatalf("%s: the overlay build did not read the overlay's node columns", label)
+			}
+			sameFilters(t, label, mp, BuildFilters(mp, &Options{Repr: ReprBitset}), f)
+			f.release()
+		}
+		if col := snapshot.EdgeColumn("minDelay"); !snapshot.Armed(col) {
+			t.Fatalf("%s: overlay builds did not arm the snapshot's range index", label)
+		}
+	}
+}
+
+// TestRangeIndexArmsOnFirstRequest: on the paper-sized host (29k edges)
+// the delay columns' range indexes are absent before any request and
+// present after one 8-node/12-edge window request; an index-less build's
+// scratch columns, reset per build, never arm.
+func TestRangeIndexArmsOnFirstRequest(t *testing.T) {
+	host := trace.SyntheticPlanetLab(trace.Config{Sites: 296}, rand.New(rand.NewSource(1)))
+	idx := index.Build(host, 1, index.Config{})
+	rng := rand.New(rand.NewSource(2))
+	request := func() *Problem {
+		q, _, err := topo.Subgraph(host, 8, 12, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo.WidenDelayWindows(q, 0.1)
+		p, err := NewProblem(q, host, delayWindow, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cols := idx.ColumnsFor(host)
+	armed := func(cols *index.Columns) bool {
+		return cols.Armed(cols.EdgeColumn("minDelay")) || cols.Armed(cols.EdgeColumn("maxDelay"))
+	}
+	if armed(cols) {
+		t.Fatal("a range index armed before any request")
+	}
+	BuildFilters(request(), &Options{Index: idx}).release()
+	if !cols.Armed(cols.EdgeColumn("minDelay")) || !cols.Armed(cols.EdgeColumn("maxDelay")) {
+		t.Fatal("the range indexes did not arm during the first request")
+	}
+	f := BuildFilters(request(), &Options{})
+	if armed(f.scratchCols) {
+		t.Fatal("scratch columns armed")
+	}
+	f.release()
 }
 
 // TestIndexedFiltersSliceOracle cross-checks against the sparse

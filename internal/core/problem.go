@@ -326,8 +326,10 @@ type Options struct {
 	// evaluated over the attribute columns cached on the snapshot. The
 	// structural shortcuts need an index describing the Problem's host —
 	// same node universe, same orientation — and the column cache one
-	// built over that very *graph.Graph (Index.ColumnsFor); anything
-	// else is ignored piecemeal, and every combination provably produces
+	// built over that very *graph.Graph (Index.ColumnsFor), or, for its
+	// edge-side columns alone, over a graph sharing its edge records
+	// (graph.Graph.SameEdges: a reservation overlay); anything else is
+	// ignored piecemeal, and every combination provably produces
 	// identical candidate sets. Index-backed tables always carry the
 	// bitset representation, so under ReprSlice only the columns are used.
 	Index *index.Index
@@ -362,11 +364,14 @@ type Options struct {
 // Stats reports search effort counters.
 type Stats struct {
 	FilterBuild time.Duration // time spent building filter matrices (ECF/RWB)
-	// EdgePairsEval counts the edge-constraint evaluations the filter
-	// build performed: one per (query edge, host edge), two where the
-	// program tells an undirected host edge's orientations apart
-	// (rSource/rTarget), none without an edge constraint. It depends on
-	// neither the table representation nor the presence of an index.
+	// EdgePairsEval counts the (query edge, host edge) pairs the filter
+	// build decided against the edge constraint: the host's edge count per
+	// query edge, twice that where the program tells an undirected host
+	// edge's orientations apart (rSource/rTarget), none without an edge
+	// constraint. It counts pairs decided, not work done: a pair answered
+	// from a range index counts as one evaluated chunk by chunk, so the
+	// figure depends on neither the evaluation route, the table
+	// representation nor the presence of an index.
 	EdgePairsEval    int64
 	FilterEntries    int64         // total candidate entries stored in F
 	NodesVisited     int64         // permutation-tree nodes expanded

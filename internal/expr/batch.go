@@ -27,7 +27,7 @@ import (
 // Columns supplies the hosting side of a batch evaluation: attribute attr
 // over every host edge (by EdgeID) or host node (by NodeID), or nil for an
 // attribute no element carries — it reads as missing everywhere.
-// index.Columns implements it.
+// index.Columns implements it, and Ranges.
 type Columns interface {
 	EdgeColumn(attr string) *graph.Column
 	NodeColumn(attr string) *graph.Column
@@ -83,6 +83,7 @@ type source struct {
 	col    *graph.Column
 	gather []graph.NodeID // col is read through edge endpoints; nil = by element
 	val    graph.Value
+	rng    *Range // col's range index, for programs that can use one
 }
 
 // Scratch is the reusable working storage of batch evaluations. The zero
@@ -91,6 +92,7 @@ type source struct {
 type Scratch struct {
 	regs []register
 	srcs []source
+	bits []*sets.Bitset // the range path's later operands, by depth
 }
 
 // EvalEdgeBatch evaluates the program for b's query edge against every
@@ -114,8 +116,10 @@ func (p *Program) EvalNodeBatch(b *NodeBatch, s *Scratch, out *sets.Bitset) {
 }
 
 // evalBatch resolves every attribute reference once — the query side to
-// its value, the hosting side to its column — then runs the tree chunk by
-// chunk over out's universe.
+// its value, the hosting side to its column — then answers the program
+// from range indexes when it is rangeable and every column it reads has
+// one (range.go), and otherwise runs the tree chunk by chunk over out's
+// universe.
 func (p *Program) evalBatch(query *env, host Columns, rSource, rTarget []graph.NodeID, s *Scratch, out *sets.Bitset) {
 	s.srcs = s.srcs[:0]
 	for _, ref := range p.refs {
@@ -133,6 +137,9 @@ func (p *Program) evalBatch(query *env, host Columns, rSource, rTarget []graph.N
 			src.val = query.objs[ref.Object].Get(ref.Attr)
 		}
 		s.srcs = append(s.srcs, src)
+	}
+	if p.ranged && s.rangesReady(host, out.Len()) && s.evalRange(p.root, true, 0, query, out) {
+		return
 	}
 	for len(s.regs) < p.root.regs {
 		s.regs = append(s.regs, register{

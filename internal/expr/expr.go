@@ -37,11 +37,16 @@
 // bitmask. core.BuildFilters uses it for every constraint it evaluates:
 // filter construction (§V-A) is |Eq| batch evaluations, not |Eq|·|Er|
 // per-pair ones. It accepts every program the parser does — there is no
-// fallback to the per-pair form and no fast path for particular shapes.
+// fallback to the per-pair form. One shape has a second route: &&, ||
+// and ! over comparisons of a hosting column with a query-side operand
+// (the paper's delay window) is answered from range-encoded bitmap
+// indexes (range.go) when the Columns keeps them; every other program,
+// and that one over plain columns, runs chunked.
 //
-// The two are pinned equal, element by element, by a property test over
+// The forms are pinned equal, element by element, by a property test over
 // random programs from the full grammar and random attribute bags (all
-// kinds mixed in one column, ±Inf, NaN, ÷0, absent attributes) and by
+// kinds mixed in one column, ±Inf, NaN, ÷0, absent attributes), run
+// through plain and range-indexed columns alike, and by
 // FuzzBatchEqualsScalar.
 package expr
 
@@ -65,10 +70,11 @@ func (r AttrRef) String() string { return r.Object.String() + "." + r.Attr }
 // safe for concurrent evaluation: each Eval* call uses its own binding (and,
 // in batch form, its own Scratch).
 type Program struct {
-	src  string
-	root *node
-	uses uint16
-	refs []AttrRef
+	src    string
+	root   *node
+	uses   uint16
+	refs   []AttrRef
+	ranged bool // rangeable(root): range indexes can answer it
 }
 
 // maxRegs bounds how deep operators may nest in their right-hand operands
@@ -99,7 +105,7 @@ func Compile(src string) (*Program, error) {
 		return nil, &SyntaxError{Src: src, Pos: 0,
 			Msg: fmt.Sprintf("operands nest %d deep on the right, limit %d", root.regs, maxRegs)}
 	}
-	return &Program{src: src, root: root, uses: p.uses, refs: p.refs}, nil
+	return &Program{src: src, root: root, uses: p.uses, refs: p.refs, ranged: rangeable(root)}, nil
 }
 
 // MustCompile is Compile panicking on error, for constant expressions.

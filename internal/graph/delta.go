@@ -289,6 +289,22 @@ func (g *Graph) WithNodeAttrs(ids []NodeID, set Attrs) *Graph {
 	return &next
 }
 
+// SameEdges reports whether g and o hold the very same edge records — the
+// same copy-on-write pages, as a snapshot shares with every overlay
+// WithNodeAttrs derives from it — so whatever was computed from one's
+// edges alone holds for the other's.
+func (g *Graph) SameEdges(o *Graph) bool {
+	if o == nil || g.directed != o.directed || g.numEdges != o.numEdges || len(g.edges) != len(o.edges) {
+		return false
+	}
+	for i, page := range g.edges {
+		if len(page) != len(o.edges[i]) || len(page) > 0 && &page[0] != &o.edges[i][0] {
+			return false
+		}
+	}
+	return true
+}
+
 // patchAttrs returns a fresh bag with set/unset applied; the original bag
 // is shared with the previous snapshot and must not be written.
 func patchAttrs(old, set Attrs, unset []string) Attrs {

@@ -383,6 +383,16 @@ func TestWithNodeAttrs(t *testing.T) {
 	if marked.Edge(0) != g.Edge(0) || &marked.Arcs(0)[0] != &g.Arcs(0)[0] {
 		t.Error("marks copied edge records or adjacency")
 	}
+	// SameEdges is what lets a snapshot's edge-derived caches serve the
+	// overlay: true for it, false for equal records in other pages.
+	ref := refOf(g, 0)
+	edited, err := g.ApplyDelta(&Delta{SetEdgeAttrs: []EdgeAttrUpdate{{Source: ref.Source, Target: ref.Target, Set: Attrs{}.SetNum("delay", 1)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !marked.SameEdges(g) || !g.SameEdges(marked) || g.Clone().SameEdges(g) || edited.SameEdges(g) {
+		t.Error("SameEdges must hold for an overlay only, not for a clone or an edge-attribute edit")
+	}
 	mustEqual(t, "receiver after WithNodeAttrs", freeze(g), before)
 }
 

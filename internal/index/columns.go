@@ -3,6 +3,7 @@ package index
 import (
 	"sync"
 
+	"netembed/internal/expr"
 	"netembed/internal/graph"
 )
 
@@ -15,25 +16,42 @@ import (
 // element carries get a column, so what a snapshot retains is bounded by
 // its graph whatever names client constraints mention.
 //
+// Beside each column it keeps a range index (expr.Range, ≈20 bytes per
+// element: 0.58 MB for a 29k-edge column), built the first time a
+// rangeable program asks for it, so the paper's window constraint arms
+// during the first request against a snapshot. Scratch (Reset) never
+// arms: its index would die with the one build it serves, so every
+// request would pay the sort and its garbage (twice the retained size,
+// transiently).
+//
 // Every Index owns one (ColumnsFor), filled lazily behind a mutex like
 // the reachability tables — Build materialises nothing. It rides the
 // copy-on-write snapshots: Index.Apply hands the successor every column
-// the delta does not name, and an empty cache after a structural delta. A
-// standalone Columns (NewColumns, Reset) serves callers with no index, or
-// with an index over a different graph, as throw-away scratch whose
-// storage is recycled across graphs.
+// the delta does not name, with its range index, and an empty cache after
+// a structural delta. A standalone Columns (NewColumns, Reset) serves
+// callers with no index, or with an index over a different graph, as
+// throw-away scratch whose storage is recycled across graphs.
 //
-// Safe for concurrent use. Returned columns and slices are shared and
-// read-only.
+// Safe for concurrent use. Returned columns, indexes and slices are shared
+// and read-only.
 type Columns struct {
 	mu   sync.Mutex
 	g    *graph.Graph
 	edge map[string]*graph.Column
 	node map[string]*graph.Column
-	from []graph.NodeID
-	to   []graph.NodeID
+	// ranges holds the range index of every column built here, nil until
+	// it is asked for.
+	ranges map[*graph.Column]*expr.Range
+	from   []graph.NodeID
+	to     []graph.NodeID
 	// free holds column storage reclaimed by Reset.
 	free []*graph.Column
+	// edges, when set, is a snapshot cache over a graph with the very
+	// same edge records as g: it serves every edge column, range index
+	// and endpoint array (see Reset).
+	edges *Columns
+	// scratch marks a Columns bound by Reset; it never arms.
+	scratch bool
 }
 
 // NewColumns returns an empty column cache over g.
@@ -49,10 +67,17 @@ func keep(cols *map[string]*graph.Column, attr string, col *graph.Column) {
 }
 
 // Reset re-binds c to g (nil releases the graph), reclaiming the storage
-// of every column built so far for the next graph's columns. The columns
-// handed out before the call are overwritten by later builds: Reset is
-// for scratch the caller owns outright, never for a snapshot's cache.
-func (c *Columns) Reset(g *graph.Graph) {
+// of every column built so far for the next graph's columns and dropping
+// their range indexes. The columns handed out before the call are
+// overwritten by later builds: Reset is for scratch the caller owns
+// outright, never for a snapshot's cache.
+//
+// When ix's graph holds the very same edge records as g — the reservation
+// overlay graph.WithNodeAttrs derives from a snapshot shares every edge
+// page with it — c serves edge columns, their range indexes and the
+// endpoint arrays from ix's cache, and builds only node columns, which
+// such an overlay may change. ix may be nil.
+func (c *Columns) Reset(g *graph.Graph, ix *Index) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for attr, col := range c.edge {
@@ -63,8 +88,12 @@ func (c *Columns) Reset(g *graph.Graph) {
 		c.free = append(c.free, col)
 		delete(c.node, attr)
 	}
+	clear(c.ranges)
 	c.from, c.to = c.from[:0], c.to[:0]
-	c.g = g
+	c.g, c.edges, c.scratch = g, nil, true
+	if ix != nil && g != nil && g.SameEdges(ix.cols.g) {
+		c.edges = ix.cols
+	}
 }
 
 // column returns cols[attr], building it with build on first use — into
@@ -90,12 +119,19 @@ func (c *Columns) column(cols *map[string]*graph.Column, attr string, build func
 		c.free = c.free[:len(c.free)-1]
 	}
 	keep(cols, attr, col)
+	if c.ranges == nil {
+		c.ranges = make(map[*graph.Column]*expr.Range)
+	}
+	c.ranges[col] = nil
 	return col
 }
 
 // EdgeColumn returns attribute attr over the graph's edges, by EdgeID; nil
 // when no edge carries it (see graph.Graph.EdgeColumn).
 func (c *Columns) EdgeColumn(attr string) *graph.Column {
+	if c.edges != nil {
+		return c.edges.EdgeColumn(attr)
+	}
 	return c.column(&c.edge, attr, (*graph.Graph).EdgeColumn)
 }
 
@@ -105,8 +141,39 @@ func (c *Columns) NodeColumn(attr string) *graph.Column {
 	return c.column(&c.node, attr, (*graph.Graph).NodeColumn)
 }
 
+// Range returns the range index of col, a column c served, building it on
+// the first call (expr.Ranges). A column with a string payload, and a
+// column of scratch, never gets one.
+func (c *Columns) Range(col *graph.Column) *expr.Range {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.ranges[col]
+	if !ok && c.edges != nil {
+		return c.edges.Range(col) // an edge column c serves from a snapshot
+	}
+	if ok && r == nil && !c.scratch {
+		r = expr.NewRange(col) // nil for a column with a string payload
+		c.ranges[col] = r
+	}
+	return r
+}
+
+// Armed reports whether col's range index is built, without building it:
+// the arming rule's observable, for tests.
+func (c *Columns) Armed(col *graph.Column) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if r, ok := c.ranges[col]; ok || c.edges == nil {
+		return r != nil
+	}
+	return c.edges.Armed(col)
+}
+
 // Endpoints returns every edge's From and To node, by EdgeID.
 func (c *Columns) Endpoints() (from, to []graph.NodeID) {
+	if c.edges != nil {
+		return c.edges.Endpoints()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.from) != c.g.NumEdges() {
@@ -119,10 +186,10 @@ func (c *Columns) Endpoints() (from, to []graph.NodeID) {
 // from old by d. Columns are carried over only when c describes old
 // itself and d kept the IDs they are indexed by: then exactly the
 // attributes d names may differ between old and next, so those are
-// dropped and the rest shared. Edge add/remove renumbers edges and leaves
-// nodes alone, so it drops the edge columns and endpoint arrays and keeps
-// the node columns; node add/remove keeps nothing. Anything else starts
-// empty, so a column is never served for a graph it was not built from.
+// dropped and the rest shared, each with its range index if built. Edge add/remove renumbers edges and leaves nodes alone, so
+// it drops the edge columns and endpoint arrays and keeps the node
+// columns; node add/remove keeps nothing. Anything else starts empty, so
+// a column is never served for a graph it was not built from.
 func (c *Columns) carry(old, next *graph.Graph, d *graph.Delta) *Columns {
 	if next == c.g {
 		return c
@@ -133,13 +200,20 @@ func (c *Columns) carry(old, next *graph.Graph, d *graph.Delta) *Columns {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	share := func(cols *map[string]*graph.Column, attr string, col *graph.Column) {
+		keep(cols, attr, col)
+		if out.ranges == nil {
+			out.ranges = make(map[*graph.Column]*expr.Range)
+		}
+		out.ranges[col] = c.ranges[col]
+	}
 	for attr, col := range c.node {
 		named := false
 		for _, up := range d.SetNodeAttrs {
 			named = named || names(up.Set, up.Unset, attr)
 		}
 		if !named {
-			keep(&out.node, attr, col)
+			share(&out.node, attr, col)
 		}
 	}
 	if len(d.AddEdges) > 0 || len(d.RemoveEdges) > 0 {
@@ -151,7 +225,7 @@ func (c *Columns) carry(old, next *graph.Graph, d *graph.Delta) *Columns {
 			named = named || names(up.Set, up.Unset, attr)
 		}
 		if !named {
-			keep(&out.edge, attr, col)
+			share(&out.edge, attr, col)
 		}
 	}
 	// Capacity-clamped so no later append on either side can write into

@@ -2,12 +2,15 @@ package index
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 
+	"netembed/internal/expr"
 	"netembed/internal/graph"
+	"netembed/internal/sets"
 )
 
 // columnsMatchGraph checks that every column cols serves equals one built
@@ -54,6 +57,60 @@ func sameColumn(got, want *graph.Column) bool {
 		}
 	}
 	return true
+}
+
+// armAll builds the range index of every numeric column cols has built.
+func armAll(cols *Columns) {
+	for _, col := range append(slices.Collect(maps.Values(cols.edge)), slices.Collect(maps.Values(cols.node))...) {
+		cols.Range(col)
+	}
+}
+
+// rangesMatchGraph checks that every range index cols has armed answers
+// comparisons with a constant — drawn from the column itself, so equality
+// is exercised — exactly as the per-pair evaluator does on g's attributes.
+func rangesMatchGraph(t *testing.T, label string, cols *Columns, g *graph.Graph) {
+	t.Helper()
+	var s expr.Scratch
+	check := func(object, attr string, col *graph.Column, n int, eval func(p *expr.Program, c graph.Attrs, mask *sets.Bitset), want func(p *expr.Program, c graph.Attrs, i int) bool) {
+		if col == nil || !cols.Armed(col) {
+			return
+		}
+		mask := sets.NewBitset(n)
+		for _, at := range []int{0, n / 2, n - 1} {
+			c := graph.Attrs{}.SetNum("c", col.Nums[at])
+			for _, op := range []string{">=", "<", "==", "!="} {
+				p := expr.MustCompile(object + "." + attr + op + "vEdge.c")
+				if object == "rNode" {
+					p = expr.MustCompile(object + "." + attr + op + "vNode.c")
+				}
+				eval(p, c, mask)
+				for i := 0; i < n; i++ {
+					if mask.Has(int32(i)) != want(p, c, i) {
+						t.Fatalf("%s: %q with c=%v: element %d = %v", label, p, col.Nums[at], i, mask.Has(int32(i)))
+					}
+				}
+			}
+		}
+	}
+	for attr, col := range cols.edge {
+		check("rEdge", attr, col, g.NumEdges(),
+			func(p *expr.Program, c graph.Attrs, mask *sets.Bitset) {
+				p.EvalEdgeBatch(&expr.EdgeBatch{VEdge: c, Host: cols}, &s, mask)
+			},
+			func(p *expr.Program, c graph.Attrs, i int) bool {
+				return p.EvalEdge(&expr.EdgeBinding{VEdge: c, REdge: g.Edge(graph.EdgeID(i)).Attrs})
+			})
+	}
+	for attr, col := range cols.node {
+		check("rNode", attr, col, g.NumNodes(),
+			func(p *expr.Program, c graph.Attrs, mask *sets.Bitset) {
+				p.EvalNodeBatch(&expr.NodeBatch{VNode: c, Host: cols}, &s, mask)
+			},
+			func(p *expr.Program, c graph.Attrs, i int) bool {
+				return p.EvalNode(&expr.NodeBinding{VNode: c, RNode: g.Node(graph.NodeID(i)).Attrs})
+			})
+	}
 }
 
 func attrNames(a graph.Attrs) []string {
@@ -106,19 +163,30 @@ func TestColumnsForIsPointerIdentity(t *testing.T) {
 }
 
 // TestApplyCarriesColumns drives random delta chains through Apply with
-// every column warm, and checks after each step that the successor serves
-// exactly its own graph's columns, shares every column the delta did not
-// name (pointer-equal), dropped the named ones, starts empty after a
-// structural delta — and that the predecessor still serves its own.
+// every column warm and every range index armed, and checks after each
+// step that the successor serves exactly its own graph's columns, shares
+// every column the delta did not name (pointer-equal) together with its
+// range index, dropped the named ones — whose fresh columns start unarmed
+// — starts empty after a structural delta, and that every earlier
+// snapshot still serves its own columns and indexes after all the later
+// writes.
 func TestApplyCarriesColumns(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(300 + seed))
 		g := randomGraph(rng, seed%2 == 0)
 		ix := Build(g, 1, Config{})
+		type snapshot struct {
+			cols *Columns
+			g    *graph.Graph
+		}
+		var history []snapshot
 		for step := 0; step < 10; step++ {
 			label := fmt.Sprintf("seed %d step %d", seed, step)
 			cols := ix.ColumnsFor(g)
 			columnsMatchGraph(t, label+" (warm-up)", cols, g) // materialises everything
+			armAll(cols)
+			rangesMatchGraph(t, label+" (warm-up)", cols, g)
+			history = append(history, snapshot{cols, g})
 			var d *graph.Delta
 			switch rng.Intn(6) {
 			case 0:
@@ -169,6 +237,9 @@ func TestApplyCarriesColumns(t *testing.T) {
 					if got := nextCols.node[attr]; named[attr] && got != nil || !named[attr] && got != col {
 						t.Fatalf("%s: node column %q: named=%v, carried=%v", label, attr, named[attr], got == col)
 					}
+					if !named[attr] && nextCols.Range(col) != cols.Range(col) {
+						t.Fatalf("%s: node column %q carried without its range index", label, attr)
+					}
 				}
 			}
 			if !edgesMoved && !d.Empty() {
@@ -182,11 +253,23 @@ func TestApplyCarriesColumns(t *testing.T) {
 					if got := nextCols.edge[attr]; named[attr] && got != nil || !named[attr] && got != col {
 						t.Fatalf("%s: edge column %q: named=%v, carried=%v", label, attr, named[attr], got == col)
 					}
+					if !named[attr] && nextCols.Range(col) != cols.Range(col) {
+						t.Fatalf("%s: edge column %q carried without its range index", label, attr)
+					}
 				}
 			}
 			columnsMatchGraph(t, label+" (patched)", nextCols, next)
-			columnsMatchGraph(t, label+" (old snapshot)", cols, g)
+			for _, col := range append(slices.Collect(maps.Values(nextCols.edge)), slices.Collect(maps.Values(nextCols.node))...) {
+				if _, carried := cols.ranges[col]; !carried && nextCols.Armed(col) {
+					t.Fatalf("%s: a column the successor rebuilt came with an armed range index", label)
+				}
+			}
 			g, ix = next, patched
+		}
+		for i, old := range history {
+			label := fmt.Sprintf("seed %d, snapshot %d after the whole chain", seed, i)
+			columnsMatchGraph(t, label, old.cols, old.g)
+			rangesMatchGraph(t, label, old.cols, old.g)
 		}
 	}
 }
@@ -243,17 +326,84 @@ func TestUnknownAttributesAreNotCached(t *testing.T) {
 }
 
 // TestColumnsScratchReset: a standalone Columns re-bound to another graph
-// serves that graph's columns out of recycled storage.
+// serves that graph's columns out of recycled storage, with its range
+// indexes dropped.
 func TestColumnsScratchReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a, b := randomGraph(rng, false), randomGraph(rng, true)
 	cols := NewColumns(a)
 	columnsMatchGraph(t, "first graph", cols, a)
-	cols.Reset(b)
+	armAll(cols)
+	cols.Reset(b, nil)
 	columnsMatchGraph(t, "after Reset", cols, b)
-	cols.Reset(nil)
-	if cols.g != nil || len(cols.edge)+len(cols.node) != 0 {
-		t.Fatal("Reset(nil) keeps the graph or its columns reachable")
+	for _, col := range cols.edge {
+		if cols.Armed(col) {
+			t.Fatal("a recycled column kept the previous graph's range index")
+		}
+	}
+	cols.Reset(nil, nil)
+	if cols.g != nil || len(cols.edge)+len(cols.node)+len(cols.ranges) != 0 {
+		t.Fatal("Reset(nil) keeps the graph, its columns or their range indexes reachable")
+	}
+}
+
+// TestScratchServesOverlayEdgesFromSnapshot: scratch bound to a
+// reservation overlay of an indexed graph — same edge pages, other node
+// attributes — serves the snapshot's edge columns, range indexes and
+// endpoint arrays and builds none of its own, while its node columns are
+// its own and show the marks. Bound to a clone, it builds everything.
+func TestScratchServesOverlayEdgesFromSnapshot(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(12)), false)
+	ix := Build(g, 1, Config{})
+	snap := ix.ColumnsFor(g)
+	columnsMatchGraph(t, "snapshot", snap, g)
+	armAll(snap)
+	marked := g.WithNodeAttrs([]graph.NodeID{0, 3}, graph.Attrs{}.SetNum("cpu", 99))
+	scratch := NewColumns(nil)
+	scratch.Reset(marked, ix)
+	columnsMatchGraph(t, "overlay", scratch, marked)
+	if len(scratch.edge)+len(scratch.from)+len(scratch.to) != 0 {
+		t.Fatal("scratch over an overlay built edge columns or endpoints of its own")
+	}
+	delay := scratch.EdgeColumn("delay")
+	if delay != snap.EdgeColumn("delay") || !scratch.Armed(delay) || scratch.Range(delay) != snap.Range(delay) {
+		t.Fatal("scratch over an overlay does not serve the snapshot's edge column and range index")
+	}
+	if from, _ := scratch.Endpoints(); &from[0] != &snap.from[0] {
+		t.Fatal("scratch over an overlay copied the endpoint arrays")
+	}
+	if cpu := scratch.NodeColumn("cpu"); cpu == snap.NodeColumn("cpu") || cpu.Nums[3] != 99 {
+		t.Fatal("scratch over an overlay served the snapshot's node column")
+	}
+	scratch.Reset(g.Clone(), ix)
+	columnsMatchGraph(t, "clone", scratch, g)
+	if scratch.EdgeColumn("delay") == snap.EdgeColumn("delay") {
+		t.Fatal("scratch over a clone served the snapshot's edge column")
+	}
+}
+
+// TestStringColumnLeavesOthersUnarmed: a program of the rangeable shape
+// that reads a column with a string payload runs chunked without arming
+// the numeric columns beside it, and answers as the per-pair evaluator.
+func TestStringColumnLeavesOthersUnarmed(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	g := randomGraph(rng, false)
+	for g.NodeColumn("os", nil) == nil || g.NodeColumn("cpu", nil) == nil {
+		g = randomGraph(rng, false)
+	}
+	cols := Build(g, 1, Config{}).ColumnsFor(g)
+	p := expr.MustCompile("rNode.cpu >= vNode.cpu && rNode.os == vNode.os")
+	v := graph.Attrs{}.SetNum("cpu", 4).SetStr("os", "linux")
+	mask := sets.NewBitset(g.NumNodes())
+	var s expr.Scratch
+	p.EvalNodeBatch(&expr.NodeBatch{VNode: v, Host: cols}, &s, mask)
+	if cols.Armed(cols.NodeColumn("cpu")) {
+		t.Fatal("a program that cannot take the range path armed one of its columns")
+	}
+	for i := 0; i < g.NumNodes(); i++ {
+		if mask.Has(int32(i)) != p.EvalNode(&expr.NodeBinding{VNode: v, RNode: g.Node(graph.NodeID(i)).Attrs}) {
+			t.Fatalf("node %d: batch = %v, per-pair disagrees", i, mask.Has(int32(i)))
+		}
 	}
 }
 
@@ -276,4 +426,27 @@ func TestColumnsConcurrentFill(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestColumnsConcurrentArming: eight goroutines asking one snapshot for a
+// column's range index at once all get the same one (run under -race).
+func TestColumnsConcurrentArming(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(7)), false)
+	cols := Build(g, 1, Config{}).ColumnsFor(g)
+	col := cols.EdgeColumn("delay")
+	got := make([]*expr.Range, 8)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = cols.Range(col)
+		}()
+	}
+	wg.Wait()
+	for _, r := range got {
+		if r == nil || r != got[0] {
+			t.Fatal("concurrent arming built more than one range index for one column")
+		}
+	}
 }

@@ -121,6 +121,11 @@ func (b *Bitset) Has(x int32) bool { return b.words[x>>6]&(1<<(uint(x)&63)) != 0
 // membership a word at a time. Bits at or beyond the universe must be 0.
 func (b *Bitset) SetWord(w int, x uint64) { b.words[w] = x }
 
+// Word returns members [64w, 64w+64) as the bits of one word, bit i
+// standing for member 64w+i — the bulk load for consumers that walk
+// members without a callback per member.
+func (b *Bitset) Word(w int) uint64 { return b.words[w] }
+
 // Reset empties the bitset.
 func (b *Bitset) Reset() {
 	clear(b.words)
@@ -225,6 +230,14 @@ func IntersectCountInto(dst, a, b *Bitset) int {
 		n += bits.OnesCount64(dst.words[i])
 	}
 	return n
+}
+
+// DifferenceInto sets dst = a \ b in one pass. dst may alias a or b; all
+// three must share a universe.
+func DifferenceInto(dst, a, b *Bitset) {
+	for i := range dst.words {
+		dst.words[i] = a.words[i] &^ b.words[i]
+	}
 }
 
 // Max returns the largest member, or -1 when the bitset is empty — the

@@ -57,7 +57,14 @@ func TestBitsetAndNotMatchesSlice(t *testing.T) {
 		want := Subtract(a, b)
 		ba := FromSet(bitsetUniverse, a)
 		nonempty := ba.AndNotWith(FromSet(bitsetUniverse, b))
-		return Equal(ba.AppendTo(nil), want) && nonempty == (len(want) > 0)
+		// DifferenceInto into a fresh set and aliasing either operand.
+		into, da, db := NewBitset(bitsetUniverse), FromSet(bitsetUniverse, a), FromSet(bitsetUniverse, b)
+		DifferenceInto(into, da, db)
+		aliasB := db.Clone()
+		DifferenceInto(aliasB, da, aliasB)
+		DifferenceInto(da, da, db)
+		return Equal(ba.AppendTo(nil), want) && nonempty == (len(want) > 0) &&
+			Equal(into.AppendTo(nil), want) && Equal(aliasB.AppendTo(nil), want) && Equal(da.AppendTo(nil), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
