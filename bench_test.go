@@ -732,11 +732,13 @@ func BenchmarkRepr_ParallelECF(b *testing.B) {
 
 // BenchmarkIndexDelta is the tentpole measurement of PR 3: the cost of
 // going from "a monitor delta landed" to "queryable filters for the next
-// search" on a 512-node hosting network. The delta-apply variant patches
-// the persistent capability index copy-on-write and builds the filters
-// from strata and adjacency bitsets; the full-rebuild variant is the
-// pre-index world — every publish forces BuildFilters to rescan the
-// host. The acceptance bar is delta-apply ≥ 5x faster.
+// search" on a 512-node hosting network. The delta-apply variant carries
+// the persistent capability index to the new snapshot (a slots edit
+// touches no topology, so that is one column-cache carry) and builds the
+// filters from its degree ladders and adjacency bitsets; the
+// full-rebuild variant is the pre-index world — every publish forces
+// BuildFilters to rescan the host. The acceptance bar is delta-apply
+// ≥ 5x faster.
 func BenchmarkIndexDelta(b *testing.B) {
 	host := reprHost(b, 512)
 	q, _, err := topo.Subgraph(host, 16, 32, rand.New(rand.NewSource(4)))
@@ -1149,15 +1151,15 @@ func BenchmarkRepair_SeededVsScratch(b *testing.B) {
 
 // BenchmarkOptimize_BnB_vs_Enumerate is the tentpole measurement of the
 // optimizing search: finding the cheapest embedding on a 512-node host
-// via branch-and-bound (index-strata lower bounds + incumbent pruning)
+// via branch-and-bound (per-node domain lower bounds + incumbent pruning)
 // versus the only prior way — enumerating every embedding and taking
 // the argmin. Both run over identical prebuilt filters (the cached-model
 // re-embed regime, as in BenchmarkSearch_FC_vs_Chrono), so the measured
 // gap is pure search. The instance plants a cheap solution: the query's
 // witness hosts cost 1 while every other host's price grows with its
 // ID, so the optimum is the all-witness embedding and the B&B bound
-// (cheapest still-live price per unassigned node, read off the sorted
-// postings) cuts any prefix that strays onto a priced host almost
+// (cheapest still-live price per unassigned node, a scan of its live
+// domain) cuts any prefix that strays onto a priced host almost
 // immediately, while the enumerator must still walk the full solution
 // set. The acceptance bar is bnb ≥ 5x faster than enumerate.
 func BenchmarkOptimize_BnB_vs_Enumerate(b *testing.B) {

@@ -37,11 +37,10 @@
 // model-versioned result cache (-cache) in front. Saturation answers
 // 429 instead of stacking handler goroutines.
 //
-// With -index (the default) the model maintains a persistent
-// host-capability index that the filter construction intersects instead
-// of rescanning the host; POST /deltas patches both the model graph and
-// the index copy-on-write, so monitor publishes cost what they touch,
-// not what the network measures.
+// The model maintains a persistent host-capability index that the
+// filter construction intersects instead of rescanning the host; POST
+// /deltas patches both the model graph and the index copy-on-write, so
+// monitor publishes cost what they touch, not what the network measures.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight requests
 // get a drain window, the job engine finishes running jobs and fails
@@ -134,7 +133,6 @@ func run() error {
 		workers   = flag.Int("workers", 0, "job-engine worker pool size (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 128, "job-engine submission queue depth (full queue answers 429)")
 		cache     = flag.Int("cache", 512, "job-engine result cache capacity in entries (negative = disabled)")
-		useIndex  = flag.Bool("index", true, "maintain the host-capability index (degree strata, adjacency bitsets, attribute postings); deltas patch it instead of rebuilding")
 		pathHops  = flag.Int("path-hops", 3, "default witness hop bound for path-mode (link-to-path) queries that carry no maxHops")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = disabled")
 		repairInt = flag.Duration("repair-interval", 5*time.Second, "pace of the embedding lifecycle's background repair pass (0 = lifecycle disabled)")
@@ -180,9 +178,7 @@ func run() error {
 		host = restricted
 	}
 	model := netembed.NewModel(host)
-	if *useIndex {
-		model.EnableIndex(netembed.IndexConfig{})
-	}
+	model.EnableIndex(netembed.IndexConfig{})
 	if *pathHops < 0 {
 		return fmt.Errorf("-path-hops %d is negative", *pathHops)
 	}

@@ -1,12 +1,12 @@
 // Package cowwrite enforces the copy-on-write snapshot contract of
 // internal/graph and internal/index: a struct field marked with a
 // `//cow:shared` comment holds backing storage that may be shared
-// between snapshots (COW adjacency rows, ladder rungs, postings,
+// between snapshots (COW adjacency rows, ladder rungs, edge pages,
 // attribute bags), so element-level writes through it are only legal
 // after the function has re-bound the whole field to a fresh copy.
-// PR 3 shipped exactly this bug: Index.patchAttrs spliced new entries
-// into postings slices still shared with the previous snapshot, so
-// in-flight searches saw a half-patched index.
+// The index once shipped exactly this bug: its attribute patch spliced
+// new entries into sorted lists still shared with the previous
+// snapshot, so in-flight searches saw a half-patched index.
 //
 // Checked mutations (through the field directly, or through a local
 // slice or map alias `p := x.F`, `row := x.F[i]`):

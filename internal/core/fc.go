@@ -192,7 +192,7 @@ func newFCSearcher(p *Problem, f *Filters, opt Options, rng *rand.Rand, start ti
 	s.hasBest = false
 	s.incumbent = math.Inf(1)
 	if s.optimize {
-		s.obj = compileObjective(opt.Objective, p.Host, opt.Index)
+		s.obj = compileObjective(opt.Objective, p.Host)
 		s.costAt = grow(s.costAt, nq+1)
 		s.costAt[0] = 0
 		if !s.obj.additive && nq > 0 {
@@ -821,8 +821,8 @@ func (s *fcSearcher) nodeLB(q graph.NodeID) float64 {
 	if s.lbGen[q] == s.domGen[q] {
 		return s.lbVal[q]
 	}
-	lb, probes := s.obj.lowerBound(&s.dom[q])
-	s.stats.BoundProbes += probes
+	lb := s.obj.lowerBound(&s.dom[q])
+	s.stats.BoundProbes++
 	s.lbVal[q], s.lbGen[q] = lb, s.domGen[q]
 	return lb
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"netembed/internal/graph"
-	"netembed/internal/index"
 	"netembed/internal/sets"
 )
 
@@ -14,7 +13,7 @@ import (
 // it), and the compiled per-search form the branch-and-bound engine in
 // fc.go consults on its hot path — precomputed per-host terms, plus
 // admissible per-node lower bounds derived from the live candidate
-// domains via the index's sorted attribute postings.
+// domains.
 
 // ObjectiveKind names a built-in objective function.
 type ObjectiveKind int
@@ -129,21 +128,13 @@ func (o Objective) Cost(host *graph.Graph, m Mapping) float64 {
 }
 
 // objectiveEval is the compiled per-search form: per-host terms
-// materialized once, the composition mode resolved, and — when the
-// options carry a matching index — the sorted postings that answer
-// "cheapest term still in this domain" without scanning it.
+// materialized once and the composition mode resolved.
 type objectiveEval struct {
 	obj      Objective // normalized
 	additive bool
 	// terms[r] is the objective contribution of assigning any query node
 	// to host r.
 	terms []float64
-	// postings, when non-nil, fully covers the host (Len == len(terms)),
-	// so an ascending/descending walk probing domain membership yields
-	// the exact domain minimum; ascending is true when terms grow with
-	// the posted attribute value (AttrCost, Weight ≥ 0).
-	postings  *index.Postings
-	ascending bool
 	// active, for ObjectiveEnergy, is the powered-on host set: a domain
 	// intersecting it has lower bound 0, otherwise Weight.
 	active *sets.Bitset
@@ -156,10 +147,10 @@ type objectiveEval struct {
 	monotone bool
 }
 
-// compileObjective materializes the evaluator for one search run.
-// ix may be nil (or describe another graph — callers pass the options
-// index only when it matches the host).
-func compileObjective(o Objective, host *graph.Graph, ix *index.Index) *objectiveEval {
+// compileObjective materializes the evaluator for one search run. Every
+// term is read from host itself, a reservation overlay included, so the
+// bounds describe the very graph being searched.
+func compileObjective(o Objective, host *graph.Graph) *objectiveEval {
 	o = o.Normalized()
 	nr := host.NumNodes()
 	e := &objectiveEval{obj: o, additive: o.additive(), terms: make([]float64, nr)}
@@ -170,31 +161,10 @@ func compileObjective(o Objective, host *graph.Graph, ix *index.Index) *objectiv
 			e.monotone = false
 		}
 	}
-	switch o.Kind {
-	case ObjectiveAttrCost, ObjectiveLoadBalance:
-		if o.Kind == ObjectiveLoadBalance && o.Weight < 0 {
-			// Negative-weight load balance inverts the term's monotonicity
-			// in the posted attribute; only the domain scan is admissible.
-			break
-		}
-		if ix != nil && ix.NumNodes() == nr {
-			if pp := ix.AttrPostings(o.Attr); pp != nil && pp.Len() == nr {
-				// Full coverage: every host is posted, so the walk's first
-				// domain member is the true domain extremum. Partial
-				// coverage would miss the implicit terms of unposted hosts
-				// (0 for AttrCost, Weight for LoadBalance) and the walk
-				// could overestimate — fall back to the domain scan there.
-				e.postings = pp
-				e.ascending = o.Kind == ObjectiveAttrCost && o.Weight >= 0
-			}
-		}
-	case ObjectiveEnergy:
-		if o.Weight < 0 {
-			// Negative weight flips the extremum: the cheapest term is an
-			// inactive host's, which the intersects-active probe cannot
-			// see — only the domain scan is admissible.
-			break
-		}
+	// Negative-weight energy flips the extremum: the cheapest term is an
+	// inactive host's, which the intersects-active probe cannot see — only
+	// the domain scan is admissible there.
+	if o.Kind == ObjectiveEnergy && o.Weight >= 0 {
 		e.active = sets.NewBitset(nr)
 		for r := 0; r < nr; r++ {
 			if e.terms[r] == 0 {
@@ -216,45 +186,16 @@ func (e *objectiveEval) combine(partial, term float64) float64 {
 // lowerBound computes an admissible bound on the term any completion can
 // contribute for a query node whose live domain is dom: the minimum term
 // over the domain. Injectivity only shrinks the usable domain, so the
-// unrestricted minimum stays a valid lower bound. probes reports the
-// membership tests spent (the BoundProbes counter's currency).
-func (e *objectiveEval) lowerBound(dom *sets.Bitset) (lb float64, probes int64) {
-	switch {
-	case e.active != nil:
+// unrestricted minimum stays a valid lower bound.
+func (e *objectiveEval) lowerBound(dom *sets.Bitset) float64 {
+	if e.active != nil {
 		// Energy: any still-reachable active host zeroes the term.
 		if dom.Intersects(e.active) {
-			return 0, 1
+			return 0
 		}
-		return e.obj.Weight, 1
-	case e.postings != nil:
-		var (
-			v  float64
-			n  int
-			ok bool
-		)
-		if e.ascending {
-			v, n, ok = e.postings.MinWhere(dom.Has)
-		} else {
-			v, n, ok = e.postings.MaxWhere(dom.Has)
-		}
-		if !ok {
-			// Empty domain: the caller is about to wipe out anyway.
-			return 0, int64(n)
-		}
-		switch e.obj.Kind {
-		case ObjectiveLoadBalance:
-			if v < 1 {
-				v = 1
-			}
-			return e.obj.Weight / v, int64(n)
-		default:
-			return e.obj.Weight * v, int64(n)
-		}
-	default:
-		v, ok := dom.MinOver(e.terms)
-		if !ok {
-			return 0, 1
-		}
-		return v, 1
+		return e.obj.Weight
 	}
+	// An empty domain reads 0: the caller is about to wipe out anyway.
+	lb, _ := dom.MinOver(e.terms)
+	return lb
 }

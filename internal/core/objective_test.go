@@ -20,7 +20,7 @@ import (
 
 // objectiveProblem builds a random instance whose hosts carry the
 // attributes all three objectives read: "price" (attr-cost), "cpu"
-// (load-balance strata) and "active" on roughly half the hosts (energy).
+// (load-balance) and "active" on roughly half the hosts (energy).
 func objectiveProblem(t *testing.T, seed int64, directed bool) *Problem {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -66,9 +66,9 @@ func objectiveProblem(t *testing.T, seed int64, directed bool) *Problem {
 
 // testObjectives is the matrix every equivalence test sweeps: the three
 // kinds plus negative-weight variants of each — attr-cost exercises the
-// descending postings walk, load balance the max composition over
-// all-negative terms (the -Inf cost seed), and energy the
-// non-monotone additive full fold.
+// non-monotone additive full fold, load balance the max composition over
+// all-negative terms (the -Inf cost seed), and energy the domain scan in
+// place of the active-set probe.
 var testObjectives = []Objective{
 	{Kind: ObjectiveAttrCost, Attr: "price"},
 	{Kind: ObjectiveAttrCost, Attr: "price", Weight: -1},
@@ -186,54 +186,65 @@ func TestBnBOptimumMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestBnBWithIndexAfterDeltaChain pins the index-strata lower bounds
-// against stale-postings bugs: an index patched through a chain of
-// attribute edits and edge removals must still bound admissibly, so the
-// optimum matches the oracle computed on the final graph without any
+// TestBnBWithIndexAfterDeltaChain pins the lower bounds to the graph
+// being searched, whatever index the options carry: with an index patched
+// through a chain of attribute edits and edge removals, the optimum on
+// the final graph, and on a reservation overlay of it that cheapens every
+// other host (graph.WithNodeAttrs, the index still describing the
+// snapshot), must match the oracle computed on that graph without any
 // index.
 func TestBnBWithIndexAfterDeltaChain(t *testing.T) {
 	var totalProbes int64
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(400 + seed))
-		p := objectiveProblem(t, 40+seed, false)
-		host := p.Host
-		idx := index.Build(host, 1, index.Config{})
-		for step := 0; step < 4; step++ {
-			d := &graph.Delta{}
-			// Reprice a couple of hosts: the attr-cost postings must follow.
-			for k := 0; k < 2; k++ {
-				r := graph.NodeID(rng.Intn(host.NumNodes()))
-				d.SetNodeAttrs = append(d.SetNodeAttrs, graph.NodeAttrUpdate{
-					Node: host.Node(r).Name,
-					Set:  graph.Attrs{}.SetNum("price", float64(1+rng.Intn(20))),
-				})
+	for _, directed := range []bool{false, true} {
+		for seed := int64(1); seed <= 6; seed++ {
+			rng := rand.New(rand.NewSource(400 + seed))
+			p := objectiveProblem(t, 40+seed, directed)
+			host := p.Host
+			idx := index.Build(host, 1, index.Config{})
+			for step := 0; step < 4; step++ {
+				d := &graph.Delta{}
+				// Reprice a couple of hosts: the attr-cost bounds must follow.
+				for k := 0; k < 2; k++ {
+					r := graph.NodeID(rng.Intn(host.NumNodes()))
+					d.SetNodeAttrs = append(d.SetNodeAttrs, graph.NodeAttrUpdate{
+						Node: host.Node(r).Name,
+						Set:  graph.Attrs{}.SetNum("price", float64(1+rng.Intn(20))),
+					})
+				}
+				if host.NumEdges() > 1 && rng.Float64() < 0.5 {
+					e := host.Edge(graph.EdgeID(rng.Intn(host.NumEdges())))
+					d.RemoveEdges = append(d.RemoveEdges, graph.EdgeRef{
+						Source: host.Node(e.From).Name, Target: host.Node(e.To).Name,
+					})
+				}
+				next, err := host.ApplyDelta(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				idx = idx.Apply(host, next, d, uint64(step+2))
+				host = next
 			}
-			if host.NumEdges() > 1 && rng.Float64() < 0.5 {
-				e := host.Edge(graph.EdgeID(rng.Intn(host.NumEdges())))
-				d.RemoveEdges = append(d.RemoveEdges, graph.EdgeRef{
-					Source: host.Node(e.From).Name, Target: host.Node(e.To).Name,
-				})
+			var every []graph.NodeID
+			for r := 0; r < host.NumNodes(); r += 2 {
+				every = append(every, graph.NodeID(r))
 			}
-			next, err := host.ApplyDelta(d)
-			if err != nil {
-				t.Fatal(err)
+			overlay := host.WithNodeAttrs(every, graph.Attrs{}.SetNum("price", 0).SetNum("cpu", 50))
+			for _, g := range []*graph.Graph{host, overlay} {
+				p2, err := NewProblem(p.Query, g, delayWindow, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, o := range testObjectives {
+					want, n := argminOracle(p2, o)
+					if n == 0 {
+						continue
+					}
+					label := fmt.Sprintf("dir=%v seed=%d overlay=%v %s indexed", directed, seed, g == overlay, objLabel(o))
+					res := ECF(p2, Options{Optimize: true, Objective: o, Index: idx})
+					checkOptimum(t, label, p2, o, res, want)
+					totalProbes += res.Stats.BoundProbes
+				}
 			}
-			idx = idx.Apply(host, next, d, uint64(step+2))
-			host = next
-		}
-		p2, err := NewProblem(p.Query, host, delayWindow, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range testObjectives {
-			want, n := argminOracle(p2, o)
-			if n == 0 {
-				continue
-			}
-			label := fmt.Sprintf("seed=%d %s indexed", seed, objLabel(o))
-			res := ECF(p2, Options{Optimize: true, Objective: o, Index: idx})
-			checkOptimum(t, label, p2, o, res, want)
-			totalProbes += res.Stats.BoundProbes
 		}
 	}
 	// Tiny instances may resolve on prefix cuts alone, but across the

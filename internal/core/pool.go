@@ -59,7 +59,7 @@ func (s *fcSearcher) release() {
 	s.opt = Options{}
 	s.rng = nil
 	s.solutions = nil
-	s.obj = nil      // holds the caller's index postings
+	s.obj = nil      // per-host terms sized to the caller's host
 	s.bbShared = nil // points into ParallelECF's shared state
 	s.stopClock = stopClock{}
 	fcPool.Put(s)

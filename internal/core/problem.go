@@ -387,7 +387,7 @@ type Stats struct {
 	ReachPrunes      int64         // witness probes rejected by the reachability/bound oracle
 	BoundCuts        int64         // branch-and-bound subtrees cut by partial cost + lower bounds
 	IncumbentUpdates int64         // strictly-improving incumbents found by an optimizing search
-	BoundProbes      int64         // per-node lower-bound recomputations (postings/domain probes)
+	BoundProbes      int64         // per-node lower-bound recomputations
 	TimeToFirst      time.Duration // elapsed time when the first solution appeared
 	Elapsed          time.Duration // total search time, filter build included
 }

@@ -263,8 +263,8 @@ type Stats struct {
 	SearchReachPrunes   int64 `json:"searchReachPrunes"`
 
 	// Branch-and-bound counters for optimizing searches: subtrees cut by
-	// the incumbent bound, strict incumbent improvements, and lower-bound
-	// recomputation probes (postings walks / domain scans).
+	// the incumbent bound, strict incumbent improvements, and per-node
+	// lower-bound recomputations.
 	SearchBoundCuts        int64 `json:"searchBoundCuts"`
 	SearchIncumbentUpdates int64 `json:"searchIncumbentUpdates"`
 	SearchBoundProbes      int64 `json:"searchBoundProbes"`

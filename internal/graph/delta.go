@@ -130,7 +130,7 @@ func (g *Graph) applyAttrDelta(d *Delta) (*Graph, error) {
 		if !ok {
 			return nil, fmt.Errorf("graph: delta references unknown node %q", up.Node)
 		}
-		next.nodes[id].Attrs = patchAttrs(next.nodes[id].Attrs, up.Set, up.Unset)
+		next.nodes[id].Attrs = patchBag(next.nodes[id].Attrs, up.Set, up.Unset)
 	}
 	if len(d.SetEdgeAttrs) > 0 {
 		next.edges = append([][]Edge(nil), g.edges...)
@@ -144,7 +144,7 @@ func (g *Graph) applyAttrDelta(d *Delta) (*Graph, error) {
 		if &next.edges[p][0] == &g.edges[p][0] { // still g's page
 			next.edges[p] = append([]Edge(nil), g.edges[p]...)
 		}
-		next.edges[p][i].Attrs = patchAttrs(next.edges[p][i].Attrs, up.Set, up.Unset)
+		next.edges[p][i].Attrs = patchBag(next.edges[p][i].Attrs, up.Set, up.Unset)
 	}
 	return &next, nil
 }
@@ -281,7 +281,7 @@ func (g *Graph) WithNodeAttrs(ids []NodeID, set Attrs) *Graph {
 			next.nodes = append([]Node(nil), g.nodes...)
 			patched = true
 		}
-		next.nodes[id].Attrs = patchAttrs(next.nodes[id].Attrs, set, nil)
+		next.nodes[id].Attrs = patchBag(next.nodes[id].Attrs, set, nil)
 	}
 	if !patched {
 		return g
@@ -305,9 +305,9 @@ func (g *Graph) SameEdges(o *Graph) bool {
 	return true
 }
 
-// patchAttrs returns a fresh bag with set/unset applied; the original bag
+// patchBag returns a fresh bag with set/unset applied; the original bag
 // is shared with the previous snapshot and must not be written.
-func patchAttrs(old, set Attrs, unset []string) Attrs {
+func patchBag(old, set Attrs, unset []string) Attrs {
 	out := old.Clone()
 	for name, v := range set {
 		out = out.Set(name, v)
@@ -391,14 +391,14 @@ func (g *Graph) applyStructuralDelta(d *Delta) (*Graph, error) {
 		if !ok {
 			return nil, fmt.Errorf("graph: delta references unknown node %q", up.Node)
 		}
-		next.nodes[id].Attrs = patchAttrs(next.nodes[id].Attrs, up.Set, up.Unset)
+		next.nodes[id].Attrs = patchBag(next.nodes[id].Attrs, up.Set, up.Unset)
 	}
 	for _, up := range d.SetEdgeAttrs {
 		id, err := next.edgeByNames(up.Source, up.Target)
 		if err != nil {
 			return nil, err
 		}
-		next.Edge(id).Attrs = patchAttrs(next.Edge(id).Attrs, up.Set, up.Unset)
+		next.Edge(id).Attrs = patchBag(next.Edge(id).Attrs, up.Set, up.Unset)
 	}
 	return next, nil
 }

@@ -84,18 +84,13 @@ func checkAgainstGraph(t *testing.T, label string, ix *Index, g *graph.Graph) {
 			t.Fatalf("%s: InNeighbors(%d) mismatch", label, r)
 		}
 	}
+	cols := ix.ColumnsFor(g)
+	if cols == nil {
+		t.Fatalf("%s: no column cache for the indexed graph", label)
+	}
 	for _, attr := range []string{"slots", "cpu", "missing"} {
-		for _, x := range []float64{-1, 0, 0.5, 1, 2, 3, 3.7, 5, 100} {
-			got := ix.AttrAtLeast(attr, x)
-			for r := 0; r < n; r++ {
-				rid := graph.NodeID(r)
-				v, ok := g.Node(rid).Attrs.Float(attr)
-				want := ok && v >= x
-				if got.Has(rid) != want {
-					t.Fatalf("%s: AttrAtLeast(%s, %v) wrong at node %d (have %v, ok=%v)",
-						label, attr, x, r, v, ok)
-				}
-			}
+		if got, want := cols.NodeColumn(attr), g.NodeColumn(attr, nil); !sameColumn(got, want) {
+			t.Fatalf("%s: node column %q = %+v, want %+v", label, attr, got, want)
 		}
 	}
 }
@@ -129,7 +124,7 @@ func randomAttrDelta(rng *rand.Rand, g *graph.Graph) *graph.Delta {
 		case 2:
 			up.Unset = []string{"slots"}
 		case 3:
-			up.Set = graph.Attrs{}.SetStr("cpu", "busted") // numeric -> string leaves the postings
+			up.Set = graph.Attrs{}.SetStr("cpu", "busted") // numeric -> string: the column gains a string payload
 		}
 		d.SetNodeAttrs = append(d.SetNodeAttrs, up)
 	}
@@ -171,9 +166,10 @@ func randomStructDelta(rng *rand.Rand, g *graph.Graph) *graph.Delta {
 }
 
 // TestApplyMatchesRebuild drives random delta sequences through Apply and
-// checks after every step that the patched index answers exactly like a
-// from-scratch Build over the new graph — and that the pre-delta snapshot
-// still answers like the old graph (persistence).
+// checks after every step that the patched index and a from-scratch Build
+// over the new graph both answer exactly like a direct scan of it — the
+// node columns the patched snapshot carries included — and that the
+// pre-delta snapshot still answers like the old graph (persistence).
 func TestApplyMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 15; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
@@ -202,6 +198,7 @@ func TestApplyMatchesRebuild(t *testing.T) {
 			}
 			label := fmt.Sprintf("seed %d step %d", seed, step)
 			checkAgainstGraph(t, label+" (patched)", patched, next)
+			checkAgainstGraph(t, label+" (rebuilt)", Build(next, 1, Config{}), next)
 			// Persistence: the old snapshot still describes the old graph.
 			checkAgainstGraph(t, label+" (old snapshot)", ix, g)
 			g, ix = next, patched
@@ -233,61 +230,4 @@ func TestApplyUniverseChangeRebuilds(t *testing.T) {
 	}
 	patched2 := patched.Apply(next, next2, d2, 3)
 	checkAgainstGraph(t, "after node remove", patched2, next2)
-}
-
-func TestAttrAtLeastUsesStrata(t *testing.T) {
-	g := graph.NewUndirected()
-	for i := 0; i < 10; i++ {
-		g.AddNode("", graph.Attrs{}.SetNum("slots", float64(i)))
-	}
-	ix := Build(g, 1, Config{StrataAttrs: []string{"slots"}, StrataLevels: 4})
-	// Integral in-ladder thresholds and beyond-ladder/fractional ones must
-	// agree with a scan either way.
-	for _, x := range []float64{1, 2, 3, 4, 4.5, 5, 9, 10} {
-		got := ix.AttrAtLeast("slots", x)
-		if got.Count() != countGE(g, "slots", x) {
-			t.Errorf("AttrAtLeast(slots, %v) = %d nodes, want %d", x, got.Count(), countGE(g, "slots", x))
-		}
-	}
-}
-
-func countGE(g *graph.Graph, attr string, x float64) int {
-	n := 0
-	for r := 0; r < g.NumNodes(); r++ {
-		if v, ok := g.Node(graph.NodeID(r)).Attrs.Float(attr); ok && v >= x {
-			n++
-		}
-	}
-	return n
-}
-
-func TestPostingsSplice(t *testing.T) {
-	pp := &Postings{}
-	v1, v2, v3 := 1.0, 2.0, 2.0
-	pp.splice(5, nil, &v1)
-	pp.splice(3, nil, &v2)
-	pp.splice(9, nil, &v3)
-	if pp.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", pp.Len())
-	}
-	// Sorted by (value, id): (1,5), (2,3), (2,9).
-	if pp.vals[0] != 1 || pp.ids[0] != 5 || pp.ids[1] != 3 || pp.ids[2] != 9 {
-		t.Fatalf("postings out of order: %v %v", pp.vals, pp.ids)
-	}
-	// Move node 3 from 2 to 0.5, splicing a clone.
-	newV := 0.5
-	pp2 := pp.clone()
-	pp2.splice(3, &v2, &newV)
-	if pp2.vals[0] != 0.5 || pp2.ids[0] != 3 {
-		t.Fatalf("spliced postings out of order: %v %v", pp2.vals, pp2.ids)
-	}
-	// Original untouched.
-	if pp.vals[0] != 1 || pp.Len() != 3 {
-		t.Error("splice through a clone modified the original postings")
-	}
-	// Remove node 9 entirely.
-	pp2.splice(9, &v3, nil)
-	if pp2.Len() != 2 {
-		t.Fatalf("Len after removal = %d, want 2", pp2.Len())
-	}
 }

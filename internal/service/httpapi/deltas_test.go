@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"netembed/internal/graph"
 	"netembed/internal/index"
 	"netembed/internal/service"
 	"netembed/internal/topo"
@@ -59,8 +60,8 @@ func TestDeltasAttrPatch(t *testing.T) {
 	if tag, _ := g.Node(id).Attrs.Text("tag"); tag != "edge-pop" {
 		t.Errorf("tag = %q", tag)
 	}
-	if !idx.AttrAtLeast("slots", 4).Has(id) {
-		t.Error("index missed the patched capacity")
+	if col := idx.ColumnsFor(g).NodeColumn("slots"); col == nil || col.Tags[id] != graph.TagNumber || col.Nums[id] != 4 {
+		t.Error("snapshot column missed the patched capacity")
 	}
 
 	// Null removes the attribute.

@@ -31,7 +31,6 @@ type Model struct {
 	g       *graph.Graph
 	version uint64
 	idx     *index.Index // nil unless EnableIndex was called
-	idxCfg  index.Config
 
 	// epochs tracks in-flight readers per published version so the serve
 	// path can prove superseded (graph, index) snapshots are released —
@@ -62,13 +61,12 @@ func NewModel(g *graph.Graph) *Model {
 // EnableIndex attaches a host-capability index to the model and keeps it
 // current across every subsequent publish: whole-graph swaps rebuild it,
 // deltas patch it copy-on-write. Idempotent; safe to call on a live
-// model.
-func (m *Model) EnableIndex(cfg index.Config) {
+// model. The Config has no fields.
+func (m *Model) EnableIndex(index.Config) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.idx == nil {
-		m.idxCfg = cfg
-		m.idx = index.Build(m.g, m.version, cfg)
+		m.idx = index.Build(m.g, m.version, index.Config{})
 	}
 }
 
@@ -174,7 +172,7 @@ func (m *Model) Version() uint64 {
 // Callers hold m.mu.
 func (m *Model) reindex() {
 	if m.idx != nil {
-		m.idx = index.Build(m.g, m.version, m.idxCfg)
+		m.idx = index.Build(m.g, m.version, index.Config{})
 	}
 }
 

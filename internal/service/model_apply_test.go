@@ -53,8 +53,8 @@ func TestModelApply(t *testing.T) {
 	if cpu, _ := g2.Node(0).Attrs.Float("cpu"); cpu != 9 {
 		t.Fatalf("cpu = %v, want 9", cpu)
 	}
-	if !idx.AttrAtLeast("cpu", 9).Has(0) {
-		t.Error("index did not absorb the attribute delta")
+	if col := idx.ColumnsFor(g2).NodeColumn("cpu"); col == nil || col.Tags[0] != graph.TagNumber || col.Nums[0] != 9 {
+		t.Error("snapshot column did not absorb the attribute delta")
 	}
 	// The pre-delta snapshot is untouched.
 	if cpu, _ := g.Node(0).Attrs.Float("cpu"); cpu != 1+0 && cpu == 9 {

@@ -76,10 +76,10 @@ type (
 	NodeAttrUpdate = graph.NodeAttrUpdate
 	EdgeAttrUpdate = graph.EdgeAttrUpdate
 	// Index is a persistent, version-stamped host-capability snapshot
-	// (degree strata, adjacency bitsets, attribute postings) patched
-	// copy-on-write by deltas.
+	// (adjacency bitsets, degree strata, lazily built reachability tables
+	// and attribute columns) patched copy-on-write by deltas.
 	Index = index.Index
-	// IndexConfig tunes index construction (strata attributes/levels).
+	// IndexConfig has no fields; callers pass IndexConfig{}.
 	IndexConfig = index.Config
 )
 
