@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1260,22 +1261,28 @@ func BenchmarkOptimize_BnB_vs_Enumerate(b *testing.B) {
 //     send, where the constraint-bearing filter build is the whole cost.
 //     Without it the gate under-reported the serve path by two orders of
 //     magnitude (ledger workload novel_constrained).
+//   - exclude_reserved: warm_constrained with excludeReserved, over a
+//     ledger holding 64 one-node leases on hosts the planted witness does
+//     not use: the tenancy path every managed placement takes.
 //   - cached: identical requests served from the model-versioned result
 //     cache, i.e. the pure HTTP + cache overhead.
 func BenchmarkServePath(b *testing.B) {
 	host := planetLab(b)
-	q, _, err := topo.Subgraph(host, 8, 12, rand.New(rand.NewSource(15)))
+	q, plant, err := topo.Subgraph(host, 8, 12, rand.New(rand.NewSource(15)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []string{"warm", "warm_constrained", "cached"} {
+	for _, mode := range []string{"warm", "warm_constrained", "exclude_reserved", "cached"} {
 		b.Run(mode, func(b *testing.B) {
 			request := map[string]interface{}{"maxResults": 1}
 			query := q
-			if mode == "warm_constrained" {
+			if mode == "warm_constrained" || mode == "exclude_reserved" {
 				query = q.Clone()
 				topo.WidenDelayWindows(query, 0.1)
 				request["edgeConstraint"] = delayWindow.String()
+			}
+			if mode == "exclude_reserved" {
+				request["excludeReserved"] = true
 			}
 			queryXML, err := graphml.EncodeString(query)
 			if err != nil {
@@ -1289,6 +1296,17 @@ func BenchmarkServePath(b *testing.B) {
 			model := netembed.NewModel(host)
 			model.EnableIndex(netembed.IndexConfig{})
 			svc := netembed.NewService(model, netembed.ServiceConfig{})
+			if mode == "exclude_reserved" {
+				for r, leased := 0, 0; leased < 64; r++ {
+					if slices.Contains(plant, netembed.NodeID(r)) {
+						continue
+					}
+					if _, err := svc.Ledger().Allocate(netembed.Mapping{netembed.NodeID(r)}); err != nil {
+						b.Fatal(err)
+					}
+					leased++
+				}
+			}
 			cacheCap := 64
 			if mode != "cached" {
 				cacheCap = -1 // every request runs a real search
@@ -1372,8 +1390,6 @@ func BenchmarkBuildFilters(b *testing.B) {
 //     attribute delta).
 //   - edge_remove: one edge leaves; every later edge ID shifts down.
 //   - edge_add: the edge comes back under the last ID.
-//   - reserve_marks: the reservation overlay Embed, Schedule and lifecycle
-//     repair put on 32 saturated nodes.
 func BenchmarkApplyDelta(b *testing.B) {
 	host := trace.SyntheticPlanetLab(trace.Config{Sites: 296}, rand.New(rand.NewSource(1)))
 	name := func(r netembed.NodeID) string { return host.Node(r).Name }
@@ -1419,17 +1435,5 @@ func BenchmarkApplyDelta(b *testing.B) {
 		add := &netembed.Delta{AddEdges: []netembed.EdgeSpec{{Source: name(e.From), Target: name(e.To), Attrs: e.Attrs}}}
 		b.ResetTimer()
 		apply(b, without, func(int) *netembed.Delta { return add })
-	})
-	b.Run("reserve_marks", func(b *testing.B) {
-		ids := make([]netembed.NodeID, 32)
-		for i := range ids {
-			ids[i] = netembed.NodeID(i * 9)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if service.MarkReserved(host, ids) == host {
-				b.Fatal("no node marked")
-			}
-		}
 	})
 }

@@ -203,13 +203,13 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		"BenchmarkRepair_SeededVsScratch/scratch",
 		"BenchmarkServePath/warm",
 		"BenchmarkServePath/warm_constrained",
+		"BenchmarkServePath/exclude_reserved",
 		"BenchmarkServePath/cached",
 		"BenchmarkOptimize_BnB_vs_Enumerate/n512/bnb",
 		"BenchmarkOptimize_BnB_vs_Enumerate/n512/enumerate",
 		"BenchmarkApplyDelta/attr",
 		"BenchmarkApplyDelta/edge_remove",
 		"BenchmarkApplyDelta/edge_add",
-		"BenchmarkApplyDelta/reserve_marks",
 		"BenchmarkBuildFilters/planetlab296_window",
 	} {
 		if !gate.MatchString(name) {

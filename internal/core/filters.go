@@ -191,9 +191,7 @@ func BuildFilters(p *Problem, opt *Options) *Filters {
 
 // hostColumns returns the attribute columns of p.Host: the snapshot cache
 // of an index built over that very graph, else throw-away columns in
-// pooled scratch (an index-less caller, a stale index, a marked clone) —
-// which still serve the snapshot's edge columns, range indexes and
-// endpoints when p.Host shares its edges (the reservation overlay).
+// pooled scratch (an index-less caller, a stale index, a clone).
 func (f *Filters) hostColumns(idx *index.Index) *index.Columns {
 	if idx != nil {
 		if cols := idx.ColumnsFor(f.p.Host); cols != nil {
@@ -203,7 +201,7 @@ func (f *Filters) hostColumns(idx *index.Index) *index.Columns {
 	if f.scratchCols == nil {
 		f.scratchCols = index.NewColumns(nil)
 	}
-	f.scratchCols.Reset(f.p.Host, idx)
+	f.scratchCols.Reset(f.p.Host)
 	return f.scratchCols
 }
 

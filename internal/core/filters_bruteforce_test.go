@@ -200,9 +200,8 @@ func (f *Filters) row(t int32, r int) sets.Set {
 // none; one built over the problem's host (cached columns, whose range
 // indexes arm during the loop); one built over a graph with the same
 // structure in other pages and other attributes, whose columns would be
-// wrong; and one over a graph sharing the host's edge pages but not its
-// node attributes — the ExcludeReserved overlay, whose edge columns serve
-// and whose node columns would be wrong.
+// wrong; and one over a node-attribute sibling of the host (ApplyDelta:
+// same IDs and edge pages), whose node columns would be wrong.
 func TestFiltersMatchBruteForce(t *testing.T) {
 	for seed := int64(1); seed <= 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -215,11 +214,12 @@ func TestFiltersMatchBruteForce(t *testing.T) {
 			original.Node(graph.NodeID(r)).Attrs = graph.Attrs{}.SetNum("cpu", 9).SetStr("os", "linux")
 			all[r] = graph.NodeID(r)
 		}
+		sibling := attrSibling(t, p.Host, all, graph.Attrs{}.SetNum("cpu", 9).SetBool("reserved", true))
 		indexes := map[string]*index.Index{
 			"no index":      nil,
 			"own index":     index.Build(p.Host, 1, index.Config{}),
 			"foreign index": index.Build(original, 1, index.Config{}),
-			"overlay index": index.Build(p.Host.WithNodeAttrs(all, graph.Attrs{}.SetNum("cpu", 9).SetBool("reserved", true)), 1, index.Config{}),
+			"sibling index": index.Build(sibling, 1, index.Config{}),
 		}
 		wantPairs := int64(0)
 		if c := p.EdgeConstraint; c != nil {

@@ -148,7 +148,7 @@ type objectiveEval struct {
 }
 
 // compileObjective materializes the evaluator for one search run. Every
-// term is read from host itself, a reservation overlay included, so the
+// term is read from host itself, never from an index's graph, so the
 // bounds describe the very graph being searched.
 func compileObjective(o Objective, host *graph.Graph) *objectiveEval {
 	o = o.Normalized()

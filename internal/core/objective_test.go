@@ -189,9 +189,9 @@ func TestBnBOptimumMatchesExhaustive(t *testing.T) {
 // TestBnBWithIndexAfterDeltaChain pins the lower bounds to the graph
 // being searched, whatever index the options carry: with an index patched
 // through a chain of attribute edits and edge removals, the optimum on
-// the final graph, and on a reservation overlay of it that cheapens every
-// other host (graph.WithNodeAttrs, the index still describing the
-// snapshot), must match the oracle computed on that graph without any
+// the final graph, and on a node-attribute sibling of it that cheapens
+// every other host (ApplyDelta, the index still describing the graph it
+// came from), must match the oracle computed on that graph without any
 // index.
 func TestBnBWithIndexAfterDeltaChain(t *testing.T) {
 	var totalProbes int64
@@ -228,8 +228,8 @@ func TestBnBWithIndexAfterDeltaChain(t *testing.T) {
 			for r := 0; r < host.NumNodes(); r += 2 {
 				every = append(every, graph.NodeID(r))
 			}
-			overlay := host.WithNodeAttrs(every, graph.Attrs{}.SetNum("price", 0).SetNum("cpu", 50))
-			for _, g := range []*graph.Graph{host, overlay} {
+			sibling := attrSibling(t, host, every, graph.Attrs{}.SetNum("price", 0).SetNum("cpu", 50))
+			for _, g := range []*graph.Graph{host, sibling} {
 				p2, err := NewProblem(p.Query, g, delayWindow, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -239,7 +239,7 @@ func TestBnBWithIndexAfterDeltaChain(t *testing.T) {
 					if n == 0 {
 						continue
 					}
-					label := fmt.Sprintf("dir=%v seed=%d overlay=%v %s indexed", directed, seed, g == overlay, objLabel(o))
+					label := fmt.Sprintf("dir=%v seed=%d sibling=%v %s indexed", directed, seed, g == sibling, objLabel(o))
 					res := ECF(p2, Options{Optimize: true, Objective: o, Index: idx})
 					checkOptimum(t, label, p2, o, res, want)
 					totalProbes += res.Stats.BoundProbes

@@ -78,7 +78,7 @@ func (f *Filters) release() {
 	}
 	f.p = nil
 	if f.scratchCols != nil {
-		f.scratchCols.Reset(nil, nil) // the columns' graph is the caller's
+		f.scratchCols.Reset(nil) // the columns' graph is the caller's
 	}
 	filtersPool.Put(f)
 }

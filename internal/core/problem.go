@@ -326,10 +326,8 @@ type Options struct {
 	// evaluated over the attribute columns cached on the snapshot. The
 	// structural shortcuts need an index describing the Problem's host —
 	// same node universe, same orientation — and the column cache one
-	// built over that very *graph.Graph (Index.ColumnsFor), or, for its
-	// edge-side columns alone, over a graph sharing its edge records
-	// (graph.Graph.SameEdges: a reservation overlay); anything else is
-	// ignored piecemeal, and every combination provably produces
+	// built over that very *graph.Graph (Index.ColumnsFor); anything else
+	// is ignored piecemeal, and every combination provably produces
 	// identical candidate sets. Index-backed tables always carry the
 	// bitset representation, so under ReprSlice only the columns are used.
 	Index *index.Index

@@ -264,47 +264,6 @@ func (g *Graph) applyEdgeDelta(d *Delta) (*Graph, error) {
 // clamp returns row with no spare capacity, so an append reallocates.
 func clamp(row []Arc) []Arc { return row[:len(row):len(row)] }
 
-// WithNodeAttrs returns a snapshot of g in which each node of ids carries
-// set on top of its own attributes. Only the node records are copied (and
-// the bags of the named nodes); everything else is shared with g, which is
-// not modified. IDs outside g are skipped — callers hold IDs from ledgers
-// that may predate a node-removing delta — and g itself is returned when
-// nothing is left to patch.
-func (g *Graph) WithNodeAttrs(ids []NodeID, set Attrs) *Graph {
-	next := *g
-	patched := false
-	for _, id := range ids {
-		if id < 0 || int(id) >= len(g.nodes) {
-			continue
-		}
-		if !patched {
-			next.nodes = append([]Node(nil), g.nodes...)
-			patched = true
-		}
-		next.nodes[id].Attrs = patchBag(next.nodes[id].Attrs, set, nil)
-	}
-	if !patched {
-		return g
-	}
-	return &next
-}
-
-// SameEdges reports whether g and o hold the very same edge records — the
-// same copy-on-write pages, as a snapshot shares with every overlay
-// WithNodeAttrs derives from it — so whatever was computed from one's
-// edges alone holds for the other's.
-func (g *Graph) SameEdges(o *Graph) bool {
-	if o == nil || g.directed != o.directed || g.numEdges != o.numEdges || len(g.edges) != len(o.edges) {
-		return false
-	}
-	for i, page := range g.edges {
-		if len(page) != len(o.edges[i]) || len(page) > 0 && &page[0] != &o.edges[i][0] {
-			return false
-		}
-	}
-	return true
-}
-
 // patchBag returns a fresh bag with set/unset applied; the original bag
 // is shared with the previous snapshot and must not be written.
 func patchBag(old, set Attrs, unset []string) Attrs {

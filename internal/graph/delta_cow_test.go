@@ -358,44 +358,6 @@ func TestAttrDeltaCopiesOnlyWhatItWrites(t *testing.T) {
 	}
 }
 
-func TestWithNodeAttrs(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := pagedHost(rng, false, 50, 300)
-	before := freeze(g)
-	mark := Attrs{}.SetBool("reserved", true)
-
-	if g.WithNodeAttrs(nil, mark) != g || g.WithNodeAttrs([]NodeID{-1, 50, 9999}, mark) != g {
-		t.Error("nothing in range to patch must return the receiver")
-	}
-	marked := g.WithNodeAttrs([]NodeID{4, 99, 7, 4}, mark)
-	if err := marked.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for u := NodeID(0); int(u) < g.NumNodes(); u++ {
-		want := u == 4 || u == 7
-		if marked.Node(u).Attrs.Has("reserved") != want {
-			t.Errorf("node %d reserved = %v, want %v", u, !want, want)
-		}
-		if cpu, _ := marked.Node(u).Attrs.Float("cpu"); cpu != before.Nodes[u].Attrs["cpu"].num {
-			t.Errorf("node %d lost its own attributes", u)
-		}
-	}
-	if marked.Edge(0) != g.Edge(0) || &marked.Arcs(0)[0] != &g.Arcs(0)[0] {
-		t.Error("marks copied edge records or adjacency")
-	}
-	// SameEdges is what lets a snapshot's edge-derived caches serve the
-	// overlay: true for it, false for equal records in other pages.
-	ref := refOf(g, 0)
-	edited, err := g.ApplyDelta(&Delta{SetEdgeAttrs: []EdgeAttrUpdate{{Source: ref.Source, Target: ref.Target, Set: Attrs{}.SetNum("delay", 1)}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !marked.SameEdges(g) || !g.SameEdges(marked) || g.Clone().SameEdges(g) || edited.SameEdges(g) {
-		t.Error("SameEdges must hold for an overlay only, not for a clone or an edge-attribute edit")
-	}
-	mustEqual(t, "receiver after WithNodeAttrs", freeze(g), before)
-}
-
 // TestSnapshotsReadableWhileDeltasChain is for the race detector: readers
 // walk every snapshot published so far while a writer derives new ones.
 func TestSnapshotsReadableWhileDeltasChain(t *testing.T) {
@@ -447,9 +409,6 @@ func TestSnapshotsReadableWhileDeltasChain(t *testing.T) {
 			continue
 		}
 		g = next
-		if step%10 == 0 {
-			g = g.WithNodeAttrs([]NodeID{NodeID(step % 100)}, Attrs{}.SetBool("reserved", true))
-		}
 		mu.Lock()
 		snapshots = append(snapshots, g)
 		mu.Unlock()

@@ -46,10 +46,6 @@ type Columns struct {
 	to     []graph.NodeID
 	// free holds column storage reclaimed by Reset.
 	free []*graph.Column
-	// edges, when set, is a snapshot cache over a graph with the very
-	// same edge records as g: it serves every edge column, range index
-	// and endpoint array (see Reset).
-	edges *Columns
 	// scratch marks a Columns bound by Reset; it never arms.
 	scratch bool
 }
@@ -71,13 +67,7 @@ func keep(cols *map[string]*graph.Column, attr string, col *graph.Column) {
 // their range indexes. The columns handed out before the call are
 // overwritten by later builds: Reset is for scratch the caller owns
 // outright, never for a snapshot's cache.
-//
-// When ix's graph holds the very same edge records as g — the reservation
-// overlay graph.WithNodeAttrs derives from a snapshot shares every edge
-// page with it — c serves edge columns, their range indexes and the
-// endpoint arrays from ix's cache, and builds only node columns, which
-// such an overlay may change. ix may be nil.
-func (c *Columns) Reset(g *graph.Graph, ix *Index) {
+func (c *Columns) Reset(g *graph.Graph) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for attr, col := range c.edge {
@@ -90,10 +80,7 @@ func (c *Columns) Reset(g *graph.Graph, ix *Index) {
 	}
 	clear(c.ranges)
 	c.from, c.to = c.from[:0], c.to[:0]
-	c.g, c.edges, c.scratch = g, nil, true
-	if ix != nil && g != nil && g.SameEdges(ix.cols.g) {
-		c.edges = ix.cols
-	}
+	c.g, c.scratch = g, true
 }
 
 // column returns cols[attr], building it with build on first use — into
@@ -129,9 +116,6 @@ func (c *Columns) column(cols *map[string]*graph.Column, attr string, build func
 // EdgeColumn returns attribute attr over the graph's edges, by EdgeID; nil
 // when no edge carries it (see graph.Graph.EdgeColumn).
 func (c *Columns) EdgeColumn(attr string) *graph.Column {
-	if c.edges != nil {
-		return c.edges.EdgeColumn(attr)
-	}
 	return c.column(&c.edge, attr, (*graph.Graph).EdgeColumn)
 }
 
@@ -148,9 +132,6 @@ func (c *Columns) Range(col *graph.Column) *expr.Range {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.ranges[col]
-	if !ok && c.edges != nil {
-		return c.edges.Range(col) // an edge column c serves from a snapshot
-	}
 	if ok && r == nil && !c.scratch {
 		r = expr.NewRange(col) // nil for a column with a string payload
 		c.ranges[col] = r
@@ -163,17 +144,11 @@ func (c *Columns) Range(col *graph.Column) *expr.Range {
 func (c *Columns) Armed(col *graph.Column) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if r, ok := c.ranges[col]; ok || c.edges == nil {
-		return r != nil
-	}
-	return c.edges.Armed(col)
+	return c.ranges[col] != nil
 }
 
 // Endpoints returns every edge's From and To node, by EdgeID.
 func (c *Columns) Endpoints() (from, to []graph.NodeID) {
-	if c.edges != nil {
-		return c.edges.Endpoints()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.from) != c.g.NumEdges() {

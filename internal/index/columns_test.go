@@ -334,51 +334,55 @@ func TestColumnsScratchReset(t *testing.T) {
 	cols := NewColumns(a)
 	columnsMatchGraph(t, "first graph", cols, a)
 	armAll(cols)
-	cols.Reset(b, nil)
+	cols.Reset(b)
 	columnsMatchGraph(t, "after Reset", cols, b)
 	for _, col := range cols.edge {
 		if cols.Armed(col) {
 			t.Fatal("a recycled column kept the previous graph's range index")
 		}
 	}
-	cols.Reset(nil, nil)
+	cols.Reset(nil)
 	if cols.g != nil || len(cols.edge)+len(cols.node)+len(cols.ranges) != 0 {
 		t.Fatal("Reset(nil) keeps the graph, its columns or their range indexes reachable")
 	}
 }
 
-// TestScratchServesOverlayEdgesFromSnapshot: scratch bound to a
-// reservation overlay of an indexed graph — same edge pages, other node
-// attributes — serves the snapshot's edge columns, range indexes and
-// endpoint arrays and builds none of its own, while its node columns are
-// its own and show the marks. Bound to a clone, it builds everything.
-func TestScratchServesOverlayEdgesFromSnapshot(t *testing.T) {
+// TestScratchOverAttrSiblingBuildsOwnColumns: an index over g serves no
+// columns for a node-attribute sibling of g (ApplyDelta: same node IDs,
+// same edge pages, new identity, other values), and scratch bound to the
+// sibling builds every column, the edge side included, from the sibling,
+// without touching the snapshot's armed range indexes.
+func TestScratchOverAttrSiblingBuildsOwnColumns(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(12)), false)
 	ix := Build(g, 1, Config{})
 	snap := ix.ColumnsFor(g)
 	columnsMatchGraph(t, "snapshot", snap, g)
 	armAll(snap)
-	marked := g.WithNodeAttrs([]graph.NodeID{0, 3}, graph.Attrs{}.SetNum("cpu", 99))
+	sibling, err := g.ApplyDelta(&graph.Delta{SetNodeAttrs: []graph.NodeAttrUpdate{
+		{Node: g.Node(0).Name, Set: graph.Attrs{}.SetNum("cpu", 99)},
+		{Node: g.Node(3).Name, Set: graph.Attrs{}.SetNum("cpu", 99)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.ColumnsFor(sibling) != nil {
+		t.Fatal("the index served its column cache for another graph")
+	}
 	scratch := NewColumns(nil)
-	scratch.Reset(marked, ix)
-	columnsMatchGraph(t, "overlay", scratch, marked)
-	if len(scratch.edge)+len(scratch.from)+len(scratch.to) != 0 {
-		t.Fatal("scratch over an overlay built edge columns or endpoints of its own")
-	}
+	scratch.Reset(sibling)
+	columnsMatchGraph(t, "sibling", scratch, sibling)
 	delay := scratch.EdgeColumn("delay")
-	if delay != snap.EdgeColumn("delay") || !scratch.Armed(delay) || scratch.Range(delay) != snap.Range(delay) {
-		t.Fatal("scratch over an overlay does not serve the snapshot's edge column and range index")
+	if delay == snap.EdgeColumn("delay") || scratch.Armed(delay) || scratch.Range(delay) != nil {
+		t.Fatal("scratch over a sibling served the snapshot's edge column or range index")
 	}
-	if from, _ := scratch.Endpoints(); &from[0] != &snap.from[0] {
-		t.Fatal("scratch over an overlay copied the endpoint arrays")
+	if from, _ := scratch.Endpoints(); &from[0] == &snap.from[0] {
+		t.Fatal("scratch over a sibling served the snapshot's endpoint arrays")
 	}
 	if cpu := scratch.NodeColumn("cpu"); cpu == snap.NodeColumn("cpu") || cpu.Nums[3] != 99 {
-		t.Fatal("scratch over an overlay served the snapshot's node column")
+		t.Fatal("scratch over a sibling served the snapshot's node column")
 	}
-	scratch.Reset(g.Clone(), ix)
-	columnsMatchGraph(t, "clone", scratch, g)
-	if scratch.EdgeColumn("delay") == snap.EdgeColumn("delay") {
-		t.Fatal("scratch over a clone served the snapshot's edge column")
+	if !snap.Armed(snap.EdgeColumn("delay")) {
+		t.Fatal("scratch disarmed the snapshot's range index")
 	}
 }
 

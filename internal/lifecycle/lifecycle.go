@@ -84,10 +84,12 @@ var (
 // PlaceRequest asks the manager to place and adopt a new embedding.
 type PlaceRequest struct {
 	// Request is the embedding query, exactly as the mapping service
-	// takes it. ExcludeReserved is forced on (a managed placement must
-	// not collide with existing tenants), and MaxResults is raised to a
-	// small pool so an allocation race can fall through to the next
-	// feasible mapping.
+	// takes it. ExcludeReserved is forced on, so the search only sees
+	// hosts the ledger's free set holds (a managed placement must not
+	// collide with existing tenants), and MaxResults is raised to a small
+	// pool so an allocation race can fall through to the next feasible
+	// mapping. Repairs later search the lease's own free set
+	// (Ledger.FreeFor).
 	Request service.Request
 	// TTL, when positive, windows the lease [now, now+TTL); the record
 	// expires with it unless renewed. Zero means hold until released.

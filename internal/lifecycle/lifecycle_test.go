@@ -340,6 +340,67 @@ func TestMigrateRollsBackOnStolenTarget(t *testing.T) {
 	}
 }
 
+// scheduleSpares places an open-ended line-3 embedding on K_5, leases the
+// spare hosts listed by index (0 or 1 of the two the embedding leaves)
+// for a window a day ahead, and breaks the embedding's middle node.
+func scheduleSpares(t *testing.T, leased ...int) (*Manager, Info, []string) {
+	t.Helper()
+	model, svc, m := newManager(t, cpuClique(5, nil), Config{})
+	info := placeLine3(t, m, "rNode.cpu >= 5")
+	host, _ := model.Snapshot()
+	var spares []string
+	for r := 0; r < host.NumNodes(); r++ {
+		name := host.Node(graph.NodeID(r)).Name
+		if name != info.Mapping["n0"] && name != info.Mapping["n1"] && name != info.Mapping["n2"] {
+			spares = append(spares, name)
+		}
+	}
+	start := svc.Ledger().Now().Add(24 * time.Hour)
+	for _, i := range leased {
+		r, _ := host.NodeByName(spares[i])
+		if _, err := svc.Ledger().AllocateWindow(core.Mapping{r}, start, start.Add(time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setCPU(t, model, info.Mapping["n1"], 1)
+	return m, info, spares
+}
+
+// TestRepairHonoursScheduledLeases: an open-ended embedding cannot move
+// onto hosts another tenant has scheduled for later, because Replace
+// checks the lease's whole window. With both spares scheduled, one pass
+// proves the embedding Broken instead of committing a plan Replace
+// refuses on every pass.
+func TestRepairHonoursScheduledLeases(t *testing.T) {
+	m, info, _ := scheduleSpares(t, 0, 1)
+	got, err := m.Migrate(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Health != Broken || !strings.Contains(got.Detail, "no placement exists") || !strings.Contains(got.Detail, "under current tenancy") {
+		t.Fatalf("both spares scheduled: %+v", got)
+	}
+	if s := m.Stats(); s.RepairFailures != 1 || s.Repaired != 0 {
+		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestRepairMovesOntoTheUnscheduledSpare: with one spare scheduled for
+// later, one pass migrates the broken node onto the other spare.
+func TestRepairMovesOntoTheUnscheduledSpare(t *testing.T) {
+	m, info, spares := scheduleSpares(t, 0)
+	got, err := m.Migrate(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Health != Healthy || got.Repairs != 1 || got.Mapping["n1"] != spares[1] {
+		t.Fatalf("one spare scheduled: %+v, want n1 on %s", got, spares[1])
+	}
+	if s := m.Stats(); s.RepairFailures != 0 || s.Repaired != 1 {
+		t.Fatalf("stats = %+v", s)
+	}
+}
+
 // TestMaintainPacesRepairs pins the tick integration: Maintain re-sweeps
 // on every model move but runs the repair pass at most once per
 // RepairInterval.

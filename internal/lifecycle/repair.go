@@ -3,14 +3,13 @@ package lifecycle
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"netembed/internal/core"
-	"netembed/internal/expr"
 	"netembed/internal/graph"
 	"netembed/internal/index"
 	"netembed/internal/service"
+	"netembed/internal/sets"
 )
 
 // This file is the background re-optimizer: minimal-migration repair
@@ -134,17 +133,22 @@ func (m *Manager) Migrate(id string) (Info, error) {
 // snapshot, in which case the plan search is a cheap re-proof).
 func (m *Manager) repairLocked(rec *record, host *graph.Graph, idx *index.Index, version uint64) {
 	old, _ := resolveNamed(rec.query, host, rec.named)
-	marked := m.markedHost(rec, host)
-	edgeProg, nodeProg, err := m.repairPrograms(rec)
-	if err != nil {
-		m.failRepair(rec, err.Error())
-		return
-	}
-	p, err := core.NewProblem(rec.query, marked, edgeProg, nodeProg)
+	p, err := core.NewProblem(rec.query, host, rec.edgeProg, rec.nodeProg)
 	if err != nil {
 		// Structurally impossible (host smaller than query): a proof.
 		m.breakRecord(rec, version, err.Error())
 		return
+	}
+	// Plans may use only hosts Replace will accept for this lease: a free
+	// slot over the lease's whole window once its own holds are set aside.
+	free, err := m.svc.Ledger().FreeFor(rec.lease, host.NumNodes())
+	if err != nil {
+		rec.health, rec.detail = Expired, "lease gone"
+		return
+	}
+	p.Allow = make([]*sets.Bitset, rec.query.NumNodes())
+	for q := range p.Allow {
+		p.Allow[q] = free
 	}
 
 	if rec.pathMode {
@@ -298,38 +302,6 @@ func (m *Manager) maxMoved(rec *record) int {
 		budget = 1
 	}
 	return budget
-}
-
-// markedHost returns the live snapshot with every node that is saturated
-// by *other* tenants carrying the reservation mark, so the repair search
-// only considers migration targets with a free slot. The record's own
-// holds are exempt: keeping a node in place must never look like a
-// conflict with itself.
-func (m *Manager) markedHost(rec *record, host *graph.Graph) *graph.Graph {
-	led := m.svc.Ledger()
-	saturated := led.SaturatedNodes()
-	if lease, ok := led.Lease(rec.lease); ok && len(saturated) > 0 {
-		saturated = slices.DeleteFunc(saturated, func(r graph.NodeID) bool {
-			return slices.Contains(lease.Nodes, r)
-		})
-	}
-	return service.MarkReserved(host, saturated)
-}
-
-// repairPrograms compiles the record's constraints with the tenancy
-// guard appended to the node side, mirroring the service's
-// ExcludeReserved handling.
-func (m *Manager) repairPrograms(rec *record) (*expr.Program, *expr.Program, error) {
-	guard := "!has(rNode." + service.ReservedAttr + ")"
-	nodeSrc := guard
-	if rec.nodeSrc != "" {
-		nodeSrc = "(" + rec.nodeSrc + ") && " + guard
-	}
-	nodeProg, err := expr.Compile(nodeSrc)
-	if err != nil {
-		return nil, nil, fmt.Errorf("lifecycle: node constraint: %w", err)
-	}
-	return rec.edgeProg, nodeProg, nil
 }
 
 // makeNamed renders a mapping by node names against the snapshot it was

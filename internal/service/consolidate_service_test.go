@@ -117,7 +117,7 @@ func TestServiceConsolidateCustomAttrs(t *testing.T) {
 
 func mustEdgeProg(t *testing.T, src string) *expr.Program {
 	t.Helper()
-	prog, _, err := compilePrograms(src, "", false)
+	prog, _, err := compilePrograms(src, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,8 @@ type EmbedRequest struct {
 	MaxResults int `json:"maxResults,omitempty"`
 	// Seed drives the rwb algorithm.
 	Seed int64 `json:"seed,omitempty"`
-	// ExcludeReserved hides hosts with active leases.
+	// ExcludeReserved hides hosts whose every slot a lease that has not
+	// ended holds (service.Request.ExcludeReserved).
 	ExcludeReserved bool `json:"excludeReserved,omitempty"`
 	// DedupeSymmetric collapses embeddings equivalent up to query
 	// automorphism.

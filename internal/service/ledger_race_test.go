@@ -102,7 +102,7 @@ func TestLedgerConcurrentInterleavings(t *testing.T) {
 					}
 				}
 				// Read paths race alongside the mutations.
-				l.SaturatedNodes()
+				l.Free(5)
 				l.ActiveLeases()
 			}
 			for _, id := range mine {

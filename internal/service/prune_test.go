@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -26,8 +27,8 @@ func TestLedgerPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := len(l.SaturatedNodes()); got != 3 {
-		t.Fatalf("during window: %d saturated nodes, want 3", got)
+	if free := l.Free(4); free.Count() != 1 || !free.Has(3) {
+		t.Fatalf("during window: free = %v, want just node 3", free.AppendTo(nil))
 	}
 	if pruned := l.Prune(now); len(pruned) != 0 {
 		t.Fatalf("prune before expiry removed %v, want none", pruned)
@@ -38,8 +39,8 @@ func TestLedgerPrune(t *testing.T) {
 
 	// The window ends: the hosts free up and the sweep drops the record.
 	now = end
-	if got := l.SaturatedNodes(); len(got) != 1 || got[0] != graph.NodeID(2) {
-		t.Fatalf("after window: saturated = %v, want just node 2", got)
+	if free := l.Free(4); free.Count() != 3 || free.Has(2) {
+		t.Fatalf("after window: free = %v, want all but node 2", free.AppendTo(nil))
 	}
 	if pruned := l.Prune(now); len(pruned) != 1 || pruned[0] != id {
 		t.Fatalf("prune after expiry removed %v, want [%d]", pruned, id)
@@ -76,5 +77,32 @@ func TestLedgerPruneIdempotent(t *testing.T) {
 	}
 	if got := l.Prune(base.Add(time.Hour)); len(got) != 2 {
 		t.Fatalf("final sweep pruned %v, want 2 leases", got)
+	}
+}
+
+// TestLedgerEndedLeaseHoldsNothingBeforePrune: once a windowed lease's
+// window has ended, its host is free and an open-ended Allocate on it
+// succeeds, whether or not Prune has swept the record yet — a service
+// without the engine tick never prunes at all.
+func TestLedgerEndedLeaseHoldsNothingBeforePrune(t *testing.T) {
+	l := NewLedger()
+	now := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
+	l.SetClock(func() time.Time { return now })
+	ended, err := l.AllocateWindow(core.Mapping{0}, now, now.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Allocate(core.Mapping{0}); !errors.Is(err, ErrConflict) {
+		t.Fatalf("allocate during the window: %v, want a conflict", err)
+	}
+	now = now.Add(2 * time.Hour)
+	if free := l.Free(1); !free.Has(0) {
+		t.Fatal("an ended lease still holds its host")
+	}
+	if _, err := l.Allocate(core.Mapping{0}); err != nil {
+		t.Fatalf("allocate after the window ended, before Prune: %v", err)
+	}
+	if _, ok := l.Lease(ended); !ok {
+		t.Fatal("the ended lease was swept without Prune")
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"netembed/internal/core"
 	"netembed/internal/graph"
+	"netembed/internal/sets"
 )
 
 // LeaseID identifies an active reservation.
@@ -104,43 +105,23 @@ var (
 )
 
 // Allocate reserves the hosting nodes of m indefinitely. It fails with
-// ErrConflict if any node already has an active overlapping lease.
+// ErrConflict if any node has every slot held by a lease that has not
+// ended.
 func (l *Ledger) Allocate(m core.Mapping) (LeaseID, error) {
 	return l.AllocateWindow(m, time.Time{}, time.Time{})
 }
 
 // AllocateWindow reserves the hosting nodes of m for [start, end). Zero
-// times make the lease open-ended on that side.
+// times make the lease open-ended on that side; an open start is checked
+// for conflicts from the ledger clock on.
 func (l *Ledger) AllocateWindow(m core.Mapping, start, end time.Time) (LeaseID, error) {
 	if !start.IsZero() && !end.IsZero() && !start.Before(end) {
 		return 0, fmt.Errorf("service: empty lease window [%v, %v)", start, end)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	want := make(map[graph.NodeID]bool, len(m))
-	for _, r := range m {
-		if want[r] {
-			return 0, fmt.Errorf("service: mapping reserves host node %d twice", r)
-		}
-		want[r] = true
-	}
-	// Count overlapping holds per wanted node; a node conflicts only when
-	// its slot capacity is exhausted.
-	holds := make(map[graph.NodeID]int, len(m))
-	for _, lease := range l.leases {
-		if !windowsOverlap(lease.Start, lease.End, start, end) {
-			continue
-		}
-		for _, r := range lease.Nodes {
-			if want[r] {
-				holds[r]++
-			}
-		}
-	}
-	for r, n := range holds {
-		if n+1 > l.capLocked(r) {
-			return 0, fmt.Errorf("%w: host node %d has all %d slot(s) leased", ErrConflict, r, l.capLocked(r))
-		}
+	if err := l.admitLocked(m, start, end, 0); err != nil {
+		return 0, err
 	}
 	l.next++
 	id := l.next
@@ -163,8 +144,8 @@ func windowsOverlap(aStart, aEnd, bStart, bEnd time.Time) bool {
 // returning the IDs it dropped so owners of long-lived state keyed by
 // lease — the embedding lifecycle registry — can mark the affected
 // records Expired instead of discovering the loss lazily. Expired
-// windowed leases no longer hold resources (active() already excludes
-// them from saturation queries) but their records otherwise accumulate
+// windowed leases no longer hold resources (the free-set scan already
+// ignores them) but their records otherwise accumulate
 // forever; the job engine calls this from its periodic tick so
 // long-lived services stay lean.
 func (l *Ledger) Prune(now time.Time) []LeaseID {
@@ -215,25 +196,8 @@ func (l *Ledger) Renew(id LeaseID, newEnd time.Time) error {
 	if now := l.clock(); now.After(cover) {
 		cover = now
 	}
-	want := make(map[graph.NodeID]bool, len(lease.Nodes))
-	for _, r := range lease.Nodes {
-		want[r] = true
-	}
-	holds := make(map[graph.NodeID]int, len(lease.Nodes))
-	for oid, other := range l.leases {
-		if oid == id || !windowsOverlap(other.Start, other.End, cover, newEnd) {
-			continue
-		}
-		for _, r := range other.Nodes {
-			if want[r] {
-				holds[r]++
-			}
-		}
-	}
-	for r, n := range holds {
-		if n+1 > l.capLocked(r) {
-			return fmt.Errorf("%w: host node %d has all %d slot(s) leased over the extension", ErrConflict, r, l.capLocked(r))
-		}
+	if err := l.admitLocked(lease.Nodes, cover, newEnd, id); err != nil {
+		return fmt.Errorf("%w over the extension", err)
 	}
 	lease.End = newEnd
 	l.leases[id] = lease
@@ -257,28 +221,8 @@ func (l *Ledger) Replace(id LeaseID, m core.Mapping) error {
 	if !ok {
 		return ErrLeaseNotFound
 	}
-	want := make(map[graph.NodeID]bool, len(m))
-	for _, r := range m {
-		if want[r] {
-			return fmt.Errorf("service: mapping reserves host node %d twice", r)
-		}
-		want[r] = true
-	}
-	holds := make(map[graph.NodeID]int, len(m))
-	for oid, other := range l.leases {
-		if oid == id || !windowsOverlap(other.Start, other.End, lease.Start, lease.End) {
-			continue
-		}
-		for _, r := range other.Nodes {
-			if want[r] {
-				holds[r]++
-			}
-		}
-	}
-	for r, n := range holds {
-		if n+1 > l.capLocked(r) {
-			return fmt.Errorf("%w: host node %d has all %d slot(s) leased", ErrConflict, r, l.capLocked(r))
-		}
+	if err := l.admitLocked(m, lease.Start, lease.End, id); err != nil {
+		return err
 	}
 	nodes := make([]graph.NodeID, len(m))
 	copy(nodes, m)
@@ -337,53 +281,92 @@ func (l *Ledger) reservedAtLocked(t time.Time) []graph.NodeID {
 	return out
 }
 
-// SaturatedNodes lists hosting nodes whose every slot is held by a lease
-// active right now — the set ExcludeReserved hides from new queries.
-// With default single-slot capacity this equals ReservedNodes.
-func (l *Ledger) SaturatedNodes() []graph.NodeID {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.clock()
-	holds := map[graph.NodeID]int{}
-	for _, lease := range l.leases {
-		if !lease.active(now) {
-			continue
-		}
-		for _, r := range lease.Nodes {
-			holds[r]++
-		}
-	}
-	var out []graph.NodeID
-	for r, n := range holds {
-		if n >= l.capLocked(r) {
-			out = append(out, r)
-		}
-	}
-	return out
+// Free returns the hosts among the first n nodes that an open-ended
+// Allocate would accept: those with a slot no unexpired lease holds. It is
+// the set ExcludeReserved searches; with single-slot capacity, a host
+// holding any lease that has not ended — one scheduled to start later
+// included — is not in it.
+func (l *Ledger) Free(n int) *sets.Bitset {
+	return l.FreeInWindow(n, time.Time{}, time.Time{})
 }
 
-// SaturatedInWindow lists hosting nodes with no free slot at any point of
-// the [start, end) window (zero times = unbounded), used by the windowed
-// scheduler.
-func (l *Ledger) SaturatedInWindow(start, end time.Time) []graph.NodeID {
+// FreeInWindow returns the hosts among the first n nodes that
+// AllocateWindow would accept for [start, end): those with a slot no lease
+// overlapping the window holds. The windowed scheduler searches these.
+func (l *Ledger) FreeInWindow(n int, start, end time.Time) *sets.Bitset {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	holds := map[graph.NodeID]int{}
-	for _, lease := range l.leases {
-		if !windowsOverlap(lease.Start, lease.End, start, end) {
+	return l.freeLocked(n, start, end, 0)
+}
+
+// FreeFor returns the hosts among the first n nodes that Replace would
+// accept for lease id: those with a slot free over the lease's own window
+// once its own holds are set aside. Repair plans search these, so a plan
+// commits unless the ledger moves between planning and Replace.
+func (l *Ledger) FreeFor(id LeaseID, n int) (*sets.Bitset, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lease, ok := l.leases[id]
+	if !ok {
+		return nil, ErrLeaseNotFound
+	}
+	return l.freeLocked(n, lease.Start, lease.End, id), nil
+}
+
+// freeLocked is the one hold count behind every capacity decision: the
+// hosts among the first n whose holds by leases overlapping [start, end),
+// lease skip's excepted, leave a slot free. An open start means the
+// ledger clock, so a lease whose window has ended holds nothing whether or
+// not Prune has swept it. Lease IDs start at 1, so skip 0 skips nothing.
+func (l *Ledger) freeLocked(n int, start, end time.Time, skip LeaseID) *sets.Bitset {
+	if start.IsZero() {
+		start = l.clock()
+	}
+	holds := make([]int, n)
+	for id, lease := range l.leases {
+		if id == skip || !windowsOverlap(lease.Start, lease.End, start, end) {
 			continue
 		}
 		for _, r := range lease.Nodes {
-			holds[r]++
+			if int(r) < n { // IDs from before a node-removing delta
+				holds[r]++
+			}
 		}
 	}
-	var out []graph.NodeID
-	for r, n := range holds {
-		if n >= l.capLocked(r) {
-			out = append(out, r)
+	free := sets.NewBitset(n)
+	for r, h := range holds {
+		if h == 0 || h < l.capLocked(graph.NodeID(r)) {
+			free.Set(graph.NodeID(r))
 		}
 	}
-	return out
+	return free
+}
+
+// admitLocked refuses m unless it names each host once and every host has
+// a free slot over [start, end) once lease skip's holds are set aside: the
+// conflict rule of AllocateWindow, Renew and Replace.
+func (l *Ledger) admitLocked(m []graph.NodeID, start, end time.Time, skip LeaseID) error {
+	n := 0
+	for _, r := range m {
+		if r < 0 {
+			return fmt.Errorf("service: mapping names negative host node %d", r)
+		}
+		n = max(n, int(r)+1)
+	}
+	seen := sets.NewBitset(n)
+	for _, r := range m {
+		if seen.Has(r) {
+			return fmt.Errorf("service: mapping reserves host node %d twice", r)
+		}
+		seen.Set(r)
+	}
+	free := l.freeLocked(n, start, end, skip)
+	for _, r := range m {
+		if !free.Has(r) {
+			return fmt.Errorf("%w: host node %d has all %d slot(s) leased", ErrConflict, r, l.capLocked(r))
+		}
+	}
+	return nil
 }
 
 // ActiveLeases counts leases active right now.

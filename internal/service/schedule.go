@@ -56,14 +56,17 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 		req.Step = 10 * time.Minute
 	}
 
-	edgeProg, nodeProg, err := compilePrograms(req.EdgeConstraint, req.NodeConstraint, true)
+	edgeProg, nodeProg, err := compilePrograms(req.EdgeConstraint, req.NodeConstraint)
 	if err != nil {
 		return nil, err
 	}
 
 	host, _ := s.model.Snapshot()
-	// Reservation marks keep node IDs, so one resolution serves every window.
 	allow, err := resolveAllow(req.Query, host, req.Allow)
+	if err != nil {
+		return nil, err
+	}
+	p, err := core.NewProblem(req.Query, host, edgeProg, nodeProg)
 	if err != nil {
 		return nil, err
 	}
@@ -73,15 +76,8 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 		end := start.Add(req.Duration)
 		tried++
 
-		// Nodes with no free slot at any point of the candidate window are
-		// hidden from the search.
-		snapshot := MarkReserved(host, s.ledger.SaturatedInWindow(start, end))
-
-		p, err := core.NewProblem(req.Query, snapshot, edgeProg, nodeProg)
-		if err != nil {
-			return nil, err
-		}
-		p.Allow = allow
+		// Only hosts AllocateWindow would accept for this window are searched.
+		p.Allow = narrow(allow, req.Query.NumNodes(), s.ledger.FreeInWindow(host.NumNodes(), start, end))
 		opt := core.Options{Timeout: req.Timeout, MaxSolutions: 1, Seed: req.Seed}
 		if opt.Timeout == 0 {
 			opt.Timeout = s.defaultTimeout
@@ -107,7 +103,7 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 		return &ScheduleResponse{
 			Start:        start,
 			Mapping:      m,
-			Named:        nameMapping(req.Query, snapshot, m),
+			Named:        nameMapping(req.Query, host, m),
 			Lease:        lease,
 			WindowsTried: tried,
 		}, nil

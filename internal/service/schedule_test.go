@@ -33,7 +33,7 @@ func TestScheduleSkipsStaleLedgerIDs(t *testing.T) {
 	}
 }
 
-// Marking busy hosts must not copy the hosting network once per candidate
+// Hiding busy hosts must not copy the hosting network once per candidate
 // window: at the default horizon and step an unsatisfiable request tries
 // 145 windows, and all of them together have to allocate far less than
 // 145 deep copies of the host would (the searches themselves allocate,

@@ -66,7 +66,11 @@ type Request struct {
 	MaxResults int
 	// Seed drives AlgoRWB.
 	Seed int64
-	// ExcludeReserved hides hosts with active reservations.
+	// ExcludeReserved restricts every query node to the hosts the ledger
+	// could still lease open-ended (Ledger.Free), ANDed with Allow. It
+	// marks nothing on the host: a constraint reading a reservation
+	// attribute reads one nobody sets and draws the usual
+	// undefined-attribute warning.
 	ExcludeReserved bool
 	// DedupeSymmetric collapses embeddings equivalent up to a query
 	// automorphism (the Considine-Byers symmetry reduction, §II): a ring
@@ -214,11 +218,6 @@ var (
 	ErrBadAllow = errors.New("service: bad allow-set")
 )
 
-// ReservedAttr marks hosts hidden from requests with ExcludeReserved; the
-// lifecycle manager stamps it on saturated hosts when searching repair
-// plans so migrations avoid other tenants.
-const ReservedAttr = "netembedReserved"
-
 // Embed answers one embedding request against the current model snapshot.
 // The snapshot is acquired as an epoch (Model.AcquireIndexed) and released
 // when the request finishes, so superseded snapshots retire as soon as
@@ -270,16 +269,9 @@ func (s *Service) embedOn(host *graph.Graph, idx *index.Index, version uint64, r
 	if req.Query == nil {
 		return nil, ErrNoQuery
 	}
-	edgeProg, nodeProg, err := compilePrograms(req.EdgeConstraint, req.NodeConstraint, req.ExcludeReserved)
+	edgeProg, nodeProg, err := compilePrograms(req.EdgeConstraint, req.NodeConstraint)
 	if err != nil {
 		return nil, err
-	}
-
-	if req.ExcludeReserved {
-		// Reservation marks only add node attributes — the structure the
-		// index describes (degrees, adjacency) is untouched, so the index
-		// stays valid for the marked snapshot.
-		host = MarkReserved(host, s.ledger.SaturatedNodes())
 	}
 
 	if req.Algorithm == AlgoPathEmbed {
@@ -294,7 +286,7 @@ func (s *Service) embedOn(host *graph.Graph, idx *index.Index, version uint64, r
 	if err != nil {
 		return nil, err
 	}
-	if p.Allow, err = resolveAllow(req.Query, host, req.Allow); err != nil {
+	if p.Allow, err = s.allowFor(req, host); err != nil {
 		return nil, err
 	}
 
@@ -395,7 +387,7 @@ func (s *Service) embedPath(host *graph.Graph, idx *index.Index, version uint64,
 	if err != nil {
 		return nil, err
 	}
-	if p.Allow, err = resolveAllow(req.Query, host, req.Allow); err != nil {
+	if p.Allow, err = s.allowFor(req, host); err != nil {
 		return nil, err
 	}
 	popt := core.PathOptions{
@@ -542,9 +534,6 @@ func attrWarnings(host *graph.Graph, progs ...*expr.Program) []string {
 						fmt.Sprintf("constraint references %s but no hosting edge defines %q", ref, ref.Attr))
 				}
 			case expr.ObjRSource, expr.ObjRTarget, expr.ObjRNode:
-				if ref.Attr == ReservedAttr {
-					continue // injected by ExcludeReserved
-				}
 				if !nodeHas(ref.Attr) {
 					warnings = append(warnings,
 						fmt.Sprintf("constraint references %s but no hosting node defines %q", ref, ref.Attr))
@@ -587,9 +576,8 @@ func objectiveAttrWarnings(host *graph.Graph, obj core.Objective) []string {
 		"objective reads rNode.%s but no hosting node defines %q", norm.Attr, norm.Attr)}
 }
 
-// compilePrograms compiles the request's constraint sources, appending the
-// reservation guard to the node constraint when requested.
-func compilePrograms(edgeSrc, nodeSrc string, excludeReserved bool) (*expr.Program, *expr.Program, error) {
+// compilePrograms compiles the request's constraint sources.
+func compilePrograms(edgeSrc, nodeSrc string) (*expr.Program, *expr.Program, error) {
 	var edgeProg, nodeProg *expr.Program
 	if strings.TrimSpace(edgeSrc) != "" {
 		p, err := expr.Compile(edgeSrc)
@@ -597,14 +585,6 @@ func compilePrograms(edgeSrc, nodeSrc string, excludeReserved bool) (*expr.Progr
 			return nil, nil, fmt.Errorf("service: edge constraint: %w", err)
 		}
 		edgeProg = p
-	}
-	if excludeReserved {
-		guard := "!has(rNode." + ReservedAttr + ")"
-		if strings.TrimSpace(nodeSrc) != "" {
-			nodeSrc = "(" + nodeSrc + ") && " + guard
-		} else {
-			nodeSrc = guard
-		}
 	}
 	if strings.TrimSpace(nodeSrc) != "" {
 		p, err := expr.Compile(nodeSrc)
@@ -636,6 +616,31 @@ func resolveAllow(query, host *graph.Graph, allow map[string][]string) ([]*sets.
 	return out, nil
 }
 
+// allowFor is the request's domain restriction: its allow-sets, narrowed
+// to the ledger's free hosts under ExcludeReserved.
+func (s *Service) allowFor(req Request, host *graph.Graph) ([]*sets.Bitset, error) {
+	allow, err := resolveAllow(req.Query, host, req.Allow)
+	if err != nil || !req.ExcludeReserved {
+		return allow, err
+	}
+	return narrow(allow, req.Query.NumNodes(), s.ledger.Free(host.NumNodes())), nil
+}
+
+// narrow returns allow (nil or one entry per query node) intersected with
+// free. Unrestricted query nodes all share free itself, which nothing
+// writes; restricted ones get fresh sets, so allow is left as it was.
+func narrow(allow []*sets.Bitset, nq int, free *sets.Bitset) []*sets.Bitset {
+	out := make([]*sets.Bitset, nq)
+	for q := range out {
+		out[q] = free
+		if allow != nil && allow[q] != nil {
+			out[q] = allow[q].Clone()
+			out[q].IntersectWith(free)
+		}
+	}
+	return out
+}
+
 // nodeSet is the set of g's nodes named in names; names g does not have
 // are skipped.
 func nodeSet(g *graph.Graph, names []string) *sets.Bitset {
@@ -646,15 +651,6 @@ func nodeSet(g *graph.Graph, names []string) *sets.Bitset {
 		}
 	}
 	return set
-}
-
-// reservedMark is the bag stamped onto nodes with no free slot.
-var reservedMark = graph.Attrs{}.SetBool(ReservedAttr, true)
-
-// MarkReserved returns host with the reservation attribute on each node
-// of ids; IDs the snapshot no longer has are skipped.
-func MarkReserved(host *graph.Graph, ids []graph.NodeID) *graph.Graph {
-	return host.WithNodeAttrs(ids, reservedMark)
 }
 
 func nameMapping(query, host *graph.Graph, m core.Mapping) NamedMapping {

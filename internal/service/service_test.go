@@ -252,17 +252,15 @@ func TestLedgerCapacity(t *testing.T) {
 		t.Fatal("second lease on a 1-slot node accepted")
 	}
 	// Saturation: node 7 saturated (2/2), node 3 saturated (1/1).
-	sat := l.SaturatedNodes()
-	if len(sat) != 2 {
-		t.Fatalf("saturated = %v", sat)
+	if free := l.Free(10); free.Count() != 8 || free.Has(7) || free.Has(3) {
+		t.Fatalf("free = %v", free.AppendTo(nil))
 	}
 	// Releasing one of node 7's leases frees a slot.
 	if err := l.Release(a); err != nil {
 		t.Fatal(err)
 	}
-	sat = l.SaturatedNodes()
-	if len(sat) != 1 || sat[0] != 3 {
-		t.Fatalf("saturated after release = %v", sat)
+	if free := l.Free(10); free.Count() != 9 || free.Has(3) {
+		t.Fatalf("free after release = %v", free.AppendTo(nil))
 	}
 	if _, err := l.Allocate(core.Mapping{7}); err != nil {
 		t.Fatalf("freed slot rejected: %v", err)
