@@ -1261,6 +1261,10 @@ func BenchmarkOptimize_BnB_vs_Enumerate(b *testing.B) {
 //     send, where the constraint-bearing filter build is the whole cost.
 //     Without it the gate under-reported the serve path by two orders of
 //     magnitude (ledger workload novel_constrained).
+//   - novel: warm_constrained over 512 distinct planted queries, one per
+//     iteration, so the 256-entry query LRU always misses and every
+//     request runs the GraphML decoder, as every novel_constrained and
+//     proof_hard request and every shard fragment does.
 //   - exclude_reserved: warm_constrained with excludeReserved, over a
 //     ledger holding 64 one-node leases on hosts the planted witness does
 //     not use: the tenancy path every managed placement takes.
@@ -1272,26 +1276,38 @@ func BenchmarkServePath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []string{"warm", "warm_constrained", "exclude_reserved", "cached"} {
+	for _, mode := range []string{"warm", "warm_constrained", "novel", "exclude_reserved", "cached"} {
 		b.Run(mode, func(b *testing.B) {
-			request := map[string]interface{}{"maxResults": 1}
-			query := q
-			if mode == "warm_constrained" || mode == "exclude_reserved" {
-				query = q.Clone()
-				topo.WidenDelayWindows(query, 0.1)
-				request["edgeConstraint"] = delayWindow.String()
+			queries := []*netembed.Graph{q}
+			if mode == "novel" {
+				rng := rand.New(rand.NewSource(16))
+				for len(queries) < 512 {
+					qi, _, err := topo.Subgraph(host, 8, 12, rng)
+					if err != nil {
+						b.Fatal(err)
+					}
+					queries = append(queries, qi)
+				}
 			}
-			if mode == "exclude_reserved" {
-				request["excludeReserved"] = true
-			}
-			queryXML, err := graphml.EncodeString(query)
-			if err != nil {
-				b.Fatal(err)
-			}
-			request["query"] = queryXML
-			body, err := json.Marshal(request)
-			if err != nil {
-				b.Fatal(err)
+			bodies := make([][]byte, len(queries))
+			for i, query := range queries {
+				request := map[string]interface{}{"maxResults": 1}
+				if mode != "warm" && mode != "cached" {
+					query = query.Clone()
+					topo.WidenDelayWindows(query, 0.1)
+					request["edgeConstraint"] = delayWindow.String()
+				}
+				if mode == "exclude_reserved" {
+					request["excludeReserved"] = true
+				}
+				queryXML, err := graphml.EncodeString(query)
+				if err != nil {
+					b.Fatal(err)
+				}
+				request["query"] = queryXML
+				if bodies[i], err = json.Marshal(request); err != nil {
+					b.Fatal(err)
+				}
 			}
 			model := netembed.NewModel(host)
 			model.EnableIndex(netembed.IndexConfig{})
@@ -1321,7 +1337,7 @@ func BenchmarkServePath(b *testing.B) {
 			// Warm the process: pools primed, cache filled in cached mode.
 			for i := 0; i < 3; i++ {
 				rec := httptest.NewRecorder()
-				api.ServeHTTP(rec, httptest.NewRequest("POST", "/embed", bytes.NewReader(body)))
+				api.ServeHTTP(rec, httptest.NewRequest("POST", "/embed", bytes.NewReader(bodies[0])))
 				if rec.Code != 200 {
 					b.Fatalf("warmup status %d: %s", rec.Code, rec.Body.String())
 				}
@@ -1330,7 +1346,7 @@ func BenchmarkServePath(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rec := httptest.NewRecorder()
-				api.ServeHTTP(rec, httptest.NewRequest("POST", "/embed", bytes.NewReader(body)))
+				api.ServeHTTP(rec, httptest.NewRequest("POST", "/embed", bytes.NewReader(bodies[i%len(bodies)])))
 				if rec.Code != 200 {
 					b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 				}
@@ -1374,6 +1390,58 @@ func BenchmarkBuildFilters(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if f := core.BuildFilters(problems[i%len(problems)], opt); f.Stats().FilterEntries == 0 {
 				b.Fatal("planted query has no candidates")
+			}
+		}
+	})
+}
+
+// codecFixtures are the documents the service decodes most: one planted
+// 8-node/12-edge query with ±10% delay windows (the shape of every
+// novel_constrained request) and the paper-sized 296-site host (PUT /model).
+func codecFixtures(b *testing.B) (query, host *netembed.Graph) {
+	b.Helper()
+	host = trace.SyntheticPlanetLab(trace.Config{Sites: 296}, rand.New(rand.NewSource(1)))
+	query, _, err := topo.Subgraph(host, 8, 12, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo.WidenDelayWindows(query, 0.1)
+	return query, host
+}
+
+// BenchmarkDecodeQuery measures graphml.DecodeString on the codec
+// fixtures: the cost every query-LRU miss and every shard fragment pays.
+func BenchmarkDecodeQuery(b *testing.B) {
+	query, host := codecFixtures(b)
+	for _, c := range []struct {
+		name string
+		g    *netembed.Graph
+	}{{"query8", query}, {"host296", host}} {
+		doc, err := graphml.EncodeString(c.g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := graphml.DecodeString(doc)
+				if err != nil || g.NumEdges() != c.g.NumEdges() {
+					b.Fatalf("decode: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodeQuery measures graphml.EncodeString on the planted query:
+// what the coordinator pays per fragment it sends a shard.
+func BenchmarkEncodeQuery(b *testing.B) {
+	query, _ := codecFixtures(b)
+	b.Run("query8", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := graphml.EncodeString(query); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

@@ -80,6 +80,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	if err := checkGate(gate, head); err != nil {
+		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+		os.Exit(2)
+	}
+
 	report := Compare(base, head, gate, *threshold, *allocsThr)
 	writeOut(*outPath, report)
 
@@ -220,6 +225,19 @@ func median(xs []float64) float64 {
 		return s[n/2]
 	}
 	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// checkGate refuses a gate that matches no benchmark of the head run.
+// Such a gate passes every comparison while gating nothing, as a
+// right-anchored regexp did against benchmarks that only emit
+// sub-benchmark lines.
+func checkGate(gate *regexp.Regexp, head map[string]*Samples) error {
+	for name := range head {
+		if gate.MatchString(name) {
+			return nil
+		}
+	}
+	return fmt.Errorf("-gate %q matches none of the head run's %d benchmarks, so it would gate nothing", gate, len(head))
 }
 
 // Compare builds the gate report from two parsed runs. A gated benchmark

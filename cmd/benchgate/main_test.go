@@ -203,6 +203,7 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		"BenchmarkRepair_SeededVsScratch/scratch",
 		"BenchmarkServePath/warm",
 		"BenchmarkServePath/warm_constrained",
+		"BenchmarkServePath/novel",
 		"BenchmarkServePath/exclude_reserved",
 		"BenchmarkServePath/cached",
 		"BenchmarkOptimize_BnB_vs_Enumerate/n512/bnb",
@@ -211,6 +212,9 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		"BenchmarkApplyDelta/edge_remove",
 		"BenchmarkApplyDelta/edge_add",
 		"BenchmarkBuildFilters/planetlab296_window",
+		"BenchmarkDecodeQuery/query8",
+		"BenchmarkDecodeQuery/host296",
+		"BenchmarkEncodeQuery/query8",
 	} {
 		if !gate.MatchString(name) {
 			t.Errorf("GATE %q does not gate %q", m[1], name)
@@ -224,6 +228,22 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		if gate.MatchString(name) {
 			t.Errorf("GATE %q unexpectedly gates %q", m[1], name)
 		}
+	}
+}
+
+// TestGateMatchingNothingIsRefused: a gate that matches no head
+// benchmark would pass every comparison, so benchgate refuses it. The
+// right-anchored form is the one that slipped through before.
+func TestGateMatchingNothingIsRefused(t *testing.T) {
+	head := parse(t, headRun)
+	for _, expr := range []string{`^BenchmarkEngineThroughput$`, `^BenchmarkNoSuch`} {
+		err := checkGate(regexp.MustCompile(expr), head)
+		if err == nil || !strings.Contains(err.Error(), "gate nothing") {
+			t.Errorf("gate %q: err = %v, want a refusal", expr, err)
+		}
+	}
+	if err := checkGate(regexp.MustCompile(`^BenchmarkEngineThroughput`), head); err != nil {
+		t.Errorf("a gate matching a sub-benchmark was refused: %v", err)
 	}
 }
 

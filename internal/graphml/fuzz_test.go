@@ -8,13 +8,9 @@ import (
 // FuzzDecode asserts the decoder never panics on arbitrary input and that
 // everything it accepts re-encodes and decodes to the same shape.
 func FuzzDecode(f *testing.F) {
-	f.Add(sample)
-	f.Add(`<graphml><graph edgedefault="undirected"><node id="a"/></graph></graphml>`)
-	f.Add(`<graphml><graph edgedefault="directed"><node id="a"/><node id="b"/><edge source="a" target="b"/></graph></graphml>`)
-	f.Add(`<graphml><key id="k" for="edge" attr.name="w" attr.type="double"><default>1</default></key><graph edgedefault="undirected"/></graphml>`)
-	f.Add(`not xml at all`)
-	f.Add(`<graphml>`)
-	f.Add(``)
+	for _, s := range decodeSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := DecodeString(src)
 		if err != nil {

@@ -6,13 +6,27 @@
 // declarations carrying attr.name/attr.type (boolean, int, long, float,
 // double, string) with optional <default> values, and <data> elements on
 // nodes and edges. Typed attributes round-trip into graph.Attrs values.
+//
+// Decoding runs in two tiers. A one-pass scanner (scan.go) handles the
+// closed subset Encode emits: an optional UTF-8 prolog, <graphml>, <key>
+// without <default>, one <graph>, <node>, <edge> and <data>, quoted
+// attributes and printable-ASCII character data with no entities. On
+// anything else — comments, CDATA, entity or character references,
+// namespace prefixes, DTDs, non-ASCII or control bytes, unknown elements —
+// and on any check that would fail, it gives the document up and the
+// encoding/xml reflection decoder runs instead. That decoder is the
+// reference: every error message and every rejection is its own, and
+// FuzzDecodeMatchesReference holds the two to identical graphs.
+//
+// Encode is a direct writer (encode.go) whose output is byte-identical to
+// the encoding/xml struct encoder it replaced; that encoder survives only
+// in a test file, as the byte oracle of TestEncodeMatchesReference.
 package graphml
 
 import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -62,6 +76,46 @@ type xmlData struct {
 
 // Decode reads one GraphML document from r and returns its first graph.
 func Decode(r io.Reader) (*graph.Graph, error) {
+	doc, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("graphml: %v", err)
+	}
+	return DecodeString(string(doc))
+}
+
+// DecodeString decodes a GraphML document held in a string.
+func DecodeString(s string) (*graph.Graph, error) {
+	g, ok := scan(s)
+	if !ok {
+		return decodeXML(strings.NewReader(s))
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// parseValue converts the character data of one <data> element (or one
+// <default>) under a key of type typ. String values are copied, so a
+// decoded graph never aliases the document.
+func parseValue(typ, raw string) (graph.Value, bool) {
+	raw = strings.TrimSpace(raw)
+	switch typ {
+	case "boolean":
+		b, err := strconv.ParseBool(raw)
+		return graph.BoolVal(b), err == nil
+	case "int", "long", "float", "double":
+		f, err := strconv.ParseFloat(raw, 64)
+		return graph.Num(f), err == nil
+	case "string", "":
+		return graph.Str(strings.Clone(raw)), true
+	}
+	return graph.Value{}, false
+}
+
+// decodeXML is the encoding/xml decoder: the fallback for every document
+// the scanner gives up, and the reference it is fuzzed against.
+func decodeXML(r io.Reader) (*graph.Graph, error) {
 	var doc xmlGraphML
 	dec := xml.NewDecoder(r)
 	if err := dec.Decode(&doc); err != nil {
@@ -80,6 +134,7 @@ func Decode(r io.Reader) (*graph.Graph, error) {
 		hasDef bool
 	}
 	keys := make(map[string]keyInfo, len(doc.Keys))
+	order := make([]string, 0, len(doc.Keys)) // key IDs, first declaration first
 	for _, k := range doc.Keys {
 		name := k.AttrName
 		if name == "" {
@@ -88,6 +143,9 @@ func Decode(r io.Reader) (*graph.Graph, error) {
 		target := k.For
 		if target == "" {
 			target = "all"
+		}
+		if _, redeclared := keys[k.ID]; !redeclared {
+			order = append(order, k.ID)
 		}
 		keys[k.ID] = keyInfo{
 			name:   name,
@@ -99,29 +157,22 @@ func Decode(r io.Reader) (*graph.Graph, error) {
 	}
 
 	parse := func(ki keyInfo, raw string) (graph.Value, error) {
+		v, ok := parseValue(ki.typ, raw)
+		if ok {
+			return v, nil
+		}
 		raw = strings.TrimSpace(raw)
 		switch ki.typ {
 		case "boolean":
-			b, err := strconv.ParseBool(raw)
-			if err != nil {
-				return graph.Value{}, fmt.Errorf("graphml: bad boolean %q for key %q", raw, ki.name)
-			}
-			return graph.BoolVal(b), nil
+			return graph.Value{}, fmt.Errorf("graphml: bad boolean %q for key %q", raw, ki.name)
 		case "int", "long", "float", "double":
-			f, err := strconv.ParseFloat(raw, 64)
-			if err != nil {
-				return graph.Value{}, fmt.Errorf("graphml: bad number %q for key %q", raw, ki.name)
-			}
-			return graph.Num(f), nil
-		case "string", "":
-			return graph.Str(raw), nil
+			return graph.Value{}, fmt.Errorf("graphml: bad number %q for key %q", raw, ki.name)
 		}
 		return graph.Value{}, fmt.Errorf("graphml: unsupported attr.type %q", ki.typ)
 	}
 
 	collect := func(data []xmlData, target string) (graph.Attrs, error) {
 		var attrs graph.Attrs
-		seen := make(map[string]bool)
 		for _, d := range data {
 			ki, ok := keys[d.Key]
 			if !ok {
@@ -132,11 +183,13 @@ func Decode(r io.Reader) (*graph.Graph, error) {
 				return nil, err
 			}
 			attrs = attrs.Set(ki.name, v)
-			seen[d.Key] = true
 		}
-		// Apply declared defaults for keys of this target.
-		for id, ki := range keys {
-			if seen[id] || !ki.hasDef {
+		// A declared default fills an attribute the element left unset;
+		// defaults apply in declaration order, so the first one declared
+		// for a name wins.
+		for _, id := range order {
+			ki := keys[id]
+			if !ki.hasDef || attrs.Has(ki.name) {
 				continue
 			}
 			if ki.target != target && ki.target != "all" {
@@ -196,149 +249,4 @@ func Decode(r io.Reader) (*graph.Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// DecodeString decodes a GraphML document held in a string.
-func DecodeString(s string) (*graph.Graph, error) {
-	return Decode(strings.NewReader(s))
-}
-
-// Encode writes g to w as a GraphML document. Attribute keys are declared
-// per target (node/edge) with types inferred from the values; mixing types
-// under one attribute name on the same target is rejected. Key IDs are
-// canonical: attribute names are collected first and IDs assigned in
-// sorted-name order (dn0, dn1, … for nodes; de0, de1, … for edges), so
-// equal graphs always serialize to identical bytes — golden files and
-// fingerprints over the encoding are stable across runs.
-func Encode(w io.Writer, g *graph.Graph) error {
-	type keySlot struct {
-		id   string
-		kind graph.Kind
-	}
-	nodeKeys := make(map[string]*keySlot)
-	edgeKeys := make(map[string]*keySlot)
-
-	register := func(m map[string]*keySlot, attrs graph.Attrs) error {
-		for name, v := range attrs {
-			if v.IsMissing() {
-				continue
-			}
-			if slot, ok := m[name]; ok {
-				if slot.kind != v.Kind() {
-					return fmt.Errorf("graphml: attribute %q has mixed kinds %v and %v", name, slot.kind, v.Kind())
-				}
-				continue
-			}
-			m[name] = &keySlot{kind: v.Kind()}
-		}
-		return nil
-	}
-	for i := 0; i < g.NumNodes(); i++ {
-		if err := register(nodeKeys, g.Node(graph.NodeID(i)).Attrs); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < g.NumEdges(); i++ {
-		if err := register(edgeKeys, g.Edge(graph.EdgeID(i)).Attrs); err != nil {
-			return err
-		}
-	}
-	// Assign IDs only after the full attribute sets are known, in sorted
-	// name order — map iteration order must never leak into the document.
-	assignIDs := func(m map[string]*keySlot, prefix string) {
-		names := make([]string, 0, len(m))
-		for name := range m {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for i, name := range names {
-			m[name].id = fmt.Sprintf("%s%d", prefix, i)
-		}
-	}
-	assignIDs(nodeKeys, "dn")
-	assignIDs(edgeKeys, "de")
-
-	typeName := func(k graph.Kind) string {
-		switch k {
-		case graph.Number:
-			return "double"
-		case graph.Bool:
-			return "boolean"
-		default:
-			return "string"
-		}
-	}
-
-	doc := xmlGraphML{Xmlns: xmlns}
-	appendKeys := func(m map[string]*keySlot, target string) {
-		names := make([]string, 0, len(m))
-		for name := range m {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			doc.Keys = append(doc.Keys, xmlKey{
-				ID:       m[name].id,
-				For:      target,
-				AttrName: name,
-				AttrType: typeName(m[name].kind),
-			})
-		}
-	}
-	appendKeys(nodeKeys, "node")
-	appendKeys(edgeKeys, "edge")
-
-	dataFor := func(m map[string]*keySlot, attrs graph.Attrs) []xmlData {
-		names := make([]string, 0, len(attrs))
-		for name, v := range attrs {
-			if !v.IsMissing() {
-				names = append(names, name)
-			}
-		}
-		sort.Strings(names)
-		out := make([]xmlData, 0, len(names))
-		for _, name := range names {
-			out = append(out, xmlData{Key: m[name].id, Value: attrs.Get(name).String()})
-		}
-		return out
-	}
-
-	edgeDefault := "undirected"
-	if g.Directed() {
-		edgeDefault = "directed"
-	}
-	xg := xmlGraph{ID: "G", EdgeDefault: edgeDefault}
-	for i := 0; i < g.NumNodes(); i++ {
-		n := g.Node(graph.NodeID(i))
-		xg.Nodes = append(xg.Nodes, xmlNode{ID: n.Name, Data: dataFor(nodeKeys, n.Attrs)})
-	}
-	for i := 0; i < g.NumEdges(); i++ {
-		e := g.Edge(graph.EdgeID(i))
-		xg.Edges = append(xg.Edges, xmlEdge{
-			Source: g.Node(e.From).Name,
-			Target: g.Node(e.To).Name,
-			Data:   dataFor(edgeKeys, e.Attrs),
-		})
-	}
-	doc.Graphs = []xmlGraph{xg}
-
-	if _, err := io.WriteString(w, xml.Header); err != nil {
-		return err
-	}
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("graphml: %v", err)
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
-}
-
-// EncodeString renders g as a GraphML document string.
-func EncodeString(g *graph.Graph) (string, error) {
-	var sb strings.Builder
-	if err := Encode(&sb, g); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
 }

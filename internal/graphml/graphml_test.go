@@ -227,3 +227,42 @@ func TestEncodeEmptyGraph(t *testing.T) {
 		t.Errorf("empty graph round-trip = %v", got)
 	}
 }
+
+// TestDefaultDoesNotOverwriteData is the regression test for a key's
+// <default> replacing a value the element set explicitly under another
+// key of the same attribute name: defaults used to be skipped by key ID,
+// not by name.
+func TestDefaultDoesNotOverwriteData(t *testing.T) {
+	src := `<graphml>
+  <key id="d0" for="node" attr.name="w" attr.type="double"/>
+  <key id="d1" for="all" attr.name="w" attr.type="double"><default>5</default></key>
+  <graph edgedefault="undirected"><node id="a"><data key="d0">1</data></node></graph>
+</graphml>`
+	g, err := DecodeString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := g.Node(0).Attrs.Float("w"); w != 1 {
+		t.Errorf("w = %v, want the explicit 1", w)
+	}
+}
+
+// TestFirstDeclaredDefaultWins is the regression test for two defaults
+// under one attribute name racing on map order: the first declared wins,
+// on every decode.
+func TestFirstDeclaredDefaultWins(t *testing.T) {
+	src := `<graphml>
+  <key id="d0" for="node" attr.name="w" attr.type="double"><default>1</default></key>
+  <key id="d1" for="all" attr.name="w" attr.type="double"><default>5</default></key>
+  <graph edgedefault="undirected"><node id="a"/></graph>
+</graphml>`
+	for i := 0; i < 200; i++ {
+		g, err := DecodeString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := g.Node(0).Attrs.Float("w"); w != 1 {
+			t.Fatalf("decode %d: w = %v, want the first declared default 1", i, w)
+		}
+	}
+}

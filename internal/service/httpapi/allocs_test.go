@@ -28,6 +28,7 @@ import (
 const (
 	warmEmbedAllocBudget    = 700
 	cachedSubmitAllocBudget = 700
+	novelEmbedAllocBudget   = 400
 )
 
 func newAllocServer(t *testing.T, cacheCap int) (*Server, []byte) {
@@ -78,6 +79,56 @@ func TestWarmEmbedAllocBudget(t *testing.T) {
 	if avg > warmEmbedAllocBudget {
 		t.Errorf("warm /embed allocates %.1f/op, budget %d — a serve-path reuse layer regressed",
 			avg, warmEmbedAllocBudget)
+	}
+}
+
+// TestNovelEmbedAllocBudget pins the allocation count of a POST /embed
+// whose query the decode LRU has never seen: 300 distinct planted
+// queries cycle through a 256-entry LRU, so every request decodes its
+// GraphML. Decoded through encoding/xml the request made ≈1,490
+// allocations; through the one-pass scanner it makes ≈230 (≈285 under
+// -race, which roughly doubles what AllocsPerRun counts).
+func TestNovelEmbedAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is slow under -short")
+	}
+	api, _ := newAllocServer(t, -1)
+	host, _ := api.svc.Model().Snapshot()
+	rng := rand.New(rand.NewSource(3))
+	bodies := make([][]byte, 300)
+	for i := range bodies {
+		q, _, err := topo.Subgraph(host, 6, 8, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queryXML, err := graphml.EncodeString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bodies[i], err = json.Marshal(map[string]interface{}{"query": queryXML, "maxResults": 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	do := func() {
+		rec := httptest.NewRecorder()
+		api.ServeHTTP(rec, httptest.NewRequest("POST", "/embed", bytes.NewReader(bodies[next%len(bodies)])))
+		next++
+		if rec.Code != 200 {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	for range bodies {
+		do() // prime pools; the LRU now holds the last 256 bodies
+	}
+	avg := testing.AllocsPerRun(200, do)
+	if _, misses, _ := api.queries.stats(); misses < uint64(next) {
+		t.Fatalf("query LRU hit %d of %d requests, want every one to miss", uint64(next)-misses, next)
+	}
+	t.Logf("novel /embed: %.1f allocs/op (budget %d)", avg, novelEmbedAllocBudget)
+	if avg > novelEmbedAllocBudget {
+		t.Errorf("novel /embed allocates %.1f/op, budget %d — the GraphML decode path regressed",
+			avg, novelEmbedAllocBudget)
 	}
 }
 

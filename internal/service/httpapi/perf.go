@@ -2,16 +2,20 @@
 // profiling BenchmarkServePath surfaced live here.
 //
 // Two sinks dominate a warm /embed request. First, every handler decodes
-// the query network from its GraphML wire form — ~1800 allocations for a
-// small query, ~80% of the request's total — even though load generators
-// and monitoring loops resubmit the same handful of query shapes
-// verbatim. queryCache memoizes raw GraphML text → decoded *graph.Graph
-// under a small LRU; decoded graphs are immutable by the service's
-// copy-on-write discipline (Negotiate clones before relaxing windows, and
-// no handler mutates a decoded query), so one decode can serve every
-// subsequent request that carries byte-identical GraphML. Second, every
-// JSON reply allocated a fresh encoder buffer; writeJSON now rents
-// buffers from a sync.Pool (see httpapi.go).
+// the query network from its GraphML wire form. graphml's one-pass
+// scanner does that in ≈120 allocations for an 8-node/12-edge query (the
+// encoding/xml decoder it replaced took ≈1,800, ~80% of the request),
+// and load generators and monitoring loops resubmit the same handful of
+// query shapes verbatim. queryCache memoizes raw GraphML text → decoded
+// *graph.Graph under a small LRU; decoded graphs are immutable by the
+// service's copy-on-write discipline (Negotiate clones before relaxing
+// windows, and no handler mutates a decoded query), so one decode can
+// serve every subsequent request that carries byte-identical GraphML.
+// The LRU is bounded in bytes as well as entries: a document longer than
+// maxCachedQueryBytes is decoded but never cached, so 256 large distinct
+// queries cannot stay pinned. Second, every JSON reply allocated a fresh
+// encoder buffer; writeJSON now rents buffers from a sync.Pool (see
+// httpapi.go).
 //
 // GET /stats additionally reports the serve-path gauges defined here:
 // runtime memory counters, the model's snapshot-retirement epochs and the
@@ -33,6 +37,11 @@ import (
 // cycle a few dozen query shapes; 256 keeps the worst-case footprint
 // (256 small query graphs plus their GraphML keys) in the low megabytes.
 const defaultQueryCacheCap = 256
+
+// maxCachedQueryBytes is the longest GraphML document the LRU keeps. A
+// planted 8-node query is ≈4 KB; 64 KiB bounds the cache at 16 MiB of
+// keys however large the documents a client sends.
+const maxCachedQueryBytes = 64 << 10
 
 // queryCache is a mutex-guarded LRU from raw GraphML text to the decoded
 // query graph. Values are shared across requests and MUST be treated as
@@ -62,9 +71,10 @@ func newQueryCache(capacity int) *queryCache {
 
 // decode returns the parsed query for raw, serving repeats from the LRU.
 // Decode errors are returned without caching (malformed documents are not
-// worth an entry). Concurrent misses on the same key may decode twice;
-// the last insert wins, which is harmless because decoded graphs of the
-// same text are interchangeable.
+// worth an entry), and so are documents over maxCachedQueryBytes.
+// Concurrent misses on the same key may decode twice; the last insert
+// wins, which is harmless because decoded graphs of the same text are
+// interchangeable.
 func (c *queryCache) decode(raw string) (*graph.Graph, error) {
 	c.mu.Lock()
 	if el, ok := c.m[raw]; ok {
@@ -78,8 +88,8 @@ func (c *queryCache) decode(raw string) (*graph.Graph, error) {
 	c.mu.Unlock()
 
 	g, err := graphml.DecodeString(raw)
-	if err != nil {
-		return nil, err
+	if err != nil || len(raw) > maxCachedQueryBytes {
+		return g, err
 	}
 
 	c.mu.Lock()
