@@ -192,12 +192,11 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		"BenchmarkEngineThroughput/workers=4/warm",
 		"BenchmarkEngineThroughput/workers=16/cold",
 		"BenchmarkSearch_FC_vs_Chrono/dense512/subgraph/fc",
-		"BenchmarkSearch_FC_vs_Chrono/dense512/clique/chrono",
+		"BenchmarkSearch_FC_vs_Chrono/dense512/clique/fc",
 		"BenchmarkSearch_FC_vs_Chrono/nomatch512/fc",
 		"BenchmarkSearch_FC_vs_Chrono/skewedring/fc",
 		"BenchmarkSearch_FC_vs_Chrono/pigeonhole8/fc",
 		"BenchmarkPathEmbed_FC_vs_Seed/dense512/windowed/fc",
-		"BenchmarkPathEmbed_FC_vs_Seed/dense512/windowed/seed",
 		"BenchmarkPathEmbed_FC_vs_Seed/nomatch128/fc",
 		"BenchmarkRepair_SeededVsScratch/seeded",
 		"BenchmarkRepair_SeededVsScratch/scratch",

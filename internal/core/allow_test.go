@@ -67,7 +67,7 @@ func TestAllowMatchesBruteForce(t *testing.T) {
 	}
 	restricted, emptied := 0, 0
 	for ci, c := range oracleCases(t) {
-		unrestricted := bruteForce(c.p)
+		unrestricted := bruteForce(c.p, nil)
 		rng := rand.New(rand.NewSource(int64(ci) + 1))
 		p := *c.p
 		p.Allow = randomAllow(rng, p.Query.NumNodes(), p.Host.NumNodes())
@@ -157,7 +157,8 @@ func TestConsolidateHonoursAllow(t *testing.T) {
 	}
 }
 
-// TestPathEmbedHonoursAllow: both path searchers go through the seam.
+// TestPathEmbedHonoursAllow: PathEmbed and the path oracle both go
+// through the seam.
 func TestPathEmbedHonoursAllow(t *testing.T) {
 	host := pathHost()
 	p, err := NewProblem(topo.Line(2), host, nil, nil)
@@ -178,13 +179,7 @@ func TestPathEmbedHonoursAllow(t *testing.T) {
 	if len(want) == 0 || len(want) == len(all) {
 		t.Fatalf("fixture does not discriminate: %d of %d solutions comply", len(want), len(all))
 	}
-	for _, engine := range []SearchEngine{SearchFC, SearchChrono} {
-		res := PathEmbed(p, PathOptions{MaxHops: 2, Engine: engine})
-		sameSolutionSets(t, fmt.Sprintf("path engine=%v", engine), count(res.Solutions), want)
-		for _, sol := range res.Solutions {
-			if err := VerifyPathSolution(p, PathOptions{MaxHops: 2}, sol); err != nil {
-				t.Fatalf("engine %v: reported solution fails verification: %v", engine, err)
-			}
-		}
-	}
+	res := PathEmbed(p, PathOptions{MaxHops: 2})
+	sameSolutionSets(t, "path", count(res.Solutions), want)
+	checkPathEquivalence(t, "path allow", p, PathOptions{MaxHops: 2})
 }

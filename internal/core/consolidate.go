@@ -103,7 +103,6 @@ type consSearcher struct {
 	order     []graph.NodeID   // query nodes in connected ascending order
 	preNbrs   [][]graph.NodeID // earlier-placed query neighbors per depth
 	base      []sets.Set       // node-constraint-feasible hosts per query node
-	baseB     []*sets.Bitset   // the same sets as bitsets
 	demand    []float64
 	remaining []float64
 	minDemand float64
@@ -116,13 +115,12 @@ type consSearcher struct {
 	candBits  *sets.Bitset // scratch for materializing candidates
 	scratch   [][]int32    // per-depth candidate buffers
 
-	// Forward-checking state (SearchFC engine only): live domains per
-	// query node, pruned when an earlier neighbor is placed — a later
-	// neighbor must land on the placed host's adjacency or co-locate on
-	// the host itself — with trail-backed undo and an early wipeout
-	// check. Edge constraints stay lazily evaluated per candidate, so
-	// the pruning is topology-only and provably solution-preserving.
-	fc       bool
+	// Forward-checking state: live domains per query node, pruned when
+	// an earlier neighbor is placed — a later neighbor must land on the
+	// placed host's adjacency or co-locate on the host itself — with
+	// trail-backed undo and an early wipeout check. Edge constraints stay
+	// lazily evaluated per candidate, so the pruning is topology-only and
+	// provably solution-preserving.
 	ds       *domains
 	adj      *hostAdj         // host adjacency ∪ self (co-location)
 	postNbrs [][]graph.NodeID // later-placed query neighbors per depth
@@ -172,7 +170,6 @@ func (s *consSearcher) init() {
 	// Base candidates: the node constraint plus the capacity sanity bound
 	// (a host below the node's own demand can never help).
 	s.base = make([]sets.Set, nq)
-	s.baseB = make([]*sets.Bitset, nq)
 	for i := 0; i < nq; i++ {
 		for r := 0; r < nh; r++ {
 			if s.remaining[r] >= s.demand[i] && s.p.nodeOK(graph.NodeID(i), graph.NodeID(r)) {
@@ -182,7 +179,6 @@ func (s *consSearcher) init() {
 		if len(s.base[i]) == 0 {
 			return // some query node has no host at all: definitive no-match
 		}
-		s.baseB[i] = sets.FromSet(nh, s.base[i])
 	}
 	s.saturated = sets.NewBitset(nh)
 	for r := 0; r < nh; r++ {
@@ -223,15 +219,12 @@ func (s *consSearcher) init() {
 		}
 	}
 
-	s.fc = s.opt.Engine != SearchChrono
-	if s.fc {
-		s.ds = newDomains(nh, nq)
-		for i := 0; i < nq; i++ {
-			s.ds.dom[i].CopyFrom(s.baseB[i])
-			s.ds.count[i] = int32(len(s.base[i]))
-		}
-		s.adj = newHostAdj(h, true)
+	s.ds = newDomains(nh, nq)
+	for i := 0; i < nq; i++ {
+		s.ds.dom[i].AddSet(s.base[i])
+		s.ds.count[i] = int32(len(s.base[i]))
 	}
+	s.adj = newHostAdj(h, true)
 
 	s.assign = make(Mapping, nq)
 	for i := range s.assign {
@@ -346,16 +339,11 @@ func (s *consSearcher) search(d int) {
 		return
 	}
 	node := s.order[d]
-	// Materialize this depth's candidates: the node's live domain (base
-	// bitset under SearchChrono) minus saturated hosts, ascending — the
-	// same order the base slice scan produced, with packed hosts pruned
-	// word-wise up front.
+	// Materialize this depth's candidates: the node's live domain minus
+	// saturated hosts, ascending, with packed hosts pruned word-wise up
+	// front.
 	buf := s.scratch[d][:0]
-	if s.fc {
-		s.candBits.CopyFrom(&s.ds.dom[node])
-	} else {
-		s.candBits.CopyFrom(s.baseB[node])
-	}
+	s.candBits.CopyFrom(&s.ds.dom[node])
 	if s.candBits.AndNotWith(s.saturated) {
 		buf = s.candBits.AppendTo(buf)
 	}
@@ -380,15 +368,12 @@ func (s *consSearcher) search(d int) {
 		}
 		found = true
 		s.stats.NodesVisited++
-		var mark, amark int
-		if s.fc {
-			mark, amark = s.ds.mark()
-			if !s.fcPrune(d, r) {
-				// A later neighbor lost its last plausible host: reject
-				// before descending.
-				s.ds.undoTo(mark, amark)
-				continue
-			}
+		mark, amark := s.ds.mark()
+		if !s.fcPrune(d, r) {
+			// A later neighbor lost its last plausible host: reject
+			// before descending.
+			s.ds.undoTo(mark, amark)
+			continue
 		}
 		s.assign[node] = r
 		s.remaining[r] -= s.demand[node]
@@ -401,9 +386,7 @@ func (s *consSearcher) search(d int) {
 			s.saturated.Clear(r)
 		}
 		s.assign[node] = -1
-		if s.fc {
-			s.ds.undoTo(mark, amark)
-		}
+		s.ds.undoTo(mark, amark)
 	}
 	if !found {
 		s.stats.Backtracks++

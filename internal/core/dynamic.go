@@ -3,19 +3,15 @@ package core
 import (
 	"math/rand"
 	"time"
-
-	"netembed/internal/graph"
-	"netembed/internal/sets"
 )
 
 // DynamicECF is ECF with dynamic variable ordering: instead of fixing the
 // node order up front (Lemma 1), every level re-selects the unplaced
 // query node with the fewest current candidates — the classic
-// most-constrained-variable rule from constraint programming, evaluated
-// against the live filter rows. It explores the provably smallest
-// permutation tree at the cost of recomputing candidate sets for all open
-// nodes at each level; the ablation bench quantifies the trade against
-// static ordering.
+// most-constrained-variable rule from constraint programming. It runs on
+// the forward-checking engine in dynamic mode, where the live domain
+// counts make the pick an O(nq) read instead of a re-intersection per
+// open node, and backjumping prunes on top.
 //
 // Completeness and correctness are inherited from the same filter
 // machinery as ECF: candidate sets are exact for edges into placed
@@ -23,263 +19,18 @@ import (
 func DynamicECF(p *Problem, opt Options) *Result {
 	start := time.Now()
 	f := BuildFilters(p, &opt)
-	optimize := opt.Optimize && opt.Objective.Enabled()
-	if optimize {
+	if opt.Optimize && opt.Objective.Enabled() {
 		opt.MaxSolutions = 0 // optimality needs the exhausted tree
 		opt.OnSolution = nil
 	}
-	if opt.Engine != SearchChrono {
-		// FC engine in dynamic mode: the live domain counts make the MRV
-		// pick an O(nq) read instead of a full re-intersection per open
-		// node, and backjumping prunes on top.
-		var rng *rand.Rand
-		if opt.Seed != 0 {
-			rng = rand.New(rand.NewSource(opt.Seed))
-		}
-		s := newFCSearcher(p, f, opt, rng, start, true)
-		s.run()
-		res := s.result()
-		s.release()
-		f.release()
-		return res
-	}
-	s := &dynSearcher{
-		p:       p,
-		f:       f,
-		opt:     opt,
-		nq:      p.Query.NumNodes(),
-		assign:  make(Mapping, p.Query.NumNodes()),
-		used:    sets.NewBitset(p.Host.NumNodes()),
-		started: start,
-		stats:   f.Stats(),
-	}
-	for i := range s.assign {
-		s.assign[i] = -1
-	}
-	if f.Dense() {
-		s.bufBits = sets.NewBitset(p.Host.NumNodes())
-	}
-	s.arm(start, opt.Timeout, opt.Stop)
+	var rng *rand.Rand
 	if opt.Seed != 0 {
-		s.rng = rand.New(rand.NewSource(opt.Seed))
+		rng = rand.New(rand.NewSource(opt.Seed))
 	}
-	s.search(0)
-	exhausted := !s.timedOut && !s.stopped
-	res := &Result{
-		Solutions: s.solutions,
-		Exhausted: exhausted,
-		Status:    classify(exhausted, s.nSol),
-		Stats:     s.stats,
-	}
-	if optimize {
-		reduceToArgmin(p.Host, opt.Objective, res)
-	}
-	res.Stats.Elapsed = time.Since(start)
+	s := newFCSearcher(p, f, opt, rng, start, true)
+	s.run()
+	res := s.result()
+	s.release()
 	f.release()
 	return res
-}
-
-type dynSearcher struct {
-	p   *Problem
-	f   *Filters
-	opt Options
-	rng *rand.Rand
-
-	nq     int
-	assign Mapping
-	used   *sets.Bitset
-
-	bufA, bufB sets.Set
-	rows       []sets.Set
-	rowsB      []*sets.Bitset
-	bufBits    *sets.Bitset // dense-mode intersection accumulator
-
-	stopClock
-	stopped bool
-
-	started   time.Time
-	solutions []Mapping
-	nSol      int
-	stats     Stats
-}
-
-// candidatesFor computes the current candidate set of an unplaced node:
-// the intersection of filter rows from placed neighbors (or the base set
-// when none), minus used hosts. The result aliases s.bufA. It operates on
-// whichever representation the filters carry.
-func (s *dynSearcher) candidatesFor(q graph.NodeID) sets.Set {
-	if s.f.Dense() {
-		return s.candidatesForDense(q)
-	}
-	s.rows = s.rows[:0]
-	collect := func(nbr graph.NodeID) bool {
-		if s.assign[nbr] < 0 {
-			return true
-		}
-		for _, t := range s.f.arcTables[arcKey(nbr, q)] {
-			row := s.f.tables[t][s.assign[nbr]]
-			if len(row) == 0 {
-				return false
-			}
-			s.rows = append(s.rows, row)
-		}
-		return true
-	}
-	for _, a := range s.p.Query.Arcs(q) {
-		if !collect(a.To) {
-			return s.bufA[:0]
-		}
-	}
-	if s.p.Query.Directed() {
-		for _, a := range s.p.Query.InArcs(q) {
-			if !collect(a.To) {
-				return s.bufA[:0]
-			}
-		}
-	}
-	var cur sets.Set
-	if len(s.rows) == 0 {
-		cur = s.f.base[q]
-	} else {
-		cur = s.rows[0]
-		a, b := s.bufB, s.bufA
-		for i := 1; i < len(s.rows) && len(cur) > 0; i++ {
-			a = sets.IntersectInto(a[:0], cur, s.rows[i])
-			cur = a
-			a, b = b, a
-		}
-		s.bufB, s.bufA = a, b
-	}
-	out := s.bufA[:0]
-	for _, r := range cur {
-		if !s.used.Has(r) {
-			out = append(out, r)
-		}
-	}
-	s.bufA = out
-	return out
-}
-
-// candidatesForDense is candidatesFor on bitset rows: a nil row from a
-// placed neighbor is empty (dead end), otherwise the rows AND together in
-// the accumulator and the used marks subtract word-wise.
-func (s *dynSearcher) candidatesForDense(q graph.NodeID) sets.Set {
-	s.rowsB = s.rowsB[:0]
-	dead := false
-	collect := func(nbr graph.NodeID) bool {
-		if s.assign[nbr] < 0 {
-			return true
-		}
-		for _, t := range s.f.arcTables[arcKey(nbr, q)] {
-			row := s.f.tablesB[t][s.assign[nbr]]
-			if row == nil {
-				return false
-			}
-			s.rowsB = append(s.rowsB, row)
-		}
-		return true
-	}
-	for _, a := range s.p.Query.Arcs(q) {
-		if !collect(a.To) {
-			dead = true
-			break
-		}
-	}
-	if !dead && s.p.Query.Directed() {
-		for _, a := range s.p.Query.InArcs(q) {
-			if !collect(a.To) {
-				dead = true
-				break
-			}
-		}
-	}
-	if dead {
-		s.bufA = s.bufA[:0]
-		return s.bufA
-	}
-	bb := s.bufBits
-	nonempty := true
-	if len(s.rowsB) == 0 {
-		bb.CopyFrom(s.f.baseB[q])
-	} else {
-		bb.CopyFrom(s.rowsB[0])
-		for _, row := range s.rowsB[1:] {
-			if nonempty = bb.IntersectWith(row); !nonempty {
-				break
-			}
-		}
-	}
-	out := s.bufA[:0]
-	if nonempty && bb.AndNotWith(s.used) {
-		out = bb.AppendTo(out)
-	}
-	s.bufA = out
-	return out
-}
-
-// pickVariable returns the unplaced node with the fewest candidates and a
-// copy of that candidate set (most-constrained-variable).
-func (s *dynSearcher) pickVariable() (graph.NodeID, []int32) {
-	best := graph.NodeID(-1)
-	var bestCands []int32
-	for q := graph.NodeID(0); int(q) < s.nq; q++ {
-		if s.assign[q] >= 0 {
-			continue
-		}
-		cands := s.candidatesFor(q)
-		if best < 0 || len(cands) < len(bestCands) {
-			best = q
-			bestCands = append(bestCands[:0], cands...)
-			if len(bestCands) == 0 {
-				break // cannot do better than a dead end
-			}
-		}
-	}
-	return best, bestCands
-}
-
-func (s *dynSearcher) search(depth int) {
-	if s.timedOut || s.stopped {
-		return
-	}
-	if depth == s.nq {
-		s.record()
-		return
-	}
-	q, cands := s.pickVariable()
-	if len(cands) == 0 {
-		s.stats.Backtracks++
-		return
-	}
-	if s.rng != nil {
-		s.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	}
-	for _, r := range cands {
-		if s.checkDeadline() || s.stopped {
-			return
-		}
-		s.stats.NodesVisited++
-		s.assign[q] = r
-		s.used.Set(r)
-		s.search(depth + 1)
-		s.used.Clear(r)
-		s.assign[q] = -1
-	}
-}
-
-func (s *dynSearcher) record() {
-	if s.nSol == 0 {
-		s.stats.TimeToFirst = time.Since(s.started)
-	}
-	s.nSol++
-	if s.opt.OnSolution != nil {
-		if !s.opt.OnSolution(s.assign) {
-			s.stopped = true
-		}
-	} else {
-		s.solutions = append(s.solutions, s.assign.Clone())
-	}
-	if s.opt.MaxSolutions > 0 && s.nSol >= s.opt.MaxSolutions {
-		s.stopped = true
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"netembed/internal/graph"
-	"netembed/internal/sets"
 )
 
 // ECF is Exhaustive Search with Constraint Filtering (§V-A): it builds the
@@ -69,118 +68,24 @@ func RWB(p *Problem, opt Options) *Result {
 	return res
 }
 
-// preArc names one filter table constraining the node at some depth, fed
-// by an earlier-placed neighbor.
-type preArc struct {
-	tail  graph.NodeID // the already-placed query neighbor
-	table int32
-}
-
-// searcher carries the state of one filter-driven DFS.
-type searcher struct {
-	p   *Problem
-	f   *Filters
-	opt Options
-	rng *rand.Rand // nil for ECF, set for RWB
-
-	order   []graph.NodeID // order[d] = query node expanded at depth d
-	preArcs [][]preArc     // preArcs[d] = filters from earlier neighbors
-
-	assign Mapping
-	used   *sets.Bitset
-
-	scratch   [][]int32 // per-depth candidate buffers
-	interBuf  sets.Set
-	interBuf2 sets.Set
-	rows      []sets.Set
-	interBits *sets.Bitset // dense-mode intersection accumulator
-
-	stopClock
-	stopped bool
-
-	started   time.Time
-	solutions []Mapping
-	nSol      int
-	stats     Stats
-}
-
-// searchWithFilters runs the shared ECF/RWB search. The start time
-// anchors both TimeToFirst and the timeout deadline, so filter
-// construction counts toward the query's budget, exactly as the paper's
-// end-to-end response times do. The default engine is the
-// forward-checking searcher with conflict-directed backjumping (fc.go);
-// Options.Engine = SearchChrono selects the chronological
-// recompute-per-visit DFS below, kept as the property-test oracle and
-// ablation baseline. Both enumerate identical solution sequences.
+// searchWithFilters runs the shared ECF/RWB search on the
+// forward-checking engine (fc.go). The start time anchors both
+// TimeToFirst and the timeout deadline, so filter construction counts
+// toward the query's budget, exactly as the paper's end-to-end response
+// times do.
 func searchWithFilters(p *Problem, f *Filters, opt Options, rng *rand.Rand, start time.Time) *Result {
-	optimize := opt.Optimize && opt.Objective.Enabled()
-	if optimize {
+	if opt.Optimize && opt.Objective.Enabled() {
 		// Optimality requires the exhausted tree, so a solution cap cannot
 		// apply; OnSolution streams enumerations, not incumbents, and is
 		// superseded by OnImprove here.
 		opt.MaxSolutions = 0
 		opt.OnSolution = nil
 	}
-	if opt.Engine == SearchChrono {
-		// The chronological engine has no bound machinery: enumerate
-		// everything, then take the argmin — the oracle semantics the B&B
-		// property tests pin against.
-		s := newSearcher(p, f, opt, rng, start)
-		s.search(0)
-		res := s.result()
-		if optimize {
-			reduceToArgmin(p.Host, opt.Objective, res)
-		}
-		return res
-	}
 	s := newFCSearcher(p, f, opt, rng, start, false)
 	s.run()
 	res := s.result()
 	s.release()
 	return res
-}
-
-// reduceToArgmin collapses an enumerated Result to its single cheapest
-// solution under obj (first minimum wins, matching the strict-<
-// incumbent rule of the B&B engine) and records the cost. A Result with
-// no solutions is left untouched.
-func reduceToArgmin(host *graph.Graph, obj Objective, res *Result) {
-	if len(res.Solutions) == 0 {
-		return
-	}
-	bestI, bestC := 0, obj.Cost(host, res.Solutions[0])
-	for i := 1; i < len(res.Solutions); i++ {
-		if c := obj.Cost(host, res.Solutions[i]); c < bestC {
-			bestI, bestC = i, c
-		}
-	}
-	res.Solutions = []Mapping{res.Solutions[bestI]}
-	res.Cost = bestC
-}
-
-func newSearcher(p *Problem, f *Filters, opt Options, rng *rand.Rand, start time.Time) *searcher {
-	nq := p.Query.NumNodes()
-	s := &searcher{
-		p:       p,
-		f:       f,
-		opt:     opt,
-		rng:     rng,
-		assign:  make(Mapping, nq),
-		used:    sets.NewBitset(p.Host.NumNodes()),
-		scratch: make([][]int32, nq),
-		started: start,
-		stats:   f.Stats(),
-	}
-	for i := range s.assign {
-		s.assign[i] = -1
-	}
-	if f.Dense() {
-		s.interBits = sets.NewBitset(p.Host.NumNodes())
-	}
-	s.arm(s.started, opt.Timeout, opt.Stop)
-	s.order = searchOrder(f, opt.Order)
-	s.preArcs = buildPreArcs(p, f, s.order)
-	return s
 }
 
 // searchOrder realizes Lemma 1: examining query nodes in ascending order
@@ -272,176 +177,4 @@ func connectedAscendingOrder(order []graph.NodeID, f *Filters) []graph.NodeID {
 		}
 	}
 	return order
-}
-
-// buildPreArcs precomputes, for each depth, the filter tables fed by
-// neighbors that the order places earlier. Every query edge appears at
-// exactly one depth: the one where its later endpoint is expanded, which
-// is where adjacency and the edge constraint get enforced. Deduplication
-// uses one reusable generation-stamped mask over table IDs instead of a
-// fresh map per query node — this runs inside every ECFWithFilters call,
-// including the warm-cache engine paths.
-func buildPreArcs(p *Problem, f *Filters, order []graph.NodeID) [][]preArc {
-	pos := make([]int, len(order))
-	for d, q := range order {
-		pos[q] = d
-	}
-	seen := newTableStamp(len(f.tables) + len(f.tablesB))
-	pre := make([][]preArc, len(order))
-	for d, q := range order {
-		seen.next()
-		add := func(nbr graph.NodeID) {
-			if pos[nbr] >= d {
-				return
-			}
-			for _, t := range f.arcTables[arcKey(nbr, q)] {
-				if seen.mark(t) {
-					pre[d] = append(pre[d], preArc{tail: nbr, table: t})
-				}
-			}
-		}
-		for _, a := range p.Query.Arcs(q) {
-			add(a.To)
-		}
-		if p.Query.Directed() {
-			for _, a := range p.Query.InArcs(q) {
-				add(a.To)
-			}
-		}
-	}
-	return pre
-}
-
-// candidates computes formula (2) for the node at depth d: the
-// intersection of the filter rows selected by every earlier-placed
-// neighbor, minus hosts already in use. Nodes with no earlier neighbors
-// fall back to their base candidate set (formula (1)). The result is
-// materialized into the depth's scratch buffer from whichever
-// representation the filters carry.
-func (s *searcher) candidates(d int) []int32 {
-	node := s.order[d]
-	buf := s.scratch[d][:0]
-	pres := s.preArcs[d]
-	if s.f.Dense() {
-		// Bitset path: AND the rows into the accumulator, subtract the
-		// in-use marks word-wise, and materialize ascending — the same
-		// order the sorted-slice path produces.
-		bb := s.interBits
-		if len(pres) == 0 {
-			bb.CopyFrom(s.f.baseB[node])
-		} else {
-			row := s.f.tablesB[pres[0].table][s.assign[pres[0].tail]]
-			if row == nil {
-				s.scratch[d] = buf
-				return buf
-			}
-			bb.CopyFrom(row)
-			for _, pa := range pres[1:] {
-				row := s.f.tablesB[pa.table][s.assign[pa.tail]]
-				if row == nil || !bb.IntersectWith(row) {
-					s.scratch[d] = buf
-					return buf
-				}
-			}
-		}
-		if bb.AndNotWith(s.used) {
-			buf = bb.AppendTo(buf)
-		}
-		s.scratch[d] = buf
-		return buf
-	}
-	if len(pres) == 0 {
-		for _, r := range s.f.base[node] {
-			if !s.used.Has(r) {
-				buf = append(buf, r)
-			}
-		}
-		s.scratch[d] = buf
-		return buf
-	}
-	s.rows = s.rows[:0]
-	for _, pa := range pres {
-		row := s.f.tables[pa.table][s.assign[pa.tail]]
-		if len(row) == 0 {
-			s.scratch[d] = buf
-			return buf
-		}
-		s.rows = append(s.rows, row)
-	}
-	// Intersect all rows, ping-ponging between two owned buffers so that
-	// the buffer being written never aliases the current intersection.
-	cur := s.rows[0]
-	a, b := s.interBuf, s.interBuf2
-	for i := 1; i < len(s.rows) && len(cur) > 0; i++ {
-		a = sets.IntersectInto(a[:0], cur, s.rows[i])
-		cur = a
-		a, b = b, a
-	}
-	s.interBuf, s.interBuf2 = a, b
-	for _, r := range cur {
-		if !s.used.Has(r) {
-			buf = append(buf, r)
-		}
-	}
-	s.scratch[d] = buf
-	return buf
-}
-
-func (s *searcher) search(d int) {
-	if s.timedOut || s.stopped {
-		return
-	}
-	if d == len(s.order) {
-		s.record()
-		return
-	}
-	cands := s.candidates(d)
-	if len(cands) == 0 {
-		s.stats.Backtracks++
-		return
-	}
-	if s.rng != nil {
-		s.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	}
-	node := s.order[d]
-	for _, r := range cands {
-		if s.checkDeadline() || s.stopped {
-			return
-		}
-		s.stats.NodesVisited++
-		s.assign[node] = r
-		s.used.Set(r)
-		s.search(d + 1)
-		s.used.Clear(r)
-		s.assign[node] = -1
-	}
-}
-
-func (s *searcher) record() {
-	if s.nSol == 0 {
-		s.stats.TimeToFirst = time.Since(s.started)
-	}
-	s.nSol++
-	if s.opt.OnSolution != nil {
-		if !s.opt.OnSolution(s.assign) {
-			s.stopped = true
-		}
-	} else {
-		s.solutions = append(s.solutions, s.assign.Clone())
-	}
-	if s.opt.MaxSolutions > 0 && s.nSol >= s.opt.MaxSolutions {
-		s.stopped = true
-	}
-}
-
-func (s *searcher) result() *Result {
-	exhausted := !s.timedOut && !s.stopped
-	res := &Result{
-		Solutions: s.solutions,
-		Exhausted: exhausted,
-		Status:    classify(exhausted, s.nSol),
-		Stats:     s.stats,
-	}
-	res.Stats.Elapsed = time.Since(s.started)
-	return res
 }

@@ -14,9 +14,9 @@ import (
 // This file is the forward-checking search engine with conflict-directed
 // backjumping (FC-CBJ) that backs ECF, RWB, DynamicECF and ParallelECF.
 //
-// The chronological searcher (ecf.go) recomputes the candidate set of the
-// node at depth d on every visit by re-intersecting the filter rows of
-// all its earlier-placed neighbors: O(#earlier-neighbors × full row
+// A chronological searcher recomputes the candidate set of the node at
+// depth d on every visit by re-intersecting the filter rows of all its
+// earlier-placed neighbors: O(#earlier-neighbors × full row
 // intersection) per visit, paid again for every sibling assignment. The
 // FC engine inverts the bookkeeping: every unassigned query node carries
 // a live domain bitset, and *assigning* a node AND-prunes only the
@@ -40,8 +40,10 @@ import (
 // of enumerating the levels in between (Prosser's FC-CBJ). Because the
 // engine enumerates *all* solutions, any subtree that produced a
 // solution backtracks chronologically — jumping is only ever applied to
-// provably solution-free subtrees, which keeps enumeration complete and
-// the solution sequence identical to the chronological searcher's.
+// provably solution-free subtrees, which keeps enumeration complete and,
+// in static mode, the solution sequence the lexicographic one over the
+// variable order with ascending values — the sequence the brute-force
+// oracle in oracle_test.go pins.
 //
 // One-step forward checking looks only from the node just placed to its
 // neighbors. A search that keeps failing without progress additionally
@@ -56,10 +58,7 @@ import (
 // follows (see acArmWipeouts).
 //
 // The engine runs on both filter representations: dense rows AND
-// directly, sparse rows are splatted into a scratch bitset first. The
-// chronological searcher is kept (unexported, selectable via
-// Options.Engine = SearchChrono) as the property-test oracle and
-// ablation baseline.
+// directly, sparse rows are splatted into a scratch bitset first.
 
 // postArc names one filter table constraining a later-placed neighbor,
 // fed by the node expanded at the current depth.
@@ -250,10 +249,11 @@ func newFCSearcher(p *Problem, f *Filters, opt Options, rng *rand.Rand, start ti
 
 // buildPosts precomputes, for each depth, the filter tables whose tail
 // is the depth's node and whose head the order places later — the
-// domains forward checking prunes when the node is assigned. It is the
-// mirror image of buildPreArcs, deduplicated with the same stamp mask,
-// reading the position of each node from the already-populated depthOf
-// and recycling the per-depth slices across pooled searches.
+// domains forward checking prunes when the node is assigned. The tables
+// are deduplicated with a stamp mask over table IDs, reading the
+// position of each node from the already-populated depthOf and recycling
+// the per-depth slices across pooled searches. Every query edge appears
+// at exactly one depth: the one where its earlier endpoint is expanded.
 func (s *fcSearcher) buildPosts() {
 	p, f := s.p, s.f
 	nTables := len(f.tables) + len(f.tablesB) // exactly one is populated
@@ -612,8 +612,7 @@ func (s *fcSearcher) revise(d int, x, y graph.NodeID, t int32) bool {
 }
 
 // pickMRV returns the unassigned node with the smallest live domain
-// (ties to the lowest node ID, matching the chronological DynamicECF's
-// scan order).
+// (ties to the lowest node ID).
 func (s *fcSearcher) pickMRV() graph.NodeID {
 	best := graph.NodeID(-1)
 	bestCount := int32(0)

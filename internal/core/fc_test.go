@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,39 +14,14 @@ import (
 	"netembed/internal/trace"
 )
 
-// These tests pin the tentpole property of the FC-CBJ engine: the
-// forward-checking searcher with conflict-directed backjumping (fc.go)
-// enumerates exactly the solution sets — and, where enumeration is
-// deterministic, the solution sequences — of the chronological oracle
-// (Options.Engine = SearchChrono), across representations, orderings,
-// orientations, caps and cancellation.
+// These tests pin the FC-CBJ engine (fc.go) — forward checking with
+// conflict-directed backjumping — to the brute-force oracle of
+// oracle_test.go: static-order runs enumerate exactly the oracle's
+// sequence over the engine's variable order, capped runs its prefix, and
+// the randomized and dynamic-order runs its set, across
+// representations, orderings, orientations and caps.
 
-// engines runs the same problem under both engines and hands the two
-// results to check.
-func withBothEngines(p *Problem, opt Options, run func(*Problem, Options) *Result) (fc, chrono *Result) {
-	fcOpt, chOpt := opt, opt
-	fcOpt.Engine = SearchFC
-	chOpt.Engine = SearchChrono
-	return run(p, fcOpt), run(p, chOpt)
-}
-
-func assertSameSequence(t *testing.T, label string, fc, chrono *Result) {
-	t.Helper()
-	sameSolutionSets(t, label, fc.Solutions, chrono.Solutions)
-	if len(fc.Solutions) == len(chrono.Solutions) {
-		for i := range fc.Solutions {
-			if mappingKey(fc.Solutions[i]) != mappingKey(chrono.Solutions[i]) {
-				t.Fatalf("%s: solution %d out of sequence", label, i)
-			}
-		}
-	}
-	if fc.Status != chrono.Status || fc.Exhausted != chrono.Exhausted {
-		t.Fatalf("%s: outcome classification differs: fc %v/%v chrono %v/%v",
-			label, fc.Status, fc.Exhausted, chrono.Status, chrono.Exhausted)
-	}
-}
-
-func TestFCMatchesChronoECF(t *testing.T) {
+func TestFCMatchesOracleECF(t *testing.T) {
 	orders := []OrderMode{OrderAscending, OrderNatural, OrderDescending, OrderUnconnected}
 	reprs := []Repr{ReprSlice, ReprBitset}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -53,28 +29,27 @@ func TestFCMatchesChronoECF(t *testing.T) {
 		for _, repr := range reprs {
 			for _, order := range orders {
 				opt := Options{Repr: repr, Order: order}
-				fc, chrono := withBothEngines(p, opt, ECF)
-				assertSameSequence(t,
-					fmt.Sprintf("seed %d repr %v order %v", seed, repr, order), fc, chrono)
+				assertOracleSequence(t, fmt.Sprintf("seed %d repr %v order %v", seed, repr, order),
+					ECF(p, opt), bruteForce(p, ecfOrder(p, opt)), 0)
 			}
 		}
 	}
 }
 
-func TestFCMatchesChronoMaxSolutions(t *testing.T) {
-	// Capped runs must return the identical solution prefix: both engines
-	// enumerate candidates ascending and the FC engine only skips
-	// provably solution-free subtrees.
+func TestFCMatchesOracleMaxSolutions(t *testing.T) {
+	// Capped runs must return the oracle's prefix: the engine enumerates
+	// candidates ascending and only skips provably solution-free subtrees.
 	for seed := int64(1); seed <= 15; seed++ {
 		p := smallProblem(t, seed)
-		for _, cap := range []int{1, 2, 3, 7} {
-			fc, chrono := withBothEngines(p, Options{MaxSolutions: cap}, ECF)
-			assertSameSequence(t, fmt.Sprintf("seed %d cap %d", seed, cap), fc, chrono)
+		want := bruteForce(p, ecfOrder(p, Options{}))
+		for _, limit := range []int{1, 2, 3, 7} {
+			assertOracleSequence(t, fmt.Sprintf("seed %d cap %d", seed, limit),
+				ECF(p, Options{MaxSolutions: limit}), want, limit)
 		}
 	}
 }
 
-func TestFCMatchesChronoDirected(t *testing.T) {
+func TestFCMatchesOracleDirected(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		host := graph.NewDirected()
@@ -101,31 +76,28 @@ func TestFCMatchesChronoDirected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc, chrono := withBothEngines(p, Options{}, ECF)
-		assertSameSequence(t, fmt.Sprintf("seed %d directed", seed), fc, chrono)
-		fcD, chronoD := withBothEngines(p, Options{}, DynamicECF)
-		sameSolutionSets(t, fmt.Sprintf("seed %d directed dynamic", seed), fcD.Solutions, chronoD.Solutions)
+		want := bruteForce(p, ecfOrder(p, Options{}))
+		assertOracleSequence(t, fmt.Sprintf("seed %d directed", seed), ECF(p, Options{}), want, 0)
+		sameSolutionSets(t, fmt.Sprintf("seed %d directed dynamic", seed), DynamicECF(p, Options{}).Solutions, want)
 	}
 }
 
-func TestFCMatchesChronoRWBAndDynamic(t *testing.T) {
+func TestFCMatchesOracleRWBAndDynamic(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		p := smallProblem(t, seed)
-		// RWB to exhaustion: the shuffle sequences diverge (the FC engine
-		// skips subtrees the oracle descends into), so only the sets must
-		// coincide.
-		fcR, chR := withBothEngines(p, Options{MaxSolutions: 1 << 30, Seed: seed}, RWB)
-		sameSolutionSets(t, fmt.Sprintf("seed %d RWB", seed), fcR.Solutions, chR.Solutions)
-		fcD, chD := withBothEngines(p, Options{}, DynamicECF)
-		sameSolutionSets(t, fmt.Sprintf("seed %d DynamicECF", seed), fcD.Solutions, chD.Solutions)
+		want := bruteForce(p, nil)
+		// RWB to exhaustion: the shuffled sequence is the engine's own, so
+		// only the set must coincide.
+		rwb := RWB(p, Options{MaxSolutions: 1 << 30, Seed: seed})
+		sameSolutionSets(t, fmt.Sprintf("seed %d RWB", seed), rwb.Solutions, want)
+		sameSolutionSets(t, fmt.Sprintf("seed %d DynamicECF", seed), DynamicECF(p, Options{}).Solutions, want)
 	}
 }
 
-func TestFCMatchesChronoLNSAndConsolidate(t *testing.T) {
+func TestFCMatchesOracleLNSAndConsolidate(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		p := smallProblem(t, seed)
-		fcL, chL := withBothEngines(p, Options{}, LNS)
-		sameSolutionSets(t, fmt.Sprintf("seed %d LNS", seed), fcL.Solutions, chL.Solutions)
+		sameSolutionSets(t, fmt.Sprintf("seed %d LNS", seed), LNS(p, Options{}).Solutions, bruteForce(p, nil))
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -153,9 +125,21 @@ func TestFCMatchesChronoLNSAndConsolidate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(p *Problem, opt Options) *Result { return Consolidate(p, opt, ConsolidateOptions{}) }
-		fc, chrono := withBothEngines(p, Options{}, run)
-		assertSameSequence(t, fmt.Sprintf("seed %d consolidate", seed), fc, chrono)
+		// Consolidate places nodes in consOrder with ascending hosts, so
+		// its sequence is the oracle's sorted lexicographically over it.
+		s := &consSearcher{p: p, copt: ConsolidateOptions{}.withDefaults()}
+		s.init()
+		want := bruteConsolidated(p, ConsolidateOptions{})
+		sort.SliceStable(want, func(i, j int) bool {
+			for _, q := range s.order {
+				if want[i][q] != want[j][q] {
+					return want[i][q] < want[j][q]
+				}
+			}
+			return false
+		})
+		assertOracleSequence(t, fmt.Sprintf("seed %d consolidate", seed),
+			Consolidate(p, Options{}, ConsolidateOptions{}), want, 0)
 	}
 }
 
@@ -181,9 +165,6 @@ func TestWorkStealingParallelMatchesSequential(t *testing.T) {
 			t.Errorf("workers=%d status %v", workers, par.Status)
 		}
 	}
-	// The static-shard ablation must agree too.
-	static := ParallelECF(p, Options{Workers: 4, Engine: SearchChrono})
-	sameSolutionSets(t, "static shards", static.Solutions, seq.Solutions)
 	// Capped runs respect the global budget.
 	if len(seq.Solutions) > 3 {
 		capped := ParallelECF(p, Options{Workers: 4, MaxSolutions: 3})
@@ -238,30 +219,42 @@ func backjumpProblem(t testing.TB, nA, nM, mid int) *Problem {
 
 // TestBackjumpingPrunesAndAgrees: on the adversarial instance the FC
 // engine must (a) agree with the oracle that there is no match, (b)
-// actually backjump, and (c) expand far fewer nodes.
+// actually backjump, and (c) visit fewer nodes than half the embeddings
+// of the chain q0–…–q_mid alone: a chronological search of the natural
+// order enumerates that whole middle subtree before the triangle refutes
+// it, while backjumping vaults it.
 func TestBackjumpingPrunesAndAgrees(t *testing.T) {
-	p := backjumpProblem(t, 32, 96, 3)
+	const mid = 3
+	p := backjumpProblem(t, 32, 96, mid)
 	// OrderNatural pins the adversarial order (middle before the
 	// triangle); the ascending heuristic would sort the conflict first,
 	// which is exactly what a hostile instance avoids.
-	opt := Options{Order: OrderNatural}
-	fc, chrono := withBothEngines(p, opt, ECF)
-	assertSameSequence(t, "backjump nomatch", fc, chrono)
-	if len(fc.Solutions) != 0 || fc.Status != StatusComplete {
-		t.Fatalf("instance unexpectedly feasible: %d solutions, %v", len(fc.Solutions), fc.Status)
+	fc := ECF(p, Options{Order: OrderNatural})
+	// The oracle's order is free when the answer is empty: placing the
+	// triangle q0, x, y first refutes it at once.
+	triangleFirst := []graph.NodeID{0, mid + 1, mid + 2}
+	for i := 1; i <= mid; i++ {
+		triangleFirst = append(triangleFirst, graph.NodeID(i))
 	}
+	assertOracleSequence(t, "backjump nomatch", fc, bruteForce(p, triangleFirst), 0)
 	if fc.Stats.Backjumps == 0 {
 		t.Error("FC engine never backjumped on the adversarial instance")
 	}
 	if fc.Stats.Wipeouts == 0 || fc.Stats.PruneOps == 0 || fc.Stats.WipeoutDepthSum == 0 {
 		t.Errorf("FC counters not populated: %+v", fc.Stats)
 	}
-	if fc.Stats.NodesVisited*4 > chrono.Stats.NodesVisited {
-		t.Errorf("FC visited %d nodes, oracle %d — expected ≥4x pruning",
-			fc.Stats.NodesVisited, chrono.Stats.NodesVisited)
+	chain := graph.NewUndirected()
+	chain.AddNodes(mid + 1)
+	for i := 0; i < mid; i++ {
+		chain.MustAddEdge(graph.NodeID(i), graph.NodeID(i+1), nil)
 	}
-	if chrono.Stats.Backjumps != 0 || chrono.Stats.PruneOps != 0 {
-		t.Errorf("oracle reported FC counters: %+v", chrono.Stats)
+	cp, err := NewProblem(chain, p.Host, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if middle := len(bruteForce(cp, nil)); fc.Stats.NodesVisited*2 > int64(middle) {
+		t.Errorf("FC visited %d nodes, the middle subtree has %d leaves — expected ≥2x pruning",
+			fc.Stats.NodesVisited, middle)
 	}
 }
 

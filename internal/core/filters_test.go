@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"netembed/internal/expr"
 	"netembed/internal/graph"
@@ -220,25 +221,30 @@ func TestConnectedOrderKeepsPrefixConnected(t *testing.T) {
 	}
 }
 
-func TestPreArcsCoverEveryEdgeExactlyOnce(t *testing.T) {
+// TestPostArcsCoverEveryEdgeExactlyOnce: forward checking prunes along
+// every query edge exactly once, from the depth of its earlier endpoint.
+func TestPostArcsCoverEveryEdgeExactlyOnce(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		p := smallProblem(t, seed)
 		f := BuildFilters(p, &Options{})
-		order := searchOrder(f, OrderAscending)
-		pre := buildPreArcs(p, f, order)
+		s := newFCSearcher(p, f, Options{Order: OrderAscending}, nil, time.Now(), false)
 		covered := map[int32]bool{}
-		for _, pas := range pre {
-			for _, pa := range pas {
+		for d, posts := range s.posts[:s.nq] {
+			for _, pa := range posts {
 				if covered[pa.table] {
 					t.Fatalf("seed %d: filter table %d used at two depths", seed, pa.table)
 				}
 				covered[pa.table] = true
+				if s.depthOf[pa.head] <= int32(d) {
+					t.Fatalf("seed %d: depth %d prunes node %d placed at depth %d", seed, d, pa.head, s.depthOf[pa.head])
+				}
 			}
 		}
 		// Exactly one direction of each query edge's two tables fires.
 		if got, want := len(covered), p.Query.NumEdges(); got != want {
 			t.Fatalf("seed %d: %d tables covered, want %d (one per edge)", seed, got, want)
 		}
+		s.release()
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"netembed/internal/graph"
-	"netembed/internal/sets"
 )
 
 // LNS is Lazy Neighborhood Search (§V-C). Instead of precomputing filter
@@ -20,18 +19,14 @@ import (
 // the covered set, maximizing the conjunction of constraints that prunes
 // candidates.
 //
-// With the default SearchFC engine the cover loop forward-checks: every
-// uncovered query node carries a live domain bitset (admissible hosts ∩
-// host-adjacency of all covered neighbors ∩ unused), pruned via the
-// shared trail when a node is covered and restored on backtrack, with an
-// early wipeout check that rejects a cover before descending. The
-// domains add O(|Q|·|R|/64) words of working memory but change neither
-// the solution set nor the lazy constraint evaluation. Candidates are
-// materialized in ascending host-ID order, whereas the chronological
-// path visits the anchor's arc-insertion order — full enumerations are
-// identical, but a MaxSolutions-capped run may surface a different
-// (equally valid) member of the set. Options.Engine = SearchChrono
-// keeps the anchor-neighbor candidate generation as the oracle.
+// The cover loop forward-checks: every uncovered query node carries a
+// live domain bitset (admissible hosts ∩ host-adjacency of all covered
+// neighbors ∩ unused), pruned via the shared trail when a node is
+// covered and restored on backtrack, with an early wipeout check that
+// rejects a cover before descending. The domains add O(|Q|·|R|/64)
+// words of working memory but change neither the solution set nor the
+// lazy constraint evaluation. Candidates are materialized in ascending
+// host-ID order.
 func LNS(p *Problem, opt Options) *Result {
 	start := time.Now()
 	s := &lnsSearcher{
@@ -71,15 +66,9 @@ type lnsSearcher struct {
 	state   []lnsState
 	links   []int // links[q] = edges from q into the covered set
 	assign  Mapping
-	used    *sets.Bitset
 	covered int
+	scratch [][]int32 // per-depth candidate buffers (indexed by covered)
 
-	nodePass []*sets.Bitset // admissible hosts per query node
-	avail    *sets.Bitset   // scratch: candidate accumulator / dedupe marks
-	scratch  [][]int32      // per-depth candidate buffers (indexed by covered)
-
-	// Forward-checking state (SearchFC engine only).
-	fc  bool
 	ds  *domains // live domains per uncovered query node
 	adj *hostAdj // lazy host adjacency rows
 
@@ -99,16 +88,15 @@ func (s *lnsSearcher) init() {
 	for i := range s.assign {
 		s.assign[i] = -1
 	}
-	s.used = sets.NewBitset(s.nr)
-	s.avail = sets.NewBitset(s.nr)
 	s.scratch = make([][]int32, s.nq)
 	s.arm(s.started, s.opt.Timeout, s.opt.Stop)
-	// Node admissibility bitmaps: the only precomputation LNS performs.
-	s.nodePass = make([]*sets.Bitset, s.nq)
+	// Node admissibility seeds the live domains: the only precomputation
+	// LNS performs.
+	s.ds = newDomains(s.nr, s.nq)
 	useDegree := !s.opt.NoDegreeFilter
 	for q := 0; q < s.nq; q++ {
 		qid := graph.NodeID(q)
-		b := sets.NewBitset(s.nr)
+		dom := &s.ds.dom[q]
 		degQ := s.p.Query.Degree(qid)
 		outQ := s.p.Query.OutDegree(qid)
 		for r := 0; r < s.nr; r++ {
@@ -119,19 +107,11 @@ func (s *lnsSearcher) init() {
 			if !s.p.nodeOK(qid, rid) {
 				continue
 			}
-			b.Set(rid)
+			dom.Set(rid)
 		}
-		s.nodePass[q] = b
+		s.ds.count[q] = int32(dom.Count())
 	}
-	s.fc = s.opt.Engine != SearchChrono
-	if s.fc {
-		s.ds = newDomains(s.nr, s.nq)
-		for q := 0; q < s.nq; q++ {
-			s.ds.dom[q].CopyFrom(s.nodePass[q])
-			s.ds.count[q] = int32(s.nodePass[q].Count())
-		}
-		s.adj = newHostAdj(s.p.Host, false)
-	}
+	s.adj = newHostAdj(s.p.Host, false)
 }
 
 // fcPrune propagates covering q at r into the uncovered domains:
@@ -190,7 +170,6 @@ func (s *lnsSearcher) cover(q graph.NodeID, r graph.NodeID) func() {
 	prevState := s.state[q]
 	s.state[q] = lnsCovered
 	s.assign[q] = r
-	s.used.Set(r)
 	s.covered++
 	var promoted []graph.NodeID
 	s.queryNeighbors(q, func(nbr graph.NodeID) {
@@ -209,7 +188,6 @@ func (s *lnsSearcher) cover(q graph.NodeID, r graph.NodeID) func() {
 		}
 		s.state[q] = prevState
 		s.assign[q] = -1
-		s.used.Clear(r)
 		s.covered--
 	}
 }
@@ -218,7 +196,7 @@ func (s *lnsSearcher) cover(q graph.NodeID, r graph.NodeID) func() {
 // most links into the covered set (paper heuristic 2), falling back to the
 // highest-degree external node when the frontier is empty (fresh seed, or
 // a new connected component of a disconnected query).
-func (s *lnsSearcher) pickNext() (graph.NodeID, bool) {
+func (s *lnsSearcher) pickNext() graph.NodeID {
 	best := graph.NodeID(-1)
 	bestLinks := -1
 	for q := 0; q < s.nq; q++ {
@@ -232,7 +210,7 @@ func (s *lnsSearcher) pickNext() (graph.NodeID, bool) {
 		}
 	}
 	if best >= 0 {
-		return best, false
+		return best
 	}
 	// Frontier empty: seed (paper heuristic 1: largest degree first).
 	bestDeg := -1
@@ -245,7 +223,7 @@ func (s *lnsSearcher) pickNext() (graph.NodeID, bool) {
 			best, bestDeg = qid, d
 		}
 	}
-	return best, true
+	return best
 }
 
 // connOK verifies every edge between query node q (about to be placed at
@@ -294,79 +272,6 @@ func (s *lnsSearcher) connOK(q graph.NodeID, r graph.NodeID) bool {
 	return ok
 }
 
-// candidateHosts materializes the plausible host nodes for q into the
-// current depth's scratch buffer: when q has covered neighbors, the host
-// neighbors of the covered image with the smallest degree (every valid
-// image must be adjacent to all covered images); otherwise every
-// admissible host node. Candidates are collected with bitset operations
-// before any is visited, so the shared accumulator is free for the
-// recursive calls visit makes.
-func (s *lnsSearcher) candidateHosts(q graph.NodeID, isSeed bool, visit func(r graph.NodeID) bool) {
-	buf := s.scratch[s.covered][:0]
-	if s.fc {
-		// The live domain already folds together admissibility, the host
-		// adjacency of every covered neighbor (not just the smallest-degree
-		// anchor) and the in-use marks; materialize it ascending.
-		buf = s.ds.dom[q].AppendTo(buf)
-		s.scratch[s.covered] = buf
-		for _, r := range buf {
-			if !visit(r) {
-				return
-			}
-		}
-		return
-	}
-	if isSeed {
-		// Admissible ∧ unused, word-wise, materialized ascending — the
-		// same order the per-host scan produced.
-		s.avail.CopyFrom(s.nodePass[q])
-		if s.avail.AndNotWith(s.used) {
-			buf = s.avail.AppendTo(buf)
-		}
-	} else {
-		// Anchor on the covered neighbor whose image has fewest host arcs.
-		anchor := graph.NodeID(-1)
-		bestDeg := int(^uint(0) >> 1)
-		consider := func(nbr graph.NodeID) {
-			if s.state[nbr] != lnsCovered {
-				return
-			}
-			img := s.assign[nbr]
-			d := len(s.p.Host.Arcs(img))
-			if s.p.Host.Directed() {
-				d += len(s.p.Host.InArcs(img))
-			}
-			if d < bestDeg {
-				anchor, bestDeg = img, d
-			}
-		}
-		s.queryNeighbors(q, consider)
-		// avail doubles as the dedupe marks; arc order is preserved.
-		s.avail.Reset()
-		emit := func(r graph.NodeID) {
-			if s.avail.Has(r) || s.used.Has(r) || !s.nodePass[q].Has(r) {
-				return
-			}
-			s.avail.Set(r)
-			buf = append(buf, r)
-		}
-		for _, a := range s.p.Host.Arcs(anchor) {
-			emit(a.To)
-		}
-		if s.p.Host.Directed() {
-			for _, a := range s.p.Host.InArcs(anchor) {
-				emit(a.To)
-			}
-		}
-	}
-	s.scratch[s.covered] = buf
-	for _, r := range buf {
-		if !visit(r) {
-			return
-		}
-	}
-}
-
 func (s *lnsSearcher) search() {
 	if s.timedOut || s.stopped {
 		return
@@ -375,36 +280,36 @@ func (s *lnsSearcher) search() {
 		s.record()
 		return
 	}
-	q, isSeed := s.pickNext()
+	q := s.pickNext()
+	// The live domain already folds together admissibility, the host
+	// adjacency of every covered neighbor and the in-use marks; it is
+	// materialized ascending before any candidate is visited, because the
+	// covers below mutate it.
+	cands := s.ds.dom[q].AppendTo(s.scratch[s.covered][:0])
+	s.scratch[s.covered] = cands
 	found := false
-	s.candidateHosts(q, isSeed, func(r graph.NodeID) bool {
+	for _, r := range cands {
 		if s.checkDeadline() || s.stopped {
-			return false
+			break
 		}
 		s.stats.NodesVisited++
 		if !s.connOK(q, r) {
-			return true
+			continue
 		}
 		found = true
-		if s.fc {
-			mark, amark := s.ds.mark()
-			if !s.fcPrune(q, r) {
-				// Some uncovered node lost its last host: reject before
-				// descending.
-				s.ds.undoTo(mark, amark)
-				return true
-			}
+		mark, amark := s.ds.mark()
+		if s.fcPrune(q, r) {
 			undo := s.cover(q, r)
 			s.search()
 			undo()
-			s.ds.undoTo(mark, amark)
-			return !s.timedOut && !s.stopped
 		}
-		undo := s.cover(q, r)
-		s.search()
-		undo()
-		return !s.timedOut && !s.stopped
-	})
+		// On a wipeout some uncovered node lost its last host: the cover
+		// is rejected before descending.
+		s.ds.undoTo(mark, amark)
+		if s.timedOut || s.stopped {
+			break
+		}
+	}
 	if !found {
 		s.stats.Backtracks++
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -32,9 +33,9 @@ func TestLNSSeedIsMaxDegree(t *testing.T) {
 	q := topo.Star(5) // hub 0 has degree 4
 	h := topo.Clique(6)
 	s := newLNS(t, q, h)
-	seed, isSeed := s.pickNext()
-	if !isSeed {
-		t.Fatal("first pick not flagged as seed")
+	seed := s.pickNext()
+	if s.state[seed] != lnsExternal {
+		t.Fatal("first pick is not a seed from the external set")
 	}
 	if seed != 0 {
 		t.Errorf("seed = %d, want the hub 0", seed)
@@ -57,9 +58,9 @@ func TestLNSPickNextPrefersMostCoveredLinks(t *testing.T) {
 
 	undo0 := s.cover(0, 0)
 	undo1 := s.cover(1, 1)
-	next, isSeed := s.pickNext()
-	if isSeed {
-		t.Fatal("pick after covering should not be a seed")
+	next := s.pickNext()
+	if s.state[next] != lnsNeighbor {
+		t.Fatal("pick after covering should come from the frontier")
 	}
 	if next != 2 {
 		t.Errorf("next = %d, want 2 (two links to covered vs one)", next)
@@ -67,13 +68,13 @@ func TestLNSPickNextPrefersMostCoveredLinks(t *testing.T) {
 	undo1()
 	// With only node 0 covered, nodes 1 and 2 tie on links (1 each);
 	// the higher-degree node 1 (degree 3) wins over node 2 (degree 2).
-	next, _ = s.pickNext()
+	next = s.pickNext()
 	if next != 1 {
 		t.Errorf("after undo, next = %d, want 1 (degree tiebreak)", next)
 	}
 	undo0()
 	// Fully undone: seeding again from scratch.
-	if _, isSeed := s.pickNext(); !isSeed {
+	if seed := s.pickNext(); s.state[seed] != lnsExternal {
 		t.Error("after full undo pickNext should reseed")
 	}
 }
@@ -89,7 +90,7 @@ func TestLNSCoverUndoRestoresState(t *testing.T) {
 	snapshotState := append([]lnsState(nil), s.state...)
 
 	undo2 := s.cover(2, 4)
-	if s.state[2] != lnsCovered || s.assign[2] != 4 || !s.used.Has(4) {
+	if s.state[2] != lnsCovered || s.assign[2] != 4 {
 		t.Fatal("cover did not apply")
 	}
 	if s.state[1] != lnsNeighbor || s.state[3] != lnsNeighbor {
@@ -113,8 +114,8 @@ func TestLNSCoverUndoRestoresState(t *testing.T) {
 			t.Fatalf("state not restored: %v", s.state)
 		}
 	}
-	if s.used.Count() != 0 || s.covered != 0 {
-		t.Fatal("used/covered not restored")
+	if s.covered != 0 {
+		t.Fatal("covered not restored")
 	}
 	for _, a := range s.assign {
 		if a != -1 {
@@ -123,33 +124,28 @@ func TestLNSCoverUndoRestoresState(t *testing.T) {
 	}
 }
 
-// TestLNSCandidateAnchorUsesSmallestDegreeImage: candidates for a
-// non-seed node enumerate the host neighbors of the covered image with
-// the fewest arcs.
-func TestLNSCandidateAnchorUsesSmallestDegreeImage(t *testing.T) {
+// TestLNSDomainsIntersectCoveredImages: covering a node forward-checks
+// its uncovered neighbors, so a node adjacent to two covered images can
+// only take their common unused host neighbors — narrower than either
+// image's neighborhood.
+func TestLNSDomainsIntersectCoveredImages(t *testing.T) {
 	q := topo.Line(3) // 0-1-2
-	// Host: node 0 has degree 1 (only to 1); node 1 has high degree.
 	h := graph.NewUndirected()
 	h.AddNodes(6)
-	h.MustAddEdge(0, 1, nil)
-	h.MustAddEdge(1, 2, nil)
-	h.MustAddEdge(1, 3, nil)
-	h.MustAddEdge(1, 4, nil)
-	h.MustAddEdge(1, 5, nil)
+	for _, e := range [][2]graph.NodeID{{0, 1}, {0, 3}, {0, 5}, {2, 1}, {2, 4}, {2, 5}, {3, 4}} {
+		h.MustAddEdge(e[0], e[1], nil)
+	}
 	s := newLNS(t, q, h)
-
-	// Cover query 0 -> host 0 (degree 1) and query 2 -> host 2. Query 1
-	// is adjacent to both; the anchor must be host 0 (fewest arcs), so
-	// the only candidate enumerated is host 1.
-	s.cover(0, 0)
-	s.cover(2, 2)
-	var seen []graph.NodeID
-	s.candidateHosts(1, false, func(r graph.NodeID) bool {
-		seen = append(seen, r)
-		return true
-	})
-	if len(seen) != 1 || seen[0] != 1 {
-		t.Errorf("candidates = %v, want [1]", seen)
+	// Cover query 0 -> host 0 (neighbors 1, 3, 5) and query 2 -> host 2
+	// (neighbors 1, 4, 5), pruning as the search does.
+	for _, c := range [][2]graph.NodeID{{0, 0}, {2, 2}} {
+		if !s.fcPrune(c[0], c[1]) {
+			t.Fatalf("covering %d -> %d wiped a domain out", c[0], c[1])
+		}
+		s.cover(c[0], c[1])
+	}
+	if got := s.ds.dom[1].AppendTo(nil); fmt.Sprint(got) != "[1 5]" {
+		t.Errorf("domain of query node 1 = %v, want [1 5]", got)
 	}
 }
 

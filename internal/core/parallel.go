@@ -16,18 +16,16 @@ import (
 // Options.Workers goroutines (default GOMAXPROCS) over the shared
 // immutable filter matrices — slice or bitset rows alike.
 //
-// The default engine schedules work-stealingly: workers pull root
+// The pool schedules work-stealingly: workers pull root
 // candidates (first-level subtrees) from a shared atomic cursor, so a
 // worker that drew an easy subtree immediately claims the next one
 // instead of idling, and while expanding a root each worker publishes
 // surplus *second-level* subtrees onto a bounded deque that idle workers
 // steal from once the cursor runs dry. A root whose subtree dwarfs all
 // others — the static-sharding worst case, where one unlucky worker
-// dominates wall-clock — is therefore split across the pool. With
-// Options.Engine = SearchChrono the PR 1-era static round-robin sharding
-// over the chronological searcher is kept as the ablation baseline.
+// dominates wall-clock — is therefore split across the pool.
 //
-// Both schedules enumerate exactly sequential ECF's solution set, and
+// The pool enumerates exactly sequential ECF's solution set, and
 // solutions are returned sorted for determinism. With
 // Options.MaxSolutions set, the cap applies globally across workers, but
 // which embeddings fill the quota depends on scheduling.
@@ -40,9 +38,6 @@ import (
 //
 //statsthread:fold core.Stats except EdgePairsEval, FilterEntries, ConstraintChk, WitnessProbes, WitnessHits, ReachPrunes
 func ParallelECF(p *Problem, opt Options) *Result {
-	if opt.Engine == SearchChrono {
-		return parallelECFStatic(p, opt)
-	}
 	workers := opt.Workers
 	if workers <= 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -519,158 +514,6 @@ func (w *stealWorker) runSteal(t stealTask) {
 	s.undoTo(mark, amark, 0)
 	s.used.Clear(t.root)
 	s.assign[node] = -1
-}
-
-// parallelECFStatic is the PR 1 scheme: the first level of the
-// permutation tree is round-robin sharded across workers up front, each
-// worker running the chronological searcher over its fixed shard. Kept
-// as the ablation baseline for the work-stealing scheduler.
-func parallelECFStatic(p *Problem, opt Options) *Result {
-	workers := opt.Workers
-	if workers <= 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	optimize := opt.Optimize && opt.Objective.Enabled()
-	if optimize {
-		// No bound machinery in the chronological ablation: enumerate
-		// everything (no cap — optimality needs the exhausted tree), then
-		// reduce to the argmin below.
-		opt.MaxSolutions = 0
-		opt.OnSolution = nil
-	}
-	start := time.Now()
-	f := BuildFilters(p, &opt)
-
-	if p.Query.NumNodes() == 0 {
-		res := &Result{
-			Solutions: []Mapping{{}},
-			Status:    StatusComplete,
-			Exhausted: true,
-			Stats:     withElapsed(f.Stats(), start),
-		}
-		f.release()
-		return res
-	}
-
-	order := searchOrder(f, opt.Order)
-	root := order[0]
-	rootCands := f.Base(root)
-
-	// Round-robin sharding keeps per-worker load roughly even when
-	// candidate hardness correlates with position.
-	shards := make([][]int32, workers)
-	for i, r := range rootCands {
-		w := i % workers
-		shards[w] = append(shards[w], r)
-	}
-
-	var (
-		mu        sync.Mutex
-		solutions []Mapping
-		first     atomic.Int64 // earliest TimeToFirst in ns, 0 = none
-		taken     atomic.Int64 // global solution count toward MaxSolutions
-		timedOut  atomic.Bool
-		stopped   atomic.Bool
-		visited   atomic.Int64
-		backtrack atomic.Int64
-	)
-	budget := int64(opt.MaxSolutions)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		shard := shards[w]
-		if len(shard) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wopt := opt
-			wopt.MaxSolutions = 0 // global budget handled below
-			wopt.OnSolution = nil
-			s := newSearcher(p, f, wopt, nil, start)
-			// Per-worker counters start at zero so the pool-level merge
-			// folds the filter-build stats in exactly once.
-			s.stats = Stats{}
-			s.opt.OnSolution = func(m Mapping) bool {
-				n := taken.Add(1)
-				if budget > 0 && n > budget {
-					return false // quota consumed by other workers
-				}
-				ns := time.Since(start).Nanoseconds()
-				if !first.CompareAndSwap(0, ns) {
-					for {
-						cur := first.Load()
-						if cur <= ns || first.CompareAndSwap(cur, ns) {
-							break
-						}
-					}
-				}
-				mu.Lock()
-				solutions = append(solutions, m.Clone())
-				mu.Unlock()
-				if budget > 0 && n >= budget {
-					stopped.Store(true)
-					return false
-				}
-				return true
-			}
-			// Restrict the root level to this worker's shard.
-			s.scratch[0] = append(s.scratch[0][:0], shard...)
-			s.searchShard(shard)
-			if s.timedOut {
-				timedOut.Store(true)
-			}
-			if s.stopped {
-				stopped.Store(true)
-			}
-			visited.Add(s.stats.NodesVisited)
-			backtrack.Add(s.stats.Backtracks)
-		}()
-	}
-	wg.Wait()
-
-	sortMappings(solutions)
-	stats := withElapsed(f.Stats(), start)
-	stats.NodesVisited += visited.Load()
-	stats.Backtracks += backtrack.Load()
-	stats.TimeToFirst = time.Duration(first.Load())
-
-	exhausted := !timedOut.Load() && !stopped.Load()
-	n := len(solutions)
-	f.release()
-	res := &Result{
-		Solutions: solutions,
-		Exhausted: exhausted,
-		Status:    classify(exhausted, n),
-		Stats:     stats,
-	}
-	if optimize {
-		// solutions are already sorted, so the first-minimum argmin is
-		// deterministic across worker interleavings.
-		reduceToArgmin(p.Host, opt.Objective, res)
-	}
-	return res
-}
-
-// searchShard runs the standard DFS with the root level fixed to the given
-// candidate subset.
-func (s *searcher) searchShard(shard []int32) {
-	if len(s.order) == 0 {
-		return
-	}
-	node := s.order[0]
-	for _, r := range shard {
-		if s.checkDeadline() || s.stopped {
-			return
-		}
-		s.stats.NodesVisited++
-		s.assign[node] = r
-		s.used.Set(r)
-		s.search(1)
-		s.used.Clear(r)
-		s.assign[node] = -1
-	}
 }
 
 func withElapsed(st Stats, start time.Time) Stats {

@@ -11,11 +11,10 @@ import (
 )
 
 // This file is the indexed path-mode searcher: PathEmbed rebuilt on the
-// engine stack the one-to-one algorithms already ride. The chronological
-// searcher (pathmap.go, kept as the oracle behind Engine=SearchChrono)
-// pays an exhaustive simple-path DFS for every (candidate, assigned
-// neighbor) pair it probes, and scans every host node at every depth.
-// This engine removes that work in three layers:
+// engine stack the one-to-one algorithms already ride. A chronological
+// scan would pay an exhaustive simple-path DFS for every (candidate,
+// assigned neighbor) pair it probes, and scan every host node at every
+// depth. This engine removes that work in three layers:
 //
 //   - Reachability-pruned domains. A hop-bounded reachability oracle
 //     (per-k adj^k bitset rows, served by internal/index and cached
@@ -41,8 +40,11 @@ import (
 //     edge and once per enumeration visit.
 //
 // Every pruning layer is a necessary condition on witness existence, so
-// the engine enumerates exactly the chronological searcher's solution
-// sequence — pinned by the property tests in pathfc_test.go.
+// the engine enumerates exactly the plain scan's solution sequence:
+// injective maps in pathOrder's lexicographic order, each query edge
+// carrying the first witness PathsWithinStop yields between its
+// endpoints' images — pinned against a test-only oracle in
+// pathfc_test.go.
 
 // pathWitKey addresses one memoized witness lookup: the query edge's
 // window class plus the host pair.
@@ -214,8 +216,8 @@ func (s *pathFC) rec(d int) {
 
 // witnessesFor checks that every query edge from q to an already-assigned
 // neighbor has a witness when q is placed at r, collecting the witnesses.
-// The visit order matches the chronological searcher's so the two engines
-// enumerate identical sequences.
+// Each witness runs from the image of the query edge's source to the image
+// of its target, whichever endpoint q is.
 func (s *pathFC) witnessesFor(q, r graph.NodeID) ([]pathChosen, bool) {
 	var witnesses []pathChosen
 	ok := true

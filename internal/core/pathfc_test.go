@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -94,7 +95,87 @@ func pathMetricVariants() [][]MetricSpec {
 	}
 }
 
-// samePathResults asserts the two engines produced identical solution
+// pathOracle is the reference PathEmbed is pinned to. It enumerates the
+// injective node maps in pathOrder's lexicographic order (hosts
+// ascending at every place), keeps those nodeOK accepts, and gives every
+// query edge the first PathsWithin path from its source's image to its
+// target's that passes pathMetricsOK, memoised per (query edge, source,
+// target) — the witness rule PathEmbed follows. A partial map is
+// abandoned as soon as an edge between placed nodes has no witness. It
+// honours MaxSolutions and nothing else: no reachability rows, metric
+// bounds, domains or index.
+func pathOracle(p *Problem, opt PathOptions) *PathResult {
+	opt.applyDefaults()
+	nq, nr := p.Query.NumNodes(), p.Host.NumNodes()
+	type witKey struct {
+		edge     graph.EdgeID
+		src, dst graph.NodeID
+	}
+	memo := map[witKey]*graph.Path{} // nil: no witness
+	witness := func(e graph.EdgeID, m Mapping) *graph.Path {
+		qe := p.Query.Edge(e)
+		k := witKey{e, m[qe.From], m[qe.To]}
+		if w, ok := memo[k]; ok {
+			return w
+		}
+		var w *graph.Path
+		p.Host.PathsWithin(k.src, k.dst, opt.MaxHops, func(path graph.Path) bool {
+			if !pathMetricsOK(p.Host, qe, path.Edges, opt.Metrics) {
+				return true
+			}
+			w = &path
+			return false
+		})
+		memo[k] = w
+		return w
+	}
+	res := &PathResult{}
+	order := pathOrder(p.Query)
+	m := make(Mapping, nq)
+	for i := range m {
+		m[i] = -1
+	}
+	used := make([]bool, nr)
+	capped := false
+	var rec func(d int)
+	rec = func(d int) {
+		if d == nq {
+			sol := PathSolution{Nodes: m.Clone(), Paths: map[graph.EdgeID]graph.Path{}}
+			for e := graph.EdgeID(0); int(e) < p.Query.NumEdges(); e++ {
+				sol.Paths[e] = *witness(e, m)
+			}
+			res.Solutions = append(res.Solutions, sol)
+			capped = opt.MaxSolutions > 0 && len(res.Solutions) >= opt.MaxSolutions
+			return
+		}
+		q := order[d]
+		for r := graph.NodeID(0); int(r) < nr && !capped; r++ {
+			if used[r] || !p.nodeOK(q, r) {
+				continue
+			}
+			m[q] = r
+			ok := true
+			for e := graph.EdgeID(0); int(e) < p.Query.NumEdges() && ok; e++ {
+				qe := p.Query.Edge(e)
+				if (qe.From == q || qe.To == q) && m[qe.From] >= 0 && m[qe.To] >= 0 {
+					ok = witness(e, m) != nil
+				}
+			}
+			if ok {
+				used[r] = true
+				rec(d + 1)
+				used[r] = false
+			}
+		}
+		m[q] = -1
+	}
+	rec(0)
+	res.Exhausted = !capped
+	res.Status = classify(res.Exhausted, len(res.Solutions))
+	return res
+}
+
+// samePathResults asserts two runs produced identical solution
 // sequences: node mappings AND witness paths, element by element.
 func samePathResults(t *testing.T, label string, want, got *PathResult) {
 	t.Helper()
@@ -106,7 +187,7 @@ func samePathResults(t *testing.T, label string, want, got *PathResult) {
 	}
 	for i := range want.Solutions {
 		ws, gs := want.Solutions[i], got.Solutions[i]
-		if fmt.Sprint(ws.Nodes) != fmt.Sprint(gs.Nodes) {
+		if !slices.Equal(ws.Nodes, gs.Nodes) {
 			t.Fatalf("%s: solution %d nodes %v vs %v", label, i, ws.Nodes, gs.Nodes)
 		}
 		if len(ws.Paths) != len(gs.Paths) {
@@ -114,37 +195,31 @@ func samePathResults(t *testing.T, label string, want, got *PathResult) {
 		}
 		for e, wp := range ws.Paths {
 			gp, ok := gs.Paths[e]
-			if !ok || fmt.Sprint(wp.Nodes) != fmt.Sprint(gp.Nodes) {
+			if !ok || !slices.Equal(wp.Nodes, gp.Nodes) {
 				t.Fatalf("%s: solution %d edge %d witness %v vs %v", label, i, e, wp.Nodes, gp.Nodes)
 			}
 		}
 	}
 }
 
-// checkPathEquivalence runs both engines over one (problem, options)
-// point, pins sequence equality, and verifies every FC solution
+// checkPathEquivalence runs PathEmbed and the oracle over one (problem,
+// options) point, pins sequence equality, and verifies every solution
 // independently.
 func checkPathEquivalence(t *testing.T, label string, p *Problem, opt PathOptions) {
 	t.Helper()
-	chrono := opt
-	chrono.Engine = SearchChrono
-	chrono.Index = nil
-	want := PathEmbed(p, chrono)
-	fc := opt
-	fc.Engine = SearchFC
-	got := PathEmbed(p, fc)
-	samePathResults(t, label, want, got)
+	got := PathEmbed(p, opt)
+	samePathResults(t, label, pathOracle(p, opt), got)
 	for i, sol := range got.Solutions {
 		if err := VerifyPathSolution(p, opt, sol); err != nil {
-			t.Fatalf("%s: FC solution %d invalid: %v", label, i, err)
+			t.Fatalf("%s: solution %d invalid: %v", label, i, err)
 		}
 	}
 }
 
 // TestPathFCEquivalenceRandom is the headline property test: across
 // random directed and undirected instances, hop bounds, metric-spec
-// conjunctions and MaxSolutions caps, the FC engine enumerates exactly
-// the seed searcher's solution sequence.
+// conjunctions and MaxSolutions caps, PathEmbed enumerates exactly the
+// oracle's solution sequence.
 func TestPathFCEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	trials := 18
@@ -191,9 +266,9 @@ func TestPathFCEquivalenceWithNodeConstraint(t *testing.T) {
 
 // TestPathFCEquivalenceAcrossDeltas pins the reachability oracle's
 // invalidation: the index snapshot is patched through a chain of
-// structural and attribute deltas, and after each publish the FC engine
-// (reading the patched index's reach rows) must still match the seed
-// searcher run against the same new graph.
+// structural and attribute deltas, and after each publish PathEmbed
+// (reading the patched index's reach rows) must still match the oracle
+// run against the same new graph.
 func TestPathFCEquivalenceAcrossDeltas(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	host := randomPathHost(rng, false, 12, 0.3)
@@ -235,8 +310,8 @@ func TestPathFCEquivalenceAcrossDeltas(t *testing.T) {
 
 // TestPathFCEquivalenceNegativeMetricValues pins the bound tiers'
 // soundness guard: clamped floors/distances are not lower bounds when an
-// edge carries a negative metric value, so the FC engine must disable
-// them (not prune) and still match the oracle exactly.
+// edge carries a negative metric value, so PathEmbed must disable them
+// (not prune) and still match the oracle exactly.
 func TestPathFCEquivalenceNegativeMetricValues(t *testing.T) {
 	host := graph.NewUndirected()
 	host.AddNodes(4)
@@ -298,18 +373,17 @@ func TestPathEmbedNegativeMaxHopsClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := PathEmbed(p, PathOptions{MaxHops: 3})
-	for _, engine := range []SearchEngine{SearchFC, SearchChrono} {
-		got := PathEmbed(p, PathOptions{MaxHops: -4, Engine: engine})
-		if len(got.Solutions) != len(want.Solutions) || got.Status != want.Status {
-			t.Errorf("engine %v: negative MaxHops: %d solutions (%v), want default behavior %d (%v)",
-				engine, len(got.Solutions), got.Status, len(want.Solutions), want.Status)
-		}
-		for _, sol := range got.Solutions {
-			if err := VerifyPathSolution(p, PathOptions{MaxHops: 3}, sol); err != nil {
-				t.Errorf("engine %v: %v", engine, err)
-			}
+	got := PathEmbed(p, PathOptions{MaxHops: -4})
+	if len(got.Solutions) != len(want.Solutions) || got.Status != want.Status {
+		t.Errorf("negative MaxHops: %d solutions (%v), want default behavior %d (%v)",
+			len(got.Solutions), got.Status, len(want.Solutions), want.Status)
+	}
+	for _, sol := range got.Solutions {
+		if err := VerifyPathSolution(p, PathOptions{MaxHops: 3}, sol); err != nil {
+			t.Error(err)
 		}
 	}
+	checkPathEquivalence(t, "negative MaxHops", p, PathOptions{MaxHops: -4})
 }
 
 // adversarialDenseHost is a large clique whose per-pair simple-path
@@ -342,30 +416,27 @@ func TestPathEmbedCancellationLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []SearchEngine{SearchChrono, SearchFC} {
-		var stop atomic.Bool
-		done := make(chan *PathResult, 1)
-		go func() {
-			done <- PathEmbed(p, PathOptions{
-				MaxHops: 6, // ~38*37*36*35*34 ≈ 6e7 simple paths per pair probe
-				Engine:  engine,
-				Stop:    stop.Load,
-			})
-		}()
-		time.Sleep(50 * time.Millisecond)
-		canceledAt := time.Now()
-		stop.Store(true)
-		select {
-		case res := <-done:
-			if latency := time.Since(canceledAt); latency > 2*time.Second {
-				t.Errorf("engine %v: cancellation latency %v, want well under 2s", engine, latency)
-			}
-			if res.Exhausted || len(res.Solutions) != 0 {
-				t.Errorf("engine %v: canceled run reported %v/%d solutions", engine, res.Exhausted, len(res.Solutions))
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("engine %v: canceled search never returned — inner DFS is not cancellable", engine)
+	var stop atomic.Bool
+	done := make(chan *PathResult, 1)
+	go func() {
+		done <- PathEmbed(p, PathOptions{
+			MaxHops: 6, // ~38*37*36*35*34 ≈ 6e7 simple paths per pair probe
+			Stop:    stop.Load,
+		})
+	}()
+	time.Sleep(50 * time.Millisecond)
+	canceledAt := time.Now()
+	stop.Store(true)
+	select {
+	case res := <-done:
+		if latency := time.Since(canceledAt); latency > 2*time.Second {
+			t.Errorf("cancellation latency %v, want well under 2s", latency)
 		}
+		if res.Exhausted || len(res.Solutions) != 0 {
+			t.Errorf("canceled run reported %v/%d solutions", res.Exhausted, len(res.Solutions))
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("canceled search never returned — inner DFS is not cancellable")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"netembed/internal/graph"
 	"netembed/internal/index"
-	"netembed/internal/sets"
 )
 
 // PathOptions tunes PathEmbed, the many-to-one extension of §VIII: a
@@ -42,13 +41,6 @@ type PathOptions struct {
 	// the Problem's host — same node universe, same orientation — or it
 	// is ignored and the rows are computed per run.
 	Index *index.Index
-	// Engine selects the searcher: SearchFC (default) is the indexed
-	// forward-checking engine with reachability-pruned domains, witness
-	// memoization and optimistic metric bounds; SearchChrono keeps the
-	// chronological scan that re-runs a witness DFS per candidate pair —
-	// the property-test oracle and ablation baseline. Both enumerate
-	// identical solution sequences.
-	Engine SearchEngine // cachekey:ignore both engines provably enumerate identical solutions
 }
 
 func (o *PathOptions) applyDefaults() {
@@ -110,146 +102,13 @@ type PathResult struct {
 // is defined by the window attributes). Solutions enumerate node
 // mappings; each carries one witness path per query edge.
 //
-// The default engine (SearchFC, pathfc.go) precomputes a hop-bounded
-// reachability oracle, forward-prunes candidate domains with it, rejects
-// witness probes whose best-possible composed metrics already violate the
-// window, and memoizes witness lookups. PathOptions.Engine = SearchChrono
-// selects the chronological scan instead; both enumerate the same
-// solution sequence.
+// The search (pathfc.go) precomputes a hop-bounded reachability oracle,
+// forward-prunes candidate domains with it, rejects witness probes whose
+// best-possible composed metrics already violate the window, and
+// memoizes witness lookups.
 func PathEmbed(p *Problem, opt PathOptions) *PathResult {
 	opt.applyDefaults()
-	if opt.Engine == SearchChrono {
-		return pathEmbedChrono(p, opt)
-	}
 	return pathEmbedFC(p, opt)
-}
-
-// pathEmbedChrono is the chronological path searcher: a host-node scan
-// per depth that re-runs a witness DFS for every candidate pair. Kept as
-// the property-test oracle and ablation baseline for the FC engine.
-func pathEmbedChrono(p *Problem, opt PathOptions) *PathResult {
-	start := time.Now()
-	nq, nr := p.Query.NumNodes(), p.Host.NumNodes()
-
-	res := &PathResult{}
-	var clk stopClock
-	clk.arm(start, opt.Timeout, opt.Stop)
-	stopped := false
-
-	// Order query nodes by descending degree (LNS heuristic 1) but keep
-	// each node adjacent to at least one predecessor when possible.
-	order := pathOrder(p.Query)
-	pos := make([]int, nq)
-	for i, q := range order {
-		pos[q] = i
-	}
-
-	assign := make(Mapping, nq)
-	for i := range assign {
-		assign[i] = -1
-	}
-	used := sets.NewBitset(nr)
-	paths := map[graph.EdgeID]graph.Path{}
-
-	// witnessPath finds a path from rs to rt satisfying every composed
-	// metric window of query edge qe, or ok=false. The run's stop clock
-	// is threaded into the enumeration itself: a canceled or timed-out
-	// search must not keep burning CPU inside a large path DFS.
-	witnessPath := func(qe *graph.Edge, rs, rt graph.NodeID) (graph.Path, bool) {
-		var found graph.Path
-		ok := false
-		res.Stats.WitnessProbes++
-		p.Host.PathsWithinStop(rs, rt, opt.MaxHops, clk.checkDeadline, func(path graph.Path) bool {
-			if !pathMetricsOK(p.Host, qe, path.Edges, opt.Metrics) {
-				return true
-			}
-			// Cost records the first metric's composed value (the
-			// accumulated delay under the default spec).
-			path.Cost, _ = opt.Metrics[0].composeAlong(p.Host, path.Edges)
-			found, ok = path, true
-			return false // first witness suffices
-		})
-		return found, ok
-	}
-
-	var rec func(d int)
-	rec = func(d int) {
-		if clk.timedOut || stopped {
-			return
-		}
-		if d == nq {
-			sol := PathSolution{Nodes: assign.Clone(), Paths: make(map[graph.EdgeID]graph.Path, len(paths))}
-			for k, v := range paths {
-				sol.Paths[k] = v
-			}
-			res.Solutions = append(res.Solutions, sol)
-			if opt.MaxSolutions > 0 && len(res.Solutions) >= opt.MaxSolutions {
-				stopped = true
-			}
-			return
-		}
-		q := order[d]
-		for r := graph.NodeID(0); int(r) < nr; r++ {
-			if clk.checkDeadline() || stopped {
-				return
-			}
-			if used.Has(r) || !p.nodeOK(q, r) {
-				continue
-			}
-			res.Stats.NodesVisited++
-			// Every edge to an already-assigned neighbor needs a witness.
-			type chosen struct {
-				edge graph.EdgeID
-				path graph.Path
-			}
-			var witnesses []chosen
-			ok := true
-			visit := func(a graph.Arc, qeFromQ bool) {
-				if !ok || assign[a.To] < 0 {
-					return
-				}
-				qe := p.Query.Edge(a.Edge)
-				rs, rt := r, assign[a.To]
-				if !qeFromQ {
-					rs, rt = assign[a.To], r
-				}
-				if path, found := witnessPath(qe, rs, rt); found {
-					witnesses = append(witnesses, chosen{a.Edge, path})
-				} else {
-					ok = false
-				}
-			}
-			for _, a := range p.Query.Arcs(q) {
-				visit(a, p.Query.Edge(a.Edge).From == q)
-			}
-			if p.Query.Directed() {
-				for _, a := range p.Query.InArcs(q) {
-					visit(a, false)
-				}
-			}
-			if !ok {
-				continue
-			}
-			assign[q] = r
-			used.Set(r)
-			for _, w := range witnesses {
-				paths[w.edge] = w.path
-			}
-			rec(d + 1)
-			for _, w := range witnesses {
-				delete(paths, w.edge)
-			}
-			used.Clear(r)
-			assign[q] = -1
-		}
-	}
-	rec(0)
-
-	res.Exhausted = !clk.timedOut && !stopped
-	res.Status = classify(res.Exhausted, len(res.Solutions))
-	res.Elapsed = time.Since(start)
-	res.Stats.Elapsed = res.Elapsed
-	return res
 }
 
 // pathOrder orders query nodes by descending degree, then keeps the

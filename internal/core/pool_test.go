@@ -6,6 +6,24 @@ import (
 	"time"
 )
 
+// assertSameSequence pins two runs of one search to the same solution
+// sequence and the same outcome classification.
+func assertSameSequence(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	sameSolutionSets(t, label, got.Solutions, want.Solutions)
+	if len(got.Solutions) == len(want.Solutions) {
+		for i := range got.Solutions {
+			if mappingKey(got.Solutions[i]) != mappingKey(want.Solutions[i]) {
+				t.Fatalf("%s: solution %d out of sequence", label, i)
+			}
+		}
+	}
+	if got.Status != want.Status || got.Exhausted != want.Exhausted {
+		t.Fatalf("%s: outcome classification differs: %v/%v vs %v/%v",
+			label, got.Status, got.Exhausted, want.Status, want.Exhausted)
+	}
+}
+
 // TestPooledSearchMatchesFresh pins the recycling layer's correctness
 // contract: a search that lands on a recycled fcSearcher/Filters (after
 // the pool has been polluted by differently-shaped problems) must return

@@ -244,27 +244,6 @@ const (
 	OrderUnconnected
 )
 
-// SearchEngine selects the inner-search implementation behind
-// ECF/RWB/DynamicECF/ParallelECF (and the forward-checked candidate
-// pruning inside LNS and Consolidate).
-type SearchEngine int
-
-// Inner-search engines.
-const (
-	// SearchFC is the incremental forward-checking engine with
-	// conflict-directed backjumping and (for ParallelECF) work-stealing
-	// parallel search: live domain bitsets per unassigned query node,
-	// AND-pruned on assignment and restored from a trail on backtrack,
-	// with dead-ends jumping past levels that contributed nothing to the
-	// failure. The default.
-	SearchFC SearchEngine = iota
-	// SearchChrono is the chronological DFS that recomputes candidate
-	// sets per visit (and the static first-level sharding in
-	// ParallelECF). Kept as the property-test oracle and ablation
-	// baseline; both engines enumerate identical solution sets.
-	SearchChrono
-)
-
 // Repr selects the candidate-set representation BuildFilters stores in
 // the filter tables and the search loops intersect.
 type Repr int
@@ -335,11 +314,6 @@ type Options struct {
 	// filter tables. Both representations provably enumerate identical
 	// solution sets; the choice only trades speed against memory.
 	Repr Repr // cachekey:ignore representation choice provably enumerates identical solutions
-	// Engine selects the inner-search implementation (default SearchFC,
-	// the forward-checking + backjumping engine). SearchChrono keeps the
-	// chronological recompute-per-visit searcher for oracle tests and
-	// ablation benchmarks; both enumerate identical solution sets.
-	Engine SearchEngine // cachekey:ignore both engines provably enumerate identical solutions
 	// Objective selects the cost function an optimizing search minimizes
 	// (see Objective). It is ignored unless Optimize is set.
 	Objective Objective

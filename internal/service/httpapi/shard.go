@@ -398,7 +398,7 @@ func decodeEmbedResponse(out *EmbedResponse) (*service.Response, error) {
 
 // statsFromJSON recovers the search counters from the wire stats map.
 //
-//statsthread:fold core.Stats except FilterEntries
+//statsthread:fold core.Stats
 func statsFromJSON(m map[string]interface{}) core.Stats {
 	n := func(key string) int64 {
 		v, _ := m[key].(float64)
@@ -408,6 +408,7 @@ func statsFromJSON(m map[string]interface{}) core.Stats {
 	st.NodesVisited = n("nodesVisited")
 	st.Backtracks = n("backtracks")
 	st.EdgePairsEval = n("edgePairsEval")
+	st.FilterEntries = n("filterEntries")
 	st.ConstraintChk = n("constraintChk")
 	st.PruneOps = n("pruneOps")
 	st.Wipeouts = n("wipeouts")

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -146,6 +147,55 @@ func remoteTier(t *testing.T, host *graph.Graph) *service.Coordinator {
 		t.Fatal(err)
 	}
 	return coord
+}
+
+// TestRemoteShardStatsMatchLocal: one request through a coordinator over
+// a LocalShard and through one over a RemoteShard on the same host must
+// report the same search counters — every int64 field of core.Stats
+// crosses the wire.
+func TestRemoteShardStatsMatchLocal(t *testing.T) {
+	host := twoRegionHost()
+	regions := []string{"east", "west"}
+	coordinator := func(sh service.Shard) *service.Coordinator {
+		t.Helper()
+		c, err := service.NewCoordinator([]service.Shard{sh}, service.CoordinatorConfig{RegionAttr: "region"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	local := coordinator(service.NewLocalShard("all", regions, service.New(service.NewModel(host), service.Config{})))
+	srv := New(service.New(service.NewModel(host), service.Config{}))
+	srv.ConfigureShard("all", regions)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	rs, err := NewRemoteShard(ts.URL, RemoteShardConfig{Name: "all", Client: ts.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := coordinator(rs)
+
+	q := topo.Clique(3)
+	topo.SetDelayWindow(q, 5, 20)
+	req := service.Request{Query: q, EdgeConstraint: avgDelayWindowSrc, Timeout: 10 * time.Second}
+	lresp, _, err := local.Embed(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rresp, _, err := remote.Embed(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lresp.Stats.FilterEntries == 0 || lresp.Stats.NodesVisited == 0 {
+		t.Fatalf("fixture exercises no filters or search: %+v", lresp.Stats)
+	}
+	lv, rv := reflect.ValueOf(lresp.Stats), reflect.ValueOf(rresp.Stats)
+	counter := reflect.TypeOf(int64(0))
+	for i := 0; i < lv.NumField(); i++ {
+		if f := lv.Type().Field(i); f.Type == counter && lv.Field(i).Int() != rv.Field(i).Int() {
+			t.Errorf("%s: local %d, remote %d", f.Name, lv.Field(i).Int(), rv.Field(i).Int())
+		}
+	}
 }
 
 // TestCoordinatorEquivalence is the distributed tier's acceptance

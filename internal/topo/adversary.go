@@ -7,7 +7,7 @@ import (
 )
 
 // This file builds the adversarial search-engine workloads used by the
-// FC-vs-chronological property tests and benchmarks: instances whose
+// forward-checking engine's property tests and benchmarks: instances whose
 // filter matrices look harmless (every query edge individually
 // satisfiable, every tight-root base set non-empty) but whose joint
 // infeasibility or skewed subtree hardness only surfaces deep in the

@@ -132,10 +132,6 @@ type (
 	// Repr selects the filter tables' candidate-set representation
 	// (adaptive, sorted slices, or dense bitsets).
 	Repr = core.Repr
-	// SearchEngine selects the inner-search implementation for
-	// Options.Engine: forward checking with conflict-directed
-	// backjumping (default) or the chronological oracle.
-	SearchEngine = core.SearchEngine
 	// Filters holds prebuilt ECF/RWB filter matrices for reuse across
 	// searches.
 	Filters = core.Filters
@@ -174,15 +170,6 @@ const (
 	ReprAuto   = core.ReprAuto
 	ReprSlice  = core.ReprSlice
 	ReprBitset = core.ReprBitset
-)
-
-// Search engines for Options.Engine.
-const (
-	// SearchFC is the forward-checking + conflict-directed-backjumping
-	// engine with work-stealing ParallelECF (the default).
-	SearchFC = core.SearchFC
-	// SearchChrono is the chronological recompute-per-visit oracle.
-	SearchChrono = core.SearchChrono
 )
 
 // Algorithms and helpers.
