@@ -1315,44 +1315,60 @@ func BenchmarkServePath(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildFilters measures the constraint-bearing filter build
-// (§V-A under the §VII-A delay window) alone, on the instance of the
-// novel_constrained ledger workload: the 296-site host (≈29k edges),
-// planted 8-node/12-edge queries with ±10% windows, index-served and
-// warm — columns built and their range indexes armed by a first pass over
-// the queries, as on a daemon that has served a request. Each op
-// builds the next of 64 queries' filters. BenchmarkServePath's
-// warm_constrained runs a 120-site host, where this layer is a quarter of
-// the cost. The Filters are not recycled outside internal/core, so B/op
-// includes one set of tables per op.
+// BenchmarkBuildFilters measures the filter build (§V-A) alone on the
+// 296-site host (≈29k edges) of the ledger's constrained workloads,
+// index-served and warm — columns built, and their range indexes armed,
+// by a first pass over the queries, as on a daemon that has served a
+// request. Each op builds the next of 64 planted 8-node/12-edge queries'
+// filters:
+//   - planetlab296_window: novel_constrained's ±10% delay windows, where
+//     the edge constraint's batch evaluation and mask-adjacency dominate;
+//   - planetlab296_index: churn_mixed's read constraint, node attributes
+//     only, so the tables alias the index's adjacency and the build is
+//     node passes, row pointers and per-table unions.
+//
+// BenchmarkServePath's warm_constrained runs a 120-site host, where this
+// layer is a quarter of the cost. The Filters are not recycled outside
+// internal/core, so B/op includes one set of tables per op.
 func BenchmarkBuildFilters(b *testing.B) {
-	b.Run("planetlab296_window", func(b *testing.B) {
-		host := trace.SyntheticPlanetLab(trace.Config{Sites: 296}, rand.New(rand.NewSource(1)))
-		idx := netembed.BuildIndex(host, 1, netembed.IndexConfig{})
-		rng := rand.New(rand.NewSource(1))
-		problems := make([]*netembed.Problem, 64)
-		for i := range problems {
-			q, _, err := topo.Subgraph(host, 8, 12, rng)
-			if err != nil {
-				b.Fatal(err)
+	host := trace.SyntheticPlanetLab(trace.Config{Sites: 296}, rand.New(rand.NewSource(1)))
+	idx := netembed.BuildIndex(host, 1, netembed.IndexConfig{})
+	for _, c := range []struct {
+		name       string
+		edge, node *netembed.Program
+		window     bool
+	}{
+		{"planetlab296_window", delayWindow, nil, true},
+		{"planetlab296_index", nil, netembed.MustCompile("rNode.cpu >= vNode.cpu && rNode.osType == vNode.osType"), false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			problems := make([]*netembed.Problem, 64)
+			for i := range problems {
+				q, _, err := topo.Subgraph(host, 8, 12, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if c.window {
+					topo.WidenDelayWindows(q, 0.1)
+				}
+				if problems[i], err = netembed.NewProblem(q, host, c.edge, c.node); err != nil {
+					b.Fatal(err)
+				}
 			}
-			topo.WidenDelayWindows(q, 0.1)
-			if problems[i], err = netembed.NewProblem(q, host, delayWindow, nil); err != nil {
-				b.Fatal(err)
+			opt := &netembed.Options{Index: idx}
+			for _, p := range problems {
+				core.BuildFilters(p, opt)
 			}
-		}
-		opt := &netembed.Options{Index: idx}
-		for _, p := range problems {
-			core.BuildFilters(p, opt)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if f := core.BuildFilters(problems[i%len(problems)], opt); f.Stats().FilterEntries == 0 {
-				b.Fatal("planted query has no candidates")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if f := core.BuildFilters(problems[i%len(problems)], opt); f.Stats().FilterEntries == 0 {
+					b.Fatal("planted query has no candidates")
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // codecFixtures are the documents the service decodes most: one planted

@@ -349,6 +349,8 @@ func (s *fcSearcher) pruneRow(d int, head graph.NodeID, table, r int32) bool {
 
 	var row *sets.Bitset
 	if s.f.Dense() {
+		// An aliased adjacency row, not cut to head's pass: dm lies inside
+		// that pass, so every AND below reads what the cut row would.
 		row = s.f.tablesB[table][r]
 	} else if sl := s.f.tables[table][r]; len(sl) != 0 {
 		s.rowBits.Reset()
@@ -573,6 +575,8 @@ func (s *fcSearcher) revise(d int, x, y graph.NodeID, t int32) bool {
 	left := true
 	dx.ForEach(func(a int32) bool {
 		if s.f.Dense() {
+			// rem ⊆ y's domain ⊆ y's pass: the aliased row subtracts
+			// exactly what the row cut to that pass would.
 			if row := s.f.tablesB[t][a]; row != nil {
 				left = rem.AndNotWith(row)
 			}

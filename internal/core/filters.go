@@ -28,6 +28,13 @@ import (
 // ordering heuristics and root sharding read them), with bitset mirrors
 // in dense mode.
 //
+// A dense row is not intersected with its head's node filter: it aliases
+// the admitted host adjacency row itself (see fillTables). Every domain a
+// search prunes starts as a base set, which lies inside its node's pass,
+// and only shrinks, so ANDing or AND-NOTing the aliased row into it reads
+// exactly what the intersected row would. CandidatesGiven, which callers
+// read outside a search, returns the intersected row.
+//
 // Base candidate sets realize formula (1): by default tightened to the
 // intersection of per-neighbor unions (still a superset of any feasible
 // root assignment, so completeness is preserved); Options.LooseRoot keeps
@@ -45,8 +52,9 @@ type Filters struct {
 	// tables[t][r] = sorted candidate set for the arc's head when its tail
 	// is placed at host node r (sparse representation; nil when dense).
 	tables [][]sets.Set
-	// tablesB[t][r] = the same rows as bitsets; a nil row is empty
-	// (dense representation; nil when sparse).
+	// tablesB[t][r] = r's row of the arc's admitted host adjacency, for r
+	// in the tail's pass, shared read-only (dense representation; nil when
+	// sparse). A nil row is empty.
 	tablesB [][]*sets.Bitset
 
 	// base[q] = candidate host nodes for query node q before any
@@ -60,35 +68,33 @@ type Filters struct {
 	nodePass []sets.Set
 
 	stats Stats
-	// The fill workers' shares of stats.EdgePairsEval and FilterEntries.
-	pairsEval, entries atomic.Int64
+	// The fill workers' share of stats.EdgePairsEval.
+	pairsEval atomic.Int64
 
 	// Pool-recycled scratch (see pool.go): per-node admissibility
-	// bitsets, positional row arenas for the dense fills, the tableOf
-	// buffer, the incoming-arc dedup stamp with its output buffer, the
-	// per-arc union accumulator of buildBaseDense, one constraint
+	// bitsets, positional arenas for the mask-adjacencies the dense rows
+	// alias, the per-table unions of the dense fill (unions.rows[t] = the
+	// hosts table t admits for its head), the tableOf buffer, the
+	// incoming-arc dedup stamp with its output buffer, one constraint
 	// evaluation scratch per fill worker, and the throw-away host columns
 	// of builds the index's column cache cannot serve.
 	passBits    []*sets.Bitset
 	arenas      []rowArena
 	arenaNext   int
+	unions      rowArena
 	tableOf     []edgeTables
 	arcStamp    *tableStamp
 	arcsBuf     []int32
-	unionBuf    *sets.Bitset
 	evalScratch []evalScratch
 	scratchCols *index.Columns
 }
 
-// evalScratch is one fill worker's state: the batch evaluator's registers,
-// the satisfied-mask it fills (over host edges for the edge constraint,
-// host nodes for the node constraint), and the dense fill's
-// mask-adjacency: adj[0][r] holds the hosts r reaches over the admitted
-// host arcs, adj[1][r] those reaching r.
+// evalScratch is one fill worker's state: the batch evaluator's registers
+// and the satisfied-mask it fills (over host edges for the edge
+// constraint, host nodes for the node constraint).
 type evalScratch struct {
 	expr expr.Scratch
 	mask *sets.Bitset
-	adj  [2]rowArena
 }
 
 func arcKey(u, v graph.NodeID) uint64 {
@@ -243,18 +249,18 @@ func (f *Filters) buildNodePass(opt *Options, idx *index.Index, cols *index.Colu
 	}
 }
 
-// edgeTables pairs the two table IDs owned by one query edge, with the
-// arenas their dense rows live in.
+// edgeTables pairs the two table IDs owned by one query edge with the
+// edge constraint's mask-adjacency (Out, In) its dense rows alias.
 type edgeTables struct {
 	fwd, bwd int32
-	arenas   [2][]sets.Bitset
+	out, in  []sets.Bitset
 }
 
-// newArcTables allocates one table per directed query arc and, for dense
-// rows, its arena of at most one row per admissible tail, serially so
-// table IDs and the arc index are deterministic regardless of how the
-// fill stage is parallelized.
-func (f *Filters) newArcTables() []edgeTables {
+// newArcTables allocates one table per directed query arc, and for dense
+// rows each table's union and — when ownAdj — each query edge's
+// mask-adjacency, serially so table IDs, the arc index and the arenas are
+// deterministic regardless of how the fill stage is parallelized.
+func (f *Filters) newArcTables(ownAdj, symmetric bool) []edgeTables {
 	p := f.p
 	newTable := func(u, v graph.NodeID) int32 {
 		var id int32
@@ -277,38 +283,40 @@ func (f *Filters) newArcTables() []edgeTables {
 			fwd: newTable(qe.From, qe.To), // From placed -> candidates for To
 			bwd: newTable(qe.To, qe.From), // To placed -> candidates for From
 		}
-		if f.dense {
-			tableOf[i].arenas = [2][]sets.Bitset{f.nextArena(f.passBits[qe.From].Count()), f.nextArena(f.passBits[qe.To].Count())}
+		if ownAdj {
+			tableOf[i].out, tableOf[i].in = f.adjacency(symmetric)
 		}
+	}
+	if f.dense {
+		f.unions.rows, f.unions.backing = sets.ReuseBitsets(f.unions.rows, f.unions.backing, f.nr, len(f.tablesB))
 	}
 	return tableOf
 }
 
 // fillTables builds each query edge's two tables. For query edge (u, v)
-// the dense rows are fwd[r] = Out[r] ∩ pass(v) for r ∈ pass(u) and
-// bwd[r] = In[r] ∩ pass(u) for r ∈ pass(v) — a candidate failing its own
-// node filter can never appear in a mapping — and a row that intersects
-// to nothing stays nil. Out and In are a mask-adjacency, filled through
-// the endpoint arrays from the edge constraint's satisfied-mask over the
-// host edges: an admitted host arc rs→rt sets rt in Out[rs] and rs in
-// In[rt]. On an undirected host one evaluation admits both arcs of an
-// edge, so In is Out, unless the program tells them apart through
-// rSource/rTarget; only then is the mask computed a second time with the
-// endpoints swapped. With no edge constraint every host edge is admitted
-// and all query edges share one Out and In. Sparse rows take the same
-// arcs one by one.
+// a dense table aliases an adjacency — fwd[r] = Out[r] for r ∈ pass(u),
+// bwd[r] = In[r] for r ∈ pass(v) — and its union, (∪ fwd[r]) ∩ pass(v),
+// is what formula (1) combines. Out and In are the index's adjacency when
+// there is no edge constraint, else a mask-adjacency filled through the
+// endpoint arrays from the edge constraint's satisfied-mask over the host
+// edges: an admitted host arc rs→rt sets rt in Out[rs] and rs in In[rt].
+// On an undirected host one evaluation admits both arcs of an edge, so In
+// is Out, unless the program tells them apart through rSource/rTarget;
+// only then is the mask computed a second time with the endpoints
+// swapped. With no edge constraint and no index every host edge is
+// admitted and all query edges share one Out and In. Sparse rows take the
+// same arcs one by one, each cut to its head's pass.
 //
 // The fill is sharded per query edge across Options.Workers goroutines.
-// Each edge owns its two tables and — handed out serially beforehand —
-// their row arenas, and each worker its scratch, so workers share nothing
-// mutable beyond the stats counters.
+// Each edge owns its two tables, their unions and — handed out serially
+// beforehand — its mask-adjacency, and each worker its scratch, so
+// workers share nothing mutable beyond the pairs counter.
 //
 //netembedvet:allow stoppoll the worker `for {}` drains a bounded atomic cursor over query edges; filter build is O(|Eq|·|Er|) work measured by Stats.FilterBuild, not an unbounded search
 func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns, passBits []*sets.Bitset) {
 	p := f.p
 	prog := p.EdgeConstraint
 	nEdges, nHostEdges := p.Query.NumEdges(), p.Host.NumEdges()
-	tableOf := f.newArcTables()
 
 	indexed := idx != nil && prog == nil
 	var from, to []graph.NodeID
@@ -317,14 +325,14 @@ func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns
 	}
 	oriented := !p.Host.Directed() && prog != nil && (prog.Uses(expr.ObjRSource) || prog.Uses(expr.ObjRTarget))
 	symmetric := !p.Host.Directed() && !oriented
+	tableOf := f.newArcTables(f.dense && prog != nil, symmetric)
 	// No edge constraint, no index: every query edge reads all host arcs.
-	var all [2][]sets.Bitset
+	var allOut, allIn []sets.Bitset
 	if f.dense && prog == nil && !indexed {
-		all[0], all[1] = f.evalScratch[0].adjacency(f.nr, symmetric)
-		addArcs(nil, from, to, all[0], all[1])
+		allOut, allIn = f.adjacency(symmetric)
+		addArcs(nil, from, to, allOut, allIn)
 	}
 	f.pairsEval.Store(0)
-	f.entries.Store(0)
 	fillEdge := func(i int, ws *evalScratch) {
 		qe := p.Query.Edge(graph.EdgeID(i))
 		passFrom, passTo := passBits[qe.From], passBits[qe.To]
@@ -356,30 +364,29 @@ func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns
 		}
 
 		if f.dense {
+			et := &tableOf[i]
 			var out, in func(graph.NodeID) *sets.Bitset
 			if indexed {
 				out, in = idx.Neighbors, idx.InNeighbors
 			} else {
-				outRows, inRows := all[0], all[1]
+				outRows, inRows := allOut, allIn
 				if prog != nil {
-					outRows, inRows = ws.adjacency(f.nr, symmetric)
+					outRows, inRows = et.out, et.in
 					admitted(func(mask *sets.Bitset, rs, rt []graph.NodeID) { addArcs(mask, rs, rt, outRows, inRows) })
 				}
 				out = func(r graph.NodeID) *sets.Bitset { return &outRows[r] }
 				in = func(r graph.NodeID) *sets.Bitset { return &inRows[r] }
 			}
-			f.entries.Add(fillRows(f.tablesB[tableOf[i].fwd], tableOf[i].arenas[0], passFrom, passTo, out) +
-				fillRows(f.tablesB[tableOf[i].bwd], tableOf[i].arenas[1], passTo, passFrom, in))
+			f.aliasRows(et.fwd, passFrom, passTo, out)
+			f.aliasRows(et.bwd, passTo, passFrom, in)
 			return
 		}
 
 		fwd, bwd := f.tables[tableOf[i].fwd], f.tables[tableOf[i].bwd]
-		var localEntries int64
 		admit := func(rs, rt graph.NodeID) {
 			if passFrom.Has(rs) && passTo.Has(rt) {
 				fwd[rs] = append(fwd[rs], rt)
 				bwd[rt] = append(bwd[rt], rs)
-				localEntries += 2
 			}
 		}
 		admitted(func(mask *sets.Bitset, rs, rt []graph.NodeID) {
@@ -396,7 +403,6 @@ func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns
 			fwd[r] = sets.FromUnsorted(fwd[r])
 			bwd[r] = sets.FromUnsorted(bwd[r])
 		}
-		f.entries.Add(localEntries)
 	}
 
 	if workers := opt.Workers; workers > 1 && nEdges > 1 {
@@ -421,19 +427,7 @@ func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns
 			fillEdge(i, &f.evalScratch[0])
 		}
 	}
-	f.stats.EdgePairsEval, f.stats.FilterEntries = f.pairsEval.Load(), f.entries.Load()
-}
-
-// adjacency returns ws's mask-adjacency over nr hosts, emptied: its Out
-// and In rows, one set of rows when symmetric.
-func (ws *evalScratch) adjacency(nr int, symmetric bool) (out, in []sets.Bitset) {
-	adj := &ws.adj
-	adj[0].rows, adj[0].backing = sets.ReuseBitsets(adj[0].rows, adj[0].backing, nr, nr)
-	if symmetric {
-		return adj[0].rows, adj[0].rows
-	}
-	adj[1].rows, adj[1].backing = sets.ReuseBitsets(adj[1].rows, adj[1].backing, nr, nr)
-	return adj[0].rows, adj[1].rows
+	f.stats.EdgePairsEval = f.pairsEval.Load()
 }
 
 // addArcs adds the host arcs rs[j]→rt[j] of the edges in mask (every edge
@@ -455,20 +449,17 @@ func addArcs(mask *sets.Bitset, rs, rt []graph.NodeID, out, in []sets.Bitset) {
 	}
 }
 
-// fillRows sets table[r] = adj(r) ∩ headPass in the arena's rows for each
-// r in tailPass, leaving empty rows nil; it returns the entries stored.
-func fillRows(table []*sets.Bitset, arena []sets.Bitset, tailPass, headPass *sets.Bitset, adj func(graph.NodeID) *sets.Bitset) int64 {
-	var entries int64
-	next := 0
+// aliasRows points table t's row r at adj(r) for each r in tailPass and
+// leaves in unions.rows[t] the hosts those rows admit for the table's
+// head: their union ∩ headPass.
+func (f *Filters) aliasRows(t int32, tailPass, headPass *sets.Bitset, adj func(graph.NodeID) *sets.Bitset) {
+	table, union := f.tablesB[t], &f.unions.rows[t]
 	tailPass.ForEach(func(r graph.NodeID) bool {
-		if n := sets.IntersectCountInto(&arena[next], adj(r), headPass); n > 0 {
-			table[r] = &arena[next]
-			next++
-			entries += int64(n)
-		}
+		table[r] = adj(r)
+		union.UnionWith(table[r])
 		return true
 	})
-	return entries
+	union.IntersectWith(headPass)
 }
 
 // buildBase computes the per-node base candidate sets (formula (1)) on the
@@ -495,6 +486,7 @@ func (f *Filters) buildBase(loose bool) {
 					u, scratchA = scratchA, u
 				}
 			}
+			f.stats.FilterEntries += int64(len(u))
 			if i == 0 {
 				acc = sets.Clone(u)
 				continue
@@ -510,13 +502,11 @@ func (f *Filters) buildBase(loose bool) {
 	}
 }
 
-// buildBaseDense is buildBase on bitset rows: the per-arc unions are
-// word-wise ORs and the cross-arc combination one AND/OR per arc.
+// buildBaseDense is buildBase on the dense fill's per-arc unions: the
+// cross-arc combination is one AND/OR per arc.
 func (f *Filters) buildBaseDense(loose bool) {
 	f.base = grow(f.base, f.nq)
 	f.baseB = grow(f.baseB, f.nq)
-	u := sets.ReuseBitset(f.unionBuf, f.nr)
-	f.unionBuf = u
 	for q := 0; q < f.nq; q++ {
 		qid := graph.NodeID(q)
 		arcs := f.incomingArcTables(qid)
@@ -528,12 +518,8 @@ func (f *Filters) buildBaseDense(loose bool) {
 			continue
 		}
 		for i, t := range arcs {
-			u.Reset()
-			for r := 0; r < f.nr; r++ {
-				if row := f.tablesB[t][r]; row != nil {
-					u.UnionWith(row)
-				}
-			}
+			u := &f.unions.rows[t]
+			f.stats.FilterEntries += int64(u.Count())
 			switch {
 			case i == 0:
 				acc.CopyFrom(u)
@@ -588,7 +574,8 @@ func (f *Filters) Base(q graph.NodeID) sets.Set { return f.base[q] }
 // query node tail has been placed at host node r, one sorted set per arc
 // table relating the two nodes. An empty result means the pair of nodes is
 // not adjacent in the query. In dense mode the rows are materialized as
-// fresh sorted slices.
+// fresh sorted slices, cut to head's pass: the rows a search reads
+// through its domains.
 func (f *Filters) CandidatesGiven(tail, head graph.NodeID, r graph.NodeID) []sets.Set {
 	ts := f.arcTables[arcKey(tail, head)]
 	if len(ts) == 0 {
@@ -596,12 +583,12 @@ func (f *Filters) CandidatesGiven(tail, head graph.NodeID, r graph.NodeID) []set
 	}
 	rows := make([]sets.Set, len(ts))
 	for i, t := range ts {
-		if f.dense {
-			if row := f.tablesB[t][r]; row != nil {
-				rows[i] = row.AppendTo(nil)
-			}
-		} else {
+		if !f.dense {
 			rows[i] = f.tables[t][r]
+		} else if row := f.tablesB[t][r]; row != nil {
+			cut := sets.NewBitset(f.nr)
+			sets.IntersectCountInto(cut, row, f.passBits[head])
+			rows[i] = cut.AppendTo(nil)
 		}
 	}
 	return rows

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,15 +182,21 @@ func matchBruteForce(t *testing.T, label string, p *Problem, f *Filters, fwd, bw
 	}
 }
 
-// row reads table t's row r from whichever representation f carries.
+// row reads table t's row r through CandidatesGiven, whichever
+// representation f carries: a dense row cut to its head's pass, the row
+// the sparse fill stores.
 func (f *Filters) row(t int32, r int) sets.Set {
-	if !f.dense {
-		return f.tables[t][r]
+	for i, et := range f.tableOf {
+		qe := f.p.Query.Edge(graph.EdgeID(i))
+		tail, head := qe.From, qe.To
+		if t == et.bwd {
+			tail, head = head, tail
+		} else if t != et.fwd {
+			continue
+		}
+		return f.CandidatesGiven(tail, head, graph.NodeID(r))[slices.Index(f.arcTables[arcKey(tail, head)], t)]
 	}
-	if b := f.tablesB[t][r]; b != nil {
-		return b.AppendTo(nil)
-	}
-	return nil
+	panic(fmt.Sprintf("table %d belongs to no query edge", t))
 }
 
 // TestFiltersMatchBruteForce: the bulk-evaluated tables and base sets

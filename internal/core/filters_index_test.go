@@ -324,3 +324,72 @@ func TestIndexIgnoredWhenIncompatible(t *testing.T) {
 		t.Error("ReprSlice with an index should fall back to sparse scan")
 	}
 }
+
+// TestIndexedFiltersSurviveApply: index-served dense rows alias the
+// snapshot's adjacency rows, which Index.Apply replaces copy-on-write and
+// never mutates. Filters built over snapshot v are read after an edge
+// remove and then an edge add at a row they alias: every stored row still
+// equals an index-less build at v, and ECFWithFilters over them still
+// returns that build's solutions in sequence.
+func TestIndexedFiltersSurviveApply(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		p, idx := indexProblem(t, 400+seed, seed%2 == 0, nil, cpuFits)
+		label := fmt.Sprintf("seed %d", seed)
+		held := BuildFilters(p, &Options{Index: idx})
+		host := p.Host
+		// An aliased host row with a neighbor to drop and a non-neighbor
+		// to gain.
+		r, nbr, other := graph.NodeID(-1), graph.NodeID(-1), graph.NodeID(-1)
+		for _, rows := range held.tablesB {
+			for x, row := range rows {
+				if row == nil || len(host.Arcs(graph.NodeID(x))) == 0 {
+					continue
+				}
+				for y := 0; y < host.NumNodes(); y++ {
+					if y != x && !idx.Neighbors(graph.NodeID(x)).Has(int32(y)) {
+						r, nbr, other = graph.NodeID(x), host.Arcs(graph.NodeID(x))[0].To, graph.NodeID(y)
+						break
+					}
+				}
+				if other >= 0 {
+					break
+				}
+			}
+			if other >= 0 {
+				break
+			}
+		}
+		if other < 0 {
+			t.Fatalf("%s: no aliased row has both a neighbor and a non-neighbor", label)
+		}
+		name := func(x graph.NodeID) string { return host.Node(x).Name }
+		before := idx.Neighbors(r).Clone()
+		steps := []*graph.Delta{
+			{RemoveEdges: []graph.EdgeRef{{Source: name(r), Target: name(nbr)}}},
+			{AddEdges: []graph.EdgeSpec{{Source: name(r), Target: name(other), Attrs: graph.Attrs{}.SetNum("minDelay", 1).SetNum("maxDelay", 2)}}},
+		}
+		cur, curIdx := host, idx
+		for i, d := range steps {
+			next, err := cur.ApplyDelta(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			curIdx = curIdx.Apply(cur, next, d, uint64(i+2))
+			cur = next
+		}
+		if curIdx.Neighbors(r).Equal(before) {
+			t.Fatalf("%s: the deltas left row %d as it was", label, r)
+		}
+
+		fresh := BuildFilters(p, &Options{Repr: ReprBitset})
+		for ti, rows := range held.tablesB {
+			for x, row := range rows {
+				want := fresh.tablesB[ti][x]
+				if (row == nil) != (want == nil) || row != nil && !row.Equal(want) {
+					t.Fatalf("%s: table %d row %d changed under the deltas", label, ti, x)
+				}
+			}
+		}
+		assertSameSequence(t, label, ECFWithFilters(held, Options{}), ECFWithFilters(fresh, Options{}))
+	}
+}

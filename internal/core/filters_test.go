@@ -53,10 +53,7 @@ func TestDenseFiltersMatchSparse(t *testing.T) {
 		}
 		for ti := range sparse.tables {
 			for r := range sparse.tables[ti] {
-				var got sets.Set
-				if row := dense.tablesB[ti][r]; row != nil {
-					got = row.AppendTo(nil)
-				}
+				got := dense.row(int32(ti), r)
 				if !sets.Equal(got, sparse.tables[ti][r]) {
 					t.Fatalf("seed %d: table %d row %d differs: %v vs %v",
 						seed, ti, r, got, sparse.tables[ti][r])
@@ -250,17 +247,28 @@ func TestPostArcsCoverEveryEdgeExactlyOnce(t *testing.T) {
 
 func TestFilterStatsCounters(t *testing.T) {
 	p := smallProblem(t, 2)
-	f := BuildFilters(p, &Options{})
-	st := f.Stats()
-	if p.Query.NumEdges() > 0 && st.EdgePairsEval == 0 {
-		t.Error("EdgePairsEval = 0")
-	}
-	if st.FilterBuild <= 0 {
-		t.Error("FilterBuild not recorded")
-	}
-	// Entries are paired (forward + backward insert per match).
-	if st.FilterEntries%2 != 0 {
-		t.Errorf("FilterEntries = %d, want even", st.FilterEntries)
+	for _, repr := range []Repr{ReprSlice, ReprBitset} {
+		f := BuildFilters(p, &Options{Repr: repr})
+		st := f.Stats()
+		if p.Query.NumEdges() > 0 && st.EdgePairsEval == 0 {
+			t.Error("EdgePairsEval = 0")
+		}
+		if st.FilterBuild <= 0 {
+			t.Error("FilterBuild not recorded")
+		}
+		// Entries are the hosts each table admits for its head: the size
+		// of the union of its rows, summed over the tables.
+		var want int64
+		for ti := 0; ti < len(f.tables)+len(f.tablesB); ti++ {
+			var union sets.Set
+			for r := 0; r < p.Host.NumNodes(); r++ {
+				union = sets.Union(union, f.row(int32(ti), r))
+			}
+			want += int64(len(union))
+		}
+		if want == 0 || st.FilterEntries != want {
+			t.Errorf("repr %d: FilterEntries = %d, want %d (> 0)", repr, st.FilterEntries, want)
+		}
 	}
 }
 
@@ -316,8 +324,7 @@ func TestParallelFilterBuildMatchesSerial(t *testing.T) {
 			}
 			for ti := 0; ti < nt; ti++ {
 				for r := 0; r < p.Host.NumNodes(); r++ {
-					if !sets.Equal(rowAsSlice(serial, int32(ti), graph.NodeID(r)),
-						rowAsSlice(parallel, int32(ti), graph.NodeID(r))) {
+					if !sets.Equal(serial.row(int32(ti), r), parallel.row(int32(ti), r)) {
 						t.Fatalf("seed %d repr %d: table %d row %d differs",
 							seed, repr, ti, r)
 					}
@@ -335,18 +342,6 @@ func TestParallelFilterBuildMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-}
-
-// rowAsSlice materializes one filter row as a sorted slice regardless of
-// the representation the filters carry.
-func rowAsSlice(f *Filters, t int32, r graph.NodeID) sets.Set {
-	if f.Dense() {
-		if row := f.tablesB[t][r]; row != nil {
-			return row.AppendTo(nil)
-		}
-		return nil
-	}
-	return f.tables[t][r]
 }
 
 func TestParallelFilterBuildSolutionsAgree(t *testing.T) {

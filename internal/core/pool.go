@@ -71,12 +71,17 @@ func acquireFilters() *Filters { return filtersPool.Get().(*Filters) }
 
 // release returns the filter matrices to the pool. Call only on filters
 // this package built and whose rows provably do not outlive the search
-// that used them; caller-supplied filters are never released.
+// that used them; caller-supplied filters are never released. Every dense
+// row slot up to cap is nilled: a row may alias an index snapshot, which
+// a pooled Filters must not pin, and appendTableB reuses slots as empty.
 func (f *Filters) release() {
 	if !poolingEnabled || f == nil {
 		return
 	}
 	f.p = nil
+	for _, rows := range f.tablesB[:cap(f.tablesB)] {
+		clear(rows[:cap(rows)])
+	}
 	if f.scratchCols != nil {
 		f.scratchCols.Reset(nil) // the columns' graph is the caller's
 	}
@@ -84,40 +89,44 @@ func (f *Filters) release() {
 }
 
 // rowArena is one recycled MakeBitsets allocation: the row headers and
-// their shared backing words, re-shaped per build by nextArena.
+// their shared backing words, re-shaped per build.
 type rowArena struct {
 	rows    []sets.Bitset
 	backing []uint64
 }
 
-// nextArena hands out the build's next row arena of n empty rows,
-// recycling positionally: the i-th arena of this build reuses the storage
-// of the i-th arena of the build that previously owned this Filters,
-// which under a steady workload has the same geometry.
-func (f *Filters) nextArena(n int) []sets.Bitset {
-	if f.arenaNext >= len(f.arenas) {
-		f.arenas = append(f.arenas, rowArena{})
+// adjacency hands out the build's next empty mask-adjacency, its Out and
+// In rows (one set of rows when symmetric), recycling arenas positionally:
+// the i-th arena of this build reuses the storage of the i-th arena of the
+// build that previously owned this Filters.
+func (f *Filters) adjacency(symmetric bool) (out, in []sets.Bitset) {
+	next := func() []sets.Bitset {
+		if f.arenaNext >= len(f.arenas) {
+			f.arenas = append(f.arenas, rowArena{})
+		}
+		a := &f.arenas[f.arenaNext]
+		f.arenaNext++
+		a.rows, a.backing = sets.ReuseBitsets(a.rows, a.backing, f.nr, f.nr)
+		return a.rows
 	}
-	a := &f.arenas[f.arenaNext]
-	f.arenaNext++
-	a.rows, a.backing = sets.ReuseBitsets(a.rows, a.backing, f.nr, n)
-	return a.rows
+	if out = next(); symmetric {
+		return out, out
+	}
+	return out, next()
 }
 
 // appendTableB appends one dense table of nr nil rows, recycling the row
 // slice the previous owner of this Filters had at the same position
-// (spare slices survive between len and cap across the [:0] reset).
+// (spare slices survive between len and cap across the [:0] reset;
+// release left every slot nil).
 func appendTableB(ts [][]*sets.Bitset, nr int) [][]*sets.Bitset {
 	if n := len(ts); n < cap(ts) {
 		ts = ts[: n+1 : cap(ts)]
-		rows := ts[n]
-		if cap(rows) < nr {
-			rows = make([]*sets.Bitset, nr)
+		if rows := ts[n]; cap(rows) >= nr {
+			ts[n] = rows[:nr]
 		} else {
-			rows = rows[:nr]
-			clear(rows) // nil row = empty: stale rows must not leak through
+			ts[n] = make([]*sets.Bitset, nr)
 		}
-		ts[n] = rows
 		return ts
 	}
 	return append(ts, make([]*sets.Bitset, nr))

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"netembed/internal/graph"
 )
 
 // assertSameSequence pins two runs of one search to the same solution
@@ -140,4 +142,41 @@ func TestRecycledSearcherStartsDisarmed(t *testing.T) {
 		}
 	}
 	t.Fatal("the pool never handed the released searcher back")
+}
+
+// TestReleasedFiltersPinNoIndex: index-served dense rows alias the
+// snapshot's adjacency, so a pooled Filters must hold none of them — no
+// row slot non-nil, the spare ones past len(tablesB) and past each row
+// slice's length included — or it would keep a retired snapshot alive.
+func TestReleasedFiltersPinNoIndex(t *testing.T) {
+	big, idx := indexProblem(t, 7, false, nil, cpuFits)
+	small, _ := indexProblem(t, 8, false, nil, nil)
+	for try := 0; try < 50; try++ { // the pool may drop a Put (it does so at random under -race)
+		f := BuildFilters(big, &Options{Index: idx})
+		aliased := false
+		for _, rows := range f.tablesB {
+			for r, row := range rows {
+				aliased = aliased || row != nil && row == idx.Neighbors(graph.NodeID(r))
+			}
+		}
+		if !aliased {
+			t.Fatal("no row aliases the index's adjacency")
+		}
+		f.release()
+
+		g := BuildFilters(small, &Options{})
+		recycled := g == f
+		g.release()
+		for i, rows := range f.tablesB[:cap(f.tablesB)] {
+			for r, row := range rows[:cap(rows)] {
+				if row != nil {
+					t.Fatalf("released Filters keeps table %d row %d", i, r)
+				}
+			}
+		}
+		if recycled {
+			return
+		}
+	}
+	t.Fatal("the pool never handed the released Filters back")
 }

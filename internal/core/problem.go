@@ -344,8 +344,12 @@ type Stats struct {
 	// from a range index counts as one evaluated chunk by chunk, so the
 	// figure depends on neither the evaluation route, the table
 	// representation nor the presence of an index.
-	EdgePairsEval    int64
-	FilterEntries    int64         // total candidate entries stored in F
+	EdgePairsEval int64
+	// FilterEntries sums, over the filter tables (one per directed query
+	// arc), the hosts each table admits for its head: the size of the
+	// union of its rows, the per-arc set formula (1) combines into the
+	// base candidate sets. Both row representations count it alike.
+	FilterEntries    int64
 	NodesVisited     int64         // permutation-tree nodes expanded
 	Backtracks       int64         // dead ends requiring backtracking
 	ConstraintChk    int64         // on-demand constraint evaluations (LNS)
