@@ -5,10 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
-	"io"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"netembed/internal/graph"
@@ -43,7 +41,8 @@ func requestKey(req service.Request) (string, bool) {
 	if req.Query == nil || req.ExcludeReserved || req.Stop != nil || req.OnImprove != nil {
 		return "", false
 	}
-	h := sha256.New()
+	h := keyBufPool.Get().(*keyBuf)
+	h.b = h.b[:0]
 	hashGraph(h, req.Query)
 	writeString(h, req.EdgeConstraint)
 	writeString(h, req.NodeConstraint)
@@ -84,23 +83,58 @@ func requestKey(req service.Request) (string, bool) {
 	// order, so permuting either cannot split one answer over two entries.
 	// An empty map restricts nothing and, last in the stream, adds nothing.
 	if len(req.Allow) > 0 {
-		nodes := make([]string, 0, len(req.Allow))
+		nodes := h.names[:0]
 		for node := range req.Allow {
 			nodes = append(nodes, node)
 		}
-		sort.Strings(nodes)
+		slices.Sort(nodes)
 		writeUint(h, uint64(len(nodes)))
 		for _, node := range nodes {
-			hosts := append([]string(nil), req.Allow[node]...)
-			sort.Strings(hosts)
+			hosts := append(h.hosts[:0], req.Allow[node]...)
+			slices.Sort(hosts)
 			writeString(h, node)
 			writeUint(h, uint64(len(hosts)))
 			for _, host := range hosts {
 				writeString(h, host)
 			}
+			h.hosts = hosts
 		}
+		h.names = nodes
 	}
-	return hex.EncodeToString(h.Sum(nil)), true
+	sum := sha256.Sum256(h.b)
+	h.release()
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:]), true
+}
+
+// keyBuf is requestKey's scratch: the canonical byte stream the digest
+// is taken over (length-prefixed strings, little-endian uint64s), and the
+// sort buffers for attribute names and allow-set lists. Appending the
+// stream to one recycled slice and summing it once keeps a warm request's
+// fingerprint at a single allocation, the key string; TestRequestKeyGolden
+// pins the digests.
+type keyBuf struct {
+	b     []byte
+	names []string
+	hosts []string
+}
+
+var keyBufPool = sync.Pool{New: func() any { return new(keyBuf) }}
+
+// maxPooledKeyBuf caps the stream a recycled keyBuf keeps: a request for
+// a host-sized query is fingerprinted once and its buffer dropped.
+const maxPooledKeyBuf = 1 << 20
+
+// release clears the name buffers (they point into request graphs) and
+// returns h to the pool unless its stream grew past maxPooledKeyBuf.
+func (h *keyBuf) release() {
+	clear(h.names[:cap(h.names)])
+	clear(h.hosts[:cap(h.hosts)])
+	h.names, h.hosts = h.names[:0], h.hosts[:0]
+	if cap(h.b) <= maxPooledKeyBuf {
+		keyBufPool.Put(h)
+	}
 }
 
 // hashGraph feeds a canonical, collision-framed serialization of g into
@@ -110,7 +144,7 @@ func requestKey(req service.Request) (string, bool) {
 // encoder is canonical the same way since its key IDs were pinned to
 // sorted-name order, but hashing the in-memory form stays cheaper than
 // serializing).
-func hashGraph(h hash.Hash, g *graph.Graph) {
+func hashGraph(h *keyBuf, g *graph.Graph) {
 	writeUint(h, boolBit(g.Directed()))
 	writeUint(h, uint64(g.NumNodes()))
 	writeUint(h, uint64(g.NumEdges()))
@@ -127,14 +161,14 @@ func hashGraph(h hash.Hash, g *graph.Graph) {
 	}
 }
 
-func hashAttrs(h hash.Hash, a graph.Attrs) {
-	names := make([]string, 0, len(a))
+func hashAttrs(h *keyBuf, a graph.Attrs) {
+	names := h.names[:0]
 	for name := range a {
 		if !a.Get(name).IsMissing() {
 			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	writeUint(h, uint64(len(names)))
 	for _, name := range names {
 		writeString(h, name)
@@ -152,18 +186,17 @@ func hashAttrs(h hash.Hash, a graph.Attrs) {
 			writeUint(h, boolBit(b))
 		}
 	}
+	h.names = names
 }
 
 // writeString length-prefixes s so adjacent fields cannot alias.
-func writeString(h hash.Hash, s string) {
+func writeString(h *keyBuf, s string) {
 	writeUint(h, uint64(len(s)))
-	io.WriteString(h, s)
+	h.b = append(h.b, s...)
 }
 
-func writeUint(h hash.Hash, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.Write(b[:])
+func writeUint(h *keyBuf, v uint64) {
+	h.b = binary.LittleEndian.AppendUint64(h.b, v)
 }
 
 func boolBit(b bool) uint64 {
@@ -202,9 +235,16 @@ func newResultCache(capacity int) *resultCache {
 }
 
 func (c *resultCache) composite(key string, version uint64) string {
+	return string(appendComposite(nil, key, version))
+}
+
+// appendComposite appends the map key of (fingerprint, model version) to
+// dst: the fingerprint followed by the hex of the version's
+// little-endian bytes.
+func appendComposite(dst []byte, key string, version uint64) []byte {
 	var v [8]byte
 	binary.LittleEndian.PutUint64(v[:], version)
-	return key + hex.EncodeToString(v[:])
+	return hex.AppendEncode(append(dst, key...), v[:])
 }
 
 // get returns the cached response for the request fingerprint at the
@@ -213,9 +253,11 @@ func (c *resultCache) get(key string, version uint64) (*service.Response, bool) 
 	if c == nil {
 		return nil, false
 	}
+	var buf [2*sha256.Size + 16]byte
+	ck := appendComposite(buf[:0], key, version)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.idx[c.composite(key, version)]
+	el, ok := c.idx[string(ck)]
 	if !ok {
 		return nil, false
 	}

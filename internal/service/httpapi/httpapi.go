@@ -254,8 +254,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EmbedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !readEmbedRequest(w, r, &req) {
 		return
 	}
 	sreq, err := s.decodeEmbedRequest(&req)
@@ -299,9 +298,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	out := embedResponseJSON(info.Response)
-	out.Cached = info.FromCache
-	writeJSON(w, http.StatusOK, out)
+	writeEmbedResponse(w, info.Response, info.FromCache)
 }
 
 // ReserveRequest is the JSON body of POST /reserve.

@@ -1,9 +1,7 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -79,8 +77,7 @@ func jobStatusJSON(info engine.Info) JobStatus {
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req EmbedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !readEmbedRequest(w, r, &req) {
 		return
 	}
 	sreq, err := s.decodeEmbedRequest(&req)

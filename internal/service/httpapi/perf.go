@@ -1,21 +1,28 @@
 // Serve-path performance layer: the request-side allocation sinks that
-// profiling BenchmarkServePath surfaced live here.
+// profiling BenchmarkServePath surfaced live here and in codec.go.
 //
-// Two sinks dominate a warm /embed request. First, every handler decodes
-// the query network from its GraphML wire form. graphml's one-pass
-// scanner does that in ≈120 allocations for an 8-node/12-edge query (the
-// encoding/xml decoder it replaced took ≈1,800, ~80% of the request),
+// A warm /embed pays for four codec steps around the search, and each
+// has been cut to a handful of allocations. The query network travels as
+// GraphML: graphml's one-pass scanner decodes an 8-node/12-edge query in
+// ≈120 allocations (the encoding/xml decoder it replaced took ≈1,800),
 // and load generators and monitoring loops resubmit the same handful of
-// query shapes verbatim. queryCache memoizes raw GraphML text → decoded
-// *graph.Graph under a small LRU; decoded graphs are immutable by the
-// service's copy-on-write discipline (Negotiate clones before relaxing
-// windows, and no handler mutates a decoded query), so one decode can
-// serve every subsequent request that carries byte-identical GraphML.
-// The LRU is bounded in bytes as well as entries: a document longer than
-// maxCachedQueryBytes is decoded but never cached, so 256 large distinct
-// queries cannot stay pinned. Second, every JSON reply allocated a fresh
-// encoder buffer; writeJSON now rents buffers from a sync.Pool (see
-// httpapi.go).
+// query shapes verbatim, so queryCache below memoizes raw GraphML text →
+// decoded *graph.Graph under a small LRU. Decoded graphs are immutable by
+// the service's copy-on-write discipline (Negotiate clones before
+// relaxing windows, and no handler mutates a decoded query), so one
+// decode serves every request that carries byte-identical GraphML. The
+// LRU is bounded in bytes as well as entries: a document longer than
+// maxCachedQueryBytes is decoded but never cached. The JSON envelope
+// around it is read once into a pooled buffer and scanned without
+// reflection (codec.go: ≈20 µs and 3 allocations for the 6.5 KB body of
+// that query, against ≈78 µs and 15 through json.Decoder); the engine
+// fingerprints the request into one recycled byte stream (1 allocation,
+// was 385); and the reply is appended straight into a pooled buffer
+// instead of being reflected (≈22 µs and 61 allocations before). A
+// result-cache hit, the repeat_hot path, so costs ≈45 µs and 28
+// allocations in BenchmarkServePath/cached (was ≈130–165 µs and 491 on a
+// 2-vCPU box). Every other JSON reply still goes through writeJSON,
+// which rents its encoder buffers from a sync.Pool (see httpapi.go).
 //
 // GET /stats additionally reports the serve-path gauges defined here:
 // runtime memory counters, the model's snapshot-retirement epochs and the

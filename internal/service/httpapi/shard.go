@@ -508,8 +508,7 @@ func (s *ClusterServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (s *ClusterServer) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	var req EmbedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !readEmbedRequest(w, r, &req) {
 		return
 	}
 	sreq, err := decodeEmbedRequestCached(s.queries, &req)
@@ -527,7 +526,7 @@ func (s *ClusterServer) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(AnsweredByHeader, where)
-	writeJSON(w, http.StatusOK, embedResponseJSON(resp))
+	writeEmbedResponse(w, resp, false)
 }
 
 // ClusterDeltaResponse is the JSON reply of the coordinator's /deltas:
