@@ -610,16 +610,16 @@ func BenchmarkHarnessFig13Tiny(b *testing.B) {
 	}
 }
 
-// --- Candidate-set representation: sorted slices vs dense bitsets ---
+// --- Candidate-set intersection: bitset filter rows ---
 //
-// The ECF/RWB hot path is candidate-set intersection; BuildFilters picks
-// the row representation adaptively (Options.Repr overrides). These
-// benches pin both representations at several host sizes. The Search
+// The ECF/RWB hot path is candidate-set intersection over the bitset
+// filter rows. These benches pin it at two host sizes. The Search
 // variants run against prebuilt filters — the regime of a service
-// re-embedding against a cached model — where the intersection speedup
+// re-embedding against a cached model — where the intersection cost
 // shows undiluted; the end-to-end variants include filter construction,
-// whose (representation-independent) constraint evaluation dominates on
-// edge-dense hosts.
+// whose constraint evaluation dominates on edge-dense hosts. The
+// sub-benchmarks keep their n<sites>/bitset names so runs compare with
+// the history of these benches.
 
 var (
 	reprHostOnce sync.Once
@@ -644,13 +644,6 @@ func reprHost(b *testing.B, sites int) *netembed.Graph {
 	return g
 }
 
-func reprName(r netembed.Repr) string {
-	if r == core.ReprBitset {
-		return "bitset"
-	}
-	return "slice"
-}
-
 // countWithFilters enumerates up to cap embeddings over prebuilt filters
 // without retaining them.
 func countWithFilters(f *netembed.Filters, cap int) int64 {
@@ -665,33 +658,29 @@ func BenchmarkRepr_ECF_Search(b *testing.B) {
 	for _, sites := range []int{128, 512} {
 		host := reprHost(b, sites)
 		p := subgraphProblem(b, host, 24, 3)
-		for _, repr := range []netembed.Repr{core.ReprSlice, core.ReprBitset} {
-			f := core.BuildFilters(p, &netembed.Options{Repr: repr})
-			b.Run(fmt.Sprintf("n%d/%s", sites, reprName(repr)), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if countWithFilters(f, 500_000) == 0 {
-						b.Fatal("planted query not found")
-					}
+		f := core.BuildFilters(p, &netembed.Options{})
+		b.Run(fmt.Sprintf("n%d/bitset", sites), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if countWithFilters(f, 500_000) == 0 {
+					b.Fatal("planted query not found")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 func BenchmarkRepr_ECF_EndToEnd(b *testing.B) {
 	for _, sites := range []int{128, 512} {
 		host := reprHost(b, sites)
-		for _, repr := range []netembed.Repr{core.ReprSlice, core.ReprBitset} {
-			b.Run(fmt.Sprintf("n%d/%s", sites, reprName(repr)), func(b *testing.B) {
-				p := subgraphProblem(b, host, 24, 3)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if countAll("ECF", p, netembed.Options{Repr: repr, MaxSolutions: 500_000}) == 0 {
-						b.Fatal("planted query not found")
-					}
+		b.Run(fmt.Sprintf("n%d/bitset", sites), func(b *testing.B) {
+			p := subgraphProblem(b, host, 24, 3)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if countAll("ECF", p, netembed.Options{MaxSolutions: 500_000}) == 0 {
+					b.Fatal("planted query not found")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -699,35 +688,31 @@ func BenchmarkRepr_RWB_Search(b *testing.B) {
 	for _, sites := range []int{128, 512} {
 		host := reprHost(b, sites)
 		p := subgraphProblem(b, host, 24, 3)
-		for _, repr := range []netembed.Repr{core.ReprSlice, core.ReprBitset} {
-			f := core.BuildFilters(p, &netembed.Options{Repr: repr})
-			b.Run(fmt.Sprintf("n%d/%s", sites, reprName(repr)), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := core.RWBWithFilters(f, netembed.Options{Seed: int64(i)})
-					if len(res.Solutions) == 0 {
-						b.Fatal("planted query not found")
-					}
+		f := core.BuildFilters(p, &netembed.Options{})
+		b.Run(fmt.Sprintf("n%d/bitset", sites), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res := core.RWBWithFilters(f, netembed.Options{Seed: int64(i)})
+				if len(res.Solutions) == 0 {
+					b.Fatal("planted query not found")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 func BenchmarkRepr_ParallelECF(b *testing.B) {
 	for _, sites := range []int{128, 512} {
 		host := reprHost(b, sites)
-		for _, repr := range []netembed.Repr{core.ReprSlice, core.ReprBitset} {
-			b.Run(fmt.Sprintf("n%d/%s", sites, reprName(repr)), func(b *testing.B) {
-				p := subgraphProblem(b, host, 24, 3)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res := core.ParallelECF(p, netembed.Options{Workers: 4, Repr: repr, MaxSolutions: 100_000})
-					if len(res.Solutions) == 0 {
-						b.Fatal("planted query not found")
-					}
+		b.Run(fmt.Sprintf("n%d/bitset", sites), func(b *testing.B) {
+			p := subgraphProblem(b, host, 24, 3)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res := core.ParallelECF(p, netembed.Options{Workers: 4, MaxSolutions: 100_000})
+				if len(res.Solutions) == 0 {
+					b.Fatal("planted query not found")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -764,7 +749,6 @@ func BenchmarkIndexDelta(b *testing.B) {
 
 	b.Run("delta-apply", func(b *testing.B) {
 		model := netembed.NewModel(host)
-		model.EnableIndex(netembed.IndexConfig{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := model.Apply(delta(i)); err != nil {
@@ -795,7 +779,7 @@ func BenchmarkIndexDelta(b *testing.B) {
 
 // BenchmarkBatchEmbed measures the batch endpoint's amortization: 16
 // first-match queries answered via one EmbedBatch snapshot versus 16
-// independent Embed calls, with the capability index on and off.
+// independent Embed calls.
 func BenchmarkBatchEmbed(b *testing.B) {
 	host := reprHost(b, 128)
 	reqs := make([]netembed.Request, 16)
@@ -806,35 +790,26 @@ func BenchmarkBatchEmbed(b *testing.B) {
 		}
 		reqs[i] = netembed.Request{Query: q, MaxResults: 1}
 	}
-	for _, indexed := range []bool{true, false} {
-		model := netembed.NewModel(host)
-		if indexed {
-			model.EnableIndex(netembed.IndexConfig{})
-		}
-		svc := netembed.NewService(model, netembed.ServiceConfig{})
-		run := func(batch bool) func(*testing.B) {
-			return func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if batch {
-						results, _ := svc.EmbedBatch(reqs)
-						for _, r := range results {
-							if r.Err != nil {
-								b.Fatal(r.Err)
-							}
-						}
-					} else {
-						for _, req := range reqs {
-							if _, err := svc.Embed(req); err != nil {
-								b.Fatal(err)
-							}
-						}
-					}
+	svc := netembed.NewService(netembed.NewModel(host), netembed.ServiceConfig{})
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			results, _ := svc.EmbedBatch(reqs)
+			for _, r := range results {
+				if r.Err != nil {
+					b.Fatal(r.Err)
 				}
 			}
 		}
-		b.Run(fmt.Sprintf("indexed=%v/batch", indexed), run(true))
-		b.Run(fmt.Sprintf("indexed=%v/sequential", indexed), run(false))
-	}
+	})
+	b.Run("sequential", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, req := range reqs {
+				if _, err := svc.Embed(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // --- Search engine: forward checking + conflict-directed backjumping ---
@@ -1165,7 +1140,6 @@ func BenchmarkOptimize_BnB_vs_Enumerate(b *testing.B) {
 	wantCost := float64(len(witness)) // the planted all-witness optimum
 
 	model := netembed.NewModel(host)
-	model.EnableIndex(netembed.IndexConfig{})
 	g, idx, _ := model.SnapshotIndexed()
 	p, err := netembed.NewProblem(q, g, delayWindow, nil)
 	if err != nil {
@@ -1270,7 +1244,6 @@ func BenchmarkServePath(b *testing.B) {
 				}
 			}
 			model := netembed.NewModel(host)
-			model.EnableIndex(netembed.IndexConfig{})
 			svc := netembed.NewService(model, netembed.ServiceConfig{})
 			if mode == "exclude_reserved" {
 				for r, leased := 0, 0; leased < 64; r++ {

@@ -178,7 +178,6 @@ func run() error {
 		host = restricted
 	}
 	model := netembed.NewModel(host)
-	model.EnableIndex(netembed.IndexConfig{})
 	if *pathHops < 0 {
 		return fmt.Errorf("-path-hops %d is negative", *pathHops)
 	}

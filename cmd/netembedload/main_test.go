@@ -14,7 +14,6 @@ import (
 	"netembed/internal/engine"
 	"netembed/internal/graph"
 	"netembed/internal/graphml"
-	"netembed/internal/index"
 	"netembed/internal/service"
 	"netembed/internal/service/httpapi"
 	"netembed/internal/trace"
@@ -117,7 +116,6 @@ func TestMixWeights(t *testing.T) {
 func TestRunEndToEnd(t *testing.T) {
 	host := trace.SyntheticPlanetLab(trace.Config{Sites: 30}, rand.New(rand.NewSource(1)))
 	model := service.NewModel(host)
-	model.EnableIndex(index.Config{})
 	svc := service.New(model, service.Config{})
 	eng := engine.New(svc, engine.Config{Workers: 2, QueueDepth: 64, CacheCapacity: 64})
 	defer eng.Close(context.Background())

@@ -51,8 +51,8 @@ next:
 
 // TestAllowMatchesBruteForce: ECF, RWB, DynamicECF, ParallelECF and LNS
 // return exactly the brute-force solutions that stay inside random
-// allow-sets — both representations, with and without constraints, with
-// the index-backed filter build and the scan.
+// allow-sets — with and without constraints, with the index-backed
+// filter build and the scan.
 func TestAllowMatchesBruteForce(t *testing.T) {
 	algos := []struct {
 		name string
@@ -79,17 +79,15 @@ func TestAllowMatchesBruteForce(t *testing.T) {
 			emptied++
 		}
 		idx := index.Build(p.Host, 1, index.Config{})
-		for _, repr := range []Repr{ReprSlice, ReprBitset} {
-			for _, ix := range []*index.Index{nil, idx} {
-				for _, a := range algos {
-					label := fmt.Sprintf("%s repr=%v indexed=%v %s", c.label, repr, ix != nil, a.name)
-					opt := a.opt
-					opt.Repr, opt.Index = repr, ix
-					res := a.run(&p, opt)
-					sameSolutionSets(t, label, res.Solutions, want)
-					if res.Status != StatusComplete {
-						t.Errorf("%s: status %v, want complete", label, res.Status)
-					}
+		for _, ix := range []*index.Index{nil, idx} {
+			for _, a := range algos {
+				label := fmt.Sprintf("%s indexed=%v %s", c.label, ix != nil, a.name)
+				opt := a.opt
+				opt.Index = ix
+				res := a.run(&p, opt)
+				sameSolutionSets(t, label, res.Solutions, want)
+				if res.Status != StatusComplete {
+					t.Errorf("%s: status %v, want complete", label, res.Status)
 				}
 			}
 		}

@@ -366,3 +366,64 @@ func TestConsolidateSolutionsAreSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestConsolidateSaturationPruning: the saturated-host bitmap must not
+// change Consolidate's answers, only skip provably packed hosts.
+func TestConsolidateSaturationPruning(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	host := graph.NewUndirected()
+	nh := 6
+	for i := 0; i < nh; i++ {
+		host.AddNode("", graph.Attrs{}.SetNum("capacity", float64(1+rng.Intn(3))))
+	}
+	for u := 0; u < nh; u++ {
+		for v := u + 1; v < nh; v++ {
+			if rng.Float64() < 0.7 {
+				host.MustAddEdge(graph.NodeID(u), graph.NodeID(v), nil)
+			}
+		}
+	}
+	query := graph.NewUndirected()
+	nq := 5
+	for i := 0; i < nq; i++ {
+		query.AddNode("", graph.Attrs{}.SetNum("demand", float64(1+i%2)))
+	}
+	for i := 1; i < nq; i++ {
+		query.MustAddEdge(graph.NodeID(rng.Intn(i)), graph.NodeID(i), nil)
+	}
+	p, err := NewConsolidatedProblem(query, host, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Consolidate(p, Options{}, ConsolidateOptions{})
+	for _, m := range res.Solutions {
+		if err := p.VerifyConsolidated(m, ConsolidateOptions{}); err != nil {
+			t.Fatalf("consolidated solution fails verification: %v", err)
+		}
+	}
+	// Every verifying assignment the brute-force enumerator finds must be
+	// in the result (the saturation pruning removes nothing feasible).
+	var m Mapping = make(Mapping, nq)
+	found := solutionSet(res.Solutions)
+	var enumerate func(d int)
+	total := 0
+	enumerate = func(d int) {
+		if d == nq {
+			if p.VerifyConsolidated(m, ConsolidateOptions{}) == nil {
+				total++
+				if !found[mappingKey(m)] {
+					t.Fatalf("feasible consolidated mapping %v missing from result", m)
+				}
+			}
+			return
+		}
+		for r := 0; r < nh; r++ {
+			m[d] = graph.NodeID(r)
+			enumerate(d + 1)
+		}
+	}
+	enumerate(0)
+	if total != len(res.Solutions) {
+		t.Fatalf("Consolidate returned %d solutions, brute force found %d", len(res.Solutions), total)
+	}
+}

@@ -27,7 +27,7 @@ func ECF(p *Problem, opt Options) *Result {
 // letting callers amortize one BuildFilters across repeated searches —
 // the same query re-embedded as options vary, or benchmarks isolating
 // the search hot path from filter construction. The filter-shaping knobs
-// in opt (LooseRoot, NoDegreeFilter, Repr, Workers) have no effect here;
+// in opt (LooseRoot, NoDegreeFilter, Index, Workers) have no effect here;
 // they were fixed when f was built. The returned stats inherit f's
 // filter-build counters.
 func ECFWithFilters(f *Filters, opt Options) *Result {

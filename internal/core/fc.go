@@ -56,9 +56,6 @@ import (
 // the solution sequence is unchanged; it is armed by failure rather than
 // always on because a fixpoint costs far more than the forward check it
 // follows (see acArmWipeouts).
-//
-// The engine runs on both filter representations: dense rows AND
-// directly, sparse rows are splatted into a scratch bitset first.
 
 // postArc names one filter table constraining a later-placed neighbor,
 // fed by the node expanded at the current depth.
@@ -121,8 +118,7 @@ type fcSearcher struct {
 	conf    []sets.Bitset // conf[d]: why values at depth d failed
 	jumpBuf *sets.Bitset
 
-	rowBits *sets.Bitset // sparse-row scratch
-	scratch [][]int32    // per-depth candidate buffers
+	scratch [][]int32 // per-depth candidate buffers
 
 	// Arc-consistency propagation (see propagate). failures counts the
 	// wipeouts since the search last made progress; once it reaches
@@ -218,11 +214,7 @@ func newFCSearcher(p *Problem, f *Filters, opt Options, rng *rand.Rand, start ti
 	s.dom, s.domBacking = sets.ReuseBitsets(s.dom, s.domBacking, nr, nq)
 	s.domCount = grow(s.domCount, nq)
 	for q := 0; q < nq; q++ {
-		if f.Dense() {
-			s.dom[q].CopyFrom(f.baseB[q])
-		} else {
-			s.dom[q].AddSet(f.base[q])
-		}
+		s.dom[q].CopyFrom(f.baseB[q])
 		s.domCount[q] = int32(len(f.base[q]))
 	}
 	s.armAfter = max(acArmAfter, acArmAfter*s.revisionPassCost()/acArmWipeouts)
@@ -231,9 +223,6 @@ func newFCSearcher(p *Problem, f *Filters, opt Options, rng *rand.Rand, start ti
 	s.pastFC, s.pastBacking = sets.ReuseBitsets(s.pastFC, s.pastBacking, nq, nq)
 	s.conf, s.confBacking = sets.ReuseBitsets(s.conf, s.confBacking, nq, nq)
 	s.jumpBuf = sets.ReuseBitset(s.jumpBuf, nq)
-	if !f.Dense() {
-		s.rowBits = sets.ReuseBitset(s.rowBits, nr)
-	}
 	s.arm(start, opt.Timeout, opt.Stop)
 	if dynamic {
 		s.order = grow(s.order, nq)
@@ -256,7 +245,7 @@ func newFCSearcher(p *Problem, f *Filters, opt Options, rng *rand.Rand, start ti
 // at exactly one depth: the one where its earlier endpoint is expanded.
 func (s *fcSearcher) buildPosts() {
 	p, f := s.p, s.f
-	nTables := len(f.tables) + len(f.tablesB) // exactly one is populated
+	nTables := len(f.tablesB)
 	if s.stamp == nil {
 		s.stamp = newTableStamp(nTables)
 	} else {
@@ -347,16 +336,9 @@ func (s *fcSearcher) pruneRow(d int, head graph.NodeID, table, r int32) bool {
 	off := len(s.arena)
 	prev := s.domCount[head]
 
-	var row *sets.Bitset
-	if s.f.Dense() {
-		// An aliased adjacency row, not cut to head's pass: dm lies inside
-		// that pass, so every AND below reads what the cut row would.
-		row = s.f.tablesB[table][r]
-	} else if sl := s.f.tables[table][r]; len(sl) != 0 {
-		s.rowBits.Reset()
-		s.rowBits.AddSet(sl)
-		row = s.rowBits
-	}
+	// An aliased adjacency row, not cut to head's pass: dm lies inside
+	// that pass, so every AND below reads what the cut row would.
+	row := s.f.tablesB[table][r]
 
 	// Read-only wipeout probe first: a prune that would empty the domain
 	// rejects the assignment without mutating anything — no save, no
@@ -574,17 +556,10 @@ func (s *fcSearcher) revise(d int, x, y graph.NodeID, t int32) bool {
 	rem.CopyFrom(dy)
 	left := true
 	dx.ForEach(func(a int32) bool {
-		if s.f.Dense() {
-			// rem ⊆ y's domain ⊆ y's pass: the aliased row subtracts
-			// exactly what the row cut to that pass would.
-			if row := s.f.tablesB[t][a]; row != nil {
-				left = rem.AndNotWith(row)
-			}
-		} else {
-			for _, b := range s.f.tables[t][a] {
-				rem.Clear(b)
-			}
-			left = rem.Any()
+		// rem ⊆ y's domain ⊆ y's pass: the aliased row subtracts exactly
+		// what the row cut to that pass would.
+		if row := s.f.tablesB[t][a]; row != nil {
+			left = rem.AndNotWith(row)
 		}
 		return left
 	})

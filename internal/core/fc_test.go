@@ -18,20 +18,17 @@ import (
 // conflict-directed backjumping — to the brute-force oracle of
 // oracle_test.go: static-order runs enumerate exactly the oracle's
 // sequence over the engine's variable order, capped runs its prefix, and
-// the randomized and dynamic-order runs its set, across
-// representations, orderings, orientations and caps.
+// the randomized and dynamic-order runs its set, across orderings,
+// orientations and caps.
 
 func TestFCMatchesOracleECF(t *testing.T) {
 	orders := []OrderMode{OrderAscending, OrderNatural, OrderDescending, OrderUnconnected}
-	reprs := []Repr{ReprSlice, ReprBitset}
 	for seed := int64(1); seed <= 20; seed++ {
 		p := smallProblem(t, seed)
-		for _, repr := range reprs {
-			for _, order := range orders {
-				opt := Options{Repr: repr, Order: order}
-				assertOracleSequence(t, fmt.Sprintf("seed %d repr %v order %v", seed, repr, order),
-					ECF(p, opt), bruteForce(p, ecfOrder(p, opt)), 0)
-			}
+		for _, order := range orders {
+			opt := Options{Order: order}
+			assertOracleSequence(t, fmt.Sprintf("seed %d order %v", seed, order),
+				ECF(p, opt), bruteForce(p, ecfOrder(p, opt)), 0)
 		}
 	}
 }
@@ -346,6 +343,38 @@ func TestParallelFutileStaysExhausted(t *testing.T) {
 				t.Fatalf("workers=%d run %d: got %d solutions, exhausted=%v status=%v, want definitive no-match",
 					workers, i, len(res.Solutions), res.Exhausted, res.Status)
 			}
+		}
+	}
+}
+
+// TestParallelECFBitsetRace exercises the shared filter tables from
+// concurrent shard workers; run under -race it proves the workers only
+// share immutable rows.
+func TestParallelECFBitsetRace(t *testing.T) {
+	host := trace.SyntheticPlanetLab(trace.Config{Sites: 30}, rand.New(rand.NewSource(11)))
+	q, _, err := topo.Subgraph(host, 10, 20, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo.WidenDelayWindows(q, 0.1)
+	p, err := NewProblem(q, host, delayWindow, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := ParallelECF(p, Options{Workers: 8, MaxSolutions: 200})
+	if len(res.Solutions) == 0 {
+		t.Fatal("planted query not found")
+	}
+	for _, m := range res.Solutions {
+		if err := p.Verify(m); err != nil {
+			t.Fatalf("parallel bitset solution fails verification: %v", err)
+		}
+	}
+	serial := ECF(p, Options{})
+	got, want := solutionSet(res.Solutions), solutionSet(serial.Solutions)
+	for k := range got {
+		if !want[k] {
+			t.Fatalf("parallel found embedding %s that serial ECF did not", k)
 		}
 	}
 }

@@ -20,15 +20,13 @@ import (
 // adjacency; BuildFilters tracks only its aggregate size, since the search
 // needs just the positive sets.
 //
-// Rows are stored in one of two representations, chosen adaptively by
-// Options.Repr (see sets.Bitset): sorted []int32 slices, or dense bitsets
-// over the host universe. Exactly one of tables/tablesB is populated; the
-// search loops ask Dense() and intersect whichever the filters carry. The
-// base candidate sets are always materialized as sorted slices (the
-// ordering heuristics and root sharding read them), with bitset mirrors
-// in dense mode.
+// Rows are dense bitsets over the host universe (sets.Bitset), so the
+// search prunes a domain with one word-parallel AND per row. The base
+// candidate sets are materialized both as sorted slices (the ordering
+// heuristics and root sharding read them) and as bitsets (the domains a
+// search starts from).
 //
-// A dense row is not intersected with its head's node filter: it aliases
+// A row is not intersected with its head's node filter: it aliases
 // the admitted host adjacency row itself (see fillTables). Every domain a
 // search prunes starts as a base set, which lies inside its node's pass,
 // and only shrinks, so ANDing or AND-NOTing the aliased row into it reads
@@ -40,41 +38,32 @@ import (
 // root assignment, so completeness is preserved); Options.LooseRoot keeps
 // the paper's literal union.
 type Filters struct {
-	p     *Problem
-	nq    int
-	nr    int
-	dense bool
+	p  *Problem
+	nq int
+	nr int
 
 	// arcTables[key(u,v)] lists table indices applying when u is placed
 	// and v's candidates are needed (two entries only if the digraph has
 	// both (u,v) and (v,u) edges).
 	arcTables map[uint64][]int32
-	// tables[t][r] = sorted candidate set for the arc's head when its tail
-	// is placed at host node r (sparse representation; nil when dense).
-	tables [][]sets.Set
 	// tablesB[t][r] = r's row of the arc's admitted host adjacency, for r
-	// in the tail's pass, shared read-only (dense representation; nil when
-	// sparse). A nil row is empty.
+	// in the tail's pass, shared read-only. A nil row is empty.
 	tablesB [][]*sets.Bitset
 
 	// base[q] = candidate host nodes for query node q before any
 	// neighbor is placed, always as a sorted slice.
 	base []sets.Set
-	// baseB mirrors base as bitsets in dense mode.
+	// baseB mirrors base as bitsets.
 	baseB []*sets.Bitset
-
-	// nodePass[q] = host nodes passing the node constraint and degree
-	// filter for q (nil when no filtering applies).
-	nodePass []sets.Set
 
 	stats Stats
 	// The fill workers' share of stats.EdgePairsEval.
 	pairsEval atomic.Int64
 
 	// Pool-recycled scratch (see pool.go): per-node admissibility
-	// bitsets, positional arenas for the mask-adjacencies the dense rows
-	// alias, the per-table unions of the dense fill (unions.rows[t] = the
-	// hosts table t admits for its head), the tableOf buffer, the
+	// bitsets, positional arenas for the mask-adjacencies the rows alias,
+	// the per-table unions of the fill (unions.rows[t] = the hosts table
+	// t admits for its head), the tableOf buffer, the
 	// incoming-arc dedup stamp with its output buffer, one constraint
 	// evaluation scratch per fill worker, and the throw-away host columns
 	// of builds the index's column cache cannot serve.
@@ -101,35 +90,6 @@ func arcKey(u, v graph.NodeID) uint64 {
 	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
-// denseWordCap bounds the per-row word count under which bitset rows
-// always win: at ≤16 words (hosts up to 1024 nodes) an intersection is a
-// few branch-free ops, cheaper than merging even short sorted slices.
-const denseWordCap = 16
-
-// chooseDense picks the row representation. Beyond the small-host regime
-// the decision follows density: a filter row for arc (u,v) at host node r
-// is a subset of r's neighbors, so the average host degree bounds the
-// average row cardinality. Word-parallel AND (⌈nr/64⌉ ops) beats merging
-// two average rows (~2·deg ops) once deg ≥ nr/128; requiring nr/64 adds
-// slack so the dense tables (nr/8 bytes per non-empty row) never grossly
-// outsize the slices they replace.
-func chooseDense(repr Repr, nr, hostEdges int) bool {
-	switch repr {
-	case ReprSlice:
-		return false
-	case ReprBitset:
-		return true
-	}
-	if nr == 0 {
-		return false
-	}
-	if (nr+63)/64 <= denseWordCap {
-		return true
-	}
-	avgDeg := 2 * float64(hostEdges) / float64(nr)
-	return avgDeg >= float64(nr)/64
-}
-
 // BuildFilters is the first stage of ECF/RWB: it decides every (query
 // node, host node) and (query edge, host edge) pairing and assembles the
 // filter tables and base candidate sets.
@@ -138,77 +98,56 @@ func chooseDense(repr Repr, nr, hostEdges int) bool {
 // element, one batch evaluation of the program over all host elements
 // (expr.EvalNodeBatch / EvalEdgeBatch) yields a satisfied-mask, read from
 // typed attribute columns, or from their range indexes once the snapshot
-// has armed them. The columns come from the index's snapshot cache when
-// Options.Index was built over p.Host itself, and are built into pooled
-// scratch otherwise — all but the edge-side ones when p.Host shares the
-// indexed graph's edges — so the result never depends on the cache.
+// has armed them.
 //
-// A compatible Options.Index additionally replaces the structural scans:
-// node admissibility starts from the index's degree strata, and with no
-// edge constraint the table rows are the index's adjacency bitsets. Every
-// path produces identical candidate sets; the property tests pin them to
-// Problem.EdgeFeasible/NodeFeasible, pair by pair.
+// An Options.Index built over p.Host itself — the identity
+// Index.ColumnsFor checks, never a matching size — serves the columns
+// from its snapshot cache and replaces the structural scans: node
+// admissibility starts from the index's degree strata, and with no edge
+// constraint the table rows are the index's adjacency bitsets. Any other
+// index is ignored: the host is scanned and its columns are built into
+// pooled scratch. Both paths produce identical candidate sets; the
+// property tests pin them to Problem.EdgeFeasible/NodeFeasible, pair by
+// pair.
 func BuildFilters(p *Problem, opt *Options) *Filters {
 	start := time.Now()
-	idx := opt.Index
-	if idx != nil &&
-		(idx.NumNodes() != p.Host.NumNodes() ||
-			idx.Directed() != p.Host.Directed() ||
-			opt.Repr == ReprSlice) {
-		// Stale snapshot (universe mismatch) or forced sparse rows: the
-		// index cannot serve this build's structure.
-		idx = nil
-	}
-	nq, nr := p.Query.NumNodes(), p.Host.NumNodes()
-	dense := chooseDense(opt.Repr, nr, p.Host.NumEdges())
-	if idx != nil {
-		dense = true // index-backed tables are assembled as bitsets
-	}
 	f := acquireFilters()
 	f.p = p
-	f.nq, f.nr, f.dense = nq, nr, dense
+	f.nq, f.nr = p.Query.NumNodes(), p.Host.NumNodes()
 	f.stats = Stats{}
 	f.arenaNext = 0
-	f.tables = f.tables[:0]
 	f.tablesB = f.tablesB[:0]
 	if f.arcTables == nil {
 		f.arcTables = make(map[uint64][]int32, 2*p.Query.NumEdges())
 	} else {
 		clear(f.arcTables)
 	}
-	cols := f.hostColumns(opt.Index)
+	idx := opt.Index
+	var cols *index.Columns
+	if idx != nil {
+		cols = idx.ColumnsFor(p.Host)
+	}
+	if cols == nil {
+		// No index, or one built over another graph — a stale snapshot, a
+		// clone, a graph of the same size: scan the host instead, with its
+		// columns in pooled scratch.
+		idx = nil
+		if f.scratchCols == nil {
+			f.scratchCols = index.NewColumns(nil)
+		}
+		f.scratchCols.Reset(p.Host)
+		cols = f.scratchCols
+	}
 	f.evalScratch = grow(f.evalScratch, max(1, opt.Workers))
 
 	// Per-node admissibility: node constraint ∧ degree filter.
-	f.nodePass = grow(f.nodePass, nq)
-	f.passBits = grow(f.passBits, nq)
+	f.passBits = grow(f.passBits, f.nq)
 	passBits := f.passBits
 	f.buildNodePass(opt, idx, cols, passBits)
 	f.fillTables(opt, idx, cols, passBits)
-
-	if f.dense {
-		f.buildBaseDense(opt.LooseRoot)
-	} else {
-		f.buildBase(opt.LooseRoot)
-	}
+	f.buildBase(opt.LooseRoot)
 	f.stats.FilterBuild = time.Since(start)
 	return f
-}
-
-// hostColumns returns the attribute columns of p.Host: the snapshot cache
-// of an index built over that very graph, else throw-away columns in
-// pooled scratch (an index-less caller, a stale index, a clone).
-func (f *Filters) hostColumns(idx *index.Index) *index.Columns {
-	if idx != nil {
-		if cols := idx.ColumnsFor(f.p.Host); cols != nil {
-			return cols
-		}
-	}
-	if f.scratchCols == nil {
-		f.scratchCols = index.NewColumns(nil)
-	}
-	f.scratchCols.Reset(f.p.Host)
-	return f.scratchCols
 }
 
 // buildNodePass computes per-node admissibility: the degree stratum —
@@ -245,32 +184,25 @@ func (f *Filters) buildNodePass(opt *Options, idx *index.Index, cols *index.Colu
 			p.NodeConstraint.EvalNodeBatch(&expr.NodeBatch{VNode: p.Query.Node(qid).Attrs, Host: cols}, &ws.expr, ws.mask)
 			pass.IntersectWith(ws.mask)
 		}
-		f.nodePass[q] = pass.AppendTo(f.nodePass[q][:0])
 	}
 }
 
 // edgeTables pairs the two table IDs owned by one query edge with the
-// edge constraint's mask-adjacency (Out, In) its dense rows alias.
+// edge constraint's mask-adjacency (Out, In) its rows alias.
 type edgeTables struct {
 	fwd, bwd int32
 	out, in  []sets.Bitset
 }
 
-// newArcTables allocates one table per directed query arc, and for dense
-// rows each table's union and — when ownAdj — each query edge's
-// mask-adjacency, serially so table IDs, the arc index and the arenas are
-// deterministic regardless of how the fill stage is parallelized.
+// newArcTables allocates one table per directed query arc, each table's
+// union and — when ownAdj — each query edge's mask-adjacency, serially so
+// table IDs, the arc index and the arenas are deterministic regardless of
+// how the fill stage is parallelized.
 func (f *Filters) newArcTables(ownAdj, symmetric bool) []edgeTables {
 	p := f.p
 	newTable := func(u, v graph.NodeID) int32 {
-		var id int32
-		if f.dense {
-			id = int32(len(f.tablesB))
-			f.tablesB = appendTableB(f.tablesB, f.nr)
-		} else {
-			id = int32(len(f.tables))
-			f.tables = appendTable(f.tables, f.nr)
-		}
+		id := int32(len(f.tablesB))
+		f.tablesB = appendTableB(f.tablesB, f.nr)
 		k := arcKey(u, v)
 		f.arcTables[k] = append(f.arcTables[k], id)
 		return id
@@ -287,14 +219,12 @@ func (f *Filters) newArcTables(ownAdj, symmetric bool) []edgeTables {
 			tableOf[i].out, tableOf[i].in = f.adjacency(symmetric)
 		}
 	}
-	if f.dense {
-		f.unions.rows, f.unions.backing = sets.ReuseBitsets(f.unions.rows, f.unions.backing, f.nr, len(f.tablesB))
-	}
+	f.unions.rows, f.unions.backing = sets.ReuseBitsets(f.unions.rows, f.unions.backing, f.nr, len(f.tablesB))
 	return tableOf
 }
 
 // fillTables builds each query edge's two tables. For query edge (u, v)
-// a dense table aliases an adjacency — fwd[r] = Out[r] for r ∈ pass(u),
+// a table aliases an adjacency — fwd[r] = Out[r] for r ∈ pass(u),
 // bwd[r] = In[r] for r ∈ pass(v) — and its union, (∪ fwd[r]) ∩ pass(v),
 // is what formula (1) combines. Out and In are the index's adjacency when
 // there is no edge constraint, else a mask-adjacency filled through the
@@ -304,8 +234,7 @@ func (f *Filters) newArcTables(ownAdj, symmetric bool) []edgeTables {
 // is Out, unless the program tells them apart through rSource/rTarget;
 // only then is the mask computed a second time with the endpoints
 // swapped. With no edge constraint and no index every host edge is
-// admitted and all query edges share one Out and In. Sparse rows take the
-// same arcs one by one, each cut to its head's pass.
+// admitted and all query edges share one Out and In.
 //
 // The fill is sharded per query edge across Options.Workers goroutines.
 // Each edge owns its two tables, their unions and — handed out serially
@@ -325,84 +254,51 @@ func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns
 	}
 	oriented := !p.Host.Directed() && prog != nil && (prog.Uses(expr.ObjRSource) || prog.Uses(expr.ObjRTarget))
 	symmetric := !p.Host.Directed() && !oriented
-	tableOf := f.newArcTables(f.dense && prog != nil, symmetric)
+	tableOf := f.newArcTables(prog != nil, symmetric)
 	// No edge constraint, no index: every query edge reads all host arcs.
 	var allOut, allIn []sets.Bitset
-	if f.dense && prog == nil && !indexed {
+	if prog == nil && !indexed {
 		allOut, allIn = f.adjacency(symmetric)
 		addArcs(nil, from, to, allOut, allIn)
 	}
 	f.pairsEval.Store(0)
 	fillEdge := func(i int, ws *evalScratch) {
 		qe := p.Query.Edge(graph.EdgeID(i))
-		passFrom, passTo := passBits[qe.From], passBits[qe.To]
-		b := expr.EdgeBatch{
-			VEdge:   qe.Attrs,
-			VSource: p.Query.Node(qe.From).Attrs,
-			VTarget: p.Query.Node(qe.To).Attrs,
-			Host:    cols,
-			RSource: from, RTarget: to,
-		}
-		// admitted hands visit the host edges admitted as arcs rs[j]→rt[j]
-		// (a nil mask admits every edge): the stored orientation, then —
-		// for an oriented program — the swapped one.
-		admitted := func(visit func(mask *sets.Bitset, rs, rt []graph.NodeID)) {
-			if prog == nil {
-				visit(nil, from, to)
-				return
-			}
-			ws.mask = sets.ReuseBitset(ws.mask, nHostEdges)
-			prog.EvalEdgeBatch(&b, &ws.expr, ws.mask)
-			f.pairsEval.Add(int64(nHostEdges))
-			visit(ws.mask, from, to)
-			if oriented {
-				b.RSource, b.RTarget = to, from
+		et := &tableOf[i]
+		var out, in func(graph.NodeID) *sets.Bitset
+		if indexed {
+			out, in = idx.Neighbors, idx.InNeighbors
+		} else {
+			outRows, inRows := allOut, allIn
+			if prog != nil {
+				// The edge's own mask-adjacency: the host edges the
+				// constraint admits, as arcs in the stored orientation,
+				// then — for an oriented program — in the swapped one.
+				outRows, inRows = et.out, et.in
+				b := expr.EdgeBatch{
+					VEdge:   qe.Attrs,
+					VSource: p.Query.Node(qe.From).Attrs,
+					VTarget: p.Query.Node(qe.To).Attrs,
+					Host:    cols,
+					RSource: from, RTarget: to,
+				}
+				ws.mask = sets.ReuseBitset(ws.mask, nHostEdges)
 				prog.EvalEdgeBatch(&b, &ws.expr, ws.mask)
 				f.pairsEval.Add(int64(nHostEdges))
-				visit(ws.mask, to, from)
-			}
-		}
-
-		if f.dense {
-			et := &tableOf[i]
-			var out, in func(graph.NodeID) *sets.Bitset
-			if indexed {
-				out, in = idx.Neighbors, idx.InNeighbors
-			} else {
-				outRows, inRows := allOut, allIn
-				if prog != nil {
-					outRows, inRows = et.out, et.in
-					admitted(func(mask *sets.Bitset, rs, rt []graph.NodeID) { addArcs(mask, rs, rt, outRows, inRows) })
-				}
-				out = func(r graph.NodeID) *sets.Bitset { return &outRows[r] }
-				in = func(r graph.NodeID) *sets.Bitset { return &inRows[r] }
-			}
-			f.aliasRows(et.fwd, passFrom, passTo, out)
-			f.aliasRows(et.bwd, passTo, passFrom, in)
-			return
-		}
-
-		fwd, bwd := f.tables[tableOf[i].fwd], f.tables[tableOf[i].bwd]
-		admit := func(rs, rt graph.NodeID) {
-			if passFrom.Has(rs) && passTo.Has(rt) {
-				fwd[rs] = append(fwd[rs], rt)
-				bwd[rt] = append(bwd[rt], rs)
-			}
-		}
-		admitted(func(mask *sets.Bitset, rs, rt []graph.NodeID) {
-			for j := range rs {
-				if mask == nil || mask.Has(int32(j)) {
-					admit(rs[j], rt[j])
-					if symmetric {
-						admit(rt[j], rs[j])
-					}
+				addArcs(ws.mask, from, to, outRows, inRows)
+				if oriented {
+					b.RSource, b.RTarget = to, from
+					prog.EvalEdgeBatch(&b, &ws.expr, ws.mask)
+					f.pairsEval.Add(int64(nHostEdges))
+					addArcs(ws.mask, to, from, outRows, inRows)
 				}
 			}
-		})
-		for r := 0; r < f.nr; r++ {
-			fwd[r] = sets.FromUnsorted(fwd[r])
-			bwd[r] = sets.FromUnsorted(bwd[r])
+			out = func(r graph.NodeID) *sets.Bitset { return &outRows[r] }
+			in = func(r graph.NodeID) *sets.Bitset { return &inRows[r] }
 		}
+		passFrom, passTo := passBits[qe.From], passBits[qe.To]
+		f.aliasRows(et.fwd, passFrom, passTo, out)
+		f.aliasRows(et.bwd, passTo, passFrom, in)
 	}
 
 	if workers := opt.Workers; workers > 1 && nEdges > 1 {
@@ -462,49 +358,10 @@ func (f *Filters) aliasRows(t int32, tailPass, headPass *sets.Bitset, adj func(g
 	union.IntersectWith(headPass)
 }
 
-// buildBase computes the per-node base candidate sets (formula (1)) on the
-// sorted-slice representation.
+// buildBase computes the per-node base candidate sets (formula (1)) from
+// the fill's per-arc unions: the cross-arc combination is one AND/OR per
+// arc.
 func (f *Filters) buildBase(loose bool) {
-	f.base = grow(f.base, f.nq)
-	var scratchA, scratchB sets.Set
-	for q := 0; q < f.nq; q++ {
-		qid := graph.NodeID(q)
-		arcs := f.incomingArcTables(qid)
-		if len(arcs) == 0 {
-			// Isolated query node: only the node filter constrains it.
-			f.base[q] = append(f.base[q][:0], f.nodePass[q]...)
-			continue
-		}
-		var acc sets.Set
-		for i, t := range arcs {
-			// per-arc union: every host node that appears as a candidate
-			// for q in any row of this arc's table.
-			var u sets.Set
-			for r := 0; r < f.nr; r++ {
-				if len(f.tables[t][r]) > 0 {
-					scratchA = sets.UnionInto(scratchA[:0], u, f.tables[t][r])
-					u, scratchA = scratchA, u
-				}
-			}
-			f.stats.FilterEntries += int64(len(u))
-			if i == 0 {
-				acc = sets.Clone(u)
-				continue
-			}
-			if loose {
-				scratchB = sets.UnionInto(scratchB[:0], acc, u)
-			} else {
-				scratchB = sets.IntersectInto(scratchB[:0], acc, u)
-			}
-			acc, scratchB = scratchB, acc
-		}
-		f.base[q] = append(f.base[q][:0], acc...)
-	}
-}
-
-// buildBaseDense is buildBase on the dense fill's per-arc unions: the
-// cross-arc combination is one AND/OR per arc.
-func (f *Filters) buildBaseDense(loose bool) {
 	f.base = grow(f.base, f.nq)
 	f.baseB = grow(f.baseB, f.nq)
 	for q := 0; q < f.nq; q++ {
@@ -513,9 +370,8 @@ func (f *Filters) buildBaseDense(loose bool) {
 		acc := sets.ReuseBitset(f.baseB[q], f.nr)
 		f.baseB[q] = acc
 		if len(arcs) == 0 {
-			acc.AddSet(f.nodePass[q])
-			f.base[q] = append(f.base[q][:0], f.nodePass[q]...)
-			continue
+			// Isolated query node: only the node filter constrains it.
+			acc.CopyFrom(f.passBits[q])
 		}
 		for i, t := range arcs {
 			u := &f.unions.rows[t]
@@ -537,7 +393,7 @@ func (f *Filters) buildBaseDense(loose bool) {
 // q, i.e. the filters constraining q's candidates once a neighbor is
 // placed.
 func (f *Filters) incomingArcTables(q graph.NodeID) []int32 {
-	nTables := len(f.tables) + len(f.tablesB)
+	nTables := len(f.tablesB)
 	if f.arcStamp == nil {
 		f.arcStamp = newTableStamp(nTables)
 	} else {
@@ -564,18 +420,15 @@ func (f *Filters) incomingArcTables(q graph.NodeID) []int32 {
 	return out
 }
 
-// Dense reports whether the filter tables carry the bitset representation.
-func (f *Filters) Dense() bool { return f.dense }
-
 // Base returns the base candidate set for query node q (do not modify).
 func (f *Filters) Base(q graph.NodeID) sets.Set { return f.base[q] }
 
 // CandidatesGiven returns the filter row for query node head given that
 // query node tail has been placed at host node r, one sorted set per arc
 // table relating the two nodes. An empty result means the pair of nodes is
-// not adjacent in the query. In dense mode the rows are materialized as
-// fresh sorted slices, cut to head's pass: the rows a search reads
-// through its domains.
+// not adjacent in the query. The rows are materialized as fresh sorted
+// slices, cut to head's pass: the rows a search reads through its
+// domains.
 func (f *Filters) CandidatesGiven(tail, head graph.NodeID, r graph.NodeID) []sets.Set {
 	ts := f.arcTables[arcKey(tail, head)]
 	if len(ts) == 0 {
@@ -583,9 +436,7 @@ func (f *Filters) CandidatesGiven(tail, head graph.NodeID, r graph.NodeID) []set
 	}
 	rows := make([]sets.Set, len(ts))
 	for i, t := range ts {
-		if !f.dense {
-			rows[i] = f.tables[t][r]
-		} else if row := f.tablesB[t][r]; row != nil {
+		if row := f.tablesB[t][r]; row != nil {
 			cut := sets.NewBitset(f.nr)
 			sets.IntersectCountInto(cut, row, f.passBits[head])
 			rows[i] = cut.AppendTo(nil)

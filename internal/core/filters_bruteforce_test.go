@@ -137,11 +137,11 @@ func bruteForceTables(p *Problem) (fwd, bwd [][]sets.Set, base []sets.Set) {
 			}
 		}
 		for r := range b {
-			b[r] = sets.FromUnsorted(b[r])
+			b[r] = sortedSet(b[r])
 		}
 		fwd, bwd = append(fwd, f), append(bwd, b)
-		perArc[qe.To] = append(perArc[qe.To], sets.FromUnsorted(heads))
-		perArc[qe.From] = append(perArc[qe.From], sets.FromUnsorted(tails))
+		perArc[qe.To] = append(perArc[qe.To], sortedSet(heads))
+		perArc[qe.From] = append(perArc[qe.From], sortedSet(tails))
 	}
 	base = make([]sets.Set, nq)
 	for q := range base {
@@ -155,7 +155,7 @@ func bruteForceTables(p *Problem) (fwd, bwd [][]sets.Set, base []sets.Set) {
 		}
 		base[q] = perArc[q][0]
 		for _, u := range perArc[q][1:] {
-			base[q] = sets.Intersect(base[q], u)
+			base[q] = intersectSorted(base[q], u)
 		}
 	}
 	return fwd, bwd, base
@@ -167,24 +167,35 @@ func matchBruteForce(t *testing.T, label string, p *Problem, f *Filters, fwd, bw
 	t.Helper()
 	for i := range fwd {
 		for r := 0; r < p.Host.NumNodes(); r++ {
-			if got := f.row(f.tableOf[i].fwd, r); !sets.Equal(got, fwd[i][r]) {
+			if got := f.row(f.tableOf[i].fwd, r); !slices.Equal(got, fwd[i][r]) {
 				t.Fatalf("%s: edge %d fwd row %d = %v, want %v", label, i, r, got, fwd[i][r])
 			}
-			if got := f.row(f.tableOf[i].bwd, r); !sets.Equal(got, bwd[i][r]) {
+			if got := f.row(f.tableOf[i].bwd, r); !slices.Equal(got, bwd[i][r]) {
 				t.Fatalf("%s: edge %d bwd row %d = %v, want %v", label, i, r, got, bwd[i][r])
 			}
 		}
 	}
 	for q := range base {
-		if got := f.Base(graph.NodeID(q)); !sets.Equal(got, base[q]) {
+		if got := f.Base(graph.NodeID(q)); !slices.Equal(got, base[q]) {
 			t.Fatalf("%s: base[%d] = %v, want %v", label, q, got, base[q])
 		}
 	}
 }
 
-// row reads table t's row r through CandidatesGiven, whichever
-// representation f carries: a dense row cut to its head's pass, the row
-// the sparse fill stores.
+// sortedSet sorts s in place and drops duplicates: the ascending form
+// Filters.Base and CandidatesGiven list candidate sets in.
+func sortedSet(s []int32) sets.Set {
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
+// intersectSorted returns the members of the sorted set a that b holds.
+func intersectSorted(a, b sets.Set) sets.Set {
+	return slices.DeleteFunc(slices.Clone(a), func(x int32) bool { return !slices.Contains(b, x) })
+}
+
+// row reads table t's row r through CandidatesGiven: the aliased row cut
+// to its head's pass.
 func (f *Filters) row(t int32, r int) sets.Set {
 	for i, et := range f.tableOf {
 		qe := f.p.Query.Edge(graph.EdgeID(i))
@@ -202,8 +213,8 @@ func (f *Filters) row(t int32, r int) sets.Set {
 // TestFiltersMatchBruteForce: the bulk-evaluated tables and base sets
 // equal the ones built pair by pair from Problem.EdgeFeasible, for random
 // constraints — orientation-blind, oriented (rSource/rTarget) and of the
-// range-indexed shape — directed and undirected hosts, both row
-// representations, serial and sharded fills, and every index situation:
+// range-indexed shape — directed and undirected hosts, serial and sharded
+// fills, and every index situation:
 // none; one built over the problem's host (cached columns, whose range
 // indexes arm during the loop); one built over a graph with the same
 // structure in other pages and other attributes, whose columns would be
@@ -236,19 +247,17 @@ func TestFiltersMatchBruteForce(t *testing.T) {
 			}
 		}
 		for name, idx := range indexes {
-			for _, repr := range []Repr{ReprSlice, ReprBitset} {
-				for _, workers := range []int{1, 4} {
-					label := fmt.Sprintf("seed %d, %s, repr %d, workers %d, edge %q, node %q",
-						seed, name, repr, workers, p.EdgeConstraint, p.NodeConstraint)
-					// Twice, so the second build runs on recycled scratch.
-					for pass := 0; pass < 2; pass++ {
-						f := BuildFilters(p, &Options{Index: idx, Repr: repr, Workers: workers})
-						matchBruteForce(t, label, p, f, fwd, bwd, base)
-						if got := f.Stats().EdgePairsEval; got != wantPairs {
-							t.Fatalf("%s: EdgePairsEval = %d, want %d", label, got, wantPairs)
-						}
-						f.release()
+			for _, workers := range []int{1, 4} {
+				label := fmt.Sprintf("seed %d, %s, workers %d, edge %q, node %q",
+					seed, name, workers, p.EdgeConstraint, p.NodeConstraint)
+				// Twice, so the second build runs on recycled scratch.
+				for pass := 0; pass < 2; pass++ {
+					f := BuildFilters(p, &Options{Index: idx, Workers: workers})
+					matchBruteForce(t, label, p, f, fwd, bwd, base)
+					if got := f.Stats().EdgePairsEval; got != wantPairs {
+						t.Fatalf("%s: EdgePairsEval = %d, want %d", label, got, wantPairs)
 					}
+					f.release()
 				}
 			}
 		}

@@ -27,8 +27,8 @@ func sameFilters(t *testing.T, label string, p *Problem, oracle, indexed *Filter
 	nq, nr := p.Query.NumNodes(), p.Host.NumNodes()
 	for q := 0; q < nq; q++ {
 		qid := graph.NodeID(q)
-		if got, want := fmt.Sprint(indexed.nodePass[q]), fmt.Sprint(oracle.nodePass[q]); got != want {
-			t.Fatalf("%s: nodePass[%d] = %v, want %v", label, q, got, want)
+		if !indexed.passBits[q].Equal(oracle.passBits[q]) {
+			t.Fatalf("%s: passBits[%d] = %v, want %v", label, q, indexed.passBits[q].AppendTo(nil), oracle.passBits[q].AppendTo(nil))
 		}
 		if got, want := fmt.Sprint(indexed.Base(qid)), fmt.Sprint(oracle.Base(qid)); got != want {
 			t.Fatalf("%s: Base(%d) = %v, want %v", label, q, got, want)
@@ -101,7 +101,7 @@ var (
 	orientedWindow = expr.MustCompile("rEdge.minDelay >= vEdge.minDelay && rSource.cpu >= rTarget.cpu")
 )
 
-// TestIndexedFiltersMatchOracle pins the one dense fill — rows from the
+// TestIndexedFiltersMatchOracle pins the one fill — rows from the
 // index's adjacency, or from the constraint's mask-adjacency, with and
 // without an index, serial and sharded — pair by pair against
 // Problem.EdgeFeasible/NodeFeasible, and the index-served build against
@@ -134,7 +134,6 @@ func TestIndexedFiltersMatchOracle(t *testing.T) {
 					label := fmt.Sprintf("%s directed=%v seed=%d workers=%d", sh.name, directed, seed, workers)
 
 					scanOpt := sh.opt
-					scanOpt.Repr = ReprBitset // same representation, no index
 					scanOpt.Workers = workers
 					oracle := BuildFilters(p, &scanOpt)
 
@@ -142,9 +141,6 @@ func TestIndexedFiltersMatchOracle(t *testing.T) {
 					idxOpt.Index = idx
 					idxOpt.Workers = workers
 					indexed := BuildFilters(p, &idxOpt)
-					if !indexed.Dense() {
-						t.Fatalf("%s: index-backed filters must be dense", label)
-					}
 					if !sh.opt.NoDegreeFilter { // the brute force applies the degree filter
 						matchBruteForce(t, label+" (no index)", p, oracle, fwd, bwd, base)
 						matchBruteForce(t, label+" (index)", p, indexed, fwd, bwd, base)
@@ -207,7 +203,7 @@ func TestAttrSiblingReadsItsOwnColumns(t *testing.T) {
 			if f.scratchCols.NodeColumn("reserved") == nil {
 				t.Fatalf("%s: the sibling build did not read the sibling's node columns", label)
 			}
-			sameFilters(t, label, mp, BuildFilters(mp, &Options{Repr: ReprBitset}), f)
+			sameFilters(t, label, mp, BuildFilters(mp, &Options{}), f)
 			f.release()
 		}
 		if col := snapshot.EdgeColumn("minDelay"); snapshot.Armed(col) {
@@ -254,18 +250,6 @@ func TestRangeIndexArmsOnFirstRequest(t *testing.T) {
 	f.release()
 }
 
-// TestIndexedFiltersSliceOracle cross-checks against the sparse
-// representation too — the original full-scan path untouched by any
-// bitset machinery.
-func TestIndexedFiltersSliceOracle(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		p, idx := indexProblem(t, 50+seed, false, delayWindow, cpuFits)
-		oracle := ECF(p, Options{Repr: ReprSlice})
-		indexed := ECF(p, Options{Index: idx})
-		sameSolutionSets(t, fmt.Sprintf("slice oracle seed %d", seed), indexed.Solutions, oracle.Solutions)
-	}
-}
-
 // TestIndexedFiltersAfterDeltas pins the end-to-end invariant the delta
 // pipeline rests on: a chain of incremental index patches yields filters
 // identical to a full scan of the final graph.
@@ -300,15 +284,14 @@ func TestIndexedFiltersAfterDeltas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := BuildFilters(p2, &Options{Repr: ReprBitset})
+		oracle := BuildFilters(p2, &Options{})
 		indexed := BuildFilters(p2, &Options{Index: idx})
 		sameFilters(t, fmt.Sprintf("after deltas seed %d", seed), p2, oracle, indexed)
 	}
 }
 
-// TestIndexIgnoredWhenIncompatible: a stale index (wrong universe) or a
-// forced sparse representation must fall back to the scan, not crash or
-// mis-filter.
+// TestIndexIgnoredWhenIncompatible: a stale index (wrong universe) must
+// fall back to the scan, not crash or mis-filter.
 func TestIndexIgnoredWhenIncompatible(t *testing.T) {
 	p, _ := indexProblem(t, 3, false, nil, nil)
 	smaller := graph.NewUndirected()
@@ -317,15 +300,45 @@ func TestIndexIgnoredWhenIncompatible(t *testing.T) {
 	f := BuildFilters(p, &Options{Index: stale})
 	oracle := BuildFilters(p, &Options{})
 	sameFilters(t, "stale index", p, oracle, f)
-
-	p2, idx := indexProblem(t, 4, false, nil, nil)
-	sliceF := BuildFilters(p2, &Options{Index: idx, Repr: ReprSlice})
-	if sliceF.Dense() {
-		t.Error("ReprSlice with an index should fall back to sparse scan")
-	}
 }
 
-// TestIndexedFiltersSurviveApply: index-served dense rows alias the
+// TestIndexOfSameSizedGraphIgnored: an index is keyed by the identity of
+// the graph it was built over, never by a matching size. Over the host
+// 0–3 (a 4-node host with one edge), the query path 0–1–2 has no
+// embedding; the index of the 4-node path 0–1–2–3 has the same node count
+// and orientation, and a build that trusted its adjacency would return
+// mappings that fail Problem.Verify.
+func TestIndexOfSameSizedGraphIgnored(t *testing.T) {
+	host := graph.NewUndirected()
+	host.AddNodes(4)
+	host.MustAddEdge(0, 3, nil)
+	other := graph.NewUndirected()
+	other.AddNodes(4)
+	for r := graph.NodeID(0); r < 3; r++ {
+		other.MustAddEdge(r, r+1, nil)
+	}
+	query := graph.NewUndirected()
+	query.AddNodes(3)
+	query.MustAddEdge(0, 1, nil)
+	query.MustAddEdge(1, 2, nil)
+	p, err := NewProblem(query, host, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := index.Build(other, 1, index.Config{})
+	res := ECF(p, Options{Index: foreign})
+	for _, m := range res.Solutions {
+		if err := p.Verify(m); err != nil {
+			t.Errorf("mapping %v fails verification: %v", m, err)
+		}
+	}
+	if len(res.Solutions) != 0 || res.Status != StatusComplete {
+		t.Fatalf("got %d solutions (%v), want a complete proof of none", len(res.Solutions), res.Status)
+	}
+	sameFilters(t, "same-sized foreign index", p, BuildFilters(p, &Options{}), BuildFilters(p, &Options{Index: foreign}))
+}
+
+// TestIndexedFiltersSurviveApply: index-served rows alias the
 // snapshot's adjacency rows, which Index.Apply replaces copy-on-write and
 // never mutates. Filters built over snapshot v are read after an edge
 // remove and then an edge add at a row they alias: every stored row still
@@ -381,7 +394,7 @@ func TestIndexedFiltersSurviveApply(t *testing.T) {
 			t.Fatalf("%s: the deltas left row %d as it was", label, r)
 		}
 
-		fresh := BuildFilters(p, &Options{Repr: ReprBitset})
+		fresh := BuildFilters(p, &Options{})
 		for ti, rows := range held.tablesB {
 			for x, row := range rows {
 				want := fresh.tablesB[ti][x]

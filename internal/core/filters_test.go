@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,63 +17,30 @@ import (
 // edge's [lo, hi] window.
 var windowProg = expr.MustCompile("rEdge.d >= vEdge.lo && rEdge.d <= vEdge.hi")
 
+// TestFilterRowsAreSortedSets: the rows CandidatesGiven materializes and
+// the base sets are ascending and duplicate-free, and the base bitsets the
+// searches start from hold exactly the base sets.
 func TestFilterRowsAreSortedSets(t *testing.T) {
+	isSet := func(s sets.Set) bool {
+		return slices.IsSorted(s) && len(slices.Compact(slices.Clone(s))) == len(s)
+	}
 	for seed := int64(1); seed <= 10; seed++ {
 		p := smallProblem(t, seed)
-		f := BuildFilters(p, &Options{Repr: ReprSlice})
-		if f.Dense() {
-			t.Fatal("ReprSlice produced dense filters")
-		}
-		for _, table := range f.tables {
-			for r, row := range table {
-				if !sets.IsSet(row) {
-					t.Fatalf("seed %d: row %d not a sorted set: %v", seed, r, row)
+		f := BuildFilters(p, &Options{})
+		for ti := range f.tablesB {
+			for r := 0; r < p.Host.NumNodes(); r++ {
+				if row := f.row(int32(ti), r); !isSet(row) {
+					t.Fatalf("seed %d: table %d row %d not a sorted set: %v", seed, ti, r, row)
 				}
 			}
 		}
 		for q, base := range f.base {
-			if !sets.IsSet(base) {
+			if !isSet(base) {
 				t.Fatalf("seed %d: base[%d] not a sorted set: %v", seed, q, base)
 			}
-		}
-	}
-}
-
-// TestDenseFiltersMatchSparse: both representations must hold exactly the
-// same filter contents — every table row and every base set.
-func TestDenseFiltersMatchSparse(t *testing.T) {
-	for seed := int64(1); seed <= 15; seed++ {
-		p := smallProblem(t, seed)
-		sparse := BuildFilters(p, &Options{Repr: ReprSlice})
-		dense := BuildFilters(p, &Options{Repr: ReprBitset})
-		if !dense.Dense() {
-			t.Fatal("ReprBitset produced sparse filters")
-		}
-		if len(sparse.tables) != len(dense.tablesB) {
-			t.Fatalf("seed %d: table counts differ", seed)
-		}
-		for ti := range sparse.tables {
-			for r := range sparse.tables[ti] {
-				got := dense.row(int32(ti), r)
-				if !sets.Equal(got, sparse.tables[ti][r]) {
-					t.Fatalf("seed %d: table %d row %d differs: %v vs %v",
-						seed, ti, r, got, sparse.tables[ti][r])
-				}
-			}
-		}
-		for q := 0; q < p.Query.NumNodes(); q++ {
-			qid := graph.NodeID(q)
-			if !sets.Equal(sparse.Base(qid), dense.Base(qid)) {
-				t.Fatalf("seed %d: base[%d] differs: %v vs %v",
-					seed, q, dense.Base(qid), sparse.Base(qid))
-			}
-			if !sets.Equal(dense.baseB[q].AppendTo(nil), dense.Base(qid)) {
+			if !slices.Equal(f.baseB[q].AppendTo(nil), base) {
 				t.Fatalf("seed %d: baseB[%d] disagrees with base", seed, q)
 			}
-		}
-		if sparse.Stats().EdgePairsEval != dense.Stats().EdgePairsEval ||
-			sparse.Stats().FilterEntries != dense.Stats().FilterEntries {
-			t.Fatalf("seed %d: stats differ across representations", seed)
 		}
 	}
 }
@@ -87,7 +55,7 @@ func TestFilterCompleteness(t *testing.T) {
 		f := BuildFilters(p, &Options{})
 		for _, m := range naiveEmbeddings(p) {
 			for q, r := range m {
-				if !sets.Contains(f.Base(graph.NodeID(q)), r) {
+				if !slices.Contains(f.Base(graph.NodeID(q)), r) {
 					t.Fatalf("seed %d: feasible image %d of node %d missing from base set %v",
 						seed, r, q, f.Base(graph.NodeID(q)))
 				}
@@ -99,7 +67,7 @@ func TestFilterCompleteness(t *testing.T) {
 					t.Fatalf("seed %d: no filter table for query edge %d", seed, i)
 				}
 				for _, row := range rows {
-					if !sets.Contains(row, m[qe.To]) {
+					if !slices.Contains(row, m[qe.To]) {
 						t.Fatalf("seed %d: feasible edge image missing from filter row", seed)
 					}
 				}
@@ -116,7 +84,7 @@ func TestLooseRootIsSupersetOfTight(t *testing.T) {
 		for q := 0; q < p.Query.NumNodes(); q++ {
 			tb, lb := tight.Base(graph.NodeID(q)), loose.Base(graph.NodeID(q))
 			for _, r := range tb {
-				if !sets.Contains(lb, r) {
+				if !slices.Contains(lb, r) {
 					t.Fatalf("seed %d: tight base of %d has %d missing from loose base", seed, q, r)
 				}
 			}
@@ -247,28 +215,26 @@ func TestPostArcsCoverEveryEdgeExactlyOnce(t *testing.T) {
 
 func TestFilterStatsCounters(t *testing.T) {
 	p := smallProblem(t, 2)
-	for _, repr := range []Repr{ReprSlice, ReprBitset} {
-		f := BuildFilters(p, &Options{Repr: repr})
-		st := f.Stats()
-		if p.Query.NumEdges() > 0 && st.EdgePairsEval == 0 {
-			t.Error("EdgePairsEval = 0")
+	f := BuildFilters(p, &Options{})
+	st := f.Stats()
+	if p.Query.NumEdges() > 0 && st.EdgePairsEval == 0 {
+		t.Error("EdgePairsEval = 0")
+	}
+	if st.FilterBuild <= 0 {
+		t.Error("FilterBuild not recorded")
+	}
+	// Entries are the hosts each table admits for its head: the size of
+	// the union of its rows, summed over the tables.
+	var want int64
+	for ti := range f.tablesB {
+		var union sets.Set
+		for r := 0; r < p.Host.NumNodes(); r++ {
+			union = append(union, f.row(int32(ti), r)...)
 		}
-		if st.FilterBuild <= 0 {
-			t.Error("FilterBuild not recorded")
-		}
-		// Entries are the hosts each table admits for its head: the size
-		// of the union of its rows, summed over the tables.
-		var want int64
-		for ti := 0; ti < len(f.tables)+len(f.tablesB); ti++ {
-			var union sets.Set
-			for r := 0; r < p.Host.NumNodes(); r++ {
-				union = sets.Union(union, f.row(int32(ti), r))
-			}
-			want += int64(len(union))
-		}
-		if want == 0 || st.FilterEntries != want {
-			t.Errorf("repr %d: FilterEntries = %d, want %d (> 0)", repr, st.FilterEntries, want)
-		}
+		want += int64(len(sortedSet(union)))
+	}
+	if want == 0 || st.FilterEntries != want {
+		t.Errorf("FilterEntries = %d, want %d (> 0)", st.FilterEntries, want)
 	}
 }
 
@@ -315,31 +281,26 @@ func TestQuickECFMatchesNaive(t *testing.T) {
 func TestParallelFilterBuildMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		p := smallProblem(t, seed)
-		for _, repr := range []Repr{ReprSlice, ReprBitset} {
-			serial := BuildFilters(p, &Options{Repr: repr})
-			parallel := BuildFilters(p, &Options{Workers: 4, Repr: repr})
-			nt := len(serial.tables) + len(serial.tablesB)
-			if nt != len(parallel.tables)+len(parallel.tablesB) {
-				t.Fatalf("seed %d repr %d: table counts differ", seed, repr)
-			}
-			for ti := 0; ti < nt; ti++ {
-				for r := 0; r < p.Host.NumNodes(); r++ {
-					if !sets.Equal(serial.row(int32(ti), r), parallel.row(int32(ti), r)) {
-						t.Fatalf("seed %d repr %d: table %d row %d differs",
-							seed, repr, ti, r)
-					}
+		serial := BuildFilters(p, &Options{})
+		parallel := BuildFilters(p, &Options{Workers: 4})
+		if len(serial.tablesB) != len(parallel.tablesB) {
+			t.Fatalf("seed %d: table counts differ", seed)
+		}
+		for ti := range serial.tablesB {
+			for r := 0; r < p.Host.NumNodes(); r++ {
+				if !slices.Equal(serial.row(int32(ti), r), parallel.row(int32(ti), r)) {
+					t.Fatalf("seed %d: table %d row %d differs", seed, ti, r)
 				}
 			}
-			for q := 0; q < p.Query.NumNodes(); q++ {
-				if !sets.Equal(serial.Base(graph.NodeID(q)), parallel.Base(graph.NodeID(q))) {
-					t.Fatalf("seed %d repr %d: base[%d] differs", seed, repr, q)
-				}
+		}
+		for q := 0; q < p.Query.NumNodes(); q++ {
+			if !slices.Equal(serial.Base(graph.NodeID(q)), parallel.Base(graph.NodeID(q))) {
+				t.Fatalf("seed %d: base[%d] differs", seed, q)
 			}
-			if serial.Stats().EdgePairsEval != parallel.Stats().EdgePairsEval ||
-				serial.Stats().FilterEntries != parallel.Stats().FilterEntries {
-				t.Fatalf("seed %d repr %d: stats differ: %+v vs %+v",
-					seed, repr, serial.Stats(), parallel.Stats())
-			}
+		}
+		if serial.Stats().EdgePairsEval != parallel.Stats().EdgePairsEval ||
+			serial.Stats().FilterEntries != parallel.Stats().FilterEntries {
+			t.Fatalf("seed %d: stats differ: %+v vs %+v", seed, serial.Stats(), parallel.Stats())
 		}
 	}
 }
@@ -385,7 +346,7 @@ func TestIsolatedQueryNodeBaseUsesNodePass(t *testing.T) {
 	f := BuildFilters(p, &Options{})
 	base := f.Base(0)
 	// cpu >= 2: hosts {2,3}.
-	if !sets.Equal(base, sets.Set{2, 3}) {
+	if !slices.Equal(base, sets.Set{2, 3}) {
 		t.Errorf("isolated base = %v, want [2 3]", base)
 	}
 }

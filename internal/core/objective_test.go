@@ -13,7 +13,7 @@ import (
 )
 
 // These tests pin the branch-and-bound tentpole: for every built-in
-// objective, representation, orientation and engine, the optimizing
+// objective, orientation and engine, the optimizing
 // search returns a feasible embedding whose cost equals the exhaustive
 // enumerate-and-argmin oracle's — the bounds only prune, never lose the
 // optimum.
@@ -160,7 +160,7 @@ func TestObjectiveCostSemantics(t *testing.T) {
 }
 
 // TestBnBOptimumMatchesExhaustive is the central property: across
-// objectives, representations, orientations and both optimizing orders
+// objectives, orientations and both optimizing orders
 // (static and dynamic), the optimizing search's cost equals the
 // exhaustive oracle's argmin.
 func TestBnBOptimumMatchesExhaustive(t *testing.T) {
@@ -172,12 +172,10 @@ func TestBnBOptimumMatchesExhaustive(t *testing.T) {
 				if n == 0 {
 					continue // infeasible instance: nothing to optimize
 				}
-				for _, repr := range []Repr{ReprSlice, ReprBitset} {
-					label := fmt.Sprintf("dir=%v seed=%d %s repr=%v", directed, seed, objLabel(o), repr)
-					opt := Options{Optimize: true, Objective: o, Repr: repr}
-					checkOptimum(t, label+" fc", p, o, ECF(p, opt), want)
-					checkOptimum(t, label+" dynamic", p, o, DynamicECF(p, opt), want)
-				}
+				label := fmt.Sprintf("dir=%v seed=%d %s", directed, seed, objLabel(o))
+				opt := Options{Optimize: true, Objective: o}
+				checkOptimum(t, label+" fc", p, o, ECF(p, opt), want)
+				checkOptimum(t, label+" dynamic", p, o, DynamicECF(p, opt), want)
 			}
 		}
 	}

@@ -210,8 +210,8 @@ func oracleCases(t *testing.T) []oracleCase {
 }
 
 // TestSearchMatchesBruteForce: every algorithm returns exactly the
-// oracle's solution set and its status, whatever the orientation,
-// representation, order, constraints and propagation threshold; ECF
+// oracle's solution set and its status, whatever the orientation, order,
+// constraints and propagation threshold; ECF
 // still enumerates in the oracle's sequence over its variable order,
 // because propagation only deletes values that head no solution; and a
 // capped LNS run returns the first solutions it finds, each verified.
@@ -236,27 +236,25 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		} else {
 			infeasible++
 		}
-		for _, repr := range []Repr{ReprSlice, ReprBitset} {
-			for _, order := range []OrderMode{OrderAscending, OrderNatural} {
-				seq := bruteForce(c.p, ecfOrder(c.p, Options{Repr: repr, Order: order}))
-				for _, th := range armThresholds {
-					withArmAfter(th, func() {
-						for _, a := range algos {
-							label := fmt.Sprintf("%s repr=%v order=%v arm=%d %s", c.label, repr, order, th, a.name)
-							opt := a.opt
-							opt.Repr, opt.Order = repr, order
-							res := a.run(c.p, opt)
-							sameSolutionSets(t, label, res.Solutions, want)
-							if res.Status != StatusComplete || !res.Exhausted {
-								t.Errorf("%s: status %v exhausted %v, want a complete answer", label, res.Status, res.Exhausted)
-							}
-							pruneOps[th] += res.Stats.PruneOps
-							if a.name == "ecf" {
-								assertOracleSequence(t, label+" sequence", res, seq, 0)
-							}
+		for _, order := range []OrderMode{OrderAscending, OrderNatural} {
+			seq := bruteForce(c.p, ecfOrder(c.p, Options{Order: order}))
+			for _, th := range armThresholds {
+				withArmAfter(th, func() {
+					for _, a := range algos {
+						label := fmt.Sprintf("%s order=%v arm=%d %s", c.label, order, th, a.name)
+						opt := a.opt
+						opt.Order = order
+						res := a.run(c.p, opt)
+						sameSolutionSets(t, label, res.Solutions, want)
+						if res.Status != StatusComplete || !res.Exhausted {
+							t.Errorf("%s: status %v exhausted %v, want a complete answer", label, res.Status, res.Exhausted)
 						}
-					})
-				}
+						pruneOps[th] += res.Stats.PruneOps
+						if a.name == "ecf" {
+							assertOracleSequence(t, label+" sequence", res, seq, 0)
+						}
+					}
+				})
 			}
 		}
 		const lnsCap = 2
@@ -301,13 +299,11 @@ func TestBnBOptimumMatchesBruteForce(t *testing.T) {
 					for _, m := range all[1:] {
 						want = min(want, o.Cost(p.Host, m))
 					}
-					for _, repr := range []Repr{ReprSlice, ReprBitset} {
-						label := fmt.Sprintf("dir=%v seed=%d %s repr=%v", directed, seed, objLabel(o), repr)
-						opt := Options{Optimize: true, Objective: o, Repr: repr, Workers: 3}
-						checkOptimum(t, label+" ecf", p, o, ECF(p, opt), want)
-						checkOptimum(t, label+" dynamic", p, o, DynamicECF(p, opt), want)
-						checkOptimum(t, label+" parallel", p, o, ParallelECF(p, opt), want)
-					}
+					label := fmt.Sprintf("dir=%v seed=%d %s", directed, seed, objLabel(o))
+					opt := Options{Optimize: true, Objective: o, Workers: 3}
+					checkOptimum(t, label+" ecf", p, o, ECF(p, opt), want)
+					checkOptimum(t, label+" dynamic", p, o, DynamicECF(p, opt), want)
+					checkOptimum(t, label+" parallel", p, o, ParallelECF(p, opt), want)
 				}
 			}
 		}

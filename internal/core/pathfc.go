@@ -119,10 +119,10 @@ func pathEmbedFC(p *Problem, opt PathOptions) *PathResult {
 		s.assign[i] = -1
 	}
 
-	// Reachability rows: served from the index snapshot when it matches
-	// the host (cached there across runs and invalidated by structural
-	// deltas), computed per run otherwise.
-	if ix := opt.Index; ix != nil && ix.NumNodes() == nr && ix.Directed() == p.Host.Directed() {
+	// Reachability rows: served from the index snapshot when it was built
+	// over this very host (cached there across runs and invalidated by
+	// structural deltas), computed per run otherwise.
+	if ix := opt.Index; ix != nil && ix.ColumnsFor(p.Host) != nil {
 		s.reachF = ix.ReachWithin(opt.MaxHops)
 		if p.Host.Directed() {
 			s.reachR = ix.ReachWithinRev(opt.MaxHops)

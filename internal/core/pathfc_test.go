@@ -540,3 +540,33 @@ func TestVerifyPathSolutionReportsFailingSpec(t *testing.T) {
 		t.Errorf("error %q blames the passing first spec", err)
 	}
 }
+
+// TestPathEmbedIgnoresIndexOfSameSizedGraph: the reachability rows come
+// from PathOptions.Index only when it was built over the problem's host,
+// never because its size matches. On the 4-node path host every ordered
+// pair of hosts lies within 3 hops, so the one-edge query has 12
+// embeddings; the index of a 4-node graph with the single edge 0–1 would
+// prune all but 2 of them and still report the run complete.
+func TestPathEmbedIgnoresIndexOfSameSizedGraph(t *testing.T) {
+	host := graph.NewUndirected()
+	host.AddNodes(4)
+	for r := graph.NodeID(0); r < 3; r++ {
+		host.MustAddEdge(r, r+1, nil)
+	}
+	other := graph.NewUndirected()
+	other.AddNodes(4)
+	other.MustAddEdge(0, 1, nil)
+	q := graph.NewUndirected()
+	q.AddNodes(2)
+	q.MustAddEdge(0, 1, nil)
+	p, err := NewProblem(q, host, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := PathEmbed(p, PathOptions{MaxHops: 3})
+	if len(want.Solutions) != 12 || want.Status != StatusComplete {
+		t.Fatalf("index-less run: %d solutions (%v), want a complete 12", len(want.Solutions), want.Status)
+	}
+	got := PathEmbed(p, PathOptions{MaxHops: 3, Index: index.Build(other, 1, index.Config{})})
+	samePathResults(t, "same-sized foreign index", want, got)
+}

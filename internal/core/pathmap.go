@@ -37,9 +37,10 @@ type PathOptions struct {
 	Stop func() bool
 	// Index, when non-nil, supplies the hop-bounded reachability oracle
 	// from a prebuilt host-capability index (internal/index), cached
-	// across runs and invalidated by structural deltas. It must describe
-	// the Problem's host — same node universe, same orientation — or it
-	// is ignored and the rows are computed per run.
+	// across runs and invalidated by structural deltas. It must have been
+	// built over the Problem's very *graph.Graph (Index.ColumnsFor) — an
+	// index of another graph is ignored even if its size matches — or the
+	// rows are computed per run.
 	Index *index.Index
 }
 

@@ -71,8 +71,8 @@ func acquireFilters() *Filters { return filtersPool.Get().(*Filters) }
 
 // release returns the filter matrices to the pool. Call only on filters
 // this package built and whose rows provably do not outlive the search
-// that used them; caller-supplied filters are never released. Every dense
-// row slot up to cap is nilled: a row may alias an index snapshot, which
+// that used them; caller-supplied filters are never released. Every row
+// slot up to cap is nilled: a row may alias an index snapshot, which
 // a pooled Filters must not pin, and appendTableB reuses slots as empty.
 func (f *Filters) release() {
 	if !poolingEnabled || f == nil {
@@ -115,7 +115,7 @@ func (f *Filters) adjacency(symmetric bool) (out, in []sets.Bitset) {
 	return out, next()
 }
 
-// appendTableB appends one dense table of nr nil rows, recycling the row
+// appendTableB appends one table of nr nil rows, recycling the row
 // slice the previous owner of this Filters had at the same position
 // (spare slices survive between len and cap across the [:0] reset;
 // release left every slot nil).
@@ -130,21 +130,4 @@ func appendTableB(ts [][]*sets.Bitset, nr int) [][]*sets.Bitset {
 		return ts
 	}
 	return append(ts, make([]*sets.Bitset, nr))
-}
-
-// appendTable is appendTableB for the sparse representation.
-func appendTable(ts [][]sets.Set, nr int) [][]sets.Set {
-	if n := len(ts); n < cap(ts) {
-		ts = ts[: n+1 : cap(ts)]
-		rows := ts[n]
-		if cap(rows) < nr {
-			rows = make([]sets.Set, nr)
-		} else {
-			rows = rows[:nr]
-			clear(rows)
-		}
-		ts[n] = rows
-		return ts
-	}
-	return append(ts, make([]sets.Set, nr))
 }

@@ -42,7 +42,6 @@ func TestPooledSearchMatchesFresh(t *testing.T) {
 		opt  Options
 	}{
 		{"ecf", ECF, Options{}},
-		{"ecf-bitset", ECF, Options{Repr: ReprBitset}},
 		{"ecf-capped", ECF, Options{MaxSolutions: 2}},
 		{"rwb", RWB, Options{Seed: 7, MaxSolutions: 1 << 30}},
 		{"dynamic", DynamicECF, Options{}},
@@ -55,12 +54,12 @@ func TestPooledSearchMatchesFresh(t *testing.T) {
 
 			poolingEnabled = true
 			// Pollute the pool: runs over problems with different node
-			// counts, densities and representations leave their geometry
+			// counts, densities and base-set modes leave their geometry
 			// in the recycled searchers and filters.
 			for _, s := range []int64{seed + 20, seed + 40} {
 				q := smallProblem(t, s)
 				_ = ECF(q, Options{})
-				_ = ECF(q, Options{Repr: ReprBitset})
+				_ = ECF(q, Options{LooseRoot: true})
 			}
 			recycled := a.run(p, a.opt)
 

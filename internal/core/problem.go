@@ -244,24 +244,6 @@ const (
 	OrderUnconnected
 )
 
-// Repr selects the candidate-set representation BuildFilters stores in
-// the filter tables and the search loops intersect.
-type Repr int
-
-// Candidate-set representations.
-const (
-	// ReprAuto chooses by host size and adjacency density: dense bitsets
-	// when rows are only a handful of words or the host adjacency is
-	// dense enough that word-parallel AND beats merging sorted slices,
-	// sorted slices otherwise. The default.
-	ReprAuto Repr = iota
-	// ReprSlice forces sorted []int32 rows (the memory-lean sparse
-	// representation; also the ablation baseline for the bitset path).
-	ReprSlice
-	// ReprBitset forces dense bitset rows.
-	ReprBitset
-)
-
 // Options tune a search run. The zero value asks for all solutions with no
 // timeout using the paper's default heuristics.
 type Options struct {
@@ -302,18 +284,11 @@ type Options struct {
 	// instead of rescanning the host: node admissibility intersects
 	// degree strata, topology-only filter tables (no edge constraint)
 	// are assembled from adjacency bitsets, and constraints are
-	// evaluated over the attribute columns cached on the snapshot. The
-	// structural shortcuts need an index describing the Problem's host —
-	// same node universe, same orientation — and the column cache one
-	// built over that very *graph.Graph (Index.ColumnsFor); anything else
-	// is ignored piecemeal, and every combination provably produces
-	// identical candidate sets. Index-backed tables always carry the
-	// bitset representation, so under ReprSlice only the columns are used.
+	// evaluated over the attribute columns cached on the snapshot. It is
+	// used only when it was built over the Problem's very *graph.Graph
+	// (Index.ColumnsFor) — an index of another graph is ignored even if
+	// its size matches — and either way the candidate sets are identical.
 	Index *index.Index
-	// Repr selects the candidate-set representation for the ECF/RWB
-	// filter tables. Both representations provably enumerate identical
-	// solution sets; the choice only trades speed against memory.
-	Repr Repr // cachekey:ignore representation choice provably enumerates identical solutions
 	// Objective selects the cost function an optimizing search minimizes
 	// (see Objective). It is ignored unless Optimize is set.
 	Objective Objective
@@ -342,13 +317,13 @@ type Stats struct {
 	// edge's orientations apart (rSource/rTarget), none without an edge
 	// constraint. It counts pairs decided, not work done: a pair answered
 	// from a range index counts as one evaluated chunk by chunk, so the
-	// figure depends on neither the evaluation route, the table
-	// representation nor the presence of an index.
+	// figure depends on neither the evaluation route nor the presence of
+	// an index.
 	EdgePairsEval int64
 	// FilterEntries sums, over the filter tables (one per directed query
 	// arc), the hosts each table admits for its head: the size of the
 	// union of its rows, the per-arc set formula (1) combines into the
-	// base candidate sets. Both row representations count it alike.
+	// base candidate sets.
 	FilterEntries    int64
 	NodesVisited     int64         // permutation-tree nodes expanded
 	Backtracks       int64         // dead ends requiring backtracking

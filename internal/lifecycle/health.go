@@ -156,12 +156,8 @@ func resolveWitnesses(rec *record, host *graph.Graph, mapping core.Mapping) (cor
 // reachDetail consults the hop-bounded reachability oracle: for each
 // query edge, are the mapped endpoints still connected within the hop
 // bound? Connected endpoints mean the break is re-routable with zero
-// migrations; a disconnected pair forces node moves. Without an index
-// (model not indexed) the question is left to the repair pass.
+// migrations; a disconnected pair forces node moves.
 func reachDetail(rec *record, idx *index.Index, mapping core.Mapping, maxHops int) string {
-	if idx == nil {
-		return "reachability unknown (no index)"
-	}
 	if maxHops <= 0 {
 		maxHops = 3 // the core searcher's default hop bound
 	}

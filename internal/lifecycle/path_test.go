@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"netembed/internal/graph"
-	"netembed/internal/index"
 	"netembed/internal/service"
 )
 
@@ -61,7 +60,6 @@ func placePath(t testing.TB, m *Manager) Info {
 // nothing.
 func TestPathRerouteWithoutMigration(t *testing.T) {
 	model := service.NewModel(diamondHost())
-	model.EnableIndex(index.Config{})
 	svc := service.New(model, service.Config{})
 	m := NewManager(svc, Config{})
 	info := placePath(t, m)
@@ -107,7 +105,6 @@ func TestPathRerouteWithoutMigration(t *testing.T) {
 // within the migration budget.
 func TestPathRepairMigrates(t *testing.T) {
 	model := service.NewModel(diamondHost())
-	model.EnableIndex(index.Config{})
 	svc := service.New(model, service.Config{})
 	m := NewManager(svc, Config{})
 	info := placePath(t, m)
@@ -152,7 +149,6 @@ func TestPathRepairMigrates(t *testing.T) {
 // Broken.
 func TestPathRepairBroken(t *testing.T) {
 	model := service.NewModel(diamondHost())
-	model.EnableIndex(index.Config{})
 	svc := service.New(model, service.Config{})
 	m := NewManager(svc, Config{})
 	info := placePath(t, m)

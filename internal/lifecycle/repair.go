@@ -231,7 +231,7 @@ func (m *Manager) reroute(rec *record, host *graph.Graph, idx *index.Index, old 
 	for i := 0; i < rec.query.NumEdges(); i++ {
 		qe := rec.query.Edge(graph.EdgeID(i))
 		rs, rt := old[qe.From], old[qe.To]
-		if idx != nil && !idx.ReachWithin(hops)[rs].Has(rt) {
+		if !idx.ReachWithin(hops)[rs].Has(rt) {
 			return core.PathSolution{}, false // oracle: no witness can exist
 		}
 		path, ok := core.FindWitness(host, qe, rs, rt, popt)

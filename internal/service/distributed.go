@@ -89,21 +89,11 @@ func (s *LocalShard) NodeCount() int { return s.svc.mustNodeCount() }
 // Stats implements Shard.
 func (s *LocalShard) Stats() (ShardStats, error) {
 	g, idx, version := s.svc.model.SnapshotIndexed()
-	maxDeg := 0
-	if idx != nil {
-		maxDeg = idx.MaxDegree()
-	} else {
-		for i := 0; i < g.NumNodes(); i++ {
-			if d := g.Degree(graph.NodeID(i)); d > maxDeg {
-				maxDeg = d
-			}
-		}
-	}
 	return ShardStats{
 		Name:         s.name,
 		Regions:      s.regions,
 		NodeCount:    g.NumNodes(),
-		MaxDegree:    maxDeg,
+		MaxDegree:    idx.MaxDegree(),
 		ModelVersion: version,
 	}, nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"netembed/internal/engine"
 	"netembed/internal/graphml"
-	"netembed/internal/index"
 	"netembed/internal/service"
 	"netembed/internal/topo"
 	"netembed/internal/trace"
@@ -65,7 +64,6 @@ func newAllocServer(t *testing.T, cacheCap int) (*Server, []byte) {
 		t.Fatal(err)
 	}
 	model := service.NewModel(host)
-	model.EnableIndex(index.Config{})
 	svc := service.New(model, service.Config{})
 	eng := engine.New(svc, engine.Config{Workers: 1, QueueDepth: 64, CacheCapacity: cacheCap})
 	t.Cleanup(func() { eng.Close(context.Background()) })

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"netembed/internal/graph"
-	"netembed/internal/index"
 	"netembed/internal/service"
 	"netembed/internal/topo"
 	"netembed/internal/trace"
@@ -20,7 +19,6 @@ func newIndexedServer(t *testing.T) (*httptest.Server, *service.Service) {
 	t.Helper()
 	host := trace.SyntheticPlanetLab(trace.Config{Sites: 30}, rand.New(rand.NewSource(1)))
 	model := service.NewModel(host)
-	model.EnableIndex(index.Config{})
 	svc := service.New(model, service.Config{})
 	ts := httptest.NewServer(New(svc))
 	t.Cleanup(ts.Close)

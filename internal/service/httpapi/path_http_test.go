@@ -10,7 +10,6 @@ import (
 
 	"netembed/internal/graph"
 	"netembed/internal/graphml"
-	"netembed/internal/index"
 	"netembed/internal/service"
 )
 
@@ -41,7 +40,6 @@ func pathTestServer(t *testing.T) *httptest.Server {
 			SetNum("avgDelay", 10).SetNum("bandwidth", 100))
 	}
 	model := service.NewModel(host)
-	model.EnableIndex(index.Config{})
 	svc := service.New(model, service.Config{})
 	ts := httptest.NewServer(New(svc))
 	t.Cleanup(ts.Close)

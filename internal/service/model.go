@@ -21,16 +21,16 @@ import (
 // bump the version. This is what lets embedding queries run concurrently
 // with monitoring updates without locks in the search path.
 //
-// A model can additionally maintain a host-capability index
-// (internal/index) kept in lockstep with the graph: every publish swaps
-// in a matching index snapshot, and Apply — the delta path monitors
-// should prefer — patches it incrementally instead of rebuilding.
-// Readers take (graph, index) pairs atomically via SnapshotIndexed.
+// A model also maintains a host-capability index (internal/index) kept
+// in lockstep with the graph: every publish swaps in a matching index
+// snapshot, and Apply — the delta path monitors should prefer — patches
+// it incrementally instead of rebuilding. Readers take (graph, index)
+// pairs atomically via SnapshotIndexed.
 type Model struct {
 	mu      sync.RWMutex
 	g       *graph.Graph
 	version uint64
-	idx     *index.Index // nil unless EnableIndex was called
+	idx     *index.Index // built over g, at version
 
 	// epochs tracks in-flight readers per published version so the serve
 	// path can prove superseded (graph, index) snapshots are released —
@@ -52,30 +52,15 @@ type epochState struct {
 	retired uint64
 }
 
-// NewModel wraps an initial hosting network. The graph must not be
-// mutated by the caller afterwards.
+// NewModel wraps an initial hosting network and builds its capability
+// index. The graph must not be mutated by the caller afterwards.
 func NewModel(g *graph.Graph) *Model {
-	return &Model{g: g, version: 1}
+	return &Model{g: g, version: 1, idx: index.Build(g, 1, index.Config{})}
 }
 
-// EnableIndex attaches a host-capability index to the model and keeps it
-// current across every subsequent publish: whole-graph swaps rebuild it,
-// deltas patch it copy-on-write. Idempotent; safe to call on a live
-// model. The Config has no fields.
-func (m *Model) EnableIndex(index.Config) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.idx == nil {
-		m.idx = index.Build(m.g, m.version, index.Config{})
-	}
-}
-
-// Indexed reports whether the model maintains a capability index.
-func (m *Model) Indexed() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.idx != nil
-}
+// EnableIndex does nothing: every model is indexed from NewModel on. It
+// remains for callers written when indexing was optional.
+func (m *Model) EnableIndex(index.Config) {}
 
 // Snapshot returns the current hosting network and its version. The graph
 // is shared and must be treated as immutable.
@@ -86,8 +71,7 @@ func (m *Model) Snapshot() (*graph.Graph, uint64) {
 }
 
 // SnapshotIndexed returns the current hosting network, its capability
-// index (nil when indexing is disabled) and the version, as one
-// consistent triple. Both structures are shared and immutable.
+// index and the version, as one consistent triple. Both structures are shared and immutable.
 func (m *Model) SnapshotIndexed() (*graph.Graph, *index.Index, uint64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -168,12 +152,9 @@ func (m *Model) Version() uint64 {
 	return m.version
 }
 
-// reindex refreshes the index (if enabled) after a whole-graph swap.
-// Callers hold m.mu.
+// reindex rebuilds the index after a whole-graph swap. Callers hold m.mu.
 func (m *Model) reindex() {
-	if m.idx != nil {
-		m.idx = index.Build(m.g, m.version, index.Config{})
-	}
+	m.idx = index.Build(m.g, m.version, index.Config{})
 }
 
 // Update replaces the hosting network and returns the new version.
@@ -206,8 +187,8 @@ func (m *Model) UpdateIf(g *graph.Graph, version uint64) (uint64, bool) {
 
 // Mutate clones the current snapshot, applies fn to the clone, swaps it in
 // and returns the new version. Prefer Apply for changes expressible as a
-// Delta: Mutate cannot know what fn touched, so an attached index is
-// rebuilt from scratch.
+// Delta: Mutate cannot know what fn touched, so the index is rebuilt from
+// scratch.
 func (m *Model) Mutate(fn func(*graph.Graph)) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -221,8 +202,7 @@ func (m *Model) Mutate(fn func(*graph.Graph)) uint64 {
 
 // Apply publishes an incremental change: the graph is patched
 // copy-on-write (attribute-only deltas share all structure with the
-// previous snapshot) and an attached index is patched rather than
-// rebuilt. This is the delta-native update path monitors should publish
+// previous snapshot) and the index is patched rather than rebuilt. This is the delta-native update path monitors should publish
 // through. On error — and for an empty delta, which changes nothing and
 // must not invalidate version-keyed caches — the model is unchanged and
 // the current version is returned.
@@ -239,9 +219,7 @@ func (m *Model) Apply(d *graph.Delta) (uint64, error) {
 	prev := m.g
 	m.g = next
 	m.version++
-	if m.idx != nil {
-		m.idx = m.idx.Apply(prev, next, d, m.version)
-	}
+	m.idx = m.idx.Apply(prev, next, d, m.version)
 	return m.version, nil
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"netembed/internal/core"
 	"netembed/internal/graph"
-	"netembed/internal/index"
 	"netembed/internal/topo"
 )
 
@@ -32,10 +31,6 @@ func applyHost(n int, rng *rand.Rand) *graph.Graph {
 func TestModelApply(t *testing.T) {
 	g := applyHost(8, rand.New(rand.NewSource(1)))
 	m := NewModel(g)
-	m.EnableIndex(index.Config{})
-	if !m.Indexed() {
-		t.Fatal("EnableIndex did not attach an index")
-	}
 
 	v, err := m.Apply(&graph.Delta{
 		SetNodeAttrs: []graph.NodeAttrUpdate{{Node: "h0", Set: graph.Attrs{}.SetNum("cpu", 9)}},
@@ -117,7 +112,6 @@ func TestMonitorStepRetriesPastConcurrentDelta(t *testing.T) {
 // asserting the (graph, index, version) triple stays in lockstep.
 func TestConcurrentApplySnapshotUpdateIf(t *testing.T) {
 	m := NewModel(applyHost(16, rand.New(rand.NewSource(2))))
-	m.EnableIndex(index.Config{})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -246,7 +240,6 @@ func TestConcurrentApplySnapshotUpdateIf(t *testing.T) {
 func TestDeltaMidSearchKeepsSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewModel(applyHost(20, rng))
-	m.EnableIndex(index.Config{})
 	svc := New(m, Config{})
 
 	// Retain every published graph so responses can be checked against

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"netembed/internal/graph"
-	"netembed/internal/index"
 	"netembed/internal/topo"
 	"netembed/internal/trace"
 )
@@ -76,7 +75,6 @@ func TestRetiredSnapshotsAreCollectable(t *testing.T) {
 	}
 	topo.WidenDelayWindows(q, 0.5)
 	model := NewModel(host)
-	model.EnableIndex(index.Config{})
 	svc := New(model, Config{})
 	host = nil // the test must not pin the initial snapshot itself
 

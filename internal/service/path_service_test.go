@@ -7,7 +7,6 @@ import (
 
 	"netembed/internal/core"
 	"netembed/internal/graph"
-	"netembed/internal/index"
 )
 
 // pathServiceHost builds a line host h0-h1-h2-h3 with 10ms hops — the
@@ -35,7 +34,6 @@ func pathServiceQuery() *graph.Graph {
 
 func TestServicePathEmbedEndToEnd(t *testing.T) {
 	model := NewModel(pathServiceHost())
-	model.EnableIndex(index.Config{})
 	svc := New(model, Config{})
 	resp, err := svc.Embed(Request{
 		Query:     pathServiceQuery(),

@@ -61,7 +61,7 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 		return nil, err
 	}
 
-	host, _ := s.model.Snapshot()
+	host, idx, _ := s.model.SnapshotIndexed()
 	allow, err := resolveAllow(req.Query, host, req.Allow)
 	if err != nil {
 		return nil, err
@@ -78,7 +78,7 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 
 		// Only hosts AllocateWindow would accept for this window are searched.
 		p.Allow = narrow(allow, req.Query.NumNodes(), s.ledger.FreeInWindow(host.NumNodes(), start, end))
-		opt := core.Options{Timeout: req.Timeout, MaxSolutions: 1, Seed: req.Seed}
+		opt := core.Options{Timeout: req.Timeout, MaxSolutions: 1, Seed: req.Seed, Index: idx}
 		if opt.Timeout == 0 {
 			opt.Timeout = s.defaultTimeout
 		}

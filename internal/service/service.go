@@ -254,9 +254,8 @@ func (s *Service) EmbedBatch(reqs []Request) ([]BatchResult, uint64) {
 }
 
 // embedOn answers one request against a fixed (host, index, version)
-// snapshot. The index may be nil (indexing disabled); when present it is
-// threaded into core.Options so BuildFilters intersects strata instead
-// of rescanning the host.
+// snapshot. The index is threaded into core.Options so BuildFilters
+// intersects strata instead of rescanning the host.
 //
 // keycomplete holds this function to core.Options: every Options field
 // must be set here from fingerprinted request state (or be marked

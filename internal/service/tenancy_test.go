@@ -11,7 +11,6 @@ import (
 
 	"netembed/internal/core"
 	"netembed/internal/graph"
-	"netembed/internal/index"
 	"netembed/internal/topo"
 )
 
@@ -97,7 +96,6 @@ func TestTenancyAllowSetMatchesMarkedOverlay(t *testing.T) {
 	}
 	topo.WidenDelayWindows(query, 0.05)
 	model := NewModel(host)
-	model.EnableIndex(index.Config{})
 	svc := New(model, Config{})
 	now := time.Date(2026, 7, 1, 12, 0, 0, 0, time.UTC)
 	led := svc.Ledger()
@@ -253,7 +251,6 @@ func TestExcludeReservedAllocsFlat(t *testing.T) {
 	}
 	topo.WidenDelayWindows(query, 0.1)
 	model := NewModel(host)
-	model.EnableIndex(index.Config{})
 	svc := New(model, Config{})
 	req := Request{Query: query, EdgeConstraint: delayWindowSrc, MaxResults: 1}
 	embed := func(req Request) {

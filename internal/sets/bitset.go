@@ -2,13 +2,12 @@ package sets
 
 import "math/bits"
 
-// Bitset is the dense candidate-set representation: a fixed-universe
-// bitmap over [0, n) packed into 64-bit words. It carries the same set
-// algebra as the sorted-slice Set — intersection, subtraction, union,
-// cardinality — but every binary operation is word-parallel, costing
-// ⌈n/64⌉ machine ops regardless of cardinality. The search inner loops
-// use it both for candidate sets (dense filter rows) and for O(1)
-// membership marks (hosts in use during a search).
+// Bitset is the candidate-set representation: a fixed-universe bitmap
+// over [0, n) packed into 64-bit words. Its set algebra — intersection,
+// subtraction, union, cardinality — is word-parallel, every binary
+// operation costing ⌈n/64⌉ machine ops regardless of cardinality. The
+// search inner loops use it both for candidate sets (filter rows, live
+// domains) and for O(1) membership marks (hosts in use during a search).
 //
 // The zero Bitset is empty with universe 0; use NewBitset or FromSet to
 // size one. All binary operations require operands with equal universe.
@@ -37,7 +36,8 @@ func MakeBitsets(n, count int) []Bitset {
 	return out
 }
 
-// FromSet returns a bitset over [0, n) holding the elements of s.
+// FromSet returns a bitset over [0, n) holding the elements of s, in any
+// order.
 func FromSet(n int, s Set) *Bitset {
 	b := NewBitset(n)
 	b.AddSet(s)
@@ -150,7 +150,7 @@ func (b *Bitset) Any() bool {
 	return false
 }
 
-// AddSet marks every element of the sorted-slice set s.
+// AddSet marks every element of s, in any order.
 func (b *Bitset) AddSet(s Set) {
 	for _, x := range s {
 		b.Set(x)
@@ -283,8 +283,7 @@ func (b *Bitset) Equal(o *Bitset) bool {
 }
 
 // AppendTo appends b's members to dst in ascending order and returns the
-// extended slice — the conversion back to the sorted-slice representation,
-// in the package's Into calling convention.
+// extended slice: the set listed as a Set.
 func (b *Bitset) AppendTo(dst Set) Set {
 	for i, w := range b.words {
 		base := int32(i << 6)

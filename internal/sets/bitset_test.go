@@ -2,14 +2,14 @@ package sets
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// The bitset is the dense mirror of the sorted-slice representation, so
-// every algebraic operation is property-tested against its slice
-// counterpart on randomized inputs: agreement here is what lets the
-// search stack swap representations without changing solution sets.
+// Every algebraic operation of the bitset is property-tested against the
+// map reference (refSet) on randomized inputs, its result listed as a
+// sorted set.
 
 const bitsetUniverse = 200 // spans several words, not word-aligned
 
@@ -27,9 +27,9 @@ func clipU(raw []int32) []int32 {
 
 func TestBitsetRoundTrip(t *testing.T) {
 	f := func(raw []int32) bool {
-		s := FromUnsorted(clipU(raw))
+		s := setOf(clipU(raw))
 		b := FromSet(bitsetUniverse, s)
-		return Equal(b.AppendTo(nil), s) && b.Count() == len(s)
+		return slices.Equal(b.AppendTo(nil), s) && b.Count() == len(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -38,12 +38,11 @@ func TestBitsetRoundTrip(t *testing.T) {
 
 func TestBitsetIntersectMatchesSlice(t *testing.T) {
 	f := func(rawA, rawB []int32) bool {
-		a := FromUnsorted(clipU(rawA))
-		b := FromUnsorted(clipU(rawB))
-		want := Intersect(a, b)
+		a, b := setOf(clipU(rawA)), setOf(clipU(rawB))
+		want := fromRef(refInter(toRef(a), toRef(b)))
 		ba := FromSet(bitsetUniverse, a)
 		nonempty := ba.IntersectWith(FromSet(bitsetUniverse, b))
-		return Equal(ba.AppendTo(nil), want) && nonempty == (len(want) > 0)
+		return slices.Equal(ba.AppendTo(nil), want) && nonempty == (len(want) > 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -52,9 +51,8 @@ func TestBitsetIntersectMatchesSlice(t *testing.T) {
 
 func TestBitsetAndNotMatchesSlice(t *testing.T) {
 	f := func(rawA, rawB []int32) bool {
-		a := FromUnsorted(clipU(rawA))
-		b := FromUnsorted(clipU(rawB))
-		want := Subtract(a, b)
+		a, b := setOf(clipU(rawA)), setOf(clipU(rawB))
+		want := fromRef(refMinus(toRef(a), toRef(b)))
 		ba := FromSet(bitsetUniverse, a)
 		nonempty := ba.AndNotWith(FromSet(bitsetUniverse, b))
 		// DifferenceInto into a fresh set and aliasing either operand.
@@ -63,8 +61,8 @@ func TestBitsetAndNotMatchesSlice(t *testing.T) {
 		aliasB := db.Clone()
 		DifferenceInto(aliasB, da, aliasB)
 		DifferenceInto(da, da, db)
-		return Equal(ba.AppendTo(nil), want) && nonempty == (len(want) > 0) &&
-			Equal(into.AppendTo(nil), want) && Equal(aliasB.AppendTo(nil), want) && Equal(da.AppendTo(nil), want)
+		return slices.Equal(ba.AppendTo(nil), want) && nonempty == (len(want) > 0) &&
+			slices.Equal(into.AppendTo(nil), want) && slices.Equal(aliasB.AppendTo(nil), want) && slices.Equal(da.AppendTo(nil), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -73,12 +71,11 @@ func TestBitsetAndNotMatchesSlice(t *testing.T) {
 
 func TestBitsetUnionMatchesSlice(t *testing.T) {
 	f := func(rawA, rawB []int32) bool {
-		a := FromUnsorted(clipU(rawA))
-		b := FromUnsorted(clipU(rawB))
-		want := Union(a, b)
+		a, b := setOf(clipU(rawA)), setOf(clipU(rawB))
+		want := fromRef(refUnion(toRef(a), toRef(b)))
 		ba := FromSet(bitsetUniverse, a)
 		ba.UnionWith(FromSet(bitsetUniverse, b))
-		return Equal(ba.AppendTo(nil), want)
+		return slices.Equal(ba.AppendTo(nil), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -123,7 +120,7 @@ func TestBitsetForEachAscendingAndEarlyStop(t *testing.T) {
 		got = append(got, x)
 		return true
 	})
-	if !Equal(got, s) {
+	if !slices.Equal(got, s) {
 		t.Errorf("ForEach visited %v, want %v", got, s)
 	}
 	var first Set
@@ -131,7 +128,7 @@ func TestBitsetForEachAscendingAndEarlyStop(t *testing.T) {
 		first = append(first, x)
 		return len(first) < 3
 	})
-	if !Equal(first, s[:3]) {
+	if !slices.Equal(first, s[:3]) {
 		t.Errorf("early-stopped ForEach visited %v, want %v", first, s[:3])
 	}
 }
@@ -162,17 +159,17 @@ func TestBitsetCopyCloneEqual(t *testing.T) {
 
 func TestBitsetIntersectCount(t *testing.T) {
 	f := func(rawA, rawB []int32) bool {
-		sa, sb := FromUnsorted(clipU(rawA)), FromUnsorted(clipU(rawB))
+		sa, sb := setOf(clipU(rawA)), setOf(clipU(rawB))
 		a, b := FromSet(bitsetUniverse, sa), FromSet(bitsetUniverse, sb)
-		want := IntersectInto(nil, sa, sb)
+		want := fromRef(refInter(toRef(sa), toRef(sb)))
 		into := NewBitset(bitsetUniverse)
-		if n := IntersectCountInto(into, a, b); n != len(want) || !Equal(into.AppendTo(nil), want) {
+		if n := IntersectCountInto(into, a, b); n != len(want) || !slices.Equal(into.AppendTo(nil), want) {
 			return false
 		}
 		if n := a.IntersectCount(b); n != len(want) {
 			return false
 		}
-		return Equal(a.AppendTo(nil), want)
+		return slices.Equal(a.AppendTo(nil), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -196,7 +193,7 @@ func TestBitsetSaveRestoreSpan(t *testing.T) {
 		b.Clear(x)
 	}
 	b.RestoreSpan(saved, w0)
-	if !Equal(b.AppendTo(nil), before) {
+	if !slices.Equal(b.AppendTo(nil), before) {
 		t.Fatal("RestoreSpan did not undo the mutation")
 	}
 	if WordOf(63) != 0 || WordOf(64) != 1 || WordOf(199) != 3 {

@@ -1,280 +1,15 @@
-// Package sets provides the two candidate-set representations used by the
+// Package sets provides the candidate-set representation used by the
 // NETEMBED filter matrices and search inner loops.
 //
-// The sparse representation is Set, an ascending duplicate-free []int32:
-// compact when candidate sets are small relative to the host, with merge-
-// or gallop-based intersections costing O(|a|+|b|) or O(|a| log |b|). The
-// dense representation is Bitset, a fixed-universe packed bitmap whose
-// binary operations are word-parallel: intersections cost ⌈n/64⌉ machine
-// ops regardless of cardinality, which wins on small hosts (a row is a
-// handful of words) and on dense filter tables where rows hold a sizable
-// fraction of the host. core.BuildFilters chooses between the two
-// adaptively by host size and adjacency density; Bitset.AppendTo and
-// FromSet convert between them.
-//
-// The search inner loops are dominated by intersections of such sets, so
-// the operations here are written to be allocation-conscious: every
-// operation has an In-place/Into variant that appends to a caller-provided
-// destination slice or overwrites a caller-owned bitset.
+// Candidate sets are Bitsets: fixed-universe packed bitmaps over the host
+// nodes whose binary operations are word-parallel, so an intersection
+// costs ⌈n/64⌉ machine ops regardless of cardinality. The search inner
+// loops are dominated by such intersections, so the operations are
+// written to be allocation-conscious: they overwrite a caller-owned
+// bitset, and Bitset.AppendTo lists the members into a caller-provided
+// Set, the ascending form the ordering heuristics and results read.
 package sets
 
-import "sort"
-
-// Set is an ascending, duplicate-free slice of int32 element IDs.
+// Set is an ascending, duplicate-free slice of int32 element IDs: a
+// candidate set listed out of its Bitset (Bitset.AppendTo, FromSet).
 type Set = []int32
-
-// FromUnsorted sorts s in place, removes duplicates, and returns the
-// resulting set. The input slice is reused.
-func FromUnsorted(s []int32) Set {
-	if len(s) < 2 {
-		return s
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Contains reports whether x is an element of s, by binary search.
-func Contains(s Set, x int32) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == x
-}
-
-// IndexOf returns the position of x in s, or -1 if absent.
-func IndexOf(s Set, x int32) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == x {
-		return lo
-	}
-	return -1
-}
-
-// IsSet reports whether s is ascending and duplicate-free.
-func IsSet(s Set) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i-1] >= s[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// IntersectInto appends the intersection of a and b to dst and returns the
-// extended slice. When the sizes are badly skewed it gallops through the
-// longer side with binary searches instead of a linear merge.
-func IntersectInto(dst Set, a, b Set) Set {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return dst
-	}
-	// a is the shorter set. Gallop when b is much larger.
-	if len(b) >= 16*len(a) {
-		lo := 0
-		for _, x := range a {
-			lo += searchFrom(b[lo:], x)
-			if lo < len(b) && b[lo] == x {
-				dst = append(dst, x)
-				lo++
-			}
-			if lo >= len(b) {
-				break
-			}
-		}
-		return dst
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
-}
-
-// searchFrom returns the smallest index i in s with s[i] >= x (len(s) if none).
-func searchFrom(s Set, x int32) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Intersect returns the intersection of a and b as a fresh set.
-func Intersect(a, b Set) Set {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	return IntersectInto(make(Set, 0, n), a, b)
-}
-
-// IntersectManyInto intersects all the given sets into dst, using scratch
-// as working space. Both dst and scratch are truncated and reused; the
-// returned slice aliases dst's array (possibly regrown). Passing no sets
-// yields an empty result.
-func IntersectManyInto(dst, scratch Set, ss ...Set) Set {
-	dst = dst[:0]
-	if len(ss) == 0 {
-		return dst
-	}
-	// Start from the smallest set: intersection size is bounded by it.
-	min := 0
-	for i, s := range ss {
-		if len(s) < len(ss[min]) {
-			min = i
-		}
-	}
-	dst = append(dst, ss[min]...)
-	for i, s := range ss {
-		if i == min || len(dst) == 0 {
-			continue
-		}
-		scratch = IntersectInto(scratch[:0], dst, s)
-		dst, scratch = scratch, dst
-	}
-	return dst
-}
-
-// UnionInto appends the union of a and b to dst and returns it.
-func UnionInto(dst Set, a, b Set) Set {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
-}
-
-// Union returns the union of a and b as a fresh set.
-func Union(a, b Set) Set {
-	return UnionInto(make(Set, 0, len(a)+len(b)), a, b)
-}
-
-// SubtractInto appends a\b to dst and returns it.
-func SubtractInto(dst Set, a, b Set) Set {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return append(dst, a[i:]...)
-}
-
-// Subtract returns a\b as a fresh set.
-func Subtract(a, b Set) Set {
-	return SubtractInto(make(Set, 0, len(a)), a, b)
-}
-
-// Equal reports whether a and b hold the same elements.
-func Equal(a, b Set) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Insert returns s with x added, preserving order. The input slice may be
-// reused. Inserting an existing element is a no-op.
-func Insert(s Set, x int32) Set {
-	i := searchFrom(s, x)
-	if i < len(s) && s[i] == x {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = x
-	return s
-}
-
-// Remove returns s with x removed, preserving order. Removing an absent
-// element is a no-op.
-func Remove(s Set, x int32) Set {
-	i := searchFrom(s, x)
-	if i >= len(s) || s[i] != x {
-		return s
-	}
-	return append(s[:i], s[i+1:]...)
-}
-
-// Clone returns a copy of s.
-func Clone(s Set) Set {
-	if s == nil {
-		return nil
-	}
-	out := make(Set, len(s))
-	copy(out, s)
-	return out
-}
-
-// Range returns the set {lo, lo+1, ..., hi-1}.
-func Range(lo, hi int32) Set {
-	if hi <= lo {
-		return Set{}
-	}
-	s := make(Set, 0, hi-lo)
-	for v := lo; v < hi; v++ {
-		s = append(s, v)
-	}
-	return s
-}

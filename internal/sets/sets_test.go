@@ -2,160 +2,10 @@ package sets
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
-
-func TestFromUnsorted(t *testing.T) {
-	cases := []struct {
-		in, want []int32
-	}{
-		{nil, nil},
-		{[]int32{}, []int32{}},
-		{[]int32{5}, []int32{5}},
-		{[]int32{3, 1, 2}, []int32{1, 2, 3}},
-		{[]int32{2, 2, 2}, []int32{2}},
-		{[]int32{5, 1, 5, 3, 1}, []int32{1, 3, 5}},
-	}
-	for _, c := range cases {
-		got := FromUnsorted(append([]int32(nil), c.in...))
-		if !Equal(got, c.want) {
-			t.Errorf("FromUnsorted(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestContains(t *testing.T) {
-	s := Set{1, 3, 5, 9, 11}
-	for _, x := range s {
-		if !Contains(s, x) {
-			t.Errorf("Contains(%v, %d) = false, want true", s, x)
-		}
-	}
-	for _, x := range []int32{0, 2, 4, 10, 12} {
-		if Contains(s, x) {
-			t.Errorf("Contains(%v, %d) = true, want false", s, x)
-		}
-	}
-	if Contains(nil, 1) {
-		t.Error("Contains(nil, 1) = true")
-	}
-}
-
-func TestIndexOf(t *testing.T) {
-	s := Set{2, 4, 6}
-	if got := IndexOf(s, 4); got != 1 {
-		t.Errorf("IndexOf = %d, want 1", got)
-	}
-	if got := IndexOf(s, 5); got != -1 {
-		t.Errorf("IndexOf missing = %d, want -1", got)
-	}
-}
-
-func TestIntersectBasic(t *testing.T) {
-	cases := []struct {
-		a, b, want Set
-	}{
-		{Set{1, 2, 3}, Set{2, 3, 4}, Set{2, 3}},
-		{Set{1, 2, 3}, Set{4, 5}, Set{}},
-		{Set{}, Set{1}, Set{}},
-		{Set{1, 5, 9}, Set{1, 5, 9}, Set{1, 5, 9}},
-		{Set{1}, Set{1}, Set{1}},
-	}
-	for _, c := range cases {
-		got := Intersect(c.a, c.b)
-		if !Equal(got, c.want) {
-			t.Errorf("Intersect(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-		// Intersection must be symmetric.
-		if rev := Intersect(c.b, c.a); !Equal(rev, got) {
-			t.Errorf("Intersect not symmetric: %v vs %v", got, rev)
-		}
-	}
-}
-
-func TestIntersectGalloping(t *testing.T) {
-	// Force the galloping path: |b| >= 16|a|.
-	var b Set
-	for i := int32(0); i < 400; i += 2 {
-		b = append(b, i)
-	}
-	a := Set{0, 3, 100, 399}
-	got := Intersect(a, b)
-	want := Set{0, 100}
-	if !Equal(got, want) {
-		t.Errorf("galloping Intersect = %v, want %v", got, want)
-	}
-}
-
-func TestIntersectManyInto(t *testing.T) {
-	got := IntersectManyInto(nil, nil, Set{1, 2, 3, 4}, Set{2, 3, 4}, Set{0, 2, 4, 8})
-	if want := (Set{2, 4}); !Equal(got, want) {
-		t.Errorf("IntersectManyInto = %v, want %v", got, want)
-	}
-	if got := IntersectManyInto(nil, nil); len(got) != 0 {
-		t.Errorf("IntersectManyInto() = %v, want empty", got)
-	}
-	if got := IntersectManyInto(nil, nil, Set{7, 9}); !Equal(got, Set{7, 9}) {
-		t.Errorf("single-set intersection = %v", got)
-	}
-}
-
-func TestUnionSubtract(t *testing.T) {
-	a, b := Set{1, 3, 5}, Set{2, 3, 6}
-	if got := Union(a, b); !Equal(got, Set{1, 2, 3, 5, 6}) {
-		t.Errorf("Union = %v", got)
-	}
-	if got := Subtract(a, b); !Equal(got, Set{1, 5}) {
-		t.Errorf("Subtract = %v", got)
-	}
-	if got := Subtract(b, a); !Equal(got, Set{2, 6}) {
-		t.Errorf("Subtract = %v", got)
-	}
-	if got := Subtract(a, nil); !Equal(got, a) {
-		t.Errorf("Subtract identity = %v", got)
-	}
-}
-
-func TestInsertRemove(t *testing.T) {
-	var s Set
-	for _, x := range []int32{5, 1, 3, 3, 2} {
-		s = Insert(s, x)
-	}
-	if !Equal(s, Set{1, 2, 3, 5}) {
-		t.Fatalf("after inserts: %v", s)
-	}
-	s = Remove(s, 3)
-	s = Remove(s, 42) // absent: no-op
-	if !Equal(s, Set{1, 2, 5}) {
-		t.Fatalf("after removes: %v", s)
-	}
-}
-
-func TestRange(t *testing.T) {
-	if got := Range(2, 5); !Equal(got, Set{2, 3, 4}) {
-		t.Errorf("Range(2,5) = %v", got)
-	}
-	if got := Range(3, 3); len(got) != 0 {
-		t.Errorf("Range(3,3) = %v", got)
-	}
-	if got := Range(5, 2); len(got) != 0 {
-		t.Errorf("Range(5,2) = %v", got)
-	}
-}
-
-func TestClone(t *testing.T) {
-	s := Set{1, 2}
-	c := Clone(s)
-	c[0] = 9
-	if s[0] != 1 {
-		t.Error("Clone aliases input")
-	}
-	if Clone(nil) != nil {
-		t.Error("Clone(nil) != nil")
-	}
-}
 
 // refSet is a map-based reference implementation for property tests.
 type refSet map[int32]bool
@@ -173,110 +23,50 @@ func fromRef(m refSet) Set {
 	for x := range m {
 		s = append(s, x)
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	return s
 }
 
+// setOf returns the members of raw as a sorted set, through the reference.
+func setOf(raw []int32) Set { return fromRef(toRef(raw)) }
+
+func refInter(a, b refSet) refSet {
+	out := make(refSet)
+	for x := range a {
+		if b[x] {
+			out[x] = true
+		}
+	}
+	return out
+}
+
+func refUnion(a, b refSet) refSet {
+	out := make(refSet, len(a)+len(b))
+	for x := range a {
+		out[x] = true
+	}
+	for x := range b {
+		out[x] = true
+	}
+	return out
+}
+
+func refMinus(a, b refSet) refSet {
+	out := make(refSet)
+	for x := range a {
+		if !b[x] {
+			out[x] = true
+		}
+	}
+	return out
+}
+
 func randSet(r *rand.Rand, maxVal int32) Set {
-	n := r.Intn(40)
-	raw := make([]int32, n)
+	raw := make([]int32, r.Intn(40))
 	for i := range raw {
 		raw[i] = r.Int31n(maxVal)
 	}
-	return FromUnsorted(raw)
-}
-
-func TestSetAlgebraMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for iter := 0; iter < 2000; iter++ {
-		a, b := randSet(r, 64), randSet(r, 64)
-		ra, rb := toRef(a), toRef(b)
-
-		wantInter := make(refSet)
-		for x := range ra {
-			if rb[x] {
-				wantInter[x] = true
-			}
-		}
-		if got := Intersect(a, b); !Equal(got, fromRef(wantInter)) {
-			t.Fatalf("Intersect(%v,%v) = %v, want %v", a, b, got, fromRef(wantInter))
-		}
-
-		wantUnion := make(refSet)
-		for x := range ra {
-			wantUnion[x] = true
-		}
-		for x := range rb {
-			wantUnion[x] = true
-		}
-		if got := Union(a, b); !Equal(got, fromRef(wantUnion)) {
-			t.Fatalf("Union(%v,%v) = %v", a, b, got)
-		}
-
-		wantSub := make(refSet)
-		for x := range ra {
-			if !rb[x] {
-				wantSub[x] = true
-			}
-		}
-		if got := Subtract(a, b); !Equal(got, fromRef(wantSub)) {
-			t.Fatalf("Subtract(%v,%v) = %v", a, b, got)
-		}
-	}
-}
-
-func TestQuickIntersectionProperties(t *testing.T) {
-	// Intersection results are always valid sets and subsets of both inputs.
-	f := func(rawA, rawB []int32) bool {
-		a := FromUnsorted(clip(rawA))
-		b := FromUnsorted(clip(rawB))
-		got := Intersect(a, b)
-		if !IsSet(got) {
-			return false
-		}
-		for _, x := range got {
-			if !Contains(a, x) || !Contains(b, x) {
-				return false
-			}
-		}
-		// Every common element must appear.
-		for _, x := range a {
-			if Contains(b, x) && !Contains(got, x) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickUnionCommutesAndIdempotent(t *testing.T) {
-	f := func(rawA, rawB []int32) bool {
-		a := FromUnsorted(clip(rawA))
-		b := FromUnsorted(clip(rawB))
-		ab, ba := Union(a, b), Union(b, a)
-		return Equal(ab, ba) && Equal(Union(a, a), a) && IsSet(ab)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickDeMorganViaSubtract(t *testing.T) {
-	// a\(b∪c) == (a\b)∩(a\c)
-	f := func(rawA, rawB, rawC []int32) bool {
-		a := FromUnsorted(clip(rawA))
-		b := FromUnsorted(clip(rawB))
-		c := FromUnsorted(clip(rawC))
-		left := Subtract(a, Union(b, c))
-		right := Intersect(Subtract(a, b), Subtract(a, c))
-		return Equal(left, right)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
+	return setOf(raw)
 }
 
 // clip bounds quick-generated values into a small domain so collisions are
@@ -287,9 +77,175 @@ func clip(raw []int32) []int32 {
 		if v < 0 {
 			v = -v
 		}
-		out[i] = v % 97
+		out[i] = v % clipUniverse
 	}
 	return out
+}
+
+const clipUniverse = 97
+
+func TestContains(t *testing.T) {
+	s := Set{1, 3, 5, 9, 11, 64}
+	b := FromSet(100, s)
+	for _, x := range s {
+		if !b.Has(x) {
+			t.Errorf("Has(%d) = false, want true", x)
+		}
+	}
+	for _, x := range []int32{0, 2, 4, 10, 12, 63, 65, 99} {
+		if b.Has(x) {
+			t.Errorf("Has(%d) = true, want false", x)
+		}
+	}
+}
+
+func TestIntersectBasic(t *testing.T) {
+	cases := []struct {
+		a, b, want Set
+	}{
+		{Set{1, 2, 3}, Set{2, 3, 4}, Set{2, 3}},
+		{Set{1, 2, 3}, Set{4, 5}, nil},
+		{nil, Set{1}, nil},
+		{Set{1, 65, 99}, Set{1, 65, 99}, Set{1, 65, 99}},
+		{Set{1}, Set{1}, Set{1}},
+	}
+	for _, c := range cases {
+		for _, ops := range [][2]Set{{c.a, c.b}, {c.b, c.a}} { // symmetric
+			got := FromSet(100, ops[0])
+			nonempty := got.IntersectWith(FromSet(100, ops[1]))
+			if !slices.Equal(got.AppendTo(nil), c.want) || nonempty != (len(c.want) > 0) {
+				t.Errorf("%v ∩ %v = %v (non-empty %v), want %v", ops[0], ops[1], got.AppendTo(nil), nonempty, c.want)
+			}
+		}
+	}
+}
+
+func TestUnionSubtract(t *testing.T) {
+	a, b := Set{1, 3, 65}, Set{2, 3, 66}
+	check := func(op string, got *Bitset, want Set) {
+		t.Helper()
+		if !slices.Equal(got.AppendTo(nil), want) {
+			t.Errorf("%s = %v, want %v", op, got.AppendTo(nil), want)
+		}
+	}
+	u := FromSet(100, a)
+	u.UnionWith(FromSet(100, b))
+	check("a ∪ b", u, Set{1, 2, 3, 65, 66})
+	d := FromSet(100, a)
+	d.AndNotWith(FromSet(100, b))
+	check("a \\ b", d, Set{1, 65})
+	d = FromSet(100, b)
+	d.AndNotWith(FromSet(100, a))
+	check("b \\ a", d, Set{2, 66})
+	d = FromSet(100, a)
+	d.AndNotWith(NewBitset(100))
+	check("a \\ ∅", d, a)
+}
+
+func TestInsertRemove(t *testing.T) {
+	b := NewBitset(100)
+	for _, x := range []int32{5, 1, 3, 3, 2, 70} {
+		b.Set(x) // inserting a member again is a no-op
+	}
+	if got := b.AppendTo(nil); !slices.Equal(got, Set{1, 2, 3, 5, 70}) {
+		t.Fatalf("after inserts: %v", got)
+	}
+	b.Clear(3)
+	b.Clear(42) // absent: no-op
+	if got := b.AppendTo(nil); !slices.Equal(got, Set{1, 2, 5, 70}) {
+		t.Fatalf("after removes: %v", got)
+	}
+}
+
+func TestClone(t *testing.T) {
+	a := FromSet(100, Set{1, 2})
+	c := a.Clone()
+	c.Clear(1)
+	if !a.Has(1) {
+		t.Error("Clone aliases input")
+	}
+	if e := NewBitset(100).Clone(); e.Any() || e.Len() != 100 {
+		t.Error("Clone of an empty bitset is not empty over the same universe")
+	}
+}
+
+func TestSetAlgebraMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 2000; iter++ {
+		a, b := randSet(r, 130), randSet(r, 130)
+		ra, rb := toRef(a), toRef(b)
+		ba, bb := FromSet(130, a), FromSet(130, b)
+
+		inter := ba.Clone()
+		inter.IntersectWith(bb)
+		if got, want := inter.AppendTo(nil), fromRef(refInter(ra, rb)); !slices.Equal(got, want) {
+			t.Fatalf("%v ∩ %v = %v, want %v", a, b, got, want)
+		}
+		union := ba.Clone()
+		union.UnionWith(bb)
+		if got, want := union.AppendTo(nil), fromRef(refUnion(ra, rb)); !slices.Equal(got, want) {
+			t.Fatalf("%v ∪ %v = %v, want %v", a, b, got, want)
+		}
+		minus := ba.Clone()
+		minus.AndNotWith(bb)
+		if got, want := minus.AppendTo(nil), fromRef(refMinus(ra, rb)); !slices.Equal(got, want) {
+			t.Fatalf("%v \\ %v = %v, want %v", a, b, got, want)
+		}
+	}
+}
+
+func TestQuickIntersectionProperties(t *testing.T) {
+	// An intersection is a subset of both inputs holding every common
+	// element, and Intersects reports exactly whether it is non-empty.
+	f := func(rawA, rawB []int32) bool {
+		a, b := FromSet(clipUniverse, clip(rawA)), FromSet(clipUniverse, clip(rawB))
+		got := a.Clone()
+		nonempty := got.IntersectWith(b)
+		for x := int32(0); x < clipUniverse; x++ {
+			if got.Has(x) != (a.Has(x) && b.Has(x)) {
+				return false
+			}
+		}
+		return nonempty == got.Any() && a.Intersects(b) == got.Any()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestQuickUnionCommutesAndIdempotent(t *testing.T) {
+	f := func(rawA, rawB []int32) bool {
+		a, b := FromSet(clipUniverse, clip(rawA)), FromSet(clipUniverse, clip(rawB))
+		ab, ba, aa := a.Clone(), b.Clone(), a.Clone()
+		ab.UnionWith(b)
+		ba.UnionWith(a)
+		aa.UnionWith(a)
+		return ab.Equal(ba) && aa.Equal(a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestQuickDeMorganViaSubtract(t *testing.T) {
+	// a\(b∪c) == (a\b)∩(a\c)
+	f := func(rawA, rawB, rawC []int32) bool {
+		a := FromSet(clipUniverse, clip(rawA))
+		b := FromSet(clipUniverse, clip(rawB))
+		c := FromSet(clipUniverse, clip(rawC))
+		bc := b.Clone()
+		bc.UnionWith(c)
+		left := a.Clone()
+		left.AndNotWith(bc)
+		right, ac := a.Clone(), a.Clone()
+		right.AndNotWith(b)
+		ac.AndNotWith(c)
+		right.IntersectWith(ac)
+		return left.Equal(right)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestBitsetBasics(t *testing.T) {
@@ -317,34 +273,4 @@ func TestBitsetBasics(t *testing.T) {
 	if got := b.Count(); got != 0 {
 		t.Errorf("Count after Reset = %d", got)
 	}
-}
-
-func BenchmarkIntersectMerge(b *testing.B) {
-	r := rand.New(rand.NewSource(7))
-	a := randSetN(r, 200, 1000)
-	c := randSetN(r, 200, 1000)
-	dst := make(Set, 0, 200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = IntersectInto(dst[:0], a, c)
-	}
-}
-
-func BenchmarkIntersectGallop(b *testing.B) {
-	r := rand.New(rand.NewSource(7))
-	a := randSetN(r, 10, 100000)
-	c := randSetN(r, 5000, 100000)
-	dst := make(Set, 0, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = IntersectInto(dst[:0], a, c)
-	}
-}
-
-func randSetN(r *rand.Rand, n int, maxVal int32) Set {
-	raw := make([]int32, n)
-	for i := range raw {
-		raw[i] = r.Int31n(maxVal)
-	}
-	return FromUnsorted(raw)
 }

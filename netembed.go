@@ -129,9 +129,6 @@ type (
 	Status = core.Status
 	// Stats carries search effort counters.
 	Stats = core.Stats
-	// Repr selects the filter tables' candidate-set representation
-	// (adaptive, sorted slices, or dense bitsets).
-	Repr = core.Repr
 	// Filters holds prebuilt ECF/RWB filter matrices for reuse across
 	// searches.
 	Filters = core.Filters
@@ -163,13 +160,6 @@ const (
 	StatusComplete     = core.StatusComplete
 	StatusPartial      = core.StatusPartial
 	StatusInconclusive = core.StatusInconclusive
-)
-
-// Candidate-set representations for Options.Repr.
-const (
-	ReprAuto   = core.ReprAuto
-	ReprSlice  = core.ReprSlice
-	ReprBitset = core.ReprBitset
 )
 
 // Algorithms and helpers.
