@@ -1,9 +1,8 @@
 // Command netembedvet is the repo-invariant checker: a multichecker
-// over the five netembedvet analyzers (stoppoll, trailbalance,
-// cowwrite, keycomplete, statsthread) that mechanically enforce the
-// cancellation, trail, COW-snapshot, cache-fingerprint and
-// stats-plumbing contracts this codebase's PRs have each shipped a bug
-// against at least once.
+// over the four netembedvet analyzers (stoppoll, trailbalance,
+// cowwrite, keycomplete) that mechanically enforce the cancellation,
+// trail, COW-snapshot and cache-fingerprint contracts this codebase's
+// PRs have each shipped a bug against at least once.
 //
 // Usage:
 //

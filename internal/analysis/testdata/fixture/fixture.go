@@ -52,24 +52,11 @@ func badKey(r request) int { // seed:keycomplete
 	return len(r.Name)
 }
 
-// --- statsthread: a fold that drops a counter.
-
-type counters struct {
-	Hits   int64
-	Misses int64
-}
-
-//statsthread:fold fixture.counters
-func badFold(dst, src *counters) { // seed:statsthread
-	dst.Hits += src.Hits
-}
-
 var sink = badKey(request{}) + badWrite2()
 
 func badWrite2() int {
 	s := &snap{rows: make([]int, 4)}
 	badWrite(s, 1, 2)
 	discardSave(&trail{})
-	badFold(&counters{}, &counters{})
 	return (&searcher{deadline: 1}).badSearch(0)
 }

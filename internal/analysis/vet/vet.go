@@ -7,7 +7,6 @@ import (
 	"netembed/internal/analysis"
 	"netembed/internal/analysis/cowwrite"
 	"netembed/internal/analysis/keycomplete"
-	"netembed/internal/analysis/statsthread"
 	"netembed/internal/analysis/stoppoll"
 	"netembed/internal/analysis/trailbalance"
 )
@@ -21,6 +20,5 @@ func All() []*analysis.Analyzer {
 		trailbalance.New(),
 		cowwrite.New(),
 		keycomplete.New(),
-		statsthread.New(),
 	}
 }

@@ -30,13 +30,8 @@ import (
 // Options.MaxSolutions set, the cap applies globally across workers, but
 // which embeddings fill the quota depends on scheduling.
 //
-// The tail merge folds the pool's shared counters onto the filter-build
-// stats. The excepted counters cannot be incremented here: EdgePairsEval
-// and FilterEntries arrive inside f.Stats() from the build phase,
-// ConstraintChk is LNS-only, and the Witness/Reach counters are
-// path-mode-only.
-//
-//statsthread:fold core.Stats except EdgePairsEval, FilterEntries, ConstraintChk, WitnessProbes, WitnessHits, ReachPrunes
+// The pool's counters, summed over its workers, are added onto the
+// filter-build stats.
 func ParallelECF(p *Problem, opt Options) *Result {
 	workers := opt.Workers
 	if workers <= 1 {
@@ -94,16 +89,7 @@ func ParallelECF(p *Problem, opt Options) *Result {
 
 	sortMappings(sh.solutions)
 	stats := withElapsed(f.Stats(), start)
-	stats.NodesVisited += sh.visited.Load()
-	stats.Backtracks += sh.backtracks.Load()
-	stats.PruneOps += sh.pruneOps.Load()
-	stats.Wipeouts += sh.wipeouts.Load()
-	stats.WipeoutDepthSum += sh.wipeoutDepth.Load()
-	stats.Backjumps += sh.backjumps.Load()
-	stats.Steals = sh.steals.Load()
-	stats.BoundCuts += sh.boundCuts.Load()
-	stats.IncumbentUpdates += sh.incumbentUpdates.Load()
-	stats.BoundProbes += sh.boundProbes.Load()
+	stats.Add(&sh.stats)
 	stats.TimeToFirst = time.Duration(sh.first.Load())
 
 	exhausted := !sh.timedOut.Load() && !sh.stopped.Load()
@@ -169,16 +155,7 @@ type stealShared struct {
 	timedOut atomic.Bool
 	stopped  atomic.Bool
 
-	visited          atomic.Int64
-	backtracks       atomic.Int64
-	pruneOps         atomic.Int64
-	wipeouts         atomic.Int64
-	wipeoutDepth     atomic.Int64
-	backjumps        atomic.Int64
-	steals           atomic.Int64
-	boundCuts        atomic.Int64
-	incumbentUpdates atomic.Int64
-	boundProbes      atomic.Int64
+	stats Stats // the workers' counters, summed as each exits; guarded by mu
 }
 
 // close wakes every waiter so the pool can exit.
@@ -348,14 +325,8 @@ func newStealWorker(p *Problem, f *Filters, opt Options, sh *stealShared) *steal
 }
 
 // loop claims fresh roots until the cursor runs dry, then steals
-// published subtrees until the pool drains, and finally flushes the
-// worker's private stats into the shared atomics. The excepted counters
-// have no per-worker component: filter-build and LNS counters are never
-// incremented inside a subtree search, Steals is counted at steal time
-// directly on the shared atomic, and the path-mode Witness/Reach
-// counters never run under ParallelECF.
-//
-//statsthread:fold core.Stats except EdgePairsEval, FilterEntries, ConstraintChk, Steals, WitnessProbes, WitnessHits, ReachPrunes
+// published subtrees until the pool drains, and finally adds the
+// worker's own counters to the pool's.
 func (w *stealWorker) loop() {
 	sh := w.sh
 	for {
@@ -368,7 +339,7 @@ func (w *stealWorker) loop() {
 		if !ok {
 			break
 		}
-		sh.steals.Add(1)
+		w.s.stats.Steals++
 		w.runSteal(t)
 		sh.finishUnit()
 	}
@@ -379,15 +350,9 @@ func (w *stealWorker) loop() {
 	if s.stopped {
 		sh.stopped.Store(true)
 	}
-	sh.visited.Add(s.stats.NodesVisited)
-	sh.backtracks.Add(s.stats.Backtracks)
-	sh.pruneOps.Add(s.stats.PruneOps)
-	sh.wipeouts.Add(s.stats.Wipeouts)
-	sh.wipeoutDepth.Add(s.stats.WipeoutDepthSum)
-	sh.backjumps.Add(s.stats.Backjumps)
-	sh.boundCuts.Add(s.stats.BoundCuts)
-	sh.incumbentUpdates.Add(s.stats.IncumbentUpdates)
-	sh.boundProbes.Add(s.stats.BoundProbes)
+	sh.mu.Lock()
+	sh.stats.Add(&s.stats)
+	sh.mu.Unlock()
 }
 
 // noteJump inspects a subtree's backjump target: -1 from a clean

@@ -26,12 +26,6 @@ import (
 // memory (problem, filters, option closures, the solutions slice that
 // escaped into the Result) before returning the carcass to the pool.
 
-// poolingEnabled gates the recycling globally. The equivalence tests
-// flip it off (no concurrent searches running) to obtain from-scratch
-// allocations when pinning that a recycled search is byte-identical to
-// a fresh one.
-var poolingEnabled = true
-
 // grow returns s with length n, reusing the backing array when capacity
 // allows. Surviving elements keep their old values (so slice-of-slice
 // slots retain reusable sub-capacity); callers overwrite what they read.
@@ -42,7 +36,7 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-var fcPool = sync.Pool{New: func() any { return new(fcSearcher) }}
+var fcPool = &sync.Pool{New: func() any { return new(fcSearcher) }}
 
 func acquireFCSearcher() *fcSearcher { return fcPool.Get().(*fcSearcher) }
 
@@ -51,7 +45,7 @@ func acquireFCSearcher() *fcSearcher { return fcPool.Get().(*fcSearcher) }
 // (Stop/OnSolution) belong to the caller, so both are dropped rather
 // than recycled.
 func (s *fcSearcher) release() {
-	if !poolingEnabled || s == nil {
+	if s == nil {
 		return
 	}
 	s.p = nil
@@ -65,7 +59,7 @@ func (s *fcSearcher) release() {
 	fcPool.Put(s)
 }
 
-var filtersPool = sync.Pool{New: func() any { return new(Filters) }}
+var filtersPool = &sync.Pool{New: func() any { return new(Filters) }}
 
 func acquireFilters() *Filters { return filtersPool.Get().(*Filters) }
 
@@ -75,7 +69,7 @@ func acquireFilters() *Filters { return filtersPool.Get().(*Filters) }
 // slot up to cap is nilled: a row may alias an index snapshot, which
 // a pooled Filters must not pin, and appendTableB reuses slots as empty.
 func (f *Filters) release() {
-	if !poolingEnabled || f == nil {
+	if f == nil {
 		return
 	}
 	f.p = nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,6 +27,16 @@ func assertSameSequence(t *testing.T, label string, got, want *Result) {
 	}
 }
 
+// withFreshPools runs run with empty searcher and filter pools, so every
+// search in it starts on freshly allocated state, and then puts the
+// package's pools back. No other search may run meanwhile.
+func withFreshPools(run func()) {
+	fc, filters := fcPool, filtersPool
+	fcPool, filtersPool = &sync.Pool{New: fc.New}, &sync.Pool{New: filters.New}
+	defer func() { fcPool, filtersPool = fc, filters }()
+	run()
+}
+
 // TestPooledSearchMatchesFresh pins the recycling layer's correctness
 // contract: a search that lands on a recycled fcSearcher/Filters (after
 // the pool has been polluted by differently-shaped problems) must return
@@ -34,8 +45,6 @@ func assertSameSequence(t *testing.T, label string, got, want *Result) {
 // stale bit a release/acquire pair fails to reset shows up here as a
 // divergent solution sequence.
 func TestPooledSearchMatchesFresh(t *testing.T) {
-	defer func() { poolingEnabled = true }()
-
 	algos := []struct {
 		name string
 		run  func(*Problem, Options) *Result
@@ -49,10 +58,9 @@ func TestPooledSearchMatchesFresh(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		p := smallProblem(t, seed)
 		for _, a := range algos {
-			poolingEnabled = false
-			fresh := a.run(p, a.opt)
+			var fresh *Result
+			withFreshPools(func() { fresh = a.run(p, a.opt) })
 
-			poolingEnabled = true
 			// Pollute the pool: runs over problems with different node
 			// counts, densities and base-set modes leave their geometry
 			// in the recycled searchers and filters.
@@ -73,12 +81,10 @@ func TestPooledSearchMatchesFresh(t *testing.T) {
 // parallel runs over reshaped problems must keep answering exactly like a
 // fresh sequential search.
 func TestPooledParallelMatchesSequential(t *testing.T) {
-	defer func() { poolingEnabled = true }()
 	for seed := int64(1); seed <= 6; seed++ {
 		p := smallProblem(t, seed)
-		poolingEnabled = false
-		fresh := ECF(p, Options{})
-		poolingEnabled = true
+		var fresh *Result
+		withFreshPools(func() { fresh = ECF(p, Options{}) })
 		for _, s := range []int64{seed + 11, seed + 23} {
 			_ = ParallelECF(smallProblem(t, s), Options{Workers: 4})
 		}
@@ -87,21 +93,14 @@ func TestPooledParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestReleaseIsNilSafe pins the guard clauses: releasing nil state or
-// releasing with pooling disabled must be a no-op, not a panic, so error
-// paths can call release unconditionally.
+// TestReleaseIsNilSafe pins the guard clauses: releasing nil state must
+// be a no-op, not a panic, so error paths can call release
+// unconditionally.
 func TestReleaseIsNilSafe(t *testing.T) {
 	var s *fcSearcher
 	s.release()
 	var f *Filters
 	f.release()
-	poolingEnabled = false
-	defer func() { poolingEnabled = true }()
-	p := smallProblem(t, 1)
-	res := ECF(p, Options{})
-	if res == nil {
-		t.Fatal("ECF returned nil with pooling disabled")
-	}
 }
 
 // TestRecycledSearcherStartsDisarmed: a searcher goes back to the pool

@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"netembed/internal/expr"
@@ -341,6 +342,89 @@ type Stats struct {
 	BoundProbes      int64         // per-node lower-bound recomputations
 	TimeToFirst      time.Duration // elapsed time when the first solution appeared
 	Elapsed          time.Duration // total search time, filter build included
+}
+
+// statNames lists the wire names of the int64 counters of Stats in sorted
+// order; counter maps the i-th name to its field. Add, Counters and
+// SetCounter go through this one list, so a counter has one name and one
+// summing rule in every reply, on the shard wire and in /stats. A new
+// counter is a field plus an entry here and a case in counter.
+var statNames = [...]string{
+	"backjumps", "backtracks", "boundCuts", "boundProbes", "constraintChk",
+	"edgePairsEval", "filterEntries", "incumbentUpdates", "nodesVisited",
+	"pruneOps", "reachPrunes", "steals", "wipeoutDepthSum", "wipeouts",
+	"witnessHits", "witnessProbes",
+}
+
+// counter returns the field named statNames[i]. A switch, not a table of
+// accessors: escape analysis sees through it, so a Stats on the stack
+// stays there.
+func (st *Stats) counter(i int) *int64 {
+	switch i {
+	case 0:
+		return &st.Backjumps
+	case 1:
+		return &st.Backtracks
+	case 2:
+		return &st.BoundCuts
+	case 3:
+		return &st.BoundProbes
+	case 4:
+		return &st.ConstraintChk
+	case 5:
+		return &st.EdgePairsEval
+	case 6:
+		return &st.FilterEntries
+	case 7:
+		return &st.IncumbentUpdates
+	case 8:
+		return &st.NodesVisited
+	case 9:
+		return &st.PruneOps
+	case 10:
+		return &st.ReachPrunes
+	case 11:
+		return &st.Steals
+	case 12:
+		return &st.WipeoutDepthSum
+	case 13:
+		return &st.Wipeouts
+	case 14:
+		return &st.WitnessHits
+	case 15:
+		return &st.WitnessProbes
+	}
+	panic(fmt.Sprintf("core: no stats counter %d", i))
+}
+
+// Add sums o's counters into st. The durations are left alone: a sum of
+// search times is not a time, so each caller keeps its own.
+func (st *Stats) Add(o *Stats) {
+	for i := range statNames {
+		*st.counter(i) += *o.counter(i)
+	}
+}
+
+// StatCounter is one counter of a Stats under its wire name.
+type StatCounter struct {
+	Name  string
+	Value int64
+}
+
+// Counters returns st's counters in sorted name order.
+func (st *Stats) Counters() [len(statNames)]StatCounter {
+	var out [len(statNames)]StatCounter
+	for i, name := range statNames {
+		out[i] = StatCounter{name, *st.counter(i)}
+	}
+	return out
+}
+
+// SetCounter sets the counter called name to v; any other name is ignored.
+func (st *Stats) SetCounter(name string, v int64) {
+	if i, ok := slices.BinarySearch(statNames[:], name); ok {
+		*st.counter(i) = v
+	}
 }
 
 // Result is the outcome of one search run.

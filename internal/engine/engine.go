@@ -232,42 +232,10 @@ type Stats struct {
 	QueueFullRejections int64 `json:"queueFullRejections"`
 	LeasesPruned        int64 `json:"leasesPruned"`
 
-	// Cumulative search-effort counters, summed over every job answered
-	// by a fresh search (cache hits replay a result without searching,
-	// so they add nothing): forward-checking domain prunes,
-	// conflict-directed backjumps, and work-stealing task migrations
-	// inside ParallelECF. They make the FC-CBJ engine's pruning work
-	// observable at the service level without scraping per-job stats.
-	SearchPruneOps  int64 `json:"searchPruneOps"`
-	SearchBackjumps int64 `json:"searchBackjumps"`
-	SearchWipeouts  int64 `json:"searchWipeouts"`
-	SearchSteals    int64 `json:"searchSteals"`
-
-	// Volume counters for the same searches: filter-build work
-	// (constraint evaluations and stored candidates), tree size
-	// (nodes expanded, dead ends), on-demand constraint checks (LNS),
-	// and the wipeout-depth sum that turns SearchWipeouts into an
-	// average prune depth.
-	SearchNodesVisited    int64 `json:"searchNodesVisited"`
-	SearchBacktracks      int64 `json:"searchBacktracks"`
-	SearchEdgePairsEval   int64 `json:"searchEdgePairsEval"`
-	SearchFilterEntries   int64 `json:"searchFilterEntries"`
-	SearchConstraintChk   int64 `json:"searchConstraintChk"`
-	SearchWipeoutDepthSum int64 `json:"searchWipeoutDepthSum"`
-
-	// Path-mode counters, summed the same way: witness DFS enumerations
-	// actually run, witness answers served from the per-run memo, and
-	// witness probes rejected by the reachability/bound oracle.
-	SearchWitnessProbes int64 `json:"searchWitnessProbes"`
-	SearchWitnessHits   int64 `json:"searchWitnessHits"`
-	SearchReachPrunes   int64 `json:"searchReachPrunes"`
-
-	// Branch-and-bound counters for optimizing searches: subtrees cut by
-	// the incumbent bound, strict incumbent improvements, and per-node
-	// lower-bound recomputations.
-	SearchBoundCuts        int64 `json:"searchBoundCuts"`
-	SearchIncumbentUpdates int64 `json:"searchIncumbentUpdates"`
-	SearchBoundProbes      int64 `json:"searchBoundProbes"`
+	// Search sums the search-effort counters of every job answered by a
+	// fresh search, under the names of an /embed reply's stats object.
+	// Cache hits replay a result without searching, so they add nothing.
+	Search map[string]int64 `json:"search"`
 }
 
 // Engine runs embedding jobs asynchronously against a service. Safe for
@@ -304,22 +272,8 @@ type Engine struct {
 	rejections   atomic.Int64
 	leasesPruned atomic.Int64
 
-	searchPruneOps         atomic.Int64
-	searchBackjumps        atomic.Int64
-	searchWipeouts         atomic.Int64
-	searchSteals           atomic.Int64
-	searchWitnessProbes    atomic.Int64
-	searchWitnessHits      atomic.Int64
-	searchReachPrunes      atomic.Int64
-	searchNodesVisited     atomic.Int64
-	searchBacktracks       atomic.Int64
-	searchEdgePairsEval    atomic.Int64
-	searchFilterEntries    atomic.Int64
-	searchConstraintChk    atomic.Int64
-	searchWipeoutDepthSum  atomic.Int64
-	searchBoundCuts        atomic.Int64
-	searchIncumbentUpdates atomic.Int64
-	searchBoundProbes      atomic.Int64
+	searchMu sync.Mutex
+	search   core.Stats // counters only; guarded by searchMu
 }
 
 // New builds an engine over svc. The worker pool and maintenance tick
@@ -498,25 +452,20 @@ func (e *Engine) Stats() Stats {
 		CacheEntries:        e.cache.len(),
 		QueueFullRejections: e.rejections.Load(),
 		LeasesPruned:        e.leasesPruned.Load(),
-		SearchPruneOps:      e.searchPruneOps.Load(),
-		SearchBackjumps:     e.searchBackjumps.Load(),
-		SearchWipeouts:      e.searchWipeouts.Load(),
-		SearchSteals:        e.searchSteals.Load(),
-		SearchWitnessProbes: e.searchWitnessProbes.Load(),
-		SearchWitnessHits:   e.searchWitnessHits.Load(),
-		SearchReachPrunes:   e.searchReachPrunes.Load(),
-
-		SearchNodesVisited:    e.searchNodesVisited.Load(),
-		SearchBacktracks:      e.searchBacktracks.Load(),
-		SearchEdgePairsEval:   e.searchEdgePairsEval.Load(),
-		SearchFilterEntries:   e.searchFilterEntries.Load(),
-		SearchConstraintChk:   e.searchConstraintChk.Load(),
-		SearchWipeoutDepthSum: e.searchWipeoutDepthSum.Load(),
-
-		SearchBoundCuts:        e.searchBoundCuts.Load(),
-		SearchIncumbentUpdates: e.searchIncumbentUpdates.Load(),
-		SearchBoundProbes:      e.searchBoundProbes.Load(),
+		Search:              e.searchCounters(),
 	}
+}
+
+// searchCounters snapshots the cumulative search counters by name.
+func (e *Engine) searchCounters() map[string]int64 {
+	e.searchMu.Lock()
+	counters := e.search.Counters()
+	e.searchMu.Unlock()
+	out := make(map[string]int64, len(counters))
+	for _, c := range counters {
+		out[c.Name] = c.Value
+	}
+	return out
 }
 
 // Close drains the engine: no new submissions are accepted, jobs still in
@@ -587,9 +536,7 @@ func (e *Engine) worker() {
 
 // run executes one job: re-check cancellation and the cache, then search
 // with the job's Stop hook threaded through the request. Fresh answers
-// fold their effort counters into the engine's cumulative totals.
-//
-//statsthread:fold core.Stats
+// add their effort counters to the engine's cumulative totals.
 func (e *Engine) run(job *Job) {
 	if job.cancelFlag.Load() {
 		// Canceled while queued; Cancel normally finished it already, but
@@ -655,22 +602,9 @@ func (e *Engine) run(job *Job) {
 			e.failed.Add(1)
 		}
 	default:
-		e.searchPruneOps.Add(resp.Stats.PruneOps)
-		e.searchBackjumps.Add(resp.Stats.Backjumps)
-		e.searchWipeouts.Add(resp.Stats.Wipeouts)
-		e.searchSteals.Add(resp.Stats.Steals)
-		e.searchWitnessProbes.Add(resp.Stats.WitnessProbes)
-		e.searchWitnessHits.Add(resp.Stats.WitnessHits)
-		e.searchReachPrunes.Add(resp.Stats.ReachPrunes)
-		e.searchNodesVisited.Add(resp.Stats.NodesVisited)
-		e.searchBacktracks.Add(resp.Stats.Backtracks)
-		e.searchEdgePairsEval.Add(resp.Stats.EdgePairsEval)
-		e.searchFilterEntries.Add(resp.Stats.FilterEntries)
-		e.searchConstraintChk.Add(resp.Stats.ConstraintChk)
-		e.searchWipeoutDepthSum.Add(resp.Stats.WipeoutDepthSum)
-		e.searchBoundCuts.Add(resp.Stats.BoundCuts)
-		e.searchIncumbentUpdates.Add(resp.Stats.IncumbentUpdates)
-		e.searchBoundProbes.Add(resp.Stats.BoundProbes)
+		e.searchMu.Lock()
+		e.search.Add(&resp.Stats)
+		e.searchMu.Unlock()
 		if job.cacheable && cacheableResponse(req, resp) {
 			e.cache.put(job.cacheKey, resp.ModelVersion, resp)
 		}

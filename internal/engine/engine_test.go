@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -533,28 +534,64 @@ func TestTickPrunesLedgerAndCache(t *testing.T) {
 	}
 }
 
-// TestStatsAccumulateSearchCounters pins that completed searches fold
-// their FC-engine effort counters (prunes, wipeouts) into the engine's
-// cumulative /stats, and that cache hits add nothing.
+// TestStatsAccumulateSearchCounters pins that every fresh search adds
+// each of its effort counters to the engine's cumulative /stats search
+// totals, under the reply's counter names, and that cache hits add
+// nothing.
 func TestStatsAccumulateSearchCounters(t *testing.T) {
-	e, _ := newTestEngine(t, Config{Workers: 1})
-	req := fastRequest(7)
-	if _, err := e.SubmitWait(context.Background(), req); err != nil {
-		t.Fatal(err)
+	e, _ := newTestEngine(t, Config{Workers: 4})
+	want := map[string]int64{}
+	reqs := []service.Request{fastRequest(7)}
+	for _, algo := range []service.Algorithm{service.AlgoRWB, service.AlgoLNS, service.AlgoParallelECF} {
+		req := fastRequest(7)
+		req.Algorithm = algo
+		reqs = append(reqs, req)
+	}
+	opt := fastRequest(7)
+	opt.Optimize, opt.Objective = true, core.Objective{Kind: core.ObjectiveLoadBalance}
+	reqs = append(reqs, opt)
+	// Submitted together, so the workers add to the totals concurrently.
+	var jobs []*Job
+	for _, req := range reqs {
+		job, err := e.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	for _, job := range jobs {
+		info, err := e.Wait(context.Background(), job.ID())
+		if err != nil || info.State != StateDone {
+			t.Fatalf("job %s: %s %v", job.ID(), info.State, err)
+		}
+		for _, c := range info.Response.Stats.Counters() {
+			want[c.Name] += c.Value
+		}
 	}
 	st := e.Stats()
-	if st.SearchPruneOps == 0 {
-		t.Errorf("SearchPruneOps = 0 after a completed search, want > 0")
+	if st.CacheHits != 0 {
+		t.Fatalf("%d of the distinct requests answered from the cache, want fresh searches", st.CacheHits)
+	}
+	if len(st.Search) != len(want) {
+		t.Errorf("/stats search has %d counters, the replies %d", len(st.Search), len(want))
+	}
+	for name, v := range want {
+		if got, ok := st.Search[name]; !ok || got != v {
+			t.Errorf("/stats search %s = %d (present %v), want the replies' sum %d", name, got, ok, v)
+		}
+	}
+	if st.Search["pruneOps"] == 0 {
+		t.Errorf("search pruneOps = 0 after completed searches, want > 0")
 	}
 	// A cache-served replay must not inflate the counters.
-	if _, err := e.SubmitWait(context.Background(), req); err != nil {
+	if _, err := e.SubmitWait(context.Background(), reqs[0]); err != nil {
 		t.Fatal(err)
 	}
 	st2 := e.Stats()
 	if st2.CacheHits == 0 {
 		t.Fatalf("expected the identical resubmission to hit the cache")
 	}
-	if st2.SearchPruneOps != st.SearchPruneOps {
-		t.Errorf("cache hit changed SearchPruneOps: %d -> %d", st.SearchPruneOps, st2.SearchPruneOps)
+	if !maps.Equal(st2.Search, st.Search) {
+		t.Errorf("cache hit changed the search counters: %v -> %v", st.Search, st2.Search)
 	}
 }

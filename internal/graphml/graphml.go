@@ -78,7 +78,7 @@ type xmlData struct {
 func Decode(r io.Reader) (*graph.Graph, error) {
 	doc, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("graphml: %v", err)
+		return nil, fmt.Errorf("graphml: %w", err)
 	}
 	return DecodeString(string(doc))
 }

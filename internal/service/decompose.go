@@ -69,32 +69,6 @@ type shardSnap struct {
 	nodeCount int
 }
 
-// addStats folds one shard response's search counters into the
-// coordinator-side accumulator for a cross-shard request. The two
-// durations are the coordinator's own (a sum of per-shard times is not a
-// time) and are set when the join ends.
-//
-//statsthread:fold core.Stats
-func addStats(dst, src *core.Stats) {
-	dst.FilterBuild += src.FilterBuild
-	dst.EdgePairsEval += src.EdgePairsEval
-	dst.FilterEntries += src.FilterEntries
-	dst.NodesVisited += src.NodesVisited
-	dst.Backtracks += src.Backtracks
-	dst.ConstraintChk += src.ConstraintChk
-	dst.PruneOps += src.PruneOps
-	dst.Wipeouts += src.Wipeouts
-	dst.WipeoutDepthSum += src.WipeoutDepthSum
-	dst.Backjumps += src.Backjumps
-	dst.Steals += src.Steals
-	dst.WitnessProbes += src.WitnessProbes
-	dst.WitnessHits += src.WitnessHits
-	dst.ReachPrunes += src.ReachPrunes
-	dst.BoundCuts += src.BoundCuts
-	dst.IncumbentUpdates += src.IncumbentUpdates
-	dst.BoundProbes += src.BoundProbes
-}
-
 // embedAcrossShards answers a request by decomposing the query across
 // shards. req.Timeout is the budget. The returned location is "cross:a+b"
 // on success and "coordinator" for a no-answer, whose warning names the
@@ -312,7 +286,7 @@ type spanJoin struct {
 	edgeProg *expr.Program
 	bv       *boundaryView
 	deadline time.Time
-	stats    core.Stats
+	stats    core.Stats // fragment counters and filter time, summed; the other durations are the join's own
 	warnings []string
 
 	pathMode bool
@@ -706,7 +680,8 @@ func (j *spanJoin) fetch(f *fragment, allow []*sets.Bitset, page int) *Response 
 		return nil
 	}
 	j.c.recordSuccess(f.cs, resp.ModelVersion)
-	addStats(&j.stats, &resp.Stats)
+	j.stats.Add(&resp.Stats)
+	j.stats.FilterBuild += resp.Stats.FilterBuild
 	return resp
 }
 

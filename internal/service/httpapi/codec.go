@@ -33,10 +33,16 @@ import (
 	"netembed/internal/service"
 )
 
-// maxEmbedBodyBytes bounds the body of every embed request. The whole
-// 296-site default host posted as a query is ≈7.6 MB of JSON; anything
-// longer answers 413 before it is buffered.
-const maxEmbedBodyBytes = 16 << 20
+// maxBodyBytes bounds the body of every JSON request. The whole 296-site
+// default host posted as a query is ≈7.6 MB of JSON; anything longer
+// answers 413 before it is buffered.
+const maxBodyBytes = 16 << 20
+
+// maxModelBodyBytes bounds the GraphML body of PUT /model. The largest
+// host netgen writes with its defaults, the 296-site PlanetLab one, is
+// 4,793,967 bytes (28,996 edges); the bound leaves room for hosts with
+// about seven times its edges, ≈780 sites at the paper's density.
+const maxModelBodyBytes = 32 << 20
 
 // codecBuf is the per-request scratch of the embed codec: the body (or
 // the reply being written), the unescape buffer of the envelope scanner
@@ -61,12 +67,12 @@ func putCodecBuf(cb *codecBuf) {
 	}
 }
 
-// readBody reads r's body, at most maxEmbedBodyBytes of it, into a pooled
+// readBody reads r's body, at most maxBodyBytes of it, into a pooled
 // buffer. A longer body fails with *http.MaxBytesError — at once when the
 // Content-Length announces it, otherwise when the read crosses the limit.
 func readBody(w http.ResponseWriter, r *http.Request) (*codecBuf, error) {
-	if r.ContentLength > maxEmbedBodyBytes {
-		return nil, &http.MaxBytesError{Limit: maxEmbedBodyBytes}
+	if r.ContentLength > maxBodyBytes {
+		return nil, &http.MaxBytesError{Limit: maxBodyBytes}
 	}
 	cb := getCodecBuf()
 	b := cb.b[:0]
@@ -75,7 +81,7 @@ func readBody(w http.ResponseWriter, r *http.Request) (*codecBuf, error) {
 	if n := int(min(r.ContentLength, maxPooledResponseBuf)); n >= cap(b) {
 		b = make([]byte, 0, n+bytes.MinRead)
 	}
-	body := http.MaxBytesReader(w, r.Body, maxEmbedBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	for {
 		if len(b) == cap(b) {
 			b = slices.Grow(b, max(cap(b), bytes.MinRead))
@@ -96,24 +102,54 @@ func readBody(w http.ResponseWriter, r *http.Request) (*codecBuf, error) {
 }
 
 // readEmbedRequest reads and decodes the EmbedRequest body of r into req.
-// It answers the error itself — 413 over maxEmbedBodyBytes, 400 with the
-// decoder's message otherwise — and then returns false.
+// It answers a failure itself, as bodyOK does, and then returns false.
 func readEmbedRequest(w http.ResponseWriter, r *http.Request, req *EmbedRequest) bool {
 	cb, err := readBody(w, r)
 	if err == nil {
-		err = decodeEmbedBody(cb.b, req, &cb.tmp)
+		if err = decodeEmbedBody(cb.b, req, &cb.tmp); err != nil {
+			err = fmt.Errorf("bad JSON: %w", err)
+		}
 		putCodecBuf(cb)
 	}
-	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, err)
-		return false
-	case err != nil:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
-		return false
+	return bodyOK(w, err)
+}
+
+// readJSON decodes the JSON body of r, at most maxBodyBytes of it, into
+// v. It answers a failure itself, as bodyOK does, and then returns false.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	return decodeBody(w, r, maxBodyBytes, func(body io.Reader) error {
+		if err := json.NewDecoder(body).Decode(v); err != nil {
+			return fmt.Errorf("bad JSON: %w", err)
+		}
+		return nil
+	})
+}
+
+// decodeBody runs decode over the body of r cut at limit bytes; a longer
+// body fails with *http.MaxBytesError, at once when the Content-Length
+// announces it. It answers a failure itself, as bodyOK does, and then
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, decode func(io.Reader) error) bool {
+	if r.ContentLength > limit {
+		return bodyOK(w, &http.MaxBytesError{Limit: limit})
 	}
-	return true
+	return bodyOK(w, decode(http.MaxBytesReader(w, r.Body, limit)))
+}
+
+// bodyOK reports whether reading a request body succeeded, and answers
+// the failure otherwise: 413 when the body passed its bound, 400 with the
+// error's message for anything else.
+func bodyOK(w http.ResponseWriter, err error) bool {
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, tooLarge)
+	} else {
+		writeError(w, http.StatusBadRequest, err)
+	}
+	return false
 }
 
 // decodeEmbedBody decodes body into the zero request req: the envelope
@@ -502,41 +538,25 @@ func appendEmbedResponse(b []byte, resp *service.Response, cached bool, keys *[]
 }
 
 // appendStats appends the stats object of the reply: the counters under
-// the wire names embedResponseJSON gives them, in encoding/json's sorted
-// key order.
-//
-//statsthread:fold core.Stats
+// their wire names and timeToFirstMs, in encoding/json's sorted key order.
 func appendStats(b []byte, st *core.Stats) []byte {
 	b = append(b, '{')
-	b = appendStat(b, "backjumps", st.Backjumps, false)
-	b = appendStat(b, "backtracks", st.Backtracks, true)
-	b = appendStat(b, "boundCuts", st.BoundCuts, true)
-	b = appendStat(b, "boundProbes", st.BoundProbes, true)
-	b = appendStat(b, "constraintChk", st.ConstraintChk, true)
-	b = appendStat(b, "edgePairsEval", st.EdgePairsEval, true)
-	b = appendStat(b, "filterEntries", st.FilterEntries, true)
-	b = appendStat(b, "incumbentUpdates", st.IncumbentUpdates, true)
-	b = appendStat(b, "nodesVisited", st.NodesVisited, true)
-	b = appendStat(b, "pruneOps", st.PruneOps, true)
-	b = appendStat(b, "reachPrunes", st.ReachPrunes, true)
-	b = appendStat(b, "steals", st.Steals, true)
-	b = append(b, ",\n    \"timeToFirstMs\": "...)
-	b = appendJSONFloat(b, float64(st.TimeToFirst)/float64(time.Millisecond))
-	b = appendStat(b, "wipeoutDepthSum", st.WipeoutDepthSum, true)
-	b = appendStat(b, "wipeouts", st.Wipeouts, true)
-	b = appendStat(b, "witnessHits", st.WitnessHits, true)
-	b = appendStat(b, "witnessProbes", st.WitnessProbes, true)
-	return append(b, "\n  }"...)
-}
-
-func appendStat(b []byte, name string, v int64, comma bool) []byte {
-	if comma {
-		b = append(b, ',')
+	ttf := false // timeToFirstMs written
+	for i, c := range st.Counters() {
+		if !ttf && c.Name > "timeToFirstMs" {
+			b = append(b, ",\n    \"timeToFirstMs\": "...)
+			b = appendJSONFloat(b, float64(st.TimeToFirst)/float64(time.Millisecond))
+			ttf = true
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    \""...)
+		b = append(b, c.Name...)
+		b = append(b, "\": "...)
+		b = strconv.AppendInt(b, c.Value, 10)
 	}
-	b = append(b, "\n    \""...)
-	b = append(b, name...)
-	b = append(b, "\": "...)
-	return strconv.AppendInt(b, v, 10)
+	return append(b, "\n  }"...)
 }
 
 // appendIndent starts a new line at the given depth of two-space indents.

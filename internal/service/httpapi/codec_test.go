@@ -18,6 +18,7 @@ import (
 	"netembed/internal/core"
 	"netembed/internal/graph"
 	"netembed/internal/graphml"
+	"netembed/internal/lifecycle"
 	"netembed/internal/service"
 	"netembed/internal/topo"
 	"netembed/internal/trace"
@@ -379,31 +380,50 @@ func (endlessReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestOversizedEmbedBody: a body over maxEmbedBodyBytes answers 413 on
-// every endpoint that reads the embed envelope, whether its length is
-// announced or streamed, and the refusal does not buffer an announced
-// body at all.
+// TestOversizedEmbedBody: a body over its bound answers 413 on every
+// endpoint that reads one, whether its length is announced or streamed,
+// and the refusal does not buffer an announced embed body at all.
 func TestOversizedEmbedBody(t *testing.T) {
 	if testing.Short() {
-		t.Skip("streams a body over the limit")
+		t.Skip("streams bodies over the limit")
 	}
 	api, _ := newAllocServer(t, -1)
-	post := func(path string, announced bool) *httptest.ResponseRecorder {
-		req := httptest.NewRequest("POST", path, io.LimitReader(endlessReader{}, maxEmbedBodyBytes+1))
+	api.AttachLifecycle(lifecycle.NewManager(api.svc, lifecycle.Config{}))
+	coord := NewClusterServer(nil)
+	post := func(h http.Handler, method, path string, limit int64, announced bool) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, io.LimitReader(endlessReader{}, limit+1))
 		if announced {
-			req.ContentLength = maxEmbedBodyBytes + 1
+			req.ContentLength = limit + 1
 		} else {
 			req.ContentLength = -1
 		}
 		rec := httptest.NewRecorder()
-		api.ServeHTTP(rec, req)
+		h.ServeHTTP(rec, req)
 		return rec
 	}
-	for _, path := range []string{"/embed", "/jobs", "/internal/shard/embed"} {
+	for _, c := range []struct {
+		h            http.Handler
+		method, path string
+		limit        int64
+	}{
+		{api, "POST", "/embed", maxBodyBytes},
+		{api, "POST", "/jobs", maxBodyBytes},
+		{api, "POST", "/internal/shard/embed", maxBodyBytes},
+		{api, "PUT", "/model", maxModelBodyBytes},
+		{api, "POST", "/reserve", maxBodyBytes},
+		{api, "POST", "/embeddings", maxBodyBytes},
+		{api, "POST", "/deltas", maxBodyBytes},
+		{api, "POST", "/internal/shard/delta", maxBodyBytes},
+		{api, "POST", "/embed/batch", maxBodyBytes},
+		{api, "POST", "/negotiate", maxBodyBytes},
+		{api, "POST", "/schedule", maxBodyBytes},
+		{coord, "POST", "/embed", maxBodyBytes},
+		{coord, "POST", "/deltas", maxBodyBytes},
+	} {
 		for _, announced := range []bool{true, false} {
-			rec := post(path, announced)
+			rec := post(c.h, c.method, c.path, c.limit, announced)
 			if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "request body too large") {
-				t.Fatalf("%s (announced %v): %d %s", path, announced, rec.Code, rec.Body.String())
+				t.Fatalf("%s %s (announced %v): %d %s", c.method, c.path, announced, rec.Code, rec.Body.String())
 			}
 		}
 	}
@@ -415,20 +435,11 @@ func TestOversizedEmbedBody(t *testing.T) {
 		runs      int
 		budget    int
 	}{{true, 20, 40}, {false, 2, 70}} {
-		avg := testing.AllocsPerRun(c.runs, func() { post("/embed", c.announced) })
+		avg := testing.AllocsPerRun(c.runs, func() { post(api, "POST", "/embed", maxBodyBytes, c.announced) })
 		t.Logf("oversized /embed (announced %v): %.1f allocs/op (budget %.0f)", c.announced, avg, budget(c.budget))
 		if avg > budget(c.budget) {
 			t.Errorf("refusing an oversized body (announced %v) allocates %.1f/op, budget %.0f", c.announced, avg, budget(c.budget))
 		}
-	}
-
-	coord := NewClusterServer(nil)
-	req := httptest.NewRequest("POST", "/embed", strings.NewReader(""))
-	req.ContentLength = maxEmbedBodyBytes + 1
-	rec := httptest.NewRecorder()
-	coord.ServeHTTP(rec, req)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("coordinator /embed: %d %s", rec.Code, rec.Body.String())
 	}
 }
 

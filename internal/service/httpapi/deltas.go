@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -162,8 +161,7 @@ func decodeDelta(req *DeltaRequest) (*graph.Delta, error) {
 
 func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	var req DeltaRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !readJSON(w, r, &req) {
 		return
 	}
 	d, err := decodeDelta(&req)
@@ -209,8 +207,7 @@ const maxBatchItems = 256
 
 func (s *Server) handleEmbedBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchEmbedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !readJSON(w, r, &req) {
 		return
 	}
 	if len(req.Requests) == 0 {

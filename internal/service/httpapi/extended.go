@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -45,8 +44,7 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req NegotiateHTTPRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !readJSON(w, r, &req) {
 		return
 	}
 	base, err := s.decodeEmbedRequest(&req.EmbedRequest)
@@ -105,8 +103,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ScheduleHTTPRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !readJSON(w, r, &req) {
 		return
 	}
 	base, err := s.decodeEmbedRequest(&req.EmbedRequest)
@@ -263,36 +260,20 @@ func decodeMetricSpecs(specs []MetricSpecJSON) ([]core.MetricSpec, error) {
 }
 
 // embedResponseJSON renders a service response in the wire form.
-//
-//statsthread:fold core.Stats
 func embedResponseJSON(resp *service.Response) EmbedResponse {
 	out := EmbedResponse{
-		Status:       resp.Status.String(),
-		Mappings:     make([]map[string]string, len(resp.Named)),
-		ModelVersion: resp.ModelVersion,
-		ElapsedMs:    float64(resp.Elapsed) / float64(time.Millisecond),
-		Stats: map[string]interface{}{
-			"nodesVisited":     resp.Stats.NodesVisited,
-			"backtracks":       resp.Stats.Backtracks,
-			"edgePairsEval":    resp.Stats.EdgePairsEval,
-			"filterEntries":    resp.Stats.FilterEntries,
-			"constraintChk":    resp.Stats.ConstraintChk,
-			"pruneOps":         resp.Stats.PruneOps,
-			"wipeouts":         resp.Stats.Wipeouts,
-			"wipeoutDepthSum":  resp.Stats.WipeoutDepthSum,
-			"backjumps":        resp.Stats.Backjumps,
-			"steals":           resp.Stats.Steals,
-			"witnessProbes":    resp.Stats.WitnessProbes,
-			"witnessHits":      resp.Stats.WitnessHits,
-			"reachPrunes":      resp.Stats.ReachPrunes,
-			"boundCuts":        resp.Stats.BoundCuts,
-			"incumbentUpdates": resp.Stats.IncumbentUpdates,
-			"boundProbes":      resp.Stats.BoundProbes,
-			"timeToFirstMs":    float64(resp.Stats.TimeToFirst) / float64(time.Millisecond),
-		},
+		Status:        resp.Status.String(),
+		Mappings:      make([]map[string]string, len(resp.Named)),
+		ModelVersion:  resp.ModelVersion,
+		ElapsedMs:     float64(resp.Elapsed) / float64(time.Millisecond),
+		Stats:         make(map[string]interface{}, 17), // the counters and timeToFirstMs
 		ObjectiveCost: resp.ObjectiveCost,
 		Warnings:      resp.Warnings,
 	}
+	for _, c := range resp.Stats.Counters() {
+		out.Stats[c.Name] = c.Value
+	}
+	out.Stats["timeToFirstMs"] = float64(resp.Stats.TimeToFirst) / float64(time.Millisecond)
 	for i, nm := range resp.Named {
 		out.Mappings[i] = map[string]string(nm)
 	}

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -121,9 +122,11 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "<!-- encode error: %v -->", err)
 		}
 	case http.MethodPut:
-		g, err := graphml.Decode(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		var g *graph.Graph
+		if !decodeBody(w, r, maxModelBodyBytes, func(body io.Reader) (err error) {
+			g, err = graphml.Decode(body)
+			return err
+		}) {
 			return
 		}
 		version := s.svc.Model().Update(g)
@@ -311,8 +314,7 @@ func (s *Server) handleReserve(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req ReserveRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+		if !readJSON(w, r, &req) {
 			return
 		}
 		if len(req.HostNodes) == 0 {

@@ -126,28 +126,21 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, jobStatusJSON(info))
 }
 
-// statsJSON is the GET /stats reply: the flat engine counters (top level,
-// as always) plus the nested serve-path sections (model epochs, runtime
-// memory, query cache). lifecycleStatsEnvelope is the same shape when a
-// lifecycle manager is attached.
+// statsJSON is the GET /stats reply: the engine counters (top level, as
+// always), the embedding gauges of an attached lifecycle manager (also
+// top level; absent without one), then the nested serve-path sections
+// (model epochs, runtime memory, query cache).
 type statsJSON struct {
 	engine.Stats
-	serveStatsJSON
-}
-
-type lifecycleStatsEnvelope struct {
-	lifecycleStatsJSON
+	*lifecycleStats
 	serveStatsJSON
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	sections := s.serveSections()
+	out := statsJSON{Stats: s.eng.Stats(), serveStatsJSON: s.serveSections()}
 	if s.lc != nil {
-		writeJSON(w, http.StatusOK, lifecycleStatsEnvelope{
-			lifecycleStatsJSON: foldLifecycleStats(s.eng.Stats(), s.lc.Stats()),
-			serveStatsJSON:     sections,
-		})
-		return
+		ls := s.lc.Stats()
+		out.lifecycleStats = &ls
 	}
-	writeJSON(w, http.StatusOK, statsJSON{Stats: s.eng.Stats(), serveStatsJSON: sections})
+	writeJSON(w, http.StatusOK, out)
 }

@@ -1,12 +1,10 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"time"
 
-	"netembed/internal/engine"
 	"netembed/internal/lifecycle"
 	"netembed/internal/service"
 )
@@ -20,9 +18,9 @@ import (
 //	POST   /embeddings/{id}/migrate force a verify + repair round now
 //	DELETE /embeddings/{id}         release the embedding and its lease
 //
-// Attaching also upgrades GET /stats: the lifecycle counters are folded
-// into the engine's flat payload. Call before serving; the mux is not
-// safe for concurrent registration.
+// Attaching also upgrades GET /stats: the lifecycle counters join the
+// engine's at its top level. Call before serving; the mux is not safe
+// for concurrent registration.
 func (s *Server) AttachLifecycle(mgr *lifecycle.Manager) {
 	s.lc = mgr
 	s.mux.HandleFunc("POST /embeddings", s.handleEmbeddingPlace)
@@ -44,14 +42,17 @@ type PlaceEmbeddingRequest struct {
 	TTLMs int64 `json:"ttlMs,omitempty"`
 }
 
+// lifecycleStats names lifecycle.Stats apart from the embedded
+// engine.Stats.
+type lifecycleStats = lifecycle.Stats
+
 func (s *Server) handleEmbeddingPlace(w http.ResponseWriter, r *http.Request) {
 	if s.lc == nil {
 		writeError(w, http.StatusNotFound, errors.New("lifecycle not enabled"))
 		return
 	}
 	var req PlaceEmbeddingRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	if req.TTLMs < 0 {
@@ -138,35 +139,4 @@ func (s *Server) handleEmbeddingRelease(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"released": true})
-}
-
-// lifecycleStatsJSON is the /stats payload with a lifecycle manager
-// attached: the engine's flat counters plus the embedding gauges, all at
-// the top level so dashboards keep one namespace.
-type lifecycleStatsJSON struct {
-	engine.Stats
-	EmbeddingsActive         int64 `json:"embeddingsActive"`
-	EmbeddingsDegraded       int64 `json:"embeddingsDegraded"`
-	EmbeddingsBroken         int64 `json:"embeddingsBroken"`
-	EmbeddingsExpired        int64 `json:"embeddingsExpired"`
-	EmbeddingsRepaired       int64 `json:"embeddingsRepaired"`
-	EmbeddingsMigratedNodes  int64 `json:"embeddingsMigratedNodes"`
-	EmbeddingsRepairFailures int64 `json:"embeddingsRepairFailures"`
-}
-
-// foldLifecycleStats merges the lifecycle counters next to the engine's
-// for the /stats reply.
-//
-//statsthread:fold lifecycle.Stats
-func foldLifecycleStats(es engine.Stats, ls lifecycle.Stats) lifecycleStatsJSON {
-	return lifecycleStatsJSON{
-		Stats:                    es,
-		EmbeddingsActive:         ls.Active,
-		EmbeddingsDegraded:       ls.Degraded,
-		EmbeddingsBroken:         ls.Broken,
-		EmbeddingsExpired:        ls.Expired,
-		EmbeddingsRepaired:       ls.Repaired,
-		EmbeddingsMigratedNodes:  ls.MigratedNodes,
-		EmbeddingsRepairFailures: ls.RepairFailures,
-	}
 }

@@ -140,12 +140,14 @@ func TestEmbedPathModeMetricsAndJobs(t *testing.T) {
 	if statsResp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status %d", statsResp.StatusCode)
 	}
-	var stats map[string]any
+	var stats struct {
+		Search map[string]int64 `json:"search"`
+	}
 	if err := json.Unmarshal(statsBody, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if probes, _ := stats["searchWitnessProbes"].(float64); probes <= 0 {
-		t.Errorf("/stats searchWitnessProbes = %v, want > 0", stats["searchWitnessProbes"])
+	if probes := stats.Search["witnessProbes"]; probes <= 0 {
+		t.Errorf("/stats search.witnessProbes = %v, want > 0", probes)
 	}
 }
 

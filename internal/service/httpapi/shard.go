@@ -397,30 +397,13 @@ func decodeEmbedResponse(out *EmbedResponse) (*service.Response, error) {
 }
 
 // statsFromJSON recovers the search counters from the wire stats map.
-//
-//statsthread:fold core.Stats
 func statsFromJSON(m map[string]interface{}) core.Stats {
-	n := func(key string) int64 {
-		v, _ := m[key].(float64)
-		return int64(v)
-	}
 	var st core.Stats
-	st.NodesVisited = n("nodesVisited")
-	st.Backtracks = n("backtracks")
-	st.EdgePairsEval = n("edgePairsEval")
-	st.FilterEntries = n("filterEntries")
-	st.ConstraintChk = n("constraintChk")
-	st.PruneOps = n("pruneOps")
-	st.Wipeouts = n("wipeouts")
-	st.WipeoutDepthSum = n("wipeoutDepthSum")
-	st.Backjumps = n("backjumps")
-	st.Steals = n("steals")
-	st.WitnessProbes = n("witnessProbes")
-	st.WitnessHits = n("witnessHits")
-	st.ReachPrunes = n("reachPrunes")
-	st.BoundCuts = n("boundCuts")
-	st.IncumbentUpdates = n("incumbentUpdates")
-	st.BoundProbes = n("boundProbes")
+	for name, v := range m {
+		if f, ok := v.(float64); ok {
+			st.SetCounter(name, int64(f))
+		}
+	}
 	if ms, ok := m["timeToFirstMs"].(float64); ok {
 		st.TimeToFirst = time.Duration(ms * float64(time.Millisecond))
 	}
@@ -537,8 +520,7 @@ type ClusterDeltaResponse struct {
 
 func (s *ClusterServer) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	var req DeltaRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !readJSON(w, r, &req) {
 		return
 	}
 	d, err := decodeDelta(&req)
