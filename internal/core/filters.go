@@ -188,10 +188,12 @@ func (f *Filters) buildNodePass(opt *Options, idx *index.Index, cols *index.Colu
 }
 
 // edgeTables pairs the two table IDs owned by one query edge with the
-// edge constraint's mask-adjacency (Out, In) its rows alias.
+// edge constraint's mask-adjacency (Out, In) its rows alias, and Out's
+// backing viewed as one set over arc slots: member r·64W+t is t in Out[r].
 type edgeTables struct {
 	fwd, bwd int32
 	out, in  []sets.Bitset
+	arcs     sets.Bitset
 }
 
 // newArcTables allocates one table per directed query arc, each table's
@@ -216,7 +218,9 @@ func (f *Filters) newArcTables(ownAdj, symmetric bool) []edgeTables {
 			bwd: newTable(qe.To, qe.From), // To placed -> candidates for From
 		}
 		if ownAdj {
-			tableOf[i].out, tableOf[i].in = f.adjacency(symmetric)
+			var words []uint64
+			tableOf[i].out, tableOf[i].in, words = f.adjacency(symmetric)
+			tableOf[i].arcs = sets.BitsetOver(words)
 		}
 	}
 	f.unions.rows, f.unions.backing = sets.ReuseBitsets(f.unions.rows, f.unions.backing, f.nr, len(f.tablesB))
@@ -227,12 +231,16 @@ func (f *Filters) newArcTables(ownAdj, symmetric bool) []edgeTables {
 // a table aliases an adjacency — fwd[r] = Out[r] for r ∈ pass(u),
 // bwd[r] = In[r] for r ∈ pass(v) — and its union, (∪ fwd[r]) ∩ pass(v),
 // is what formula (1) combines. Out and In are the index's adjacency when
-// there is no edge constraint, else a mask-adjacency filled through the
-// endpoint arrays from the edge constraint's satisfied-mask over the host
-// edges: an admitted host arc rs→rt sets rt in Out[rs] and rs in In[rt].
-// On an undirected host one evaluation admits both arcs of an edge, so In
-// is Out, unless the program tells them apart through rSource/rTarget;
-// only then is the mask computed a second time with the endpoints
+// there is no edge constraint, else a mask-adjacency of the host arcs the
+// edge constraint admits: rt in Out[rs] and rs in In[rt] for an admitted
+// arc rs→rt. On an undirected host one evaluation admits both arcs of an
+// edge, so In is Out, unless the program tells them apart through
+// rSource/rTarget. When In is Out, the snapshot keeps arc-slot range
+// indexes (index.ArcIndexed) and the program is rangeable, the evaluation
+// writes Out's rows directly (expr.EvalEdgeRanges). Otherwise — and as the
+// reference the tests hold that path to — it computes the satisfied-mask
+// over the host edges and sets each admitted arc through the endpoint
+// arrays (addArcs), an oriented program a second time with the endpoints
 // swapped. With no edge constraint and no index every host edge is
 // admitted and all query edges share one Out and In.
 //
@@ -258,7 +266,7 @@ func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns
 	// No edge constraint, no index: every query edge reads all host arcs.
 	var allOut, allIn []sets.Bitset
 	if prog == nil && !indexed {
-		allOut, allIn = f.adjacency(symmetric)
+		allOut, allIn, _ = f.adjacency(symmetric)
 		addArcs(nil, from, to, allOut, allIn)
 	}
 	f.pairsEval.Store(0)
@@ -282,15 +290,21 @@ func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns
 					Host:    cols,
 					RSource: from, RTarget: to,
 				}
-				ws.mask = sets.ReuseBitset(ws.mask, nHostEdges)
-				prog.EvalEdgeBatch(&b, &ws.expr, ws.mask)
+				// The batch decides every host edge either way: from arc
+				// slots straight into the rows, or over the edges and then
+				// transposed into them.
 				f.pairsEval.Add(int64(nHostEdges))
-				addArcs(ws.mask, from, to, outRows, inRows)
-				if oriented {
-					b.RSource, b.RTarget = to, from
+				if !symmetric || !prog.EvalEdgeRanges(&b, &ws.expr, &et.arcs) {
+					et.arcs.Reset() // whatever a refused range pass left
+					ws.mask = sets.ReuseBitset(ws.mask, nHostEdges)
 					prog.EvalEdgeBatch(&b, &ws.expr, ws.mask)
-					f.pairsEval.Add(int64(nHostEdges))
-					addArcs(ws.mask, to, from, outRows, inRows)
+					addArcs(ws.mask, from, to, outRows, inRows)
+					if oriented {
+						b.RSource, b.RTarget = to, from
+						prog.EvalEdgeBatch(&b, &ws.expr, ws.mask)
+						f.pairsEval.Add(int64(nHostEdges))
+						addArcs(ws.mask, to, from, outRows, inRows)
+					}
 				}
 			}
 			out = func(r graph.NodeID) *sets.Bitset { return &outRows[r] }

@@ -49,8 +49,10 @@ func randomConstraint(rng *rand.Rand, atoms []string) *expr.Program {
 }
 
 // attributedProblem draws a host whose attribute bags have holes and
-// mixed kinds, a small query over it, and random constraints.
-func attributedProblem(t *testing.T, rng *rand.Rand, directed bool) *Problem {
+// mixed kinds, a small query over it, and random constraints. A dense
+// host has 22–29 nodes and 90% of the pairs as edges: an undirected one
+// is within the density bound, so its index keeps arc-slot range indexes.
+func attributedProblem(t *testing.T, rng *rand.Rand, directed, dense bool) *Problem {
 	t.Helper()
 	nodeBag := func() graph.Attrs {
 		var a graph.Attrs
@@ -68,13 +70,16 @@ func attributedProblem(t *testing.T, rng *rand.Rand, directed bool) *Problem {
 		return a
 	}
 	host := graph.New(directed)
-	nr := 6 + rng.Intn(8)
+	nr, density := 6+rng.Intn(8), 0.5
+	if dense {
+		nr, density = nr+16, 0.9
+	}
 	for i := 0; i < nr; i++ {
 		host.AddNode("", nodeBag())
 	}
 	for u := 0; u < nr; u++ {
 		for v := 0; v < nr; v++ {
-			if u == v || (!directed && u > v) || rng.Float64() > 0.5 {
+			if u == v || (!directed && u > v) || rng.Float64() > density {
 				continue
 			}
 			var a graph.Attrs
@@ -213,17 +218,19 @@ func (f *Filters) row(t int32, r int) sets.Set {
 // TestFiltersMatchBruteForce: the bulk-evaluated tables and base sets
 // equal the ones built pair by pair from Problem.EdgeFeasible, for random
 // constraints — orientation-blind, oriented (rSource/rTarget) and of the
-// range-indexed shape — directed and undirected hosts, serial and sharded
-// fills, and every index situation:
+// range-indexed shape — directed and undirected hosts, dense ones whose
+// own index answers rangeable programs from arc-slot range indexes
+// included, serial and sharded fills, and every index situation:
 // none; one built over the problem's host (cached columns, whose range
 // indexes arm during the loop); one built over a graph with the same
 // structure in other pages and other attributes, whose columns would be
 // wrong; and one over a node-attribute sibling of the host (ApplyDelta:
 // same IDs and edge pages), whose node columns would be wrong.
 func TestFiltersMatchBruteForce(t *testing.T) {
-	for seed := int64(1); seed <= 120; seed++ {
+	arcs := 0
+	for seed := int64(1); seed <= 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := attributedProblem(t, rng, seed%2 == 0)
+		p := attributedProblem(t, rng, seed%2 == 0, seed > 120)
 		fwd, bwd, base := bruteForceTables(p)
 
 		original := p.Host.Clone()
@@ -261,5 +268,11 @@ func TestFiltersMatchBruteForce(t *testing.T) {
 				}
 			}
 		}
+		if cols := indexes["own index"].ColumnsFor(p.Host); cols.ArcArmed(cols.EdgeColumn("d")) {
+			arcs++
+		}
+	}
+	if arcs == 0 {
+		t.Fatal("no build took the arc-slot path")
 	}
 }

@@ -58,10 +58,20 @@ func sameFilters(t *testing.T, label string, p *Problem, oracle, indexed *Filter
 // host node carries a numeric cpu attribute so node constraints have
 // something to bite on.
 func indexProblem(t *testing.T, seed int64, directed bool, edgeC, nodeC *expr.Program) (*Problem, *index.Index) {
+	return indexProblemOn(t, seed, directed, false, edgeC, nodeC)
+}
+
+// indexProblemOn is indexProblem on a dense host when dense: 24–35 nodes,
+// 85% of the pairs as edges, under a 2–3-node query. An undirected one is
+// within the density bound, so its index keeps arc-slot range indexes.
+func indexProblemOn(t *testing.T, seed int64, directed, dense bool, edgeC, nodeC *expr.Program) (*Problem, *index.Index) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	host := graph.New(directed)
-	nr := 8 + rng.Intn(12)
+	nr, density := 8+rng.Intn(12), 0.35
+	if dense {
+		nr, density = nr+16, 0.85
+	}
 	for i := 0; i < nr; i++ {
 		host.AddNode("", graph.Attrs{}.SetNum("cpu", float64(1+rng.Intn(4))))
 	}
@@ -70,7 +80,7 @@ func indexProblem(t *testing.T, seed int64, directed bool, edgeC, nodeC *expr.Pr
 			if u == v || (!directed && u > v) {
 				continue
 			}
-			if rng.Float64() < 0.35 {
+			if rng.Float64() < density {
 				d := 1 + rng.Float64()*99
 				host.MustAddEdge(graph.NodeID(u), graph.NodeID(v), graph.Attrs{}.
 					SetNum("minDelay", d*0.9).SetNum("avgDelay", d).SetNum("maxDelay", d*1.2))
@@ -79,6 +89,9 @@ func indexProblem(t *testing.T, seed int64, directed bool, edgeC, nodeC *expr.Pr
 	}
 	query := graph.New(directed)
 	nq := 2 + rng.Intn(4)
+	if dense {
+		nq = min(nq, 3)
+	}
 	for i := 0; i < nq; i++ {
 		query.AddNode("", graph.Attrs{}.SetNum("cpu", float64(1+rng.Intn(3))))
 	}
@@ -103,9 +116,10 @@ var (
 
 // TestIndexedFiltersMatchOracle pins the one fill — rows from the
 // index's adjacency, or from the constraint's mask-adjacency, with and
-// without an index, serial and sharded — pair by pair against
-// Problem.EdgeFeasible/NodeFeasible, and the index-served build against
-// the index-less one.
+// without an index, serial and sharded, on sparse hosts and on dense ones
+// whose index answers the window from arc-slot range indexes — pair by
+// pair against Problem.EdgeFeasible/NodeFeasible, and the index-served
+// build against the index-less one.
 func TestIndexedFiltersMatchOracle(t *testing.T) {
 	type shape struct {
 		name  string
@@ -122,37 +136,45 @@ func TestIndexedFiltersMatchOracle(t *testing.T) {
 		{"no-degree-filter", nil, cpuFits, Options{NoDegreeFilter: true}},
 		{"loose-root", delayWindow, nil, Options{LooseRoot: true}},
 	}
-	for _, directed := range []bool{false, true} {
-		for _, sh := range shapes {
-			for seed := int64(1); seed <= 8; seed++ {
-				p, idx := indexProblem(t, seed, directed, sh.edgeC, sh.nodeC)
-				fwd, bwd, base := bruteForceTables(p)
-				if sh.opt.LooseRoot {
-					base = nil // the brute force builds the tight base sets
-				}
-				for _, workers := range []int{1, 4} {
-					label := fmt.Sprintf("%s directed=%v seed=%d workers=%d", sh.name, directed, seed, workers)
-
-					scanOpt := sh.opt
-					scanOpt.Workers = workers
-					oracle := BuildFilters(p, &scanOpt)
-
-					idxOpt := sh.opt
-					idxOpt.Index = idx
-					idxOpt.Workers = workers
-					indexed := BuildFilters(p, &idxOpt)
-					if !sh.opt.NoDegreeFilter { // the brute force applies the degree filter
-						matchBruteForce(t, label+" (no index)", p, oracle, fwd, bwd, base)
-						matchBruteForce(t, label+" (index)", p, indexed, fwd, bwd, base)
+	for _, dense := range []bool{false, true} {
+		for _, directed := range []bool{false, true} {
+			for _, sh := range shapes {
+				for seed := int64(1); seed <= 8; seed++ {
+					if dense && seed > 3 {
+						break
 					}
-					sameFilters(t, label, p, oracle, indexed)
+					p, idx := indexProblemOn(t, seed, directed, dense, sh.edgeC, sh.nodeC)
+					fwd, bwd, base := bruteForceTables(p)
+					if sh.opt.LooseRoot {
+						base = nil // the brute force builds the tight base sets
+					}
+					for _, workers := range []int{1, 4} {
+						label := fmt.Sprintf("%s directed=%v dense=%v seed=%d workers=%d", sh.name, directed, dense, seed, workers)
 
-					// The searches over both builds enumerate identical sets.
-					a := ECF(p, scanOpt)
-					b := ECF(p, idxOpt)
-					sameSolutionSets(t, label, b.Solutions, a.Solutions)
-					if a.Status != b.Status || a.Exhausted != b.Exhausted {
-						t.Fatalf("%s: outcome classification differs", label)
+						scanOpt := sh.opt
+						scanOpt.Workers = workers
+						oracle := BuildFilters(p, &scanOpt)
+
+						idxOpt := sh.opt
+						idxOpt.Index = idx
+						idxOpt.Workers = workers
+						indexed := BuildFilters(p, &idxOpt)
+						if !sh.opt.NoDegreeFilter { // the brute force applies the degree filter
+							matchBruteForce(t, label+" (no index)", p, oracle, fwd, bwd, base)
+							matchBruteForce(t, label+" (index)", p, indexed, fwd, bwd, base)
+						}
+						sameFilters(t, label, p, oracle, indexed)
+
+						// The searches over both builds enumerate identical sets.
+						a := ECF(p, scanOpt)
+						b := ECF(p, idxOpt)
+						sameSolutionSets(t, label, b.Solutions, a.Solutions)
+						if a.Status != b.Status || a.Exhausted != b.Exhausted {
+							t.Fatalf("%s: outcome classification differs", label)
+						}
+					}
+					if cols := idx.ColumnsFor(p.Host); sh.edgeC == delayWindow && cols.ArcArmed(cols.EdgeColumn("minDelay")) != (dense && !directed) {
+						t.Fatalf("%s directed=%v dense=%v seed=%d: arc-slot layout armed %v", sh.name, directed, dense, seed, !(dense && !directed))
 					}
 				}
 			}
@@ -213,9 +235,13 @@ func TestAttrSiblingReadsItsOwnColumns(t *testing.T) {
 }
 
 // TestRangeIndexArmsOnFirstRequest: on the paper-sized host (29k edges)
-// the delay columns' range indexes are absent before any request and
-// present after one 8-node/12-edge window request; an index-less build's
-// scratch columns, reset per build, never arm.
+// the delay columns' range indexes and their arc-slot layouts are absent
+// before any request and present after one 8-node/12-edge window
+// request, the layouts within their memory bound; an index-less build's
+// scratch columns, reset per build, never arm. Hosts outside the density
+// bound arm the edge-space indexes only: a directed clique, the
+// proof_hard ring topo.SkewedRing(16, 6, 7) and a sparse 4,096-node BRITE
+// host.
 func TestRangeIndexArmsOnFirstRequest(t *testing.T) {
 	host := trace.SyntheticPlanetLab(trace.Config{Sites: 296}, rand.New(rand.NewSource(1)))
 	idx := index.Build(host, 1, index.Config{})
@@ -240,14 +266,60 @@ func TestRangeIndexArmsOnFirstRequest(t *testing.T) {
 		t.Fatal("a range index armed before any request")
 	}
 	BuildFilters(request(), &Options{Index: idx}).release()
-	if !cols.Armed(cols.EdgeColumn("minDelay")) || !cols.Armed(cols.EdgeColumn("maxDelay")) {
-		t.Fatal("the range indexes did not arm during the first request")
+	for _, attr := range []string{"minDelay", "maxDelay"} {
+		col := cols.EdgeColumn(attr)
+		if !cols.Armed(col) || !cols.ArcArmed(col) {
+			t.Fatalf("the %s range index or its arc-slot layout did not arm during the first request", attr)
+		}
+		// The density bound caps the slots at 4·2|E|: 65 suffixes and two
+		// more bitsets over them, and two int32 slots per edge.
+		bytes, bound := cols.ArcRange(col).Bytes(), 67*4*2*host.NumEdges()/8+8*host.NumEdges()
+		if bytes > bound {
+			t.Fatalf("the %s arc-slot layout retains %d bytes, bound %d", attr, bytes, bound)
+		}
+		t.Logf("%s: edge index %d bytes, arc-slot layout %d bytes (bound %d) over %d edges",
+			attr, cols.Range(col).Bytes(), bytes, bound, host.NumEdges())
 	}
 	f := BuildFilters(request(), &Options{})
-	if armed(f.scratchCols) {
+	if armed(f.scratchCols) || f.scratchCols.ArcArmed(f.scratchCols.EdgeColumn("minDelay")) {
 		t.Fatal("scratch columns armed")
 	}
 	f.release()
+
+	directed := graph.New(true)
+	directed.AddNodes(24)
+	for u := 0; u < 24; u++ {
+		for v := 0; v < 24; v++ {
+			if u != v {
+				d := float64(1 + (u*v)%97)
+				directed.MustAddEdge(graph.NodeID(u), graph.NodeID(v), graph.Attrs{}.
+					SetNum("minDelay", d).SetNum("avgDelay", d*1.1).SetNum("maxDelay", d*1.2))
+			}
+		}
+	}
+	_, ring := topo.SkewedRing(16, 6, 7)
+	brite, err := topo.Brite(topo.BriteConfig{N: 4096}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.Graph{"directed clique": directed, "SkewedRing(16, 6, 7)": ring, "BRITE 4096": brite} {
+		if index.ArcIndexed(g) {
+			t.Fatalf("%s (%d nodes, %d edges) is within the density bound", name, g.NumNodes(), g.NumEdges())
+		}
+		q := graph.New(g.Directed())
+		q.AddNodes(2)
+		q.MustAddEdge(0, 1, graph.Attrs{}.SetNum("minDelay", 0).SetNum("maxDelay", 1000))
+		p, err := NewProblem(q, g, delayWindow, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := index.Build(g, 1, index.Config{})
+		BuildFilters(p, &Options{Index: idx}).release()
+		cols := idx.ColumnsFor(g)
+		if col := cols.EdgeColumn("minDelay"); !cols.Armed(col) || cols.ArcArmed(col) {
+			t.Fatalf("%s: edge index armed %v, arc-slot layout armed %v; want only the former", name, cols.Armed(col), cols.ArcArmed(col))
+		}
+	}
 }
 
 // TestIndexedFiltersAfterDeltas pins the end-to-end invariant the delta

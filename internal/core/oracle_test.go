@@ -7,6 +7,7 @@ import (
 
 	"netembed/internal/expr"
 	"netembed/internal/graph"
+	"netembed/internal/index"
 	"netembed/internal/topo"
 )
 
@@ -128,16 +129,27 @@ var armThresholds = []int64{0, 1, acArmWipeouts}
 // cyclic query (a tree is decided by arc consistency alone), window
 // constraints on every edge and, when constrained, a node constraint.
 func oracleProblem(t *testing.T, seed int64, directed, constrained bool) *Problem {
+	return oracleProblemOn(t, seed, directed, constrained, false)
+}
+
+// oracleProblemOn is oracleProblem on a dense host when dense: 22–24
+// hosts, 90% of the pairs as edges, under a 3–4-node query. An undirected
+// one is within the density bound, so its index keeps arc-slot range
+// indexes.
+func oracleProblemOn(t *testing.T, seed int64, directed, constrained, dense bool) *Problem {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	host := graph.New(directed)
-	nr := 6 + rng.Intn(3)
+	nr, density := 6+rng.Intn(3), 0.55
+	if dense {
+		nr, density = nr+16, 0.9
+	}
 	for i := 0; i < nr; i++ {
 		host.AddNode("", graph.Attrs{}.SetNum("cpu", float64(1+rng.Intn(4))))
 	}
 	for u := 0; u < nr; u++ {
 		for v := 0; v < nr; v++ {
-			if u == v || (!directed && u > v) || rng.Float64() >= 0.55 {
+			if u == v || (!directed && u > v) || rng.Float64() >= density {
 				continue
 			}
 			d := 1 + rng.Float64()*99
@@ -147,6 +159,9 @@ func oracleProblem(t *testing.T, seed int64, directed, constrained bool) *Proble
 	}
 	query := graph.New(directed)
 	nq := 3 + rng.Intn(3)
+	if dense {
+		nq = min(nq, 4)
+	}
 	for i := 0; i < nq; i++ {
 		query.AddNode("", graph.Attrs{}.SetNum("cpu", float64(1+rng.Intn(3))))
 	}
@@ -185,9 +200,12 @@ func ringProblem(t testing.TB, m, decoys, ringLen int) *Problem {
 	return p
 }
 
+// oracleCase is one instance of the search oracles; idx, when set, is
+// the host's index, which the searches are given.
 type oracleCase struct {
 	label string
 	p     *Problem
+	idx   *index.Index
 }
 
 func oracleCases(t *testing.T) []oracleCase {
@@ -196,15 +214,21 @@ func oracleCases(t *testing.T) []oracleCase {
 		for _, constrained := range []bool{false, true} {
 			for seed := int64(1); seed <= 10; seed++ {
 				cases = append(cases, oracleCase{
-					fmt.Sprintf("dir=%v constrained=%v seed=%d", directed, constrained, seed),
-					oracleProblem(t, seed, directed, constrained),
+					label: fmt.Sprintf("dir=%v constrained=%v seed=%d", directed, constrained, seed),
+					p:     oracleProblem(t, seed, directed, constrained),
 				})
 			}
 		}
 	}
+	// Dense hosts whose index answers the window from arc-slot range
+	// indexes.
+	for seed := int64(1); seed <= 4; seed++ {
+		p := oracleProblemOn(t, seed, false, true, true)
+		cases = append(cases, oracleCase{fmt.Sprintf("dense indexed seed=%d", seed), p, index.Build(p.Host, 1, index.Config{})})
+	}
 	cases = append(cases,
-		oracleCase{"ring(2,1,3)", ringProblem(t, 2, 1, 3)},
-		oracleCase{"ring(3,2,5)", ringProblem(t, 3, 2, 5)},
+		oracleCase{label: "ring(2,1,3)", p: ringProblem(t, 2, 1, 3)},
+		oracleCase{label: "ring(3,2,5)", p: ringProblem(t, 3, 2, 5)},
 	)
 	return cases
 }
@@ -243,7 +267,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 					for _, a := range algos {
 						label := fmt.Sprintf("%s order=%v arm=%d %s", c.label, order, th, a.name)
 						opt := a.opt
-						opt.Order = order
+						opt.Order, opt.Index = order, c.idx
 						res := a.run(c.p, opt)
 						sameSolutionSets(t, label, res.Solutions, want)
 						if res.Status != StatusComplete || !res.Exhausted {

@@ -90,23 +90,25 @@ type rowArena struct {
 }
 
 // adjacency hands out the build's next empty mask-adjacency, its Out and
-// In rows (one set of rows when symmetric), recycling arenas positionally:
-// the i-th arena of this build reuses the storage of the i-th arena of the
-// build that previously owned this Filters.
-func (f *Filters) adjacency(symmetric bool) (out, in []sets.Bitset) {
-	next := func() []sets.Bitset {
+// In rows (one set of rows when symmetric) and Out's backing words,
+// recycling arenas positionally: the i-th arena of this build reuses the
+// storage of the i-th arena of the build that previously owned this
+// Filters.
+func (f *Filters) adjacency(symmetric bool) (out, in []sets.Bitset, words []uint64) {
+	next := func() *rowArena {
 		if f.arenaNext >= len(f.arenas) {
 			f.arenas = append(f.arenas, rowArena{})
 		}
 		a := &f.arenas[f.arenaNext]
 		f.arenaNext++
 		a.rows, a.backing = sets.ReuseBitsets(a.rows, a.backing, f.nr, f.nr)
-		return a.rows
+		return a
 	}
-	if out = next(); symmetric {
-		return out, out
+	a := next()
+	if out, words = a.rows, a.backing; symmetric {
+		return out, out, words
 	}
-	return out, next()
+	return out, next().rows, words
 }
 
 // appendTableB appends one table of nr nil rows, recycling the row

@@ -163,8 +163,10 @@ func (j *Job) noteBest(nm service.NamedMapping, cost float64) {
 
 // finish performs the terminal transition exactly once; later calls
 // (e.g. a worker completing a search that Cancel already marked
-// canceled) are no-ops. It reports whether this call won.
-func (j *Job) finish(state State, resp *service.Response, err error, fromCache bool) bool {
+// canceled) are no-ops. It reports whether this call won. The winner
+// bumps the engine counters it is given before it closes done, so a
+// caller that returns from Wait reads Stats with the job counted.
+func (j *Job) finish(state State, resp *service.Response, err error, fromCache bool, counters ...*atomic.Int64) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -175,6 +177,9 @@ func (j *Job) finish(state State, resp *service.Response, err error, fromCache b
 	j.err = err
 	j.fromCache = fromCache
 	j.finished = time.Now()
+	for _, c := range counters {
+		c.Add(1)
+	}
 	close(j.done)
 	return true
 }
@@ -345,8 +350,7 @@ func (e *Engine) Submit(req service.Request) (*Job, error) {
 			e.register(job)
 			e.submitted.Add(1)
 			e.cacheHits.Add(1)
-			job.finish(StateDone, resp, nil, true)
-			e.completed.Add(1)
+			job.finish(StateDone, resp, nil, true, &e.completed)
 			return job, nil
 		}
 	}
@@ -412,8 +416,7 @@ func (e *Engine) Cancel(id JobID) (Info, error) {
 		return Info{}, ErrJobNotFound
 	}
 	job.cancelFlag.Store(true)
-	if job.finish(StateCanceled, nil, fmt.Errorf("engine: job %s canceled", id), false) {
-		e.canceled.Add(1)
+	if job.finish(StateCanceled, nil, fmt.Errorf("engine: job %s canceled", id), false, &e.canceled) {
 		return job.Info(), nil
 	}
 	info := job.Info()
@@ -525,9 +528,7 @@ func (e *Engine) worker() {
 		draining := e.closed
 		e.mu.Unlock()
 		if draining {
-			if job.finish(StateFailed, nil, ErrShuttingDown, false) {
-				e.failed.Add(1)
-			}
+			job.finish(StateFailed, nil, ErrShuttingDown, false, &e.failed)
 			continue
 		}
 		e.run(job)
@@ -541,19 +542,14 @@ func (e *Engine) run(job *Job) {
 	if job.cancelFlag.Load() {
 		// Canceled while queued; Cancel normally finished it already, but
 		// settle it regardless so no waiter can hang on the done channel.
-		if job.finish(StateCanceled, nil, fmt.Errorf("engine: job %s canceled", job.id), false) {
-			e.canceled.Add(1)
-		}
+		job.finish(StateCanceled, nil, fmt.Errorf("engine: job %s canceled", job.id), false, &e.canceled)
 		return
 	}
 	if job.cacheable {
 		// Second look: an identical job may have completed, or the model
 		// may have changed, since submission.
 		if resp, ok := e.cache.get(job.cacheKey, e.svc.Model().Version()); ok {
-			if job.finish(StateDone, resp, nil, true) {
-				e.cacheHits.Add(1)
-				e.completed.Add(1)
-			}
+			job.finish(StateDone, resp, nil, true, &e.cacheHits, &e.completed)
 			return
 		}
 		e.cacheMisses.Add(1)
@@ -594,13 +590,9 @@ func (e *Engine) run(job *Job) {
 		// Usually Cancel already marked the job; Close's ctx-expiry path
 		// flips the flag without finishing, so settle it here too —
 		// otherwise the done channel never closes and waiters hang.
-		if job.finish(StateCanceled, nil, fmt.Errorf("engine: job %s canceled", job.id), false) {
-			e.canceled.Add(1)
-		}
+		job.finish(StateCanceled, nil, fmt.Errorf("engine: job %s canceled", job.id), false, &e.canceled)
 	case err != nil:
-		if job.finish(StateFailed, nil, err, false) {
-			e.failed.Add(1)
-		}
+		job.finish(StateFailed, nil, err, false, &e.failed)
 	default:
 		e.searchMu.Lock()
 		e.search.Add(&resp.Stats)
@@ -608,9 +600,7 @@ func (e *Engine) run(job *Job) {
 		if job.cacheable && cacheableResponse(req, resp) {
 			e.cache.put(job.cacheKey, resp.ModelVersion, resp)
 		}
-		if job.finish(StateDone, resp, nil, false) {
-			e.completed.Add(1)
-		}
+		job.finish(StateDone, resp, nil, false, &e.completed)
 	}
 }
 

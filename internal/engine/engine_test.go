@@ -115,6 +115,37 @@ func TestSubmitValidates(t *testing.T) {
 	}
 }
 
+// TestStatsCountJobsBeforeWaitReturns: a job's terminal counter is bumped
+// before its done channel closes, so Stats read right after Wait already
+// counts it. Failing and succeeding jobs alternate; every request has its
+// own fingerprint, so each one runs on a worker rather than in Submit.
+func TestStatsCountJobsBeforeWaitReturns(t *testing.T) {
+	e, _ := newTestEngine(t, Config{Workers: 2})
+	var failed, completed int64
+	for i := 0; i < 1000; i++ {
+		req, want := fastRequest(int64(i)), StateDone
+		if i%2 == 1 {
+			req.Algorithm, want = "no-such-algo", StateFailed
+		}
+		job, err := e.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := e.Wait(context.Background(), job.ID())
+		if err != nil || info.State != want {
+			t.Fatalf("job %d: state %s err %v, want %s", i, info.State, err, want)
+		}
+		if want == StateFailed {
+			failed++
+		} else {
+			completed++
+		}
+		if s := e.Stats(); s.Failed != failed || s.Completed != completed {
+			t.Fatalf("after job %d: failed %d completed %d, want %d and %d", i, s.Failed, s.Completed, failed, completed)
+		}
+	}
+}
+
 // TestCancelRunningStopsSearch is the acceptance-criterion test: cancel
 // a running job and require the worker to actually stop searching well
 // before the job's 60s timeout, not merely mark the record canceled.

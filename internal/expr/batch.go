@@ -121,6 +121,29 @@ func (p *Program) EvalNodeBatch(b *NodeBatch, s *Scratch, out *sets.Bitset) {
 // one (range.go), and otherwise runs the tree chunk by chunk over out's
 // universe.
 func (p *Program) evalBatch(query *env, host Columns, rSource, rTarget []graph.NodeID, s *Scratch, out *sets.Bitset) {
+	s.resolve(p, query, host, rSource, rTarget)
+	if p.ranged && s.rangesReady(host, false, out.Len()) && s.evalRange(p.root, true, 0, query, out) {
+		return
+	}
+	for len(s.regs) < p.root.regs {
+		s.regs = append(s.regs, register{
+			tags: make([]graph.Tag, batchChunk),
+			nums: make([]float64, batchChunk),
+		})
+	}
+	n := out.Len()
+	for lo := 0; lo < n; lo += batchChunk {
+		hi := min(lo+batchChunk, n)
+		v := s.eval(p.root, 0, lo, hi)
+		for w := lo; w < hi; w += 64 {
+			out.SetWord(w/64, trueBits(&v, w-lo, min(w+64, hi)-lo))
+		}
+	}
+}
+
+// resolve binds every attribute reference of p once, into s.srcs: the
+// query side to its value, the hosting side to its column.
+func (s *Scratch) resolve(p *Program, query *env, host Columns, rSource, rTarget []graph.NodeID) {
 	s.srcs = s.srcs[:0]
 	for _, ref := range p.refs {
 		var src source
@@ -137,23 +160,6 @@ func (p *Program) evalBatch(query *env, host Columns, rSource, rTarget []graph.N
 			src.val = query.objs[ref.Object].Get(ref.Attr)
 		}
 		s.srcs = append(s.srcs, src)
-	}
-	if p.ranged && s.rangesReady(host, out.Len()) && s.evalRange(p.root, true, 0, query, out) {
-		return
-	}
-	for len(s.regs) < p.root.regs {
-		s.regs = append(s.regs, register{
-			tags: make([]graph.Tag, batchChunk),
-			nums: make([]float64, batchChunk),
-		})
-	}
-	n := out.Len()
-	for lo := 0; lo < n; lo += batchChunk {
-		hi := min(lo+batchChunk, n)
-		v := s.eval(p.root, 0, lo, hi)
-		for w := lo; w < hi; w += 64 {
-			out.SetWord(w/64, trueBits(&v, w-lo, min(w+64, hi)-lo))
-		}
 	}
 }
 

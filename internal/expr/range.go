@@ -22,10 +22,13 @@ import (
 // concurrent use.
 type Range struct {
 	// perm lists the elements tagged number and not NaN, ascending by
-	// value, and vals[i] is perm[i]'s value. NaN compares false either way
-	// and a missing value is unknown, so neither is in any interval.
+	// value, and vals[i] is the value of perm[fan·i], …, perm[fan·i+fan-1]:
+	// fan is 1 over elements and 2 over arc slots, whose two slots per
+	// edge share the edge index's vals. NaN compares false either way and
+	// a missing value is unknown, so neither is in any interval.
 	perm []int32
 	vals []float64
+	fan  int
 	// suffix[j] = {perm[i] : i ≥ j·step} for the band width step =
 	// ⌈m/64⌉ (at least 1) of m = len(perm); the last suffix is empty.
 	step   int
@@ -44,6 +47,14 @@ type Ranges interface {
 	Range(col *graph.Column) *Range
 }
 
+// ArcRanges is implemented by a Columns that keeps, beside the range
+// index of an edge column, its layout over arc slots (NewArcRange).
+// ArcRange returns col's — index.Columns builds it with col's range
+// index — or nil when it has none.
+type ArcRanges interface {
+	ArcRange(col *graph.Column) *Range
+}
+
 // NewRange builds the range index of col, or returns nil when col has a
 // string payload: strings order among themselves and are unknown against
 // numbers, which the chunked path keeps.
@@ -52,7 +63,7 @@ func NewRange(col *graph.Column) *Range {
 		return nil
 	}
 	n := len(col.Tags)
-	r := &Range{perm: make([]int32, 0, n), numbers: sets.NewBitset(n), present: sets.NewBitset(n)}
+	r := &Range{perm: make([]int32, 0, n), fan: 1, numbers: sets.NewBitset(n), present: sets.NewBitset(n)}
 	for i, t := range col.Tags {
 		if t == tMissing {
 			continue
@@ -66,6 +77,47 @@ func NewRange(col *graph.Column) *Range {
 		}
 	}
 	r.perm, r.vals = sortByValue(r.perm, col.Nums)
+	r.band(n)
+	return r
+}
+
+// NewArcRange lays edges, the range index of an edge column of an
+// undirected graph with the given node count, out over arc slots: edge
+// u–v holds slots u·S+v and v·S+u for the row stride S = 64·⌈nodes/64⌉,
+// which is where arc u→v sits in the backing of nodes rows made by
+// sets.MakeBitsets(nodes, nodes). Evaluated into a sets.BitsetOver view
+// of that backing (Program.EvalEdgeRanges), a comparison writes the
+// mask-adjacency of the edges it admits directly. from and to are the
+// edges' endpoints, by EdgeID. A graph has no self-loop and no parallel
+// edge, so no slot is held twice. perm keeps edges' order, two slots per
+// edge, so no sort runs, and vals are shared with edges.
+func NewArcRange(edges *Range, from, to []graph.NodeID, nodes int) *Range {
+	stride := 64 * ((nodes + 63) / 64)
+	n := nodes * stride
+	r := &Range{perm: make([]int32, 0, 2*len(edges.perm)), vals: edges.vals, fan: 2,
+		numbers: sets.NewBitset(n), present: sets.NewBitset(n)}
+	slots := func(e int32) (int32, int32) {
+		u, v := int32(from[e]), int32(to[e])
+		return u*int32(stride) + v, v*int32(stride) + u
+	}
+	for _, e := range edges.perm {
+		a, b := slots(e)
+		r.perm = append(r.perm, a, b)
+	}
+	for _, pair := range [][2]*sets.Bitset{{edges.numbers, r.numbers}, {edges.present, r.present}} {
+		pair[0].ForEach(func(e int32) bool {
+			a, b := slots(e)
+			pair[1].Set(a)
+			pair[1].Set(b)
+			return true
+		})
+	}
+	r.band(n)
+	return r
+}
+
+// band builds the suffixes of r over a universe of n elements from perm.
+func (r *Range) band(n int) {
 	m := len(r.perm)
 	r.step = max(1, (m+63)/64)
 	bands := (m + r.step - 1) / r.step
@@ -76,7 +128,16 @@ func NewRange(col *graph.Column) *Range {
 			r.suffix[j].Set(id)
 		}
 	}
-	return r
+}
+
+// Bytes returns the storage r retains of its own: vals count only when
+// r does not share them with the edge index it was laid out from.
+func (r *Range) Bytes() int {
+	b := 4*len(r.perm) + 8*((r.numbers.Len()+63)/64)*(2+len(r.suffix))
+	if r.fan == 1 {
+		b += 8 * len(r.vals)
+	}
+	return b
 }
 
 // sortByValue returns ids ordered by nums[id] ascending, with the sorted
@@ -127,7 +188,8 @@ func sortByValue(ids []int32, nums []float64) ([]int32, []float64) {
 	return ids, vals
 }
 
-// below returns how many sorted values are < c, or ≤ c when orEqual.
+// below returns where in perm the slots of values ≥ c start, or of
+// values > c when orEqual: fan times the number of smaller values.
 func (r *Range) below(c float64, orEqual bool) int {
 	lo, hi := 0, len(r.vals)
 	for lo < hi {
@@ -138,7 +200,7 @@ func (r *Range) below(c float64, orEqual bool) int {
 			hi = mid
 		}
 	}
-	return lo
+	return r.fan * lo
 }
 
 // interval sets out to {perm[i] : lo ≤ i < hi}: the suffix difference
@@ -147,7 +209,14 @@ func (r *Range) below(c float64, orEqual bool) int {
 func (r *Range) interval(lo, hi int, out *sets.Bitset) {
 	s, m := r.step, len(r.perm)
 	from, to := (lo+s-1)/s, (hi+s-1)/s
-	sets.DifferenceInto(out, &r.suffix[from], &r.suffix[to])
+	switch {
+	case from == to:
+		out.Reset()
+	case to == len(r.suffix)-1: // the last suffix is empty
+		out.CopyFrom(&r.suffix[from])
+	default:
+		sets.DifferenceInto(out, &r.suffix[from], &r.suffix[to])
+	}
 	for _, id := range r.perm[lo:min(from*s, m)] {
 		out.Set(id)
 	}
@@ -237,14 +306,16 @@ func mirror(op opKind) opKind {
 	return op
 }
 
-// rangesReady fetches the range index of every hosting column the
-// program reads, reporting whether each has one over n elements. A column
-// with a string payload never has one (NewRange), so such a program is
-// sent to the chunked path before any index is asked for: it neither
-// builds the indexes of its other columns nor takes the cache's lock.
-func (s *Scratch) rangesReady(host Columns, n int) bool {
-	rc, ok := host.(Ranges)
-	if !ok {
+// rangesReady fetches the range index — over arc slots when arcs — of
+// every hosting column the program reads, reporting whether each has one
+// over n elements. A column with a string payload never has one
+// (NewRange), so such a program is sent to the chunked path before any
+// index is asked for: it neither builds the indexes of its other columns
+// nor takes the cache's lock.
+func (s *Scratch) rangesReady(host Columns, arcs bool, n int) bool {
+	rc, _ := host.(Ranges)
+	ac, _ := host.(ArcRanges)
+	if arcs && ac == nil || !arcs && rc == nil {
 		return false
 	}
 	for i := range s.srcs {
@@ -256,11 +327,37 @@ func (s *Scratch) rangesReady(host Columns, n int) bool {
 	for i := range s.srcs {
 		src := &s.srcs[i]
 		if src.rng = nil; src.col != nil {
-			src.rng = rc.Range(src.col)
+			if arcs {
+				src.rng = ac.ArcRange(src.col)
+			} else {
+				src.rng = rc.Range(src.col)
+			}
 			ready = ready && src.rng != nil && src.rng.numbers.Len() == n
 		}
 	}
 	return ready
+}
+
+// EvalEdgeRanges answers the program for b's query edge from the
+// arc-slot range indexes of b.Host alone: on return out, a view of a
+// mask-adjacency's backing (sets.BitsetOver; see NewArcRange), holds arc
+// u→v exactly when EvalEdge admits host edge u–v, whose two orientations
+// a rangeable program cannot tell apart. It reports false, leaving out
+// undefined, when the range path cannot answer: the program is not
+// rangeable, b.Host keeps no arc-slot index over out's universe for a
+// column the program reads (a column with strings never has one), or a
+// comparison's constant operand is not a number. The chunked path never
+// runs over arc slots.
+func (p *Program) EvalEdgeRanges(b *EdgeBatch, s *Scratch, out *sets.Bitset) bool {
+	if !p.ranged {
+		return false
+	}
+	var query env
+	query.objs[ObjVEdge] = b.VEdge
+	query.objs[ObjVSource] = b.VSource
+	query.objs[ObjVTarget] = b.VTarget
+	s.resolve(p, &query, b.Host, nil, nil)
+	return s.rangesReady(b.Host, true, out.Len()) && s.evalRange(p.root, true, 0, &query, out)
 }
 
 // evalRange computes into out the elements on which the rangeable tree n

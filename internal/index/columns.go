@@ -19,16 +19,22 @@ import (
 // Beside each column it keeps a range index (expr.Range, ≈20 bytes per
 // element: 0.58 MB for a 29k-edge column), built the first time a
 // rangeable program asks for it, so the paper's window constraint arms
-// during the first request against a snapshot. Scratch (Reset) never
-// arms: its index would die with the one build it serves, so every
-// request would pay the sort and its garbage (twice the retained size,
-// transiently).
+// during the first request against a snapshot. An edge column's index is
+// then also laid out over arc slots (expr.NewArcRange) when ArcIndexed
+// admits the graph — undirected, and dense enough that nr·64⌈nr/64⌉
+// slots are at most arcDensity times its 2|E| arcs — so a window filter
+// is evaluated straight into its mask-adjacency's rows. That layout
+// shares the edge index's values and adds ≈1 MB per column on the
+// 296-site host (29k edges, 95k slots); a sparse host, a directed one and
+// the 45-node proof_hard ring get none. Scratch (Reset) never arms: its
+// index would die with the one build it serves, so every request would
+// pay the sort and its garbage (twice the retained size, transiently).
 //
 // Every Index owns one (ColumnsFor), filled lazily behind a mutex like
 // the reachability tables — Build materialises nothing. It rides the
 // copy-on-write snapshots: Index.Apply hands the successor every column
-// the delta does not name, with its range index, and an empty cache after
-// a structural delta. A standalone Columns (NewColumns, Reset) serves
+// the delta does not name, with its range index and arc-slot layout, and
+// an empty cache after a structural delta. A standalone Columns (NewColumns, Reset) serves
 // callers with no index, or with an index over a different graph, as
 // throw-away scratch whose storage is recycled across graphs.
 //
@@ -39,15 +45,41 @@ type Columns struct {
 	g    *graph.Graph
 	edge map[string]*graph.Column
 	node map[string]*graph.Column
-	// ranges holds the range index of every column built here, nil until
-	// it is asked for.
-	ranges map[*graph.Column]*expr.Range
+	// ranges holds the range indexes of every column built here, empty
+	// until they are asked for.
+	ranges map[*graph.Column]ranged
 	from   []graph.NodeID
 	to     []graph.NodeID
 	// free holds column storage reclaimed by Reset.
 	free []*graph.Column
 	// scratch marks a Columns bound by Reset; it never arms.
 	scratch bool
+}
+
+// ranged is what Columns keeps beside one column it served: the
+// column's range index, nil until a rangeable program asks for it, and
+// for an edge column of a graph ArcIndexed admits, its arc-slot layout,
+// built with it.
+type ranged struct {
+	edge      bool
+	rng, arcs *expr.Range
+}
+
+// arcDensity bounds the arc-slot universe of a graph whose edge columns
+// get arc-slot range indexes against its 2|E| arcs (ArcIndexed).
+const arcDensity = 4
+
+// ArcIndexed reports whether the range indexes of g's edge columns are
+// also laid out over arc slots: g is undirected and its nr·64⌈nr/64⌉ arc
+// slots are at most arcDensity times its 2|E| arcs. The layout's suffix
+// bitsets then cost at most a fixed multiple of the edge index's,
+// whatever the size of g; a sparse host, whose n² slots would dwarf its
+// edges, keeps the edge-space index alone. The 296-site host (1.6 slots
+// per arc) qualifies; the 45-node proof_hard ring (≈5) and a 4,096-node
+// BRITE host do not.
+func ArcIndexed(g *graph.Graph) bool {
+	n := g.NumNodes()
+	return !g.Directed() && n*64*((n+63)/64) <= arcDensity*2*g.NumEdges()
 }
 
 // NewColumns returns an empty column cache over g.
@@ -107,9 +139,9 @@ func (c *Columns) column(cols *map[string]*graph.Column, attr string, build func
 	}
 	keep(cols, attr, col)
 	if c.ranges == nil {
-		c.ranges = make(map[*graph.Column]*expr.Range)
+		c.ranges = make(map[*graph.Column]ranged)
 	}
-	c.ranges[col] = nil
+	c.ranges[col] = ranged{edge: cols == &c.edge}
 	return col
 }
 
@@ -128,12 +160,24 @@ func (c *Columns) NodeColumn(attr string) *graph.Column {
 // Range returns the range index of col, a column c served, building it on
 // the first call (expr.Ranges). A column with a string payload, and a
 // column of scratch, never gets one.
-func (c *Columns) Range(col *graph.Column) *expr.Range {
+func (c *Columns) Range(col *graph.Column) *expr.Range { return c.arm(col).rng }
+
+// ArcRange returns the arc-slot layout of col's range index, building
+// both on the first call (expr.ArcRanges); nil unless col is an edge
+// column with a range index and ArcIndexed admits the graph.
+func (c *Columns) ArcRange(col *graph.Column) *expr.Range { return c.arm(col).arcs }
+
+// arm returns the range indexes of col, building them on the first call.
+func (c *Columns) arm(col *graph.Column) ranged {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.ranges[col]
-	if ok && r == nil && !c.scratch {
-		r = expr.NewRange(col) // nil for a column with a string payload
+	if ok && r.rng == nil && !c.scratch {
+		r.rng = expr.NewRange(col) // nil for a column with a string payload
+		if r.rng != nil && r.edge && ArcIndexed(c.g) {
+			from, to := c.endpoints()
+			r.arcs = expr.NewArcRange(r.rng, from, to, c.g.NumNodes())
+		}
 		c.ranges[col] = r
 	}
 	return r
@@ -144,13 +188,25 @@ func (c *Columns) Range(col *graph.Column) *expr.Range {
 func (c *Columns) Armed(col *graph.Column) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ranges[col] != nil
+	return c.ranges[col].rng != nil
+}
+
+// ArcArmed is Armed for col's arc-slot layout.
+func (c *Columns) ArcArmed(col *graph.Column) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ranges[col].arcs != nil
 }
 
 // Endpoints returns every edge's From and To node, by EdgeID.
 func (c *Columns) Endpoints() (from, to []graph.NodeID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.endpoints()
+}
+
+// endpoints is Endpoints with c.mu held.
+func (c *Columns) endpoints() (from, to []graph.NodeID) {
 	if len(c.from) != c.g.NumEdges() {
 		c.from, c.to = c.g.Endpoints(c.from[:0], c.to[:0])
 	}
@@ -161,9 +217,10 @@ func (c *Columns) Endpoints() (from, to []graph.NodeID) {
 // from old by d. Columns are carried over only when c describes old
 // itself and d kept the IDs they are indexed by: then exactly the
 // attributes d names may differ between old and next, so those are
-// dropped and the rest shared, each with its range index if built. Edge add/remove renumbers edges and leaves nodes alone, so
-// it drops the edge columns and endpoint arrays and keeps the node
-// columns; node add/remove keeps nothing. Anything else starts empty, so
+// dropped and the rest shared, each with its range indexes if built. Edge
+// add/remove renumbers edges and leaves nodes alone, so it drops the edge
+// columns, their arc-slot layouts and the endpoint arrays and keeps the
+// node columns; node add/remove keeps nothing. Anything else starts empty, so
 // a column is never served for a graph it was not built from.
 func (c *Columns) carry(old, next *graph.Graph, d *graph.Delta) *Columns {
 	if next == c.g {
@@ -178,7 +235,7 @@ func (c *Columns) carry(old, next *graph.Graph, d *graph.Delta) *Columns {
 	share := func(cols *map[string]*graph.Column, attr string, col *graph.Column) {
 		keep(cols, attr, col)
 		if out.ranges == nil {
-			out.ranges = make(map[*graph.Column]*expr.Range)
+			out.ranges = make(map[*graph.Column]ranged)
 		}
 		out.ranges[col] = c.ranges[col]
 	}

@@ -454,3 +454,57 @@ func TestColumnsConcurrentArming(t *testing.T) {
 		}
 	}
 }
+
+// TestArcIndexedDensityBound: whether a graph's edge columns get arc-slot
+// range indexes is a property of the instance alone — undirected, and at
+// most arcDensity arc slots per arc — and the arming of a column's range
+// index builds its arc-slot layout exactly then, never for a node column
+// or on scratch.
+func TestArcIndexedDensityBound(t *testing.T) {
+	clique := func(n int, directed bool) *graph.Graph {
+		g := graph.New(directed)
+		g.AddNodes(n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u < v || directed && u != v {
+					g.MustAddEdge(graph.NodeID(u), graph.NodeID(v), graph.Attrs{}.SetNum("delay", float64(u+v)))
+				}
+			}
+		}
+		for r := 0; r < n; r++ {
+			g.Node(graph.NodeID(r)).Attrs = graph.Attrs{}.SetNum("cpu", float64(r))
+		}
+		return g
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		want bool
+	}{
+		// K17: 17·64 = 1,088 slots for 272 arcs, the bound exactly.
+		{"K17", clique(17, false), true},
+		{"K16", clique(16, false), false}, // 1,024 slots for 240 arcs
+		{"K17 directed", clique(17, true), false},
+		{"K70", clique(70, false), true}, // two words per row
+	} {
+		if got := ArcIndexed(c.g); got != c.want {
+			t.Fatalf("%s: ArcIndexed = %v, want %v", c.name, got, c.want)
+		}
+		cols := Build(c.g, 1, Config{}).ColumnsFor(c.g)
+		edge, node := cols.EdgeColumn("delay"), cols.NodeColumn("cpu")
+		if cols.ArcArmed(edge) {
+			t.Fatalf("%s: an arc-slot layout before any request", c.name)
+		}
+		if built := cols.ArcRange(edge) != nil; built != c.want || cols.ArcArmed(edge) != c.want {
+			t.Fatalf("%s: arc-slot layout built %v, want %v", c.name, built, c.want)
+		}
+		if !cols.Armed(edge) || cols.ArcRange(node) != nil || cols.ArcArmed(node) {
+			t.Fatalf("%s: arming an edge column left it unarmed, or a node column got arc slots", c.name)
+		}
+		scratch := NewColumns(nil)
+		scratch.Reset(c.g)
+		if col := scratch.EdgeColumn("delay"); scratch.ArcRange(col) != nil || scratch.ArcArmed(col) {
+			t.Fatalf("%s: scratch columns built an arc-slot layout", c.name)
+		}
+	}
+}

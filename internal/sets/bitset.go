@@ -70,6 +70,14 @@ func ReuseBitsets(rows []Bitset, backing []uint64, n, count int) ([]Bitset, []ui
 	return rows, backing
 }
 
+// BitsetOver returns a bitset over [0, 64·len(words)) that reads and
+// writes words in place, member 64w+i being bit i of words[w]. Over the
+// backing of a MakeBitsets/ReuseBitsets table of rows over [0, 64k) it is
+// the whole table as one set: member 64k·r+t is t in row r.
+func BitsetOver(words []uint64) Bitset {
+	return Bitset{words: words, n: 64 * len(words)}
+}
+
 // ReuseBitset re-shapes b into an empty bitset over [0, n), reusing its
 // words when they fit and allocating otherwise. A nil b allocates fresh.
 func ReuseBitset(b *Bitset, n int) *Bitset {
