@@ -211,6 +211,7 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		"BenchmarkApplyDelta/edge_remove",
 		"BenchmarkApplyDelta/edge_add",
 		"BenchmarkBuildFilters/planetlab296_window",
+		"BenchmarkCutTables",
 		"BenchmarkDecodeQuery/query8",
 		"BenchmarkDecodeQuery/host296",
 		"BenchmarkEncodeQuery/query8",

@@ -74,14 +74,15 @@ type Filters struct {
 	tableOf     []edgeTables
 	arcStamp    *tableStamp
 	arcsBuf     []int32
-	evalScratch []evalScratch
+	evalScratch []EvalScratch
 	scratchCols *index.Columns
 }
 
-// evalScratch is one fill worker's state: the batch evaluator's registers
-// and the satisfied-mask it fills (over host edges for the edge
-// constraint, host nodes for the node constraint).
-type evalScratch struct {
+// EvalScratch is one evaluator's reusable state: the batch evaluator's
+// registers and the satisfied-mask it fills (over host edges for an edge
+// constraint, host nodes for a node constraint). The zero value is ready;
+// it is not safe for concurrent use.
+type EvalScratch struct {
 	expr expr.Scratch
 	mask *sets.Bitset
 }
@@ -188,8 +189,9 @@ func (f *Filters) buildNodePass(opt *Options, idx *index.Index, cols *index.Colu
 }
 
 // edgeTables pairs the two table IDs owned by one query edge with the
-// edge constraint's mask-adjacency (Out, In) its rows alias, and Out's
-// backing viewed as one set over arc slots: member r·64W+t is t in Out[r].
+// edge constraint's mask-adjacency (Out, In) its rows alias, and — when In
+// is Out — Out's backing viewed as one set over arc slots: member r·64W+t
+// is t in Out[r].
 type edgeTables struct {
 	fwd, bwd int32
 	out, in  []sets.Bitset
@@ -218,9 +220,13 @@ func (f *Filters) newArcTables(ownAdj, symmetric bool) []edgeTables {
 			bwd: newTable(qe.To, qe.From), // To placed -> candidates for From
 		}
 		if ownAdj {
+			// A symmetric arena is handed to AdmitArcs with its arc-slot
+			// view, which overwrites every word: it need not be zeroed.
 			var words []uint64
-			tableOf[i].out, tableOf[i].in, words = f.adjacency(symmetric)
-			tableOf[i].arcs = sets.BitsetOver(words)
+			tableOf[i].out, tableOf[i].in, words = f.adjacency(symmetric, symmetric)
+			if symmetric {
+				tableOf[i].arcs = sets.BitsetOver(words)
+			}
 		}
 	}
 	f.unions.rows, f.unions.backing = sets.ReuseBitsets(f.unions.rows, f.unions.backing, f.nr, len(f.tablesB))
@@ -231,18 +237,10 @@ func (f *Filters) newArcTables(ownAdj, symmetric bool) []edgeTables {
 // a table aliases an adjacency — fwd[r] = Out[r] for r ∈ pass(u),
 // bwd[r] = In[r] for r ∈ pass(v) — and its union, (∪ fwd[r]) ∩ pass(v),
 // is what formula (1) combines. Out and In are the index's adjacency when
-// there is no edge constraint, else a mask-adjacency of the host arcs the
-// edge constraint admits: rt in Out[rs] and rs in In[rt] for an admitted
-// arc rs→rt. On an undirected host one evaluation admits both arcs of an
-// edge, so In is Out, unless the program tells them apart through
-// rSource/rTarget. When In is Out, the snapshot keeps arc-slot range
-// indexes (index.ArcIndexed) and the program is rangeable, the evaluation
-// writes Out's rows directly (expr.EvalEdgeRanges). Otherwise — and as the
-// reference the tests hold that path to — it computes the satisfied-mask
-// over the host edges and sets each admitted arc through the endpoint
-// arrays (addArcs), an oriented program a second time with the endpoints
-// swapped. With no edge constraint and no index every host edge is
-// admitted and all query edges share one Out and In.
+// there is no edge constraint, else the query edge's own mask-adjacency of
+// the host arcs the edge constraint admits (AdmitArcs). With no edge
+// constraint and no index every host edge is admitted and all query edges
+// share one Out and In.
 //
 // The fill is sharded per query edge across Options.Workers goroutines.
 // Each edge owns its two tables, their unions and — handed out serially
@@ -253,24 +251,24 @@ func (f *Filters) newArcTables(ownAdj, symmetric bool) []edgeTables {
 func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns, passBits []*sets.Bitset) {
 	p := f.p
 	prog := p.EdgeConstraint
-	nEdges, nHostEdges := p.Query.NumEdges(), p.Host.NumEdges()
+	nEdges := p.Query.NumEdges()
 
 	indexed := idx != nil && prog == nil
 	var from, to []graph.NodeID
 	if !indexed {
 		from, to = cols.Endpoints()
 	}
-	oriented := !p.Host.Directed() && prog != nil && (prog.Uses(expr.ObjRSource) || prog.Uses(expr.ObjRTarget))
-	symmetric := !p.Host.Directed() && !oriented
+	directed := p.Host.Directed()
+	symmetric := Symmetric(directed, prog)
 	tableOf := f.newArcTables(prog != nil, symmetric)
 	// No edge constraint, no index: every query edge reads all host arcs.
 	var allOut, allIn []sets.Bitset
 	if prog == nil && !indexed {
-		allOut, allIn, _ = f.adjacency(symmetric)
-		addArcs(nil, from, to, allOut, allIn)
+		allOut, allIn, _ = f.adjacency(symmetric, false)
+		AdmitArcs(nil, &expr.EdgeBatch{RSource: from, RTarget: to}, directed, nil, allOut, allIn, nil)
 	}
 	f.pairsEval.Store(0)
-	fillEdge := func(i int, ws *evalScratch) {
+	fillEdge := func(i int, ws *EvalScratch) {
 		qe := p.Query.Edge(graph.EdgeID(i))
 		et := &tableOf[i]
 		var out, in func(graph.NodeID) *sets.Bitset
@@ -279,33 +277,19 @@ func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns
 		} else {
 			outRows, inRows := allOut, allIn
 			if prog != nil {
-				// The edge's own mask-adjacency: the host edges the
-				// constraint admits, as arcs in the stored orientation,
-				// then — for an oriented program — in the swapped one.
 				outRows, inRows = et.out, et.in
-				b := expr.EdgeBatch{
+				var arcs *sets.Bitset
+				if symmetric {
+					arcs = &et.arcs
+				}
+				pairs, _ := AdmitArcs(prog, &expr.EdgeBatch{
 					VEdge:   qe.Attrs,
 					VSource: p.Query.Node(qe.From).Attrs,
 					VTarget: p.Query.Node(qe.To).Attrs,
 					Host:    cols,
 					RSource: from, RTarget: to,
-				}
-				// The batch decides every host edge either way: from arc
-				// slots straight into the rows, or over the edges and then
-				// transposed into them.
-				f.pairsEval.Add(int64(nHostEdges))
-				if !symmetric || !prog.EvalEdgeRanges(&b, &ws.expr, &et.arcs) {
-					et.arcs.Reset() // whatever a refused range pass left
-					ws.mask = sets.ReuseBitset(ws.mask, nHostEdges)
-					prog.EvalEdgeBatch(&b, &ws.expr, ws.mask)
-					addArcs(ws.mask, from, to, outRows, inRows)
-					if oriented {
-						b.RSource, b.RTarget = to, from
-						prog.EvalEdgeBatch(&b, &ws.expr, ws.mask)
-						f.pairsEval.Add(int64(nHostEdges))
-						addArcs(ws.mask, to, from, outRows, inRows)
-					}
-				}
+				}, directed, ws, outRows, inRows, arcs)
+				f.pairsEval.Add(int64(pairs))
 			}
 			out = func(r graph.NodeID) *sets.Bitset { return &outRows[r] }
 			in = func(r graph.NodeID) *sets.Bitset { return &inRows[r] }
@@ -320,7 +304,7 @@ func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns
 		next := atomic.Int64{}
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(ws *evalScratch) {
+			go func(ws *EvalScratch) {
 				defer wg.Done()
 				for {
 					i := int(next.Add(1)) - 1
@@ -338,6 +322,60 @@ func (f *Filters) fillTables(opt *Options, idx *index.Index, cols *index.Columns
 		}
 	}
 	f.stats.EdgePairsEval = f.pairsEval.Load()
+}
+
+// Symmetric reports whether the edge constraint prog admits the two arcs
+// of every host edge together: the host is undirected and prog does not
+// tell the arcs apart through rSource or rTarget. A symmetric
+// mask-adjacency's In is its Out.
+func Symmetric(directed bool, prog *expr.Program) bool {
+	return !directed && (prog == nil || !prog.Uses(expr.ObjRSource) && !prog.Uses(expr.ObjRTarget))
+}
+
+// AdmitArcs writes into a mask-adjacency (Out, In) the host arcs the edge
+// constraint prog admits for b's query edge — every arc of every host edge
+// when prog is nil — rt in out[rs] and rs in in[rt] for an admitted arc
+// rs→rt, and returns the (query edge, host edge) pairs it decided and
+// whether the arc-slot pass wrote the rows. b.Host holds the host's
+// columns and b.RSource, b.RTarget its edges' endpoints; directed is the
+// host's.
+//
+// When Symmetric(directed, prog), in must be out — one pass admits both
+// arcs of an edge — and arcs is out's backing viewed as one set over arc
+// slots (sets.BitsetOver of the backing of nr rows over nr), or nil;
+// otherwise arcs is nil. Given arcs, out's prior contents do
+// not matter: when b.Host keeps arc-slot range indexes (index.ArcIndexed)
+// and prog is rangeable, one expr.EvalEdgeRanges pass writes every word,
+// and otherwise arcs is emptied first. Everywhere else — and as the
+// reference the tests hold that pass to — out and in start empty, the
+// satisfied-mask over the host edges is computed and each admitted arc
+// set through the endpoint arrays (addArcs), an oriented program's a
+// second time with the endpoints swapped.
+func AdmitArcs(prog *expr.Program, b *expr.EdgeBatch, directed bool, ws *EvalScratch, out, in []sets.Bitset, arcs *sets.Bitset) (pairs int, ranged bool) {
+	m := len(b.RSource)
+	if arcs != nil {
+		if prog != nil && prog.EvalEdgeRanges(b, &ws.expr, arcs) {
+			return m, true
+		}
+		arcs.Reset() // whatever a refused range pass left
+	}
+	if prog == nil {
+		addArcs(nil, b.RSource, b.RTarget, out, in)
+		return 0, false
+	}
+	ws.mask = sets.ReuseBitset(ws.mask, m)
+	prog.EvalEdgeBatch(b, &ws.expr, ws.mask)
+	addArcs(ws.mask, b.RSource, b.RTarget, out, in)
+	if directed || Symmetric(directed, prog) {
+		return m, false
+	}
+	// An undirected host edge's second arc, for a program that tells the
+	// two apart.
+	swapped := *b
+	swapped.RSource, swapped.RTarget = b.RTarget, b.RSource
+	prog.EvalEdgeBatch(&swapped, &ws.expr, ws.mask)
+	addArcs(ws.mask, swapped.RSource, swapped.RTarget, out, in)
+	return 2 * m, false
 }
 
 // addArcs adds the host arcs rs[j]→rt[j] of the edges in mask (every edge

@@ -89,19 +89,25 @@ type rowArena struct {
 	backing []uint64
 }
 
-// adjacency hands out the build's next empty mask-adjacency, its Out and
-// In rows (one set of rows when symmetric) and Out's backing words,
+// adjacency hands out the build's next mask-adjacency, its Out and In
+// rows (one set of rows when symmetric) and Out's backing words,
 // recycling arenas positionally: the i-th arena of this build reuses the
 // storage of the i-th arena of the build that previously owned this
-// Filters.
-func (f *Filters) adjacency(symmetric bool) (out, in []sets.Bitset, words []uint64) {
+// Filters. The rows are empty unless dirty, which leaves a symmetric
+// arena's recycled words as they were for a caller that overwrites them
+// all.
+func (f *Filters) adjacency(symmetric, dirty bool) (out, in []sets.Bitset, words []uint64) {
 	next := func() *rowArena {
 		if f.arenaNext >= len(f.arenas) {
 			f.arenas = append(f.arenas, rowArena{})
 		}
 		a := &f.arenas[f.arenaNext]
 		f.arenaNext++
-		a.rows, a.backing = sets.ReuseBitsets(a.rows, a.backing, f.nr, f.nr)
+		if dirty && symmetric {
+			a.rows, a.backing = sets.ReshapeBitsets(a.rows, a.backing, f.nr, f.nr)
+		} else {
+			a.rows, a.backing = sets.ReuseBitsets(a.rows, a.backing, f.nr, f.nr)
+		}
 		return a
 	}
 	a := next()

@@ -198,6 +198,23 @@ func (c *Columns) ArcArmed(col *graph.Column) bool {
 	return c.ranges[col].arcs != nil
 }
 
+// Bytes returns the storage the range indexes and arc-slot layouts built
+// here retain (expr.Range.Bytes), summed; the columns themselves are not
+// counted.
+func (c *Columns) Bytes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := 0
+	for _, r := range c.ranges {
+		for _, rng := range [2]*expr.Range{r.rng, r.arcs} {
+			if rng != nil {
+				b += rng.Bytes()
+			}
+		}
+	}
+	return b
+}
+
 // Endpoints returns every edge's From and To node, by EdgeID.
 func (c *Columns) Endpoints() (from, to []graph.NodeID) {
 	c.mu.Lock()

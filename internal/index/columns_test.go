@@ -459,7 +459,7 @@ func TestColumnsConcurrentArming(t *testing.T) {
 // range indexes is a property of the instance alone — undirected, and at
 // most arcDensity arc slots per arc — and the arming of a column's range
 // index builds its arc-slot layout exactly then, never for a node column
-// or on scratch.
+// or on scratch; Bytes sums what the indexes and layouts retain.
 func TestArcIndexedDensityBound(t *testing.T) {
 	clique := func(n int, directed bool) *graph.Graph {
 		g := graph.New(directed)
@@ -492,8 +492,8 @@ func TestArcIndexedDensityBound(t *testing.T) {
 		}
 		cols := Build(c.g, 1, Config{}).ColumnsFor(c.g)
 		edge, node := cols.EdgeColumn("delay"), cols.NodeColumn("cpu")
-		if cols.ArcArmed(edge) {
-			t.Fatalf("%s: an arc-slot layout before any request", c.name)
+		if cols.ArcArmed(edge) || cols.Bytes() != 0 {
+			t.Fatalf("%s: an arc-slot layout, or %d retained bytes, before any request", c.name, cols.Bytes())
 		}
 		if built := cols.ArcRange(edge) != nil; built != c.want || cols.ArcArmed(edge) != c.want {
 			t.Fatalf("%s: arc-slot layout built %v, want %v", c.name, built, c.want)
@@ -501,10 +501,17 @@ func TestArcIndexedDensityBound(t *testing.T) {
 		if !cols.Armed(edge) || cols.ArcRange(node) != nil || cols.ArcArmed(node) {
 			t.Fatalf("%s: arming an edge column left it unarmed, or a node column got arc slots", c.name)
 		}
+		want := cols.Range(edge).Bytes() + cols.Range(node).Bytes()
+		if c.want {
+			want += cols.ArcRange(edge).Bytes()
+		}
+		if got := cols.Bytes(); got != want {
+			t.Fatalf("%s: Bytes = %d, the indexes and layouts retain %d", c.name, got, want)
+		}
 		scratch := NewColumns(nil)
 		scratch.Reset(c.g)
-		if col := scratch.EdgeColumn("delay"); scratch.ArcRange(col) != nil || scratch.ArcArmed(col) {
-			t.Fatalf("%s: scratch columns built an arc-slot layout", c.name)
+		if col := scratch.EdgeColumn("delay"); scratch.ArcRange(col) != nil || scratch.ArcArmed(col) || scratch.Bytes() != 0 {
+			t.Fatalf("%s: scratch columns built an arc-slot layout or retain bytes", c.name)
 		}
 	}
 }

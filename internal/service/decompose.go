@@ -20,8 +20,9 @@ import (
 // NETEMBED §VIII gestures at), boundary first. A query no single region
 // can satisfy is split at cut edges into per-shard fragments, and the
 // coordinator — the one party that holds the inter-region hosting edges —
-// speaks first: per query cut edge it batch-evaluates the edge constraint
-// over the cached boundary view into a table of accepted boundary pairs,
+// speaks first: per query cut edge it evaluates the edge constraint over
+// the cached boundary view into a table of accepted boundary pairs, the
+// way a shard's filter build does over its host edges (core.AdmitArcs),
 // turns the tables into allow-sets for the fragments' frontier nodes, and
 // runs a forward-checking join whose variables are fragments, whose values
 // are fragment embeddings fetched from the shards under the current
@@ -247,12 +248,17 @@ func (c *Coordinator) crossAssignments(q *graph.Graph, snaps []shardSnap, bv *bo
 
 // cutTable holds one query cut edge's accepted boundary pairs as rows over
 // the boundary graph's nodes: rows[0][hu] is the set of hosts the edge's To
-// node may take once its From node sits on hu, rows[1][hv] the reverse; a
-// nil row is empty. A table does not depend on the split — only the
-// initial allow-sets (which shard owns which endpoint) do — so one request
-// builds each query edge's table at most once, whatever it tries.
+// node may take once its From node sits on hu, rows[1][hv] the reverse.
+// Every row is a view of one arena of n·⌈n/64⌉ words per side, and the two
+// sides are one arena when the boundary admits both arcs of an edge
+// together (core.Symmetric). A table does not depend on the split — only
+// the initial allow-sets (which shard owns which endpoint) do — so one
+// request builds each query edge's table at most once, whatever it tries.
 type cutTable struct {
-	rows [2][]*sets.Bitset
+	rows [2][]sets.Bitset
+	// ranged records that the arc-slot pass wrote the rows
+	// (core.AdmitArcs), not the transpose.
+	ranged bool
 }
 
 // cutRef is one query edge crossing the current assignment, with its From
@@ -293,8 +299,7 @@ type spanJoin struct {
 	specs    []core.MetricSpec
 	maxHops  int
 	tables   []*cutTable // by query edge ID; path mode shares one
-	scratch  expr.Scratch
-	mask     *sets.Bitset
+	scratch  core.EvalScratch
 
 	frags     []*fragment
 	fragOf    []*fragment // by query node
@@ -338,78 +343,39 @@ func (j *spanJoin) prepare() {
 	// every cut edge's table is the reachability oracle's rows; the metric
 	// windows are checked when the witness is stitched.
 	fwd, rev := j.bv.reachWithin(j.maxHops)
-	shared := &cutTable{}
-	for i := range fwd {
-		shared.rows[0] = append(shared.rows[0], &fwd[i])
-		shared.rows[1] = append(shared.rows[1], &rev[i])
-	}
+	shared := &cutTable{rows: [2][]sets.Bitset{fwd, rev}}
 	for e := range j.tables {
 		j.tables[e] = shared
 	}
 }
 
-// table returns query edge e's cut table, building it on first use with
-// one batch evaluation of the edge constraint over the boundary's columns
-// per orientation — the same mask-then-fill core.BuildFilters runs over a
-// shard's host edges.
+// table returns query edge e's cut table, building it on first use the
+// way core.BuildFilters builds a query edge's mask-adjacency over a
+// shard's host edges (core.AdmitArcs): on a dense, undirected boundary a
+// rangeable program is answered from bv.cols' arc-slot range indexes
+// straight into the rows, anything else by a batch evaluation over the
+// boundary edges transposed into them. With no edge constraint every
+// query edge reads the view's one all-admitted table.
 func (j *spanJoin) table(e graph.EdgeID) *cutTable {
 	if t := j.tables[e]; t != nil {
 		return t
 	}
 	bv, prog := j.bv, j.edgeProg
-	n, m := bv.bg.NumNodes(), bv.bg.NumEdges()
-	undirected := !bv.bg.Directed()
-	t := &cutTable{rows: [2][]*sets.Bitset{make([]*sets.Bitset, n), make([]*sets.Bitset, n)}}
-	j.tables[e] = t
-
-	var arena []sets.Bitset
-	set := func(rows []*sets.Bitset, h, partner graph.NodeID) {
-		if rows[h] == nil {
-			if len(arena) == 0 {
-				arena = sets.MakeBitsets(n, 32)
-			}
-			rows[h], arena = &arena[0], arena[1:]
-		}
-		rows[h].Set(partner)
-	}
-	admit := func(hu, hv graph.NodeID) {
-		set(t.rows[0], hu, hv)
-		set(t.rows[1], hv, hu)
+	if prog == nil {
+		j.tables[e] = bv.allAdmitted()
+		return j.tables[e]
 	}
 	q := j.req.Query
 	qe := q.Edge(e)
-	b := expr.EdgeBatch{
+	t, arcs := bv.newCutTable(prog)
+	_, t.ranged = core.AdmitArcs(prog, &expr.EdgeBatch{
 		VEdge:   qe.Attrs,
 		VSource: q.Node(qe.From).Attrs,
 		VTarget: q.Node(qe.To).Attrs,
 		Host:    bv.cols,
-	}
-	oriented := prog != nil && (prog.Uses(expr.ObjRSource) || prog.Uses(expr.ObjRTarget))
-	if oriented {
-		b.RSource, b.RTarget = bv.from, bv.to
-	}
-	// accepted visits the boundary edges the constraint accepts for b.
-	accepted := func(visit func(i graph.EdgeID)) {
-		if prog == nil {
-			for i := 0; i < m; i++ {
-				visit(graph.EdgeID(i))
-			}
-			return
-		}
-		j.mask = sets.ReuseBitset(j.mask, m)
-		prog.EvalEdgeBatch(&b, &j.scratch, j.mask)
-		j.mask.ForEach(func(i graph.EdgeID) bool { visit(i); return true })
-	}
-	accepted(func(i graph.EdgeID) {
-		admit(bv.from[i], bv.to[i])
-		if undirected && !oriented {
-			admit(bv.to[i], bv.from[i])
-		}
-	})
-	if undirected && oriented {
-		b.RSource, b.RTarget = bv.to, bv.from
-		accepted(func(i graph.EdgeID) { admit(bv.to[i], bv.from[i]) })
-	}
+		RSource: bv.from, RTarget: bv.to,
+	}, bv.bg.Directed(), &j.scratch, t.rows[0], t.rows[1], arcs)
+	j.tables[e] = t
 	return t
 }
 
@@ -506,10 +472,10 @@ func (j *spanJoin) propagate(allow []*sets.Bitset) bool {
 // revise returns x without the hosts none of whose partners (their row)
 // is still allowed for the node at the cut edge's other end — nil when
 // that drops nothing. x itself is shared and left alone.
-func revise(x *sets.Bitset, rows []*sets.Bitset, y *sets.Bitset) *sets.Bitset {
+func revise(x *sets.Bitset, rows []sets.Bitset, y *sets.Bitset) *sets.Bitset {
 	var kept *sets.Bitset
 	x.ForEach(func(h graph.NodeID) bool {
-		if rows[h] == nil || !rows[h].Intersects(y) {
+		if !rows[h].Intersects(y) {
 			if kept == nil {
 				kept = x.Clone()
 			}
@@ -707,12 +673,8 @@ func (j *spanJoin) place(f *fragment, hosts []graph.NodeID, allow []*sets.Bitset
 		at[side] = hosts[slices.Index(f.frontier, mine)]
 		g := j.fragOf[other]
 		if !g.done {
-			row := j.table(ce.edge).rows[side][at[side]]
-			if row == nil {
-				return nil, false
-			}
 			next[other] = next[other].Clone()
-			if !next[other].IntersectWith(row) {
+			if !next[other].IntersectWith(&j.table(ce.edge).rows[side][at[side]]) {
 				return nil, false
 			}
 			continue
@@ -786,12 +748,14 @@ type boundaryView struct {
 	// pairs lists the shard pairs joined by at least one cut edge, sorted.
 	pairs [][2]string //cow:shared
 
-	// The hop-bounded reachability rows path mode joins on, for the hop
-	// bound last asked for.
-	reachMu  sync.Mutex
+	// Built on first use under mu: the hop-bounded reachability rows path
+	// mode joins on, for the hop bound last asked for, and the cut table
+	// of a request with no edge constraint.
+	mu       sync.Mutex
 	reachFwd []sets.Bitset
 	reachRev []sets.Bitset
 	hops     int
+	all      *cutTable
 }
 
 func newBoundaryView(cuts []graph.CutEdge, directed bool, routes map[string]string) *boundaryView {
@@ -882,10 +846,40 @@ func (bv *boundaryView) matchEdge(hu, hv graph.NodeID, q *graph.Graph, qe *graph
 	})
 }
 
+// newCutTable allocates an empty cut table for the edge constraint prog,
+// its two sides one arena when prog admits both arcs of a boundary edge
+// together, and returns with it that arena viewed as one set over arc
+// slots (nil when the sides are apart).
+func (bv *boundaryView) newCutTable(prog *expr.Program) (*cutTable, *sets.Bitset) {
+	n := bv.bg.NumNodes()
+	out, words := sets.ReuseBitsets(nil, nil, n, n)
+	t := &cutTable{rows: [2][]sets.Bitset{out, out}}
+	if !core.Symmetric(bv.bg.Directed(), prog) {
+		t.rows[1] = sets.MakeBitsets(n, n)
+		return t, nil
+	}
+	arcs := sets.BitsetOver(words)
+	return t, &arcs
+}
+
+// allAdmitted returns the cut table that admits every boundary edge,
+// built on first use and shared by every cut edge of every request with
+// no edge constraint.
+func (bv *boundaryView) allAdmitted() *cutTable {
+	bv.mu.Lock()
+	defer bv.mu.Unlock()
+	if bv.all == nil {
+		t, _ := bv.newCutTable(nil)
+		core.AdmitArcs(nil, &expr.EdgeBatch{RSource: bv.from, RTarget: bv.to}, bv.bg.Directed(), nil, t.rows[0], t.rows[1], nil)
+		bv.all = t
+	}
+	return bv.all
+}
+
 // reachWithin returns the boundary graph's hop-bounded reachability rows.
 func (bv *boundaryView) reachWithin(maxHops int) (fwd, rev []sets.Bitset) {
-	bv.reachMu.Lock()
-	defer bv.reachMu.Unlock()
+	bv.mu.Lock()
+	defer bv.mu.Unlock()
 	if bv.reachFwd == nil || bv.hops != maxHops {
 		bv.reachFwd, bv.reachRev = index.BuildReach(bv.bg, maxHops)
 		bv.hops = maxHops

@@ -927,6 +927,10 @@ type ClusterInfo struct {
 	BoundaryEdges int                `json:"boundaryEdges"`
 	RouteVersion  uint64             `json:"routeVersion"`
 	CrossEmbeds   uint64             `json:"crossShardEmbeds"`
+	// BoundaryRangeIndexBytes is what the current boundary view's range
+	// indexes and arc-slot layouts retain (index.Columns.Bytes); spanning
+	// requests build them on first use.
+	BoundaryRangeIndexBytes int `json:"boundaryRangeIndexBytes"`
 	// Spanning counts how the requests that went through cross-shard
 	// decomposition ended, and what their joins cost.
 	Spanning SpanningInfo `json:"spanning"`
@@ -961,11 +965,12 @@ func (c *Coordinator) Cluster() ClusterInfo {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	info := ClusterInfo{
-		RegionAttr:    c.regionAttr,
-		RoutedNodes:   len(c.routes),
-		BoundaryEdges: len(c.view.cuts),
-		RouteVersion:  c.routeVersion,
-		CrossEmbeds:   c.spanOutcomes[spanAnswered],
+		RegionAttr:              c.regionAttr,
+		RoutedNodes:             len(c.routes),
+		BoundaryEdges:           len(c.view.cuts),
+		RouteVersion:            c.routeVersion,
+		CrossEmbeds:             c.spanOutcomes[spanAnswered],
+		BoundaryRangeIndexBytes: c.view.cols.Bytes(),
 		Spanning: SpanningInfo{
 			Answered:           c.spanOutcomes[spanAnswered],
 			FrontierEmpty:      c.spanOutcomes[spanFrontierEmpty],

@@ -125,20 +125,23 @@ func (m *Model) Release(version uint64) {
 // EpochStats describes the model's snapshot-retirement state: the current
 // version, how many distinct versions still have in-flight readers, the
 // total reader count, and how many superseded epochs have been fully
-// released since the model was built.
+// released since the model was built — and what the current snapshot's
+// range indexes and arc-slot layouts retain (index.Columns.Bytes).
 type EpochStats struct {
-	Version     uint64 `json:"version"`
-	LiveEpochs  int    `json:"liveEpochs"`
-	LiveReaders int    `json:"liveReaders"`
-	Retired     uint64 `json:"retiredEpochs"`
+	Version         uint64 `json:"version"`
+	LiveEpochs      int    `json:"liveEpochs"`
+	LiveReaders     int    `json:"liveReaders"`
+	Retired         uint64 `json:"retiredEpochs"`
+	RangeIndexBytes int    `json:"rangeIndexBytes"`
 }
 
 // EpochStats returns the current snapshot-retirement gauges.
 func (m *Model) EpochStats() EpochStats {
-	v := m.Version()
+	g, idx, v := m.SnapshotIndexed()
+	rangeBytes := idx.ColumnsFor(g).Bytes()
 	m.epochs.mu.Lock()
 	defer m.epochs.mu.Unlock()
-	st := EpochStats{Version: v, LiveEpochs: len(m.epochs.readers), Retired: m.epochs.retired}
+	st := EpochStats{Version: v, LiveEpochs: len(m.epochs.readers), Retired: m.epochs.retired, RangeIndexBytes: rangeBytes}
 	for _, n := range m.epochs.readers {
 		st.LiveReaders += n
 	}

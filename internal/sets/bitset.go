@@ -51,13 +51,22 @@ func FromSet(n int, s Set) *Bitset {
 // pooled search structures — a warm worker re-shapes the same two
 // allocations for every query instead of paying MakeBitsets per search.
 func ReuseBitsets(rows []Bitset, backing []uint64, n, count int) ([]Bitset, []uint64) {
+	if need := (n + 63) / 64 * count; cap(backing) >= need {
+		clear(backing[:need])
+	}
+	return ReshapeBitsets(rows, backing, n, count)
+}
+
+// ReshapeBitsets is ReuseBitsets without the clearing: recycled rows hold
+// whatever their backing held, for a caller that overwrites every word.
+// Freshly allocated rows are empty.
+func ReshapeBitsets(rows []Bitset, backing []uint64, n, count int) ([]Bitset, []uint64) {
 	words := (n + 63) / 64
 	need := words * count
 	if cap(backing) < need {
 		backing = make([]uint64, need)
 	} else {
 		backing = backing[:need]
-		clear(backing)
 	}
 	if cap(rows) < count {
 		rows = make([]Bitset, count)
