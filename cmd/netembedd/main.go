@@ -32,10 +32,13 @@
 // best-so-far mapping and cost. -repair-objective applies the same
 // objective as the lifecycle repair planner's tie-break.
 //
-// Every embedding query runs on the asynchronous job engine: a bounded
-// queue (-queue) drained by a worker pool (-workers) with a
-// model-versioned result cache (-cache) in front. Saturation answers
-// 429 instead of stacking handler goroutines.
+// Every /embed and /jobs query is admitted by the engine: at most
+// -workers searches run at once, at most -queue requests wait for a slot
+// in arrival order, and a model-versioned result cache (-cache) answers
+// repeats without a slot. Past the queue bound the daemon answers 429
+// instead of stacking waiters. /embed searches on its own handler
+// goroutine and leaves no record; only /jobs submissions are kept for
+// polling.
 //
 // The model maintains a persistent host-capability index that the
 // filter construction intersects instead of rescanning the host; POST
@@ -43,8 +46,8 @@
 // monitor publishes cost what they touch, not what the network measures.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight requests
-// get a drain window, the job engine finishes running jobs and fails
-// queued ones, the monitoring goroutine is stopped, and the process
+// get a drain window, the engine lets running searches finish and fails
+// waiting requests, the monitoring goroutine is stopped, and the process
 // exits cleanly.
 //
 // # Distributed tier
@@ -130,8 +133,8 @@ func run() error {
 		timeout   = flag.Duration("timeout", 30*time.Second, "default per-query timeout")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window for in-flight requests")
 		hdrLimit  = flag.Duration("header-timeout", 10*time.Second, "ReadHeaderTimeout guarding against slow-loris clients")
-		workers   = flag.Int("workers", 0, "job-engine worker pool size (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 128, "job-engine submission queue depth (full queue answers 429)")
+		workers   = flag.Int("workers", 0, "how many searches run at once (0 = GOMAXPROCS)")
+		queue     = flag.Int("queue", 128, "how many requests may wait for a search slot (past it: 429)")
 		cache     = flag.Int("cache", 512, "job-engine result cache capacity in entries (negative = disabled)")
 		pathHops  = flag.Int("path-hops", 3, "default witness hop bound for path-mode (link-to-path) queries that carry no maxHops")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = disabled")
@@ -284,8 +287,8 @@ func run() error {
 		log.Printf("shutdown signal received, draining for up to %v", *drain)
 		shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
-		// Stop accepting HTTP first, then drain the job engine (running
-		// jobs finish, queued ones fail cleanly), then join the monitor.
+		// Stop accepting HTTP first, then drain the engine (running
+		// searches finish, waiters fail cleanly), then join the monitor.
 		err := srv.Shutdown(shutCtx)
 		if engErr := eng.Close(shutCtx); engErr != nil {
 			log.Printf("engine drain cut short: %v", engErr)

@@ -22,7 +22,7 @@ func TestDeltaInvalidatesCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := e.Wait(ctx, job.ID())
+		info, err := waitJob(ctx, e, job.ID())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,38 +1,33 @@
-// Package engine is the asynchronous embedding job engine: it sits
-// between the HTTP API and the mapping service, turning blocking
-// Service.Embed calls into a submit/poll/cancel job lifecycle with a
-// bounded queue, a fixed worker pool, explicit backpressure, and a
-// model-versioned result cache.
+// Package engine admits embedding requests between the HTTP API and the
+// mapping service. The paper frames NETEMBED as a *service* answering
+// mapping queries against a continuously re-measured hosting network: the
+// server must bound how many searches run at once, a caller that gives
+// up must be able to stop its search (not just abandon it), and identical
+// queries against an unchanged snapshot should not recompute. So:
 //
-// The paper frames NETEMBED as a *service* answering mapping queries
-// against a continuously re-measured hosting network; a long ECF search
-// must not pin an HTTP handler goroutine, a caller that gives up must be
-// able to stop the search (not just abandon it), and identical queries
-// against an unchanged network snapshot should not recompute. The engine
-// provides exactly that:
-//
-//   - Submit enqueues a job onto a bounded queue and returns immediately;
-//     when the queue is full it fails fast with ErrQueueFull so the HTTP
-//     layer can answer 429 instead of stacking goroutines.
-//   - Jobs move queued → running → done/failed/canceled. Cancel stops a
-//     queued job instantly and a running one cooperatively, via the
-//     Options.Stop hook threaded through service.Request into every
-//     search algorithm's deadline check.
-//   - Answers are cached under (request fingerprint, model version);
-//     resubmitting an identical query against the same snapshot is O(1),
-//     and a monitor publish invalidates automatically because the
-//     current version is part of every lookup.
-//   - A periodic tick prunes expired ledger leases and sweeps
-//     stale-version cache entries.
-//   - Close drains gracefully: running jobs finish, queued jobs fail
-//     with ErrShuttingDown, workers exit.
+//   - Admission is synchronous: a cache hit answers at once, a free slot
+//     (one of Config.Workers) runs the request, otherwise it waits in
+//     FIFO order behind fewer than Config.QueueDepth others, and past
+//     that fails fast with ErrQueueFull (HTTP 429).
+//   - Do runs a blocking request on the caller's goroutine; its ctx is its
+//     cancellation, and no record of it is kept. Submit registers a job
+//     that runs on a goroutine of its own, moves queued → running →
+//     done/failed/canceled, and is canceled by ID. Either way cancellation
+//     reaches the search through the Options.Stop hook every algorithm
+//     polls.
+//   - Answers are cached under (request fingerprint, model version), so
+//     a monitor publish invalidates every entry at once.
+//   - A periodic tick prunes expired ledger leases, sweeps stale-version
+//     cache entries and forgets old finished job records.
+//   - Close fails the waiters with ErrShuttingDown and lets running
+//     searches finish.
 package engine
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -64,8 +59,8 @@ type JobID string
 
 // Engine errors.
 var (
-	// ErrQueueFull is backpressure: the submission queue is at capacity.
-	// HTTP maps it to 429 Too Many Requests.
+	// ErrQueueFull is backpressure: every slot is held and QueueDepth
+	// requests already wait. HTTP maps it to 429 Too Many Requests.
 	ErrQueueFull = errors.New("engine: submission queue full")
 	// ErrShuttingDown rejects submissions to (and fails jobs queued in) a
 	// closing engine.
@@ -75,37 +70,37 @@ var (
 	// ErrJobFinished rejects canceling a job that already reached
 	// done/failed.
 	ErrJobFinished = errors.New("engine: job already finished")
+	// ErrCanceled is a canceled job's error: Cancel, the caller's ctx, or
+	// Close's expired ctx stopped it.
+	ErrCanceled = errors.New("engine: canceled")
 )
 
-// Job is one asynchronous embedding request. All exported accessors are
-// safe for concurrent use.
+// Job is one embedding request from admission to its terminal state.
+// Submit registers it under an ID; Do keeps it to itself. All exported
+// accessors are safe for concurrent use.
 type Job struct {
-	id  JobID
+	id  JobID // empty unless registered by Submit
 	req service.Request
+	// ctx is a blocking caller's context (nil for Submit): once it is
+	// done the search stops and the job ends canceled.
+	ctx context.Context
 
 	cancelFlag atomic.Bool   // observed by the search's Stop hook
 	done       chan struct{} // closed on the terminal transition
 
-	// cacheKey/cacheable are fixed at submission (requestKey is pure in
-	// the request), so workers never rehash the query graph.
+	// ready is made when the job joins Engine.waiters; whoever removes it
+	// from there closes ready, after setting granted if it hands over a
+	// slot. Both are written under Engine.mu.
+	ready   chan struct{}
+	granted bool
+
+	// cacheKey/cacheable are fixed at admission (requestKey is pure in
+	// the request), so run never rehashes the query graph.
 	cacheKey  string
 	cacheable bool
 
-	mu        sync.Mutex
-	state     State
-	resp      *service.Response
-	err       error
-	fromCache bool
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-
-	// Anytime incumbent of an optimizing job: the best feasible embedding
-	// (by names) found so far and its objective cost, streamed in by the
-	// search's OnImprove hook so GET /jobs/{id} can answer best-so-far
-	// while the optimality proof is still running.
-	bestSoFar service.NamedMapping
-	bestCost  float64
+	mu   sync.Mutex
+	info Info // all but ID
 }
 
 // Info is an immutable snapshot of a job, safe to hand to encoders.
@@ -120,7 +115,9 @@ type Info struct {
 	Err       error
 	// BestSoFar/BestCost carry an optimizing job's anytime incumbent: nil
 	// until the search finds its first feasible embedding, then the best
-	// one seen (by names) and its objective cost. Once the job is done,
+	// one seen (by names) and its objective cost, streamed in by the
+	// search's OnImprove hook so GET /jobs/{id} can answer best-so-far
+	// while the optimality proof is still running. Once the job is done,
 	// Response is authoritative.
 	BestSoFar service.NamedMapping
 	BestCost  float64
@@ -135,19 +132,10 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // Info snapshots the job.
 func (j *Job) Info() Info {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return Info{
-		ID:        j.id,
-		State:     j.state,
-		FromCache: j.fromCache,
-		Submitted: j.submitted,
-		Started:   j.started,
-		Finished:  j.finished,
-		Response:  j.resp,
-		Err:       j.err,
-		BestSoFar: j.bestSoFar,
-		BestCost:  j.bestCost,
-	}
+	info := j.info
+	j.mu.Unlock()
+	info.ID = j.id
+	return info
 }
 
 // noteBest records an incumbent improvement. Improvements can arrive out
@@ -155,28 +143,25 @@ func (j *Job) Info() Info {
 // replaces the stored incumbent.
 func (j *Job) noteBest(nm service.NamedMapping, cost float64) {
 	j.mu.Lock()
-	if j.bestSoFar == nil || cost < j.bestCost {
-		j.bestSoFar, j.bestCost = nm, cost
+	if j.info.BestSoFar == nil || cost < j.info.BestCost {
+		j.info.BestSoFar, j.info.BestCost = nm, cost
 	}
 	j.mu.Unlock()
 }
 
 // finish performs the terminal transition exactly once; later calls
-// (e.g. a worker completing a search that Cancel already marked
-// canceled) are no-ops. It reports whether this call won. The winner
-// bumps the engine counters it is given before it closes done, so a
-// caller that returns from Wait reads Stats with the job counted.
+// (e.g. run completing a search that Cancel already marked canceled) are
+// no-ops. It reports whether this call won. The winner bumps the engine
+// counters it is given before it closes done, so a caller woken by Done
+// reads Stats with the job counted.
 func (j *Job) finish(state State, resp *service.Response, err error, fromCache bool, counters ...*atomic.Int64) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	if j.info.State.Terminal() {
 		return false
 	}
-	j.state = state
-	j.resp = resp
-	j.err = err
-	j.fromCache = fromCache
-	j.finished = time.Now()
+	j.info.State, j.info.Response, j.info.Err, j.info.FromCache = state, resp, err, fromCache
+	j.info.Finished = time.Now()
 	for _, c := range counters {
 		c.Add(1)
 	}
@@ -186,20 +171,21 @@ func (j *Job) finish(state State, resp *service.Response, err error, fromCache b
 
 // Config tunes an Engine. The zero value gets sensible defaults.
 type Config struct {
-	// Workers sizes the pool draining the queue (default GOMAXPROCS).
+	// Workers is how many searches run at once: the number of slots
+	// (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds how many jobs may wait beyond the ones running;
-	// submissions past it fail with ErrQueueFull (default 128).
+	// QueueDepth bounds how many requests may wait for a slot; admissions
+	// past it fail with ErrQueueFull (default 128).
 	QueueDepth int
 	// CacheCapacity bounds the result cache entry count; negative
 	// disables caching (default 512).
 	CacheCapacity int
 	// TickInterval paces the maintenance tick — ledger lease pruning,
-	// stale-version cache sweeping, and finished-job record expiry
-	// (default 1s).
+	// stale-version cache sweeping, and expiry of finished Submit job
+	// records (default 1s).
 	TickInterval time.Duration
-	// JobRetention is how long terminal job records stay pollable before
-	// the tick forgets them (default 15m).
+	// JobRetention is how long terminal Submit job records stay pollable
+	// before the tick forgets them (default 15m).
 	JobRetention time.Duration
 }
 
@@ -223,8 +209,8 @@ func (c *Config) applyDefaults() {
 
 // Stats is a point-in-time snapshot of the engine counters.
 type Stats struct {
-	Queued    int   `json:"queued"`    // jobs waiting in the queue
-	Running   int   `json:"running"`   // jobs currently searching
+	Queued    int   `json:"queued"`    // requests waiting for a slot
+	Running   int   `json:"running"`   // requests holding a slot
 	Submitted int64 `json:"submitted"` // accepted submissions, ever
 	Completed int64 `json:"completed"` // jobs that reached done
 	Failed    int64 `json:"failed"`    // jobs that reached failed
@@ -243,31 +229,34 @@ type Stats struct {
 	Search map[string]int64 `json:"search"`
 }
 
-// Engine runs embedding jobs asynchronously against a service. Safe for
+// Engine admits embedding requests against a service. Safe for
 // concurrent use.
 type Engine struct {
 	svc   *service.Service
 	cfg   Config
 	cache *resultCache // nil when disabled
 
-	mu     sync.Mutex // guards closed and sends into queue vs. close(queue)
-	closed bool
-	queue  chan *Job
-	start  sync.Once // lazily spawns workers + tick on first submission
+	mu      sync.Mutex // guards closed, free and waiters
+	closed  bool
+	free    int       // slots nobody holds
+	waiters []*Job    // FIFO of admitted requests waiting for a slot
+	start   sync.Once // lazily spawns the tick on first admission
+
+	// held counts the slots held; Close waits for it to drain. abort,
+	// set when Close's ctx expires, stops every running search.
+	held  sync.WaitGroup
+	abort atomic.Bool
 
 	jobsMu sync.Mutex
-	jobs   map[JobID]*Job
+	jobs   map[JobID]*Job // Submit's jobs only
 	nextID int64
 
 	maintMu    sync.Mutex
 	maintainer Maintainer
 
-	workerWG sync.WaitGroup
 	tickStop chan struct{}
 	tickWG   sync.WaitGroup
 
-	queuedGauge  atomic.Int64
-	runningGauge atomic.Int64
 	submitted    atomic.Int64
 	completed    atomic.Int64
 	failed       atomic.Int64
@@ -281,16 +270,16 @@ type Engine struct {
 	search   core.Stats // counters only; guarded by searchMu
 }
 
-// New builds an engine over svc. The worker pool and maintenance tick
-// start lazily on the first submission, so constructing an engine (or an
-// httpapi.Server, which embeds one) costs no goroutines until it is
-// actually used. Call Close to drain and stop a used engine.
+// New builds an engine over svc. The maintenance tick starts lazily on
+// the first admission, so constructing an engine (or an httpapi.Server,
+// which embeds one) costs no goroutines until it is actually used. Call
+// Close to drain and stop a used engine.
 func New(svc *service.Service, cfg Config) *Engine {
 	cfg.applyDefaults()
 	e := &Engine{
 		svc:      svc,
 		cfg:      cfg,
-		queue:    make(chan *Job, cfg.QueueDepth),
+		free:     cfg.Workers,
 		jobs:     make(map[JobID]*Job),
 		tickStop: make(chan struct{}),
 	}
@@ -300,100 +289,148 @@ func New(svc *service.Service, cfg Config) *Engine {
 	return e
 }
 
-// ensureStarted spawns the worker pool and the maintenance tick exactly
-// once. The spawned goroutines take e.mu only transiently per job, so
-// calling this while holding e.mu is safe.
-func (e *Engine) ensureStarted() {
-	e.start.Do(func() {
-		for i := 0; i < e.cfg.Workers; i++ {
-			e.workerWG.Add(1)
-			go e.worker()
-		}
-		e.tickWG.Add(1)
-		go e.tick()
-	})
-}
-
-// Service exposes the underlying mapping service.
-func (e *Engine) Service() *service.Service { return e.svc }
-
-// Submit validates and enqueues a request, returning the job handle
-// immediately. A cache hit completes the job synchronously (state done,
-// FromCache true) without consuming a queue slot. A full queue fails
-// with ErrQueueFull; a closing engine with ErrShuttingDown.
-func (e *Engine) Submit(req service.Request) (*Job, error) {
+// newJob validates req and builds its (unregistered) job.
+func (e *Engine) newJob(req service.Request) (*Job, error) {
 	if req.Query == nil {
 		return nil, service.ErrNoQuery
 	}
-	job := &Job{
-		req:       req,
-		state:     StateQueued,
-		done:      make(chan struct{}),
-		submitted: time.Now(),
-	}
+	job := &Job{req: req, done: make(chan struct{}), info: Info{State: StateQueued, Submitted: time.Now()}}
 	if e.cache != nil {
 		job.cacheKey, job.cacheable = requestKey(req)
 	}
-
-	// Cache fast path: answered in O(1), never touches the queue. The
-	// closed check comes first so a drained engine refuses even cached
-	// submissions, as Close documents.
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrShuttingDown
-	}
-	e.ensureStarted()
-	if job.cacheable {
-		if resp, ok := e.cache.get(job.cacheKey, e.svc.Model().Version()); ok {
-			e.mu.Unlock()
-			e.register(job)
-			e.submitted.Add(1)
-			e.cacheHits.Add(1)
-			job.finish(StateDone, resp, nil, true, &e.completed)
-			return job, nil
-		}
-	}
-	// Bump the gauge before the send: the worker's decrement strictly
-	// follows its receive, so the gauge can never dip negative.
-	e.queuedGauge.Add(1)
-	select {
-	case e.queue <- job:
-		e.mu.Unlock()
-	default:
-		e.mu.Unlock()
-		e.queuedGauge.Add(-1)
-		e.rejections.Add(1)
-		return nil, ErrQueueFull
-	}
-	e.register(job)
-	e.submitted.Add(1)
 	return job, nil
 }
 
-// SubmitWait is the synchronous façade the /embed endpoint keeps: submit,
-// then wait for the terminal state or ctx expiry. A ctx cancellation
-// cancels the job (stopping its search) before returning.
+// admit decides a new job's fate, in this order: a closing engine
+// refuses it (ErrShuttingDown), even when cached; a cache hit finishes it
+// without a slot (hit); a free slot is taken for it; a place in the FIFO
+// is given to it while fewer than QueueDepth wait (queued); else it is
+// refused with ErrQueueFull.
+func (e *Engine) admit(job *Job) (hit, queued bool, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return false, false, ErrShuttingDown
+	}
+	e.start.Do(func() {
+		e.tickWG.Add(1)
+		go e.tick()
+	})
+	if job.cacheable {
+		if resp, ok := e.cache.get(job.cacheKey, e.svc.Model().Version()); ok {
+			e.submitted.Add(1)
+			e.cacheHits.Add(1)
+			job.finish(StateDone, resp, nil, true, &e.completed)
+			return true, false, nil
+		}
+	}
+	switch {
+	case e.free > 0:
+		e.free--
+		e.held.Add(1)
+	case len(e.waiters) < e.cfg.QueueDepth:
+		job.ready, queued = make(chan struct{}), true
+		e.waiters = append(e.waiters, job)
+	default:
+		e.rejections.Add(1)
+		return false, false, ErrQueueFull
+	}
+	e.submitted.Add(1)
+	return false, queued, nil
+}
+
+// await blocks a queued job until it is granted a slot (true) or leaves
+// the FIFO without one (false): Close failed it, or gone closed and the
+// job is settled canceled here.
+func (e *Engine) await(job *Job, gone <-chan struct{}) bool {
+	select {
+	case <-job.ready:
+	case <-gone:
+		e.mu.Lock()
+		i := slices.Index(e.waiters, job)
+		if i >= 0 {
+			e.waiters = slices.Delete(e.waiters, i, i+1)
+		}
+		e.mu.Unlock()
+		if i >= 0 {
+			job.finish(StateCanceled, nil, ErrCanceled, false, &e.canceled)
+			return false
+		}
+		<-job.ready // removed meanwhile by release or Close
+	}
+	return job.granted
+}
+
+// release hands the caller's slot to the longest waiter, or frees it.
+func (e *Engine) release() {
+	e.mu.Lock()
+	if len(e.waiters) > 0 {
+		next := e.waiters[0]
+		e.waiters = slices.Delete(e.waiters, 0, 1)
+		next.granted = true
+		close(next.ready)
+		e.mu.Unlock()
+		return
+	}
+	e.free++
+	e.mu.Unlock()
+	e.held.Done()
+}
+
+// Do answers one request on the caller's goroutine: admission, a wait
+// for a slot if none is free, then the search in it. ctx cancels it,
+// waiting or searching. Nothing is registered. The error is nil exactly
+// when the Info is done; else it is the admission error, ctx.Err() if
+// ctx ended the request, or the Info's Err (ErrCanceled if Close's
+// expired ctx stopped the search).
+func (e *Engine) Do(ctx context.Context, req service.Request) (Info, error) {
+	job, err := e.newJob(req)
+	if err != nil {
+		return Info{}, err
+	}
+	job.ctx = ctx
+	hit, queued, err := e.admit(job)
+	if err != nil {
+		return Info{}, err
+	}
+	if !hit && (!queued || e.await(job, ctx.Done())) {
+		e.run(job)
+	}
+	info := job.Info()
+	if info.State == StateCanceled && ctx.Err() != nil {
+		return info, ctx.Err()
+	}
+	return info, info.Err
+}
+
+// SubmitWait is Do returning only the answer.
 func (e *Engine) SubmitWait(ctx context.Context, req service.Request) (*service.Response, error) {
-	job, err := e.Submit(req)
+	info, err := e.Do(ctx, req)
+	return info.Response, err
+}
+
+// Submit admits a request like Do, registers it as a job and returns the
+// handle at once; the job waits and runs on a goroutine of its own. A
+// cache hit is done on return (FromCache true). A full FIFO fails with
+// ErrQueueFull, a closing engine with ErrShuttingDown.
+func (e *Engine) Submit(req service.Request) (*Job, error) {
+	job, err := e.newJob(req)
 	if err != nil {
 		return nil, err
 	}
-	select {
-	case <-job.Done():
-	case <-ctx.Done():
-		_, _ = e.Cancel(job.ID())
-		return nil, ctx.Err()
+	hit, queued, err := e.admit(job)
+	if err != nil {
+		return nil, err
 	}
-	info := job.Info()
-	switch info.State {
-	case StateDone:
-		return info.Response, nil
-	case StateCanceled:
-		return nil, fmt.Errorf("engine: job %s canceled", job.ID())
-	default:
-		return nil, info.Err
+	e.register(job)
+	if !hit {
+		go func() {
+			if !queued || e.await(job, job.done) {
+				e.run(job)
+			}
+		}()
 	}
+	return job, nil
 }
 
 // Job returns the handle for an ID.
@@ -405,9 +442,9 @@ func (e *Engine) Job(id JobID) (*Job, bool) {
 }
 
 // Cancel stops a job: a queued job transitions to canceled immediately
-// (the worker later skips it), a running one has its Stop hook flipped so
-// the search halts at the next deadline check — well before any
-// wall-clock timeout — and is marked canceled right away. Canceling an
+// (and leaves the FIFO), a running one has its Stop hook flipped so the
+// search halts at the next deadline check — well before any wall-clock
+// timeout — and is marked canceled right away. Canceling an
 // already-canceled job is an idempotent success; a done or failed job
 // returns ErrJobFinished.
 func (e *Engine) Cancel(id JobID) (Info, error) {
@@ -416,36 +453,21 @@ func (e *Engine) Cancel(id JobID) (Info, error) {
 		return Info{}, ErrJobNotFound
 	}
 	job.cancelFlag.Store(true)
-	if job.finish(StateCanceled, nil, fmt.Errorf("engine: job %s canceled", id), false, &e.canceled) {
-		return job.Info(), nil
+	job.finish(StateCanceled, nil, ErrCanceled, false, &e.canceled)
+	if info := job.Info(); info.State != StateCanceled {
+		return info, ErrJobFinished
 	}
-	info := job.Info()
-	if info.State == StateCanceled {
-		return info, nil
-	}
-	return info, ErrJobFinished
-}
-
-// Wait blocks until the job is terminal or ctx expires, returning the
-// final snapshot.
-func (e *Engine) Wait(ctx context.Context, id JobID) (Info, error) {
-	job, ok := e.Job(id)
-	if !ok {
-		return Info{}, ErrJobNotFound
-	}
-	select {
-	case <-job.Done():
-		return job.Info(), nil
-	case <-ctx.Done():
-		return job.Info(), ctx.Err()
-	}
+	return job.Info(), nil
 }
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
+	e.mu.Lock()
+	queued, running := len(e.waiters), e.cfg.Workers-e.free
+	e.mu.Unlock()
 	return Stats{
-		Queued:              int(e.queuedGauge.Load()),
-		Running:             int(e.runningGauge.Load()),
+		Queued:              queued,
+		Running:             running,
 		Submitted:           e.submitted.Load(),
 		Completed:           e.completed.Load(),
 		Failed:              e.failed.Load(),
@@ -471,12 +493,10 @@ func (e *Engine) searchCounters() map[string]int64 {
 	return out
 }
 
-// Close drains the engine: no new submissions are accepted, jobs still in
-// the queue fail with ErrShuttingDown, running searches are left to
-// finish, and the worker pool plus the maintenance tick are joined. The
-// ctx bounds how long to wait for running jobs; on expiry their Stop
-// hooks are flipped so they wind down soon after, and ctx.Err() is
-// returned.
+// Close drains the engine: nothing new is admitted, waiters fail with
+// ErrShuttingDown, running searches finish, and the tick is joined. On
+// ctx expiry every running search is stopped and ctx.Err() is returned
+// once they have.
 func (e *Engine) Close(ctx context.Context) error {
 	e.mu.Lock()
 	if e.closed {
@@ -484,28 +504,27 @@ func (e *Engine) Close(ctx context.Context) error {
 		return nil
 	}
 	e.closed = true
-	close(e.queue) // workers drain the remainder, failing each job
+	for _, job := range e.waiters {
+		job.finish(StateFailed, nil, ErrShuttingDown, false, &e.failed)
+		close(job.ready)
+	}
+	e.waiters = nil
 	e.mu.Unlock()
 
 	close(e.tickStop)
 	e.tickWG.Wait()
 
-	workersDone := make(chan struct{})
+	drained := make(chan struct{})
 	go func() {
-		e.workerWG.Wait()
-		close(workersDone)
+		e.held.Wait()
+		close(drained)
 	}()
 	select {
-	case <-workersDone:
+	case <-drained:
 		return nil
 	case <-ctx.Done():
-		// Give up on graceful: cancel whatever is still running.
-		e.jobsMu.Lock()
-		for _, j := range e.jobs {
-			j.cancelFlag.Store(true)
-		}
-		e.jobsMu.Unlock()
-		<-workersDone
+		e.abort.Store(true)
+		<-drained
 		return ctx.Err()
 	}
 }
@@ -518,36 +537,26 @@ func (e *Engine) register(job *Job) {
 	e.jobsMu.Unlock()
 }
 
-// worker drains the queue until it is closed; after Close the remaining
-// queued jobs are failed instead of run.
-func (e *Engine) worker() {
-	defer e.workerWG.Done()
-	for job := range e.queue {
-		e.queuedGauge.Add(-1)
-		e.mu.Lock()
-		draining := e.closed
-		e.mu.Unlock()
-		if draining {
-			job.finish(StateFailed, nil, ErrShuttingDown, false, &e.failed)
-			continue
-		}
-		e.run(job)
-	}
+// stopped reports whether Cancel, the caller's ctx or Close stopped job.
+func (e *Engine) stopped(job *Job) bool {
+	return job.cancelFlag.Load() || e.abort.Load() || (job.ctx != nil && job.ctx.Err() != nil)
 }
 
-// run executes one job: re-check cancellation and the cache, then search
-// with the job's Stop hook threaded through the request. Fresh answers
-// add their effort counters to the engine's cumulative totals.
+// run executes one job in the slot it holds, then hands the slot on:
+// re-check cancellation and the cache, then search with the job's Stop
+// hook threaded through the request. Fresh answers add their effort
+// counters to the engine's cumulative totals.
 func (e *Engine) run(job *Job) {
-	if job.cancelFlag.Load() {
-		// Canceled while queued; Cancel normally finished it already, but
+	defer e.release()
+	if e.stopped(job) {
+		// Canceled while waiting; Cancel may have finished it already, but
 		// settle it regardless so no waiter can hang on the done channel.
-		job.finish(StateCanceled, nil, fmt.Errorf("engine: job %s canceled", job.id), false, &e.canceled)
+		job.finish(StateCanceled, nil, ErrCanceled, false, &e.canceled)
 		return
 	}
 	if job.cacheable {
 		// Second look: an identical job may have completed, or the model
-		// may have changed, since submission.
+		// may have changed, since admission.
 		if resp, ok := e.cache.get(job.cacheKey, e.svc.Model().Version()); ok {
 			job.finish(StateDone, resp, nil, true, &e.cacheHits, &e.completed)
 			return
@@ -556,25 +565,22 @@ func (e *Engine) run(job *Job) {
 	}
 
 	job.mu.Lock()
-	if job.state.Terminal() {
+	if job.info.State.Terminal() {
 		job.mu.Unlock()
 		return
 	}
-	job.state = StateRunning
-	job.started = time.Now()
+	job.info.State, job.info.Started = StateRunning, time.Now()
 	job.mu.Unlock()
-	e.runningGauge.Add(1)
-	defer e.runningGauge.Add(-1)
 
 	req := job.req
 	prevStop := req.Stop
 	req.Stop = func() bool {
-		return job.cancelFlag.Load() || (prevStop != nil && prevStop())
+		return e.stopped(job) || (prevStop != nil && prevStop())
 	}
 	if req.Optimize && req.Objective.Enabled() {
 		// Anytime hook, injected here — after the cache key was fixed at
-		// Submit, exactly like the Stop wrap above — so polling a running
-		// optimize job surfaces its best incumbent.
+		// admission, exactly like the Stop wrap above — so polling a
+		// running optimize job surfaces its best incumbent.
 		prevImprove := req.OnImprove
 		req.OnImprove = func(nm service.NamedMapping, cost float64) {
 			job.noteBest(nm, cost)
@@ -586,11 +592,11 @@ func (e *Engine) run(job *Job) {
 
 	resp, err := e.svc.Embed(req)
 	switch {
-	case job.cancelFlag.Load():
-		// Usually Cancel already marked the job; Close's ctx-expiry path
-		// flips the flag without finishing, so settle it here too —
-		// otherwise the done channel never closes and waiters hang.
-		job.finish(StateCanceled, nil, fmt.Errorf("engine: job %s canceled", job.id), false, &e.canceled)
+	case e.stopped(job):
+		// Usually Cancel already marked the job; a caller's ctx and
+		// Close's abort stop the search without finishing it, so settle
+		// it here too — otherwise the done channel never closes.
+		job.finish(StateCanceled, nil, ErrCanceled, false, &e.canceled)
 	case err != nil:
 		job.finish(StateFailed, nil, err, false, &e.failed)
 	default:
@@ -672,8 +678,9 @@ func (e *Engine) tick() {
 	}
 }
 
-// expireJobs forgets terminal job records older than the retention
-// window so the ID index stays bounded on a long-running daemon.
+// expireJobs forgets terminal Submit job records older than the
+// retention window so the ID index stays bounded on a long-running
+// daemon.
 func (e *Engine) expireJobs(now time.Time) {
 	cutoff := now.Add(-e.cfg.JobRetention)
 	e.jobsMu.Lock()

@@ -76,13 +76,40 @@ func waitState(t *testing.T, job *Job, want State, within time.Duration) {
 	t.Fatalf("job %s never reached %s (stuck at %s)", job.ID(), want, job.Info().State)
 }
 
+// waitJob blocks until the registered job is terminal or ctx expires,
+// returning its final snapshot.
+func waitJob(ctx context.Context, e *Engine, id JobID) (Info, error) {
+	job, ok := e.Job(id)
+	if !ok {
+		return Info{}, ErrJobNotFound
+	}
+	select {
+	case <-job.Done():
+		return job.Info(), nil
+	case <-ctx.Done():
+		return job.Info(), ctx.Err()
+	}
+}
+
+// waitStats polls Stats until ok accepts them.
+func waitStats(t *testing.T, e *Engine, within time.Duration, ok func(Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for s := e.Stats(); !ok(s); s = e.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats never settled: %+v", s)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestSubmitCompletes(t *testing.T) {
 	e, _ := newTestEngine(t, Config{Workers: 2})
 	job, err := e.Submit(fastRequest(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := e.Wait(context.Background(), job.ID())
+	info, err := waitJob(context.Background(), e, job.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +133,7 @@ func TestSubmitValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, _ := e.Wait(context.Background(), job.ID())
+	info, _ := waitJob(context.Background(), e, job.ID())
 	if info.State != StateFailed || !errors.Is(info.Err, service.ErrUnknownAlgorithm) {
 		t.Fatalf("bad algorithm: state %s err %v, want failed ErrUnknownAlgorithm", info.State, info.Err)
 	}
@@ -131,7 +158,7 @@ func TestStatsCountJobsBeforeWaitReturns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := e.Wait(context.Background(), job.ID())
+		info, err := waitJob(context.Background(), e, job.ID())
 		if err != nil || info.State != want {
 			t.Fatalf("job %d: state %s err %v, want %s", i, info.State, err, want)
 		}
@@ -252,7 +279,7 @@ func TestCacheHitAndModelInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info1, _ := e.Wait(ctx, job1.ID())
+	info1, _ := waitJob(ctx, e, job1.ID())
 	if info1.State != StateDone || info1.FromCache {
 		t.Fatalf("first run: state %s fromCache %v", info1.State, info1.FromCache)
 	}
@@ -278,7 +305,7 @@ func TestCacheHitAndModelInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info3, _ := e.Wait(ctx, job3.ID()); info3.FromCache {
+	if info3, _ := waitJob(ctx, e, job3.ID()); info3.FromCache {
 		t.Fatal("distinct request wrongly served from cache")
 	}
 
@@ -288,7 +315,7 @@ func TestCacheHitAndModelInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info4, _ := e.Wait(ctx, job4.ID())
+	info4, _ := waitJob(ctx, e, job4.ID())
 	if info4.State != StateDone || info4.FromCache {
 		t.Fatalf("post-update: state %s fromCache %v, want fresh search", info4.State, info4.FromCache)
 	}
@@ -310,7 +337,7 @@ func TestAllowSetsNeverShareACacheEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, _ := e.Wait(ctx, job.ID())
+		info, _ := waitJob(ctx, e, job.ID())
 		if info.State != StateDone || len(info.Response.Named) == 0 {
 			t.Fatalf("allow %v: state %s, %d mappings", allow, info.State, len(info.Response.Named))
 		}
@@ -348,7 +375,7 @@ func TestExcludeReservedNotCached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, _ := e.Wait(context.Background(), job.ID())
+		info, _ := waitJob(context.Background(), e, job.ID())
 		if info.State != StateDone || info.FromCache {
 			t.Fatalf("run %d: state %s fromCache %v, want fresh", i, info.State, info.FromCache)
 		}
@@ -395,7 +422,7 @@ func TestSubmissionStorm(t *testing.T) {
 	total := 0
 	for job := range jobs {
 		total++
-		info, err := e.Wait(context.Background(), job.ID())
+		info, err := waitJob(context.Background(), e, job.ID())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,7 +467,7 @@ func TestCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info, _ := e.Wait(context.Background(), warm.ID()); info.State != StateDone {
+	if info, _ := waitJob(context.Background(), e, warm.ID()); info.State != StateDone {
 		t.Fatalf("warm job: %s", info.State)
 	}
 
@@ -477,7 +504,7 @@ func TestCloseDrains(t *testing.T) {
 	// End the running job; the drained worker must then fail the queued
 	// one with ErrShuttingDown instead of running it.
 	_, _ = e.Cancel(running.ID())
-	info, err := e.Wait(context.Background(), queued.ID())
+	info, err := waitJob(context.Background(), e, queued.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +545,7 @@ func TestTimeoutTruncatedNotCached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := e.Wait(context.Background(), job.ID())
+		info, err := waitJob(context.Background(), e, job.ID())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,7 +574,7 @@ func TestTickPrunesLedgerAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info, _ := e.Wait(context.Background(), job.ID()); info.State != StateDone {
+	if info, _ := waitJob(context.Background(), e, job.ID()); info.State != StateDone {
 		t.Fatalf("seed job: %s", info.State)
 	}
 	svc.Model().Update(hardHost(26)) // strands the cache entry
@@ -591,7 +618,7 @@ func TestStatsAccumulateSearchCounters(t *testing.T) {
 		jobs = append(jobs, job)
 	}
 	for _, job := range jobs {
-		info, err := e.Wait(context.Background(), job.ID())
+		info, err := waitJob(context.Background(), e, job.ID())
 		if err != nil || info.State != StateDone {
 			t.Fatalf("job %s: %s %v", job.ID(), info.State, err)
 		}
@@ -624,5 +651,113 @@ func TestStatsAccumulateSearchCounters(t *testing.T) {
 	}
 	if !maps.Equal(st2.Search, st.Search) {
 		t.Errorf("cache hit changed the search counters: %v -> %v", st.Search, st2.Search)
+	}
+}
+
+// TestDoCanceledWhileWaiting: a blocking request whose ctx ends while it
+// waits for a slot leaves the FIFO at once, ends canceled with ctx's
+// error, and never searches.
+func TestDoCanceledWhileWaiting(t *testing.T) {
+	e, _ := newTestEngine(t, Config{Workers: 1, QueueDepth: 4})
+	running, err := e.Submit(slowRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, running, StateRunning, 10*time.Second)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	type result struct {
+		info Info
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		info, err := e.Do(ctx, fastRequest(1))
+		done <- result{info, err}
+	}()
+	waitStats(t, e, 10*time.Second, func(s Stats) bool { return s.Queued == 1 })
+	cancel()
+	select {
+	case r := <-done:
+		if !errors.Is(r.err, context.Canceled) || r.info.State != StateCanceled || !r.info.Started.IsZero() {
+			t.Fatalf("Do: state %s started %v err %v, want canceled before starting with context.Canceled", r.info.State, r.info.Started, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Do still waiting after its ctx was canceled")
+	}
+	if s := e.Stats(); s.Queued != 0 || s.Canceled != 1 || s.Running != 1 {
+		t.Fatalf("stats after the waiter left: %+v", s)
+	}
+	_, _ = e.Cancel(running.ID())
+}
+
+// TestCloseFailsWaitingDo: Close wakes a blocking request waiting for a
+// slot with ErrShuttingDown.
+func TestCloseFailsWaitingDo(t *testing.T) {
+	svc := service.New(service.NewModel(hardHost(26)), service.Config{})
+	e := New(svc, Config{Workers: 1, QueueDepth: 4})
+	running, err := e.Submit(slowRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, running, StateRunning, 10*time.Second)
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Do(context.Background(), fastRequest(1))
+		done <- err
+	}()
+	waitStats(t, e, 10*time.Second, func(s Stats) bool { return s.Queued == 1 })
+
+	closed := make(chan error, 1)
+	go func() { closed <- e.Close(context.Background()) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrShuttingDown) {
+			t.Fatalf("waiting Do under Close: %v, want ErrShuttingDown", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not wake the waiting Do")
+	}
+	_, _ = e.Cancel(running.ID())
+	if err := <-closed; err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if s := e.Stats(); s.Failed != 1 || s.Queued != 0 || s.Running != 0 {
+		t.Fatalf("stats after close: %+v", s)
+	}
+}
+
+// TestCloseStopsRunningBlockingSearch: a blocking search still running
+// when Close's ctx expires is stopped, and SubmitWait returns soon after
+// the expiry instead of at the search's 60s timeout.
+func TestCloseStopsRunningBlockingSearch(t *testing.T) {
+	svc := service.New(service.NewModel(hardHost(26)), service.Config{})
+	e := New(svc, Config{Workers: 1})
+	returned := make(chan error, 1)
+	go func() {
+		_, err := e.SubmitWait(context.Background(), slowRequest())
+		returned <- err
+	}()
+	waitStats(t, e, 10*time.Second, func(s Stats) bool { return s.Running == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := e.Close(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("close: %v, want context.DeadlineExceeded", err)
+	}
+	expired := time.Now()
+	select {
+	case err := <-returned:
+		if err == nil {
+			t.Fatal("SubmitWait answered a search Close stopped")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("SubmitWait still running 5s after Close's ctx expired")
+	}
+	if waited := time.Since(expired); waited > 5*time.Second {
+		t.Fatalf("SubmitWait returned %v after the expiry", waited)
+	}
+	if s := e.Stats(); s.Canceled != 1 || s.Running != 0 {
+		t.Fatalf("stats after the aborted drain: %+v", s)
 	}
 }

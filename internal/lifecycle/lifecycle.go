@@ -30,7 +30,6 @@ package lifecycle
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -291,7 +290,7 @@ func (m *Manager) Place(preq PlaceRequest) (Info, error) {
 	if len(resp.Mappings) == 0 {
 		return Info{}, ErrNoPlacement
 	}
-	edgeProg, nodeProg, err := compileSpec(req.EdgeConstraint, req.NodeConstraint)
+	edgeProg, nodeProg, err := service.CompilePrograms(req.EdgeConstraint, req.NodeConstraint)
 	if err != nil {
 		return Info{}, err // unreachable: Embed already compiled them
 	}
@@ -338,29 +337,6 @@ func (m *Manager) Place(preq PlaceRequest) (Info, error) {
 		return rec.info(), nil
 	}
 	return Info{}, ErrNoPlacement
-}
-
-// compileSpec compiles the record's verification programs — the raw
-// constraint sources, without the service's reserved-host guard: during
-// verification the embedding's own nodes hold leases and must not look
-// like violations.
-func compileSpec(edgeSrc, nodeSrc string) (*expr.Program, *expr.Program, error) {
-	var edgeProg, nodeProg *expr.Program
-	if edgeSrc != "" {
-		p, err := expr.Compile(edgeSrc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lifecycle: edge constraint: %w", err)
-		}
-		edgeProg = p
-	}
-	if nodeSrc != "" {
-		p, err := expr.Compile(nodeSrc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lifecycle: node constraint: %w", err)
-		}
-		nodeProg = p
-	}
-	return edgeProg, nodeProg, nil
 }
 
 // Get snapshots one embedding.

@@ -116,6 +116,20 @@ func TestPlaceRejections(t *testing.T) {
 	}
 }
 
+// TestPlaceTreatsBlankConstraintAsNone: Place compiles its record's
+// programs like the search it just ran, so a whitespace-only constraint
+// is no constraint there too, not a compile error after the search.
+func TestPlaceTreatsBlankConstraintAsNone(t *testing.T) {
+	_, _, m := newManager(t, cpuClique(5, nil), Config{})
+	info := placeLine3(t, m, "  \t ")
+	if info.Health != Healthy || len(info.Mapping) != 3 {
+		t.Fatalf("placed info = %+v", info)
+	}
+	if rec := m.recs[info.ID]; rec.nodeProg != nil || rec.edgeProg != nil {
+		t.Errorf("blank constraints compiled to programs: node %v edge %v", rec.nodeProg, rec.edgeProg)
+	}
+}
+
 // TestPlaceRetriesOnAllocationRace pins the fall-through: when the best
 // mapping's nodes are already leased out-of-band, Place adopts the next
 // feasible mapping instead of failing.

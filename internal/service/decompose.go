@@ -687,8 +687,11 @@ func (j *spanJoin) place(f *fragment, hosts []graph.NodeID, allow []*sets.Bitset
 			}
 			continue
 		}
-		w, ok := j.bv.stitchWitness(at[0], at[1], qe, j.specs, j.maxHops)
+		w, ok := j.bv.stitchWitness(at[0], at[1], qe, j.specs, j.maxHops, j.expired)
 		if !ok {
+			if j.expired() {
+				j.fail(spanDeadline) // abandoned, not disproved
+			}
 			return nil, false
 		}
 		w.Source, w.Target = q.Node(qe.From).Name, q.Node(qe.To).Name
@@ -889,9 +892,10 @@ func (bv *boundaryView) reachWithin(maxHops int) (fwd, rev []sets.Bitset) {
 
 // stitchWitness finds a witness path for one query cut edge across the
 // boundary graph: at most maxHops boundary edges whose composed metrics
-// satisfy the query edge's windows.
-func (bv *boundaryView) stitchWitness(hu, hv graph.NodeID, qe *graph.Edge, specs []core.MetricSpec, maxHops int) (w PathWitness, found bool) {
-	bv.bg.PathsWithin(hu, hv, maxHops, func(p graph.Path) bool {
+// satisfy the query edge's windows. The enumeration is abandoned as soon
+// as stop returns true.
+func (bv *boundaryView) stitchWitness(hu, hv graph.NodeID, qe *graph.Edge, specs []core.MetricSpec, maxHops int, stop func() bool) (w PathWitness, found bool) {
+	bv.bg.PathsWithinStop(hu, hv, maxHops, stop, func(p graph.Path) bool {
 		cost, ok := core.WitnessCost(bv.bg, qe, p.Edges, specs)
 		if !ok {
 			return true

@@ -478,7 +478,7 @@ func (c *Coordinator) Embed(req Request) (*Response, string, error) {
 	// Validate the request shape once up front: a malformed constraint or
 	// unknown algorithm fails identically on every shard and must not
 	// count against shard health.
-	edgeProg, _, err := compilePrograms(req.EdgeConstraint, req.NodeConstraint)
+	edgeProg, _, err := CompilePrograms(req.EdgeConstraint, req.NodeConstraint)
 	if err != nil {
 		return nil, "", err
 	}

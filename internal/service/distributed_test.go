@@ -992,3 +992,62 @@ func TestCoordinatorJoinsPathModeAcrossShards(t *testing.T) {
 		t.Errorf("spanning = %+v, want one answered and one exhausted", span)
 	}
 }
+
+// TestPathStitchHonoursDeadline: the stitched witness of a path-mode
+// cut edge is enumerated under the request's deadline. The boundary is
+// a complete bipartite graph between the two regions and the query edge
+// asks for a delay no path has, so enumerating every path of up to 16
+// hops would take far longer than the test; the request must give up
+// near its 300ms timeout and count a deadline, not an exhausted split.
+func TestPathStitchHonoursDeadline(t *testing.T) {
+	const side = 10
+	host := graph.NewUndirected()
+	for i := 0; i < 2*side; i++ {
+		region := "west"
+		if i >= side {
+			region = "east"
+		}
+		host.AddNode("", graph.Attrs{}.SetStr("region", region))
+	}
+	for w := 0; w < side; w++ {
+		for e := side; e < 2*side; e++ {
+			host.MustAddEdge(graph.NodeID(w), graph.NodeID(e), graph.Attrs{}.SetNum("avgDelay", 1))
+		}
+	}
+	f, err := NewFederation(host, "region", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := graph.NewUndirected()
+	a := q.AddNode("a", graph.Attrs{}.SetStr("region", "west"))
+	b := q.AddNode("b", graph.Attrs{}.SetStr("region", "east"))
+	q.MustAddEdge(a, b, graph.Attrs{}.SetNum("minDelay", 1e9).SetNum("maxDelay", 2e9))
+
+	const timeout = 300 * time.Millisecond
+	type result struct {
+		resp  *Response
+		where string
+		err   error
+	}
+	done := make(chan result, 1)
+	start := time.Now()
+	go func() {
+		resp, where, err := f.Embed(Request{Query: q, Algorithm: AlgoPathEmbed, Path: PathRequestOptions{MaxHops: 16}, MaxResults: 1, Timeout: timeout})
+		done <- result{resp, where, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("path-mode spanning request still stitching 10s after its 300ms timeout")
+	}
+	if took := time.Since(start); took > 10*timeout {
+		t.Errorf("request took %v on a %v timeout", took, timeout)
+	}
+	if r.err != nil || r.where != "coordinator" || len(r.resp.Named) != 0 {
+		t.Fatalf("answered by %q with %v (err %v)", r.where, r.resp, r.err)
+	}
+	if span := f.Cluster().Spanning; span.Deadline != 1 || span.Exhausted != 0 {
+		t.Errorf("spanning = %+v, want the abandoned stitch counted as a deadline", span)
+	}
+}

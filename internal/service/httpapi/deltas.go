@@ -221,17 +221,14 @@ func (s *Server) handleEmbedBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Decode every item first; malformed items fail individually without
 	// aborting the batch. The searches themselves run synchronously on
-	// this handler against one model snapshot (they bypass the job
-	// queue; clients needing backpressure semantics should submit /jobs
-	// instead), and a client disconnect stops the remaining items.
+	// this handler against one model snapshot (they bypass the engine's
+	// slots; clients needing backpressure should use /embed or /jobs),
+	// and a client disconnect stops the remaining items.
 	sreqs := make([]service.Request, len(req.Requests))
 	decodeErrs := make([]error, len(req.Requests))
 	for i := range req.Requests {
 		sreqs[i], decodeErrs[i] = s.decodeEmbedRequest(&req.Requests[i])
-		if decodeErrs[i] == nil && sreqs[i].Stop == nil {
-			ctx := r.Context()
-			sreqs[i].Stop = func() bool { return ctx.Err() != nil }
-		}
+		sreqs[i].Stop = stopOnDisconnect(r)
 	}
 
 	results, version := s.svc.EmbedBatch(sreqs)

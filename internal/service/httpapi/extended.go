@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -52,6 +53,7 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	base.Stop = stopOnDisconnect(r)
 	resp, err := s.svc.Negotiate(service.NegotiateRequest{
 		Request:   base,
 		Factor:    req.Factor,
@@ -111,17 +113,23 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	base.Stop = stopOnDisconnect(r)
 	resp, err := s.svc.Schedule(service.ScheduleRequest{
 		Request:  base,
 		Duration: time.Duration(req.DurationMs) * time.Millisecond,
 		Horizon:  time.Duration(req.HorizonMs) * time.Millisecond,
 		Step:     time.Duration(req.StepMs) * time.Millisecond,
 	}, time.Now())
-	if err == service.ErrNoWindow {
+	switch {
+	case err == service.ErrNoWindow:
 		writeError(w, http.StatusConflict, err)
 		return
-	}
-	if err != nil {
+	case errors.Is(err, service.ErrScheduleBudget):
+		// timeoutMs (or the client's departure) ended the scan early: no
+		// claim about the windows left.
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -131,6 +139,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		LeaseID:      int64(resp.Lease),
 		WindowsTried: resp.WindowsTried,
 	})
+}
+
+// stopOnDisconnect is the Stop hook of a search run on r's handler
+// goroutine: it fires once the client has gone.
+func stopOnDisconnect(r *http.Request) func() bool {
+	ctx := r.Context()
+	return func() bool { return ctx.Err() != nil }
 }
 
 // decodeEmbedRequest translates the wire form into a service.Request.

@@ -185,6 +185,21 @@ func TestScheduleEndpointErrors(t *testing.T) {
 	if resp2.StatusCode != http.StatusConflict {
 		t.Errorf("no-window status = %d", resp2.StatusCode)
 	}
+	// Algorithms whose answers cannot be leased per window, and unknown
+	// ones, are refused instead of running ECF.
+	for _, algo := range []string{"consolidate", "path", "no-such-algo"} {
+		resp, body := postJSON(t, ts.URL+"/schedule", ScheduleHTTPRequest{
+			EmbedRequest: EmbedRequest{
+				QueryGraphML:   cliqueQueryML(t, 40, 60),
+				EdgeConstraint: avgConstraint,
+				Algorithm:      algo,
+			},
+			DurationMs: 60_000,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("algorithm %q: status %d %s, want 400", algo, resp.StatusCode, body)
+		}
+	}
 	// Method check.
 	r, err := http.Get(ts.URL + "/schedule")
 	if err != nil {

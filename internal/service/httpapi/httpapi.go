@@ -22,11 +22,11 @@
 //	POST   /negotiate        constraint-relaxation loop (§III negotiation)
 //	POST   /schedule         earliest-window scheduling (§VIII extension)
 //
-// Every embedding query — the synchronous /embed included — flows
-// through the asynchronous job engine (internal/engine), which provides
-// the bounded queue, worker pool, cancellation and the model-versioned
-// result cache. /embed is a thin submit-and-wait wrapper; under queue
-// saturation it answers 429 exactly like /jobs.
+// Every embedding query on /embed and /jobs is admitted by the engine
+// (internal/engine), which provides the search slots, the bounded FIFO
+// of waiters, cancellation and the model-versioned result cache. /embed
+// searches on its own handler goroutine and leaves no job record; only
+// /jobs registers one. Under saturation both answer 429.
 package httpapi
 
 import (
@@ -265,43 +265,37 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Submit-and-wait over the engine: the blocking contract is kept, but
-	// the search runs on the worker pool with backpressure and the result
-	// cache in front, and a client disconnect cancels the search.
-	job, err := s.eng.Submit(sreq)
-	switch {
-	case errors.Is(err, engine.ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, engine.ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	info, err := s.eng.Wait(r.Context(), job.ID())
+	// The search runs on this goroutine once the engine admits it (a
+	// slot, or a place among the waiters), with the result cache in front;
+	// a client disconnect stops it.
+	info, err := s.eng.Do(r.Context(), sreq)
 	if err != nil {
-		_, _ = s.eng.Cancel(job.ID())
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	if info.State != engine.StateDone {
-		switch {
-		case errors.Is(info.Err, engine.ErrShuttingDown):
-			// Failed by the graceful drain: a server-side condition, not
-			// a client error.
-			writeError(w, http.StatusServiceUnavailable, info.Err)
-		case info.State == engine.StateCanceled:
-			// Someone canceled the backing job out from under the
-			// blocking caller (DELETE /jobs/{id} or a drain cut short).
-			writeError(w, http.StatusConflict, info.Err)
-		default:
-			writeError(w, http.StatusBadRequest, info.Err)
-		}
+		writeEngineError(w, err)
 		return
 	}
 	writeEmbedResponse(w, info.Response, info.FromCache)
+}
+
+// writeEngineError answers a request the engine refused, did not run to
+// done, or (DELETE /jobs/{id}) could not cancel.
+func writeEngineError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, engine.ErrJobNotFound):
+		status = http.StatusNotFound
+	case errors.Is(err, engine.ErrJobFinished):
+		status = http.StatusConflict
+	case errors.Is(err, engine.ErrQueueFull):
+		status = http.StatusTooManyRequests
+	case errors.Is(err, engine.ErrShuttingDown),
+		errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// Refused or failed by the graceful drain, or the client left: a
+		// server-side condition, not a client error.
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, engine.ErrCanceled):
+		status = http.StatusConflict // the drain's deadline stopped the search
+	}
+	writeError(w, status, err)
 }
 
 // ReserveRequest is the JSON body of POST /reserve.

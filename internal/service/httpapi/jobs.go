@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"errors"
 	"net/http"
 	"time"
 
@@ -86,15 +85,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job, err := s.eng.Submit(sreq)
-	switch {
-	case errors.Is(err, engine.ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, engine.ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+	if err != nil {
+		writeEngineError(w, err)
 		return
 	}
 	w.Header().Set("Location", "/jobs/"+string(job.ID()))
@@ -112,15 +104,8 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	info, err := s.eng.Cancel(engine.JobID(r.PathValue("id")))
-	switch {
-	case errors.Is(err, engine.ErrJobNotFound):
-		writeError(w, http.StatusNotFound, err)
-		return
-	case errors.Is(err, engine.ErrJobFinished):
-		writeError(w, http.StatusConflict, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+	if err != nil {
+		writeEngineError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, jobStatusJSON(info))

@@ -64,6 +64,7 @@ func (s *Server) handleEmbeddingPlace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	sreq.Stop = stopOnDisconnect(r)
 	info, err := s.lc.Place(lifecycle.PlaceRequest{
 		Request: sreq,
 		TTL:     time.Duration(req.TTLMs) * time.Millisecond,

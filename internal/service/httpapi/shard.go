@@ -499,10 +499,7 @@ func (s *ClusterServer) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx := r.Context()
-	if sreq.Stop == nil {
-		sreq.Stop = func() bool { return ctx.Err() != nil }
-	}
+	sreq.Stop = stopOnDisconnect(r)
 	resp, where, err := s.coord.Embed(sreq)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

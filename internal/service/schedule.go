@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"netembed/internal/core"
@@ -38,10 +39,17 @@ type ScheduleResponse struct {
 // ErrNoWindow is returned when no feasible window exists in the horizon.
 var ErrNoWindow = errors.New("service: no feasible window within the horizon")
 
+// ErrScheduleBudget is returned when the request's time budget (or its
+// Stop hook) ended the scan before every window of the horizon was
+// searched: nothing is known about the windows left.
+var ErrScheduleBudget = errors.New("service: time budget ran out before the horizon was searched")
+
 // Schedule finds the earliest window of the requested duration in which
 // the query can be embedded given existing leases, reserves it, and
-// returns the mapping plus lease. The request's algorithm/constraints are
-// honored; ExcludeReserved is implied (that is the point).
+// returns the mapping plus lease. The request's constraints and
+// algorithm are honored (consolidate and path are refused with
+// ErrUnsupportedAlgorithm); ExcludeReserved is implied (that is the
+// point). req.Timeout bounds the whole scan, not each window.
 func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleResponse, error) {
 	if req.Query == nil {
 		return nil, ErrNoQuery
@@ -49,14 +57,22 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 	if req.Duration <= 0 {
 		return nil, errors.New("service: schedule needs a positive duration")
 	}
+	if req.Algorithm == AlgoConsolidate || req.Algorithm == AlgoPathEmbed {
+		return nil, fmt.Errorf("%w: schedule cannot run %q", ErrUnsupportedAlgorithm, req.Algorithm)
+	}
 	if req.Horizon == 0 {
 		req.Horizon = 24 * time.Hour
 	}
 	if req.Step == 0 {
 		req.Step = 10 * time.Minute
 	}
+	timeout := req.Timeout
+	if timeout == 0 {
+		timeout = s.defaultTimeout
+	}
+	deadline := time.Now().Add(timeout)
 
-	edgeProg, nodeProg, err := compilePrograms(req.EdgeConstraint, req.NodeConstraint)
+	edgeProg, nodeProg, err := CompilePrograms(req.EdgeConstraint, req.NodeConstraint)
 	if err != nil {
 		return nil, err
 	}
@@ -78,20 +94,18 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 
 		// Only hosts AllocateWindow would accept for this window are searched.
 		p.Allow = narrow(allow, req.Query.NumNodes(), s.ledger.FreeInWindow(host.NumNodes(), start, end))
-		opt := core.Options{Timeout: req.Timeout, MaxSolutions: 1, Seed: req.Seed, Index: idx}
-		if opt.Timeout == 0 {
-			opt.Timeout = s.defaultTimeout
+		opt := core.Options{Timeout: time.Until(deadline), MaxSolutions: 1, Seed: req.Seed, Stop: req.Stop, Index: idx}
+		if opt.Timeout <= 0 {
+			return nil, fmt.Errorf("%w (%d windows searched)", ErrScheduleBudget, tried-1)
 		}
-		var res *core.Result
-		switch req.Algorithm {
-		case AlgoLNS:
-			res = core.LNS(p, opt)
-		case AlgoRWB:
-			res = core.RWB(p, opt)
-		default:
-			res = core.ECF(p, opt)
+		res, err := search(p, opt, req.Request)
+		if err != nil {
+			return nil, err
 		}
 		if len(res.Solutions) == 0 {
+			if res.Status != core.StatusComplete {
+				return nil, fmt.Errorf("%w (%d windows searched)", ErrScheduleBudget, tried-1)
+			}
 			continue
 		}
 		m := res.Solutions[0]

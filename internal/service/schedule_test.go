@@ -1,6 +1,8 @@
 package service
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,5 +61,91 @@ func TestScheduleDefaultHorizonDoesNotCloneTheHost(t *testing.T) {
 	t.Logf("145 windows: %.0f allocations; one host.Clone(): %.0f", schedule, clone)
 	if schedule > 145*clone/4 {
 		t.Errorf("Schedule made %.0f allocations over 145 windows, more than a quarter of 145 host clones (%.0f each)", schedule, clone)
+	}
+}
+
+// cocktailParty is K_n minus a perfect matching: embedding K_{n/2+1} or
+// larger is infeasible, but the search takes far longer than any test.
+func cocktailParty(n int) *graph.Graph {
+	g := graph.NewUndirected()
+	g.AddNodes(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if i%2 == 1 || j != i+1 {
+				g.MustAddEdge(graph.NodeID(i), graph.NodeID(j), nil)
+			}
+		}
+	}
+	return g
+}
+
+// TestScheduleHonoursStop: the request's Stop hook reaches the window
+// searches, and a stopped scan is not reported as ErrNoWindow.
+func TestScheduleHonoursStop(t *testing.T) {
+	svc := New(NewModel(cocktailParty(26)), Config{})
+	var stop atomic.Bool
+	req := ScheduleRequest{
+		Request:  Request{Query: topo.Clique(14), Timeout: time.Minute, Stop: stop.Load},
+		Duration: time.Hour,
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Schedule(req, time.Now())
+		done <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	stop.Store(true)
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrScheduleBudget) {
+			t.Fatalf("stopped scan: %v, want ErrScheduleBudget", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Schedule still searching 5s after its Stop hook fired")
+	}
+}
+
+// TestScheduleChargesOneBudget: req.Timeout bounds the whole scan, not
+// each of its windows. Every window's search here runs until stopped, so
+// the scan ends after about one timeout and says the horizon was not
+// searched.
+func TestScheduleChargesOneBudget(t *testing.T) {
+	svc := New(NewModel(cocktailParty(26)), Config{})
+	req := ScheduleRequest{
+		Request:  Request{Query: topo.Clique(14), Timeout: 200 * time.Millisecond},
+		Duration: time.Hour,
+		Horizon:  10 * time.Hour,
+		Step:     time.Hour,
+	}
+	start := time.Now()
+	_, err := svc.Schedule(req, start)
+	if !errors.Is(err, ErrScheduleBudget) {
+		t.Fatalf("err = %v, want ErrScheduleBudget", err)
+	}
+	if took := time.Since(start); took > 1500*time.Millisecond {
+		t.Errorf("scan took %v on a 200ms budget", took)
+	}
+}
+
+// TestScheduleUsesTheServiceDispatch: Schedule runs the algorithms Embed
+// runs and refuses the ones whose answers it cannot lease.
+func TestScheduleUsesTheServiceDispatch(t *testing.T) {
+	svc := New(NewModel(topo.Clique(5)), Config{})
+	now := time.Date(2026, 6, 11, 9, 0, 0, 0, time.UTC)
+	for _, algo := range []Algorithm{AlgoECF, AlgoRWB, AlgoLNS, AlgoParallelECF} {
+		req := ScheduleRequest{Request: Request{Query: topo.Line(2), Algorithm: algo}, Duration: time.Minute}
+		if _, err := svc.Schedule(req, now); err != nil {
+			t.Errorf("%s: %v", algo, err)
+		}
+	}
+	for algo, want := range map[Algorithm]error{
+		AlgoConsolidate: ErrUnsupportedAlgorithm,
+		AlgoPathEmbed:   ErrUnsupportedAlgorithm,
+		"no-such-algo":  ErrUnknownAlgorithm,
+	} {
+		req := ScheduleRequest{Request: Request{Query: topo.Line(2), Algorithm: algo}, Duration: time.Minute}
+		if _, err := svc.Schedule(req, now); !errors.Is(err, want) {
+			t.Errorf("%s: %v, want %v", algo, err, want)
+		}
 	}
 }

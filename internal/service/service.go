@@ -216,6 +216,10 @@ var (
 	// ErrBadAllow rejects an allow-set naming a query node the query does
 	// not have, or listing more hosts than the model holds.
 	ErrBadAllow = errors.New("service: bad allow-set")
+	// ErrUnsupportedAlgorithm rejects a known algorithm an operation
+	// cannot run (Schedule leases one-to-one mappings of single edges, so
+	// not consolidate or path).
+	ErrUnsupportedAlgorithm = errors.New("service: algorithm not supported here")
 )
 
 // Embed answers one embedding request against the current model snapshot.
@@ -268,7 +272,7 @@ func (s *Service) embedOn(host *graph.Graph, idx *index.Index, version uint64, r
 	if req.Query == nil {
 		return nil, ErrNoQuery
 	}
-	edgeProg, nodeProg, err := compilePrograms(req.EdgeConstraint, req.NodeConstraint)
+	edgeProg, nodeProg, err := CompilePrograms(req.EdgeConstraint, req.NodeConstraint)
 	if err != nil {
 		return nil, err
 	}
@@ -322,20 +326,9 @@ func (s *Service) embedOn(host *graph.Graph, idx *index.Index, version uint64, r
 		}
 	}
 
-	var res *core.Result
-	switch req.Algorithm {
-	case AlgoECF, "":
-		res = core.ECF(p, opt)
-	case AlgoRWB:
-		res = core.RWB(p, opt)
-	case AlgoLNS:
-		res = core.LNS(p, opt)
-	case AlgoParallelECF:
-		res = core.ParallelECF(p, opt)
-	case AlgoConsolidate:
-		res = core.Consolidate(p, opt, req.Consolidate)
-	default:
-		return nil, fmt.Errorf("%w %q", ErrUnknownAlgorithm, req.Algorithm)
+	res, err := search(p, opt, req)
+	if err != nil {
+		return nil, err
 	}
 
 	resp := &Response{
@@ -368,6 +361,25 @@ func (s *Service) embedOn(host *graph.Graph, idx *index.Index, version uint64, r
 		resp.Named[i] = nameMapping(req.Query, host, m)
 	}
 	return resp, nil
+}
+
+// search runs the request's algorithm over p. AlgoPathEmbed has its own
+// problem and options (embedPath) and is not dispatched here.
+func search(p *core.Problem, opt core.Options, req Request) (*core.Result, error) {
+	switch req.Algorithm {
+	case AlgoECF, "":
+		return core.ECF(p, opt), nil
+	case AlgoRWB:
+		return core.RWB(p, opt), nil
+	case AlgoLNS:
+		return core.LNS(p, opt), nil
+	case AlgoParallelECF:
+		return core.ParallelECF(p, opt), nil
+	case AlgoConsolidate:
+		return core.Consolidate(p, opt, req.Consolidate), nil
+	default:
+		return nil, fmt.Errorf("%w %q", ErrUnknownAlgorithm, req.Algorithm)
+	}
 }
 
 // embedPath answers an AlgoPathEmbed request: query edges map onto
@@ -575,8 +587,10 @@ func objectiveAttrWarnings(host *graph.Graph, obj core.Objective) []string {
 		"objective reads rNode.%s but no hosting node defines %q", norm.Attr, norm.Attr)}
 }
 
-// compilePrograms compiles the request's constraint sources.
-func compilePrograms(edgeSrc, nodeSrc string) (*expr.Program, *expr.Program, error) {
+// CompilePrograms compiles a request's constraint sources; an empty or
+// whitespace-only source is no constraint (nil program). Every caller
+// that searches or verifies a request's constraints compiles them here.
+func CompilePrograms(edgeSrc, nodeSrc string) (*expr.Program, *expr.Program, error) {
 	var edgeProg, nodeProg *expr.Program
 	if strings.TrimSpace(edgeSrc) != "" {
 		p, err := expr.Compile(edgeSrc)

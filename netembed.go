@@ -347,13 +347,14 @@ const (
 	AlgoPathEmbed = service.AlgoPathEmbed
 )
 
-// Asynchronous job engine (submit/poll/cancel embedding jobs with a
-// bounded queue, worker pool, cooperative cancellation and a
-// model-versioned result cache).
+// The engine admits embedding requests through a fixed number of search
+// slots with a bounded FIFO of waiters, cooperative cancellation and a
+// model-versioned result cache: Engine.SubmitWait blocks, Engine.Submit
+// returns a job to poll or cancel.
 type (
-	// Engine runs embedding jobs asynchronously against a Service.
+	// Engine admits embedding requests against a Service.
 	Engine = engine.Engine
-	// EngineConfig tunes the engine (workers, queue depth, cache).
+	// EngineConfig tunes the engine (slots, waiters, cache).
 	EngineConfig = engine.Config
 	// EngineStats snapshots the engine counters.
 	EngineStats = engine.Stats
@@ -367,7 +368,7 @@ type (
 	JobState = engine.State
 )
 
-// NewEngine builds a job engine over a service and starts its workers.
+// NewEngine builds an engine over a service; its tick starts on first use.
 var NewEngine = engine.New
 
 // Job lifecycle states.
@@ -389,6 +390,8 @@ var (
 	ErrEngineShuttingDown = engine.ErrShuttingDown
 	// ErrJobFinished rejects canceling an already-finished job.
 	ErrJobFinished = engine.ErrJobFinished
+	// ErrJobCanceled is a canceled job's error.
+	ErrJobCanceled = engine.ErrCanceled
 )
 
 // EncodeGraphML writes g as a GraphML document.
