@@ -13,8 +13,8 @@
 //
 // Endpoints: GET /healthz, GET/PUT /model, POST /deltas, POST /embed,
 // POST /embed/batch, POST /jobs, GET/DELETE /jobs/{id}, GET /stats,
-// POST/DELETE /reserve, POST/GET/DELETE /embeddings. See
-// internal/service/httpapi.
+// POST/DELETE /reserve, POST /negotiate, POST /schedule,
+// POST/GET/DELETE /embeddings. See internal/service/httpapi.
 //
 // Embeddings placed through POST /embeddings are long-lived managed
 // objects: the lifecycle manager re-verifies them against every model
@@ -32,13 +32,14 @@
 // best-so-far mapping and cost. -repair-objective applies the same
 // objective as the lifecycle repair planner's tie-break.
 //
-// Every /embed and /jobs query is admitted by the engine: at most
-// -workers searches run at once, at most -queue requests wait for a slot
-// in arrival order, and a model-versioned result cache (-cache) answers
-// repeats without a slot. Past the queue bound the daemon answers 429
-// instead of stacking waiters. /embed searches on its own handler
-// goroutine and leaves no record; only /jobs submissions are kept for
-// polling.
+// Every search the API runs holds an engine slot: at most -workers
+// searches run at once, at most -queue requests wait for a slot in
+// arrival order, and a model-versioned result cache (-cache) answers
+// repeats without a slot. Past the queue bound /embed, /embed/batch,
+// /jobs, /negotiate, /schedule and POST /embeddings answer 429 instead of
+// stacking waiters. A batch, a negotiation, a schedule scan and a
+// placement each run their searches one after another in one slot. Only
+// /jobs submissions are kept for polling.
 //
 // The model maintains a persistent host-capability index that the
 // filter construction intersects instead of rescanning the host; POST
@@ -133,8 +134,8 @@ func run() error {
 		timeout   = flag.Duration("timeout", 30*time.Second, "default per-query timeout")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window for in-flight requests")
 		hdrLimit  = flag.Duration("header-timeout", 10*time.Second, "ReadHeaderTimeout guarding against slow-loris clients")
-		workers   = flag.Int("workers", 0, "how many searches run at once (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 128, "how many requests may wait for a search slot (past it: 429)")
+		workers   = flag.Int("workers", 0, "how many searches the API runs at once: the engine's slots (0 = GOMAXPROCS)")
+		queue     = flag.Int("queue", 128, "how many requests may wait for a search slot (past it every searching endpoint answers 429)")
 		cache     = flag.Int("cache", 512, "job-engine result cache capacity in entries (negative = disabled)")
 		pathHops  = flag.Int("path-hops", 3, "default witness hop bound for path-mode (link-to-path) queries that carry no maxHops")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = disabled")

@@ -5,16 +5,17 @@
 // up must be able to stop its search (not just abandon it), and identical
 // queries against an unchanged snapshot should not recompute. So:
 //
-//   - Admission is synchronous: a cache hit answers at once, a free slot
-//     (one of Config.Workers) runs the request, otherwise it waits in
-//     FIFO order behind fewer than Config.QueueDepth others, and past
-//     that fails fast with ErrQueueFull (HTTP 429).
+//   - Every search the HTTP API runs holds one of Config.Workers slots:
+//     a cache hit answers at once, a free slot runs the request, else it
+//     waits in FIFO order behind fewer than Config.QueueDepth others, and
+//     past that fails fast with ErrQueueFull (HTTP 429).
 //   - Do runs a blocking request on the caller's goroutine; its ctx is its
-//     cancellation, and no record of it is kept. Submit registers a job
-//     that runs on a goroutine of its own, moves queued → running →
-//     done/failed/canceled, and is canceled by ID. Either way cancellation
-//     reaches the search through the Options.Stop hook every algorithm
-//     polls.
+//     cancellation, and no record of it is kept. Hold runs a multi-search
+//     operation (a batch, a negotiation, a schedule scan, a placement)
+//     the same way. Submit registers a job that runs on a goroutine of
+//     its own, moves queued → running → done/failed/canceled, and is
+//     canceled by ID. Either way cancellation reaches the search through
+//     the Options.Stop hook every algorithm polls.
 //   - Answers are cached under (request fingerprint, model version), so
 //     a monitor publish invalidates every entry at once.
 //   - A periodic tick prunes expired ledger leases, sweeps stale-version
@@ -70,20 +71,21 @@ var (
 	// ErrJobFinished rejects canceling a job that already reached
 	// done/failed.
 	ErrJobFinished = errors.New("engine: job already finished")
-	// ErrCanceled is a canceled job's error: Cancel, the caller's ctx, or
-	// Close's expired ctx stopped it.
+	// ErrCanceled is a canceled job's error: Cancel, the caller's ctx,
+	// Close's expired ctx or the request's own Stop hook stopped it.
 	ErrCanceled = errors.New("engine: canceled")
 )
 
-// Job is one embedding request from admission to its terminal state.
-// Submit registers it under an ID; Do keeps it to itself. All exported
-// accessors are safe for concurrent use.
+// Job is one admitted request or Hold operation from admission to its
+// terminal state. Submit registers it under an ID; Do and Hold keep it
+// to themselves. All exported accessors are safe for concurrent use.
 type Job struct {
 	id  JobID // empty unless registered by Submit
 	req service.Request
 	// ctx is a blocking caller's context (nil for Submit): once it is
 	// done the search stops and the job ends canceled.
 	ctx context.Context
+	op  func(stop func() bool) // a Hold operation, run instead of req
 
 	cancelFlag atomic.Bool   // observed by the search's Stop hook
 	done       chan struct{} // closed on the terminal transition
@@ -149,22 +151,20 @@ func (j *Job) noteBest(nm service.NamedMapping, cost float64) {
 	j.mu.Unlock()
 }
 
-// finish performs the terminal transition exactly once; later calls
-// (e.g. run completing a search that Cancel already marked canceled) are
-// no-ops. It reports whether this call won. The winner bumps the engine
-// counters it is given before it closes done, so a caller woken by Done
-// reads Stats with the job counted.
-func (j *Job) finish(state State, resp *service.Response, err error, fromCache bool, counters ...*atomic.Int64) bool {
+// finish performs the terminal transition to to's state, answer and
+// error exactly once; later calls (e.g. run completing a search that
+// Cancel already marked canceled) are no-ops. It reports whether this
+// call won. The winner bumps the engine counter it is given before it
+// closes done, so a caller woken by Done reads Stats with the job counted.
+func (j *Job) finish(to Info, counter *atomic.Int64) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.info.State.Terminal() {
 		return false
 	}
-	j.info.State, j.info.Response, j.info.Err, j.info.FromCache = state, resp, err, fromCache
+	j.info.State, j.info.Response, j.info.Err, j.info.FromCache = to.State, to.Response, to.Err, to.FromCache
 	j.info.Finished = time.Now()
-	for _, c := range counters {
-		c.Add(1)
-	}
+	counter.Add(1)
 	close(j.done)
 	return true
 }
@@ -207,14 +207,18 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Stats is a point-in-time snapshot of the engine counters.
+// Stats is a point-in-time snapshot of the engine counters. An operation
+// is one admission: a Do or Submit request, or a Hold (a batch is one).
+// An operation holding a slot runs its searches one after another, so
+// Running is also the number of searches running, bar ParallelECF's own
+// workers. Cache hits and misses count lookups, batch items included.
 type Stats struct {
-	Queued    int   `json:"queued"`    // requests waiting for a slot
-	Running   int   `json:"running"`   // requests holding a slot
-	Submitted int64 `json:"submitted"` // accepted submissions, ever
-	Completed int64 `json:"completed"` // jobs that reached done
-	Failed    int64 `json:"failed"`    // jobs that reached failed
-	Canceled  int64 `json:"canceled"`  // jobs that reached canceled
+	Queued    int   `json:"queued"`    // operations waiting for a slot
+	Running   int   `json:"running"`   // operations holding a slot
+	Submitted int64 `json:"submitted"` // admitted operations, ever
+	Completed int64 `json:"completed"` // operations that reached done
+	Failed    int64 `json:"failed"`    // operations that reached failed
+	Canceled  int64 `json:"canceled"`  // operations that reached canceled
 
 	CacheHits    int64 `json:"cacheHits"`
 	CacheMisses  int64 `json:"cacheMisses"`
@@ -223,8 +227,8 @@ type Stats struct {
 	QueueFullRejections int64 `json:"queueFullRejections"`
 	LeasesPruned        int64 `json:"leasesPruned"`
 
-	// Search sums the search-effort counters of every job answered by a
-	// fresh search, under the names of an /embed reply's stats object.
+	// Search sums the search-effort counters of every request and batch
+	// item answered by a fresh search, under /embed's stats names.
 	// Cache hits replay a result without searching, so they add nothing.
 	Search map[string]int64 `json:"search"`
 }
@@ -289,24 +293,25 @@ func New(svc *service.Service, cfg Config) *Engine {
 	return e
 }
 
-// newJob validates req and builds its (unregistered) job.
-func (e *Engine) newJob(req service.Request) (*Job, error) {
-	if req.Query == nil {
-		return nil, service.ErrNoQuery
-	}
+// newJob builds req's (unregistered) job.
+func (e *Engine) newJob(req service.Request) *Job {
 	job := &Job{req: req, done: make(chan struct{}), info: Info{State: StateQueued, Submitted: time.Now()}}
-	if e.cache != nil {
+	if e.cache != nil && req.Query != nil {
 		job.cacheKey, job.cacheable = requestKey(req)
 	}
-	return job, nil
+	return job
 }
 
-// admit decides a new job's fate, in this order: a closing engine
-// refuses it (ErrShuttingDown), even when cached; a cache hit finishes it
+// admit decides a new job's fate, in this order: a request without a
+// query is refused (service.ErrNoQuery), as is any job by a closing
+// engine (ErrShuttingDown), even when cached; a cache hit finishes it
 // without a slot (hit); a free slot is taken for it; a place in the FIFO
 // is given to it while fewer than QueueDepth wait (queued); else it is
 // refused with ErrQueueFull.
 func (e *Engine) admit(job *Job) (hit, queued bool, err error) {
+	if job.op == nil && job.req.Query == nil {
+		return false, false, service.ErrNoQuery
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -320,7 +325,7 @@ func (e *Engine) admit(job *Job) (hit, queued bool, err error) {
 		if resp, ok := e.cache.get(job.cacheKey, e.svc.Model().Version()); ok {
 			e.submitted.Add(1)
 			e.cacheHits.Add(1)
-			job.finish(StateDone, resp, nil, true, &e.completed)
+			job.finish(Info{State: StateDone, Response: resp, FromCache: true}, &e.completed)
 			return true, false, nil
 		}
 	}
@@ -353,7 +358,7 @@ func (e *Engine) await(job *Job, gone <-chan struct{}) bool {
 		}
 		e.mu.Unlock()
 		if i >= 0 {
-			job.finish(StateCanceled, nil, ErrCanceled, false, &e.canceled)
+			job.finish(Info{State: StateCanceled, Err: ErrCanceled}, &e.canceled)
 			return false
 		}
 		<-job.ready // removed meanwhile by release or Close
@@ -382,12 +387,13 @@ func (e *Engine) release() {
 // waiting or searching. Nothing is registered. The error is nil exactly
 // when the Info is done; else it is the admission error, ctx.Err() if
 // ctx ended the request, or the Info's Err (ErrCanceled if Close's
-// expired ctx stopped the search).
+// expired ctx or the request's own Stop hook stopped the search).
 func (e *Engine) Do(ctx context.Context, req service.Request) (Info, error) {
-	job, err := e.newJob(req)
-	if err != nil {
-		return Info{}, err
-	}
+	return e.do(ctx, e.newJob(req))
+}
+
+// do admits job for a blocking caller and runs it in the slot it gets.
+func (e *Engine) do(ctx context.Context, job *Job) (Info, error) {
 	job.ctx = ctx
 	hit, queued, err := e.admit(job)
 	if err != nil {
@@ -403,6 +409,31 @@ func (e *Engine) Do(ctx context.Context, req service.Request) (Info, error) {
 	return info, info.Err
 }
 
+// Hold runs a multi-search operation (a batch, a negotiation, a schedule
+// scan, a placement) in one slot, admitted and canceled as Do's requests
+// are; a nil error means op ran. op runs its searches in order with stop,
+// which fires once ctx ends or Close aborts, as their Stop hook. op must
+// not call the engine: with every slot held, it would wait on itself.
+func (e *Engine) Hold(ctx context.Context, op func(stop func() bool)) error {
+	_, err := e.do(ctx, &Job{op: op, done: make(chan struct{}), info: Info{State: StateQueued, Submitted: time.Now()}})
+	return err
+}
+
+// EmbedBatch answers reqs in order in one slot (Hold), each as a Do
+// request is in its slot (answer), against one pinned snapshot whose
+// version it returns. The slot's stop replaces the items' Stop hooks.
+func (e *Engine) EmbedBatch(ctx context.Context, reqs []service.Request) (out []Info, version uint64, err error) {
+	err = e.Hold(ctx, func(stop func() bool) {
+		snap := e.svc.Acquire()
+		defer snap.Release()
+		version, out = snap.Version, make([]Info, len(reqs))
+		for i, req := range reqs {
+			out[i], _ = e.answer(snap, e.newJob(req), stop) // items are not admissions
+		}
+	})
+	return out, version, err
+}
+
 // SubmitWait is Do returning only the answer.
 func (e *Engine) SubmitWait(ctx context.Context, req service.Request) (*service.Response, error) {
 	info, err := e.Do(ctx, req)
@@ -414,10 +445,7 @@ func (e *Engine) SubmitWait(ctx context.Context, req service.Request) (*service.
 // cache hit is done on return (FromCache true). A full FIFO fails with
 // ErrQueueFull, a closing engine with ErrShuttingDown.
 func (e *Engine) Submit(req service.Request) (*Job, error) {
-	job, err := e.newJob(req)
-	if err != nil {
-		return nil, err
-	}
+	job := e.newJob(req)
 	hit, queued, err := e.admit(job)
 	if err != nil {
 		return nil, err
@@ -453,7 +481,7 @@ func (e *Engine) Cancel(id JobID) (Info, error) {
 		return Info{}, ErrJobNotFound
 	}
 	job.cancelFlag.Store(true)
-	job.finish(StateCanceled, nil, ErrCanceled, false, &e.canceled)
+	job.finish(Info{State: StateCanceled, Err: ErrCanceled}, &e.canceled)
 	if info := job.Info(); info.State != StateCanceled {
 		return info, ErrJobFinished
 	}
@@ -505,7 +533,7 @@ func (e *Engine) Close(ctx context.Context) error {
 	}
 	e.closed = true
 	for _, job := range e.waiters {
-		job.finish(StateFailed, nil, ErrShuttingDown, false, &e.failed)
+		job.finish(Info{State: StateFailed, Err: ErrShuttingDown}, &e.failed)
 		close(job.ready)
 	}
 	e.waiters = nil
@@ -543,44 +571,35 @@ func (e *Engine) stopped(job *Job) bool {
 }
 
 // run executes one job in the slot it holds, then hands the slot on:
-// re-check cancellation and the cache, then search with the job's Stop
-// hook threaded through the request. Fresh answers add their effort
-// counters to the engine's cumulative totals.
+// re-check cancellation, then run a Hold operation, or answer a request
+// against a pinned snapshot, with the job's Stop hook threaded through.
 func (e *Engine) run(job *Job) {
 	defer e.release()
-	if e.stopped(job) {
+	job.mu.Lock()
+	start := !job.info.State.Terminal() && !e.stopped(job)
+	if start {
+		job.info.State, job.info.Started = StateRunning, time.Now()
+	}
+	job.mu.Unlock()
+	if !start {
 		// Canceled while waiting; Cancel may have finished it already, but
 		// settle it regardless so no waiter can hang on the done channel.
-		job.finish(StateCanceled, nil, ErrCanceled, false, &e.canceled)
+		job.finish(Info{State: StateCanceled, Err: ErrCanceled}, &e.canceled)
 		return
 	}
-	if job.cacheable {
-		// Second look: an identical job may have completed, or the model
-		// may have changed, since admission.
-		if resp, ok := e.cache.get(job.cacheKey, e.svc.Model().Version()); ok {
-			job.finish(StateDone, resp, nil, true, &e.cacheHits, &e.completed)
-			return
-		}
-		e.cacheMisses.Add(1)
-	}
-
-	job.mu.Lock()
-	if job.info.State.Terminal() {
-		job.mu.Unlock()
-		return
-	}
-	job.info.State, job.info.Started = StateRunning, time.Now()
-	job.mu.Unlock()
-
-	req := job.req
-	prevStop := req.Stop
-	req.Stop = func() bool {
+	prevStop := job.req.Stop
+	stop := func() bool {
 		return e.stopped(job) || (prevStop != nil && prevStop())
 	}
-	if req.Optimize && req.Objective.Enabled() {
+	if job.op != nil {
+		job.op(stop)
+		job.finish(Info{State: StateDone}, &e.completed)
+		return
+	}
+	if req := &job.req; req.Optimize && req.Objective.Enabled() {
 		// Anytime hook, injected here — after the cache key was fixed at
-		// admission, exactly like the Stop wrap above — so polling a
-		// running optimize job surfaces its best incumbent.
+		// admission, exactly like the Stop hook — so polling a running
+		// optimize job surfaces its best incumbent.
 		prevImprove := req.OnImprove
 		req.OnImprove = func(nm service.NamedMapping, cost float64) {
 			job.noteBest(nm, cost)
@@ -589,25 +608,41 @@ func (e *Engine) run(job *Job) {
 			}
 		}
 	}
+	snap := e.svc.Acquire()
+	info, counter := e.answer(snap, job, stop)
+	snap.Release()
+	job.finish(info, counter)
+}
 
-	resp, err := e.svc.Embed(req)
-	switch {
-	case e.stopped(job):
-		// Usually Cancel already marked the job; a caller's ctx and
-		// Close's abort stop the search without finishing it, so settle
-		// it here too — otherwise the done channel never closes.
-		job.finish(StateCanceled, nil, ErrCanceled, false, &e.canceled)
-	case err != nil:
-		job.finish(StateFailed, nil, err, false, &e.failed)
-	default:
-		e.searchMu.Lock()
-		e.search.Add(&resp.Stats)
-		e.searchMu.Unlock()
-		if job.cacheable && cacheableResponse(req, resp) {
-			e.cache.put(job.cacheKey, resp.ModelVersion, resp)
+// answer settles job's request in a held slot against snap, with the
+// counter of its outcome's state: a cache hit at snap's version (for an
+// admitted job, a second look), else a search with stop as its Stop hook.
+// A search stop fired on is canceled; any other answer adds to
+// Stats.Search and, when deterministic, is cached.
+func (e *Engine) answer(snap service.Snapshot, job *Job, stop func() bool) (Info, *atomic.Int64) {
+	if job.cacheable {
+		if resp, ok := e.cache.get(job.cacheKey, snap.Version); ok {
+			e.cacheHits.Add(1)
+			return Info{State: StateDone, Response: resp, FromCache: true}, &e.completed
 		}
-		job.finish(StateDone, resp, nil, false, &e.completed)
+		e.cacheMisses.Add(1)
 	}
+	req := job.req
+	req.Stop = stop
+	resp, err := snap.Embed(req)
+	switch {
+	case stop():
+		return Info{State: StateCanceled, Err: ErrCanceled}, &e.canceled
+	case err != nil:
+		return Info{State: StateFailed, Err: err}, &e.failed
+	}
+	e.searchMu.Lock()
+	e.search.Add(&resp.Stats)
+	e.searchMu.Unlock()
+	if job.cacheable && cacheableResponse(req, resp) {
+		e.cache.put(job.cacheKey, resp.ModelVersion, resp)
+	}
+	return Info{State: StateDone, Response: resp}, &e.completed
 }
 
 // cacheableResponse decides whether an answer is deterministic enough to

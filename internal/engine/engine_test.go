@@ -761,3 +761,50 @@ func TestCloseStopsRunningBlockingSearch(t *testing.T) {
 		t.Fatalf("stats after the aborted drain: %+v", s)
 	}
 }
+
+// TestHoldSharesTheSlots: a Hold operation takes a slot like a Do
+// request, so a Do waits behind it and a further Hold is refused once
+// the FIFO is full. Close fails the waiter and, once its ctx expires,
+// fires the running operation's stop hook.
+func TestHoldSharesTheSlots(t *testing.T) {
+	e, _ := newTestEngine(t, Config{Workers: 1, QueueDepth: 1})
+	running := make(chan struct{})
+	stopped := make(chan struct{})
+	go func() {
+		err := e.Hold(context.Background(), func(stop func() bool) {
+			close(running)
+			for !stop() {
+				time.Sleep(time.Millisecond)
+			}
+			close(stopped)
+		})
+		if err != nil {
+			t.Errorf("Hold: %v", err)
+		}
+	}()
+	<-running
+
+	doErr := make(chan error, 1)
+	go func() {
+		_, err := e.Do(context.Background(), fastRequest(1))
+		doErr <- err
+	}()
+	waitStats(t, e, 5*time.Second, func(s Stats) bool { return s.Running == 1 && s.Queued == 1 })
+	if err := e.Hold(context.Background(), func(func() bool) { t.Error("ran past a full FIFO") }); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Hold with the slot and FIFO full: %v, want ErrQueueFull", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := e.Close(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Close: %v, want the drain deadline", err)
+	}
+	if err := <-doErr; !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("waiting Do: %v, want ErrShuttingDown", err)
+	}
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close's abort never reached the running operation's stop hook")
+	}
+}

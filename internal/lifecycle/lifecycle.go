@@ -333,8 +333,9 @@ func (m *Manager) Place(preq PlaceRequest) (Info, error) {
 		rec.id = "e" + strconv.FormatInt(m.nextID, 10)
 		m.recs[rec.id] = rec
 		m.byLease[lease] = rec.id
+		info := rec.info() // under m.mu: the tick may already sweep rec
 		m.mu.Unlock()
-		return rec.info(), nil
+		return info, nil
 	}
 	return Info{}, ErrNoPlacement
 }

@@ -201,8 +201,8 @@ type BatchEmbedResponse struct {
 }
 
 // maxBatchItems bounds one /embed/batch request; larger batches answer
-// 400 so a single call cannot monopolize the handler goroutine
-// indefinitely.
+// 400, so one batch holds its engine slot for a bounded number of
+// searches.
 const maxBatchItems = 256
 
 func (s *Server) handleEmbedBatch(w http.ResponseWriter, r *http.Request) {
@@ -219,19 +219,18 @@ func (s *Server) handleEmbedBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Decode every item first; malformed items fail individually without
-	// aborting the batch. The searches themselves run synchronously on
-	// this handler against one model snapshot (they bypass the engine's
-	// slots; clients needing backpressure should use /embed or /jobs),
-	// and a client disconnect stops the remaining items.
+	// Decode every item first; a malformed item fails alone. The engine
+	// answers the rest in one slot, in order, against one snapshot.
 	sreqs := make([]service.Request, len(req.Requests))
 	decodeErrs := make([]error, len(req.Requests))
 	for i := range req.Requests {
 		sreqs[i], decodeErrs[i] = s.decodeEmbedRequest(&req.Requests[i])
-		sreqs[i].Stop = stopOnDisconnect(r)
 	}
-
-	results, version := s.svc.EmbedBatch(sreqs)
+	results, version, err := s.eng.EmbedBatch(r.Context(), sreqs)
+	if err != nil {
+		writeEngineError(w, err)
+		return
+	}
 	out := BatchEmbedResponse{ModelVersion: version, Results: make([]BatchEmbedResult, len(results))}
 	for i, res := range results {
 		switch {
@@ -241,6 +240,7 @@ func (s *Server) handleEmbedBatch(w http.ResponseWriter, r *http.Request) {
 			out.Results[i].Error = res.Err.Error()
 		default:
 			r := embedResponseJSON(res.Response)
+			r.Cached = res.FromCache
 			out.Results[i] = BatchEmbedResult{Result: &r}
 		}
 	}

@@ -17,8 +17,8 @@ import (
 //	POST /negotiate   constraint-relaxation loop (see NegotiateHTTPRequest)
 //	POST /schedule    earliest-window scheduling (see ScheduleHTTPRequest)
 func (s *Server) registerExtended() {
-	s.mux.HandleFunc("/negotiate", s.handleNegotiate)
-	s.mux.HandleFunc("/schedule", s.handleSchedule)
+	s.mux.HandleFunc("POST /negotiate", s.handleNegotiate)
+	s.mux.HandleFunc("POST /schedule", s.handleSchedule)
 }
 
 // NegotiateHTTPRequest is the JSON body of POST /negotiate.
@@ -40,10 +40,6 @@ type NegotiateHTTPResponse struct {
 }
 
 func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
 	var req NegotiateHTTPRequest
 	if !readJSON(w, r, &req) {
 		return
@@ -53,12 +49,18 @@ func (s *Server) handleNegotiate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	base.Stop = stopOnDisconnect(r)
-	resp, err := s.svc.Negotiate(service.NegotiateRequest{
-		Request:   base,
-		Factor:    req.Factor,
-		MaxRounds: req.MaxRounds,
-	})
+	var resp *service.NegotiateResponse
+	if held := s.eng.Hold(r.Context(), func(stop func() bool) {
+		base.Stop = stop
+		resp, err = s.svc.Negotiate(service.NegotiateRequest{
+			Request:   base,
+			Factor:    req.Factor,
+			MaxRounds: req.MaxRounds,
+		})
+	}); held != nil {
+		writeEngineError(w, held)
+		return
+	}
 	if err == service.ErrNegotiationFailed {
 		writeError(w, http.StatusConflict, err)
 		return
@@ -100,10 +102,6 @@ type ScheduleHTTPResponse struct {
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
 	var req ScheduleHTTPRequest
 	if !readJSON(w, r, &req) {
 		return
@@ -113,14 +111,20 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	base.Stop = stopOnDisconnect(r)
-	resp, err := s.svc.Schedule(service.ScheduleRequest{
-		Request:  base,
-		Duration: time.Duration(req.DurationMs) * time.Millisecond,
-		Horizon:  time.Duration(req.HorizonMs) * time.Millisecond,
-		Step:     time.Duration(req.StepMs) * time.Millisecond,
-	}, time.Now())
+	var resp *service.ScheduleResponse
+	held := s.eng.Hold(r.Context(), func(stop func() bool) {
+		base.Stop = stop
+		resp, err = s.svc.Schedule(service.ScheduleRequest{
+			Request:  base,
+			Duration: time.Duration(req.DurationMs) * time.Millisecond,
+			Horizon:  time.Duration(req.HorizonMs) * time.Millisecond,
+			Step:     time.Duration(req.StepMs) * time.Millisecond,
+		}, time.Now())
+	})
 	switch {
+	case held != nil:
+		writeEngineError(w, held)
+		return
 	case err == service.ErrNoWindow:
 		writeError(w, http.StatusConflict, err)
 		return
@@ -139,13 +143,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		LeaseID:      int64(resp.Lease),
 		WindowsTried: resp.WindowsTried,
 	})
-}
-
-// stopOnDisconnect is the Stop hook of a search run on r's handler
-// goroutine: it fires once the client has gone.
-func stopOnDisconnect(r *http.Request) func() bool {
-	ctx := r.Context()
-	return func() bool { return ctx.Err() != nil }
 }
 
 // decodeEmbedRequest translates the wire form into a service.Request.

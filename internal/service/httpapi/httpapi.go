@@ -22,11 +22,12 @@
 //	POST   /negotiate        constraint-relaxation loop (§III negotiation)
 //	POST   /schedule         earliest-window scheduling (§VIII extension)
 //
-// Every embedding query on /embed and /jobs is admitted by the engine
-// (internal/engine), which provides the search slots, the bounded FIFO
-// of waiters, cancellation and the model-versioned result cache. /embed
-// searches on its own handler goroutine and leaves no job record; only
-// /jobs registers one. Under saturation both answer 429.
+// Every search runs in one of the engine's slots (internal/engine), which
+// also keeps the bounded FIFO of waiters, cancellation and the
+// model-versioned result cache. /embed, /embed/batch (one slot for the
+// whole batch), /negotiate, /schedule and POST /embeddings wait and
+// search on their handler goroutine and leave no job record; only /jobs
+// registers one. Under saturation every one of them answers 429.
 package httpapi
 
 import (
@@ -78,7 +79,7 @@ func NewWithEngine(svc *service.Service, eng *engine.Engine) *Server {
 	s := &Server{svc: svc, eng: eng, mux: http.NewServeMux(), queries: newQueryCache(0)}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/model", s.handleModel)
-	s.mux.HandleFunc("/embed", s.handleEmbed)
+	s.mux.HandleFunc("POST /embed", s.handleEmbed)
 	s.mux.HandleFunc("/reserve", s.handleReserve)
 	s.registerJobs()
 	s.registerDeltas()
@@ -252,10 +253,6 @@ type EmbedResponse struct {
 }
 
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
 	var req EmbedRequest
 	if !readEmbedRequest(w, r, &req) {
 		return

@@ -64,12 +64,18 @@ func (s *Server) handleEmbeddingPlace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sreq.Stop = stopOnDisconnect(r)
-	info, err := s.lc.Place(lifecycle.PlaceRequest{
-		Request: sreq,
-		TTL:     time.Duration(req.TTLMs) * time.Millisecond,
+	var info lifecycle.Info
+	held := s.eng.Hold(r.Context(), func(stop func() bool) {
+		sreq.Stop = stop
+		info, err = s.lc.Place(lifecycle.PlaceRequest{
+			Request: sreq,
+			TTL:     time.Duration(req.TTLMs) * time.Millisecond,
+		})
 	})
 	switch {
+	case held != nil:
+		writeEngineError(w, held)
+		return
 	case errors.Is(err, lifecycle.ErrNoPlacement):
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return

@@ -499,7 +499,7 @@ func (s *ClusterServer) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sreq.Stop = stopOnDisconnect(r)
+	sreq.Stop = func() bool { return r.Context().Err() != nil } // the client has gone
 	resp, where, err := s.coord.Embed(sreq)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -77,7 +77,8 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 		return nil, err
 	}
 
-	host, idx, _ := s.model.SnapshotIndexed()
+	host, idx, version := s.model.AcquireIndexed() // a live reader for the whole scan
+	defer s.model.Release(version)
 	allow, err := resolveAllow(req.Query, host, req.Allow)
 	if err != nil {
 		return nil, err

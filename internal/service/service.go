@@ -223,14 +223,37 @@ var (
 )
 
 // Embed answers one embedding request against the current model snapshot.
-// The snapshot is acquired as an epoch (Model.AcquireIndexed) and released
-// when the request finishes, so superseded snapshots retire as soon as
-// their last in-flight request drains.
+// The snapshot is acquired as an epoch (Acquire) and released when the
+// request finishes, so superseded snapshots retire as soon as their last
+// in-flight request drains.
 func (s *Service) Embed(req Request) (*Response, error) {
-	host, idx, version := s.model.AcquireIndexed()
-	defer s.model.Release(version)
-	return s.embedOn(host, idx, version, req)
+	snap := s.Acquire()
+	defer snap.Release()
+	return snap.Embed(req)
 }
+
+// Snapshot pins one model snapshot as an epoch (Model.AcquireIndexed):
+// Embed answers requests against it until Release unpins it.
+type Snapshot struct {
+	svc     *Service
+	host    *graph.Graph
+	idx     *index.Index
+	Version uint64
+}
+
+// Acquire pins the current model snapshot.
+func (s *Service) Acquire() Snapshot {
+	host, idx, version := s.model.AcquireIndexed()
+	return Snapshot{s, host, idx, version}
+}
+
+// Embed answers req against the pinned snapshot.
+func (p Snapshot) Embed(req Request) (*Response, error) {
+	return p.svc.embedOn(p.host, p.idx, p.Version, req)
+}
+
+// Release unpins the snapshot.
+func (p Snapshot) Release() { p.svc.model.Release(p.Version) }
 
 // BatchResult pairs one EmbedBatch item's answer with its error; exactly
 // one of the fields is set.
@@ -247,14 +270,14 @@ type BatchResult struct {
 // per-item failures land in the matching BatchResult without aborting
 // the rest. The shared version is returned alongside the results.
 func (s *Service) EmbedBatch(reqs []Request) ([]BatchResult, uint64) {
-	host, idx, version := s.model.AcquireIndexed()
-	defer s.model.Release(version)
+	snap := s.Acquire()
+	defer snap.Release()
 	out := make([]BatchResult, len(reqs))
 	for i, req := range reqs {
-		resp, err := s.embedOn(host, idx, version, req)
+		resp, err := snap.Embed(req)
 		out[i] = BatchResult{Response: resp, Err: err}
 	}
-	return out, version
+	return out, snap.Version
 }
 
 // embedOn answers one request against a fixed (host, index, version)
