@@ -212,6 +212,7 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		"BenchmarkApplyDelta/edge_add",
 		"BenchmarkBuildFilters/planetlab296_window",
 		"BenchmarkCutTables",
+		"BenchmarkShardWire",
 		"BenchmarkDecodeQuery/query8",
 		"BenchmarkDecodeQuery/host296",
 		"BenchmarkEncodeQuery/query8",
@@ -224,6 +225,7 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		"BenchmarkFig08_ECF_PlanetLab",
 		"BenchmarkIndexDelta/delta-apply",
 		"BenchmarkParallelECF_StealVsStatic/steal",
+		"BenchmarkEmbedEnvelope/scanner",
 	} {
 		if gate.MatchString(name) {
 			t.Errorf("GATE %q unexpectedly gates %q", m[1], name)

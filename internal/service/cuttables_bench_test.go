@@ -14,8 +14,9 @@ import (
 // 4-node queries under the paper's delay-window constraint over the
 // boundary view of the 6-region, 296-site federation: one op is one
 // request's tables, one per query edge whose planted endpoints lie in two
-// regions. The view's range indexes are armed before the timer starts, as
-// after a daemon's first spanning request.
+// regions, released to the view's pool when the request ends. The view's
+// range indexes are armed before the timer starts, as after a daemon's
+// first spanning request.
 func BenchmarkCutTables(b *testing.B) {
 	host := trace.SyntheticPlanetLab(trace.Config{Sites: 296}, rand.New(rand.NewSource(1)))
 	routes := map[string]string{}
@@ -59,6 +60,7 @@ func BenchmarkCutTables(b *testing.B) {
 		for _, e := range s.cuts {
 			j.table(e)
 		}
+		j.release()
 	}
 	build(queries[0])
 	b.ReportAllocs()

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"netembed/internal/core"
 	"netembed/internal/expr"
 	"netembed/internal/graph"
 	"netembed/internal/index"
@@ -349,5 +352,105 @@ func TestBoundaryRangeIndexArmsOnFirstSpanningRequest(t *testing.T) {
 	cols := sparse.view.cols
 	if col := cols.EdgeColumn("avgDelay"); !cols.Armed(col) || cols.ArcArmed(col) {
 		t.Fatalf("sparse boundary: edge index armed %v, arc-slot layout armed %v; want only the former", cols.Armed(col), cols.ArcArmed(col))
+	}
+}
+
+// TestReleasedCutTablesArePoisoned: a request's cut tables go back to the
+// view's pool when its join ends, filled with ones on a poisoned view. The
+// requests after it — with an edge constraint, without one, in path mode —
+// still read exactly the transpose or the reachability rows, so none reads
+// a table after its release, and no table the view shares is released.
+// Through the coordinator, every spanning answer on a poisoned view, from
+// requests running at once, still verifies against the whole host.
+func TestReleasedCutTablesArePoisoned(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	bv := cutBoundary(rng, 3, 12, 0.7, false)
+	bv.poison = true
+	fwd, rev := index.BuildReach(bv.bg, 2)
+	seen := map[*cutTable]bool{}
+	reused := 0
+	for i := 0; i < 80; i++ {
+		pc := cutPrograms[i%len(cutPrograms)]
+		var prog *expr.Program
+		if pc.src != "" {
+			prog = expr.MustCompile(pc.src)
+		}
+		q := cutQuery(rng)
+		j := &spanJoin{bv: bv, req: Request{Query: q}, edgeProg: prog}
+		if i%7 == 3 {
+			j.req.Algorithm, j.req.Path.MaxHops = AlgoPathEmbed, 2
+		}
+		j.prepare()
+		var built []*cutTable
+		for e := graph.EdgeID(0); int(e) < q.NumEdges(); e++ {
+			tab := j.table(e)
+			want := [2][]sets.Bitset{fwd, rev}
+			if !j.pathMode {
+				want = transposeTable(bv, q, e, prog)
+			}
+			for side := range want {
+				for h := range want[side] {
+					if !tab.rows[side][h].Equal(&want[side][h]) {
+						t.Fatalf("request %d %q path %v edge %d: rows[%d][%d] read a released table",
+							i, pc.src, j.pathMode, e, side, h)
+					}
+				}
+			}
+			if prog != nil && !j.pathMode {
+				if seen[tab] {
+					reused++
+				}
+				seen[tab] = true
+				built = append(built, tab)
+			}
+		}
+		j.release()
+		for _, tab := range built {
+			for _, w := range tab.words {
+				if slices.ContainsFunc(w, func(x uint64) bool { return x != ^uint64(0) }) {
+					t.Fatalf("request %d: a released table is not poisoned", i)
+				}
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no request was handed a released table")
+	}
+
+	host := federationHost()
+	f, err := NewFederation(host, "region", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.view.poison = true
+	p, err := core.NewProblem(spanningPair(), host, expr.MustCompile(avgDelayWindowSrc), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := make([]*Response, 40)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(answers); i += 4 {
+				resp, where, err := f.Embed(Request{Query: spanningPair(), EdgeConstraint: avgDelayWindowSrc,
+					MaxResults: 1, Timeout: 5 * time.Second})
+				if err != nil || !strings.HasPrefix(where, "cross:") {
+					t.Errorf("request %d answered by %q: %v", i, where, err)
+					return
+				}
+				answers[i] = resp
+			}
+		}()
+	}
+	wg.Wait()
+	for i, resp := range answers {
+		if resp == nil || len(resp.Named) == 0 {
+			t.Fatalf("request %d found nothing", i)
+		}
+		if err := p.Verify(namedToMapping(t, spanningPair(), host, resp.Named[0])); err != nil {
+			t.Fatalf("request %d: stitched mapping invalid globally: %v", i, err)
+		}
 	}
 }

@@ -121,6 +121,7 @@ func (c *Coordinator) embedAcrossShards(req Request, edgeProg *expr.Program) (*R
 	}
 
 	j.prepare()
+	defer j.release()
 	for _, assign := range assignments {
 		if j.expired() {
 			j.fail(spanDeadline)
@@ -259,6 +260,11 @@ type cutTable struct {
 	// ranged records that the arc-slot pass wrote the rows
 	// (core.AdmitArcs), not the transpose.
 	ranged bool
+	// heads and words are the row headers and arenas a table built by
+	// newCutTable owns, per side; rows views them. They come from and go
+	// back to the view's pool with the table.
+	heads [2][]sets.Bitset
+	words [2][]uint64
 }
 
 // cutRef is one query edge crossing the current assignment, with its From
@@ -346,6 +352,21 @@ func (j *spanJoin) prepare() {
 	shared := &cutTable{rows: [2][]sets.Bitset{fwd, rev}}
 	for e := range j.tables {
 		j.tables[e] = shared
+	}
+}
+
+// release gives the tables this request built back to the view's pool
+// once its join has ended. A request with no edge constraint, or in path
+// mode, built none: every table it read is the view's own.
+func (j *spanJoin) release() {
+	if j.edgeProg == nil || j.pathMode {
+		return
+	}
+	for e, t := range j.tables {
+		if t != nil {
+			j.bv.recycle(t)
+			j.tables[e] = nil
+		}
 	}
 }
 
@@ -759,6 +780,14 @@ type boundaryView struct {
 	reachRev []sets.Bitset
 	hops     int
 	all      *cutTable
+
+	// tables recycles the cut tables requests build (newCutTable), sized
+	// for this view's boundary graph; a rebuilt view starts a new pool.
+	tables sync.Pool
+	// poison, set by tests before any request reads the view, fills every
+	// recycled table with ones, so a request still reading one after its
+	// release admits every pair.
+	poison bool
 }
 
 func newBoundaryView(cuts []graph.CutEdge, directed bool, routes map[string]string) *boundaryView {
@@ -849,20 +878,39 @@ func (bv *boundaryView) matchEdge(hu, hv graph.NodeID, q *graph.Graph, qe *graph
 	})
 }
 
-// newCutTable allocates an empty cut table for the edge constraint prog,
-// its two sides one arena when prog admits both arcs of a boundary edge
-// together, and returns with it that arena viewed as one set over arc
-// slots (nil when the sides are apart).
+// newCutTable takes an empty cut table for the edge constraint prog from
+// the view's pool (spanJoin.release gives it back), its two sides one
+// arena when prog admits both arcs of a boundary edge together, and
+// returns with it that arena viewed as one set over arc slots (nil when
+// the sides are apart).
 func (bv *boundaryView) newCutTable(prog *expr.Program) (*cutTable, *sets.Bitset) {
 	n := bv.bg.NumNodes()
-	out, words := sets.ReuseBitsets(nil, nil, n, n)
-	t := &cutTable{rows: [2][]sets.Bitset{out, out}}
+	t, _ := bv.tables.Get().(*cutTable)
+	if t == nil {
+		t = new(cutTable)
+	}
+	t.ranged = false
+	t.heads[0], t.words[0] = sets.ReuseBitsets(t.heads[0], t.words[0], n, n)
+	t.rows = [2][]sets.Bitset{t.heads[0], t.heads[0]}
 	if !core.Symmetric(bv.bg.Directed(), prog) {
-		t.rows[1] = sets.MakeBitsets(n, n)
+		t.heads[1], t.words[1] = sets.ReuseBitsets(t.heads[1], t.words[1], n, n)
+		t.rows[1] = t.heads[1]
 		return t, nil
 	}
-	arcs := sets.BitsetOver(words)
+	arcs := sets.BitsetOver(t.words[0])
 	return t, &arcs
+}
+
+// recycle returns a table newCutTable built to the pool.
+func (bv *boundaryView) recycle(t *cutTable) {
+	if bv.poison {
+		for _, w := range t.words {
+			for i := range w {
+				w[i] = ^uint64(0)
+			}
+		}
+	}
+	bv.tables.Put(t)
 }
 
 // allAdmitted returns the cut table that admits every boundary edge,

@@ -1,18 +1,30 @@
-// Request codec of the embed endpoints: the body is read once into a
-// pooled buffer, the flat EmbedRequest envelope is scanned without
-// reflection, and the reply is appended straight into a pooled buffer.
+// Codec of the embed wire, at both of its levels: a client's /embed and
+// the coordinator's fragments to a shard (RemoteShard). A body is read
+// once into a pooled buffer, an envelope is scanned without reflection,
+// and a reply or a fragment request is appended straight into a pooled
+// buffer.
 //
-// Both directions keep encoding/json as the reference. The scanner takes
-// only the shape json.Marshal writes for the scalar fields — exact key
-// names, string / integer / true-false values, ASCII text — and hands
-// every other body to json.Decoder on the same bytes, which then owns
-// every error message, case-insensitive keys, null, non-ASCII text, the
-// objective / metrics / allow fields and trailing data. The writer
-// produces the bytes writeJSON(w, 200, embedResponseJSON(resp)) would:
-// two-space indentation, HTML-safe escaping, sorted mapping keys,
-// encoding/json float formatting and omitempty fields; a non-finite float
-// answers the same 500. embedResponseJSON stays the wire form of /jobs,
-// /embed/batch and /deltas, and the oracle the writer is tested against.
+// Every direction keeps encoding/json as the reference, which owns every
+// error message. The envelope scanner takes the shape json.Marshal writes
+// — exact key names, string / integer / true-false values, ASCII text
+// with escapes below U+0080 — for the scalar fields and allow, an object
+// of string arrays (the coordinator's fragments carry one); every other
+// body goes to json.Decoder on the same bytes: case-insensitive keys,
+// null, non-ASCII text, escapes above U+007F, a repeated allow key, the
+// objective / metrics fields and trailing data. The reply scanner takes
+// what appendEmbedResponse writes into a shard's reply — status,
+// mappings, modelVersion, elapsedMs, stats, cached, objectiveCost and
+// warnings — and hands every other reply to json.Unmarshal and
+// responseFromWire: paths, null, escaped or unknown keys, non-ASCII text,
+// a repeated mappings list, and counters a float64 does not hold exactly.
+//
+// The reply writer produces the bytes writeJSON(w, 200,
+// embedResponseJSON(resp)) would: two-space indentation, HTML-safe
+// escaping, sorted mapping keys, encoding/json float formatting and
+// omitempty fields; a non-finite float answers the same 500.
+// embedResponseJSON stays the wire form of /jobs, /embed/batch and
+// /deltas, and the oracle the writer is tested against. The fragment
+// writer, appendEmbedRequest, produces json.Marshal's bytes, its oracle.
 package httpapi
 
 import (
@@ -81,6 +93,9 @@ func readBody(w http.ResponseWriter, r *http.Request) (*codecBuf, error) {
 	if n := int(min(r.ContentLength, maxPooledResponseBuf)); n >= cap(b) {
 		b = make([]byte, 0, n+bytes.MinRead)
 	}
+	// The loop is written out here, as in readReply: handed to a function
+	// as an io.Reader, the limited body would escape, one allocation per
+	// request.
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	for {
 		if len(b) == cap(b) {
@@ -157,32 +172,50 @@ func bodyOK(w http.ResponseWriter, err error) bool {
 // scanner's unescape buffer.
 func decodeEmbedBody(body []byte, req *EmbedRequest, tmp *[]byte) error {
 	sc := envelopeScanner{b: body, tmp: tmp}
-	if sc.object(req) {
+	if sc.request(req) {
 		return nil
 	}
 	*req = EmbedRequest{}
 	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
 }
 
-// envelopeScanner reads one flat JSON object into an EmbedRequest. Every
-// method returns false on anything outside the subset it takes, which is
-// the caller's cue to decode with encoding/json instead; the scanner
-// never reports an error of its own.
+// decodeEmbedResponse decodes a shard's embed reply: the envelope scanner
+// when it takes the body, json.Unmarshal and responseFromWire otherwise.
+// The scanner leaves paths to the reference: only path-mode fragments
+// carry them, and their nested witnesses would double its reply table.
+func decodeEmbedResponse(body []byte, tmp *[]byte) (*service.Response, error) {
+	resp := new(service.Response)
+	sc := envelopeScanner{b: body, tmp: tmp}
+	if sc.reply(resp) {
+		return resp, nil
+	}
+	var out EmbedResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		return nil, fmt.Errorf("bad response JSON: %v", err)
+	}
+	return responseFromWire(&out)
+}
+
+// envelopeScanner reads the embed wire's JSON without reflection: a
+// request envelope (request) or a shard's reply (reply), each through its
+// own field table over the same primitives. Every method returns false on
+// anything outside the subset it takes, which is the caller's cue to
+// decode with encoding/json instead; the scanner never reports an error
+// of its own.
 type envelopeScanner struct {
 	b   []byte
 	i   int
 	tmp *[]byte
 }
 
+// ws skips whitespace. The hot loops here and in key, text and digits
+// keep the index in a local, so it lives in a register.
 func (sc *envelopeScanner) ws() {
-	for sc.i < len(sc.b) {
-		switch sc.b[sc.i] {
-		case ' ', '\t', '\n', '\r':
-			sc.i++
-		default:
-			return
-		}
+	b, i := sc.b, sc.i
+	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+		i++
 	}
+	sc.i = i
 }
 
 func (sc *envelopeScanner) eat(c byte) bool {
@@ -193,9 +226,28 @@ func (sc *envelopeScanner) eat(c byte) bool {
 	return false
 }
 
-// object scans the whole object. Whatever follows its closing brace is
+// request scans a request envelope. Whatever follows its closing brace is
 // left unread, as json.Decoder leaves it.
-func (sc *envelopeScanner) object(req *EmbedRequest) bool {
+func (sc *envelopeScanner) request(req *EmbedRequest) bool {
+	return sc.object(func(key []byte, _ bool) bool { return sc.requestField(key, req) })
+}
+
+// reply scans a whole reply body, as json.Unmarshal reads it: nothing but
+// whitespace may follow the object, and it must name a status.
+func (sc *envelopeScanner) reply(resp *service.Response) bool {
+	status := false
+	if !sc.object(func(key []byte, _ bool) bool { return sc.replyField(key, resp, &status) }) {
+		return false
+	}
+	sc.ws()
+	return status && sc.i == len(sc.b)
+}
+
+// object scans one object, handing each key to field with sc.i at its
+// value. The key is the body's bytes between the quotes, escapes and all:
+// a field table matches it as is, so no escaped key is a field's, and a
+// key that is data is read with name.
+func (sc *envelopeScanner) object(field func(key []byte, escaped bool) bool) bool {
 	sc.ws()
 	if !sc.eat('{') {
 		return false
@@ -205,7 +257,7 @@ func (sc *envelopeScanner) object(req *EmbedRequest) bool {
 		return true
 	}
 	for {
-		key, ok := sc.key()
+		key, escaped, ok := sc.key()
 		if !ok {
 			return false
 		}
@@ -214,7 +266,7 @@ func (sc *envelopeScanner) object(req *EmbedRequest) bool {
 			return false
 		}
 		sc.ws()
-		if !sc.field(key, req) {
+		if !field(key, escaped) {
 			return false
 		}
 		sc.ws()
@@ -228,28 +280,60 @@ func (sc *envelopeScanner) object(req *EmbedRequest) bool {
 	}
 }
 
-// key returns an object key free of escapes and non-ASCII bytes.
-func (sc *envelopeScanner) key() ([]byte, bool) {
-	if !sc.eat('"') {
-		return nil, false
+// array scans one array, calling elem with sc.i at each element.
+func (sc *envelopeScanner) array(elem func() bool) bool {
+	if !sc.eat('[') {
+		return false
 	}
-	start := sc.i
-	for sc.i < len(sc.b) {
-		switch c := sc.b[sc.i]; {
-		case c == '"':
-			sc.i++
-			return sc.b[start : sc.i-1], true
-		case c == '\\' || c < 0x20 || c >= utf8.RuneSelf:
-			return nil, false
+	sc.ws()
+	if sc.eat(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
 		}
-		sc.i++
+		sc.ws()
+		if sc.eat(']') {
+			return true
+		}
+		if !sc.eat(',') {
+			return false
+		}
+		sc.ws()
 	}
-	return nil, false
 }
 
-// field decodes the value of the key named exactly as an EmbedRequest
-// field of scalar type; any other key is not the scanner's.
-func (sc *envelopeScanner) field(key []byte, req *EmbedRequest) bool {
+// key scans an ASCII object key and returns its bytes between the quotes
+// as a slice of the body, escapes not undone.
+func (sc *envelopeScanner) key() (raw []byte, escaped, ok bool) {
+	if !sc.eat('"') {
+		return nil, false, false
+	}
+	start := sc.i
+	for {
+		b, i := sc.b, sc.i
+		for i < len(b) && plainText[b[i]] {
+			i++
+		}
+		sc.i = i
+		switch {
+		case i == len(b) || b[i] < 0x20 || b[i] >= utf8.RuneSelf:
+			return nil, false, false
+		case b[i] == '"':
+			sc.i++
+			return b[start:i], escaped, true
+		}
+		if _, ok := sc.escape(); !ok {
+			return nil, false, false
+		}
+		escaped = true
+	}
+}
+
+// requestField decodes the value of the key named exactly as an
+// EmbedRequest field the scanner takes: the scalars and allow.
+func (sc *envelopeScanner) requestField(key []byte, req *EmbedRequest) bool {
 	switch string(key) {
 	case "query":
 		return sc.str(&req.QueryGraphML)
@@ -283,48 +367,267 @@ func (sc *envelopeScanner) field(key []byte, req *EmbedRequest) bool {
 		return sc.bool(&req.ExcludeReserved)
 	case "dedupeSymmetric":
 		return sc.bool(&req.DedupeSymmetric)
+	case "allow":
+		return sc.allow(&req.Allow)
 	}
 	return false
 }
 
-// str decodes an ASCII string. Runs between escapes are copied whole, so
-// the \u003c / \u003e json.Marshal writes for every GraphML tag cost one
-// append each; a string without escapes is converted straight from the
-// body.
-func (sc *envelopeScanner) str(dst *string) bool {
-	if !sc.eat('"') {
+// replyField decodes the value of the key named exactly as a field
+// appendEmbedResponse writes, paths aside, into resp; status records that
+// the status was read.
+func (sc *envelopeScanner) replyField(key []byte, resp *service.Response, status *bool) bool {
+	switch string(key) {
+	case "status":
+		s, escaped, ok := sc.text()
+		if !ok || escaped {
+			return false
+		}
+		switch string(s) {
+		case "complete":
+			resp.Status = core.StatusComplete
+		case "partial":
+			resp.Status = core.StatusPartial
+		case "inconclusive":
+			resp.Status = core.StatusInconclusive
+		default:
+			return false
+		}
+		*status = true
+		return true
+	case "mappings":
+		// A repeated list decodes into the first one's maps in the
+		// reference, merging them.
+		return resp.Named == nil && sc.mappings(&resp.Named)
+	case "modelVersion":
+		v, ok := sc.digits(math.MaxUint64)
+		resp.ModelVersion = v
+		return ok
+	case "elapsedMs":
+		f, ok := sc.float()
+		resp.Elapsed = time.Duration(f * float64(time.Millisecond))
+		return ok
+	case "stats":
+		return sc.stats(&resp.Stats)
+	case "cached":
+		var cached bool // the coordinator keeps no cache flag of a shard
+		return sc.bool(&cached)
+	case "objectiveCost":
+		f, ok := sc.float()
+		resp.ObjectiveCost = &f
+		return ok
+	case "warnings":
+		list := []string{}
+		ok := sc.array(func() bool {
+			var s string
+			ok := sc.str(&s)
+			list = append(list, s)
+			return ok
+		})
+		resp.Warnings = list
+		return ok
+	}
+	return false
+}
+
+// allow decodes the allow object, query node → host names, unless a key
+// repeats (the reference keeps the last list) or an allow was read before
+// (the reference merges the two). A first pass checks the shape and
+// counts; the second makes one string of the object's bytes, whose
+// substrings are every key and every name without escapes, and one array
+// every list is a slice of: five allocations for a fragment's few keys,
+// however many names they list.
+func (sc *envelopeScanner) allow(dst *map[string][]string) bool {
+	if *dst != nil {
 		return false
 	}
-	out := (*sc.tmp)[:0]
-	escaped := false
 	start := sc.i
-	for sc.i < len(sc.b) {
-		c := sc.b[sc.i]
-		switch {
-		case c == '"':
-			if escaped {
-				out = append(out, sc.b[start:sc.i]...)
-				*dst = string(out)
-				*sc.tmp = out
-			} else {
-				*dst = string(sc.b[start:sc.i])
-			}
-			sc.i++
-			return true
-		case c == '\\':
-			out = append(out, sc.b[start:sc.i]...)
-			e, ok := sc.escape()
-			if !ok {
-				return false
-			}
-			out = append(out, e)
-			escaped = true
-			start = sc.i
-		case c < 0x20 || c >= utf8.RuneSelf:
+	keys, names := 0, 0
+	if !sc.object(func([]byte, bool) bool {
+		keys++
+		return sc.array(func() bool {
+			names++
+			_, _, ok := sc.text()
+			return ok
+		})
+	}) {
+		return false
+	}
+	src := string(sc.b[start:sc.i])
+	m := make(map[string][]string, keys)
+	all := make([]string, names)
+	sc.i, names = start, 0
+	if !sc.object(func(key []byte, escaped bool) bool {
+		first := names
+		ok := sc.array(func() bool {
+			s, ok := sc.substr(src, start)
+			all[names] = s
+			names++
+			return ok
+		})
+		name := sc.name(src, start, key, escaped)
+		if _, dup := m[name]; dup {
 			return false
-		default:
-			sc.i++
 		}
+		m[name] = all[first:names:names]
+		return ok
+	}) {
+		return false
+	}
+	*dst = m
+	return true
+}
+
+// mappings decodes a reply's list of named mappings, each null or an
+// object of strings, unless the list is empty (the reference keeps no
+// empty answer). Like allow, it counts first, then takes every key and
+// value without escapes as a substring of one copy of the list's bytes.
+func (sc *envelopeScanner) mappings(dst *[]service.NamedMapping) bool {
+	start := sc.i
+	n := 0
+	if !sc.array(func() bool {
+		n++
+		return sc.null() || sc.object(func([]byte, bool) bool {
+			_, _, ok := sc.text()
+			return ok
+		})
+	}) {
+		return false
+	}
+	if n == 0 {
+		return true
+	}
+	src := string(sc.b[start:sc.i])
+	list := make([]service.NamedMapping, 0, n)
+	sc.i = start
+	ok := sc.array(func() bool {
+		if sc.null() {
+			list = append(list, nil)
+			return true
+		}
+		m := service.NamedMapping{}
+		list = append(list, m)
+		return sc.object(func(key []byte, escaped bool) bool {
+			v, ok := sc.substr(src, start)
+			m[sc.name(src, start, key, escaped)] = v
+			return ok
+		})
+	})
+	*dst = list
+	return ok
+}
+
+// stats decodes a reply's stats object: every counter an integer the
+// reference's float64 holds exactly, and timeToFirstMs. Like
+// statsFromJSON, it hands every name to core.Stats.SetCounter.
+func (sc *envelopeScanner) stats(st *core.Stats) bool {
+	return sc.object(func(key []byte, escaped bool) bool {
+		if escaped {
+			return false // a counter's name, once unescaped
+		}
+		if string(key) == "timeToFirstMs" {
+			ms, ok := sc.float()
+			st.TimeToFirst = time.Duration(ms * float64(time.Millisecond))
+			st.SetCounter("timeToFirstMs", int64(ms))
+			return ok
+		}
+		v, ok := sc.integer(64)
+		if !ok || v > 1<<53 || v < -1<<53 {
+			return false
+		}
+		st.SetCounter(string(key), v)
+		return true
+	})
+}
+
+// plainText marks the bytes a string scan passes over: printable ASCII
+// but for the quote and the backslash.
+var plainText = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// text scans an ASCII string and returns its bytes: a slice of the body
+// when it has no escapes, else the unescaped bytes in *sc.tmp, valid until
+// the next call. Runs between escapes are copied whole, so the \u003c /
+// \u003e json.Marshal writes for every GraphML tag cost one append each.
+func (sc *envelopeScanner) text() (s []byte, escaped, ok bool) {
+	if !sc.eat('"') {
+		return nil, false, false
+	}
+	out := (*sc.tmp)[:0]
+	start := sc.i
+	for {
+		b, i := sc.b, sc.i
+		for i < len(b) && plainText[b[i]] {
+			i++
+		}
+		sc.i = i
+		switch {
+		case i == len(b) || b[i] < 0x20 || b[i] >= utf8.RuneSelf:
+			return nil, false, false
+		case b[i] == '"':
+			s = b[start:i]
+			if escaped {
+				out = append(out, s...)
+				*sc.tmp, s = out, out
+			}
+			sc.i++
+			return s, escaped, true
+		}
+		out = append(out, b[start:i]...)
+		e, ok := sc.escape()
+		if !ok {
+			return nil, false, false
+		}
+		out = append(out, e)
+		escaped = true
+		start = sc.i
+	}
+}
+
+func (sc *envelopeScanner) str(dst *string) bool {
+	s, _, ok := sc.text()
+	*dst = string(s)
+	return ok
+}
+
+// substr scans a string of the body part src copies from offset base on,
+// and returns it as a substring of src unless it has escapes.
+func (sc *envelopeScanner) substr(src string, base int) (string, bool) {
+	s, escaped, ok := sc.text()
+	if escaped || !ok {
+		return string(s), ok
+	}
+	return sc.within(src, base, s), true
+}
+
+// name returns the object key raw, as key returned it, as a string: a
+// substring of src, which copies the body from offset base on, unless it
+// has escapes.
+func (sc *envelopeScanner) name(src string, base int, raw []byte, escaped bool) string {
+	if !escaped {
+		return sc.within(src, base, raw)
+	}
+	at := cap(sc.b) - cap(raw)
+	quoted := envelopeScanner{b: sc.b[:at+len(raw)+1], i: at - 1, tmp: sc.tmp}
+	s, _, _ := quoted.text()
+	return string(s)
+}
+
+// within returns s, a slice of the body inside the part src copies from
+// offset base on, as the matching substring of src.
+func (sc *envelopeScanner) within(src string, base int, s []byte) string {
+	at := cap(sc.b) - cap(s) - base
+	return src[at : at+len(s)]
+}
+
+func (sc *envelopeScanner) null() bool {
+	if bytes.HasPrefix(sc.b[sc.i:], []byte("null")) {
+		sc.i += 4
+		return true
 	}
 	return false
 }
@@ -388,30 +691,67 @@ func (sc *envelopeScanner) int(dst *int) bool {
 // or 'e', where the caller then finds no ',' or '}' and gives up.
 func (sc *envelopeScanner) integer(bits int) (int64, bool) {
 	neg := sc.eat('-')
-	if sc.i >= len(sc.b) || sc.b[sc.i] < '0' || sc.b[sc.i] > '9' {
-		return 0, false
-	}
 	limit := uint64(1) << (bits - 1) // magnitude of the most negative value
 	if !neg {
 		limit--
 	}
-	var u uint64
+	u, ok := sc.digits(limit)
+	if neg {
+		return -int64(u), ok
+	}
+	return int64(u), ok
+}
+
+// digits decodes the digits of a JSON integer literal, at most limit.
+func (sc *envelopeScanner) digits(limit uint64) (uint64, bool) {
+	if sc.i >= len(sc.b) || sc.b[sc.i] < '0' || sc.b[sc.i] > '9' {
+		return 0, false
+	}
 	if sc.b[sc.i] == '0' {
 		sc.i++
-	} else {
+		return 0, true
+	}
+	b, i := sc.b, sc.i
+	var u uint64
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		d := uint64(b[i] - '0')
+		if u > (limit-d)/10 {
+			return 0, false
+		}
+		u = u*10 + d
+	}
+	sc.i = i
+	return u, true
+}
+
+// float decodes a JSON number with strconv.ParseFloat, as the reference
+// does; one out of float64's range is the reference's to refuse.
+func (sc *envelopeScanner) float() (float64, bool) {
+	start := sc.i
+	run := func() bool { // one or more digits
+		from := sc.i
 		for sc.i < len(sc.b) && '0' <= sc.b[sc.i] && sc.b[sc.i] <= '9' {
-			d := uint64(sc.b[sc.i] - '0')
-			if u > (limit-d)/10 {
-				return 0, false
-			}
-			u = u*10 + d
 			sc.i++
 		}
+		return sc.i > from
 	}
-	if neg {
-		return -int64(u), true
+	sc.eat('-')
+	if !sc.eat('0') && !run() {
+		return 0, false
 	}
-	return int64(u), true
+	if sc.eat('.') && !run() {
+		return 0, false
+	}
+	if sc.eat('e') || sc.eat('E') {
+		if !sc.eat('+') {
+			sc.eat('-')
+		}
+		if !run() {
+			return 0, false
+		}
+	}
+	f, err := strconv.ParseFloat(string(sc.b[start:sc.i]), 64)
+	return f, err == nil
 }
 
 func (sc *envelopeScanner) bool(dst *bool) bool {
@@ -427,6 +767,131 @@ func (sc *envelopeScanner) bool(dst *bool) bool {
 		return false
 	}
 	return true
+}
+
+// appendEmbedRequest appends req as json.Marshal writes it — compact,
+// fields in declaration order, omitempty honoured, allow's keys sorted in
+// *keys — without the reflection. A NaN or infinite float fails with
+// json.Marshal's own error, as the reference does.
+func appendEmbedRequest(b []byte, req *EmbedRequest, keys *[]string) ([]byte, error) {
+	ok := req.Objective == nil || finite(req.Objective.Weight)
+	for _, m := range req.Metrics {
+		ok = ok && finite(m.MissingEdge)
+	}
+	if !ok {
+		_, err := json.Marshal(req)
+		return b, err
+	}
+	b = append(b, `{"query":`...)
+	b = appendJSONString(b, req.QueryGraphML)
+	b = appendStringField(b, "edgeConstraint", req.EdgeConstraint)
+	b = appendStringField(b, "nodeConstraint", req.NodeConstraint)
+	b = appendStringField(b, "algorithm", req.Algorithm)
+	b = appendIntField(b, "timeoutMs", int64(req.TimeoutMs))
+	b = appendIntField(b, "maxResults", int64(req.MaxResults))
+	b = appendIntField(b, "seed", req.Seed)
+	b = appendTrueField(b, "excludeReserved", req.ExcludeReserved)
+	b = appendTrueField(b, "dedupeSymmetric", req.DedupeSymmetric)
+	b = appendStringField(b, "capacityAttr", req.CapacityAttr)
+	b = appendStringField(b, "demandAttr", req.DemandAttr)
+	b = appendIntField(b, "maxHops", int64(req.MaxHops))
+	b = appendStringField(b, "delayAttr", req.DelayAttr)
+	b = appendStringField(b, "windowLo", req.WindowLo)
+	b = appendStringField(b, "windowHi", req.WindowHi)
+	if len(req.Metrics) > 0 {
+		b = append(b, `,"metrics":[`...)
+		for i, m := range req.Metrics {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"attr":`...)
+			b = appendJSONString(b, m.Attr)
+			b = append(b, `,"rule":`...)
+			b = appendJSONString(b, m.Rule)
+			b = appendStringField(b, "loAttr", m.LoAttr)
+			b = appendStringField(b, "hiAttr", m.HiAttr)
+			b = appendFloatField(b, "missingEdge", m.MissingEdge)
+			b = appendTrueField(b, "missingFails", m.MissingFails)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if o := req.Objective; o != nil {
+		b = append(b, `,"objective":{"kind":`...)
+		b = appendJSONString(b, o.Kind)
+		b = appendStringField(b, "attr", o.Attr)
+		b = appendFloatField(b, "weight", o.Weight)
+		b = append(b, '}')
+	}
+	if len(req.Allow) > 0 {
+		ks := (*keys)[:0]
+		for k := range req.Allow {
+			ks = append(ks, k)
+		}
+		slices.Sort(ks)
+		b = append(b, `,"allow":{`...)
+		for i, k := range ks {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, k)
+			b = append(b, ':')
+			hosts := req.Allow[k]
+			if hosts == nil {
+				b = append(b, "null"...)
+				continue
+			}
+			b = append(b, '[')
+			for j, h := range hosts {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = appendJSONString(b, h)
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
+		*keys = ks
+	}
+	return append(b, '}'), nil
+}
+
+// appendKey appends the separator and key of an object member that is
+// not the object's first.
+func appendKey(b []byte, key string) []byte {
+	b = append(b, `,"`...)
+	b = append(b, key...)
+	return append(b, `":`...)
+}
+
+// appendStringField, appendIntField, appendTrueField and appendFloatField
+// append an omitempty member, if its value is not the zero value.
+func appendStringField(b []byte, key, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return appendJSONString(appendKey(b, key), v)
+}
+
+func appendIntField(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(appendKey(b, key), v, 10)
+}
+
+func appendTrueField(b []byte, key string, v bool) []byte {
+	if !v {
+		return b
+	}
+	return append(appendKey(b, key), "true"...)
+}
+
+func appendFloatField(b []byte, key string, v float64) []byte {
+	if v == 0 {
+		return b
+	}
+	return appendJSONFloat(appendKey(b, key), v)
 }
 
 // writeEmbedResponse writes resp as the 200 reply of an embed endpoint,
@@ -453,7 +918,6 @@ func writeEmbedResponse(w http.ResponseWriter, resp *service.Response, cached bo
 // finiteFloats reports whether every float of resp's reply is finite.
 // The elapsed times are durations over a constant and always are.
 func finiteFloats(resp *service.Response) bool {
-	finite := func(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 	if resp.ObjectiveCost != nil && !finite(*resp.ObjectiveCost) {
 		return false
 	}
@@ -536,6 +1000,9 @@ func appendEmbedResponse(b []byte, resp *service.Response, cached bool, keys *[]
 	}
 	return append(b, "\n}\n"...)
 }
+
+// finite reports whether encoding/json can encode f.
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
 // appendStats appends the stats object of the reply: the counters under
 // their wire names and timeToFirstMs, in encoding/json's sorted key order.

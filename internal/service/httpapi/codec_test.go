@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -76,26 +78,8 @@ func embedBodySeeds(tb testing.TB) [][]byte {
 		}
 		bodies = append(bodies, body)
 	}
-	// The coordinator's fragment to a region shard, with and without the
-	// allow map that pins a spanning query's nodes.
-	q, err := graphml.DecodeString(query)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, allow := range []map[string][]string{nil, {"a": {"h1", "h2"}}} {
-		wire, err := encodeEmbedRequest(service.Request{
-			Query: q, EdgeConstraint: seedWindowConstraint, Algorithm: service.AlgoECF,
-			MaxResults: 1, Timeout: 2 * time.Second, Allow: allow,
-		})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		body, err := json.Marshal(wire)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		bodies = append(bodies, body)
-	}
+	// The coordinator's fragments to a region shard.
+	bodies = append(bodies, fragmentBodies(tb)...)
 	for _, s := range []string{
 		``, `   `, `null`, `[1]`, `"query"`, `{`, `{}`, ` {} `, `{,}`, `{"query":"x",}`,
 		"\t{ \"query\" :\r\n\"<g/>\" , \"maxResults\" : 2 }\n",
@@ -136,6 +120,31 @@ func embedBodySeeds(tb testing.TB) [][]byte {
 		`{"query":"<a/>"`,
 		`{"bogus":1,"query":"<a/>"}`,
 		`{"query":"<a/>","allow":{"a":["h"]}}`,
+		`{"allow":{"a":["h1","h2"],"b":[]},"query":"<a/>"}`,
+		`{"allow":{}}`,
+		` {"allow" : { "a" : [ "h1" , "h\u0032" ] , "b\u0041" : [ ] } } `,
+		`{"allow":{"a":["h1"],"a":["h2"]}}`,
+		`{"allow":{"a":["h1"],"\u0061":["h2"]}}`,
+		`{"allow":{"a":["h1"]},"allow":{"b":["h2"]}}`,
+		`{"allow":{"a":["h1"]},"allow":null}`,
+		`{"allow":null}`,
+		`{"allow":{"a":null}}`,
+		`{"allow":{"a":["h1",null]}}`,
+		`{"allow":{"a":["h1",2]}}`,
+		`{"allow":{"a":[true]}}`,
+		`{"allow":{"a":"h1"}}`,
+		`{"allow":{"a":{"h1":1}}}`,
+		`{"allow":["a"]}`,
+		`{"allow":{"a":["h\u00e9"]}}`,
+		`{"allow":{"\u00e9":["h"]}}`,
+		`{"allow":{"a":["h\ud83d\ude00"]}}`,
+		`{"allow":{"a":["hé"]}}`,
+		`{"allow":{"a":["h1",]}}`,
+		`{"allow":{"a":["h1"],}}`,
+		`{"allow":{"a":["h1"]`,
+		`{"allow":{"a":["h1`,
+		`{"allow":{"a":["h\"1\\<>&\/"]}}`,
+		`{"Allow":{"a":["h1"]}}`,
 		`{"query":"<a/>","objective":{"kind":"energy"},"metrics":[]}`,
 		`{"qu\u0065ry":"<a/>"}`,
 	} {
@@ -171,15 +180,72 @@ func TestEmbedRequestMatchesReference(t *testing.T) {
 	}
 }
 
+// fragmentBodies are the bodies the coordinator writes for ecf and rwb
+// fragments to a region shard: without allow, and with allow-sets of one
+// name, of 39 names (a spanning query's frontier on the federated
+// workload), of none, and of names the writer escapes.
+func fragmentBodies(tb testing.TB) [][]byte {
+	tb.Helper()
+	q, err := graphml.DecodeString(seedQueryML(tb))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var hosts []string
+	for h := 0; h < 39; h++ {
+		hosts = append(hosts, fmt.Sprintf("planetlab%d.example.org", h))
+	}
+	var bodies [][]byte
+	for _, algo := range []service.Algorithm{service.AlgoECF, service.AlgoRWB} {
+		for _, allow := range []map[string][]string{
+			nil,
+			{"a": {"h1"}},
+			{"a": hosts, "b": hosts[7:]},
+			{"a": {}, "c": hosts[:2]},
+			{"b": {"h<1>", "h&2", `h"3\`, "h\t4"}},
+		} {
+			wire, err := encodeEmbedRequest(service.Request{
+				Query: q, EdgeConstraint: seedWindowConstraint, Algorithm: algo,
+				MaxResults: 8, Seed: 11, Timeout: 1937 * time.Millisecond, Allow: allow,
+			})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			var keys []string
+			body, err := appendEmbedRequest(nil, wire, &keys)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	return bodies
+}
+
 // TestEnvelopeScannerTakesMarshalledBodies pins the fast path: every
-// ASCII body json.Marshal writes for the scalar fields is the scanner's,
-// escapes included, so no such body is decoded twice.
+// ASCII body json.Marshal writes for the scalar fields and allow is the
+// scanner's, escapes included, and so is every body the coordinator writes
+// for an ecf or rwb fragment, so no such body is decoded twice.
 func TestEnvelopeScannerTakesMarshalledBodies(t *testing.T) {
+	for _, body := range fragmentBodies(t) {
+		var req, want EmbedRequest
+		var tmp []byte
+		sc := envelopeScanner{b: body, tmp: &tmp}
+		if !sc.request(&req) {
+			t.Fatalf("scanner refused the fragment %q", body)
+		}
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(req, want) {
+			t.Fatalf("scanner decoded the fragment %q as %#v", body, req)
+		}
+	}
 	taken := 0
 	for _, body := range embedBodySeeds(t) {
 		var wire EmbedRequest
-		if json.Unmarshal(body, &wire) != nil || wire.Objective != nil || wire.Metrics != nil || wire.Allow != nil {
-			continue
+		if json.Unmarshal(body, &wire) != nil || wire.Objective != nil || wire.Metrics != nil ||
+			slices.ContainsFunc(slices.Collect(maps.Values(wire.Allow)), func(l []string) bool { return l == nil }) {
+			continue // a null allow list is the reference's
 		}
 		canonical, err := json.Marshal(&wire)
 		if err != nil {
@@ -188,10 +254,14 @@ func TestEnvelopeScannerTakesMarshalledBodies(t *testing.T) {
 		if bytes.ContainsFunc(canonical, func(r rune) bool { return r >= utf8.RuneSelf }) {
 			continue // non-ASCII text is the reference's
 		}
+		wire = EmbedRequest{} // an empty allow is not marshalled
+		if err := json.Unmarshal(canonical, &wire); err != nil {
+			t.Fatal(err)
+		}
 		var req EmbedRequest
 		var tmp []byte
 		sc := envelopeScanner{b: canonical, tmp: &tmp}
-		if !sc.object(&req) {
+		if !sc.request(&req) {
 			t.Errorf("scanner refused %q", canonical)
 			continue
 		}
@@ -367,6 +437,284 @@ func TestEmbedResponseMatchesReference(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError || rec.Body.String() != `{"error":"response encoding failed"}`+"\n" {
 		t.Fatalf("NaN reply %d %q", rec.Code, rec.Body.String())
 	}
+}
+
+// generatedRequest draws a wire request over every field the coordinator
+// may send, with the text and floats whose encoding json.Marshal
+// special-cases, zero values (omitted) included.
+func generatedRequest(rng *rand.Rand) *EmbedRequest {
+	text := func() string {
+		if rng.Intn(3) == 0 {
+			return ""
+		}
+		return replyText(rng)
+	}
+	ints := []int{0, 1, -1, 250, math.MaxInt, math.MinInt}
+	num := func() int { return ints[rng.Intn(len(ints))] }
+	float := func() float64 { return replyFloats[rng.Intn(len(replyFloats))] }
+	req := &EmbedRequest{
+		QueryGraphML: replyText(rng), EdgeConstraint: text(), NodeConstraint: text(), Algorithm: text(),
+		TimeoutMs: num(), MaxResults: num(), Seed: int64(num()) * int64(rng.Intn(3)),
+		ExcludeReserved: rng.Intn(2) == 0, DedupeSymmetric: rng.Intn(2) == 0,
+		CapacityAttr: text(), DemandAttr: text(), MaxHops: num(), DelayAttr: text(), WindowLo: text(), WindowHi: text(),
+	}
+	switch rng.Intn(3) {
+	case 0:
+		req.Metrics = []MetricSpecJSON{}
+	case 1:
+		for n := 1 + rng.Intn(2); n > 0; n-- {
+			req.Metrics = append(req.Metrics, MetricSpecJSON{Attr: text(), Rule: text(), LoAttr: text(), HiAttr: text(),
+				MissingEdge: float(), MissingFails: rng.Intn(2) == 0})
+		}
+	}
+	if rng.Intn(2) == 0 {
+		req.Objective = &ObjectiveJSON{Kind: text(), Attr: text(), Weight: float()}
+	}
+	switch rng.Intn(4) {
+	case 0: // no allow
+	case 1:
+		req.Allow = map[string][]string{}
+	default:
+		req.Allow = map[string][]string{}
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			var hosts []string
+			switch rng.Intn(4) {
+			case 0: // null list
+			case 1:
+				hosts = []string{}
+			default:
+				for h := 1 + rng.Intn(5); h > 0; h-- {
+					hosts = append(hosts, text())
+				}
+			}
+			req.Allow[text()] = hosts
+		}
+	}
+	return req
+}
+
+// TestEmbedRequestEncodesAsMarshal: the coordinator's request writer
+// produces json.Marshal's bytes on generated requests, and its error when
+// a float is NaN or infinite.
+func TestEmbedRequestEncodesAsMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var keys []string
+	for i := 0; i < 3000; i++ {
+		req := generatedRequest(rng)
+		want, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendEmbedRequest([]byte("prefix"), req, &keys)
+		if err != nil || !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("request %d: error %v\n got %q\nwant %q", i, err, got, want)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, req := range []*EmbedRequest{
+			{Objective: &ObjectiveJSON{Kind: "energy", Weight: bad}},
+			{Metrics: []MetricSpecJSON{{Attr: "bw", Rule: "additive"}, {Attr: "d", Rule: "additive", MissingEdge: bad}}},
+		} {
+			_, want := json.Marshal(req)
+			if _, err := appendEmbedRequest(nil, req, &keys); err == nil || want == nil || err.Error() != want.Error() {
+				t.Fatalf("non-finite %v: error %v, reference %v", bad, err, want)
+			}
+		}
+	}
+}
+
+// referenceResponse decodes a shard reply the way the coordinator did
+// before the reply scanner: json.Unmarshal, then responseFromWire.
+func referenceResponse(body []byte) (*service.Response, error) {
+	var out EmbedResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		return nil, fmt.Errorf("bad response JSON: %v", err)
+	}
+	return responseFromWire(&out)
+}
+
+// checkEmbedReply requires decodeEmbedResponse to decode body into the
+// response the reference makes of it, or to fail with the same message.
+func checkEmbedReply(t *testing.T, body []byte) {
+	t.Helper()
+	var tmp []byte
+	got, gotErr := decodeEmbedResponse(body, &tmp)
+	want, wantErr := referenceResponse(body)
+	switch {
+	case wantErr != nil:
+		if gotErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("reply %q: error %v, reference %v", body, gotErr, wantErr)
+		}
+	case gotErr != nil:
+		t.Fatalf("reply %q: error %v, reference decodes it", body, gotErr)
+	case !reflect.DeepEqual(got, want):
+		t.Fatalf("reply %q:\n got %#v\nwant %#v", body, got, want)
+	}
+}
+
+// embedReplySeeds are the replies the reply equivalence test checks and
+// its fuzz target starts from: the writer's replies to the responses
+// TestEmbedResponseMatchesReference generates, then the edge cases the
+// reference must own.
+func embedReplySeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	var keys []string
+	var bodies [][]byte
+	for i := 0; i < 400; i++ {
+		resp := generatedResponse(rng)
+		if !finiteFloats(resp) {
+			continue
+		}
+		bodies = append(bodies, appendEmbedResponse(nil, resp, rng.Intn(2) == 0, &keys))
+	}
+	_, resp := shardWireFragment()
+	bodies = append(bodies, appendEmbedResponse(nil, resp, false, &keys))
+	for _, s := range []string{
+		``, `null`, `{}`, `[]`, ` {"status":"complete"} `, `{"status":"complete"} x`, `{"status":"complete"}{}`,
+		`{"status":"complete"`, `{"status":"bogus"}`, `{"status":"Complete"}`, `{"Status":"complete"}`,
+		`{"status":"compl\u0065te"}`, `{"status":null}`, `{"status":"complete","status":"partial"}`,
+		`{"status":"partial","status":"bogus"}`, `{"status":"inconclusive","bogus":1}`,
+		`{"status":"complete","mappings":[{"a":"h"}],"mappings":[{"b":"g"}]}`,
+		`{"status":"complete","mappings":[],"mappings":[{"b":"g"}]}`,
+		`{"status":"complete","mappings":[null,{},{"a":"h","b":"g"}]}`,
+		`{"status":"complete","mappings":[{"a":"h","a":"g"}]}`,
+		`{"status":"complete","mappings":[{"\u0061":"h","a":"g"}]}`,
+		`{"status":"complete","mappings":[{"a\n\u003c":"h\u0026\t"}]}`,
+		`{"status":"complete","mappings":[{"a":null}]}`,
+		`{"status":"complete","mappings":[{"a":1}]}`,
+		`{"status":"complete","mappings":[{"a":"h\u00e9"}]}`,
+		`{"status":"complete","mappings":[{"é":"h"}]}`,
+		`{"status":"complete","mappings":null}`,
+		`{"status":"complete","mappings":[]}`,
+		`{"status":"complete","mappings":[1]}`,
+		`{"status":"complete","mappings":{}}`,
+		`{"status":"complete","modelVersion":18446744073709551615}`,
+		`{"status":"complete","modelVersion":18446744073709551616}`,
+		`{"status":"complete","modelVersion":-0}`,
+		`{"status":"complete","modelVersion":-1}`,
+		`{"status":"complete","modelVersion":1.0}`,
+		`{"status":"complete","modelVersion":1e3}`,
+		`{"status":"complete","modelVersion":01}`,
+		`{"status":"complete","modelVersion":"1"}`,
+		`{"status":"complete","elapsedMs":1e400}`,
+		`{"status":"complete","elapsedMs":1e-400}`,
+		`{"status":"complete","elapsedMs":-0}`,
+		`{"status":"complete","elapsedMs":1E+2}`,
+		`{"status":"complete","elapsedMs":2.5e-3}`,
+		`{"status":"complete","elapsedMs":.5}`,
+		`{"status":"complete","elapsedMs":1.}`,
+		`{"status":"complete","elapsedMs":-}`,
+		`{"status":"complete","elapsedMs":+1}`,
+		`{"status":"complete","elapsedMs":00}`,
+		`{"status":"complete","elapsedMs":null}`,
+		`{"status":"complete","elapsedMs":1,"elapsedMs":2}`,
+		`{"status":"complete","stats":{"nodesVisited":9007199254740992,"backjumps":-9007199254740992}}`,
+		`{"status":"complete","stats":{"nodesVisited":9007199254740993}}`,
+		`{"status":"complete","stats":{"nodesVisited":-9007199254740993}}`,
+		`{"status":"complete","stats":{"nodesVisited":99999999999999999999}}`,
+		`{"status":"complete","stats":{"nodesVisited":1.5}}`,
+		`{"status":"complete","stats":{"nodesVisited":1e3}}`,
+		`{"status":"complete","stats":{"nodesVisited":"x"}}`,
+		`{"status":"complete","stats":{"nodesVisited":null}}`,
+		`{"status":"complete","stats":{"nodesVisited":1,"nodesVisited":2}}`,
+		`{"status":"complete","stats":{"n\u006fdesVisited":5}}`,
+		`{"status":"complete","stats":{"bogus":3,"timeToFirstMs":1.5}}`,
+		`{"status":"complete","stats":{"timeToFirstMs":1.5,"timeToFirstMs":"x"}}`,
+		`{"status":"complete","stats":{"timeToFirstMs":1e300}}`,
+		`{"status":"complete","stats":{"nodesVisited":3},"stats":{"backjumps":4}}`,
+		`{"status":"complete","stats":null}`,
+		`{"status":"complete","stats":[]}`,
+		`{"status":"complete","cached":true}`,
+		`{"status":"complete","cached":false}`,
+		`{"status":"complete","cached":1}`,
+		`{"status":"complete","cached":null}`,
+		`{"status":"complete","objectiveCost":1.5}`,
+		`{"status":"complete","objectiveCost":-0}`,
+		`{"status":"complete","objectiveCost":null}`,
+		`{"status":"complete","objectiveCost":1,"objectiveCost":2}`,
+		`{"status":"complete","warnings":[]}`,
+		`{"status":"complete","warnings":null}`,
+		`{"status":"complete","warnings":["a","b\u003c"]}`,
+		`{"status":"complete","warnings":["a"],"warnings":["b","c"]}`,
+		`{"status":"complete","warnings":["a",1]}`,
+		`{"status":"complete","warnings":["é"]}`,
+		`{"status":"complete","paths":[[{"source":"a","target":"b","path":["h"],"cost":1}]]}`,
+		`{"status":"complete","paths":[null,[]]}`,
+	} {
+		bodies = append(bodies, []byte(s))
+	}
+	return bodies
+}
+
+// TestEmbedReplyMatchesReference: on every seed reply the reply scanner
+// plus its fallback decodes what json.Unmarshal and responseFromWire
+// decode, or fails with the same message.
+func TestEmbedReplyMatchesReference(t *testing.T) {
+	for _, body := range embedReplySeeds(t) {
+		checkEmbedReply(t, body)
+	}
+}
+
+// TestReplyScannerTakesWrittenReplies pins the reply fast path: every
+// reply appendEmbedResponse writes for a response without paths, whose
+// text is ASCII and whose status a shard sends, is the scanner's.
+func TestReplyScannerTakesWrittenReplies(t *testing.T) {
+	ascii := func(ss ...string) bool {
+		for _, s := range ss {
+			if strings.ContainsFunc(s, func(r rune) bool { return r >= utf8.RuneSelf }) {
+				return false
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(2))
+	var keys []string
+	taken := 0
+	for i := 0; i < 4000; i++ {
+		resp := generatedResponse(rng)
+		resp.Paths = nil
+		ok := resp.Status <= core.StatusInconclusive && ascii(resp.Warnings...)
+		for _, m := range resp.Named {
+			for k, v := range m {
+				ok = ok && ascii(k, v)
+			}
+		}
+		if !ok || !finiteFloats(resp) {
+			continue
+		}
+		body := appendEmbedResponse(nil, resp, rng.Intn(2) == 0, &keys)
+		var tmp []byte
+		got := new(service.Response)
+		sc := envelopeScanner{b: body, tmp: &tmp}
+		if !sc.reply(got) {
+			t.Fatalf("scanner refused %q", body)
+		}
+		want, err := referenceResponse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scanner decoded %q as\n%#v\nwant %#v", body, got, want)
+		}
+		taken++
+	}
+	t.Logf("%d written replies taken", taken)
+	if taken < 100 {
+		t.Fatalf("only %d written replies checked", taken)
+	}
+}
+
+// FuzzEmbedResponseMatchesReference: for any shard reply, the reply
+// scanner plus its fallback decodes what json.Unmarshal and
+// responseFromWire decode, or fails with the same error text.
+func FuzzEmbedResponseMatchesReference(f *testing.F) {
+	for _, body := range embedReplySeeds(f) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkEmbedReply(t, body)
+	})
 }
 
 // endlessReader streams spaces forever, the body of a client that never

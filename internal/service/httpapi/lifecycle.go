@@ -82,7 +82,9 @@ func (s *Server) handleEmbeddingPlace(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, lifecycle.ErrConsolidate),
 		errors.Is(err, lifecycle.ErrAllowSet),
 		errors.Is(err, service.ErrNoQuery),
-		errors.Is(err, service.ErrBadPathOptions):
+		errors.Is(err, service.ErrBadPathOptions),
+		errors.Is(err, service.ErrBadConstraint),
+		errors.Is(err, service.ErrUnknownAlgorithm):
 		writeError(w, http.StatusBadRequest, err)
 		return
 	case err != nil:

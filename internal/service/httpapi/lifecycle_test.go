@@ -279,3 +279,29 @@ func TestEmbeddingEndpointErrors(t *testing.T) {
 		t.Errorf("negative ttl: %d", resp.StatusCode)
 	}
 }
+
+// TestEmbeddingPlaceClientErrors: a placement whose algorithm is unknown
+// or whose constraint does not compile is the client's error, answered
+// 400 as /embed answers it, not a 500.
+func TestEmbeddingPlaceClientErrors(t *testing.T) {
+	f := newLifecycleFixture(t, lifecycle.Config{})
+	ml, err := graphml.EncodeString(topo.Line(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, req := range map[string]EmbedRequest{
+		"unknown algorithm":   {QueryGraphML: ml, Algorithm: "no-such-algo"},
+		"bad edge constraint": {QueryGraphML: ml, EdgeConstraint: "rEdge.x >= "},
+		"bad node constraint": {QueryGraphML: ml, NodeConstraint: "rNode.cpu >="},
+	} {
+		for _, path := range []string{"/embed", "/embeddings"} {
+			resp, body := postJSON(t, f.ts.URL+path, PlaceEmbeddingRequest{EmbedRequest: req})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s on %s: %d %s", name, path, resp.StatusCode, body)
+			}
+		}
+	}
+	if n := len(f.mgr.List()); n != 0 {
+		t.Fatalf("%d embeddings placed by refused requests", n)
+	}
+}

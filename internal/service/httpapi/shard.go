@@ -25,8 +25,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netembed/internal/core"
@@ -177,10 +179,64 @@ func (rs *RemoteShard) NodeCount() int {
 	return rs.nodeCount
 }
 
-// do runs one HTTP exchange with the peer. Transport failures are retried
-// with exponential backoff when retry is true (idempotent calls); HTTP
-// error statuses are never retried — the peer answered.
-func (rs *RemoteShard) do(method, path string, body []byte, timeout time.Duration, retry bool, out interface{}) error {
+// maxShardReplyBytes bounds the reply a peer may send to one exchange,
+// error bodies included. The tier's replies are kilobytes (a page of
+// fragment embeddings, a region's node names); the bound keeps a broken
+// peer from filling the coordinator's memory.
+const maxShardReplyBytes = 64 << 20
+
+// requestBody is the body of one exchange with a peer, in a pooled buffer
+// every attempt reads through its own reader. The transport may still be
+// writing a body after client.Do returns, and closes it when done, so the
+// buffer goes back to the pool only once the exchange (release) and every
+// reader it handed out (Close) are through with it.
+type requestBody struct {
+	cb   *codecBuf
+	refs atomic.Int32
+}
+
+func newRequestBody(cb *codecBuf) *requestBody {
+	rb := &requestBody{cb: cb}
+	rb.refs.Store(1)
+	return rb
+}
+
+// open returns a new reader over the body; the transport closes it.
+func (rb *requestBody) open() io.ReadCloser {
+	rb.refs.Add(1)
+	r := &bodyReader{rb: rb}
+	r.Reset(rb.cb.b)
+	return r
+}
+
+func (rb *requestBody) release() {
+	if rb.refs.Add(-1) == 0 {
+		putCodecBuf(rb.cb)
+	}
+}
+
+type bodyReader struct {
+	bytes.Reader
+	rb     *requestBody
+	closed atomic.Bool
+}
+
+func (r *bodyReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.rb.release()
+	}
+	return nil
+}
+
+// do runs one HTTP exchange with the peer and returns the 200 reply's
+// body in a pooled buffer; body, when not nil, is released when do
+// returns. Transport failures are retried with exponential backoff when
+// retry is true (idempotent calls); HTTP error statuses and replies over
+// maxShardReplyBytes are never retried — the peer answered.
+func (rs *RemoteShard) do(method, path string, body *requestBody, timeout time.Duration, retry bool) (*codecBuf, error) {
+	if body != nil {
+		defer body.release()
+	}
 	if timeout <= 0 {
 		timeout = rs.timeout
 	}
@@ -196,16 +252,15 @@ func (rs *RemoteShard) do(method, path string, body []byte, timeout time.Duratio
 			backoff *= 2
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, rs.base+path, rd)
+		req, err := http.NewRequestWithContext(ctx, method, rs.base+path, nil)
 		if err != nil {
 			cancel()
-			return err
+			return nil, err
 		}
 		if body != nil {
+			req.Body = body.open()
+			req.GetBody = func() (io.ReadCloser, error) { return body.open(), nil }
+			req.ContentLength = int64(len(body.cb.b))
 			req.Header.Set("Content-Type", "application/json")
 		}
 		resp, err := rs.client.Do(req)
@@ -214,9 +269,12 @@ func (rs *RemoteShard) do(method, path string, body []byte, timeout time.Duratio
 			lastErr = fmt.Errorf("httpapi: peer %s: %w", rs.name, err)
 			continue
 		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		cb, err := readReply(resp.Body, resp.ContentLength)
 		resp.Body.Close()
 		cancel()
+		if errors.Is(err, errReplyTooLong) {
+			return nil, fmt.Errorf("httpapi: peer %s answered %d: %w", rs.name, resp.StatusCode, err)
+		}
 		if err != nil {
 			lastErr = fmt.Errorf("httpapi: peer %s: %w", rs.name, err)
 			continue
@@ -225,31 +283,81 @@ func (rs *RemoteShard) do(method, path string, body []byte, timeout time.Duratio
 			var e struct {
 				Error string `json:"error"`
 			}
-			_ = json.Unmarshal(data, &e)
+			_ = json.Unmarshal(cb.b, &e)
 			if e.Error == "" {
-				e.Error = strings.TrimSpace(string(data))
+				e.Error = strings.TrimSpace(string(cb.b))
 			}
+			putCodecBuf(cb)
 			if resp.StatusCode == http.StatusConflict {
 				// The peer resolved our names against a newer model: the
 				// coordinator's routing table is stale.
-				return fmt.Errorf("%w: peer %s: %s", service.ErrStaleRouting, rs.name, e.Error)
+				return nil, fmt.Errorf("%w: peer %s: %s", service.ErrStaleRouting, rs.name, e.Error)
 			}
-			return fmt.Errorf("httpapi: peer %s answered %d: %s", rs.name, resp.StatusCode, e.Error)
+			return nil, fmt.Errorf("httpapi: peer %s answered %d: %s", rs.name, resp.StatusCode, e.Error)
 		}
-		if out != nil {
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("httpapi: peer %s: bad response JSON: %v", rs.name, err)
-			}
-		}
-		return nil
+		return cb, nil
 	}
-	return lastErr
+	return nil, lastErr
+}
+
+var errReplyTooLong = fmt.Errorf("reply over the %d-byte bound", maxShardReplyBytes)
+
+// readReply reads a peer's reply, at most maxShardReplyBytes of it, into a
+// pooled buffer; a longer one fails with errReplyTooLong, at once when its
+// Content-Length announces it.
+func readReply(body io.Reader, announced int64) (*codecBuf, error) {
+	if announced > maxShardReplyBytes {
+		return nil, errReplyTooLong
+	}
+	cb := getCodecBuf()
+	b := cb.b[:0]
+	if n := int(min(announced, maxPooledResponseBuf)); n >= cap(b) {
+		b = make([]byte, 0, n+bytes.MinRead)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(max(cap(b), bytes.MinRead), maxShardReplyBytes+1-len(b)))
+		}
+		n, err := body.Read(b[len(b):min(cap(b), maxShardReplyBytes+1)])
+		b = b[:len(b)+n]
+		if len(b) > maxShardReplyBytes {
+			err = errReplyTooLong
+		} else if err == io.EOF {
+			cb.b = b
+			return cb, nil
+		}
+		if err != nil {
+			cb.b = b
+			putCodecBuf(cb)
+			return nil, err
+		}
+	}
+}
+
+// call runs one exchange whose reply is decoded with encoding/json: the
+// peer protocol's rare calls.
+func (rs *RemoteShard) call(method, path string, body []byte, retry bool, out any) error {
+	var rb *requestBody
+	if body != nil {
+		cb := getCodecBuf()
+		cb.b = append(cb.b[:0], body...)
+		rb = newRequestBody(cb)
+	}
+	cb, err := rs.do(method, path, rb, 0, retry)
+	if err != nil {
+		return err
+	}
+	defer putCodecBuf(cb)
+	if err := json.Unmarshal(cb.b, out); err != nil {
+		return fmt.Errorf("httpapi: peer %s: bad response JSON: %v", rs.name, err)
+	}
+	return nil
 }
 
 // Stats implements service.Shard.
 func (rs *RemoteShard) Stats() (service.ShardStats, error) {
 	var st service.ShardStats
-	if err := rs.do(http.MethodGet, "/internal/shard/stats", nil, 0, true, &st); err != nil {
+	if err := rs.call(http.MethodGet, "/internal/shard/stats", nil, true, &st); err != nil {
 		return service.ShardStats{}, err
 	}
 	rs.mu.Lock()
@@ -262,7 +370,7 @@ func (rs *RemoteShard) Stats() (service.ShardStats, error) {
 // NodeNames implements service.Shard.
 func (rs *RemoteShard) NodeNames() ([]string, uint64, error) {
 	var out ShardNodesResponse
-	if err := rs.do(http.MethodGet, "/internal/shard/nodes", nil, 0, true, &out); err != nil {
+	if err := rs.call(http.MethodGet, "/internal/shard/nodes", nil, true, &out); err != nil {
 		return nil, 0, err
 	}
 	rs.mu.Lock()
@@ -272,25 +380,32 @@ func (rs *RemoteShard) NodeNames() ([]string, uint64, error) {
 }
 
 // Embed implements service.Shard: the request travels as the public
-// /embed wire form (query re-encoded to GraphML) and the named mappings
-// come back; raw index mappings do not cross processes.
+// /embed wire form (query re-encoded to GraphML), written and read by the
+// embed codec, and the named mappings come back; raw index mappings do not
+// cross processes.
 func (rs *RemoteShard) Embed(req service.Request) (*service.Response, error) {
 	wire, err := encodeEmbedRequest(req)
 	if err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(wire)
-	if err != nil {
+	cb := getCodecBuf()
+	if cb.b, err = appendEmbedRequest(cb.b[:0], wire, &cb.keys); err != nil {
+		putCodecBuf(cb)
 		return nil, err
 	}
 	// The HTTP deadline wraps the peer's search budget with slack for
 	// transport and queueing.
 	timeout := req.Timeout + rs.timeout
-	var out EmbedResponse
-	if err := rs.do(http.MethodPost, "/internal/shard/embed", body, timeout, true, &out); err != nil {
+	reply, err := rs.do(http.MethodPost, "/internal/shard/embed", newRequestBody(cb), timeout, true)
+	if err != nil {
 		return nil, err
 	}
-	return decodeEmbedResponse(&out)
+	defer putCodecBuf(reply)
+	resp, err := decodeEmbedResponse(reply.b, &reply.tmp)
+	if err != nil {
+		return nil, fmt.Errorf("httpapi: peer %s: %w", rs.name, err)
+	}
+	return resp, nil
 }
 
 // ApplyDelta implements service.Shard. Deltas are not idempotent, so
@@ -301,7 +416,7 @@ func (rs *RemoteShard) ApplyDelta(d *graph.Delta) (uint64, error) {
 		return 0, err
 	}
 	var out DeltaResponse
-	if err := rs.do(http.MethodPost, "/internal/shard/delta", body, 0, false, &out); err != nil {
+	if err := rs.call(http.MethodPost, "/internal/shard/delta", body, false, &out); err != nil {
 		return 0, err
 	}
 	return out.Version, nil
@@ -362,10 +477,11 @@ func encodeEmbedRequest(req service.Request) (*EmbedRequest, error) {
 	return wire, nil
 }
 
-// decodeEmbedResponse translates the wire reply back into a
-// service.Response. Raw index mappings are process-local and stay empty;
+// responseFromWire translates the wire reply back into a
+// service.Response: with json.Unmarshal, the reference decodeEmbedResponse
+// is tested against. Raw index mappings are process-local and stay empty;
 // the named mappings are the authoritative cross-process answer.
-func decodeEmbedResponse(out *EmbedResponse) (*service.Response, error) {
+func responseFromWire(out *EmbedResponse) (*service.Response, error) {
 	resp := &service.Response{
 		ModelVersion: out.ModelVersion,
 		Elapsed:      time.Duration(out.ElapsedMs * float64(time.Millisecond)),
@@ -379,7 +495,7 @@ func decodeEmbedResponse(out *EmbedResponse) (*service.Response, error) {
 	case "inconclusive":
 		resp.Status = core.StatusInconclusive
 	default:
-		return nil, fmt.Errorf("httpapi: unknown status %q in peer response", out.Status)
+		return nil, fmt.Errorf("unknown status %q in peer response", out.Status)
 	}
 	for _, m := range out.Mappings {
 		resp.Named = append(resp.Named, service.NamedMapping(m))

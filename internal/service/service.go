@@ -209,6 +209,9 @@ func (s *Service) Ledger() *Ledger { return s.ledger }
 var (
 	ErrNoQuery          = errors.New("service: request has no query network")
 	ErrUnknownAlgorithm = errors.New("service: unknown algorithm")
+	// ErrBadConstraint rejects an edge or node constraint source that does
+	// not compile.
+	ErrBadConstraint = errors.New("service: bad constraint")
 	// ErrBadPathOptions rejects malformed AlgoPathEmbed tuning — today a
 	// negative MaxHops, which must never reach the searcher (it used to
 	// disable the hop bound entirely).
@@ -618,14 +621,14 @@ func CompilePrograms(edgeSrc, nodeSrc string) (*expr.Program, *expr.Program, err
 	if strings.TrimSpace(edgeSrc) != "" {
 		p, err := expr.Compile(edgeSrc)
 		if err != nil {
-			return nil, nil, fmt.Errorf("service: edge constraint: %w", err)
+			return nil, nil, fmt.Errorf("%w: edge constraint: %w", ErrBadConstraint, err)
 		}
 		edgeProg = p
 	}
 	if strings.TrimSpace(nodeSrc) != "" {
 		p, err := expr.Compile(nodeSrc)
 		if err != nil {
-			return nil, nil, fmt.Errorf("service: node constraint: %w", err)
+			return nil, nil, fmt.Errorf("%w: node constraint: %w", ErrBadConstraint, err)
 		}
 		nodeProg = p
 	}
