@@ -754,8 +754,9 @@ func BenchmarkIndexDelta(b *testing.B) {
 			if _, err := model.Apply(delta(i)); err != nil {
 				b.Fatal(err)
 			}
-			g, idx, _ := model.SnapshotIndexed()
-			f := core.BuildFilters(newProblem(g), &netembed.Options{Index: idx})
+			snap := model.Acquire()
+			f := core.BuildFilters(newProblem(snap.Host()), &netembed.Options{Index: snap.Index()})
+			snap.Release()
 			if len(f.Base(0)) == 0 {
 				b.Fatal("empty base candidates")
 			}
@@ -768,8 +769,9 @@ func BenchmarkIndexDelta(b *testing.B) {
 			if _, err := model.Apply(delta(i)); err != nil {
 				b.Fatal(err)
 			}
-			g, _ := model.Snapshot()
-			f := core.BuildFilters(newProblem(g), &netembed.Options{})
+			snap := model.Acquire()
+			f := core.BuildFilters(newProblem(snap.Host()), &netembed.Options{})
+			snap.Release()
 			if len(f.Base(0)) == 0 {
 				b.Fatal("empty base candidates")
 			}
@@ -778,7 +780,8 @@ func BenchmarkIndexDelta(b *testing.B) {
 }
 
 // BenchmarkBatchEmbed measures the batch endpoint's amortization: 16
-// first-match queries answered via one EmbedBatch snapshot versus 16
+// first-match queries answered in one engine slot on one snapshot
+// (Engine.EmbedBatch, result cache off so every item searches) versus 16
 // independent Embed calls.
 func BenchmarkBatchEmbed(b *testing.B) {
 	host := reprHost(b, 128)
@@ -791,9 +794,14 @@ func BenchmarkBatchEmbed(b *testing.B) {
 		reqs[i] = netembed.Request{Query: q, MaxResults: 1}
 	}
 	svc := netembed.NewService(netembed.NewModel(host), netembed.ServiceConfig{})
+	eng := netembed.NewEngine(svc, netembed.EngineConfig{CacheCapacity: -1})
+	defer eng.Close(context.Background())
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			results, _ := svc.EmbedBatch(reqs)
+			results, _, err := eng.EmbedBatch(context.Background(), reqs)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for _, r := range results {
 				if r.Err != nil {
 					b.Fatal(r.Err)
@@ -1140,7 +1148,9 @@ func BenchmarkOptimize_BnB_vs_Enumerate(b *testing.B) {
 	wantCost := float64(len(witness)) // the planted all-witness optimum
 
 	model := netembed.NewModel(host)
-	g, idx, _ := model.SnapshotIndexed()
+	snap := model.Acquire()
+	defer snap.Release()
+	g, idx := snap.Host(), snap.Index()
 	p, err := netembed.NewProblem(q, g, delayWindow, nil)
 	if err != nil {
 		b.Fatal(err)

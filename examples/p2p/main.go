@@ -53,7 +53,8 @@ func main() {
 	fmt.Printf("model version answered against: v%d\n", resp.ModelVersion)
 	fmt.Printf("status: %s, elapsed %v\n\n", resp.Status, resp.Elapsed.Round(time.Millisecond))
 	fmt.Println("DHT directory ring placement:")
-	cur, _ := model.Snapshot()
+	snap := model.Acquire()
+	cur := snap.Host()
 	for i := 0; i < ring.NumNodes(); i++ {
 		qName := ring.Node(netembed.NodeID(i)).Name
 		rName := resp.Named[0][qName]
@@ -62,6 +63,7 @@ func main() {
 		region, _ := cur.Node(rid).Attrs.Text("region")
 		fmt.Printf("  %-3s -> %-8s (cpu %.0f, %s)\n", qName, rName, cpu, region)
 	}
+	snap.Release()
 
 	// Reserve the placement so the next application steers clear of it.
 	lease, err := svc.Ledger().Allocate(resp.Mappings[0])

@@ -82,7 +82,9 @@ func TestFacadeModelCompletionEndToEnd(t *testing.T) {
 	if report.Added != full-kept {
 		t.Fatalf("completion added %d edges, want %d", report.Added, full-kept)
 	}
-	snap, _ := model.Snapshot()
+	pinned := model.Acquire()
+	snap := pinned.Host()
+	pinned.Release()
 	if snap.NumEdges() != full {
 		t.Fatalf("completed model has %d edges, want %d", snap.NumEdges(), full)
 	}

@@ -40,7 +40,8 @@ type PathOptions struct {
 	// across runs and invalidated by structural deltas. It must have been
 	// built over the Problem's very *graph.Graph (Index.ColumnsFor) — an
 	// index of another graph is ignored even if its size matches — or the
-	// rows are computed per run.
+	// rows are computed per run. The service passes its snapshot's index;
+	// the field is kept for benchmark/ until ROADMAP item 0.
 	Index *index.Index
 }
 

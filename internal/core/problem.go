@@ -289,6 +289,8 @@ type Options struct {
 	// used only when it was built over the Problem's very *graph.Graph
 	// (Index.ColumnsFor) — an index of another graph is ignored even if
 	// its size matches — and either way the candidate sets are identical.
+	// The service passes its snapshot's index; the field is kept for
+	// benchmark/ until ROADMAP item 0.
 	Index *index.Index
 	// Objective selects the cost function an optimizing search minimizes
 	// (see Objective). It is ignored unless Optimize is set.

@@ -21,6 +21,16 @@ import (
 // it separately so a monitor publish invalidates every entry at once
 // without rehashing.
 //
+// The time budget is not part of the key either. An answer is stored
+// only when it does not depend on the budget (cacheableResponse): a
+// complete enumeration or proven optimum, or an enumerating search's
+// partial answer cut off by the request's own MaxResults. Whatever
+// budget produced it, any budget that lets the search finish produces
+// the same answer, and an answer the budget cut short is never stored —
+// including an optimizing search's partial incumbent, which MaxResults
+// never cuts off. So a coordinator's fragments, each sent with whatever
+// budget is left, share one entry.
+//
 // Requests that depend on state outside the model snapshot are not
 // cacheable: ExcludeReserved answers change with the ledger, and a
 // caller-supplied Stop hook can truncate the search at an arbitrary
@@ -56,7 +66,6 @@ func requestKey(req service.Request) (string, bool) {
 	writeUint(h, math.Float64bits(req.Objective.Weight))
 	writeString(h, req.Consolidate.CapacityAttr)
 	writeString(h, req.Consolidate.DemandAttr)
-	writeUint(h, uint64(req.Timeout))
 	writeUint(h, uint64(req.MaxResults))
 	writeUint(h, uint64(req.Seed))
 	writeUint(h, boolBit(req.DedupeSymmetric))

@@ -75,13 +75,14 @@ func goldenRequests() map[string]service.Request {
 
 // TestRequestKeyGolden pins the fingerprint bytes: the digests below were
 // computed by the hash.Hash-fed requestKey that preceded the pooled byte
-// stream, so any drift in the stream's framing fails here rather than as
-// a silent cache miss (or, worse, an alias) in production.
+// stream, and regenerated once when the time budget left the stream, so
+// any drift in the stream's framing fails here rather than as a silent
+// cache miss (or, worse, an alias) in production.
 func TestRequestKeyGolden(t *testing.T) {
 	want := map[string]string{
-		"plain":                   "5577d860ad2a57471c34b77ac60d3ac20fd1345dc6a1700f277d693a09248a1b",
-		"objective_metrics_allow": "e78800307eea172d859b7289df17aa1201f2afb927a8cd90fbc8390ee279ff3d",
-		"string_bool_attrs":       "5cdde414d1106f2b71e4415ae0a4563bbe6a3a436a262af0470087f3d59679b9",
+		"plain":                   "ab809f9346a4a1e70fa366e8a8442bd29eca7a514a13f6c3f1fd366edf6de77f",
+		"objective_metrics_allow": "17886f737496c1c406916116898630c43fdd562e990fde8ad3c5a7b8f94bef24",
+		"string_bool_attrs":       "4ca03635e9e3170988500a831579166605ad867d20baa8a4de1f9cb7ac6e6690",
 	}
 	for name, req := range goldenRequests() {
 		got, ok := requestKey(req)

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"netembed/internal/core"
 	"netembed/internal/graph"
 	"netembed/internal/service"
+	"netembed/internal/topo"
 )
 
 func attrQuery() *graph.Graph {
@@ -54,7 +57,6 @@ func TestRequestKeySensitivity(t *testing.T) {
 		"edge constraint":  func(r *service.Request) { r.EdgeConstraint = "true" },
 		"node constraint":  func(r *service.Request) { r.NodeConstraint = "true" },
 		"algorithm":        func(r *service.Request) { r.Algorithm = service.AlgoRWB },
-		"timeout":          func(r *service.Request) { r.Timeout = time.Minute },
 		"max results":      func(r *service.Request) { r.MaxResults = 2 },
 		"seed":             func(r *service.Request) { r.Seed = 42 },
 		"dedupe":           func(r *service.Request) { r.DedupeSymmetric = true },
@@ -91,6 +93,16 @@ func TestRequestKeySensitivity(t *testing.T) {
 		}
 		if k == baseKey {
 			t.Fatalf("%s: fingerprint did not change", name)
+		}
+	}
+
+	// The budget is not part of the key: only budget-independent answers
+	// are stored (cacheableResponse).
+	for _, timeout := range []time.Duration{time.Second, time.Minute} {
+		r := base
+		r.Timeout = timeout
+		if k, ok := requestKey(r); !ok || k != baseKey {
+			t.Fatalf("timeout %v moved the fingerprint", timeout)
 		}
 	}
 
@@ -166,5 +178,69 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 	if c.len() != 0 {
 		t.Fatalf("cache not empty after sweep: %d", c.len())
+	}
+}
+
+// TestCacheIgnoresBudget: the same request at 1 s and at 1 min is one
+// cache entry, and an answer its budget cut short is never stored, so the
+// next request with that budget searches again.
+func TestCacheIgnoresBudget(t *testing.T) {
+	svc := service.New(service.NewModel(hardHost(26)), service.Config{})
+	e := New(svc, Config{Workers: 1})
+	defer e.Close(context.Background())
+	ctx := context.Background()
+
+	req := fastRequest(1)
+	req.Timeout = time.Second
+	if info, err := e.Do(ctx, req); err != nil || info.FromCache {
+		t.Fatalf("first request: cached %v, %v", info.FromCache, err)
+	}
+	req.Timeout = time.Minute
+	if info, err := e.Do(ctx, req); err != nil || !info.FromCache {
+		t.Fatalf("the 1 min request missed the 1 s request's entry (%v)", err)
+	}
+
+	cut := slowRequest()
+	cut.Timeout = 50 * time.Millisecond
+	for i := 0; i < 2; i++ {
+		info, err := e.Do(ctx, cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.FromCache || info.Response.Status == core.StatusComplete {
+			t.Fatalf("run %d of a search its budget cuts short: status %v, cached %v", i, info.Response.Status, info.FromCache)
+		}
+	}
+	if n := e.Stats().CacheEntries; n != 1 {
+		t.Fatalf("%d cache entries, want the one budget-independent answer", n)
+	}
+
+	// An optimizing search ignores MaxResults, so a partial answer with
+	// MaxResults mappings is still the incumbent its budget left it with.
+	// Priced hosts keep the bound from proving the first incumbent optimal.
+	prices := &graph.Delta{}
+	for i := 0; i < 26; i++ {
+		prices.SetNodeAttrs = append(prices.SetNodeAttrs, graph.NodeAttrUpdate{
+			Node: fmt.Sprintf("n%d", i), Set: graph.Attrs{}.SetNum("price", float64((i*7)%26)),
+		})
+	}
+	if _, err := svc.Model().Apply(prices); err != nil {
+		t.Fatal(err)
+	}
+	opt := service.Request{
+		Query: topo.Clique(12), MaxResults: 1, Timeout: 50 * time.Millisecond,
+		Optimize: true, Objective: core.Objective{Kind: core.ObjectiveAttrCost, Attr: "price"},
+	}
+	for i := 0; i < 2; i++ {
+		info, err := e.Do(ctx, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Response.Status != core.StatusPartial || len(info.Response.Mappings) != 1 {
+			t.Fatalf("run %d: status %v with %d mappings, want a partial incumbent", i, info.Response.Status, len(info.Response.Mappings))
+		}
+		if info.FromCache {
+			t.Fatalf("run %d replayed a short budget's incumbent", i)
+		}
 	}
 }

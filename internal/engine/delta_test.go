@@ -45,7 +45,9 @@ func TestDeltaInvalidatesCache(t *testing.T) {
 	}
 
 	// A monitor delta lands: one attribute nudge on one node.
-	host, _ := svc.Model().Snapshot()
+	snap := svc.Model().Acquire()
+	host := snap.Host()
+	snap.Release()
 	v, err := svc.Model().Apply(&graph.Delta{
 		SetNodeAttrs: []graph.NodeAttrUpdate{{
 			Node: host.Node(0).Name,

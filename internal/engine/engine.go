@@ -424,9 +424,9 @@ func (e *Engine) Hold(ctx context.Context, op func(stop func() bool)) error {
 // version it returns. The slot's stop replaces the items' Stop hooks.
 func (e *Engine) EmbedBatch(ctx context.Context, reqs []service.Request) (out []Info, version uint64, err error) {
 	err = e.Hold(ctx, func(stop func() bool) {
-		snap := e.svc.Acquire()
+		snap := e.svc.Model().Acquire()
 		defer snap.Release()
-		version, out = snap.Version, make([]Info, len(reqs))
+		version, out = snap.Version(), make([]Info, len(reqs))
 		for i, req := range reqs {
 			out[i], _ = e.answer(snap, e.newJob(req), stop) // items are not admissions
 		}
@@ -434,7 +434,8 @@ func (e *Engine) EmbedBatch(ctx context.Context, reqs []service.Request) (out []
 	return out, version, err
 }
 
-// SubmitWait is Do returning only the answer.
+// SubmitWait is Do returning only the answer. Kept for benchmark/ until
+// ROADMAP item 0.
 func (e *Engine) SubmitWait(ctx context.Context, req service.Request) (*service.Response, error) {
 	info, err := e.Do(ctx, req)
 	return info.Response, err
@@ -608,7 +609,7 @@ func (e *Engine) run(job *Job) {
 			}
 		}
 	}
-	snap := e.svc.Acquire()
+	snap := e.svc.Model().Acquire()
 	info, counter := e.answer(snap, job, stop)
 	snap.Release()
 	job.finish(info, counter)
@@ -621,7 +622,7 @@ func (e *Engine) run(job *Job) {
 // Stats.Search and, when deterministic, is cached.
 func (e *Engine) answer(snap service.Snapshot, job *Job, stop func() bool) (Info, *atomic.Int64) {
 	if job.cacheable {
-		if resp, ok := e.cache.get(job.cacheKey, snap.Version); ok {
+		if resp, ok := e.cache.get(job.cacheKey, snap.Version()); ok {
 			e.cacheHits.Add(1)
 			return Info{State: StateDone, Response: resp, FromCache: true}, &e.completed
 		}
@@ -629,7 +630,7 @@ func (e *Engine) answer(snap service.Snapshot, job *Job, stop func() bool) (Info
 	}
 	req := job.req
 	req.Stop = stop
-	resp, err := snap.Embed(req)
+	resp, err := e.svc.EmbedOn(snap, req)
 	switch {
 	case stop():
 		return Info{State: StateCanceled, Err: ErrCanceled}, &e.canceled
@@ -649,12 +650,18 @@ func (e *Engine) answer(snap service.Snapshot, job *Job, stop func() bool) (Info
 // replay: complete enumerations always are, and partial ones only when
 // they were truncated by the request's own MaxResults quota. Timeout
 // truncation depends on machine load at run time, so replaying it would
-// freeze a transiently bad answer until the next model publish.
+// freeze a transiently bad answer until the next model publish. An
+// optimizing search ignores MaxResults, so its partial answer is always
+// the incumbent the budget left it with; only its proven optimum
+// (StatusComplete) is stored.
 func cacheableResponse(req service.Request, resp *service.Response) bool {
 	switch resp.Status {
 	case core.StatusComplete:
 		return true
 	case core.StatusPartial:
+		if req.Optimize && req.Objective.Enabled() {
+			return false
+		}
 		return req.MaxResults > 0 && len(resp.Mappings) >= req.MaxResults
 	default:
 		return false

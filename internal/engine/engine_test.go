@@ -39,6 +39,17 @@ func hardHost(n int) *graph.Graph {
 	return g
 }
 
+// publish moves svc's model to a new version with an attribute-only delta.
+func publish(t *testing.T, svc *service.Service) {
+	t.Helper()
+	m := svc.Model()
+	if _, err := m.Apply(&graph.Delta{SetNodeAttrs: []graph.NodeAttrUpdate{{
+		Node: "n0", Set: graph.Attrs{}.SetNum("epoch", float64(m.Version())),
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func newTestEngine(t testing.TB, cfg Config) (*Engine, *service.Service) {
 	t.Helper()
 	svc := service.New(service.NewModel(hardHost(26)), service.Config{})
@@ -310,7 +321,7 @@ func TestCacheHitAndModelInvalidation(t *testing.T) {
 	}
 
 	// Monitors publish a new snapshot: the old answer must not be reused.
-	svc.Model().Update(hardHost(26))
+	publish(t, svc)
 	job4, err := e.Submit(fastRequest(7))
 	if err != nil {
 		t.Fatal(err)
@@ -577,7 +588,7 @@ func TestTickPrunesLedgerAndCache(t *testing.T) {
 	if info, _ := waitJob(context.Background(), e, job.ID()); info.State != StateDone {
 		t.Fatalf("seed job: %s", info.State)
 	}
-	svc.Model().Update(hardHost(26)) // strands the cache entry
+	publish(t, svc) // strands the cache entry
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Delta is an incremental change to a graph — the unit the monitoring
 // infrastructure publishes instead of a whole re-measured network. All
@@ -64,6 +67,52 @@ type EdgeAttrUpdate struct {
 	Unset          []string
 }
 
+// ErrUnresolved marks a delta whose names do not resolve against the
+// graph it is applied to: an unknown node, a missing edge, or an added
+// node or edge that already exists. Such a delta was written against
+// another version of the graph, not malformed in itself.
+var ErrUnresolved = errors.New("graph: delta names do not resolve")
+
+// unresolved wraps ErrUnresolved around one name-resolution failure.
+func unresolved(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrUnresolved}, args...)...)
+}
+
+// addEdgeError reports a rejected AddEdges entry; a duplicate edge is a
+// name collision, a self-loop a malformed delta.
+func addEdgeError(spec EdgeSpec, err error) error {
+	if errors.Is(err, ErrDuplicateEdge) {
+		return unresolved("adds existing edge %q-%q: %w", spec.Source, spec.Target, err)
+	}
+	return fmt.Errorf("graph: delta edge %q-%q: %w", spec.Source, spec.Target, err)
+}
+
+// Replacement returns the delta that turns g into next: every node of g
+// removed, then every node and edge of next added in next's ID order, so
+// g.ApplyDelta of it yields next's nodes, edges and IDs. A delta cannot
+// change orientation, so g and next must agree on it.
+func Replacement(g, next *Graph) (*Delta, error) {
+	if g.directed != next.directed {
+		return nil, errors.New("graph: a replacement cannot change the graph's orientation")
+	}
+	d := &Delta{
+		RemoveNodes: make([]string, len(g.nodes)),
+		AddNodes:    make([]NodeSpec, len(next.nodes)),
+		AddEdges:    make([]EdgeSpec, next.numEdges),
+	}
+	for i, n := range g.nodes {
+		d.RemoveNodes[i] = n.Name
+	}
+	for i, n := range next.nodes {
+		d.AddNodes[i] = NodeSpec{Name: n.Name, Attrs: n.Attrs}
+	}
+	for i := range d.AddEdges {
+		e := next.Edge(EdgeID(i))
+		d.AddEdges[i] = EdgeSpec{Source: next.nodes[e.From].Name, Target: next.nodes[e.To].Name, Attrs: e.Attrs}
+	}
+	return d, nil
+}
+
 // Empty reports whether the delta carries no operations.
 func (d *Delta) Empty() bool {
 	return d == nil ||
@@ -101,7 +150,8 @@ func (d *Delta) Counts() (structuralOps, attrOps int) {
 // universe and rebuilds into a fresh graph.
 //
 // Errors (unknown names, duplicate adds, self-loops) leave no partial
-// result: the returned graph is nil and g is untouched.
+// result: the returned graph is nil and g is untouched. Name-resolution
+// failures wrap ErrUnresolved.
 func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 	if d.Empty() {
 		return g, nil
@@ -128,7 +178,7 @@ func (g *Graph) applyAttrDelta(d *Delta) (*Graph, error) {
 	for _, up := range d.SetNodeAttrs {
 		id, ok := g.names[up.Node]
 		if !ok {
-			return nil, fmt.Errorf("graph: delta references unknown node %q", up.Node)
+			return nil, unresolved("unknown node %q", up.Node)
 		}
 		next.nodes[id].Attrs = patchBag(next.nodes[id].Attrs, up.Set, up.Unset)
 	}
@@ -161,11 +211,11 @@ func (g *Graph) applyEdgeDelta(d *Delta) (*Graph, error) {
 		u, okU := g.names[ref.Source]
 		v, okV := g.names[ref.Target]
 		if !okU || !okV {
-			return nil, fmt.Errorf("graph: delta removes unknown edge %q-%q", ref.Source, ref.Target)
+			return nil, unresolved("removes edge %q-%q between unknown nodes", ref.Source, ref.Target)
 		}
 		id, ok := g.index[g.edgeKey(u, v)]
 		if !ok {
-			return nil, fmt.Errorf("graph: delta removes missing edge %q-%q", ref.Source, ref.Target)
+			return nil, unresolved("removes missing edge %q-%q", ref.Source, ref.Target)
 		}
 		removed = append(removed, id)
 		base = min(base, int(id))
@@ -234,16 +284,13 @@ func (g *Graph) applyEdgeDelta(d *Delta) (*Graph, error) {
 		u, okU := g.names[spec.Source]
 		v, okV := g.names[spec.Target]
 		if !okU || !okV {
-			return nil, fmt.Errorf("graph: delta adds edge between unknown nodes %q-%q", spec.Source, spec.Target)
+			return nil, unresolved("adds edge between unknown nodes %q-%q", spec.Source, spec.Target)
 		}
-		var err error
 		if u == v {
-			err = ErrSelfLoop
-		} else if _, dup := next.index[g.edgeKey(u, v)]; dup {
-			err = ErrDuplicateEdge
+			return nil, addEdgeError(spec, ErrSelfLoop)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("graph: delta edge %q-%q: %w", spec.Source, spec.Target, err)
+		if _, dup := next.index[g.edgeKey(u, v)]; dup {
+			return nil, addEdgeError(spec, ErrDuplicateEdge)
 		}
 		id := store(Edge{From: u, To: v, Attrs: spec.Attrs.Clone()})
 		// A row is g's own or a slice of the arena: appending past a
@@ -289,18 +336,18 @@ func (g *Graph) applyStructuralDelta(d *Delta) (*Graph, error) {
 		u, okU := g.names[ref.Source]
 		v, okV := g.names[ref.Target]
 		if !okU || !okV {
-			return nil, fmt.Errorf("graph: delta removes unknown edge %q-%q", ref.Source, ref.Target)
+			return nil, unresolved("removes edge %q-%q between unknown nodes", ref.Source, ref.Target)
 		}
 		key := g.edgeKey(u, v)
 		if _, ok := g.index[key]; !ok {
-			return nil, fmt.Errorf("graph: delta removes missing edge %q-%q", ref.Source, ref.Target)
+			return nil, unresolved("removes missing edge %q-%q", ref.Source, ref.Target)
 		}
 		dropEdge[key] = true
 	}
 	dropNode := make(map[string]bool, len(d.RemoveNodes))
 	for _, name := range d.RemoveNodes {
 		if _, ok := g.names[name]; !ok {
-			return nil, fmt.Errorf("graph: delta removes unknown node %q", name)
+			return nil, unresolved("removes unknown node %q", name)
 		}
 		dropNode[name] = true
 	}
@@ -316,7 +363,7 @@ func (g *Graph) applyStructuralDelta(d *Delta) (*Graph, error) {
 			return nil, fmt.Errorf("graph: delta adds a node without a name")
 		}
 		if _, dup := next.names[spec.Name]; dup {
-			return nil, fmt.Errorf("graph: delta adds duplicate node %q", spec.Name)
+			return nil, unresolved("adds duplicate node %q", spec.Name)
 		}
 		next.AddNode(spec.Name, spec.Attrs.Clone())
 	}
@@ -339,16 +386,16 @@ func (g *Graph) applyStructuralDelta(d *Delta) (*Graph, error) {
 		u, okU := next.names[spec.Source]
 		v, okV := next.names[spec.Target]
 		if !okU || !okV {
-			return nil, fmt.Errorf("graph: delta adds edge between unknown nodes %q-%q", spec.Source, spec.Target)
+			return nil, unresolved("adds edge between unknown nodes %q-%q", spec.Source, spec.Target)
 		}
 		if _, err := next.AddEdge(u, v, spec.Attrs.Clone()); err != nil {
-			return nil, fmt.Errorf("graph: delta edge %q-%q: %w", spec.Source, spec.Target, err)
+			return nil, addEdgeError(spec, err)
 		}
 	}
 	for _, up := range d.SetNodeAttrs {
 		id, ok := next.names[up.Node]
 		if !ok {
-			return nil, fmt.Errorf("graph: delta references unknown node %q", up.Node)
+			return nil, unresolved("unknown node %q", up.Node)
 		}
 		next.nodes[id].Attrs = patchBag(next.nodes[id].Attrs, up.Set, up.Unset)
 	}
@@ -367,11 +414,11 @@ func (g *Graph) edgeByNames(source, target string) (EdgeID, error) {
 	u, okU := g.names[source]
 	v, okV := g.names[target]
 	if !okU || !okV {
-		return -1, fmt.Errorf("graph: delta references unknown edge %q-%q", source, target)
+		return -1, unresolved("edge %q-%q between unknown nodes", source, target)
 	}
 	id, ok := g.index[g.edgeKey(u, v)]
 	if !ok {
-		return -1, fmt.Errorf("graph: delta references missing edge %q-%q", source, target)
+		return -1, unresolved("missing edge %q-%q", source, target)
 	}
 	return id, nil
 }

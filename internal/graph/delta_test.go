@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -141,21 +142,27 @@ func TestApplyDeltaNodeReplacement(t *testing.T) {
 func TestApplyDeltaErrors(t *testing.T) {
 	g := deltaHost()
 	cases := []struct {
-		name  string
-		delta Delta
+		name       string
+		delta      Delta
+		unresolved bool // a name-resolution failure (ErrUnresolved), not a malformed delta
 	}{
-		{"unknown node attrs", Delta{SetNodeAttrs: []NodeAttrUpdate{{Node: "zz"}}}},
-		{"unknown edge attrs", Delta{SetEdgeAttrs: []EdgeAttrUpdate{{Source: "a", Target: "c"}}}},
-		{"remove unknown node", Delta{RemoveNodes: []string{"zz"}}},
-		{"remove missing edge", Delta{RemoveEdges: []EdgeRef{{Source: "a", Target: "c"}}}},
-		{"add duplicate node", Delta{AddNodes: []NodeSpec{{Name: "a"}}}},
-		{"add duplicate edge", Delta{AddEdges: []EdgeSpec{{Source: "a", Target: "b"}}}},
-		{"add self-loop", Delta{AddEdges: []EdgeSpec{{Source: "a", Target: "a"}}}},
-		{"add unnamed node", Delta{AddNodes: []NodeSpec{{}}}},
+		{"unknown node attrs", Delta{SetNodeAttrs: []NodeAttrUpdate{{Node: "zz"}}}, true},
+		{"unknown edge attrs", Delta{SetEdgeAttrs: []EdgeAttrUpdate{{Source: "a", Target: "c"}}}, true},
+		{"remove unknown node", Delta{RemoveNodes: []string{"zz"}}, true},
+		{"remove missing edge", Delta{RemoveEdges: []EdgeRef{{Source: "a", Target: "c"}}}, true},
+		{"add duplicate node", Delta{AddNodes: []NodeSpec{{Name: "a"}}}, true},
+		{"add duplicate edge", Delta{AddEdges: []EdgeSpec{{Source: "a", Target: "b"}}}, true},
+		{"add duplicate edge beside a node add", Delta{AddNodes: []NodeSpec{{Name: "d"}}, AddEdges: []EdgeSpec{{Source: "a", Target: "b"}}}, true},
+		{"add edge to unknown node", Delta{AddEdges: []EdgeSpec{{Source: "a", Target: "zz"}}}, true},
+		{"add self-loop", Delta{AddEdges: []EdgeSpec{{Source: "a", Target: "a"}}}, false},
+		{"add unnamed node", Delta{AddNodes: []NodeSpec{{}}}, false},
 	}
 	for _, c := range cases {
-		if _, err := g.ApplyDelta(&c.delta); err == nil {
+		_, err := g.ApplyDelta(&c.delta)
+		if err == nil {
 			t.Errorf("%s: expected error", c.name)
+		} else if errors.Is(err, ErrUnresolved) != c.unresolved {
+			t.Errorf("%s: %v, errors.Is(ErrUnresolved) = %v", c.name, err, !c.unresolved)
 		}
 	}
 	// Errors leave the graph untouched.
@@ -164,6 +171,36 @@ func TestApplyDeltaErrors(t *testing.T) {
 	}
 	if g.NumNodes() != 3 || g.NumEdges() != 2 {
 		t.Error("failed delta modified the graph")
+	}
+}
+
+// TestReplacementYieldsTheNewGraph: the replacement delta turns a graph
+// into another one with the same nodes, IDs, edges and attributes.
+func TestReplacementYieldsTheNewGraph(t *testing.T) {
+	g := deltaHost()
+	next := NewUndirected()
+	x := next.AddNode("x", Attrs{}.SetNum("cpu", 2))
+	a := next.AddNode("a", nil)
+	next.MustAddEdge(a, x, Attrs{}.SetNum("avgDelay", 7))
+	d, err := Replacement(g, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := g.ApplyDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumNodes() != 2 || got.Node(0).Name != "x" || got.Node(1).Name != "a" || got.NumEdges() != 1 {
+		t.Fatalf("replacement produced %d nodes, %d edges", got.NumNodes(), got.NumEdges())
+	}
+	if cpu, _ := got.Node(0).Attrs.Float("cpu"); cpu != 2 {
+		t.Errorf("node attrs lost: cpu %v", cpu)
+	}
+	if e := got.Edge(0); e.From != 1 || e.To != 0 || !e.Attrs.Has("avgDelay") {
+		t.Errorf("edge 0 = %d-%d %v", e.From, e.To, e.Attrs)
+	}
+	if _, err := Replacement(g, New(true)); err == nil {
+		t.Error("a replacement changed the orientation")
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 	"netembed/internal/sets"
 )
 
-// Config has no fields: the index has nothing left to tune. It remains so
-// that existing callers constructing Config{} keep compiling.
+// Config has no fields: the index has nothing left to tune. Kept for
+// benchmark/ until ROADMAP item 0.
 type Config struct{}
 
 // Index is one immutable capability snapshot of a hosting network. All

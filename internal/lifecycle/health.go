@@ -5,7 +5,6 @@ import (
 
 	"netembed/internal/core"
 	"netembed/internal/graph"
-	"netembed/internal/index"
 	"netembed/internal/service"
 )
 
@@ -21,7 +20,8 @@ import (
 // Broken). It runs automatically from the maintenance tick after each
 // model change; tests and handlers may call it directly.
 func (m *Manager) CheckAll() int {
-	host, idx, version := m.svc.Model().SnapshotIndexed()
+	snap := m.svc.Model().Acquire()
+	defer snap.Release()
 	led := m.svc.Ledger()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -36,12 +36,12 @@ func (m *Manager) CheckAll() int {
 			rec.health, rec.detail = Expired, "lease gone"
 			continue
 		}
-		m.verifyLocked(rec, host, idx, version)
+		m.verifyLocked(rec, snap)
 		if rec.health != Healthy {
 			unhealthy++
 		}
 	}
-	m.checkedVersion = version
+	m.checkedVersion = snap.Version()
 	return unhealthy
 }
 
@@ -51,25 +51,26 @@ func (m *Manager) CheckAll() int {
 // repair proves brokenness — but a Broken record that now verifies (or
 // newly degrades for a different reason) is reclassified, so brokenness
 // never outlives the snapshot that proved it.
-func (m *Manager) verifyLocked(rec *record, host *graph.Graph, idx *index.Index, version uint64) {
-	ok, detail := m.verifySpec(rec, host, idx)
+func (m *Manager) verifyLocked(rec *record, snap service.Snapshot) {
+	ok, detail := verifySpec(rec, snap)
 	switch {
 	case ok:
 		rec.health, rec.detail = Healthy, ""
-	case rec.health == Broken && rec.checkedAt == version:
+	case rec.health == Broken && rec.checkedAt == snap.Version():
 		// The infeasibility proof was made against this very snapshot;
 		// it still stands. Keep the class, refresh the finding.
 		rec.detail = "infeasible on last repair; " + detail
 	default:
 		rec.health, rec.detail = Degraded, detail
 	}
-	rec.checkedAt = version
+	rec.checkedAt = snap.Version()
 }
 
 // verifySpec runs the full verification for one record: name resolution,
 // injectivity, constraint verification, and — for path-mode records —
 // witness route validation pre-screened by the reachability oracle.
-func (m *Manager) verifySpec(rec *record, host *graph.Graph, idx *index.Index) (bool, string) {
+func verifySpec(rec *record, snap service.Snapshot) (bool, string) {
+	host := snap.Host()
 	mapping, missing := resolveNamed(rec.query, host, rec.named)
 	if missing != "" {
 		return false, fmt.Sprintf("host node %q vanished", missing)
@@ -87,13 +88,13 @@ func (m *Manager) verifySpec(rec *record, host *graph.Graph, idx *index.Index) (
 		return true, ""
 	}
 
-	popt := pathOptions(rec, nil)
+	popt := pathOptions(rec, snap)
 	sol, werr := resolveWitnesses(rec, host, mapping)
 	if werr != "" {
 		// The route itself broke. The reachability oracle distinguishes a
 		// re-routable break (endpoints still connected within the hop
 		// bound — a zero-migration repair) from one that forces moves.
-		return false, werr + "; " + reachDetail(rec, idx, mapping, popt.MaxHops)
+		return false, werr + "; " + reachDetail(rec, snap, mapping, popt.MaxHops)
 	}
 	if err := core.VerifyPathSolution(p, popt, sol); err != nil {
 		return false, err.Error()
@@ -157,11 +158,11 @@ func resolveWitnesses(rec *record, host *graph.Graph, mapping core.Mapping) (cor
 // query edge, are the mapped endpoints still connected within the hop
 // bound? Connected endpoints mean the break is re-routable with zero
 // migrations; a disconnected pair forces node moves.
-func reachDetail(rec *record, idx *index.Index, mapping core.Mapping, maxHops int) string {
+func reachDetail(rec *record, snap service.Snapshot, mapping core.Mapping, maxHops int) string {
 	if maxHops <= 0 {
 		maxHops = 3 // the core searcher's default hop bound
 	}
-	rows := idx.ReachWithin(maxHops)
+	rows := snap.Index().ReachWithin(maxHops)
 	for i := 0; i < rec.query.NumEdges(); i++ {
 		qe := rec.query.Edge(graph.EdgeID(i))
 		rs, rt := mapping[qe.From], mapping[qe.To]
@@ -176,15 +177,15 @@ func reachDetail(rec *record, idx *index.Index, mapping core.Mapping, maxHops in
 }
 
 // pathOptions assembles the core options the record's witnesses are
-// verified (and re-routed) under. The optional index supplies the
+// verified (and re-routed) under on snap, whose index supplies the
 // reachability oracle to the path searcher.
-func pathOptions(rec *record, idx *index.Index) core.PathOptions {
+func pathOptions(rec *record, snap service.Snapshot) core.PathOptions {
 	return core.PathOptions{
 		MaxHops:   rec.pathOpts.MaxHops,
 		DelayAttr: rec.pathOpts.DelayAttr,
 		WindowLo:  rec.pathOpts.WindowLo,
 		WindowHi:  rec.pathOpts.WindowHi,
 		Metrics:   rec.pathOpts.Metrics,
-		Index:     idx,
+		Index:     snap.Index(),
 	}
 }

@@ -12,6 +12,15 @@ import (
 	"netembed/internal/topo"
 )
 
+// hostOf returns the model's current hosting network; the reader is
+// released at once (the graph is immutable) so epoch counts stay the
+// test's own.
+func hostOf(m *service.Model) *graph.Graph {
+	snap := m.Acquire()
+	snap.Release()
+	return snap.Host()
+}
+
 // cpuClique builds K_n where every node carries cpu=10 (or the override
 // for listed IDs), the minimal substrate where any injective line query
 // fits and a single attribute delta can break one placement node.
@@ -201,7 +210,7 @@ func TestMigrateRepairsWithOneMove(t *testing.T) {
 	model, svc, m := newManager(t, cpuClique(6, nil), Config{})
 	info := placeLine3(t, m, "rNode.cpu >= 5")
 	brokenName := info.Mapping["n1"]
-	brokenID, _ := model.Snapshot()
+	brokenID := hostOf(model)
 	broken, _ := brokenID.NodeByName(brokenName)
 
 	setCPU(t, model, brokenName, 1)
@@ -226,7 +235,7 @@ func TestMigrateRepairsWithOneMove(t *testing.T) {
 	if _, err := svc.Ledger().Allocate(core.Mapping{broken}); err != nil {
 		t.Errorf("vacated node not freed: %v", err)
 	}
-	host, _ := model.Snapshot()
+	host := hostOf(model)
 	target, _ := host.NodeByName(got.Mapping["n1"])
 	if _, err := svc.Ledger().Allocate(core.Mapping{target}); !errors.Is(err, service.ErrConflict) {
 		t.Errorf("migrated-to node not held: %v", err)
@@ -330,7 +339,7 @@ func TestMigrateRollsBackOnStolenTarget(t *testing.T) {
 	if !ok {
 		t.Fatal("lease vanished on rollback")
 	}
-	host0, _ := model.Snapshot()
+	host0 := hostOf(model)
 	for i, name := range []string{info.Mapping["n0"], info.Mapping["n1"], info.Mapping["n2"]} {
 		r, _ := host0.NodeByName(name)
 		if lease.Nodes[i] != r {
@@ -361,7 +370,7 @@ func scheduleSpares(t *testing.T, leased ...int) (*Manager, Info, []string) {
 	t.Helper()
 	model, svc, m := newManager(t, cpuClique(5, nil), Config{})
 	info := placeLine3(t, m, "rNode.cpu >= 5")
-	host, _ := model.Snapshot()
+	host := hostOf(model)
 	var spares []string
 	for r := 0; r < host.NumNodes(); r++ {
 		name := host.Node(graph.NodeID(r)).Name
@@ -627,7 +636,7 @@ func TestMigrateUsesConfiguredObjective(t *testing.T) {
 
 	// The cheapest host that is unused and still satisfies the
 	// constraint is where the repaired node must land.
-	snap, _ := model.Snapshot()
+	snap := hostOf(model)
 	used := map[string]bool{}
 	for _, name := range info.Mapping {
 		used[name] = true
@@ -658,5 +667,40 @@ func TestMigrateUsesConfiguredObjective(t *testing.T) {
 	if got.Mapping["n1"] != wantName {
 		t.Errorf("repair landed on %s, want cheapest refuge %s (price %v)",
 			got.Mapping["n1"], wantName, wantPrice)
+	}
+}
+
+// TestMigrateLiveReaderPinsSnapshot: a migration reads one acquired
+// snapshot from verification to commit, so while it runs the model counts
+// it as a live reader (GET /stats model.liveReaders), and a delta
+// published meanwhile does not change the version the repair records.
+func TestMigrateLiveReaderPinsSnapshot(t *testing.T) {
+	var model *service.Model
+	var during service.EpochStats
+	cfg := Config{BeforeCommit: func(string) {
+		during = model.EpochStats()
+		if _, err := model.Apply(&graph.Delta{SetNodeAttrs: []graph.NodeAttrUpdate{{
+			Node: hostOf(model).Node(0).Name, Set: graph.Attrs{}.SetNum("load", 1),
+		}}}); err != nil {
+			t.Error(err)
+		}
+	}}
+	model, _, m := newManager(t, cpuClique(5, nil), cfg)
+	info := placeLine3(t, m, "rNode.cpu >= 5")
+	setCPU(t, model, info.Mapping["n1"], 1)
+	version := model.Version()
+
+	got, err := m.Migrate(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if during.LiveReaders < 1 || during.Version != version {
+		t.Fatalf("during the migration: %+v, want ≥ 1 live reader at version %d", during, version)
+	}
+	if got.Health != Healthy || got.CheckedVersion != version {
+		t.Fatalf("after the migration: %+v, want healthy as of version %d", got, version)
+	}
+	if st := model.EpochStats(); st.LiveReaders != 0 {
+		t.Fatalf("the migration left %d readers pinned", st.LiveReaders)
 	}
 }

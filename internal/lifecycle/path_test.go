@@ -112,7 +112,7 @@ func TestPathRepairMigrates(t *testing.T) {
 	// Sever every edge at the witness's first node: one endpoint is now
 	// isolated, so some node must move.
 	first := info.Witnesses[0].Path[0]
-	host, _ := model.Snapshot()
+	host := hostOf(model)
 	fid, _ := host.NodeByName(first)
 	var cuts []graph.EdgeRef
 	for _, arc := range host.Arcs(fid) {

@@ -7,7 +7,6 @@ import (
 
 	"netembed/internal/core"
 	"netembed/internal/graph"
-	"netembed/internal/index"
 	"netembed/internal/service"
 	"netembed/internal/sets"
 )
@@ -102,7 +101,8 @@ func (m *Manager) RepairAll() int {
 // records), not an unrepairable embedding — that outcome is the Broken
 // state on the Info.
 func (m *Manager) Migrate(id string) (Info, error) {
-	host, idx, version := m.svc.Model().SnapshotIndexed()
+	snap := m.svc.Model().Acquire()
+	defer snap.Release()
 	m.mu.Lock()
 	rec, ok := m.recs[id]
 	if !ok {
@@ -116,13 +116,13 @@ func (m *Manager) Migrate(id string) (Info, error) {
 	}
 	// Re-verify first: the model may have moved since the last sweep, in
 	// either direction — a healthy record needs no plan.
-	m.verifyLocked(rec, host, idx, version)
+	m.verifyLocked(rec, snap)
 	if rec.health == Healthy {
 		info := rec.info()
 		m.mu.Unlock()
 		return info, nil
 	}
-	m.repairLocked(rec, host, idx, version)
+	m.repairLocked(rec, snap)
 	info := rec.info()
 	m.mu.Unlock()
 	return info, nil
@@ -131,7 +131,8 @@ func (m *Manager) Migrate(id string) (Info, error) {
 // repairLocked computes and commits one repair plan. Callers hold m.mu
 // and have verified the record is Degraded (or Broken on this very
 // snapshot, in which case the plan search is a cheap re-proof).
-func (m *Manager) repairLocked(rec *record, host *graph.Graph, idx *index.Index, version uint64) {
+func (m *Manager) repairLocked(rec *record, snap service.Snapshot) {
+	host, version := snap.Host(), snap.Version()
 	old, _ := resolveNamed(rec.query, host, rec.named)
 	p, err := core.NewProblem(rec.query, host, rec.edgeProg, rec.nodeProg)
 	if err != nil {
@@ -152,7 +153,7 @@ func (m *Manager) repairLocked(rec *record, host *graph.Graph, idx *index.Index,
 	}
 
 	if rec.pathMode {
-		m.repairPathLocked(rec, p, host, idx, version, old)
+		m.repairPathLocked(rec, p, snap, old)
 		return
 	}
 
@@ -171,25 +172,25 @@ func (m *Manager) repairLocked(rec *record, host *graph.Graph, idx *index.Index,
 			"no repair within budget (destroyed %d, budget %d moves)", res.Destroyed, m.maxMoved(rec)))
 		return
 	}
-	m.commitLocked(rec, host, version, res.Mapping, len(res.Moved), nil)
+	m.commitLocked(rec, snap, res.Mapping, len(res.Moved), nil)
 }
 
 // repairPathLocked repairs a path-mode embedding in two tiers: re-route
 // broken witnesses keeping every node in place (zero migrations), else a
 // budget-capped re-embed.
-func (m *Manager) repairPathLocked(rec *record, p *core.Problem, host *graph.Graph, idx *index.Index, version uint64, old core.Mapping) {
-	if sol, ok := m.reroute(rec, host, idx, old); ok {
-		m.commitLocked(rec, host, version, sol.Nodes, 0, witnessesOf(rec, host, sol))
+func (m *Manager) repairPathLocked(rec *record, p *core.Problem, snap service.Snapshot, old core.Mapping) {
+	if sol, ok := reroute(rec, snap, old); ok {
+		m.commitLocked(rec, snap, sol.Nodes, 0, witnessesOf(rec, snap.Host(), sol))
 		return
 	}
-	popt := pathOptions(rec, idx)
+	popt := pathOptions(rec, snap)
 	popt.Timeout = m.cfg.RepairTimeout
 	popt.MaxSolutions = 1
 	res := core.PathEmbed(p, popt)
 	if len(res.Solutions) == 0 {
 		if res.Exhausted {
-			m.breakRecord(rec, version, fmt.Sprintf(
-				"no path embedding exists on snapshot v%d under current tenancy", version))
+			m.breakRecord(rec, snap.Version(), fmt.Sprintf(
+				"no path embedding exists on snapshot v%d under current tenancy", snap.Version()))
 			return
 		}
 		m.failRepair(rec, "path re-embed timed out")
@@ -206,14 +207,15 @@ func (m *Manager) repairPathLocked(rec *record, p *core.Problem, host *graph.Gra
 		m.failRepair(rec, fmt.Sprintf("re-embed needs %d migrations, budget %d", moved, budget))
 		return
 	}
-	m.commitLocked(rec, host, version, sol.Nodes, moved, witnessesOf(rec, host, sol))
+	m.commitLocked(rec, snap, sol.Nodes, moved, witnessesOf(rec, snap.Host(), sol))
 }
 
 // reroute attempts the zero-migration tier: keep every resolved node
 // image and find fresh witnesses for all query edges on the live host.
 // The reachability oracle rejects doomed pairs before any DFS runs.
-func (m *Manager) reroute(rec *record, host *graph.Graph, idx *index.Index, old core.Mapping) (core.PathSolution, bool) {
-	popt := pathOptions(rec, idx)
+func reroute(rec *record, snap service.Snapshot, old core.Mapping) (core.PathSolution, bool) {
+	host := snap.Host()
+	popt := pathOptions(rec, snap)
 	hops := popt.MaxHops
 	if hops <= 0 {
 		hops = 3
@@ -231,7 +233,7 @@ func (m *Manager) reroute(rec *record, host *graph.Graph, idx *index.Index, old 
 	for i := 0; i < rec.query.NumEdges(); i++ {
 		qe := rec.query.Edge(graph.EdgeID(i))
 		rs, rt := old[qe.From], old[qe.To]
-		if !idx.ReachWithin(hops)[rs].Has(rt) {
+		if !snap.Index().ReachWithin(hops)[rs].Has(rt) {
 			return core.PathSolution{}, false // oracle: no witness can exist
 		}
 		path, ok := core.FindWitness(host, qe, rs, rt, popt)
@@ -252,7 +254,7 @@ func (m *Manager) reroute(rec *record, host *graph.Graph, idx *index.Index, old 
 // lands or — when a concurrent allocation stole a target between plan
 // and commit — nothing changes and the old placement stays leased
 // (rollback is the no-op).
-func (m *Manager) commitLocked(rec *record, host *graph.Graph, version uint64, mapping core.Mapping, moved int, witnesses []service.PathWitness) {
+func (m *Manager) commitLocked(rec *record, snap service.Snapshot, mapping core.Mapping, moved int, witnesses []service.PathWitness) {
 	if hook := m.cfg.BeforeCommit; hook != nil {
 		hook(rec.id)
 	}
@@ -265,10 +267,10 @@ func (m *Manager) commitLocked(rec *record, host *graph.Graph, version uint64, m
 		m.failRepair(rec, fmt.Sprintf("commit rolled back: %v", err))
 		return
 	}
-	rec.named = makeNamed(rec.query, host, mapping)
+	rec.named = makeNamed(rec.query, snap.Host(), mapping)
 	rec.witnesses = witnesses
 	rec.health, rec.detail = Healthy, ""
-	rec.checkedAt = version
+	rec.checkedAt = snap.Version()
 	rec.repairs++
 	rec.moved += moved
 	m.repaired.Add(1)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"netembed/internal/coords"
+	"netembed/internal/graph"
 )
 
 // CompletionConfig drives coordinate-based completion of a partially
@@ -30,38 +31,50 @@ type CompletionReport struct {
 
 // Complete embeds the model's current snapshot into a Vivaldi coordinate
 // space, synthesizes an edge for every unmeasured node pair with the
-// coordinate-predicted delay window, and publishes the densified graph as
-// a new model version. Synthesized edges carry the Densify mark attribute
-// ("predicted" by default) so constraint expressions can exclude them —
-// e.g. "!has(rEdge.predicted)" restricts a query to measured links.
+// coordinate-predicted delay window, and publishes those edges as one
+// delta. Synthesized edges carry the Densify mark attribute ("predicted"
+// by default) so constraint expressions can exclude them — e.g.
+// "!has(rEdge.predicted)" restricts a query to measured links.
 //
-// The original sparse snapshot is untouched; completion prepares the
-// densified successor on a clone outside the model lock and installs it
-// with an optimistic compare-and-swap, retrying against fresh snapshots
-// if a concurrent monitor update wins the race. Nothing partial is ever
-// published.
+// The edges are computed on a densified clone of a pinned snapshot,
+// outside any model lock, and added by Apply: attribute drift a monitor
+// publishes meanwhile composes with them. Only when the delta no longer
+// applies — a node it names is gone, or an edge it adds now exists — is
+// the completion redone against a fresh snapshot. Nothing partial is
+// ever published.
 func Complete(m *Model, cfg CompletionConfig) (CompletionReport, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
 	for {
-		snap, version := m.Snapshot()
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		sys, _, err := coords.Embed(snap, cfg.Embed, rng)
+		snap := m.Acquire()
+		d, rep, err := completion(snap.Host(), cfg)
+		snap.Release()
 		if err != nil {
 			return CompletionReport{}, err
 		}
-		fit := coords.Errors(sys, snap, cfg.Embed.Attr)
-
-		next := snap.Clone()
-		added, err := coords.Densify(next, sys, cfg.Densify)
-		if err != nil {
-			return CompletionReport{}, err
+		if rep.Version, err = m.Apply(d); err == nil {
+			return rep, nil
 		}
-		if newVersion, ok := m.UpdateIf(next, version); ok {
-			return CompletionReport{Added: added, Fit: fit, Version: newVersion}, nil
-		}
-		// A monitor published while we embedded; redo against the fresh
-		// snapshot so its measurements are not lost.
 	}
+}
+
+// completion fits coordinates over g's measured edges and returns the
+// delta adding the edges Densify synthesizes on a clone of g.
+func completion(g *graph.Graph, cfg CompletionConfig) (*graph.Delta, CompletionReport, error) {
+	sys, _, err := coords.Embed(g, cfg.Embed, rand.New(rand.NewSource(cfg.Seed)))
+	if err != nil {
+		return nil, CompletionReport{}, err
+	}
+	rep := CompletionReport{Fit: coords.Errors(sys, g, cfg.Embed.Attr)}
+	next := g.Clone()
+	if rep.Added, err = coords.Densify(next, sys, cfg.Densify); err != nil {
+		return nil, CompletionReport{}, err
+	}
+	d := &graph.Delta{AddEdges: make([]graph.EdgeSpec, 0, rep.Added)}
+	for id := g.NumEdges(); id < next.NumEdges(); id++ {
+		e := next.Edge(graph.EdgeID(id))
+		d.AddEdges = append(d.AddEdges, graph.EdgeSpec{Source: next.Node(e.From).Name, Target: next.Node(e.To).Name, Attrs: e.Attrs})
+	}
+	return d, rep, nil
 }

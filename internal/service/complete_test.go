@@ -1,10 +1,12 @@
 package service
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"netembed/internal/coords"
 	"netembed/internal/graph"
@@ -38,52 +40,31 @@ func sparseMetricHost(n, degree int, rng *rand.Rand) *graph.Graph {
 	return g
 }
 
-func TestUpdateIf(t *testing.T) {
-	g := graph.NewUndirected()
-	g.AddNodes(2)
-	m := NewModel(g)
-	_, v1 := m.Snapshot()
-
-	next := g.Clone()
-	if v2, ok := m.UpdateIf(next, v1); !ok || v2 != v1+1 {
-		t.Fatalf("UpdateIf on current version: ok=%v v=%d", ok, v2)
-	}
-	// Stale version must be rejected and report the winner.
-	if v, ok := m.UpdateIf(g.Clone(), v1); ok || v != v1+1 {
-		t.Fatalf("UpdateIf on stale version: ok=%v v=%d", ok, v)
-	}
-}
-
-func TestUpdateIfConcurrentWritersLoseNoVersion(t *testing.T) {
+// TestConcurrentAppliesLoseNoVersion: Apply is the model's one write,
+// and concurrent writers each publish their own version.
+func TestConcurrentAppliesLoseNoVersion(t *testing.T) {
 	g := graph.NewUndirected()
 	g.AddNodes(2)
 	m := NewModel(g)
 
-	const writers = 8
-	var wins int64
-	var mu sync.Mutex
+	const writers, each = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				snap, v := m.Snapshot()
-				if _, ok := m.UpdateIf(snap.Clone(), v); ok {
-					mu.Lock()
-					wins++
-					done := wins >= 50
-					mu.Unlock()
-					if done {
-						return
-					}
+			for i := 0; i < each; i++ {
+				d := &graph.Delta{SetNodeAttrs: []graph.NodeAttrUpdate{{Node: "n0", Set: graph.Attrs{}.SetNum("w", float64(w))}}}
+				if _, err := m.Apply(d); err != nil {
+					t.Error(err)
+					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := m.Version(); got < 51 {
-		t.Fatalf("version %d after >= 50 successful swaps", got)
+	if got := m.Version(); got != 1+writers*each {
+		t.Fatalf("version %d after %d applies, want %d", got, writers*each, 1+writers*each)
 	}
 }
 
@@ -103,8 +84,9 @@ func TestCompleteDensifiesModel(t *testing.T) {
 	if rep.Added != full-sparseEdges {
 		t.Fatalf("Complete added %d edges, want %d", rep.Added, full-sparseEdges)
 	}
-	snap, v := m.Snapshot()
-	if v != rep.Version {
+	p := peek(m)
+	snap := p.Host()
+	if v := p.Version(); v != rep.Version {
 		t.Fatalf("snapshot version %d, report says %d", v, rep.Version)
 	}
 	if snap.NumEdges() != full {
@@ -124,8 +106,8 @@ func TestCompleteRetriesPastConcurrentMonitor(t *testing.T) {
 	host := sparseMetricHost(25, 4, rng)
 	m := NewModel(host)
 	mon := NewMonitor(m, MonitorConfig{Seed: 5})
-	// Interleave monitor rounds with the completion; UpdateIf retries
-	// must converge and land on a version above the monitor's.
+	// Interleave monitor rounds with the completion: the synthesized
+	// edges compose with the drift and land on some version among them.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -143,9 +125,87 @@ func TestCompleteRetriesPastConcurrentMonitor(t *testing.T) {
 	if rep.Added == 0 {
 		t.Fatal("completion added nothing")
 	}
-	snap, _ := m.Snapshot()
+	snap := peek(m).Host()
 	if snap.NumEdges() < host.NumEdges()+rep.Added {
 		t.Fatalf("final model lost edges: %d", snap.NumEdges())
+	}
+}
+
+// TestCompleteReturnsUnderBackToBackMonitor: a monitor publishing
+// attribute deltas back to back moves the version faster than a
+// completion can be computed, and the completion still lands, because
+// its edges are a delta that composes with the drift rather than a
+// whole graph swapped in only if nothing was published meanwhile.
+func TestCompleteReturnsUnderBackToBackMonitor(t *testing.T) {
+	host := sparseMetricHost(60, 5, rand.New(rand.NewSource(43)))
+	m := NewModel(host)
+	mon := NewMonitor(m, MonitorConfig{Seed: 9, EdgeFraction: 0.01})
+	stop, monDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(monDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				mon.Step()
+			}
+		}
+	}()
+	type result struct {
+		rep CompletionReport
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := Complete(m, CompletionConfig{Embed: coords.EmbedConfig{Rounds: 200, Config: coords.Config{Dim: 2}}})
+		done <- result{rep, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(10 * time.Second):
+	}
+	close(stop)
+	<-monDone
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.rep.Version == 0 {
+		t.Fatal("Complete did not return within 10s while a monitor published back to back")
+	}
+	full := 60 * 59 / 2
+	if r.rep.Added != full-host.NumEdges() || peek(m).Host().NumEdges() != full {
+		t.Fatalf("completion added %d edges, model has %d, want %d", r.rep.Added, peek(m).Host().NumEdges(), full)
+	}
+	if mon.Steps() < 2 {
+		t.Fatalf("the monitor published %d rounds; the test needs it racing the completion", mon.Steps())
+	}
+}
+
+// TestCompletionDeltaComposesOrFails pins when a completion is redone:
+// its delta applies over attribute drift, and stops resolving once an
+// edge it adds exists.
+func TestCompletionDeltaComposesOrFails(t *testing.T) {
+	m := NewModel(sparseMetricHost(20, 3, rand.New(rand.NewSource(47))))
+	cfg := CompletionConfig{Seed: 1, Embed: coords.EmbedConfig{Rounds: 20, Config: coords.Config{Dim: 2}}}
+	d, rep, err := completion(peek(m).Host(), cfg)
+	if err != nil || rep.Added == 0 || len(d.AddEdges) != rep.Added {
+		t.Fatalf("completion: %d edges in the delta, %d reported, %v", len(d.AddEdges), rep.Added, err)
+	}
+	NewMonitor(m, MonitorConfig{Seed: 3, EdgeFraction: 1}).Step()
+	if _, err := m.Apply(d); err != nil {
+		t.Fatalf("the delta does not apply over attribute drift: %v", err)
+	}
+
+	m = NewModel(sparseMetricHost(20, 3, rand.New(rand.NewSource(47))))
+	d, _, _ = completion(peek(m).Host(), cfg)
+	first := d.AddEdges[0]
+	if _, err := m.Apply(&graph.Delta{AddEdges: []graph.EdgeSpec{{Source: first.Source, Target: first.Target}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Apply(d); !errors.Is(err, graph.ErrUnresolved) {
+		t.Fatalf("a delta adding an existing edge applied or failed otherwise: %v", err)
 	}
 }
 

@@ -51,7 +51,7 @@ func TestServiceConsolidateAlgorithm(t *testing.T) {
 	if len(resp.Mappings) == 0 {
 		t.Fatal("no consolidated embedding via the service")
 	}
-	host, _ := svc.Model().Snapshot()
+	host := peek(svc.Model()).Host()
 	p, err := core.NewConsolidatedProblem(ringQuery(7), host,
 		mustEdgeProg(t, "rEdge.maxDelay <= vEdge.maxDelay"), nil)
 	if err != nil {

@@ -467,6 +467,15 @@ func (j *spanJoin) tryAssignment(assign []string) bool {
 // unassigned fragments (those to assigned ones were enforced when their
 // candidate was placed), replacing the sets it shrinks; false means one
 // emptied.
+//
+// It is a second AC-3 loop beside the FC engine's (internal/core/fc.go),
+// and deliberately so. There, every domain is local and a revision is a
+// row AND on trail-backed bitsets, undone on backtrack. Here, a domain is
+// a frontier node's allow-set and its values come back only by a round
+// trip to the owning shard: the join revises over the coordinator's cut
+// tables, each revision copies the set it shrinks (revise) because a
+// shrunk set goes out to a shard in the next fragment request, and a
+// failed branch simply drops its copies instead of unwinding a trail.
 func (j *spanJoin) propagate(allow []*sets.Bitset) bool {
 	for changed := true; changed; {
 		changed = false

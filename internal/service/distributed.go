@@ -84,28 +84,35 @@ func (s *LocalShard) Regions() []string { return s.regions }
 func (s *LocalShard) Service() *Service { return s.svc }
 
 // NodeCount implements Shard.
-func (s *LocalShard) NodeCount() int { return s.svc.mustNodeCount() }
+func (s *LocalShard) NodeCount() int {
+	snap := s.svc.model.Acquire()
+	defer snap.Release()
+	return snap.Host().NumNodes()
+}
 
 // Stats implements Shard.
 func (s *LocalShard) Stats() (ShardStats, error) {
-	g, idx, version := s.svc.model.SnapshotIndexed()
+	snap := s.svc.model.Acquire()
+	defer snap.Release()
 	return ShardStats{
 		Name:         s.name,
 		Regions:      s.regions,
-		NodeCount:    g.NumNodes(),
-		MaxDegree:    idx.MaxDegree(),
-		ModelVersion: version,
+		NodeCount:    snap.Host().NumNodes(),
+		MaxDegree:    snap.Index().MaxDegree(),
+		ModelVersion: snap.Version(),
 	}, nil
 }
 
 // NodeNames implements Shard.
 func (s *LocalShard) NodeNames() ([]string, uint64, error) {
-	g, version := s.svc.model.Snapshot()
+	snap := s.svc.model.Acquire()
+	defer snap.Release()
+	g := snap.Host()
 	names := make([]string, g.NumNodes())
 	for i := 0; i < g.NumNodes(); i++ {
 		names[i] = g.Node(graph.NodeID(i)).Name
 	}
-	return names, version, nil
+	return names, snap.Version(), nil
 }
 
 // Embed implements Shard.
@@ -652,9 +659,13 @@ func (c *Coordinator) applyDeltaOnce(d *graph.Delta, retryable bool) (map[string
 		cs := c.byName[name]
 		version, err := cs.shard.ApplyDelta(sp.perShard[name])
 		if err != nil {
-			c.recordFailure(cs, err)
+			// A piece whose names do not resolve on the shard is the
+			// client's (or the routing table's) stale view, not a sick
+			// shard: it does not count against the shard's health.
 			if isStaleErr(err) {
 				stale = true
+			} else {
+				c.recordFailure(cs, err)
 			}
 			failures = append(failures, fmt.Sprintf("%s: %v", name, err))
 			continue
@@ -894,14 +905,10 @@ func (c *Coordinator) commitSplit(sp *splitState) {
 }
 
 // isStaleErr classifies a shard-side apply failure as the 409 class:
-// either the wrapped sentinel (RemoteShard) or a name-resolution failure
-// from graph.ApplyDelta (LocalShard).
+// either the wrapped sentinel (RemoteShard, whose peer answered 409) or
+// a name-resolution failure from graph.ApplyDelta (LocalShard).
 func isStaleErr(err error) bool {
-	if errors.Is(err, ErrStaleRouting) {
-		return true
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "unknown") || strings.Contains(msg, "missing")
+	return errors.Is(err, ErrStaleRouting) || errors.Is(err, graph.ErrUnresolved)
 }
 
 // ClusterShardInfo is one shard's row in the operator-facing cluster view.
@@ -1051,10 +1058,4 @@ func fnvHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
-}
-
-// mustNodeCount returns the node count of the service's current model.
-func (s *Service) mustNodeCount() int {
-	g, _ := s.model.Snapshot()
-	return g.NumNodes()
 }

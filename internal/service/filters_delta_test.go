@@ -194,7 +194,8 @@ func TestFiltersAcrossDeltaChainMatchBruteForce(t *testing.T) {
 		applied := &graph.Delta{} // what led from prevHost to this version
 		prevNodeCols := map[string]*graph.Column{}
 		for step := 0; step < 14; step++ {
-			host, idx, version := model.SnapshotIndexed()
+			snap := peek(model)
+			host, idx, version := snap.Host(), snap.Index(), snap.Version()
 			label := fmt.Sprintf("seed %d step %d (v%d)", seed, step, version)
 			cols := idx.ColumnsFor(host)
 			if cols == nil {

@@ -141,7 +141,7 @@ func TestNovelEmbedAllocBudget(t *testing.T) {
 		t.Skip("allocation measurement is slow under -short")
 	}
 	api, _ := newAllocServer(t, -1)
-	host, _ := api.svc.Model().Snapshot()
+	host := peek(api.svc).Host()
 	rng := rand.New(rand.NewSource(3))
 	bodies := make([][]byte, 300)
 	for i := range bodies {

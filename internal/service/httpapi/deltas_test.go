@@ -27,7 +27,7 @@ func newIndexedServer(t *testing.T) (*httptest.Server, *service.Service) {
 
 func TestDeltasAttrPatch(t *testing.T) {
 	ts, svc := newIndexedServer(t)
-	host, _ := svc.Model().Snapshot()
+	host := peek(svc).Host()
 	name := host.Node(0).Name
 
 	resp, body := postJSON(t, ts.URL+"/deltas", DeltaRequest{
@@ -47,7 +47,8 @@ func TestDeltasAttrPatch(t *testing.T) {
 		t.Fatalf("got %+v, want version 2, non-structural", out)
 	}
 
-	g, idx, v := svc.Model().SnapshotIndexed()
+	snap := peek(svc)
+	g, idx, v := snap.Host(), snap.Index(), snap.Version()
 	if v != 2 || idx.Version() != 2 {
 		t.Fatalf("model/index version %d/%d, want 2/2", v, idx.Version())
 	}
@@ -69,7 +70,7 @@ func TestDeltasAttrPatch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	g, _, _ = svc.Model().SnapshotIndexed()
+	g = peek(svc).Host()
 	id, _ = g.NodeByName(name)
 	if g.Node(id).Attrs.Has("tag") {
 		t.Error("null attribute value should unset")
@@ -78,7 +79,7 @@ func TestDeltasAttrPatch(t *testing.T) {
 
 func TestDeltasStructuralAndErrors(t *testing.T) {
 	ts, svc := newIndexedServer(t)
-	host, _ := svc.Model().Snapshot()
+	host := peek(svc).Host()
 	a, b := host.Node(0).Name, host.Node(1).Name
 
 	resp, body := postJSON(t, ts.URL+"/deltas", DeltaRequest{
@@ -95,7 +96,8 @@ func TestDeltasStructuralAndErrors(t *testing.T) {
 	if !out.Structural {
 		t.Error("node addition should report structural")
 	}
-	g, idx, _ := svc.Model().SnapshotIndexed()
+	snap := peek(svc)
+	g, idx := snap.Host(), snap.Index()
 	if _, ok := g.NodeByName("newpop"); !ok {
 		t.Fatal("added node missing from model")
 	}

@@ -7,7 +7,8 @@
 //
 //	GET    /healthz          liveness probe
 //	GET    /model            current hosting network as GraphML
-//	PUT    /model            replace the hosting network (GraphML body)
+//	PUT    /model            replace the hosting network (GraphML body),
+//	                         published as one delta
 //	POST   /deltas           publish an incremental model change (JSON body,
 //	                         see DeltaRequest) — the monitor's patch path
 //	POST   /embed            run an embedding query (JSON body, see EmbedRequest)
@@ -115,10 +116,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		g, version := s.svc.Model().Snapshot()
+		snap := s.svc.Model().Acquire()
+		defer snap.Release()
 		w.Header().Set("Content-Type", "application/xml")
-		w.Header().Set(VersionHeader, strconv.FormatUint(version, 10))
-		if err := graphml.Encode(w, g); err != nil {
+		w.Header().Set(VersionHeader, strconv.FormatUint(snap.Version(), 10))
+		if err := graphml.Encode(w, snap.Host()); err != nil {
 			// Headers are gone; best effort.
 			fmt.Fprintf(w, "<!-- encode error: %v -->", err)
 		}
@@ -130,8 +132,40 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		}) {
 			return
 		}
-		version := s.svc.Model().Update(g)
-		writeJSON(w, http.StatusOK, map[string]uint64{"version": version})
+		// The replacement is one delta computed on the current snapshot:
+		// it removes that snapshot's nodes and adds g's. It leaves the
+		// model exactly g only when it applied directly on that snapshot.
+		// A write landing in between either survives it (a node added
+		// meanwhile) or leaves it naming what is gone, so the handler
+		// recomputes from the newer snapshot, which removes the strays.
+		model := s.svc.Model()
+		for {
+			snap := model.Acquire()
+			base := snap.Version()
+			d, err := graph.Replacement(snap.Host(), g)
+			snap.Release()
+			if err != nil {
+				writeError(w, http.StatusBadRequest, err)
+				return
+			}
+			want := base
+			if !d.Empty() {
+				want++
+			}
+			version, err := model.Apply(d)
+			if err != nil && (version == base || !errors.Is(err, graph.ErrUnresolved)) {
+				writeError(w, http.StatusConflict, err)
+				return
+			}
+			if err == nil && version == want {
+				writeJSON(w, http.StatusOK, map[string]uint64{"version": version})
+				return
+			}
+			if err := r.Context().Err(); err != nil {
+				writeError(w, http.StatusServiceUnavailable, err)
+				return
+			}
+		}
 	default:
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 	}
@@ -312,7 +346,9 @@ func (s *Server) handleReserve(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("no host nodes given"))
 			return
 		}
-		host, _ := s.svc.Model().Snapshot()
+		snap := s.svc.Model().Acquire()
+		defer snap.Release()
+		host := snap.Host()
 		ids := make([]graph.NodeID, 0, len(req.HostNodes))
 		for _, name := range req.HostNodes {
 			id, ok := host.NodeByName(name)

@@ -8,8 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"netembed/internal/graph"
 	"netembed/internal/graphml"
 	"netembed/internal/service"
 	"netembed/internal/topo"
@@ -17,6 +20,15 @@ import (
 )
 
 const delayWindowSrc = "rEdge.minDelay >= vEdge.minDelay && rEdge.maxDelay <= vEdge.maxDelay"
+
+// peek returns svc's current model snapshot with its reader already
+// released: the graph and index are immutable, so a test may keep
+// reading them.
+func peek(svc *service.Service) service.Snapshot {
+	snap := svc.Model().Acquire()
+	snap.Release()
+	return snap
+}
 
 func newTestServer(t *testing.T) (*httptest.Server, *service.Service) {
 	t.Helper()
@@ -97,26 +109,113 @@ func TestPutModel(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	g, version := svc.Model().Snapshot()
+	snap := peek(svc)
+	g, version := snap.Host(), snap.Version()
 	if g.NumNodes() != 5 || version != 2 {
 		t.Errorf("model after PUT: %v v%d", g, version)
 	}
 
-	// Invalid body rejected.
-	req, _ = http.NewRequest(http.MethodPut, ts.URL+"/model", strings.NewReader("not xml"))
-	resp2, err := http.DefaultClient.Do(req)
+	// Invalid body rejected, and so is a change of orientation, which a
+	// replacement delta cannot make.
+	directed := graph.New(true)
+	directed.AddNodes(2)
+	directed.MustAddEdge(0, 1, nil)
+	directedML, err := graphml.EncodeString(directed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad body status %d", resp2.StatusCode)
+	for _, body := range []string{"not xml", directedML} {
+		req, _ = http.NewRequest(http.MethodPut, ts.URL+"/model", strings.NewReader(body))
+		resp2, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp2.Body.Close()
+		if resp2.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad body status %d", resp2.StatusCode)
+		}
+	}
+	if v := svc.Model().Version(); v != 2 {
+		t.Errorf("rejected PUTs moved the model to version %d", v)
+	}
+}
+
+// TestPutModelWithConcurrentWrites races PUT /model against node-adding
+// deltas. At the version the PUT answers, the model is exactly its body: a
+// node added before that version is gone, one added after it is present,
+// and the body's nodes keep their IDs.
+func TestPutModelWithConcurrentWrites(t *testing.T) {
+	ts, svc := newTestServer(t)
+	body := topo.Ring(2000)
+	bodyML, err := graphml.EncodeString(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type stray struct {
+		name    string
+		version uint64
+	}
+	for round := 0; round < 20; round++ {
+		var strays []stray
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				name := fmt.Sprintf("stray-%d-%d", round, i)
+				v, err := svc.Model().Apply(&graph.Delta{AddNodes: []graph.NodeSpec{{Name: name}}})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				strays = append(strays, stray{name, v})
+				time.Sleep(100 * time.Microsecond)
+			}
+		}()
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/model", strings.NewReader(bodyML))
+		resp, err := http.DefaultClient.Do(req)
+		close(done)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct{ Version uint64 }
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: PUT /model status %d, %v", round, resp.StatusCode, err)
+		}
+		host := peek(svc).Host()
+		for i := 0; i < body.NumNodes(); i++ {
+			if got, want := host.Node(graph.NodeID(i)).Name, body.Node(graph.NodeID(i)).Name; got != want {
+				t.Fatalf("round %d: node %d is %q, want the body's %q", round, i, got, want)
+			}
+		}
+		late := 0
+		for _, s := range strays {
+			_, present := host.NodeByName(s.name)
+			if present != (s.version > out.Version) {
+				t.Fatalf("round %d: %s added at v%d present=%v after the PUT answered v%d", round, s.name, s.version, present, out.Version)
+			}
+			if present {
+				late++
+			}
+		}
+		if host.NumNodes() != body.NumNodes()+late {
+			t.Fatalf("round %d: %d nodes, want the body's %d plus %d added after it", round, host.NumNodes(), body.NumNodes(), late)
+		}
 	}
 }
 
 func TestEmbedEndpoint(t *testing.T) {
 	ts, svc := newTestServer(t)
-	host, _ := svc.Model().Snapshot()
+	host := peek(svc).Host()
 	q, _, err := topo.Subgraph(host, 4, 5, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)

@@ -280,7 +280,7 @@ func TestJobsCacheAcrossModelVersions(t *testing.T) {
 	}
 
 	// Publish a new snapshot over the API; the cached answer must die.
-	host, _ := svc.Model().Snapshot()
+	host := peek(svc).Host()
 	req, err := http.NewRequest(http.MethodPut, ts.URL+"/model",
 		strings.NewReader(mustGraphML(t, host.Clone())))
 	if err != nil {

@@ -36,7 +36,8 @@ func TestStatsReportsRangeIndexBytes(t *testing.T) {
 	if got := rangeBytes(); got != 0 {
 		t.Fatalf("before any request /stats reports %d range-index bytes", got)
 	}
-	host, idx, _ := svc.Model().SnapshotIndexed()
+	snap := peek(svc)
+	host, idx := snap.Host(), snap.Index()
 	q, _, err := topo.Subgraph(host, 4, 4, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)

@@ -94,8 +94,9 @@ func (s *Server) handleShardVersion(w http.ResponseWriter, r *http.Request) {
 type RemoteShardConfig struct {
 	// Name overrides the shard name (default: the peer's host:port).
 	Name string
-	// Timeout bounds each HTTP round trip beyond the embed budget
-	// (default 10s).
+	// Timeout is the slack an exchange gets beyond the embed budget, or
+	// the whole bound of a call without one: every attempt and backoff
+	// sleep of the exchange fits in it (default 10s).
 	Timeout time.Duration
 	// Retries is how many times an idempotent request is retried after a
 	// transport failure (default 2).
@@ -230,9 +231,11 @@ func (r *bodyReader) Close() error {
 
 // do runs one HTTP exchange with the peer and returns the 200 reply's
 // body in a pooled buffer; body, when not nil, is released when do
-// returns. Transport failures are retried with exponential backoff when
-// retry is true (idempotent calls); HTTP error statuses and replies over
-// maxShardReplyBytes are never retried — the peer answered.
+// returns. One deadline, timeout from the call, bounds every attempt and
+// every backoff sleep. Transport failures are retried with exponential
+// backoff when retry is true (idempotent calls), unless the deadline
+// ended the attempt or would end the sleep; HTTP error statuses and
+// replies over maxShardReplyBytes are never retried — the peer answered.
 func (rs *RemoteShard) do(method, path string, body *requestBody, timeout time.Duration, retry bool) (*codecBuf, error) {
 	if body != nil {
 		defer body.release()
@@ -240,6 +243,9 @@ func (rs *RemoteShard) do(method, path string, body *requestBody, timeout time.D
 	if timeout <= 0 {
 		timeout = rs.timeout
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	deadline, _ := ctx.Deadline()
 	attempts := 1
 	if retry {
 		attempts += rs.retries
@@ -248,13 +254,14 @@ func (rs *RemoteShard) do(method, path string, body *requestBody, timeout time.D
 	backoff := rs.backoff
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
+			if ctx.Err() != nil || time.Until(deadline) <= backoff {
+				break // the deadline ended the last attempt, or would end the sleep
+			}
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		req, err := http.NewRequestWithContext(ctx, method, rs.base+path, nil)
 		if err != nil {
-			cancel()
 			return nil, err
 		}
 		if body != nil {
@@ -265,13 +272,11 @@ func (rs *RemoteShard) do(method, path string, body *requestBody, timeout time.D
 		}
 		resp, err := rs.client.Do(req)
 		if err != nil {
-			cancel()
 			lastErr = fmt.Errorf("httpapi: peer %s: %w", rs.name, err)
 			continue
 		}
 		cb, err := readReply(resp.Body, resp.ContentLength)
 		resp.Body.Close()
-		cancel()
 		if errors.Is(err, errReplyTooLong) {
 			return nil, fmt.Errorf("httpapi: peer %s answered %d: %w", rs.name, resp.StatusCode, err)
 		}

@@ -750,3 +750,59 @@ func TestClusterServer(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoteShardHungPeerBoundedByOneDeadline: against a peer that never
+// answers, a fragment costs its budget plus the transport slack once —
+// every attempt and backoff sleep shares one deadline, and an attempt
+// the deadline ended is not retried.
+func TestRemoteShardHungPeerBoundedByOneDeadline(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+	}))
+	t.Cleanup(func() { close(release); hung.Close() })
+	rs, err := NewRemoteShard(hung.URL, RemoteShardConfig{Client: hung.Client(), Timeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = rs.Embed(service.Request{Query: topo.Line(2), Timeout: 100 * time.Millisecond})
+	// One deadline ends the call at ≈200 ms; retried attempts took ≈900 ms.
+	// The bound leaves room for scheduling under -race on a loaded runner.
+	if elapsed := time.Since(start); err == nil || elapsed > 500*time.Millisecond {
+		t.Fatalf("hung peer answered after %v (err %v), want an error within 500ms", elapsed, err)
+	}
+}
+
+// TestStaleDeltaIsTheClientsNotTheShards: a delta adding a node the
+// owning shard already has is the client's stale view. The coordinator
+// answers 409 — as a remote peer would — and the failed piece does not
+// count against the shard's health, however many such deltas arrive.
+func TestStaleDeltaIsTheClientsNotTheShards(t *testing.T) {
+	coord, err := service.NewFederation(twoRegionHost(), "region", service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewClusterServer(coord))
+	t.Cleanup(ts.Close)
+	dup := DeltaRequest{AddNodes: []DeltaNode{{Name: "n0", Attrs: map[string]any{"region": "west"}}}}
+	for i := 0; i < 3; i++ {
+		if resp, raw := postJSON(t, ts.URL+"/deltas", dup); resp.StatusCode != http.StatusConflict {
+			t.Fatalf("stale delta %d: %d %s, want 409", i, resp.StatusCode, raw)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info service.ClusterInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range info.Shards {
+		if !sh.Healthy || sh.Errors != 0 {
+			t.Fatalf("shard %s after three stale deltas: healthy %v, %d errors", sh.Name, sh.Healthy, sh.Errors)
+		}
+	}
+}

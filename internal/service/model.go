@@ -4,6 +4,16 @@
 // system that tracks allocated resources, a windowed scheduler (the
 // §VIII scheduling extension), and min-cost selection among feasible
 // mappings (the §VIII optimization extension).
+//
+// The model has one read and one write. Model.Acquire pins a Snapshot —
+// graph, capability index and version, published together — until its
+// Release; every reader in the service goes through it, and an operation
+// that runs several searches (a negotiation, a schedule scan, a batch, a
+// lifecycle sweep) keeps one snapshot throughout. Model.Apply publishes a
+// graph.Delta as the next snapshot; replacing the whole network is a
+// delta too (graph.Replacement). Model.EnableIndex, Model.AcquireIndexed
+// and Model.Release(version) remain only for benchmark/ until ROADMAP
+// item 0.
 package service
 
 import (
@@ -15,111 +25,96 @@ import (
 	"netembed/internal/index"
 )
 
-// Model holds the authoritative description of the hosting network. It is
-// a copy-on-write snapshot holder: readers take immutable *graph.Graph
-// snapshots and never block writers; updates swap in a whole new graph and
-// bump the version. This is what lets embedding queries run concurrently
-// with monitoring updates without locks in the search path.
-//
-// A model also maintains a host-capability index (internal/index) kept
-// in lockstep with the graph: every publish swaps in a matching index
-// snapshot, and Apply — the delta path monitors should prefer — patches
-// it incrementally instead of rebuilding. Readers take (graph, index)
-// pairs atomically via SnapshotIndexed.
+// Model holds the authoritative description of the hosting network as a
+// sequence of immutable snapshots, read only through Acquire and changed
+// only by Apply. A held snapshot blocks no writer and sees no write made
+// after it was acquired, so a search, a health sweep or a multi-round
+// negotiation reads one state of the network however many deltas
+// monitors publish meanwhile.
 type Model struct {
-	mu      sync.RWMutex
-	g       *graph.Graph
-	version uint64
-	idx     *index.Index // built over g, at version
-
-	// epochs tracks in-flight readers per published version so the serve
-	// path can prove superseded (graph, index) snapshots are released —
-	// and therefore collectable — once their last reader departs. It has
-	// its own mutex; it is never taken while holding m.mu (AcquireIndexed
-	// reads the triple under m.mu first, then registers the reader).
-	epochs epochState
-}
-
-// epochState is the reader-tracking side of the model's copy-on-write
-// snapshots. Each AcquireIndexed registers one reader against the version
-// it read; Release unregisters it. When the last reader of a version that
-// has since been superseded departs, nothing in the service pins that
-// snapshot any longer and retired is bumped — the observable signal that
-// delta churn is not accumulating old graphs behind slow requests.
-type epochState struct {
-	mu      sync.Mutex
+	// mu guards the published snapshot and the reader counts, so a reader
+	// is registered against exactly the version it was handed.
+	mu  sync.Mutex
+	cur Snapshot
+	// readers counts in-flight readers per version, so the serve path can
+	// prove superseded snapshots are released — and therefore
+	// collectable — once their last reader departs; retired counts the
+	// superseded versions whose last reader has.
 	readers map[uint64]int
 	retired uint64
 }
 
+// Snapshot is one published state of the model: the hosting network, its
+// capability index built over that very graph, and the version naming
+// both. It is immutable; the graph and the index are shared and must not
+// be written. A Snapshot comes only from Model.Acquire and pins its
+// version until Release.
+type Snapshot struct {
+	host    *graph.Graph
+	idx     *index.Index
+	version uint64
+	model   *Model
+}
+
+// Host returns the snapshot's hosting network.
+func (p Snapshot) Host() *graph.Graph { return p.host }
+
+// Index returns the capability index built over Host.
+func (p Snapshot) Index() *index.Index { return p.idx }
+
+// Version returns the model version the snapshot was published as.
+func (p Snapshot) Version() uint64 { return p.version }
+
+// Release unpins the snapshot; it must be called exactly once per Acquire.
+func (p Snapshot) Release() { p.model.Release(p.version) }
+
 // NewModel wraps an initial hosting network and builds its capability
 // index. The graph must not be mutated by the caller afterwards.
 func NewModel(g *graph.Graph) *Model {
-	return &Model{g: g, version: 1, idx: index.Build(g, 1, index.Config{})}
+	m := &Model{readers: make(map[uint64]int)}
+	m.cur = Snapshot{host: g, idx: index.Build(g, 1, index.Config{}), version: 1, model: m}
+	return m
 }
 
-// EnableIndex does nothing: every model is indexed from NewModel on. It
-// remains for callers written when indexing was optional.
+// Acquire pins the current snapshot: the caller is counted as a live
+// reader of its version until it calls Release, so EpochStats can tell
+// an old snapshot pinned by an in-flight reader from a leak.
+func (m *Model) Acquire() Snapshot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.readers[m.cur.version]++
+	return m.cur
+}
+
+// EnableIndex does nothing: every model is indexed from NewModel on.
+// Kept for benchmark/ until ROADMAP item 0.
 func (m *Model) EnableIndex(index.Config) {}
 
-// Snapshot returns the current hosting network and its version. The graph
-// is shared and must be treated as immutable.
-func (m *Model) Snapshot() (*graph.Graph, uint64) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.g, m.version
-}
-
-// SnapshotIndexed returns the current hosting network, its capability
-// index and the version, as one consistent triple. Both structures are shared and immutable.
-func (m *Model) SnapshotIndexed() (*graph.Graph, *index.Index, uint64) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.g, m.idx, m.version
-}
-
-// AcquireIndexed is SnapshotIndexed plus epoch registration: the caller
-// is counted as a live reader of the returned version until it calls
-// Release(version). Long-running searches should prefer this pair over
-// SnapshotIndexed so EpochStats can distinguish "old snapshot pinned by
-// an in-flight request" from a leak. Acquire/Release are cheap (one
-// mutex, no allocation on the steady path) and panic-safe via defer.
+// AcquireIndexed is Acquire returning the snapshot's parts; the caller
+// releases with Release(version). Kept for benchmark/ until ROADMAP item 0.
 func (m *Model) AcquireIndexed() (*graph.Graph, *index.Index, uint64) {
-	m.mu.RLock()
-	g, idx, v := m.g, m.idx, m.version
-	m.mu.RUnlock()
-	m.epochs.mu.Lock()
-	if m.epochs.readers == nil {
-		m.epochs.readers = make(map[uint64]int)
-	}
-	m.epochs.readers[v]++
-	m.epochs.mu.Unlock()
-	return g, idx, v
+	p := m.Acquire()
+	return p.host, p.idx, p.version
 }
 
-// Release unregisters one reader acquired via AcquireIndexed. When the
-// departing reader is the last on a version the model has since moved
-// past, that epoch is retired: the service holds no remaining reference
-// to its snapshot. Releasing a version with no registered reader is a
-// no-op.
+// Release unregisters one reader of version. When the departing reader
+// is the last on a version the model has since moved past, that epoch is
+// retired: the service holds no remaining reference to its snapshot.
+// Releasing a version with no registered reader is a no-op. Callers
+// holding a Snapshot call its Release; this form is kept for benchmark/
+// until ROADMAP item 0.
 func (m *Model) Release(version uint64) {
-	m.epochs.mu.Lock()
-	// The version must be read inside the epoch critical section: read
-	// earlier, a releaser that stalls before the lock can perform the
-	// final delete against a stale "current" and a superseded epoch
-	// would vanish without being counted retired. epochs.mu is never
-	// taken with m.mu held, so the nested RLock cannot deadlock.
-	cur := m.Version()
-	switch n := m.epochs.readers[version]; {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch n := m.readers[version]; {
 	case n > 1:
-		m.epochs.readers[version] = n - 1
+		m.readers[version] = n - 1
 	case n == 1:
-		delete(m.epochs.readers, version)
-		if version < cur {
-			m.epochs.retired++
+		delete(m.readers, version)
+		if version < m.cur.version {
+			m.retired++
 		}
 	}
-	m.epochs.mu.Unlock()
 }
 
 // EpochStats describes the model's snapshot-retirement state: the current
@@ -135,14 +130,16 @@ type EpochStats struct {
 	RangeIndexBytes int    `json:"rangeIndexBytes"`
 }
 
-// EpochStats returns the current snapshot-retirement gauges.
+// EpochStats returns the current snapshot-retirement gauges. Its own
+// read of the snapshot is released before the readers are counted.
 func (m *Model) EpochStats() EpochStats {
-	g, idx, v := m.SnapshotIndexed()
-	rangeBytes := idx.ColumnsFor(g).Bytes()
-	m.epochs.mu.Lock()
-	defer m.epochs.mu.Unlock()
-	st := EpochStats{Version: v, LiveEpochs: len(m.epochs.readers), Retired: m.epochs.retired, RangeIndexBytes: rangeBytes}
-	for _, n := range m.epochs.readers {
+	p := m.Acquire()
+	st := EpochStats{Version: p.version, RangeIndexBytes: p.idx.ColumnsFor(p.host).Bytes()}
+	p.Release()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st.LiveEpochs, st.Retired = len(m.readers), m.retired
+	for _, n := range m.readers {
 		st.LiveReaders += n
 	}
 	return st
@@ -150,80 +147,31 @@ func (m *Model) EpochStats() EpochStats {
 
 // Version returns the current model version.
 func (m *Model) Version() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.version
-}
-
-// reindex rebuilds the index after a whole-graph swap. Callers hold m.mu.
-func (m *Model) reindex() {
-	m.idx = index.Build(m.g, m.version, index.Config{})
-}
-
-// Update replaces the hosting network and returns the new version.
-func (m *Model) Update(g *graph.Graph) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.g = g
-	m.version++
-	m.reindex()
-	return m.version
+	return m.cur.version
 }
 
-// UpdateIf replaces the hosting network only when the model still holds
-// the given version, returning the new version and whether the swap
-// happened. It is the optimistic-concurrency primitive for writers that
-// prepare an expensive successor graph outside the model lock (for
-// instance coordinate-based completion) and must not clobber concurrent
-// monitor updates.
-func (m *Model) UpdateIf(g *graph.Graph, version uint64) (uint64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.version != version {
-		return m.version, false
-	}
-	m.g = g
-	m.version++
-	m.reindex()
-	return m.version, true
-}
-
-// Mutate clones the current snapshot, applies fn to the clone, swaps it in
-// and returns the new version. Prefer Apply for changes expressible as a
-// Delta: Mutate cannot know what fn touched, so the index is rebuilt from
-// scratch.
-func (m *Model) Mutate(fn func(*graph.Graph)) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	next := m.g.Clone()
-	fn(next)
-	m.g = next
-	m.version++
-	m.reindex()
-	return m.version
-}
-
-// Apply publishes an incremental change: the graph is patched
-// copy-on-write (attribute-only deltas share all structure with the
-// previous snapshot) and the index is patched rather than rebuilt. This is the delta-native update path monitors should publish
-// through. On error — and for an empty delta, which changes nothing and
-// must not invalidate version-keyed caches — the model is unchanged and
-// the current version is returned.
+// Apply publishes an incremental change as the next snapshot: the graph
+// is patched copy-on-write (attribute-only deltas share all structure
+// with the previous snapshot) and the index is patched rather than
+// rebuilt. It is the model's only write. On error — and for an empty
+// delta, which changes nothing and must not invalidate version-keyed
+// caches — the model is unchanged and the current version is returned.
 func (m *Model) Apply(d *graph.Delta) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	prev := m.cur
 	if d.Empty() {
-		return m.version, nil
+		return prev.version, nil
 	}
-	next, err := m.g.ApplyDelta(d)
+	next, err := prev.host.ApplyDelta(d)
 	if err != nil {
-		return m.version, err
+		return prev.version, err
 	}
-	prev := m.g
-	m.g = next
-	m.version++
-	m.idx = m.idx.Apply(prev, next, d, m.version)
-	return m.version, nil
+	v := prev.version + 1
+	m.cur = Snapshot{host: next, idx: prev.idx.Apply(prev.host, next, d, v), version: v, model: m}
+	return v, nil
 }
 
 // MonitorConfig shapes the simulated measurement feed.
@@ -281,8 +229,10 @@ func (mo *Monitor) Step() uint64 {
 	// round. Re-measure against a fresh snapshot instead of silently
 	// dropping the round; give up only if writer churn wins repeatedly.
 	for attempt := 0; ; attempt++ {
-		g, _ := mo.model.Snapshot()
-		version, err := mo.model.Apply(mo.measure(g))
+		snap := mo.model.Acquire()
+		d := mo.measure(snap.Host())
+		snap.Release()
+		version, err := mo.model.Apply(d)
 		if err == nil {
 			return version
 		}

@@ -28,6 +28,15 @@ func applyHost(n int, rng *rand.Rand) *graph.Graph {
 	return g
 }
 
+// peek returns the model's current snapshot with its reader already
+// released: the graph and index are immutable, so a test may keep reading
+// them, and the reader counts EpochStats reports stay the test's own.
+func peek(m *Model) Snapshot {
+	p := m.Acquire()
+	p.Release()
+	return p
+}
+
 func TestModelApply(t *testing.T) {
 	g := applyHost(8, rand.New(rand.NewSource(1)))
 	m := NewModel(g)
@@ -41,7 +50,8 @@ func TestModelApply(t *testing.T) {
 	if v != 2 {
 		t.Fatalf("version = %d, want 2", v)
 	}
-	g2, idx, v2 := m.SnapshotIndexed()
+	p := peek(m)
+	g2, idx, v2 := p.Host(), p.Index(), p.Version()
 	if v2 != 2 || idx == nil || idx.Version() != 2 {
 		t.Fatalf("snapshot (v=%d, idx=%v) out of lockstep", v2, idx)
 	}
@@ -72,8 +82,8 @@ func TestModelApply(t *testing.T) {
 			t.Fatalf("Apply(empty) = (%d, %v), want (2, nil)", v, err)
 		}
 	}
-	if _, idx, v := m.SnapshotIndexed(); v != 2 || idx.Version() != 2 {
-		t.Errorf("empty delta moved the snapshot to v=%d/idx=%d", v, idx.Version())
+	if p := peek(m); p.Version() != 2 || p.Index().Version() != 2 {
+		t.Errorf("empty delta moved the snapshot to v=%d/idx=%d", p.Version(), p.Index().Version())
 	}
 }
 
@@ -86,7 +96,7 @@ func TestMonitorStepRetriesPastConcurrentDelta(t *testing.T) {
 
 	// Race one structural delta against monitor rounds: whichever
 	// interleaving happens, every Step must land its measurements.
-	g, _ := m.Snapshot()
+	g := peek(m).Host()
 	e := g.Edge(0)
 	done := make(chan struct{})
 	go func() {
@@ -106,16 +116,16 @@ func TestMonitorStepRetriesPastConcurrentDelta(t *testing.T) {
 	<-done
 }
 
-// TestConcurrentApplySnapshotUpdateIf races every Model writer against
-// snapshot readers under -race: Apply publishing attribute and edge
-// deltas, Mutate cloning, UpdateIf doing optimistic swaps, and readers
-// asserting the (graph, index, version) triple stays in lockstep.
-func TestConcurrentApplySnapshotUpdateIf(t *testing.T) {
+// TestConcurrentApplyAndAcquire races the model's one writer against
+// its readers under -race: Apply publishing attribute and edge deltas,
+// and readers asserting each acquired snapshot's graph, index and version
+// stay in lockstep while they hold it.
+func TestConcurrentApplyAndAcquire(t *testing.T) {
 	m := NewModel(applyHost(16, rand.New(rand.NewSource(2))))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	var applied, swapped atomic.Int64
+	var applied, reads atomic.Int64
 
 	wg.Add(1)
 	go func() { // delta writer
@@ -142,7 +152,7 @@ func TestConcurrentApplySnapshotUpdateIf(t *testing.T) {
 	wg.Add(1)
 	go func() { // structural delta writer: toggles one edge
 		defer wg.Done()
-		g0, _ := m.Snapshot()
+		g0 := peek(m).Host()
 		u0, _ := g0.NodeByName("h0")
 		v0, _ := g0.NodeByName("h1")
 		present := g0.HasEdge(u0, v0)
@@ -166,25 +176,6 @@ func TestConcurrentApplySnapshotUpdateIf(t *testing.T) {
 		}
 	}()
 
-	var swapTries atomic.Int64
-	wg.Add(1)
-	go func() { // optimistic whole-graph swapper
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			g, v := m.Snapshot()
-			clone := g.Clone()
-			swapTries.Add(1)
-			if _, ok := m.UpdateIf(clone, v); ok {
-				swapped.Add(1)
-			}
-		}
-	}()
-
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() { // readers
@@ -195,21 +186,21 @@ func TestConcurrentApplySnapshotUpdateIf(t *testing.T) {
 					return
 				default:
 				}
-				g, idx, v := m.SnapshotIndexed()
-				if idx.Version() != v {
-					t.Errorf("index version %d != model version %d", idx.Version(), v)
-					return
+				snap := m.Acquire()
+				g, idx, v := snap.Host(), snap.Index(), snap.Version()
+				err := g.Validate() // self-consistent while writers publish successors
+				switch {
+				case idx.Version() != v:
+					err = fmt.Errorf("index version %d != model version %d", idx.Version(), v)
+				case idx.NumNodes() != g.NumNodes():
+					err = fmt.Errorf("index universe %d != graph %d", idx.NumNodes(), g.NumNodes())
 				}
-				if idx.NumNodes() != g.NumNodes() {
-					t.Errorf("index universe %d != graph %d", idx.NumNodes(), g.NumNodes())
-					return
-				}
-				// The snapshot graph must stay self-consistent even while
-				// writers publish successors.
-				if err := g.Validate(); err != nil {
+				snap.Release()
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				reads.Add(1)
 			}
 		}()
 	}
@@ -217,20 +208,12 @@ func TestConcurrentApplySnapshotUpdateIf(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-	// The optimistic swapper may be starved by the delta writers while
-	// they run (losing every version race is legal); it must at least
-	// have been attempting, and must succeed once the contention stops.
-	if applied.Load() == 0 || swapTries.Load() == 0 {
-		t.Fatalf("writers made no progress (applied=%d, swap attempts=%d)", applied.Load(), swapTries.Load())
+	if applied.Load() == 0 || reads.Load() == 0 {
+		t.Fatalf("no progress (applied=%d, reads=%d)", applied.Load(), reads.Load())
 	}
-	g, v := m.Snapshot()
-	if _, ok := m.UpdateIf(g.Clone(), v); !ok {
-		t.Fatal("uncontended UpdateIf failed")
+	if st := m.EpochStats(); st.LiveReaders != 0 || st.LiveEpochs != 0 {
+		t.Fatalf("readers left pinned after the race: %+v", st)
 	}
-	if _, idx, v2 := m.SnapshotIndexed(); idx.Version() != v2 {
-		t.Fatal("index out of lockstep after UpdateIf")
-	}
-	t.Logf("applied=%d swapAttempts=%d swapWins=%d", applied.Load(), swapTries.Load(), swapped.Load())
 }
 
 // TestDeltaMidSearchKeepsSnapshot pins the copy-on-write guarantee end to
@@ -246,8 +229,8 @@ func TestDeltaMidSearchKeepsSnapshot(t *testing.T) {
 	// the exact snapshot they claim to have answered.
 	history := map[uint64]*graph.Graph{}
 	var histMu sync.Mutex
-	g, v := m.Snapshot()
-	history[v] = g
+	p := peek(m)
+	history[p.Version()] = p.Host()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -271,8 +254,8 @@ func TestDeltaMidSearchKeepsSnapshot(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			ng, nv := m.Snapshot()
-			history[nv] = ng
+			p := peek(m)
+			history[p.Version()] = p.Host()
 			histMu.Unlock()
 			time.Sleep(100 * time.Microsecond) // bound the history growth
 		}

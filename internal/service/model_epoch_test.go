@@ -13,7 +13,8 @@ import (
 	"netembed/internal/trace"
 )
 
-// TestEpochAccounting pins the AcquireIndexed/Release bookkeeping: reader
+// TestEpochAccounting pins the Acquire/Release bookkeeping (through the
+// AcquireIndexed and Release(version) forms benchmark/ calls): reader
 // counts per version, retirement only when the last reader of a
 // superseded version departs, and no-op release of unknown versions.
 func TestEpochAccounting(t *testing.T) {
@@ -37,7 +38,9 @@ func TestEpochAccounting(t *testing.T) {
 	}
 
 	// Supersede version 1, then drop its last reader: one epoch retires.
-	m.Mutate(func(g *graph.Graph) {})
+	if _, err := m.Apply(&graph.Delta{SetNodeAttrs: []graph.NodeAttrUpdate{{Node: "h0", Set: graph.Attrs{}.SetNum("cpu", 7)}}}); err != nil {
+		t.Fatal(err)
+	}
 	_, _, v2 := m.AcquireIndexed()
 	if v2 != 2 {
 		t.Fatalf("acquired version = %d, want 2", v2)

@@ -43,7 +43,10 @@ type NegotiateResponse struct {
 var ErrNegotiationFailed = errors.New("service: query infeasible even after relaxation")
 
 // Negotiate runs the §III negotiation loop. The per-round search reuses
-// the request's algorithm and splits its timeout across rounds.
+// the request's algorithm and splits its timeout across rounds. Every
+// round reads the one snapshot acquired at the start, so the relaxation
+// that finally fits answers against the same network the first round
+// was refused on.
 func (s *Service) Negotiate(req NegotiateRequest) (*NegotiateResponse, error) {
 	if req.Query == nil {
 		return nil, ErrNoQuery
@@ -72,12 +75,14 @@ func (s *Service) Negotiate(req NegotiateRequest) (*NegotiateResponse, error) {
 		perRound = time.Millisecond
 	}
 
+	snap := s.model.Acquire()
+	defer snap.Release()
 	current := req.Query
 	for round := 0; round <= req.MaxRounds; round++ {
 		r := req.Request
 		r.Query = current
 		r.Timeout = perRound
-		resp, err := s.Embed(r)
+		resp, err := s.EmbedOn(snap, r)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,5 +125,57 @@ func TestRelaxWindowsPointWindow(t *testing.T) {
 	lo3, _ := out3.Edge(0).Attrs.Float("minDelay")
 	if lo3 < 0 {
 		t.Errorf("low end went negative: %v", lo3)
+	}
+}
+
+// TestNegotiateRoundsReadOneSnapshot: a delta published while the first
+// round searches does not reach the later rounds. The host is K_{20,20}
+// at 10ms plus one triangle at 100ms; a triangle query with a [5, 15]
+// window searches the bipartite part without an answer in round 0 (long
+// enough for the search to poll its Stop hook, which publishes a delta
+// removing a triangle edge), and round 1's relaxed window fits the
+// triangle — on the snapshot the negotiation acquired, where it is whole.
+func TestNegotiateRoundsReadOneSnapshot(t *testing.T) {
+	const n = 20
+	g := graph.NewUndirected()
+	for i := 0; i < n; i++ {
+		g.AddNode(fmt.Sprintf("a%d", i), nil)
+	}
+	for i := 0; i < n; i++ {
+		b := g.AddNode(fmt.Sprintf("b%d", i), nil)
+		for a := 0; a < n; a++ {
+			g.MustAddEdge(graph.NodeID(a), b, graph.Attrs{}.SetNum("avgDelay", 10))
+		}
+	}
+	t0, t1, t2 := g.AddNode("t0", nil), g.AddNode("t1", nil), g.AddNode("t2", nil)
+	for _, e := range [][2]graph.NodeID{{t0, t1}, {t1, t2}, {t0, t2}} {
+		g.MustAddEdge(e[0], e[1], graph.Attrs{}.SetNum("avgDelay", 100))
+	}
+	model := NewModel(g)
+	svc := New(model, Config{})
+
+	var published atomic.Bool
+	stop := func() bool {
+		if published.CompareAndSwap(false, true) {
+			if _, err := model.Apply(&graph.Delta{RemoveEdges: []graph.EdgeRef{{Source: "t0", Target: "t1"}}}); err != nil {
+				t.Error(err)
+			}
+		}
+		return false
+	}
+	q := topo.Clique(3)
+	topo.SetDelayWindow(q, 5, 15)
+	resp, err := svc.Negotiate(NegotiateRequest{
+		Request: Request{Query: q, EdgeConstraint: avgWindowSrc, Stop: stop},
+		Factor:  20, // round 1: [0, 110]
+	})
+	if !published.Load() {
+		t.Fatal("round 0 never polled its Stop hook; the test publishes nothing")
+	}
+	if err != nil {
+		t.Fatalf("negotiation failed on the snapshot it acquired: %v", err)
+	}
+	if resp.Rounds != 1 || resp.ModelVersion != 1 || model.Version() != 2 {
+		t.Fatalf("rounds %d at version %d (model at %d), want round 1 at version 1", resp.Rounds, resp.ModelVersion, model.Version())
 	}
 }

@@ -77,8 +77,9 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 		return nil, err
 	}
 
-	host, idx, version := s.model.AcquireIndexed() // a live reader for the whole scan
-	defer s.model.Release(version)
+	snap := s.model.Acquire() // one snapshot for the whole scan
+	defer snap.Release()
+	host := snap.Host()
 	allow, err := resolveAllow(req.Query, host, req.Allow)
 	if err != nil {
 		return nil, err
@@ -95,7 +96,7 @@ func (s *Service) Schedule(req ScheduleRequest, now time.Time) (*ScheduleRespons
 
 		// Only hosts AllocateWindow would accept for this window are searched.
 		p.Allow = narrow(allow, req.Query.NumNodes(), s.ledger.FreeInWindow(host.NumNodes(), start, end))
-		opt := core.Options{Timeout: time.Until(deadline), MaxSolutions: 1, Seed: req.Seed, Stop: req.Stop, Index: idx}
+		opt := core.Options{Timeout: time.Until(deadline), MaxSolutions: 1, Seed: req.Seed, Stop: req.Stop, Index: snap.Index()}
 		if opt.Timeout <= 0 {
 			return nil, fmt.Errorf("%w (%d windows searched)", ErrScheduleBudget, tried-1)
 		}

@@ -10,7 +10,6 @@ import (
 	"netembed/internal/core"
 	"netembed/internal/expr"
 	"netembed/internal/graph"
-	"netembed/internal/index"
 	"netembed/internal/sets"
 )
 
@@ -61,7 +60,7 @@ type Request struct {
 	// Algorithm selects the search strategy (default AlgoECF).
 	Algorithm Algorithm
 	// Timeout bounds the search; 0 means the service default.
-	Timeout time.Duration
+	Timeout time.Duration // cachekey:ignore an answer the budget cut short is never cached, so the budget cannot change a cached one
 	// MaxResults caps returned embeddings (0 = all feasible).
 	MaxResults int
 	// Seed drives AlgoRWB.
@@ -188,8 +187,9 @@ func New(model *Model, cfg Config) *Service {
 		defaultPathHops: cfg.DefaultPathHops,
 	}
 	s.ledger.SetCapacity(func(r graph.NodeID) int {
-		g, _ := model.Snapshot()
-		if int(r) < g.NumNodes() {
+		snap := model.Acquire()
+		defer snap.Release()
+		if g := snap.Host(); int(r) < g.NumNodes() {
 			if slots, ok := g.Node(r).Attrs.Float(SlotsAttr); ok {
 				return int(slots)
 			}
@@ -225,67 +225,20 @@ var (
 	ErrUnsupportedAlgorithm = errors.New("service: algorithm not supported here")
 )
 
-// Embed answers one embedding request against the current model snapshot.
-// The snapshot is acquired as an epoch (Acquire) and released when the
-// request finishes, so superseded snapshots retire as soon as their last
+// Embed answers one embedding request against the current model
+// snapshot, pinned (Model.Acquire) for the request and released when it
+// finishes, so superseded snapshots retire as soon as their last
 // in-flight request drains.
 func (s *Service) Embed(req Request) (*Response, error) {
-	snap := s.Acquire()
+	snap := s.model.Acquire()
 	defer snap.Release()
-	return snap.Embed(req)
+	return s.EmbedOn(snap, req)
 }
 
-// Snapshot pins one model snapshot as an epoch (Model.AcquireIndexed):
-// Embed answers requests against it until Release unpins it.
-type Snapshot struct {
-	svc     *Service
-	host    *graph.Graph
-	idx     *index.Index
-	Version uint64
-}
-
-// Acquire pins the current model snapshot.
-func (s *Service) Acquire() Snapshot {
-	host, idx, version := s.model.AcquireIndexed()
-	return Snapshot{s, host, idx, version}
-}
-
-// Embed answers req against the pinned snapshot.
-func (p Snapshot) Embed(req Request) (*Response, error) {
-	return p.svc.embedOn(p.host, p.idx, p.Version, req)
-}
-
-// Release unpins the snapshot.
-func (p Snapshot) Release() { p.svc.model.Release(p.Version) }
-
-// BatchResult pairs one EmbedBatch item's answer with its error; exactly
-// one of the fields is set.
-type BatchResult struct {
-	Response *Response
-	Err      error
-}
-
-// EmbedBatch answers several embedding requests against one consistent
-// model snapshot: the hosting network, capability index and version are
-// taken once and shared by every item, so a batch of queries amortizes
-// the snapshot (and the index the filters intersect) instead of racing
-// the monitoring feed between items. Items run sequentially in order;
-// per-item failures land in the matching BatchResult without aborting
-// the rest. The shared version is returned alongside the results.
-func (s *Service) EmbedBatch(reqs []Request) ([]BatchResult, uint64) {
-	snap := s.Acquire()
-	defer snap.Release()
-	out := make([]BatchResult, len(reqs))
-	for i, req := range reqs {
-		resp, err := snap.Embed(req)
-		out[i] = BatchResult{Response: resp, Err: err}
-	}
-	return out, snap.Version
-}
-
-// embedOn answers one request against a fixed (host, index, version)
-// snapshot. The index is threaded into core.Options so BuildFilters
-// intersects strata instead of rescanning the host.
+// EmbedOn answers one request against a pinned snapshot; the caller
+// acquired it and releases it. The snapshot's index is threaded into
+// core.Options so BuildFilters reads its cached columns instead of
+// rescanning the host.
 //
 // keycomplete holds this function to core.Options: every Options field
 // must be set here from fingerprinted request state (or be marked
@@ -293,7 +246,7 @@ func (s *Service) EmbedBatch(reqs []Request) ([]BatchResult, uint64) {
 // cannot bypass the engine cache's request fingerprint.
 //
 //keycomplete:fingerprint core.Options
-func (s *Service) embedOn(host *graph.Graph, idx *index.Index, version uint64, req Request) (*Response, error) {
+func (s *Service) EmbedOn(snap Snapshot, req Request) (*Response, error) {
 	start := time.Now()
 	if req.Query == nil {
 		return nil, ErrNoQuery
@@ -304,9 +257,10 @@ func (s *Service) embedOn(host *graph.Graph, idx *index.Index, version uint64, r
 	}
 
 	if req.Algorithm == AlgoPathEmbed {
-		return s.embedPath(host, idx, version, req, edgeProg, nodeProg, start)
+		return s.embedPath(snap, req, edgeProg, nodeProg, start)
 	}
 
+	host := snap.Host()
 	newProblem := core.NewProblem
 	if req.Algorithm == AlgoConsolidate {
 		newProblem = core.NewConsolidatedProblem
@@ -324,7 +278,7 @@ func (s *Service) embedOn(host *graph.Graph, idx *index.Index, version uint64, r
 		MaxSolutions: req.MaxResults,
 		Seed:         req.Seed,
 		Stop:         req.Stop,
-		Index:        idx,
+		Index:        snap.Index(),
 		Objective:    req.Objective,
 		Optimize:     req.Optimize,
 	}
@@ -360,7 +314,7 @@ func (s *Service) embedOn(host *graph.Graph, idx *index.Index, version uint64, r
 	resp := &Response{
 		Status:       res.Status,
 		Mappings:     res.Solutions,
-		ModelVersion: version,
+		ModelVersion: snap.Version(),
 		Stats:        res.Stats,
 		Elapsed:      time.Since(start),
 		Warnings:     append(optWarnings, attrWarnings(host, edgeProg, nodeProg)...),
@@ -410,13 +364,14 @@ func search(p *core.Problem, opt core.Options, req Request) (*core.Result, error
 
 // embedPath answers an AlgoPathEmbed request: query edges map onto
 // hosting paths of at most MaxHops edges whose composed metrics satisfy
-// the query edge's windows (§VIII link-to-path). The capability index, if
-// present, supplies the hop-bounded reachability oracle; witness paths
+// the query edge's windows (§VIII link-to-path). The snapshot's index
+// supplies the hop-bounded reachability oracle; witness paths
 // come back in Response.Paths, by names, one per query edge and ordered
 // by query edge ID.
 //
 //keycomplete:fingerprint core.PathOptions
-func (s *Service) embedPath(host *graph.Graph, idx *index.Index, version uint64, req Request, edgeProg, nodeProg *expr.Program, start time.Time) (*Response, error) {
+func (s *Service) embedPath(snap Snapshot, req Request, edgeProg, nodeProg *expr.Program, start time.Time) (*Response, error) {
+	host := snap.Host()
 	if req.Path.MaxHops < 0 {
 		return nil, fmt.Errorf("%w: MaxHops %d is negative", ErrBadPathOptions, req.Path.MaxHops)
 	}
@@ -436,7 +391,7 @@ func (s *Service) embedPath(host *graph.Graph, idx *index.Index, version uint64,
 		Timeout:      req.Timeout,
 		MaxSolutions: req.MaxResults,
 		Stop:         req.Stop,
-		Index:        idx,
+		Index:        snap.Index(),
 	}
 	if popt.MaxHops == 0 {
 		popt.MaxHops = s.defaultPathHops // 0 falls through to the core default
@@ -448,7 +403,7 @@ func (s *Service) embedPath(host *graph.Graph, idx *index.Index, version uint64,
 
 	resp := &Response{
 		Status:       res.Status,
-		ModelVersion: version,
+		ModelVersion: snap.Version(),
 		Stats:        res.Stats,
 		Elapsed:      time.Since(start),
 		Warnings:     attrWarnings(host, nodeProg),

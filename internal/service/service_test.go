@@ -30,33 +30,44 @@ func testQuery(t testing.TB, host *graph.Graph, n, e int, seed int64) *graph.Gra
 	return q
 }
 
-func TestModelSnapshotAndUpdate(t *testing.T) {
+func TestModelAcquireAndApply(t *testing.T) {
 	g := topo.Ring(4)
 	m := NewModel(g)
-	snap, v := m.Snapshot()
-	if snap != g || v != 1 {
-		t.Fatalf("initial snapshot %v v%d", snap, v)
+	snap := m.Acquire()
+	if snap.Host() != g || snap.Version() != 1 || snap.Index().Version() != 1 {
+		t.Fatalf("initial snapshot %v v%d", snap.Host(), snap.Version())
 	}
-	g2 := topo.Ring(5)
-	if v2 := m.Update(g2); v2 != 2 {
-		t.Errorf("version after update = %d", v2)
+	replace, err := graph.Replacement(g, topo.Ring(5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	snap2, _ := m.Snapshot()
-	if snap2.NumNodes() != 5 {
-		t.Error("update not visible")
+	if v2, err := m.Apply(replace); err != nil || v2 != 2 {
+		t.Errorf("version after replacement = %d, %v", v2, err)
 	}
-	v3 := m.Mutate(func(g *graph.Graph) {
-		g.Node(0).Attrs = g.Node(0).Attrs.SetNum("cpu", 8)
-	})
-	if v3 != 3 {
-		t.Errorf("version after mutate = %d", v3)
+	snap2 := m.Acquire()
+	if snap2.Host().NumNodes() != 5 || snap2.Host().NumEdges() != 5 || snap2.Index().NumNodes() != 5 {
+		t.Error("replacement not visible")
 	}
-	// Mutate must not touch the previous snapshot.
-	if snap2.Node(0).Attrs.Has("cpu") {
-		t.Error("Mutate modified an old snapshot")
+	// The pinned snapshot still reads the network it acquired.
+	if snap.Host().NumNodes() != 4 || snap.Version() != 1 {
+		t.Error("a write changed a pinned snapshot")
 	}
+	snap.Release()
+	v3, err := m.Apply(&graph.Delta{SetNodeAttrs: []graph.NodeAttrUpdate{{
+		Node: snap2.Host().Node(0).Name, Set: graph.Attrs{}.SetNum("cpu", 8),
+	}}})
+	if err != nil || v3 != 3 {
+		t.Errorf("version after attribute delta = %d, %v", v3, err)
+	}
+	if snap2.Host().Node(0).Attrs.Has("cpu") {
+		t.Error("Apply modified an old snapshot")
+	}
+	snap2.Release()
 	if m.Version() != 3 {
 		t.Errorf("Version() = %d", m.Version())
+	}
+	if st := m.EpochStats(); st.LiveReaders != 0 || st.Retired != 2 {
+		t.Errorf("after releasing both superseded snapshots: %+v", st)
 	}
 }
 
@@ -64,11 +75,11 @@ func TestMonitorDriftsDelays(t *testing.T) {
 	host := testHost(t, 30, 1)
 	model := NewModel(host)
 	mon := NewMonitor(model, MonitorConfig{Seed: 7, EdgeFraction: 0.5, JitterPct: 0.2})
-	before, v0 := model.Snapshot()
+	before, v0 := peek(model).Host(), model.Version()
 	if v := mon.Step(); v != v0+1 {
 		t.Errorf("version after step = %d", v)
 	}
-	after, _ := model.Snapshot()
+	after := peek(model).Host()
 	changed := 0
 	for i := 0; i < before.NumEdges(); i++ {
 		b, _ := before.Edge(graph.EdgeID(i)).Attrs.Float("avgDelay")

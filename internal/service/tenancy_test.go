@@ -160,7 +160,8 @@ func TestTenancyAllowSetMatchesMarkedOverlay(t *testing.T) {
 			now = now.Add(time.Duration(rng.Intn(4)) * 20 * time.Minute)
 		}
 
-		snap, idx, version := model.SnapshotIndexed()
+		pinned := model.Acquire()
+		snap := pinned.Host()
 		marked := markedCopy(t, snap, saturatedIn(led, leases, snap, now, time.Time{}))
 		req := Request{Query: query, EdgeConstraint: delayWindowSrc, Timeout: 20 * time.Second, Seed: int64(step)}
 		if step%2 == 1 {
@@ -184,13 +185,13 @@ func TestTenancyAllowSetMatchesMarkedOverlay(t *testing.T) {
 			label := fmt.Sprintf("step %d, %s", step, algo)
 			excl := req
 			excl.ExcludeReserved = true
-			got, err := svc.embedOn(snap, idx, version, excl)
+			got, err := svc.EmbedOn(pinned, excl)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			oracle := req
 			oracle.NodeConstraint = guardedNode(req.NodeConstraint)
-			want, err := svc.embedOn(marked, idx, version, oracle)
+			want, err := oracleEmbed(marked, oracle)
 			if err != nil {
 				t.Fatalf("%s oracle: %v", label, err)
 			}
@@ -210,7 +211,7 @@ func TestTenancyAllowSetMatchesMarkedOverlay(t *testing.T) {
 				winMarked := markedCopy(t, snap, saturatedIn(led, leases, snap, start, start.Add(sreq.Duration)))
 				oracle := sreq.Request
 				oracle.NodeConstraint, oracle.MaxResults = guardedNode(req.NodeConstraint), 1
-				resp, err := svc.embedOn(winMarked, nil, version, oracle)
+				resp, err := oracleEmbed(winMarked, oracle)
 				if err != nil {
 					t.Fatalf("%s oracle: %v", label, err)
 				}
@@ -234,7 +235,13 @@ func TestTenancyAllowSetMatchesMarkedOverlay(t *testing.T) {
 				}
 			}
 		}
+		pinned.Release()
 	}
+}
+
+// oracleEmbed answers req on a model of its own over g.
+func oracleEmbed(g *graph.Graph, req Request) (*Response, error) {
+	return New(NewModel(g), Config{}).Embed(req)
 }
 
 // TestExcludeReservedAllocsFlat: hiding leased hosts costs an Embed a

@@ -247,8 +247,6 @@ type (
 	Request = service.Request
 	// Response is the service's answer.
 	Response = service.Response
-	// BatchResult is one EmbedBatch item's outcome.
-	BatchResult = service.BatchResult
 	// PathRequestOptions shapes an AlgoPathEmbed (link-to-path) request.
 	PathRequestOptions = service.PathRequestOptions
 	// PathWitness renders one query edge's witness hosting path by names.
