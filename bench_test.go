@@ -1301,15 +1301,45 @@ func BenchmarkServePath(b *testing.B) {
 // codecFixtures are the documents the service decodes most: one planted
 // 8-node/12-edge query with ±10% delay windows (the shape of every
 // novel_constrained request) and the paper-sized 296-site host (PUT /model).
-func codecFixtures(b *testing.B) (query, host *netembed.Graph) {
-	b.Helper()
+func codecFixtures(tb testing.TB) (query, host *netembed.Graph) {
+	tb.Helper()
 	host = trace.SyntheticPlanetLab(trace.Config{Sites: 296}, rand.New(rand.NewSource(1)))
 	query, _, err := topo.Subgraph(host, 8, 12, rand.New(rand.NewSource(1)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	topo.WidenDelayWindows(query, 0.1)
 	return query, host
+}
+
+// decodeQueryAllocBudget bounds graphml.DecodeString on the planted
+// query of codecFixtures. Measured: 61 — the graph's own storage, one
+// bag per element (two allocations each), one buffer for every name and
+// string value, and the scanner's lists. Adding each node and edge as it
+// was read made 117.
+const decodeQueryAllocBudget = 70
+
+// TestDecodeQueryAllocBudget pins the allocations of decoding the query
+// every query-LRU miss and every shard fragment decodes. The decoder
+// rents nothing from a pool, so a -race build counts the same.
+func TestDecodeQueryAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is slow under -short")
+	}
+	query, _ := codecFixtures(t)
+	doc, err := graphml.EncodeString(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := graphml.DecodeString(doc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("query8 decode: %.1f allocs/op (budget %d)", avg, decodeQueryAllocBudget)
+	if avg > decodeQueryAllocBudget {
+		t.Errorf("decoding the planted query allocates %.1f/op, budget %d — the GraphML scanner regressed", avg, decodeQueryAllocBudget)
+	}
 }
 
 // BenchmarkDecodeQuery measures graphml.DecodeString on the codec

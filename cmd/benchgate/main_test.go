@@ -216,6 +216,7 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		"BenchmarkDecodeQuery/query8",
 		"BenchmarkDecodeQuery/host296",
 		"BenchmarkEncodeQuery/query8",
+		"BenchmarkCompileDelayRange",
 	} {
 		if !gate.MatchString(name) {
 			t.Errorf("GATE %q does not gate %q", m[1], name)
@@ -226,6 +227,7 @@ func TestWorkflowGateMatchesSubBenchmarks(t *testing.T) {
 		"BenchmarkIndexDelta/delta-apply",
 		"BenchmarkParallelECF_StealVsStatic/steal",
 		"BenchmarkEmbedEnvelope/scanner",
+		"BenchmarkEvalDelayRange",
 	} {
 		if gate.MatchString(name) {
 			t.Errorf("GATE %q unexpectedly gates %q", m[1], name)

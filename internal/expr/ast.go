@@ -75,9 +75,10 @@ const (
 	opMax
 )
 
-// node is one operator application of a parsed expression. Both compiled
-// forms hang off this tree: the per-pair evaluator below walks it with one
-// value per node, the batch evaluator (batch.go) with one column per node.
+// node is one operator application of a parsed expression, carved out of
+// its compile's slab (parser.newNode). Both compiled forms hang off this
+// tree: the per-pair evaluator below walks it with one value per node,
+// the batch evaluator (batch.go) with one column per node.
 type node struct {
 	op   opKind
 	lit  graph.Value // opLit
@@ -89,20 +90,6 @@ type node struct {
 	// occupies: the first operand is computed into the node's own
 	// register, every later one into the next while the first is held.
 	regs int
-}
-
-func newNode(op opKind, args ...*node) *node {
-	n := &node{op: op, args: args, regs: 1}
-	for i, a := range args {
-		r := a.regs
-		if i > 0 {
-			r++
-		}
-		if r > n.regs {
-			n.regs = r
-		}
-	}
-	return n
 }
 
 // env carries the attribute bags bound to each object during one per-pair

@@ -87,12 +87,12 @@ const maxRegs = 16
 // Compile parses and compiles src. The empty expression compiles to a
 // program that accepts everything (no constraint beyond topology).
 func Compile(src string) (*Program, error) {
-	p := &parser{lex: lexer{src: src}}
+	p := newParser(src)
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	if p.tok.kind == tokEOF {
-		return &Program{src: src, root: literal(graph.BoolVal(true))}, nil
+		return &Program{src: src, root: p.literal(graph.BoolVal(true))}, nil
 	}
 	root, err := p.parseExpr()
 	if err != nil {

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -431,5 +432,30 @@ func edgeBindingForBench() *EdgeBinding {
 	return &EdgeBinding{
 		VEdge: graph.Attrs{}.SetNum("avgDelay", 100),
 		REdge: graph.Attrs{}.SetNum("minDelay", 90).SetNum("maxDelay", 120),
+	}
+}
+
+// TestCompileStaysInItsSlabs pins newParser's bounds: the parse of any
+// source — random programs from the full grammar, and malformed ones —
+// carves every node and operand list out of the slabs newParser sized,
+// never starting another, and records no more references than it made
+// room for.
+func TestCompileStaysInItsSlabs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	srcs := []string{"", "1+2*3", "min(1,2,3,4,5,6) == max(-1,1)", "((((1))))", "'a' == \"b\\\"c\"",
+		"!has(vNode.seed) || has(rNode.seed)", "vEdge.a.b", "1 . 2", "abs(", "vEdge.", "\xaa", "-(-(-1))"}
+	for i := 0; i < 300; i++ {
+		srcs = append(srcs, randomExpr(rng, edgeObjs, 4), randomExpr(rng, nodeObjs, 4))
+	}
+	for _, src := range srcs {
+		p := newParser(src)
+		nodes, args, refs := p.nodes[:cap(p.nodes)], p.args[:cap(p.args)], cap(p.refs)
+		if err := p.advance(); err == nil && p.tok.kind != tokEOF {
+			p.parseExpr()
+		}
+		if len(p.nodes) > 0 && &p.nodes[0] != &nodes[0] || len(p.args) > 0 && (len(args) == 0 || &p.args[0] != &args[0]) || len(p.refs) > refs {
+			t.Errorf("%q: the parse outgrew its slabs: %d nodes (room for %d), %d operands (%d), %d refs (%d)",
+				src, len(p.nodes), len(nodes), len(p.args), len(args), len(p.refs), refs)
+		}
 	}
 }

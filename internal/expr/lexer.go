@@ -129,7 +129,7 @@ func (l *lexer) next() (token, error) {
 		return l.lexNumber()
 	case c == '"' || c == '\'':
 		return l.lexString(c)
-	case isIdentStart(rune(c)):
+	case c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c >= utf8.RuneSelf && isIdentStart(rune(c)):
 		return l.lexIdent()
 	}
 	l.pos++
@@ -221,6 +221,12 @@ done:
 func (l *lexer) lexString(quote byte) (token, error) {
 	start := l.pos
 	l.pos++ // opening quote
+	if end := strings.IndexByte(l.src[l.pos:], quote); end >= 0 && strings.IndexByte(l.src[l.pos:l.pos+end], '\\') < 0 {
+		// No escapes: the text is a slice of the source.
+		text := l.src[l.pos : l.pos+end]
+		l.pos += end + 1
+		return token{kind: tokString, pos: start, text: text}, nil
+	}
 	var sb strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -255,6 +261,14 @@ func (l *lexer) lexString(quote byte) (token, error) {
 func (l *lexer) lexIdent() (token, error) {
 	start := l.pos
 	for l.pos < len(l.src) {
+		if c := l.src[l.pos]; c < utf8.RuneSelf {
+			// ASCII: exactly what isIdentPart admits, without decoding.
+			if c != '_' && !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || isDigit(c)) {
+				break
+			}
+			l.pos++
+			continue
+		}
 		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
 		if !isIdentPart(r) {
 			break

@@ -18,6 +18,73 @@ type parser struct {
 	tok  token
 	uses uint16    // bitmask of referenced Objects
 	refs []AttrRef // distinct attribute references in source order
+	// The slabs the tree is carved from: its nodes, and every node's
+	// operand list.
+	nodes []node
+	args  []*node
+}
+
+// newParser makes a parser over src with its slabs and refs allocated
+// once, at bounds a lexing pass reads off the tokens. Every node owns one
+// token: its literal, operator, function name or object name. No node
+// owns a parenthesis, a comma, a dot or the attribute name after a dot, so
+// the remaining tokens bound the nodes, and every node but the root is one
+// operand of another. A dot only occurs in an attribute access, so the
+// dots bound the references. The empty program is one literal. The count
+// stops where lexing fails, which is where the parse fails too.
+func newParser(src string) parser {
+	l := lexer{src: src}
+	nodes, refs := 0, 0
+	for {
+		at := l.pos
+		t, err := l.next()
+		if err != nil || t.kind == tokEOF || l.pos == at {
+			break // an identifier of no width fails the parse where it stands
+		}
+		switch t.kind {
+		case tokDot:
+			nodes--
+			refs++
+		case tokLParen, tokRParen, tokComma:
+		default:
+			nodes++
+		}
+	}
+	nodes = max(nodes, 1)
+	p := parser{lex: lexer{src: src}, nodes: make([]node, 0, nodes), args: make([]*node, 0, nodes-1)}
+	if refs > 0 {
+		p.refs = make([]AttrRef, 0, refs)
+	}
+	return p
+}
+
+// newNode carves a node applying op to args out of the slabs. Past a
+// slab's end (newParser's bound makes that unreachable) it starts another, so
+// the nodes already handed out never move.
+func (p *parser) newNode(op opKind, args ...*node) *node {
+	if len(p.nodes) == cap(p.nodes) {
+		p.nodes = make([]node, 0, 8)
+	}
+	p.nodes = append(p.nodes, node{op: op, regs: 1})
+	n := &p.nodes[len(p.nodes)-1]
+	if len(args) > 0 {
+		if cap(p.args)-len(p.args) < len(args) {
+			p.args = make([]*node, 0, max(8, len(args)))
+		}
+		lo := len(p.args)
+		p.args = append(p.args, args...)
+		n.args = p.args[lo:len(p.args):len(p.args)]
+	}
+	for i, a := range args {
+		r := a.regs
+		if i > 0 {
+			r++
+		}
+		if r > n.regs {
+			n.regs = r
+		}
+	}
+	return n
 }
 
 func (p *parser) advance() error {
@@ -66,7 +133,7 @@ func (p *parser) parseOr() (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = newNode(opOr, left, right)
+		left = p.newNode(opOr, left, right)
 	}
 	return left, nil
 }
@@ -84,7 +151,7 @@ func (p *parser) parseAnd() (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = newNode(opAnd, left, right)
+		left = p.newNode(opAnd, left, right)
 	}
 	return left, nil
 }
@@ -103,7 +170,7 @@ func (p *parser) parseEquality() (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = newNode(binaryOps[op], left, right)
+		left = p.newNode(binaryOps[op], left, right)
 	}
 	return left, nil
 }
@@ -122,7 +189,7 @@ func (p *parser) parseRelational() (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = newNode(binaryOps[op], left, right)
+		left = p.newNode(binaryOps[op], left, right)
 	}
 	return left, nil
 }
@@ -141,7 +208,7 @@ func (p *parser) parseAdditive() (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = newNode(binaryOps[op], left, right)
+		left = p.newNode(binaryOps[op], left, right)
 	}
 	return left, nil
 }
@@ -160,7 +227,7 @@ func (p *parser) parseMultiplicative() (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = newNode(binaryOps[op], left, right)
+		left = p.newNode(binaryOps[op], left, right)
 	}
 	return left, nil
 }
@@ -175,7 +242,7 @@ func (p *parser) parseUnary() (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newNode(opNot, x), nil
+		return p.newNode(opNot, x), nil
 	case tokMinus:
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -184,7 +251,7 @@ func (p *parser) parseUnary() (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newNode(opNeg, x), nil
+		return p.newNode(opNeg, x), nil
 	}
 	return p.parsePrimary()
 }
@@ -196,13 +263,13 @@ func (p *parser) parsePrimary() (*node, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return literal(v), nil
+		return p.literal(v), nil
 	case tokString:
 		v := graph.Str(p.tok.text)
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return literal(v), nil
+		return p.literal(v), nil
 	case tokLParen:
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -229,9 +296,9 @@ func (p *parser) parseIdent() (*node, error) {
 	}
 	switch {
 	case name == "true":
-		return literal(graph.BoolVal(true)), nil
+		return p.literal(graph.BoolVal(true)), nil
 	case name == "false":
-		return literal(graph.BoolVal(false)), nil
+		return p.literal(graph.BoolVal(false)), nil
 	case p.tok.kind == tokDot:
 		obj, ok := objectNames[name]
 		if !ok {
@@ -249,7 +316,7 @@ func (p *parser) parseIdent() (*node, error) {
 			return nil, err
 		}
 		p.uses |= 1 << obj
-		n := newNode(opAttr)
+		n := p.newNode(opAttr)
 		n.obj, n.attr, n.ref = obj, attr, p.refIndex(AttrRef{Object: obj, Attr: attr})
 		return n, nil
 	case p.tok.kind == tokLParen:
@@ -263,7 +330,8 @@ func (p *parser) parseCall(name string, namePos int) (*node, error) {
 	if err := p.advance(); err != nil { // consume '('
 		return nil, err
 	}
-	var args []*node
+	var buf [4]*node // most calls take one or two arguments
+	args := buf[:0]
 	if p.tok.kind != tokRParen {
 		for {
 			a, err := p.parseExpr()
@@ -291,7 +359,7 @@ func (p *parser) parseCall(name string, namePos int) (*node, error) {
 		return nil, &SyntaxError{Src: p.lex.src, Pos: namePos,
 			Msg: fmt.Sprintf("%s takes %s, got %d argument(s)", name, fn.want, len(args))}
 	}
-	return newNode(fn.op, args...), nil
+	return p.newNode(fn.op, args...), nil
 }
 
 // functions is the language's call table: operator, minimum arity,
@@ -319,8 +387,8 @@ var binaryOps = map[tokKind]opKind{
 	tokPlus: opAdd, tokMinus: opSub, tokStar: opMul, tokSlash: opDiv,
 }
 
-func literal(v graph.Value) *node {
-	n := newNode(opLit)
+func (p *parser) literal(v graph.Value) *node {
+	n := p.newNode(opLit)
 	n.lit = v
 	return n
 }

@@ -119,11 +119,12 @@ func (g *Graph) AddNodes(n int) NodeID {
 	return first
 }
 
-// Errors reported by AddEdge.
+// Errors reported by AddEdge and Build.
 var (
 	ErrSelfLoop      = errors.New("graph: self-loops are not allowed")
 	ErrDuplicateEdge = errors.New("graph: duplicate edge")
 	ErrNoSuchNode    = errors.New("graph: node id out of range")
+	ErrDuplicateName = errors.New("graph: duplicate node name")
 )
 
 func (g *Graph) edgeKey(u, v NodeID) uint64 {
@@ -162,6 +163,93 @@ func (g *Graph) AddEdge(u, v NodeID, attrs Attrs) (EdgeID, error) {
 		g.out[v] = append(g.out[v], Arc{To: u, Edge: id})
 	}
 	return id, nil
+}
+
+// Build returns the graph that AddNode over nodes and then AddEdge over
+// edges, in order, would build: the same node IDs, edge IDs, adjacency
+// order and generated names, and the same rejections, reported as errors
+// (ErrDuplicateName where AddNode panics). Every piece of storage is
+// allocated once at its final size: the name and edge indexes are sized
+// up front, the edge pages are carved out of edges, and every adjacency
+// row out of one arc arena with its capacity cut to its length, so an
+// AddEdge on the result moves the row it grows instead of writing into
+// its neighbour's. Build takes ownership of nodes and edges.
+//
+//netembedvet:allow cowwrite construction-phase builder: the graph has not been published as a snapshot yet, so nothing shares its storage
+func Build(directed bool, nodes []Node, edges []Edge) (*Graph, error) {
+	n := len(nodes)
+	g := &Graph{
+		directed: directed,
+		numEdges: len(edges),
+		nodes:    nodes,
+		index:    make(map[uint64]EdgeID, len(edges)),
+		names:    make(map[string]NodeID, n),
+	}
+	for i := range nodes {
+		if nodes[i].Name == "" {
+			nodes[i].Name = fmt.Sprintf("n%d", i)
+		}
+		if _, dup := g.names[nodes[i].Name]; dup {
+			return nil, fmt.Errorf("%w %q", ErrDuplicateName, nodes[i].Name)
+		}
+		g.names[nodes[i].Name] = NodeID(i)
+	}
+	// Rows 0..n-1 are the out-adjacency, n..2n-1 the in-adjacency of a
+	// directed graph; either way every edge contributes two arcs.
+	rows := n
+	if directed {
+		rows = 2 * n
+	}
+	deg := make([]int32, rows)
+	for i, e := range edges {
+		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+			return nil, ErrNoSuchNode
+		}
+		if e.From == e.To {
+			return nil, ErrSelfLoop
+		}
+		key := g.edgeKey(e.From, e.To)
+		if _, dup := g.index[key]; dup {
+			return nil, ErrDuplicateEdge
+		}
+		g.index[key] = EdgeID(i)
+		deg[e.From]++
+		if directed {
+			deg[n+int(e.To)]++
+		} else {
+			deg[e.To]++
+		}
+	}
+	adj := make([][]Arc, rows)
+	arena := make([]Arc, 2*len(edges))
+	off := int32(0)
+	for r, d := range deg {
+		if d > 0 {
+			adj[r] = arena[off : off : off+d]
+			off += d
+		}
+	}
+	for i, e := range edges {
+		id := EdgeID(i)
+		adj[e.From] = append(adj[e.From], Arc{To: e.To, Edge: id})
+		if directed {
+			adj[n+int(e.To)] = append(adj[n+int(e.To)], Arc{To: e.From, Edge: id})
+		} else {
+			adj[e.To] = append(adj[e.To], Arc{To: e.From, Edge: id})
+		}
+	}
+	g.out = adj[:n:n]
+	if directed {
+		g.in = adj[n:]
+	}
+	if len(edges) > 0 {
+		g.edges = make([][]Edge, (len(edges)+edgePageMask)>>edgePageShift)
+		for p := range g.edges {
+			hi := min((p+1)<<edgePageShift, len(edges))
+			g.edges[p] = edges[p<<edgePageShift : hi : hi]
+		}
+	}
+	return g, nil
 }
 
 // MustAddEdge is AddEdge that panics on error, for generators and tests
@@ -226,14 +314,19 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 
 // Clone returns a deep copy of the graph (attribute bags included).
 func (g *Graph) Clone() *Graph {
-	c := New(g.directed)
-	for _, n := range g.nodes {
-		c.AddNode(n.Name, n.Attrs.Clone())
+	nodes := make([]Node, len(g.nodes))
+	for i, n := range g.nodes {
+		nodes[i] = Node{Name: n.Name, Attrs: n.Attrs.Clone()}
 	}
+	edges := make([]Edge, 0, g.numEdges)
 	for _, page := range g.edges {
 		for _, e := range page {
-			c.MustAddEdge(e.From, e.To, e.Attrs.Clone())
+			edges = append(edges, Edge{From: e.From, To: e.To, Attrs: e.Attrs.Clone()})
 		}
+	}
+	c, err := Build(g.directed, nodes, edges)
+	if err != nil {
+		panic(fmt.Sprintf("graph: Clone: %v", err))
 	}
 	return c
 }
@@ -243,30 +336,39 @@ func (g *Graph) Clone() *Graph {
 // the originals. Node names and attribute bags are shared-by-copy.
 // Duplicate IDs in ids are rejected.
 func (g *Graph) InducedSubgraph(ids []NodeID) (*Graph, []NodeID, error) {
-	sub := New(g.directed)
-	back := make([]NodeID, 0, len(ids))
-	fwd := make(map[NodeID]NodeID, len(ids))
-	for _, id := range ids {
+	fwd := make([]NodeID, len(g.nodes)) // original → new ID + 1; 0 when left out
+	nodes := make([]Node, len(ids))
+	for i, id := range ids {
 		if id < 0 || int(id) >= len(g.nodes) {
 			return nil, nil, ErrNoSuchNode
 		}
-		if _, dup := fwd[id]; dup {
+		if fwd[id] != 0 {
 			return nil, nil, fmt.Errorf("graph: duplicate node %d in subgraph selection", id)
 		}
-		n := g.nodes[id]
-		fwd[id] = sub.AddNode(n.Name, n.Attrs.Clone())
-		back = append(back, id)
+		fwd[id] = NodeID(i) + 1
+		nodes[i] = Node{Name: g.nodes[id].Name, Attrs: g.nodes[id].Attrs.Clone()}
 	}
+	kept := 0
 	for _, page := range g.edges {
 		for _, e := range page {
-			u, okU := fwd[e.From]
-			v, okV := fwd[e.To]
-			if okU && okV {
-				sub.MustAddEdge(u, v, e.Attrs.Clone())
+			if fwd[e.From] != 0 && fwd[e.To] != 0 {
+				kept++
 			}
 		}
 	}
-	return sub, back, nil
+	edges := make([]Edge, 0, kept)
+	for _, page := range g.edges {
+		for _, e := range page {
+			if u, v := fwd[e.From], fwd[e.To]; u != 0 && v != 0 {
+				edges = append(edges, Edge{From: u - 1, To: v - 1, Attrs: e.Attrs.Clone()})
+			}
+		}
+	}
+	sub, err := Build(g.directed, nodes, edges)
+	if err != nil {
+		panic(fmt.Sprintf("graph: InducedSubgraph: %v", err))
+	}
+	return sub, append(make([]NodeID, 0, len(ids)), ids...), nil
 }
 
 // Density returns |E| / |E_max| for the graph's orientation.

@@ -3,7 +3,7 @@ package graphml
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -41,86 +41,87 @@ func EncodeString(g *graph.Graph) (string, error) {
 	return sb.String(), nil
 }
 
-// keySlot is one declared key: its value kind and the index in its
-// target's sorted name order, which is the number in its ID.
+// keySlot is one declared key: its attribute name and value kind. Its
+// index in its target's sorted list is the number in its ID.
 type keySlot struct {
+	name string
 	kind graph.Kind
-	id   int
 }
 
-// keySet collects the attribute names of one target (node or edge).
+// keySet collects the attribute names of one target (node or edge),
+// sorted by name as they are registered: map iteration order must never
+// leak into the document.
 type keySet struct {
 	prefix string // "dn" or "de"
-	slots  map[string]*keySlot
-	names  []string // sorted once every bag is registered
-	values int      // non-missing values seen, to size the output
+	slots  []keySlot
+	values int // non-missing values seen, to size the output
 }
 
-func (ks *keySet) register(attrs graph.Attrs) error {
+// register adds the bag's names. keySet travels by value so that slots
+// may stay in the caller's stack array.
+func (ks keySet) register(attrs graph.Attrs) (keySet, error) {
 	for name, v := range attrs {
 		if v.IsMissing() {
 			continue
 		}
 		ks.values++
-		if slot, ok := ks.slots[name]; ok {
-			if slot.kind != v.Kind() {
-				return fmt.Errorf("graphml: attribute %q has mixed kinds %v and %v", name, slot.kind, v.Kind())
-			}
-			continue
+		i, found := ks.find(name)
+		if !found {
+			ks.slots = slices.Insert(ks.slots, i, keySlot{name: name, kind: v.Kind()})
+		} else if ks.slots[i].kind != v.Kind() {
+			return ks, fmt.Errorf("graphml: attribute %q has mixed kinds %v and %v", name, ks.slots[i].kind, v.Kind())
 		}
-		ks.slots[name] = &keySlot{kind: v.Kind()}
 	}
-	return nil
+	return ks, nil
 }
 
-// assign sorts the names and numbers the IDs, only after the full
-// attribute sets are known: map iteration order must never leak into the
-// document.
-func (ks *keySet) assign() {
-	ks.names = make([]string, 0, len(ks.slots))
-	for name := range ks.slots {
-		ks.names = append(ks.names, name)
-	}
-	sort.Strings(ks.names)
-	for i, name := range ks.names {
-		ks.slots[name].id = i
-	}
+// find returns the index of name's slot, or where it would be inserted.
+func (ks keySet) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(ks.slots, name, func(k keySlot, name string) int {
+		return strings.Compare(k.name, name)
+	})
 }
+
+// maxStackKeys is how many keys per target, and values per element, the
+// writer holds without a heap allocation; more only cost one.
+const maxStackKeys = 16
 
 func write(sb *strings.Builder, g *graph.Graph) error {
-	nodeKeys := keySet{prefix: "dn", slots: make(map[string]*keySlot)}
-	edgeKeys := keySet{prefix: "de", slots: make(map[string]*keySlot)}
+	var nodeSlots, edgeSlots [maxStackKeys]keySlot
+	nodeKeys := keySet{prefix: "dn", slots: nodeSlots[:0]}
+	edgeKeys := keySet{prefix: "de", slots: edgeSlots[:0]}
+	var err error
 	for i := 0; i < g.NumNodes(); i++ {
-		if err := nodeKeys.register(g.Node(graph.NodeID(i)).Attrs); err != nil {
+		if nodeKeys, err = nodeKeys.register(g.Node(graph.NodeID(i)).Attrs); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < g.NumEdges(); i++ {
-		if err := edgeKeys.register(g.Edge(graph.EdgeID(i)).Attrs); err != nil {
+		if edgeKeys, err = edgeKeys.register(g.Edge(graph.EdgeID(i)).Attrs); err != nil {
 			return err
 		}
 	}
-	nodeKeys.assign()
-	edgeKeys.assign()
 
 	w := writer{sb: sb}
-	sb.Grow(256 + 64*(len(nodeKeys.names)+len(edgeKeys.names)) + 40*(g.NumNodes()+g.NumEdges()) +
+	sb.Grow(256 + 64*(len(nodeKeys.slots)+len(edgeKeys.slots)) + 40*(g.NumNodes()+g.NumEdges()) +
 		48*(nodeKeys.values+edgeKeys.values))
 	sb.WriteString(`<?xml version="1.0" encoding="UTF-8"?>` + "\n")
 	sb.WriteString(`<graphml xmlns="` + xmlns + `">`)
-	w.keys(&nodeKeys, "node")
-	w.keys(&edgeKeys, "edge")
+	w.keys(nodeKeys, "node")
+	w.keys(edgeKeys, "edge")
 	edgeDefault := "undirected"
 	if g.Directed() {
 		edgeDefault = "directed"
 	}
-	sb.WriteString("\n  <graph id=\"G\" edgedefault=\"" + edgeDefault + "\">")
+	sb.WriteString("\n  <graph id=\"G\" edgedefault=\"")
+	sb.WriteString(edgeDefault)
+	sb.WriteString(`">`)
 	for i := 0; i < g.NumNodes(); i++ {
 		n := g.Node(graph.NodeID(i))
 		sb.WriteString("\n    <node id=\"")
 		escape(sb, n.Name)
 		sb.WriteString(`">`)
-		w.data(&nodeKeys, n.Attrs, "node")
+		w.data(nodeKeys, n.Attrs, "node")
 	}
 	for i := 0; i < g.NumEdges(); i++ {
 		e := g.Edge(graph.EdgeID(i))
@@ -129,7 +130,7 @@ func write(sb *strings.Builder, g *graph.Graph) error {
 		sb.WriteString(`" target="`)
 		escape(sb, g.Node(e.To).Name)
 		sb.WriteString(`">`)
-		w.data(&edgeKeys, e.Attrs, "edge")
+		w.data(edgeKeys, e.Attrs, "edge")
 	}
 	if g.NumNodes()+g.NumEdges() > 0 {
 		sb.WriteString("\n  ")
@@ -140,19 +141,18 @@ func write(sb *strings.Builder, g *graph.Graph) error {
 
 // writer holds the scratch space reused across elements.
 type writer struct {
-	sb    *strings.Builder
-	names []string
-	num   []byte
+	sb  *strings.Builder
+	num [32]byte // the longest float64 'g' form is 24 bytes
 }
 
-func (w *writer) keys(ks *keySet, target string) {
-	for _, name := range ks.names {
+func (w *writer) keys(ks keySet, target string) {
+	for id, k := range ks.slots {
 		w.sb.WriteString("\n  <key id=\"")
-		w.id(ks, name)
+		w.id(ks, id)
 		w.sb.WriteString(`" for="` + target + `" attr.name="`)
-		escape(w.sb, name)
+		escape(w.sb, k.name)
 		w.sb.WriteString(`" attr.type="`)
-		switch ks.slots[name].kind {
+		switch k.kind {
 		case graph.Number:
 			w.sb.WriteString("double")
 		case graph.Bool:
@@ -164,30 +164,31 @@ func (w *writer) keys(ks *keySet, target string) {
 	}
 }
 
-func (w *writer) id(ks *keySet, name string) {
+func (w *writer) id(ks keySet, id int) {
 	w.sb.WriteString(ks.prefix)
-	w.sb.WriteString(strconv.Itoa(ks.slots[name].id))
+	w.sb.Write(strconv.AppendInt(w.num[:0], int64(id), 10))
 }
 
 // data writes the bag's values in sorted name order, then the end tag of
 // the element (node or edge) they belong to.
-func (w *writer) data(ks *keySet, attrs graph.Attrs, element string) {
-	w.names = w.names[:0]
+func (w *writer) data(ks keySet, attrs graph.Attrs, element string) {
+	var buf [maxStackKeys]string
+	names := buf[:0]
 	for name, v := range attrs {
 		if !v.IsMissing() {
-			w.names = append(w.names, name)
+			names = append(names, name)
 		}
 	}
-	sort.Strings(w.names)
-	for _, name := range w.names {
+	slices.Sort(names)
+	for _, name := range names {
+		id, _ := ks.find(name)
 		w.sb.WriteString("\n      <data key=\"")
-		w.id(ks, name)
+		w.id(ks, id)
 		w.sb.WriteString(`">`)
 		switch v := attrs[name]; v.Kind() {
 		case graph.Number:
 			f, _ := v.Float()
-			w.num = strconv.AppendFloat(w.num[:0], f, 'g', -1, 64)
-			w.sb.Write(w.num)
+			w.sb.Write(strconv.AppendFloat(w.num[:0], f, 'g', -1, 64))
 		case graph.String:
 			s, _ := v.Text()
 			escape(w.sb, s)
@@ -196,7 +197,7 @@ func (w *writer) data(ks *keySet, attrs graph.Attrs, element string) {
 		}
 		w.sb.WriteString("</data>")
 	}
-	if len(w.names) > 0 {
+	if len(names) > 0 {
 		w.sb.WriteString("\n    ")
 	}
 	w.sb.WriteString("</" + element + ">")

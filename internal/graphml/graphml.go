@@ -18,6 +18,13 @@
 // reference: every error message and every rejection is its own, and
 // FuzzDecodeMatchesReference holds the two to identical graphs.
 //
+// A graph the scanner decodes is exact-sized: it records the document
+// first and then builds the graph through graph.Build, so node, name and
+// edge-index storage, edge pages, adjacency and every attribute bag are
+// allocated once at their final size. Its names and string values are
+// copied into one buffer per document; no decoded graph, from either
+// decoder, aliases the text it came from.
+//
 // Encode is a direct writer (encode.go) whose output is byte-identical to
 // the encoding/xml struct encoder it replaced; that encoder survives only
 // in a test file, as the byte oracle of TestEncodeMatchesReference.
@@ -96,8 +103,9 @@ func DecodeString(s string) (*graph.Graph, error) {
 }
 
 // parseValue converts the character data of one <data> element (or one
-// <default>) under a key of type typ. String values are copied, so a
-// decoded graph never aliases the document.
+// <default>) under a key of type typ. A string value is a slice of raw:
+// the scanner copies it before the graph keeps it, and encoding/xml hands
+// decodeXML strings of its own.
 func parseValue(typ, raw string) (graph.Value, bool) {
 	raw = strings.TrimSpace(raw)
 	switch typ {
@@ -108,7 +116,7 @@ func parseValue(typ, raw string) (graph.Value, bool) {
 		f, err := strconv.ParseFloat(raw, 64)
 		return graph.Num(f), err == nil
 	case "string", "":
-		return graph.Str(strings.Clone(raw)), true
+		return graph.Str(raw), true
 	}
 	return graph.Value{}, false
 }

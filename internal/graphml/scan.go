@@ -12,11 +12,15 @@ import (
 // or a self-loop. Otherwise it reports false, having reported nothing
 // else: DecodeString then runs decodeXML, which owns every message.
 //
-// Nodes and edges are added in document order. Since an edge may only
-// name nodes declared before it, that gives the node IDs, edge IDs and
-// adjacency order decodeXML gives by adding every node first.
+// The pass records the document's nodes, edges and values with every
+// string still pointing into s; build then makes the graph with each
+// piece of storage allocated once at its final size, the strings copied
+// into one buffer. Nodes and edges keep document order. Since an edge may
+// only name nodes declared before it, that gives the node IDs, edge IDs
+// and adjacency order decodeXML gives by adding every node first.
 func scan(s string) (*graph.Graph, bool) {
 	sc := scanner{s: s}
+	sc.size()
 	if !sc.prolog() {
 		return nil, false
 	}
@@ -26,15 +30,18 @@ func scan(s string) (*graph.Graph, bool) {
 	for {
 		sc.space()
 		if strings.HasPrefix(sc.s[sc.i:], "</") {
-			if !sc.endTag("graphml") || sc.g == nil {
+			if !sc.endTag("graphml") || !sc.seenGraph {
 				return nil, false
 			}
 			sc.space()
-			return sc.g, sc.i == len(sc.s)
+			if sc.i != len(sc.s) {
+				return nil, false
+			}
+			return sc.build()
 		}
 		name, empty, ok := sc.startTag()
 		switch {
-		case !ok || sc.g != nil: // keys follow the one graph, or a second graph
+		case !ok || sc.seenGraph: // keys follow the one graph, or a second graph
 			return nil, false
 		case name == "key":
 			ok = sc.key(empty)
@@ -57,13 +64,68 @@ type tagAttr struct{ name, value string }
 
 type scanKey struct{ name, typ string }
 
+// datum is one <data> value. A string value still points into the
+// document until build copies it.
+type datum struct {
+	key int32 // index into scanner.keyList
+	v   graph.Value
+}
+
+// element is one <node> or <edge> in document order; its values are
+// data[end of the element before it : end].
+type element struct {
+	edge bool
+	id   int32 // index into scanner.nodes or scanner.edges
+	end  int32
+}
+
 type scanner struct {
-	s     string
-	i     int
-	g     *graph.Graph
-	keys  map[string]scanKey // by key ID; IDs are not copied, names are
-	attrs [maxTagAttrs]tagAttr
-	nattr int // attributes of the last start tag
+	s         string
+	i         int
+	directed  bool
+	seenGraph bool
+	keys      map[string]int32 // key ID → index into keyList
+	keyList   []scanKey
+	ids       map[string]graph.NodeID // node ID → NodeID
+	nodes     []graph.Node            // names point into s until build
+	edges     []graph.Edge
+	elems     []element
+	data      []datum
+	text      int // bytes build copies: key names, node names, string values
+	attrs     [maxTagAttrs]tagAttr
+	nattr     int // attributes of the last start tag
+}
+
+// size allocates the scanner's lists at the number of start tags of each
+// kind in s. Inside the subset every '<' followed by a name opens
+// <graphml>, <key>, <graph>, <node>, <edge> or <data>, so a document the
+// scanner takes fills each list exactly; any other document is given up.
+func (sc *scanner) size() {
+	var keys, nodes, edges, data int
+	for rest := sc.s; ; {
+		j := strings.IndexByte(rest, '<')
+		if j < 0 {
+			break
+		}
+		rest = rest[j+1:]
+		switch {
+		case strings.HasPrefix(rest, "data"):
+			data++
+		case strings.HasPrefix(rest, "edge"):
+			edges++
+		case strings.HasPrefix(rest, "node"):
+			nodes++
+		case strings.HasPrefix(rest, "key"):
+			keys++
+		}
+	}
+	sc.keys = make(map[string]int32, keys)
+	sc.keyList = make([]scanKey, 0, keys)
+	sc.ids = make(map[string]graph.NodeID, nodes)
+	sc.nodes = make([]graph.Node, 0, nodes)
+	sc.edges = make([]graph.Edge, 0, edges)
+	sc.elems = make([]element, 0, nodes+edges)
+	sc.data = make([]datum, 0, data)
 }
 
 // prologs are the XML declarations the scanner accepts: version 1.0, in
@@ -224,13 +286,12 @@ func (sc *scanner) key(empty bool) bool {
 	if name == "" {
 		name = id
 	}
-	if sc.keys == nil {
-		sc.keys = make(map[string]scanKey)
-	}
 	if _, dup := sc.keys[id]; dup || id == "" {
 		return false
 	}
-	sc.keys[id] = scanKey{name: strings.Clone(name), typ: typ}
+	sc.keys[id] = int32(len(sc.keyList))
+	sc.keyList = append(sc.keyList, scanKey{name: name, typ: typ})
+	sc.text += len(name)
 	if empty {
 		return true
 	}
@@ -241,12 +302,12 @@ func (sc *scanner) key(empty bool) bool {
 func (sc *scanner) graph(empty bool) bool {
 	switch sc.get("edgedefault") {
 	case "directed":
-		sc.g = graph.New(true)
+		sc.directed = true
 	case "undirected", "":
-		sc.g = graph.New(false)
 	default:
 		return false
 	}
+	sc.seenGraph = true
 	if empty {
 		return true
 	}
@@ -274,50 +335,45 @@ func (sc *scanner) graph(empty bool) bool {
 
 func (sc *scanner) node(empty bool) bool {
 	id := sc.get("id")
-	if _, dup := sc.g.NodeByName(id); dup || id == "" {
+	if _, dup := sc.ids[id]; dup || id == "" {
 		return false
 	}
-	attrs, ok := sc.data("node", empty)
-	if !ok {
-		return false
-	}
-	sc.g.AddNode(strings.Clone(id), attrs)
-	return true
+	n := graph.NodeID(len(sc.nodes))
+	sc.ids[id] = n
+	sc.nodes = append(sc.nodes, graph.Node{Name: id})
+	sc.text += len(id)
+	return sc.values(element{id: n}, "node", empty)
 }
 
 func (sc *scanner) edge(empty bool) bool {
-	u, okU := sc.g.NodeByName(sc.get("source"))
-	v, okV := sc.g.NodeByName(sc.get("target"))
+	u, okU := sc.ids[sc.get("source")]
+	v, okV := sc.ids[sc.get("target")]
 	if !okU || !okV {
 		return false
 	}
-	attrs, ok := sc.data("edge", empty)
-	if !ok {
-		return false
-	}
-	_, err := sc.g.AddEdge(u, v, attrs)
-	return err == nil
+	e := int32(len(sc.edges))
+	sc.edges = append(sc.edges, graph.Edge{From: u, To: v})
+	return sc.values(element{edge: true, id: e}, "edge", empty)
 }
 
-// data reads the <data> children of the element parent up to its end
-// tag. Later values overwrite earlier ones under the same name.
-func (sc *scanner) data(parent string, empty bool) (graph.Attrs, bool) {
-	var attrs graph.Attrs
-	if empty {
-		return attrs, true
-	}
-	for {
+// values reads the <data> children of the element parent up to its end
+// tag and records el as ending after them.
+func (sc *scanner) values(el element, parent string, empty bool) bool {
+	for !empty {
 		sc.space()
 		if strings.HasPrefix(sc.s[sc.i:], "</") {
-			return attrs, sc.endTag(parent)
+			if !sc.endTag(parent) {
+				return false
+			}
+			break
 		}
 		name, empty, ok := sc.startTag()
 		if !ok || name != "data" {
-			return nil, false
+			return false
 		}
 		k, ok := sc.keys[sc.get("key")]
 		if !ok {
-			return nil, false
+			return false
 		}
 		raw := ""
 		if !empty {
@@ -327,13 +383,73 @@ func (sc *scanner) data(parent string, empty bool) (graph.Attrs, bool) {
 			}
 			raw = sc.s[start:sc.i]
 			if !sc.endTag("data") {
-				return nil, false
+				return false
 			}
 		}
-		v, ok := parseValue(k.typ, raw)
+		v, ok := parseValue(sc.keyList[k].typ, raw)
 		if !ok {
-			return nil, false
+			return false
 		}
-		attrs = attrs.Set(k.name, v)
+		if text, ok := v.Text(); ok {
+			sc.text += len(text)
+		}
+		sc.data = append(sc.data, datum{key: k, v: v})
 	}
+	el.end = int32(len(sc.data))
+	sc.elems = append(sc.elems, el)
+	return true
+}
+
+// build makes the graph the scan recorded. Every string it keeps is
+// copied into one buffer of sc.text bytes, so the graph never aliases the
+// document; every attribute bag is made at the number of values its
+// element carries (later values overwrite earlier ones under one name).
+func (sc *scanner) build() (*graph.Graph, bool) {
+	var sb strings.Builder
+	sb.Grow(sc.text)
+	for _, k := range sc.keyList {
+		sb.WriteString(k.name)
+	}
+	for _, n := range sc.nodes {
+		sb.WriteString(n.Name)
+	}
+	for _, d := range sc.data {
+		if text, ok := d.v.Text(); ok {
+			sb.WriteString(text)
+		}
+	}
+	buf, off := sb.String(), 0
+	copied := func(s string) string {
+		off += len(s)
+		return buf[off-len(s) : off]
+	}
+	for i := range sc.keyList {
+		sc.keyList[i].name = copied(sc.keyList[i].name)
+	}
+	for i := range sc.nodes {
+		sc.nodes[i].Name = copied(sc.nodes[i].Name)
+	}
+	for i := range sc.data {
+		if text, ok := sc.data[i].v.Text(); ok {
+			sc.data[i].v = graph.Str(copied(text))
+		}
+	}
+	start := int32(0)
+	for _, el := range sc.elems {
+		if el.end == start {
+			continue
+		}
+		attrs := make(graph.Attrs, el.end-start)
+		for _, d := range sc.data[start:el.end] {
+			attrs[sc.keyList[d.key].name] = d.v
+		}
+		if el.edge {
+			sc.edges[el.id].Attrs = attrs
+		} else {
+			sc.nodes[el.id].Attrs = attrs
+		}
+		start = el.end
+	}
+	g, err := graph.Build(sc.directed, sc.nodes, sc.edges)
+	return g, err == nil
 }

@@ -283,6 +283,7 @@ type fragment struct {
 	frontier []graph.NodeID // query nodes with a cut edge, by full-query ID
 	cuts     []int          // indices into spanJoin.cuts touching this fragment
 
+	sent    bool // asked for at least once under this split
 	done    bool
 	hosts   []graph.NodeID // frontier images as boundary-graph nodes, parallel to frontier
 	named   NamedMapping
@@ -314,6 +315,7 @@ type spanJoin struct {
 
 	failure    spanOutcome
 	roundTrips uint64
+	resends    uint64 // round trips for a fragment already sent under the same split
 	examined   uint64
 }
 
@@ -668,6 +670,10 @@ func (j *spanJoin) fetch(f *fragment, allow []*sets.Bitset, page int) *Response 
 		sreq.Allow[j.req.Query.Node(x).Name] = hosts
 	}
 	j.roundTrips++
+	if f.sent {
+		j.resends++
+	}
+	f.sent = true
 	resp, err := f.cs.shard.Embed(sreq)
 	if err != nil {
 		j.c.recordFailure(f.cs, err)

@@ -192,7 +192,9 @@ type Coordinator struct {
 	// How spanning requests ended, and what the joins cost (GET /cluster).
 	spanOutcomes       [numSpanOutcomes]uint64
 	fragmentRoundTrips uint64
+	fragmentResends    uint64
 	candidatesExamined uint64
+	sweepProbes        uint64
 	viewBuilds         uint64
 }
 
@@ -541,6 +543,9 @@ func (c *Coordinator) sweep(req Request, eligible []*coordShard, budget time.Dur
 	}
 	req.Timeout = max(budget/time.Duration(len(eligible)), time.Millisecond)
 	for _, cs := range eligible {
+		c.mu.Lock()
+		c.sweepProbes++
+		c.mu.Unlock()
 		resp, err := cs.shard.Embed(req)
 		if err != nil {
 			// A failing shard is recorded and skipped; the remaining
@@ -571,6 +576,7 @@ func (c *Coordinator) countSpan(outcome spanOutcome) {
 func (c *Coordinator) countJoin(j *spanJoin, answered bool) {
 	c.mu.Lock()
 	c.fragmentRoundTrips += j.roundTrips
+	c.fragmentResends += j.resends
 	c.candidatesExamined += j.examined
 	if answered {
 		for _, f := range j.frags {
@@ -958,10 +964,15 @@ type SpanningInfo struct {
 	ShardError    uint64 `json:"shardError"`    // a shard failed on its fragment
 	Unsupported   uint64 `json:"unsupported"`   // consolidate, <2 healthy shards, no cut edges or no split to try
 	SweepAnswered uint64 `json:"sweepAnswered"` // decomposition failed, the local sweep answered
-	// Fragment requests sent to shards, and fragment embeddings the joins
-	// forward-checked.
+	// Fragment requests sent to shards; of those, the ones that sent a
+	// fragment again within one split, under narrowed allow-sets; and
+	// fragment embeddings the joins forward-checked.
 	FragmentRoundTrips uint64 `json:"fragmentRoundTrips"`
+	FragmentResends    uint64 `json:"fragmentResends"`
 	CandidatesExamined uint64 `json:"candidatesExamined"`
+	// Shard calls made by the sweep, which asks each eligible shard for
+	// the whole query — local and spanning requests alike.
+	SweepProbes uint64 `json:"sweepProbes"`
 	// Boundary-view installs: boot, every routing refresh, every delta that
 	// touches the boundary or the routing table.
 	BoundaryViewBuilds uint64 `json:"boundaryViewBuilds"`
@@ -987,7 +998,9 @@ func (c *Coordinator) Cluster() ClusterInfo {
 			Unsupported:        c.spanOutcomes[spanUnsupported],
 			SweepAnswered:      c.spanOutcomes[spanSweepAnswered],
 			FragmentRoundTrips: c.fragmentRoundTrips,
+			FragmentResends:    c.fragmentResends,
 			CandidatesExamined: c.candidatesExamined,
+			SweepProbes:        c.sweepProbes,
 			BoundaryViewBuilds: c.viewBuilds,
 		},
 	}

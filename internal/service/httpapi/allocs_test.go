@@ -20,23 +20,23 @@ import (
 // parent figure of the change that set it, so reintroducing a removed
 // sink fails here. On the 6-node/8-edge query of newAllocServer:
 //
-//	request                 budget  measured  before the envelope scanner,
-//	                                          pooled fingerprint and reply writer
-//	cached /embed               50        27      378
-//	warm /embed (search)       100        61      134
-//	novel /embed (decode)      200       153      226
-//	cached /jobs submit+poll   450       351      638
+//	request                 budget  measured  before
+//	cached /embed               50        25      378 (envelope scanner, pooled
+//	warm /embed (search)       100        59      134  fingerprint, reply writer)
+//	novel /embed (decode)      120       109      150 (exact-sized decode)
+//	cached /jobs submit+poll   450       350      638
 //
 // Earlier layers these also guard: per-request GraphML decoding through
 // encoding/xml (≈1,800 allocations, now the one-pass scanner plus the
-// decode LRU) and per-search filter and searcher construction (≈350, now
-// pooled in core). A -race build counts more allocations (its sync.Pool
-// drops items at random), so there every budget grows by half (budget),
-// still under the budgets these replaced.
+// decode LRU), per-element decoding storage (41 on this query, now sized
+// once per document) and per-search filter and searcher construction
+// (≈350, now pooled in core). A -race build counts more allocations (its
+// sync.Pool drops items at random), so there every budget grows by half
+// (budget), still under the budgets these replaced.
 const (
 	warmEmbedAllocBudget    = 100
 	cachedSubmitAllocBudget = 450
-	novelEmbedAllocBudget   = 200
+	novelEmbedAllocBudget   = 120
 	cachedEmbedAllocBudget  = 50
 )
 
@@ -134,8 +134,9 @@ func TestCachedEmbedAllocBudget(t *testing.T) {
 // whose query the decode LRU has never seen: 300 distinct planted
 // queries cycle through a 256-entry LRU, so every request decodes its
 // GraphML. Decoded through encoding/xml the request made ≈1,490
-// allocations, through the one-pass scanner ≈230, and ≈150 since the
-// envelope, fingerprint and reply stopped allocating per field.
+// allocations, through the one-pass scanner ≈230, ≈150 once the
+// envelope, fingerprint and reply stopped allocating per field, and 109
+// since the scanner sizes the graph's storage once per document.
 func TestNovelEmbedAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is slow under -short")

@@ -521,6 +521,25 @@ func TestCoordinatorJoinIsNotTruncated(t *testing.T) {
 		if span.Answered != 1 || span.FragmentRoundTrips < 3 || span.FragmentRoundTrips > 64 {
 			t.Errorf("%s tier: spanning = %+v, want one answer found by a handful of split pages", tier.name, span)
 		}
+		t.Logf("%s tier: spanning = %+v", tier.name, span)
+		// Splitting an allow-set asks for the same fragment again; the
+		// join answered first, so no sweep ran.
+		if span.FragmentResends < 1 || span.FragmentResends > span.FragmentRoundTrips || span.SweepProbes != 0 {
+			t.Errorf("%s tier: spanning = %+v, want 1 to fragmentRoundTrips resends and no sweep probe", tier.name, span)
+		}
+		// An unpinned triangle is swept first, and the first shard asked
+		// answers it.
+		tri := graph.NewUndirected()
+		tri.AddNodes(3)
+		tri.MustAddEdge(0, 1, nil)
+		tri.MustAddEdge(1, 2, nil)
+		tri.MustAddEdge(0, 2, nil)
+		if _, where, err := coord.Embed(service.Request{Query: tri, MaxResults: 1, Timeout: 20 * time.Second}); err != nil || strings.HasPrefix(where, "cross:") {
+			t.Fatalf("%s tier: triangle answered by %q (%v), want one shard", tier.name, where, err)
+		}
+		if probes := coord.Cluster().Spanning.SweepProbes; probes != 1 {
+			t.Errorf("%s tier: %d sweep probes for a triangle every shard holds, want 1", tier.name, probes)
+		}
 	}
 }
 

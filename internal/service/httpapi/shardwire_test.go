@@ -75,10 +75,11 @@ func shardWireRoundTrip(tb testing.TB, req service.Request, resp *service.Respon
 
 // shardWireAllocBudget bounds the allocations of one fragment's round
 // trip through the shard wire's codec at the federated workload's shape
-// (shardWireFragment). Measured: 33, of which 16 are encodeEmbedRequest's,
-// the query's GraphML above all; through encoding/json (json.Marshal,
-// json.Decoder and json.Unmarshal) the same round trip made ≈265.
-const shardWireAllocBudget = 45
+// (shardWireFragment). Measured: 19, of which 2 are encodeEmbedRequest's;
+// 33 while the GraphML encoder allocated per key and per value (16 in
+// encodeEmbedRequest), and ≈265 through encoding/json (json.Marshal,
+// json.Decoder and json.Unmarshal).
+const shardWireAllocBudget = 25
 
 // TestShardWireAllocBudget pins the allocations of one fragment round
 // trip — coordinator encodes, shard decodes, shard writes its reply,
